@@ -16,7 +16,8 @@ import numpy as np
 
 from . import demos
 from .config import ENV_TOL
-from .cones import DimensionMismatch, InvalidCone, UnsupportedRepresentation
+from .cones import (COORDINATE_KINDS, DimensionMismatch, InvalidCone,
+                    UnsupportedRepresentation)
 from .gauge import GaugeBody, ambient_comparison, linfty_isometry
 from .lattice import hausdorff_distance
 from .penalty import (PenaltyInstance, PreconditionViolation,
@@ -73,7 +74,7 @@ def cmd_gauge(args) -> int:
     x = _parse_point(args.point)
     value = body.gauge(x)
     report = {"command": "gauge", "gauge": value}
-    if body.closed_form:
+    if pf.cone.kind in COORDINATE_KINDS:
         report["isometry_image"] = linfty_isometry(body.u, x)
     report["ambient_comparison"] = ambient_comparison(
         body, x[None, :], p=pf.norm.p, weights=pf.norm.weights)

@@ -30,6 +30,9 @@ class UnsupportedRepresentation(ValueError):
     pass
 
 
+COORDINATE_KINDS = ("coordinate", "weighted-coordinate")
+
+
 def _unit_rows(M: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(M, axis=1)
     if np.any(norms < 1e-14):
@@ -62,7 +65,7 @@ class PolyhedralCone:
         self.kind = kind
         self.weights = None if weights is None else as_vector(weights, dim, "weights")
 
-        if kind in ("coordinate", "weighted-coordinate"):
+        if kind in COORDINATE_KINDS:
             self.halfspaces = np.eye(dim)
             self.generators = np.eye(dim)
             if kind == "weighted-coordinate":
@@ -131,6 +134,11 @@ class PolyhedralCone:
         y = as_vector(y, self.dim, "y")
         return self.contains(y - x, tol=tol)
 
+    def halfspace_values(self, X):
+        """<A_k, x> for one point x (a K-vector) or every row of X (an n x K
+        array); no matmul on the coordinate kinds, whose A is the identity."""
+        return X if self.kind in COORDINATE_KINDS else X @ self.halfspaces.T
+
     def interior_contains(self, x) -> bool:
         x = as_vector(x, self.dim, "point")
         margin = default_tolerances().interior
@@ -148,7 +156,7 @@ class PolyhedralCone:
         Requires a full-dimensional input, otherwise the dual contains a line
         and is no ordering cone.
         """
-        if self.kind in ("coordinate", "weighted-coordinate"):
+        if self.kind in COORDINATE_KINDS:
             return PolyhedralCone(self.dim, kind="coordinate")
         if np.linalg.matrix_rank(self.generators, tol=1e-10) < self.dim:
             raise UnsupportedRepresentation(
@@ -164,6 +172,26 @@ class PolyhedralCone:
         return (f"PolyhedralCone(dim={self.dim}, kind={self.kind!r}, "
                 f"{self.halfspaces.shape[0]} halfspaces, "
                 f"{self.generators.shape[0]} generators)")
+
+
+def halfspace_ratio(cone: PolyhedralCone, hu, X, absolute: bool = False,
+                    pos=None, slack: float = 0.0):
+    """max_k s(<A_k, x>) / <A_k, u> for one point x or every row of X.
+
+    hu is cone.halfspace_values(u); s is |.| when absolute (the norm ||x||_u,
+    i.e. the sup-norm of x's image under the isometry
+    x -> (<A_k, x> / <A_k, u>)_k into l-infinity), otherwise the identity
+    (the Gerstewitz function with e = u). With pos given, only the rows where
+    pos holds enter the max; a row outside pos (<A_k, u> ~ 0) with
+    <A_k, x> > slack makes the value +inf.
+    """
+    HX = cone.halfspace_values(X)
+    if absolute:
+        HX = np.abs(HX)
+    if pos is None:
+        return (HX / hu).max(axis=-1)
+    ratio = (HX[..., pos] / hu[pos]).max(axis=-1)
+    return np.where((HX[..., ~pos] > slack).any(axis=-1), np.inf, ratio)
 
 
 def coordinate_cone(dim: int) -> PolyhedralCone:

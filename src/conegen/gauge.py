@@ -1,11 +1,14 @@
 """Generating-space norms as Minkowski gauges of order intervals.
 
 The norm of the space generated by an interior element u of an ordering cone
-C is ||x||_u = inf{lam > 0 : -lam u <=_C x <=_C lam u}, the gauge of the
-symmetric order interval [-u, u]. On the coordinate cone this is the weighted
-sup-norm max_i |x_i| / u_i, and dividing coordinates by u is an isometry onto
-the finite sup-norm space. Infeasible gauges return math.inf; vectors
-themselves never carry infinities.
+C = {x : <h_k, x> >= 0} is ||x||_u = inf{lam > 0 : -lam u <=_C x <=_C lam u},
+the gauge of the symmetric order interval [-u, u]. Row k of the two order
+constraints reads lam <h_k, u> >= |<h_k, x>|, so the gauge is the closed form
+max_k |<h_k, x>| / <h_k, u>: the sup-norm of the image of x under the linear
+isometry x -> (<h_k, x> / <h_k, u>)_k into the finite sup-norm space. On the
+coordinate cone this is the weighted sup-norm max_i |x_i| / u_i and the
+isometry is onto. Only the gauge of a general vertex body needs an LP.
+Infeasible gauges return math.inf; vectors themselves never carry infinities.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .cones import PolyhedralCone, InvalidCone
+from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
 from .numkernel import LPProblem, as_vector, solve_lp
 
 
@@ -26,43 +29,21 @@ class GaugeBody:
         self.u = as_vector(u, cone.dim, "generating element")
         if not cone.interior_contains(self.u):
             raise InvalidCone("generating element u must lie in the interior of the cone")
-        self.closed_form = cone.kind in ("coordinate", "weighted-coordinate")
+        self._hu = cone.halfspace_values(self.u)
 
-    def gauge(self, x, method: str = "auto") -> float:
-        """||x||_u; method is "auto", "closed-form" (coordinate cones) or "lp"."""
+    def gauge(self, x) -> float:
+        """||x||_u = max_k |<h_k, x>| / <h_k, u>."""
         x = as_vector(x, self.cone.dim, "point")
-        if not np.any(x):
-            return 0.0
-        if method == "closed-form" or (method == "auto" and self.closed_form):
-            if not self.closed_form:
-                raise ValueError("closed form available only on coordinate cones")
-            return float(np.max(np.abs(x) / self.u))
-        return self._gauge_lp(x)
-
-    def _gauge_lp(self, x: np.ndarray) -> float:
-        # min lam  s.t.  lam u - x in C  and  lam u + x in C,  lam >= 0.
-        H = self.cone.halfspaces
-        hu = H @ self.u
-        hx = H @ x
-        lhs = np.concatenate([hu, hu])[:, None]
-        rhs = np.concatenate([hx, -hx])
-        rep = solve_lp(LPProblem(cost=np.ones(1), ineq_lhs=lhs, ineq_rhs=rhs,
-                                 lower=np.zeros(1)))
-        if rep.status != "optimal":
-            # Cannot occur for interior u (the interval is absorbing).
-            return math.inf
-        return float(rep.value)
+        return float(halfspace_ratio(self.cone, self._hu, x, absolute=True))
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized closed-form gauge for coordinate cones, rows of X."""
-        if not self.closed_form:
-            raise ValueError("gauge_many requires a coordinate cone")
+        """||x||_u for every row x of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.max(np.abs(X) / self.u, axis=1)
+        return halfspace_ratio(self.cone, self._hu, X, absolute=True)
 
 
-def order_interval_gauge(body: GaugeBody, x, method: str = "auto") -> float:
-    return body.gauge(x, method=method)
+def order_interval_gauge(body: GaugeBody, x) -> float:
+    return body.gauge(x)
 
 
 def minkowski_gauge(body_vertices, x) -> float:

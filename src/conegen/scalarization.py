@@ -1,7 +1,10 @@
 """Gerstewitz scalarization phi(y) = inf{t : t e in y + C} for polyhedral C.
 
 phi is the monotone sublinear functional whose sublevel sets are
-{y : y in r e - C}; its subdifferential is the polytope
+{y : y in r e - C}. For C = {y : <h_k, y> >= 0} it has the closed form
+max_k <h_k, y> / <h_k, e> over the halfspaces with <h_k, e> > 0, and is +inf
+when <h_k, y> > 0 on a halfspace with <h_k, e> = 0. Its subdifferential is the
+polytope
 {y* in C* : <y*, e> = 1, <y*, y> = phi(y)}, enumerated exactly in dimension
 <= 3 and returned as a membership oracle plus one LP witness above that.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import default_tolerances, resolve_tol
-from .cones import InvalidCone, PolyhedralCone
+from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
 from .numkernel import (LPProblem, as_vector, enumerate_polytope_vertices,
                         polyhedron_is_bounded, solve_lp)
 
@@ -51,61 +54,31 @@ class GerstewitzFn:
     def __init__(self, cone: PolyhedralCone, e):
         self.cone = cone
         self.e = as_vector(e, cone.dim, "direction e")
-        tol = default_tolerances().membership
+        tols = default_tolerances()
         if not np.any(self.e):
             raise InvalidCone("direction e must be nonzero")
-        if not cone.contains(self.e, tol=tol):
+        self._he = cone.halfspace_values(self.e)
+        if np.min(self._he) < -tols.membership:
             raise InvalidCone("e must belong to the cone (C + [0,inf) e subset C)")
-        if cone.contains(-self.e, tol=tol):
+        if np.max(self._he) <= tols.membership:
             raise InvalidCone("the line R e lies in the cone")
-        self._coordinate = cone.kind in ("coordinate", "weighted-coordinate") \
-            and bool(np.all(self.e > 0))
+        pos = self._he > tols.interior
+        self._pos = None if pos.all() else pos
+        self._slack = tols.membership
 
     # -- evaluation -----------------------------------------------------------
 
-    def value(self, y, method: str = "auto") -> float:
-        """phi(y) = inf{t : t e - y in C}; +inf when y is outside R(e - C)."""
+    def _ratio(self, Y):
+        return halfspace_ratio(self.cone, self._he, Y, pos=self._pos, slack=self._slack)
+
+    def value(self, y) -> float:
+        """phi(y) = inf{t : t e - y in C}; +inf when y is outside R e - C."""
         y = as_vector(y, self.cone.dim, "point")
-        if method == "closed-form" or (method == "auto" and self._coordinate):
-            if not self._coordinate:
-                raise ValueError("closed form requires a coordinate cone and positive e")
-            return float(np.max(y / self.e))
-        if method in ("auto", "lp"):
-            return self._value_lp(y)
-        raise ValueError(f"unknown method {method!r}")
-
-    def _value_lp(self, y: np.ndarray) -> float:
-        H = self.cone.halfspaces
-        rep = solve_lp(LPProblem(cost=np.ones(1), ineq_lhs=(H @ self.e)[:, None],
-                                 ineq_rhs=H @ y))
-        if rep.status == "infeasible":
-            return math.inf
-        if rep.status != "optimal":
-            raise RuntimeError(f"phi evaluation LP returned {rep.status}")
-        return float(rep.value)
-
-    def _value_ratio(self, y: np.ndarray) -> float:
-        # Exact closed form of the 1-D LP; used to build subdifferential
-        # constraints without the LP's feasibility slack.
-        H = self.cone.halfspaces
-        he = H @ self.e
-        hy = H @ y
-        pos = he > default_tolerances().interior
-        if np.any(hy[~pos] > default_tolerances().membership):
-            return math.inf
-        return float(np.max(hy[pos] / he[pos]))
+        return float(self._ratio(y))
 
     def value_many(self, Y: np.ndarray) -> np.ndarray:
-        """Vectorized closed-form values over rows of Y (any polyhedral cone
-        with e interior; falls back to the ratio formula with halfspaces)."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if self._coordinate:
-            return np.max(Y / self.e, axis=1)
-        H = self.cone.halfspaces
-        he = H @ self.e
-        if np.any(he <= 0):
-            raise ValueError("vectorized evaluation needs e in the interior")
-        return np.max((Y @ H.T) / he, axis=1)
+        """phi at every row of Y, with the same values (and +inf rows) as value."""
+        return self._ratio(np.atleast_2d(np.asarray(Y, dtype=float)))
 
     def sublevel(self, y, r: float, tol: float | None = None) -> bool:
         """phi(y) <= r  iff  y in r e - C."""
@@ -115,7 +88,7 @@ class GerstewitzFn:
     # -- subdifferential --------------------------------------------------------
 
     def _subdiff_system(self, y: np.ndarray):
-        value = self._value_ratio(y)
+        value = float(self._ratio(y))
         if not math.isfinite(value):
             raise EmptyDomain("phi is +inf at this point; subdifferential undefined")
         G = self.cone.generators  # halfspace description of the dual cone

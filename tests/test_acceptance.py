@@ -8,7 +8,8 @@ import math
 import time
 
 import numpy as np
-import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.duality import (StationarityCertificate, VectorObjective,
@@ -23,6 +24,7 @@ from conegen.lattice import (convex_hull_2d, hausdorff_distance,
 from conegen.numkernel import verify_farkas
 from conegen.penalty import random_instance, verify_penalty_equivalence
 from conegen.scalarization import GerstewitzFn
+from lp_oracle import gauge_lp, oracle_cones, phi_lp
 
 
 def _finish(name, failures, t0, budget):
@@ -48,8 +50,17 @@ def test_criterion_1_gauge_isometry_suite():
             if gap > 1e-12:
                 failures.append(("isometry", k, gap))
         x = X[0]
-        if abs(body.gauge(x, method="lp") - gauges[0]) > 1e-9:
+        if abs(gauge_lp(body.cone, u, x) - gauges[0]) > 1e-9:
             failures.append(("lp-vs-fast", k))
+    for name, (cone, base) in oracle_cones().items():
+        for k in range(20):
+            body = GaugeBody(cone, base + 0.3 * rng.uniform(-1, 1, cone.dim))
+            X = rng.normal(size=(10, cone.dim)) * rng.uniform(0.1, 5.0)
+            gauges = body.gauge_many(X)
+            for x, g in zip(X, gauges):
+                if abs(gauge_lp(cone, body.u, x) - g) > 1e-9 or \
+                        abs(body.gauge(x) - g) > 1e-12 * max(1.0, g):
+                    failures.append(("lp-vs-fast", name, k))
     # Example 4.1' truncations, exact equality
     for n in range(1, 21):
         u = 0.5 ** np.arange(1, n + 1)
@@ -86,8 +97,7 @@ def test_criterion_2_equivalence_constants_suite():
         c = equivalence_constant(cone, u, v)
         bu, bv = GaugeBody(cone, u), GaugeBody(cone, v)
         X = rng.normal(size=(100, cone.dim))
-        gu = bu.gauge_many(X) if bu.closed_form else np.array([bu.gauge(x) for x in X])
-        gv = bv.gauge_many(X) if bv.closed_form else np.array([bv.gauge(x) for x in X])
+        gu, gv = bu.gauge_many(X), bv.gauge_many(X)
         if np.any(gv > c * gu + 1e-9) or np.any(gv < gu / c - 1e-9):
             failures.append(("sandwich", k))
         witness_ratio = max(bv.gauge(u) / bu.gauge(u), bu.gauge(v) / bv.gauge(v))
@@ -140,12 +150,13 @@ def test_criterion_3_gerstewitz_suite():
         for y, v in zip(Y1[:100], v1[:100]):
             if fn.sublevel(y, v) is not True or fn.sublevel(y, v - 1e-6):
                 failures.append((fn.cone.kind, d, "sublevel-op"))
-        # module-path agreement on a subsample: the auto path is the contract
+        # the defining LP on a subsample, and the single-point path
         for y, v in zip(Y1[:60], v1[:60]):
-            if abs(fn.value(y) - v) > 1e-9:
+            if abs(phi_lp(fn.cone, fn.e, y) - v) > 1e-9 or \
+                    abs(fn.value(y) - v) > 1e-12 * max(1.0, abs(v)):
                 failures.append((fn.cone.kind, d, "lp-vs-ratio"))
         for y in Y1[:50]:
-            if not math.isfinite(fn._value_ratio(y)):
+            if not math.isfinite(fn.value(y)):
                 continue
             sub = fn.subdifferential(y)
             verts = sub.vertices if sub.vertices is not None else [sub.witness]
@@ -297,21 +308,34 @@ def test_criterion_7_lattice_suite():
     _finish("criterion 7 (lattice/Hausdorff)", failures, t0, 20)
 
 
+def _qp_dual_value(prog):
+    """Optimal value of min 0.5 x'Qx + q'x + c s.t. A x <= b, Q positive
+    definite, A stacking the box rows and G: the max over lam >= 0 of the dual
+    c - 0.5 w'Q^-1 w - b'lam with w = q + A'lam, by L-BFGS-B. It shares no
+    code with solve_primal."""
+    n = prog.n
+    A = np.vstack([np.eye(n), -np.eye(n), prog.G])
+    b = np.concatenate([prog.x_hi, -prog.x_lo, -prog.g0])
+    chol = cho_factor(prog.Q)
+
+    def negated_dual(lam):
+        w = prog.q + A.T @ lam
+        z = cho_solve(chol, w)
+        return 0.5 * w @ z + b @ lam, A @ z + b
+
+    res = minimize(negated_dual, np.zeros(A.shape[0]), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * A.shape[0],
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    return prog.c - res.fun
+
+
 def test_criterion_8_demos():
     t0 = time.time()
     failures = []
     tor = run_torsion_demo(n_grid=12, load=8.0)
-    cvxpy = pytest.importorskip("cvxpy")
-    prog = build_torsion_program(12, 8.0)
-    x = cvxpy.Variable(prog.n)
-    constraints = [x >= prog.x_lo, x <= prog.x_hi,
-                   prog.G @ x + prog.g0 <= 0]
-    objective = cvxpy.Minimize(0.5 * cvxpy.quad_form(x, cvxpy.psd_wrap(prog.Q))
-                               + prog.q @ x)
-    oracle = cvxpy.Problem(objective, constraints)
-    oracle.solve()
-    if abs(oracle.value - tor.value) > 1e-6:
-        failures.append(("torsion-oracle", oracle.value, tor.value))
+    oracle = _qp_dual_value(build_torsion_program(12, 8.0))
+    if abs(oracle - tor.value) > 1e-6:
+        failures.append(("torsion-oracle", oracle, tor.value))
     if not tor.gap_report["gap_ok"]:
         failures.append(("torsion-gap",))
     for seed in range(5):

@@ -5,6 +5,7 @@ import pytest
 
 from conegen.cli import main
 from conegen.problemfile import ProblemFormatError, parse_problem
+from lp_oracle import gauge_lp
 
 
 @pytest.fixture
@@ -110,6 +111,22 @@ class TestCommands:
         assert report["isometry_image"] == [1.0, -1.0, 1.0]
         assert "gauge" in err
         json.dumps(report)  # report itself re-serializes
+
+    def test_gauge_general_cone(self, capsys, tmp_path):
+        path = tmp_path / "pyramid.json"
+        gens = [[1, 0, 0.4], [0, 1, 0.4], [-1, 0, 0.4], [0, -1, 0.4]]
+        path.write_text(json.dumps({
+            "version": 1,
+            "cone": {"kind": "general", "dim": 3, "generators": gens},
+            "gauge": {"u": [0.2, -0.1, 1.0]},
+        }))
+        code, report, _ = run_cli(capsys, ["gauge", "--problem", str(path),
+                                           "--point", "0.5,-0.25,0.125"])
+        assert code == 0
+        cone = parse_problem(str(path)).cone
+        assert report["gauge"] == pytest.approx(
+            gauge_lp(cone, [0.2, -0.1, 1.0], [0.5, -0.25, 0.125]), abs=1e-9)
+        assert "isometry_image" not in report
 
     def test_penalize_ok(self, capsys, penalty_file):
         code, report, _ = run_cli(capsys, ["penalize", "--problem", penalty_file,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
 from conegen.gauge import (GaugeBody, ambient_comparison, equivalence_constant,
                            linfty_isometry, minkowski_gauge)
+from lp_oracle import gauge_lp, oracle_cones
 
 
 def dyadic_body(n):
@@ -54,12 +55,16 @@ class TestOrderIntervalGauge:
 
     def test_lp_path_matches_fast_path(self):
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            body = GaugeBody(coordinate_cone(n), rng.uniform(0.2, 2.0, n))
-            x = rng.normal(size=n)
-            assert body.gauge(x, method="lp") == pytest.approx(
-                body.gauge(x, method="closed-form"), abs=1e-9)
+        bodies = [GaugeBody(coordinate_cone(n), rng.uniform(0.2, 2.0, n))
+                  for n in rng.integers(2, 7, size=25)]
+        for cone, base in oracle_cones().values():
+            bodies += [GaugeBody(cone, base + 0.3 * rng.uniform(-1, 1, cone.dim))
+                       for _ in range(3)]
+        for body in bodies:
+            for _ in range(4):
+                x = rng.normal(size=body.cone.dim)
+                assert gauge_lp(body.cone, body.u, x) == pytest.approx(
+                    body.gauge(x), abs=1e-9)
 
     def test_non_interior_u_rejected(self):
         with pytest.raises(InvalidCone):

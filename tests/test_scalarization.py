@@ -5,6 +5,7 @@ import pytest
 
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
 from conegen.scalarization import EmptyDomain, GerstewitzFn
+from lp_oracle import oracle_cones, phi_lp
 
 
 def orthant_fn(n=2):
@@ -42,12 +43,12 @@ class TestValue:
         assert bisect_phi(fn.cone, fn.e, [2.0, -3.0]) == pytest.approx(2.0, abs=1e-9)
 
     def test_lp_matches_closed_form(self):
-        fn = orthant_fn(3)
         rng = np.random.default_rng(11)
-        for _ in range(30):
-            y = rng.normal(size=3)
-            assert fn.value(y, method="lp") == pytest.approx(
-                fn.value(y, method="closed-form"), abs=1e-9)
+        fns = [orthant_fn(3)] + [GerstewitzFn(cone, e) for cone, e in oracle_cones().values()]
+        for fn in fns:
+            for _ in range(30):
+                y = rng.normal(size=fn.cone.dim)
+                assert phi_lp(fn.cone, fn.e, y) == pytest.approx(fn.value(y), abs=1e-9)
 
     def test_general_cone_against_bisection(self):
         fn = wedge_fn()
