@@ -9,13 +9,18 @@ ENV_TOL = "CONEGEN_TOL"
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Absolute tolerances used across the library.
+    """Tolerances used across the library; absolute unless stated otherwise.
 
     membership      slack accepted in cone inequalities <A_k, x> >= -membership
     interior        strict-inequality margin for interior / strict-positivity tests
     strict_nonzero  norm threshold realizing "nonzero" in strict cone comparisons
-    lp_feas         feasibility / optimality residual target of the simplex kernel
-    lp_pivot        pivot and reduced-cost threshold inside the simplex
+    lp_feas         simplex feasibility threshold on each equilibrated row,
+                    relative to max(1, |b_i|), b_i its right-hand side: phase 1
+                    reports "infeasible" above it, and a final point above it
+                    (and above lp_feas times the row's terms there) is
+                    "numerical", not "optimal"
+    lp_pivot        simplex pivot and reduced-cost threshold, and the ratio-test
+                    tie threshold relative to max(1, step)
     rank_margin     required gap L - L_f before penalty equivalence is attempted
     gradient_map    stopping norm of the projected-gradient mapping
     kkt             KKT residual target of the primal solver

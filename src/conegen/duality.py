@@ -356,7 +356,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
             if d is None:
                 p = np.zeros(n)
             else:
-                alpha, blocker = _ratio_test(A, b, x, d, math.inf)
+                alpha, blocker = _ratio_test(A, b, x, d, math.inf, work)
                 if blocker is None:
                     raise RuntimeError("unbounded ray inside a compact box")
                 x = x + alpha * d
@@ -371,7 +371,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
                 return PrimalResult("optimal", x, prog.objective(x), mult, res, it + 1)
             work.discard(min(neg))
             continue
-        alpha, blocker = _ratio_test(A, b, x, p, 1.0)
+        alpha, blocker = _ratio_test(A, b, x, p, 1.0, work)
         x = x + alpha * p
         if blocker is not None:
             work.add(blocker)
@@ -415,13 +415,19 @@ def _descent_ray(Q, grad, C):
     return None
 
 
-def _ratio_test(A, b, x, p, alpha_max):
+def _ratio_test(A, b, x, p, alpha_max, work):
+    """Longest step along p up to alpha_max, and the row that blocks it.
+
+    Rows of the working set are skipped: p lies in their null space, and a
+    rounding-level rate on one of them would block at step 0 and re-add a row
+    already in the set until the iteration cap.
+    """
     slack = b - A @ x
     rate = A @ p
     blocker = None
     alpha = alpha_max
     for i in range(A.shape[0]):
-        if rate[i] > 1e-12:
+        if rate[i] > 1e-12 and i not in work:
             a = max(slack[i], 0.0) / rate[i]
             if a < alpha - 1e-14:
                 alpha = a
@@ -654,6 +660,8 @@ class GapReport:
     gap_ok: bool
     pi: np.ndarray | None = None
     e_prime: np.ndarray | None = None
+    kkt_residual: float | None = None  # of the primal point
+    dual_capped: bool | None = None    # dual ascent hit its cap; None: no dual solve
 
     def to_dict(self) -> dict:
         d = {
@@ -661,6 +669,8 @@ class GapReport:
             "primal_value": self.primal_value,
             "dual_value": self.dual_value,
             "gap": self.gap,
+            "kkt_residual": self.kkt_residual,
+            "dual_capped": self.dual_capped,
             "slater": self.slater.to_dict(),
             "witness": None if self.witness is None else self.witness.tolist(),
             "gap_asserted": self.gap_asserted,
@@ -691,7 +701,8 @@ def duality_gap_report(prog: BoxProgram, e=None,
     primal = solve_primal(prog, limits)
     if primal.status != "optimal":
         return GapReport(primal.status, None, None, None, slater, None, None,
-                         gap_asserted=False, gap_ok=True)
+                         gap_asserted=False, gap_ok=True,
+                         kkt_residual=primal.kkt_residual)
     dual = solve_dual(prog, e, mult0=primal.multipliers,
                       primal_value=primal.value, limits=limits)
     dual.multipliers.validate(prog)
@@ -705,7 +716,8 @@ def duality_gap_report(prog: BoxProgram, e=None,
         e_prime = raw / np.linalg.norm(raw)
     return GapReport(primal.status, primal.value, dual.value, gap, slater,
                      primal.x, dual.multipliers, asserted, ok,
-                     pi=pi, e_prime=e_prime)
+                     pi=pi, e_prime=e_prime, kkt_residual=primal.kkt_residual,
+                     dual_capped=dual.capped)
 
 
 # ---------------------------------------------------------------------------
@@ -794,13 +806,16 @@ def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
     # Constraints on y*: dual-cone rows, <y*, e> = 1, and componentwise
     # conditions on s = J^T y*: s_i = 0 on inactive coordinates, s_i >= 0 on
     # lower-active ones (normal = -s must be <= 0), s_i <= 0 on upper-active.
+    # A Jacobian column that vanishes to the KKT target (the gradient at an
+    # optimum, up to rounding) meets its condition for every y* and gives no row.
+    vanishing = np.abs(J).max(axis=0, initial=0.0) <= default_tolerances().kkt
     ineq = [cone_y.generators]
     ineq_rhs = [np.zeros(cone_y.generators.shape[0])]
     eq = [e[None, :]]
     eq_rhs = [np.ones(1)]
     for i in range(x_bar.shape[0]):
         col = J[:, i]
-        if lower_active[i] and upper_active[i]:
+        if (lower_active[i] and upper_active[i]) or vanishing[i]:
             continue
         if lower_active[i]:
             ineq.append(col[None, :])

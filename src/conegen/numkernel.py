@@ -1,10 +1,23 @@
 """Deterministic dense numerical kernels: simplex LP, projections, iterations, grid oracles.
 
-The simplex is a plain two-phase dense tableau with Bland's rule (entering
-column = lowest index with negative reduced cost, ratio ties broken by lowest
-basic-variable index), so identical inputs produce bitwise-identical reports.
-Problem sizes in this artifact stay below ~50 variables; no sparsity, no
-warm starts.
+The simplex is a two-phase dense tableau with bounded variables (Chvatal,
+Linear Programming, ch. 8): a bound is a column bound, not a row, a nonbasic
+variable sits at one of its bounds, and only a variable free on both sides is
+split into x+ - x-. Each nonzero inequality and equality row is equilibrated
+to infinity-norm 1 first. The entering column follows Dantzig's rule
+(largest reduced-cost violation, lowest index on ties); after a run of
+degenerate pivots it follows Bland's rule (lowest index, ratio ties by lowest
+basic index) until the next nondegenerate pivot, so the method terminates
+(Bland, Math. Oper. Res. 2(2), 1977). Nothing is random, so identical
+inputs produce bitwise-identical reports. Statuses are decided on the equilibrated rows,
+each held to lp_feas * max(1, |b_i|) with b_i its own right-hand side, so
+neither the row scale nor the variable bounds move the threshold: phase 1
+reports "infeasible" when an artificial ends above it. The final point is
+solved afresh from the optimal basis with the nonbasic variables exactly at
+their bounds; if a row's residual there exceeds that threshold, and also
+lp_feas times the size of the row's terms at the point, the report is
+"numerical", never "optimal". Problems stay at a few hundred rows; no
+sparsity, no warm starts.
 """
 from __future__ import annotations
 
@@ -98,7 +111,7 @@ class FarkasCertificate:
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | infeasible | unbounded | iteration-cap
+    status: str  # optimal | infeasible | unbounded | iteration-cap | numerical
     point: np.ndarray | None = None
     value: float | None = None
     residuals: dict = field(default_factory=dict)
@@ -126,180 +139,214 @@ def verify_farkas(problem: LPProblem, cert: FarkasCertificate, tol: float = 1e-7
     return bool(np.max(np.abs(combo)) <= tol and rhs > tol)
 
 
+# Pricing falls back from Dantzig's rule to Bland's lowest-index rule after
+# this many consecutive degenerate pivots, and returns to Dantzig after the
+# next nondegenerate one. A degenerate run under Bland's rule cannot cycle.
+_BLAND_AFTER = 20
+
+
 def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
              limits: SolverLimits = DEFAULT_LIMITS) -> SolveReport:
     tols = tols or default_tolerances()
-    n = problem.nvars
+    n, n_in = problem.nvars, problem.ineq_lhs.shape[0]
+    A = np.concatenate([problem.ineq_lhs, problem.eq_lhs])
+    b = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
+    m = A.shape[0]
+    # Equilibrate: every nonzero inequality and equality row gets infinity-norm 1.
+    norm = np.abs(A).max(axis=1, initial=0.0)
+    rho = 1.0 / np.where(norm > 0.0, norm, 1.0)
 
-    # Unified row system over free x: bounds become explicit inequality rows so
-    # that Farkas multipliers map back one-to-one.
-    rows = [problem.ineq_lhs]
-    rhs = [problem.ineq_rhs]
-    lo_idx = np.where(np.isfinite(problem.lower))[0]
-    hi_idx = np.where(np.isfinite(problem.upper))[0]
-    lo_rows = np.zeros((lo_idx.size, n))
-    lo_rows[np.arange(lo_idx.size), lo_idx] = 1.0
-    hi_rows = np.zeros((hi_idx.size, n))
-    hi_rows[np.arange(hi_idx.size), hi_idx] = -1.0
-    rows += [lo_rows, hi_rows]
-    rhs += [problem.lower[lo_idx], -problem.upper[hi_idx]]
-    A_in = np.vstack(rows)
-    b_in = np.concatenate(rhs)
-    n_in = A_in.shape[0]
-    A_eq, b_eq = problem.eq_lhs, problem.eq_rhs
-    n_eq = A_eq.shape[0]
+    # Columns z with 0 <= z <= upper and x = shift + sign * z: a finite lower
+    # bound is shifted to zero, a lone upper bound is reflected, and only a
+    # variable free on both sides gets a second column for its negative part.
+    lo, hi = problem.lower, problem.upper
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    free = np.flatnonzero(~(has_lo | has_hi))
+    sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
+    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    r = (b - A @ shift) * rho
 
-    # Canonical form: x = xp - xm with xp, xm >= 0; slacks on inequality rows.
-    m = n_in + n_eq
-    ncols = 2 * n + n_in
-    A = np.zeros((m, ncols))
-    A[:n_in, :n] = A_in
-    A[:n_in, n:2 * n] = -A_in
-    A[:n_in, 2 * n:] = -np.eye(n_in)
-    if n_eq:
-        A[n_in:, :n] = A_eq
-        A[n_in:, n:2 * n] = -A_eq
-    b = np.concatenate([b_in, b_eq])
-    flips = np.where(b < 0, -1.0, 1.0)
-    A *= flips[:, None]
-    b = b * flips
-    c = np.concatenate([problem.cost, -problem.cost, np.zeros(n_in)])
+    # Rows sigma * (rho A z - slack) = sigma * r with sigma * r >= 0. An
+    # inequality row already satisfied at z = 0 starts with its slack basic;
+    # every other row gets an artificial column.
+    slack_start = np.zeros(m, dtype=bool)
+    slack_start[:n_in] = r[:n_in] <= 0.0
+    sigma = np.where(slack_start | (r < 0.0), -1.0, 1.0)
+    art_rows = np.flatnonzero(~slack_start)
+    nz = n + free.size
+    slack = nz + np.arange(n_in)
+    art = nz + n_in + np.arange(art_rows.size)
+    f = sigma * rho
+    T = np.zeros((m, nz + n_in + art.size))
+    T[:, :n] = A * f[:, None] * sign
+    T[:, n:nz] = -T[:, free]
+    T[np.arange(n_in), slack] = -sigma[:n_in]
+    T[art_rows, art] = 1.0
+    basis = nz + np.arange(m)
+    basis[art_rows] = art
+    upper = np.full(T.shape[1], np.inf)
+    upper[:n] = np.where(has_lo & has_hi, hi - lo, np.inf)
+    cost = np.zeros(T.shape[1])
+    cost[:n] = problem.cost * sign
+    cost[n:nz] = -problem.cost[free]
+    # Phase 1 and the post-solve gate both hold each equilibrated row to
+    # lp_feas relative to its own right-hand side, whatever the bounds.
+    feas_tol = tols.lp_feas * np.maximum(1.0, np.abs(b * rho))
 
-    report = _two_phase(A, b, c, tols, limits)
-    report_out = SolveReport(status=report["status"], iterations=report["iterations"])
-    if report["status"] == "infeasible":
-        y = flips * report["farkas_y"]
-        report_out.farkas = FarkasCertificate(
-            y_ineq=np.maximum(y[:problem.ineq_lhs.shape[0]], 0.0),
-            y_eq=y[n_in:],
-            y_lower=_scatter(np.maximum(y[problem.ineq_lhs.shape[0]:problem.ineq_lhs.shape[0] + lo_idx.size], 0.0), lo_idx, n),
-            y_upper=_scatter(np.maximum(y[problem.ineq_lhs.shape[0] + lo_idx.size:n_in], 0.0), hi_idx, n),
-        )
-        return report_out
-    if report["status"] in ("unbounded", "iteration-cap"):
-        return report_out
+    T0 = T.copy()  # the pivots overwrite T
+    rep = _two_phase(T, sigma * r, basis, upper, cost, art, feas_tol[art_rows],
+                     tols, limits)
+    out = SolveReport(status=rep["status"], iterations=rep["iterations"])
+    if rep["status"] not in ("optimal", "infeasible"):
+        return out
+    y = f * rep["y"]  # multipliers of the input rows
+    if rep["status"] == "infeasible":
+        y_ineq = np.maximum(y[:n_in], 0.0)
+        g = y_ineq @ problem.ineq_lhs + y[n_in:] @ problem.eq_lhs
+        out.farkas = FarkasCertificate(
+            y_ineq=y_ineq, y_eq=y[n_in:],
+            y_lower=np.where(has_lo, np.maximum(-g, 0.0), 0.0),
+            y_upper=np.where(has_hi, np.maximum(g, 0.0), 0.0))
+        return out
 
-    s = report["x"]
-    x = s[:n] - s[n:2 * n]
-    report_out.point = x
-    report_out.value = float(problem.cost @ x)
-    ineq_resid = 0.0
-    if problem.ineq_lhs.shape[0]:
-        ineq_resid = float(np.max(np.maximum(problem.ineq_rhs - problem.ineq_lhs @ x, 0.0)))
-    eq_resid = float(np.max(np.abs(A_eq @ x - b_eq))) if n_eq else 0.0
-    bound_resid = max(
-        float(np.max(np.maximum(problem.lower - x, 0.0), initial=0.0)),
-        float(np.max(np.maximum(x - problem.upper, 0.0), initial=0.0)),
-    )
-    report_out.residuals = {
-        "ineq": ineq_resid,
-        "eq": eq_resid,
-        "bounds": bound_resid,
-        "optimality": report["opt_resid"],
+    # The point is solved afresh from the final basis in the units of x: the
+    # nonbasic variables sit exactly at their bounds and the basic ones solve
+    # the equilibrated rows, so the rounding of a far bound shifted to zero
+    # does not reach it.
+    basis = rep["basis"]
+    carries = basis < nz  # basic columns that carry a variable of x
+    var = np.concatenate([np.arange(n), free])[basis[carries]]
+    x = np.where(rep["at_upper"][:n], hi, shift)
+    x[var] = 0.0
+    unit = np.ones(T.shape[1])  # columns in x units: x_j = -z on a negative part
+    unit[:n], unit[n:nz] = sign, -1.0
+    try:
+        v = np.linalg.solve(T0[:, basis] * unit[basis], f * (b - A @ x))
+    except np.linalg.LinAlgError:
+        return SolveReport(status="numerical", iterations=rep["iterations"])
+    x[var] = v[carries]
+    x = np.minimum(np.maximum(x, lo), hi)
+    res = np.concatenate([problem.ineq_rhs - problem.ineq_lhs @ x,
+                          np.abs(problem.eq_lhs @ x - problem.eq_rhs)])
+    res[:n_in] = np.maximum(res[:n_in], 0.0)
+    out.point, out.value, out.duals = x, float(problem.cost @ x), y
+    out.residuals = {
+        "ineq": float(res[:n_in].max(initial=0.0)),
+        "eq": float(res[n_in:].max(initial=0.0)),
+        "bounds": 0.0,  # x is clipped to its bounds
+        "optimality": rep["opt_resid"],
     }
-    y = flips * report["duals"]
-    duals = np.concatenate([y[:problem.ineq_lhs.shape[0]], y[n_in:]])
-    report_out.duals = duals
-    return report_out
-
-
-def _scatter(vals, idx, n):
-    out = np.zeros(n)
-    out[idx] = vals
+    # The gate also allows for the size of the terms each row sums at x.
+    terms = tols.lp_feas * rho * (np.abs(A) @ np.abs(x))
+    if np.any(res * rho > np.maximum(feas_tol, terms)):
+        out.status = "numerical"
     return out
 
 
-def _two_phase(A, b, c, tols, limits):
-    m, ncols = A.shape
-    if m == 0:
-        # No rows at all: optimum at x = 0 unless some cost entry is negative.
-        if np.any(c < -tols.lp_pivot):
-            return {"status": "unbounded", "iterations": 0}
-        return {"status": "optimal", "x": np.zeros(ncols), "iterations": 0,
-                "duals": np.zeros(0), "opt_resid": 0.0}
+def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
+    """Bounded-variable two-phase simplex on T z = xb, 0 <= z <= upper.
 
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(ncols, ncols + m)
-    art = np.arange(ncols, ncols + m)
-    # Phase 1: minimize the sum of artificials (c_B = 1 on every row).
-    cost1 = np.zeros(T.shape[1])
-    cost1[art] = 1.0
-    r = cost1 - T.sum(axis=0)
+    The columns `basis` hold the identity, and `art` are the artificial
+    columns, each held to its entry of feas_tol in phase 1. Returns the row
+    duals y = c_B B^-1 of the phase that decided the status, read off the
+    reduced costs of the starting basis columns.
+    """
+    start = basis.copy()
+    # Nonbasic columns sit at zero (-1: may increase) or at their upper bound
+    # (+1: may decrease); 0 marks basic columns and columns fixed at zero.
+    sgn = np.where(upper > 0.0, -1.0, 0.0)
+    sgn[basis] = 0.0
     iters = 0
-    status, iters = _simplex_loop(T, r, basis, tols, limits.simplex_iters,
-                                  allowed=ncols + m, iters=iters)
-    if status == "iteration-cap":
-        return {"status": status, "iterations": iters}
-    phase1_val = -r[-1]
-    if phase1_val > 1e3 * tols.lp_feas:
-        # Infeasible: duals from artificial reduced costs (cost 1 each).
-        y = 1.0 - r[art]
-        return {"status": "infeasible", "iterations": iters, "farkas_y": y}
+    if art.size:
+        # Phase 1: minimize the sum of the artificials.
+        c1 = np.zeros(T.shape[1])
+        c1[art] = 1.0
+        d = c1 - c1[basis] @ T
+        status, iters = _simplex_loop(T, d, xb, basis, upper, sgn, tols,
+                                      limits.simplex_iters, iters)
+        if status != "optimal":
+            return {"status": status, "iterations": iters}
+        held = np.full(T.shape[1], np.inf)
+        held[art] = feas_tol
+        if np.any(xb > held[basis]):
+            return {"status": "infeasible", "iterations": iters,
+                    "y": c1[start] - d[start]}
+        # Artificials are fixed at zero from here on; one that stays basic
+        # marks a redundant row.
+        xb[c1[basis] > 0.0] = 0.0
+        upper[art] = 0.0
+        sgn[art] = 0.0
 
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= ncols:
-            row = T[i, :ncols]
-            piv_candidates = np.where(np.abs(row) > tols.lp_pivot)[0]
-            if piv_candidates.size:
-                _pivot(T, None, basis, i, int(piv_candidates[0]))
-            else:
-                keep[i] = False
-    if not np.all(keep):
-        T = T[keep]
-        basis = basis[keep]
-
-    # Phase 2 on real columns only.
-    cost2 = np.zeros(T.shape[1])
-    cost2[:ncols] = c
-    r = cost2 - cost2[basis] @ T
-    status, iters = _simplex_loop(T, r, basis, tols, limits.simplex_iters,
-                                  allowed=ncols, iters=iters)
+    d = cost - cost[basis] @ T
+    status, iters = _simplex_loop(T, d, xb, basis, upper, sgn, tols,
+                                  limits.simplex_iters, iters)
     if status != "optimal":
         return {"status": status, "iterations": iters}
-    x = np.zeros(ncols)
-    in_real = basis < ncols
-    x[basis[in_real]] = T[in_real, -1]
-    # Row duals y = c_B B^-1, read off the artificial columns of surviving
-    # rows (they hold B^-1); dropped redundant rows get dual zero.
-    surv = np.where(keep)[0]
-    y = np.zeros(keep.shape[0])
-    y[surv] = cost2[basis] @ T[:, ncols + surv]
-    opt_resid = float(max(0.0, -np.min(r[:ncols], initial=0.0)))
-    return {"status": "optimal", "x": x, "iterations": iters, "duals": y,
-            "opt_resid": opt_resid}
+    return {"status": "optimal", "basis": basis, "at_upper": sgn > 0.0,
+            "iterations": iters, "y": cost[start] - d[start],
+            "opt_resid": float(max(0.0, (d * sgn).max(initial=0.0)))}
 
 
-def _simplex_loop(T, r, basis, tols, max_iters, allowed, iters):
+def _simplex_loop(T, d, xb, basis, upper, sgn, tols, max_iters, iters):
+    """Minimize over 0 <= z <= upper from the basis `basis` with values xb.
+
+    The entering column has the largest reduced-cost violation d * sgn
+    (Dantzig), lowest index on ties; it either flips to its other bound or
+    pivots in.
+    """
+    m, ncols = T.shape
+    if ncols == 0:
+        return "optimal", iters
+    ub = upper[basis]
+    ratio = np.empty(m)
+    degenerate = 0
     while True:
+        score = d * sgn
+        bland = degenerate >= _BLAND_AFTER
+        # Bland: the first eligible column; Dantzig: the first largest score.
+        col = int(np.argmax(score > tols.lp_pivot) if bland else np.argmax(score))
+        if score[col] <= tols.lp_pivot:
+            return "optimal", iters
         if iters >= max_iters:
             return "iteration-cap", iters
-        neg = np.where(r[:allowed] < -tols.lp_pivot)[0]
-        if neg.size == 0:
-            return "optimal", iters
-        col = int(neg[0])  # Bland: lowest index
-        colvals = T[:, col]
-        pos = np.where(colvals > tols.lp_pivot)[0]
-        if pos.size == 0:
+        alpha = T[:, col] * -sgn[col]  # xb(t) = xb - t alpha
+        ratio.fill(np.inf)
+        np.divide(np.maximum(xb, 0.0), alpha, out=ratio, where=alpha > tols.lp_pivot)
+        np.divide(np.minimum(xb - ub, 0.0), alpha, out=ratio, where=alpha < -tols.lp_pivot)
+        step = float(ratio.min(initial=np.inf))
+        if math.isinf(step) and math.isinf(upper[col]):
             return "unbounded", iters
-        ratios = T[pos, -1] / colvals[pos]
-        best = np.min(ratios)
-        ties = pos[ratios <= best + 1e-12]
-        row = int(ties[np.argmin(basis[ties])])  # lowest basic index on ties
-        _pivot(T, r, basis, row, col)
         iters += 1
+        if upper[col] <= step:  # bound flip, no basis change
+            xb -= upper[col] * alpha
+            sgn[col] = -sgn[col]
+            degenerate = 0
+            continue
+        tie = tols.lp_pivot * max(1.0, step)
+        ties = np.flatnonzero(ratio <= step + tie)
+        if ties.size == 1:
+            row = int(ties[0])
+        elif bland:
+            row = int(ties[basis[ties].argmin()])
+        else:  # the largest pivot among the tied rows
+            row = int(ties[np.abs(alpha[ties]).argmax()])
+        leave = basis[row]
+        entered = upper[col] - step if sgn[col] > 0.0 else step
+        xb -= step * alpha
+        xb[row] = entered
+        sgn[leave] = 0.0 if upper[leave] <= 0.0 else (1.0 if alpha[row] < 0.0 else -1.0)
+        sgn[col] = 0.0
+        basis[row] = col
+        ub[row] = upper[col]
+        _pivot(T, d, row, col)
+        degenerate = degenerate + 1 if step <= tie else 0
 
 
-def _pivot(T, r, basis, row, col):
-    T[row] = T[row] / T[row, col]
-    piv = T[row]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= np.outer(colvals, piv)
-    if r is not None:
-        r -= r[col] * piv
-    basis[row] = col
+def _pivot(T, d, row, col):
+    piv = T[row] / T[row, col]
+    T -= np.outer(T[:, col], piv)
+    T[row] = piv
+    d -= d[col] * piv
 
 
 # ---------------------------------------------------------------------------

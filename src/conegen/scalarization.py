@@ -111,7 +111,9 @@ class GerstewitzFn:
         exact = m <= 3
         bounded = True
         if exact:
-            bounded = polyhedron_is_bounded(G, eq)
+            # {y* in C* : <y*, e> = 1} is compact when e is interior to C; only
+            # a boundary e needs the recession-cone LPs.
+            bounded = self._pos is None or polyhedron_is_bounded(G, eq)
             if bounded:
                 vertices = enumerate_polytope_vertices(G, np.zeros(G.shape[0]), eq, rhs)
             else:

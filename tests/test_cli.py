@@ -150,6 +150,12 @@ class TestCommands:
         assert report["gap"] == pytest.approx(0.0, abs=1e-7)
         assert report["slater"]["satisfied"]
 
+    def test_duality_reports_solver_facts(self, capsys, duality_file):
+        code, report, _ = run_cli(capsys, ["duality", "--problem", duality_file])
+        assert code == 0
+        assert report["dual_capped"] is False
+        assert 0.0 <= report["kkt_residual"] <= 1e-6
+
     def test_certify(self, capsys, tmp_path):
         path = tmp_path / "qp.json"
         path.write_text(json.dumps({

@@ -126,6 +126,29 @@ class TestPrimal:
             assert rep.status == "optimal"
             assert rep.kkt_residual <= 1e-6
 
+    def test_rank_deficient_qps_reach_optimality(self):
+        """Rank-deficient Q with cone rows: a near-singular step used to be
+        blocked at step 0 by a row already in the working set, which the
+        active-set loop then re-added until its iteration cap."""
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n, m = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+            x_lo, x_hi = -1.0 - rng.random(n), 1.0 + rng.random(n)
+            center = 0.5 * (x_lo + x_hi)
+            B = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+            G = rng.normal(size=(m, n))
+            H = h0 = None
+            if rng.random() < 0.4:
+                H = rng.normal(size=(1, n))
+                h0 = -(H @ center)
+            prog = BoxProgram(n=n, Q=B.T @ B, q=rng.normal(size=n), c=0.0,
+                              x_lo=x_lo, x_hi=x_hi, G=G,
+                              g0=-(G @ center) - rng.uniform(0.5, 1.5, size=m),
+                              cone_y=coordinate_cone(m), H=H, h0=h0)
+            rep = solve_primal(prog)
+            assert rep.status == "optimal"
+            assert rep.kkt_residual <= 1e-6
+
 
 class TestDualSolve:
     def test_unconstrained_quadratic(self):
@@ -212,6 +235,17 @@ class TestCertificates:
         assert isinstance(ref, CertificateRefusal)
         assert ref.farkas is not None
         assert verify_farkas(ref.lp, ref.farkas)
+
+    def test_vanishing_gradient_certified(self):
+        """A gradient at rounding level meets the Fermat rule: interior, and
+        of the wrong sign at an active bound; the rows are not rescaled to
+        strict conditions on y*."""
+        for lin, x_bar in ((1e-12, 1.5), (-1e-14, 1.0)):
+            obj = VectorObjective(lins=[[lin]], consts=[0.0])
+            cert = stationarity_certificate(obj, coordinate_cone(1), [1.0],
+                                            [x_bar], [1.0], [2.0])
+            assert isinstance(cert, StationarityCertificate)
+            assert cert.residuals["normal_cone"] == pytest.approx(abs(lin))
 
     def test_opposing_gradients_balanced(self):
         obj = VectorObjective(lins=[[1.0], [-1.0]], consts=[0.0, 0.0])

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conegen import scalarization
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
+from conegen.numkernel import enumerate_polytope_vertices, polyhedron_is_bounded
 from conegen.scalarization import EmptyDomain, GerstewitzFn
 from lp_oracle import oracle_cones, phi_lp
 
@@ -176,6 +178,36 @@ class TestSubdifferential:
         fn = GerstewitzFn(coordinate_cone(2), [1.0, 0.0])
         with pytest.raises(EmptyDomain):
             fn.subdifferential([0.0, 1.0])
+
+    def test_boundedness_lps_only_for_boundary_e(self, monkeypatch):
+        """For e interior to C the base of C* is compact and the recession-cone
+        LPs are skipped, with the same vertices and `bounded` as the LP route
+        (criterion 3's four functions); a boundary e still runs them."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return polyhedron_is_bounded(*args, **kwargs)
+
+        monkeypatch.setattr(scalarization, "polyhedron_is_bounded", counting)
+        cone3 = PolyhedralCone(3, generators=[[1, 0, 0.5], [0, 1, 0.5], [-1, -1, 1.0]])
+        fns = [orthant_fn(), GerstewitzFn(coordinate_cone(3), [0.5, 1.0, 2.0]),
+               wedge_fn(), GerstewitzFn(cone3, np.sum(cone3.generators, axis=0))]
+        rng = np.random.default_rng(21)
+        for fn in fns:
+            for y in 2.0 * rng.normal(size=(20, fn.cone.dim)):
+                sub = fn.subdifferential(y)
+                G, eq, rhs, _ = fn._subdiff_system(y)
+                assert sub.bounded and polyhedron_is_bounded(G, eq)
+                assert np.array_equal(sub.vertices, enumerate_polytope_vertices(
+                    G, np.zeros(G.shape[0]), eq, rhs))
+        assert not calls
+        boundary = GerstewitzFn(coordinate_cone(2), [1.0, 0.0])
+        sub = boundary.subdifferential([2.0, 0.0])
+        assert len(calls) == 1 and not sub.bounded and sub.vertices is None
+        sub = boundary.subdifferential([2.0, -3.0])
+        assert len(calls) == 2 and sub.bounded
+        assert np.allclose(sub.vertices, [[1.0, 0.0]], atol=1e-9)
 
     def test_oracle_form_above_dim3(self):
         cone = coordinate_cone(4)
