@@ -101,14 +101,12 @@ def cmd_subdiff(args) -> int:
     report = {
         "command": "subdiff",
         "value": sub.value,
-        "exact": sub.exact,
         "bounded": sub.bounded,
         "witness": sub.witness,
-        "vertices": None if sub.vertices is None else sub.vertices,
+        "vertices": sub.vertices,
+        "rays": sub.rays,
     }
-    what = f"{len(sub.vertices)} vertices" if sub.vertices is not None \
-        else "oracle certificate"
-    _emit(report, f"subdifferential: {what}")
+    _emit(report, f"subdifferential: {len(sub.vertices)} vertices, {len(sub.rays)} rays")
     return EXIT_OK
 
 

@@ -54,19 +54,23 @@ def convex_hull_2d(points) -> np.ndarray:
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
+    # Only an exactly collinear point is dropped: a margin would also drop
+    # the far end of a thin near-vertical triangle, whose x order is not its
+    # order along the line.
     lower, upper = [], []
     for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 1e-14:
+        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
     for p in reversed(pts):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 1e-14:
+        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
     hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:   # collinear input
-        ext = [min(pts), max(pts)]
-        return np.array(ext if ext[0] != ext[1] else ext[:1])
+    if len(hull) < 3:   # collinear input: the extremes along its longer axis
+        Q = np.array(pts)
+        k = int(np.argmax(np.ptp(Q, axis=0)))
+        return Q[[np.argmin(Q[:, k]), np.argmax(Q[:, k])]]
     return np.array(hull)
 
 
@@ -76,12 +80,12 @@ def _edge_normals(hull: np.ndarray) -> np.ndarray:
         return np.zeros((0, 2))
     if n == 2:
         t = hull[1] - hull[0]
-        t = t / np.linalg.norm(t)
+        t = t / math.hypot(*t)   # hypot: no underflow on tiny edges
         return np.array([[t[1], -t[0]], [-t[1], t[0]]])
     normals = []
     for i in range(n):
         t = hull[(i + 1) % n] - hull[i]
-        t = t / np.linalg.norm(t)
+        t = t / math.hypot(*t)
         normals.append([t[1], -t[0]])  # outward for ccw order
     return np.array(normals)
 
@@ -99,10 +103,12 @@ def _point_to_hull(p, hull: np.ndarray) -> float:
         return float(np.linalg.norm(p - hull[0]))
     if n == 2:
         return _point_to_segment(p, hull[0], hull[1])
+    # an exact sign test: a point near every edge's line of a thin hull may
+    # still lie far beyond its ends
     inside = True
     for i in range(n):
         a, b = hull[i], hull[(i + 1) % n]
-        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < -1e-12:
+        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0:
             inside = False
             break
     if inside:
@@ -153,8 +159,8 @@ def _exact_directions_2d(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     cands = [_edge_normals(hull_a), _edge_normals(hull_b)]
     diff = hull_a[:, None, :] - hull_b[None, :, :]
     diff = diff.reshape(-1, 2)
-    norms = np.linalg.norm(diff, axis=1)
-    nz = norms > 1e-14
+    norms = np.hypot(diff[:, 0], diff[:, 1])
+    nz = norms > 0
     if np.any(nz):
         units = diff[nz] / norms[nz][:, None]
         cands += [units, -units]

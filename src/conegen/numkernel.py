@@ -21,7 +21,6 @@ sparsity, no warm starts.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -391,77 +390,6 @@ def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
     gm = float(np.linalg.norm(x - project(x - step_at(limits.pg_iters) * grad(x))))
     return SolveReport(status="iteration-cap", point=best_x, value=best_val,
                        residuals={"gradient_map": gm}, iterations=limits.pg_iters)
-
-
-# ---------------------------------------------------------------------------
-# small-dimension polyhedron utilities
-
-def enumerate_polytope_vertices(ineq_lhs, ineq_rhs, eq_lhs=None, eq_rhs=None,
-                                tol: float = 1e-9) -> np.ndarray:
-    """Vertices of {x : ineq_lhs @ x >= ineq_rhs, eq_lhs @ x == eq_rhs}, dim <= 3.
-
-    Exhaustive basis enumeration; intended for the tiny systems produced by
-    subdifferential and facet computations.
-    """
-    A = np.atleast_2d(np.asarray(ineq_lhs, dtype=float))
-    b = np.atleast_1d(np.asarray(ineq_rhs, dtype=float))
-    dim = A.shape[1]
-    if dim > 3:
-        raise ValueError("vertex enumeration supported only in dimension <= 3")
-    if eq_lhs is None:
-        E = np.zeros((0, dim))
-        f = np.zeros(0)
-    else:
-        E = np.atleast_2d(np.asarray(eq_lhs, dtype=float))
-        f = np.atleast_1d(np.asarray(eq_rhs, dtype=float))
-    rank_eq = np.linalg.matrix_rank(E, tol=1e-10) if E.size else 0
-    need = dim - rank_eq
-    verts = []
-    for combo in itertools.combinations(range(A.shape[0]), need):
-        M = np.vstack([E, A[list(combo)]]) if combo else E
-        rhs = np.concatenate([f, b[list(combo)]]) if combo else f
-        if M.shape[0] == 0:
-            continue
-        if np.linalg.matrix_rank(M, tol=1e-10) < dim:
-            continue
-        x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.max(np.abs(M @ x - rhs)) > 1e-8:
-            continue
-        if A.shape[0] and np.min(A @ x - b) < -max(tol, 1e-8):
-            continue
-        verts.append(x)
-    if not verts:
-        return np.zeros((0, dim))
-    V = np.array(verts)
-    return _dedupe_rows(V)
-
-
-def polyhedron_is_bounded(ineq_lhs, eq_lhs=None, tols: Tolerances | None = None) -> bool:
-    """True iff the recession cone {A d >= 0, E d = 0} is {0}."""
-    tols = tols or default_tolerances()
-    A = np.atleast_2d(np.asarray(ineq_lhs, dtype=float))
-    dim = A.shape[1]
-    E = None if eq_lhs is None else np.atleast_2d(np.asarray(eq_lhs, dtype=float))
-    for j in range(dim):
-        for sign in (1.0, -1.0):
-            cost = np.zeros(dim)
-            cost[j] = -sign  # maximize sign * d_j
-            rep = solve_lp(LPProblem(
-                cost=cost, ineq_lhs=A, ineq_rhs=np.zeros(A.shape[0]),
-                eq_lhs=E, eq_rhs=None if E is None else np.zeros(E.shape[0]),
-                lower=-np.ones(dim), upper=np.ones(dim)), tols)
-            if rep.status == "optimal" and -rep.value > 0.5:
-                return False
-    return True
-
-
-def _dedupe_rows(V: np.ndarray, decimals: int = 9) -> np.ndarray:
-    seen = {}
-    for row in V:
-        key = tuple(np.round(row, decimals) + 0.0)
-        if key not in seen:
-            seen[key] = row
-    return np.array(list(seen.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def random_instance(rng: np.random.Generator, max_dim: int = 3, max_m: int = 3,
         mask[int(rng.integers(0, n))] = True
     if m >= 2 and rng.random() < 0.4:
         gens = np.eye(m) + 0.25 * rng.uniform(-1.0, 1.0, size=(m, m))
-        cone = PolyhedralCone(m, generators=gens) if m <= 3 else None
+        cone = PolyhedralCone(m, generators=gens, halfspaces=np.linalg.inv(gens).T)
     else:
         cone = PolyhedralCone(m, kind="coordinate")
     A = rng.normal(size=(m, d))

@@ -3,10 +3,14 @@
 phi is the monotone sublinear functional whose sublevel sets are
 {y : y in r e - C}. For C = {y : <h_k, y> >= 0} it has the closed form
 max_k <h_k, y> / <h_k, e> over the halfspaces with <h_k, e> > 0, and is +inf
-when <h_k, y> > 0 on a halfspace with <h_k, e> = 0. Its subdifferential is the
-polytope
-{y* in C* : <y*, e> = 1, <y*, y> = phi(y)}, enumerated exactly in dimension
-<= 3 and returned as a membership oracle plus one LP witness above that.
+when <h_k, y> > 0 on a halfspace with <h_k, e> = 0. Its subdifferential
+{y* in C* : <y*, e> = 1, <y*, y> = phi(y)} is the face of the base of
+C* = cone(h_k) on which <., y> attains phi(y) (Danskin's rule on this max of
+linear forms): the hull of the points h_k / <h_k, e> of the facet normals
+that attain the max, plus the cone of the normals with
+<h_k, e> = 0 = <h_k, y>. The directional derivative is the max of <., d>
+over that face. Both read the rows of the same ratio, in any dimension; no
+LP runs.
 """
 from __future__ import annotations
 
@@ -17,8 +21,7 @@ import numpy as np
 
 from .config import default_tolerances, resolve_tol
 from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
-from .numkernel import (LPProblem, as_vector, enumerate_polytope_vertices,
-                        polyhedron_is_bounded, solve_lp)
+from .numkernel import as_vector
 
 
 class EmptyDomain(ValueError):
@@ -27,16 +30,26 @@ class EmptyDomain(ValueError):
 
 @dataclass
 class SubdifferentialResult:
-    """Vertex list when exact (dim <= 3 and bounded), otherwise oracle form."""
+    """The subdifferential of phi at y: conv(vertices) + cone(rays).
+
+    vertices are h_k / <h_k, e> over the facet normals h_k of C that attain
+    phi(y); witness is the first of them. rays are the normals h_k with
+    <h_k, e> = 0 = <h_k, y>; there are some only when e lies on the boundary
+    of C or C is lower-dimensional (its dual then contains a line, given by
+    a pair of opposite rays).
+    """
 
     witness: np.ndarray
-    vertices: np.ndarray | None
-    exact: bool
-    bounded: bool
+    vertices: np.ndarray
+    rays: np.ndarray
     cone: PolyhedralCone
     e: np.ndarray
     y: np.ndarray
     value: float
+
+    @property
+    def bounded(self) -> bool:
+        return self.rays.shape[0] == 0
 
     def contains(self, z, tol: float | None = None) -> bool:
         tol = resolve_tol(tol)
@@ -46,6 +59,17 @@ class SubdifferentialResult:
         if abs(float(z @ self.e) - 1.0) > tol:
             return False
         return abs(float(z @ self.y) - self.value) <= tol
+
+
+def _facet_rows(cone: PolyhedralCone, tol: float) -> np.ndarray:
+    """Mask of the halfspace rows that support a facet of C: the generators
+    tight on the row span rank(G) - 1 dimensions. A redundant row fails, and
+    on a lower-dimensional C so does a row that only pins its span."""
+    G = cone.generators
+    tight = np.abs(cone.halfspace_values(G)) <= tol
+    # row k's tight generators, with the others zeroed, in one batched rank
+    ranks = np.linalg.matrix_rank(tight.T[:, :, None] * G, tol=tol)
+    return ranks == np.linalg.matrix_rank(G, tol=tol) - 1
 
 
 class GerstewitzFn:
@@ -65,6 +89,9 @@ class GerstewitzFn:
         pos = self._he > tols.interior
         self._pos = None if pos.all() else pos
         self._slack = tols.membership
+        # rows that give the subdifferential's vertices and its rays
+        self._vertex_rows = np.flatnonzero(pos & _facet_rows(cone, tols.membership))
+        self._ray_rows = np.flatnonzero(~pos)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -87,50 +114,37 @@ class GerstewitzFn:
 
     # -- subdifferential --------------------------------------------------------
 
-    def _subdiff_system(self, y: np.ndarray):
+    def _active(self, y: np.ndarray):
+        """phi(y), the vertex rows that attain it and the ray rows active at y."""
         value = float(self._ratio(y))
         if not math.isfinite(value):
             raise EmptyDomain("phi is +inf at this point; subdifferential undefined")
-        G = self.cone.generators  # halfspace description of the dual cone
-        eq = np.vstack([self.e, y])
-        rhs = np.array([1.0, value])
-        return G, eq, rhs, value
+        hy = self.cone.halfspace_values(y)
+        rows = self._vertex_rows
+        cut = value - self._slack * max(1.0, abs(value))
+        verts = rows[hy[rows] / self._he[rows] >= cut]
+        if verts.size == 0:
+            raise InvalidCone("no facet of C attains phi(y): the halfspaces and "
+                              "generators of the cone describe different cones")
+        rays = self._ray_rows[np.abs(hy[self._ray_rows]) <= self._slack]
+        return value, verts, rays
 
     def subdifferential(self, y) -> SubdifferentialResult:
         y = as_vector(y, self.cone.dim, "point")
-        G, eq, rhs, value = self._subdiff_system(y)
-        m = self.cone.dim
-        witness_rep = solve_lp(LPProblem(cost=np.zeros(m), ineq_lhs=G,
-                                         ineq_rhs=np.zeros(G.shape[0]),
-                                         eq_lhs=eq, eq_rhs=rhs))
-        if witness_rep.status != "optimal":
-            raise RuntimeError(
-                f"subdifferential witness LP returned {witness_rep.status}; "
-                "the Lemma guarantees nonemptiness on dom phi")
-        vertices = None
-        exact = m <= 3
-        bounded = True
-        if exact:
-            # {y* in C* : <y*, e> = 1} is compact when e is interior to C; only
-            # a boundary e needs the recession-cone LPs.
-            bounded = self._pos is None or polyhedron_is_bounded(G, eq)
-            if bounded:
-                vertices = enumerate_polytope_vertices(G, np.zeros(G.shape[0]), eq, rhs)
-            else:
-                exact = False
-        return SubdifferentialResult(witness=witness_rep.point, vertices=vertices,
-                                     exact=exact, bounded=bounded, cone=self.cone,
-                                     e=self.e, y=y, value=value)
+        value, verts, rays = self._active(y)
+        H = self.cone.halfspaces
+        vertices = H[verts] / self._he[verts, None]
+        return SubdifferentialResult(witness=vertices[0], vertices=vertices,
+                                     rays=H[rays], cone=self.cone, e=self.e, y=y,
+                                     value=value)
 
     def directional_derivative(self, y, d) -> float:
-        """phi'(y; d) = max{<y*, d> : y* in subdifferential at y} by LP."""
+        """phi'(y; d) = max{<y*, d> : y* in subdifferential at y}: +inf along
+        a ray with <h_k, d> > 0, else the max over the vertices."""
         y = as_vector(y, self.cone.dim, "point")
         d = as_vector(d, self.cone.dim, "direction")
-        G, eq, rhs, _ = self._subdiff_system(y)
-        rep = solve_lp(LPProblem(cost=-d, ineq_lhs=G, ineq_rhs=np.zeros(G.shape[0]),
-                                 eq_lhs=eq, eq_rhs=rhs))
-        if rep.status == "unbounded":
+        _, verts, rays = self._active(y)
+        hd = self.cone.halfspace_values(d)
+        if np.any(hd[rays] > self._slack):
             return math.inf
-        if rep.status != "optimal":
-            raise RuntimeError(f"directional derivative LP returned {rep.status}")
-        return float(-rep.value)
+        return float(np.max(hd[verts] / self._he[verts]))

@@ -1,12 +1,16 @@
-"""One-variable LP oracles for the order-interval gauge and the Gerstewitz
+"""LP and enumeration oracles for the order-interval gauge and the Gerstewitz
 function, solved by the library's simplex.
 
-They state both functionals by their defining infimum, independently of the
-closed-form halfspace ratio that the library evaluates:
+They state each quantity by its definition, independently of the closed-form
+halfspace ratio that the library evaluates:
 
-    ||x||_u = min lam  s.t.  lam u - x in C,  lam u + x in C,  lam >= 0
-    phi(y)  = min t    s.t.  t e - y in C
+    ||x||_u  = min lam  s.t.  lam u - x in C,  lam u + x in C,  lam >= 0
+    phi(y)   = min t    s.t.  t e - y in C
+    phi'(y;d) = max <y*, d>  s.t.  y* in C*, <y*, e> = 1, <y*, y> = phi(y)
+
+and the subdifferential's vertices by exhaustive basis enumeration.
 """
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +42,53 @@ def phi_lp(cone, e, y) -> float:
     if rep.status != "optimal":
         raise RuntimeError(f"phi evaluation LP returned {rep.status}")
     return float(rep.value)
+
+
+def dirder_lp(cone, e, y, d) -> float:
+    """phi'(y; d) as the LP over the subdifferential, with C* = {G y* >= 0};
+    +inf when the LP is unbounded."""
+    e, y, d = (np.asarray(v, dtype=float) for v in (e, y, d))
+    G = cone.generators
+    rep = solve_lp(LPProblem(cost=-d, ineq_lhs=G, ineq_rhs=np.zeros(G.shape[0]),
+                             eq_lhs=np.vstack([e, y]),
+                             eq_rhs=np.array([1.0, phi_lp(cone, e, y)])))
+    if rep.status == "unbounded":
+        return math.inf
+    if rep.status != "optimal":
+        raise RuntimeError(f"directional derivative LP returned {rep.status}")
+    return float(-rep.value)
+
+
+def enumerate_polytope_vertices(ineq_lhs, ineq_rhs, eq_lhs=None, eq_rhs=None,
+                                tol: float = 1e-9) -> np.ndarray:
+    """Vertices of the polytope {x : ineq_lhs @ x >= ineq_rhs, eq_lhs @ x == eq_rhs}
+    by exhaustive basis enumeration, deduplicated after rounding to 9 decimals."""
+    A = np.atleast_2d(np.asarray(ineq_lhs, dtype=float))
+    b = np.atleast_1d(np.asarray(ineq_rhs, dtype=float))
+    dim = A.shape[1]
+    if eq_lhs is None:
+        E = np.zeros((0, dim))
+        f = np.zeros(0)
+    else:
+        E = np.atleast_2d(np.asarray(eq_lhs, dtype=float))
+        f = np.atleast_1d(np.asarray(eq_rhs, dtype=float))
+    rank_eq = np.linalg.matrix_rank(E, tol=1e-10) if E.size else 0
+    need = dim - rank_eq
+    verts = {}
+    for combo in itertools.combinations(range(A.shape[0]), need):
+        M = np.vstack([E, A[list(combo)]]) if combo else E
+        rhs = np.concatenate([f, b[list(combo)]]) if combo else f
+        if M.shape[0] == 0:
+            continue
+        if np.linalg.matrix_rank(M, tol=1e-10) < dim:
+            continue
+        x, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        if np.max(np.abs(M @ x - rhs)) > 1e-8:
+            continue
+        if A.shape[0] and np.min(A @ x - b) < -max(tol, 1e-8):
+            continue
+        verts.setdefault(tuple(np.round(x, 9) + 0.0), x)
+    return np.array(list(verts.values())) if verts else np.zeros((0, dim))
 
 
 def oracle_cones() -> dict:

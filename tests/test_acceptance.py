@@ -159,8 +159,7 @@ def test_criterion_3_gerstewitz_suite():
             if not math.isfinite(fn.value(y)):
                 continue
             sub = fn.subdifferential(y)
-            verts = sub.vertices if sub.vertices is not None else [sub.witness]
-            for w in verts:
+            for w in sub.vertices:
                 if np.min(gens @ w) < -1e-9 or abs(w @ fn.e - 1.0) > 1e-9 or \
                         abs(w @ y - sub.value) > 1e-9:
                     failures.append((fn.cone.kind, d, "subdiff-constraints"))

@@ -112,6 +112,28 @@ class TestCommands:
         assert "gauge" in err
         json.dumps(report)  # report itself re-serializes
 
+    def test_subdiff_dim4(self, capsys, tmp_path):
+        path = tmp_path / "cube4.json"
+        cube = [[a, b, c, 1.0] for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+        facets = np.vstack([np.eye(4)[:3] + np.eye(4)[3], np.eye(4)[3] - np.eye(4)[:3]])
+        path.write_text(json.dumps({
+            "version": 1,
+            "cone": {"kind": "general", "dim": 4, "generators": cube,
+                     "halfspaces": facets.tolist()},
+            "scalarize": {"e": [0.0, 0.0, 0.0, 1.0]},
+        }))
+        code, report, err = run_cli(capsys, ["subdiff", "--problem", str(path),
+                                             "--point", "0.5,0,0,0"])
+        assert code == 0 and "exact" not in report
+        assert report["bounded"] and report["rays"] == []
+        # phi(y) = 0.5 is attained on the facet x1 + x4 >= 0 alone
+        assert np.allclose(report["vertices"], [[1.0, 0.0, 0.0, 1.0]])
+        assert report["witness"] == report["vertices"][0]
+        assert "1 vertices, 0 rays" in err
+        code, report, err = run_cli(capsys, ["subdiff", "--problem", str(path),
+                                             "--point", "0,0,0,0"])
+        assert code == 0 and len(report["vertices"]) == 6 and "6 vertices, 0 rays" in err
+
     def test_gauge_general_cone(self, capsys, tmp_path):
         path = tmp_path / "pyramid.json"
         gens = [[1, 0, 0.4], [0, 1, 0.4], [-1, 0, 0.4], [0, -1, 0.4]]

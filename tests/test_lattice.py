@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conegen.lattice import (GridMismatch, SupportSample, convex_hull_2d,
                              direction_grid, hausdorff_distance,
@@ -83,6 +85,38 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_distance(np.zeros((0, 2)), SQUARE)
+
+
+point_sets = st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+                      min_size=1, max_size=7).map(np.array)
+
+
+def close(a, b):
+    return a == pytest.approx(b, abs=1e-9)
+
+
+class TestHausdorffInvariances:
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets, point_sets, st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+           st.floats(0.0, 2 * math.pi))
+    def test_translation_and_rotation(self, A, B, t, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        R = np.array([[c, -s], [s, c]])
+        d = hausdorff_distance(A, B)[0]
+        assert close(hausdorff_distance(A + t, B + t)[0], d)
+        assert close(hausdorff_distance(A @ R.T, B @ R.T)[0], d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets, point_sets)
+    def test_symmetric_and_definitional(self, A, B):
+        d = hausdorff_distance(A, B)[0]
+        assert hausdorff_distance(B, A)[0] == d
+        assert close(d, hausdorff_distance_definitional(A, B))
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets)
+    def test_zero_on_itself(self, A):
+        assert hausdorff_distance(A, A)[0] == 0.0
 
 
 class TestLatticeOps:

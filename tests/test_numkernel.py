@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conegen.cones import coordinate_cone
-from conegen.numkernel import (LPProblem, brute_force_grid_min,
-                               enumerate_polytope_vertices, project_box,
+from conegen.numkernel import (LPProblem, brute_force_grid_min, project_box,
                                projected_gradient, solve_lp, verify_farkas)
+from lp_oracle import enumerate_polytope_vertices
 
 
 def test_lp_basic_min():

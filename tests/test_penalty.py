@@ -172,6 +172,17 @@ class TestEquivalence:
             assert rep.inclusion_at_rank
 
 
+    def test_random_general_cones_above_dim3(self):
+        rng = np.random.default_rng(26)
+        dims = set()
+        for _ in range(30):
+            inst = random_instance(rng, max_m=6, max_points=80)
+            dims.add((inst.cone.kind, inst.cone.dim))
+            rep = verify_penalty_equivalence(inst, 1.1 * inst.rank)
+            assert rep.equal and rep.inclusion_at_rank
+        assert any(kind == "general" and dim >= 4 for kind, dim in dims)
+
+
 class TestInstanceValidation:
     def test_empty_omega_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from conegen import scalarization
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
-from conegen.numkernel import enumerate_polytope_vertices, polyhedron_is_bounded
 from conegen.scalarization import EmptyDomain, GerstewitzFn
-from lp_oracle import oracle_cones, phi_lp
+from lp_oracle import dirder_lp, enumerate_polytope_vertices, oracle_cones, phi_lp
 
 
 def orthant_fn(n=2):
@@ -179,42 +179,158 @@ class TestSubdifferential:
         with pytest.raises(EmptyDomain):
             fn.subdifferential([0.0, 1.0])
 
-    def test_boundedness_lps_only_for_boundary_e(self, monkeypatch):
-        """For e interior to C the base of C* is compact and the recession-cone
-        LPs are skipped, with the same vertices and `bounded` as the LP route
-        (criterion 3's four functions); a boundary e still runs them."""
+    def test_no_solve_lp_calls(self, monkeypatch):
+        """The subdifferential and the directional derivative read the ratio
+        rows and run no LP, for e interior to C (criterion 3's four functions)
+        and on the boundary; the vertices equal the enumerated ones."""
         calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return polyhedron_is_bounded(*args, **kwargs)
-
-        monkeypatch.setattr(scalarization, "polyhedron_is_bounded", counting)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("conegen") and \
+                    hasattr(mod, "solve_lp"):
+                real = mod.solve_lp
+                monkeypatch.setattr(mod, "solve_lp",
+                                    lambda *a, _real=real, **k: calls.append(a) or _real(*a, **k))
         cone3 = PolyhedralCone(3, generators=[[1, 0, 0.5], [0, 1, 0.5], [-1, -1, 1.0]])
         fns = [orthant_fn(), GerstewitzFn(coordinate_cone(3), [0.5, 1.0, 2.0]),
-               wedge_fn(), GerstewitzFn(cone3, np.sum(cone3.generators, axis=0))]
+               wedge_fn(), GerstewitzFn(cone3, np.sum(cone3.generators, axis=0)),
+               GerstewitzFn(coordinate_cone(2), [1.0, 0.0])]
         rng = np.random.default_rng(21)
-        for fn in fns:
-            for y in 2.0 * rng.normal(size=(20, fn.cone.dim)):
-                sub = fn.subdifferential(y)
-                G, eq, rhs, _ = fn._subdiff_system(y)
-                assert sub.bounded and polyhedron_is_bounded(G, eq)
-                assert np.array_equal(sub.vertices, enumerate_polytope_vertices(
-                    G, np.zeros(G.shape[0]), eq, rhs))
+        cases = [(fn, y, rng.normal(size=fn.cone.dim)) for fn in fns
+                 for y in 2.0 * rng.normal(size=(20, fn.cone.dim))
+                 if math.isfinite(fn.value(y))]
+        cases.append((fns[-1], np.array([2.0, 0.0]), np.array([0.0, 1.0])))  # a ray
+        got = [(fn.subdifferential(y), fn.directional_derivative(y, d))
+               for fn, y, d in cases]
         assert not calls
-        boundary = GerstewitzFn(coordinate_cone(2), [1.0, 0.0])
-        sub = boundary.subdifferential([2.0, 0.0])
-        assert len(calls) == 1 and not sub.bounded and sub.vertices is None
-        sub = boundary.subdifferential([2.0, -3.0])
-        assert len(calls) == 2 and sub.bounded
-        assert np.allclose(sub.vertices, [[1.0, 0.0]], atol=1e-9)
+        assert got[-1][1] == math.inf and not got[-1][0].bounded
+        for (fn, y, d), (sub, dd) in zip(cases, got):
+            if sub.bounded:
+                assert same_points(sub.vertices, enumerate_polytope_vertices(
+                    fn.cone.generators, np.zeros(fn.cone.generators.shape[0]),
+                    np.vstack([fn.e, y]), [1.0, phi_lp(fn.cone, fn.e, y)]))
+            assert dd == pytest.approx(dirder_lp(fn.cone, fn.e, y, d), abs=1e-9)
 
-    def test_oracle_form_above_dim3(self):
-        cone = coordinate_cone(4)
-        fn = GerstewitzFn(cone, np.ones(4))
+    def test_exact_vertices_in_dim4(self):
+        fn = GerstewitzFn(coordinate_cone(4), np.ones(4))
         sub = fn.subdifferential([1.0, -1.0, 0.5, 0.0])
-        assert sub.vertices is None and not sub.exact
-        assert sub.contains(sub.witness)
+        assert np.array_equal(sub.vertices, [[1.0, 0.0, 0.0, 0.0]])
+        assert sub.bounded and sub.contains(sub.witness)
+        cube4, e = oracle_cones()["cube4"]
+        fn = GerstewitzFn(cube4, e)
+        for y in (np.zeros(4), e, [1.0, -1.0, 0.5, 0.0]):
+            sub = fn.subdifferential(y)
+            ref = enumerate_polytope_vertices(cube4.generators, np.zeros(8),
+                                              np.vstack([e, y]), [1.0, fn.value(y)])
+            assert same_points(sub.vertices, ref)
+        assert len(fn.subdifferential(np.zeros(4)).vertices) == 6
+
+
+def same_points(A, B, tol=1e-8):
+    """A and B hold the same points, each up to tol * max(1, |x|_inf)."""
+    def within(P, Q):
+        return all(np.min(np.max(np.abs(Q - p), axis=1)) <= tol * max(1.0, np.max(np.abs(p)))
+                   for p in P)
+    return len(A) > 0 and within(A, B) and within(B, A)
+
+
+def random_pointed_cone(rng, dim):
+    """Cone over a random polytope at height 1 with both descriptions (the
+    facets from qhull), seen through a random well-conditioned linear map."""
+    P = rng.normal(size=(int(rng.integers(dim, dim + 5)), dim - 1))
+    G = np.hstack([P, np.ones((P.shape[0], 1))])
+    if dim == 2:
+        H = np.array([[1.0, -P.min()], [-1.0, P.max()]])
+    else:
+        H = -ConvexHull(P).equations
+    Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0] * rng.uniform(0.5, 2.0, dim)
+    return PolyhedralCone(dim, generators=G @ Q.T, halfspaces=H @ np.linalg.inv(Q))
+
+
+def assert_matches_oracles(fn, y, rng):
+    """Vertices equal the enumerated ones when bounded; every vertex, and every
+    vertex plus a ray, meets the defining system; phi' equals its LP."""
+    sub = fn.subdifferential(y)
+    G = fn.cone.generators
+    if sub.bounded:
+        assert same_points(sub.vertices, enumerate_polytope_vertices(
+            G, np.zeros(G.shape[0]), np.vstack([fn.e, y]),
+            [1.0, phi_lp(fn.cone, fn.e, y)]))
+    for v in sub.vertices:
+        assert sub.contains(v, tol=1e-9 * max(1.0, np.max(np.abs(v))))
+        for r in sub.rays:
+            assert sub.contains(v + r, tol=1e-9 * max(1.0, np.max(np.abs(v))))
+    for d in rng.normal(size=(3, fn.cone.dim)):
+        ref = dirder_lp(fn.cone, fn.e, y, d)
+        assert fn.directional_derivative(y, d) == pytest.approx(
+            ref, abs=1e-9 * max(1.0, abs(ref)))
+    return sub
+
+
+class TestClosedFormAgainstOracles:
+    def test_random_pointed_cones_dim2_to_6(self):
+        rng = np.random.default_rng(40)
+        for dim in range(2, 7):
+            for _ in range(6):
+                cone = random_pointed_cone(rng, dim)
+                e = np.sum(cone.generators, axis=0)
+                fn = GerstewitzFn(cone, e)
+                ys = [np.zeros(dim), e, 2.0 * e, cone.generators[0], -cone.generators[0]]
+                for y in ys + list(rng.normal(size=(4, dim))):
+                    assert assert_matches_oracles(fn, y, rng).bounded
+
+    def test_criterion3_cones_at_kinks(self):
+        rng = np.random.default_rng(41)
+        cone3 = PolyhedralCone(3, generators=[[1, 0, 0.5], [0, 1, 0.5], [-1, -1, 1.0]])
+        for fn in (orthant_fn(), GerstewitzFn(coordinate_cone(3), [0.5, 1.0, 2.0]),
+                   wedge_fn(), GerstewitzFn(cone3, np.sum(cone3.generators, axis=0))):
+            for t in (0.0, -1.0, 1.0, 2.0):
+                sub = assert_matches_oracles(fn, t * fn.e, rng)
+                assert len(sub.vertices) == fn.cone.halfspaces.shape[0]
+
+    def test_redundant_halfspace_row(self):
+        # 2 x1 + x2 >= 0 is the sum of the other two rows; at y = (1, 0) it
+        # attains phi too, but (1, 0.5) is no vertex
+        cone = PolyhedralCone(2, halfspaces=[[1.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
+        fn = GerstewitzFn(cone, [1.0, 0.0])
+        sub = assert_matches_oracles(fn, np.array([1.0, 0.0]), np.random.default_rng(42))
+        assert same_points(sub.vertices, np.array([[1.0, 0.0], [1.0, 1.0]]))
+
+    def test_boundary_e(self):
+        rng = np.random.default_rng(43)
+        pyramid, _ = oracle_cones()["pyramid3"]
+        cases = [(coordinate_cone(2), [1.0, 0.0], [2.0, 0.0], 1),
+                 (coordinate_cone(2), [1.0, 0.0], [2.0, -3.0], 0),
+                 (coordinate_cone(3), [1.0, 1.0, 0.0], [1.0, 0.5, 0.0], 1),
+                 (coordinate_cone(3), [1.0, 1.0, 0.0], [1.0, 1.0, -2.0], 0),
+                 (pyramid, pyramid.generators[0], -pyramid.generators[0], 2)]
+        for cone, e, y, nrays in cases:
+            fn = GerstewitzFn(cone, e)
+            sub = assert_matches_oracles(fn, np.asarray(y), rng)
+            assert len(sub.rays) == nrays and sub.bounded == (nrays == 0)
+            for r in sub.rays:
+                assert fn.directional_derivative(y, r) == math.inf
+
+    def test_descriptions_of_different_cones_rejected(self):
+        # the cube cone's facets with only the four tetrahedron generators:
+        # consistent (above dimension 3 the descriptions are not compared),
+        # but no facet row has three independent tight generators
+        tetra = [[1, 1, 1, 1.0], [1, -1, -1, 1.0], [-1, 1, -1, 1.0], [-1, -1, 1, 1.0]]
+        cube4, _ = oracle_cones()["cube4"]
+        cone = PolyhedralCone(4, halfspaces=cube4.halfspaces, generators=tetra)
+        fn = GerstewitzFn(cone, [0.0, 0.0, 0.0, 1.0])
+        with pytest.raises(InvalidCone, match="different cones"):
+            fn.subdifferential(np.zeros(4))
+
+    def test_lower_dimensional_cone(self):
+        cone = PolyhedralCone(3, generators=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        fn = GerstewitzFn(cone, [1.0, 1.0, 0.0])
+        rng = np.random.default_rng(44)
+        sub = assert_matches_oracles(fn, np.array([1.0, -1.0, 0.0]), rng)
+        assert np.allclose(sub.vertices, [[1.0, 0.0, 0.0]])
+        assert same_points(sub.rays, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        sub = assert_matches_oracles(fn, np.array([1.0, 1.0, 0.0]), rng)
+        assert same_points(sub.vertices, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        assert fn.directional_derivative([1.0, 1.0, 0.0], [0.3, -0.2, 0.0]) == 0.3
 
 
 class TestDirectionalDerivative:
