@@ -15,7 +15,7 @@ from .duality import (BoxProgram, Multipliers, VectorObjective,
                       stationarity_certificate)
 from .lattice import (SupportSample, hausdorff_distance, lattice_join,
                       lattice_meet, support_function, verify_order_isometry)
-from .numkernel import (LPProblem, SolveReport, brute_force_grid_min,
-                        project_box, projected_gradient, solve_lp)
+from .numkernel import (LPProblem, SolveReport, project_box, projected_gradient,
+                        solve_lp)
 
 __version__ = "0.1.0"

@@ -261,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    saved_tol = os.environ.get(ENV_TOL)
     if args.tol_override is not None:
         os.environ[ENV_TOL] = repr(args.tol_override)
     try:
@@ -270,6 +271,12 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        # the override holds for this call only, also when main runs in-process
+        if saved_tol is None:
+            os.environ.pop(ENV_TOL, None)
+        else:
+            os.environ[ENV_TOL] = saved_tol
 
 
 if __name__ == "__main__":

@@ -28,6 +28,12 @@ class Tolerances:
     fd_check        tolerance of that validation (absorbs kink proximity)
     gap_assert      duality-gap bound asserted under the modified Slater condition
     weak_duality    slack allowed in the weak-duality inequality
+    coincident      sample points this close are one point (rank +inf if their
+                    values differ); also the floor of the rank's pair distances
+    rank_slack      measured rank may exceed a declared one by rank_slack * membership
+    unit_norm       accepted deviation of the ambient norm of e from 1
+    lookup_radius   Euclidean radius within which a point is a ground-set point
+    min_sample_rank least rank of a random penalty instance
     """
 
     membership: float = 1e-9
@@ -42,6 +48,11 @@ class Tolerances:
     fd_check: float = 1e-4
     gap_assert: float = 1e-5
     weak_duality: float = 1e-9
+    coincident: float = 1e-15
+    rank_slack: float = 1e3
+    unit_norm: float = 1e-9
+    lookup_radius: float = 1e-12
+    min_sample_rank: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -55,13 +66,12 @@ class SolverLimits:
 
 def default_tolerances() -> Tolerances:
     """Default tolerances; CONEGEN_TOL (absolute, numeric) overrides membership."""
-    tols = Tolerances()
     env = os.environ.get(ENV_TOL)
-    if env is not None:
-        tols = replace(tols, membership=float(env))
-    return tols
+    return DEFAULT_TOLERANCES if env is None else \
+        replace(DEFAULT_TOLERANCES, membership=float(env))
 
 
+DEFAULT_TOLERANCES = Tolerances()   # frozen: one instance serves every caller
 DEFAULT_LIMITS = SolverLimits()
 
 

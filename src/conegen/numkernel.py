@@ -1,4 +1,4 @@
-"""Deterministic dense numerical kernels: simplex LP, projections, iterations, grid oracles.
+"""Deterministic dense numerical kernels: simplex LP, projections, iterations.
 
 The simplex is a two-phase dense tableau with bounded variables (Chvatal,
 Linear Programming, ch. 8): a bound is a column bound, not a row, a nonbasic
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -390,46 +390,3 @@ def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
     gm = float(np.linalg.norm(x - project(x - step_at(limits.pg_iters) * grad(x))))
     return SolveReport(status="iteration-cap", point=best_x, value=best_val,
                        residuals={"gradient_map": gm}, iterations=limits.pg_iters)
-
-
-# ---------------------------------------------------------------------------
-# brute-force grid oracle (reference dominance loop, kept deliberately plain
-# and independent of the penalty module)
-
-def brute_force_grid_min(evaluate: Callable[[np.ndarray], np.ndarray],
-                         grid: Sequence | np.ndarray,
-                         cone,
-                         tol: float | None = None,
-                         strict_tol: float | None = None):
-    """Exhaustive cone-minimal subset of evaluate over a finite grid.
-
-    grid is either an (N, d) array of points or a sequence of 1-D axes whose
-    cartesian product forms the grid. Returns (indices, points, values).
-    """
-    tols = default_tolerances()
-    tol = tols.membership if tol is None else tol
-    strict_tol = tols.strict_nonzero if strict_tol is None else strict_tol
-    pts = np.asarray(grid, dtype=float) if not isinstance(grid, (list, tuple)) else None
-    if pts is None or pts.ndim != 2:
-        axes = [np.asarray(a, dtype=float) for a in grid]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    if pts.shape[0] == 0:
-        raise ValueError("empty grid")
-    values = [np.atleast_1d(np.asarray(evaluate(p), dtype=float)) for p in pts]
-    minimal = []
-    for i in range(len(values)):
-        dominated = False
-        for j in range(len(values)):
-            if i == j:
-                continue
-            diff = values[j] - values[i]  # want: diff in -C \ {0}
-            if float(np.linalg.norm(diff)) <= strict_tol:
-                continue
-            if cone.contains(-diff, tol=tol):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(i)
-    idx = np.array(minimal, dtype=int)
-    return idx, pts[idx], np.array([values[i] for i in idx])

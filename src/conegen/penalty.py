@@ -48,17 +48,25 @@ def distance_to_set(x, omega, p: float = 2):
     pts = np.atleast_2d(np.asarray(omega, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty omega")
-    dists = _norms(x[None, :] - pts, p)
+    dists = _pair_norms(x[None, :], pts, p)[0]
     k = int(np.argmin(dists))
     return float(dists[k]), pts[k]
 
 
-def _norms(D: np.ndarray, p: float) -> np.ndarray:
-    if p == math.inf:
-        return np.max(np.abs(D), axis=-1)
-    if p == 1:
-        return np.sum(np.abs(D), axis=-1)
-    return np.sqrt(np.sum(D * D, axis=-1))
+def _pair_norms(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
+    """||x_i - y_j|| (the p-norm for p = 1 or inf, else the 2-norm) for all rows
+    of X and Y, one coordinate plane at a time. Below 8 coordinates the sum
+    runs in the order of numpy's sum over a last axis: the same bits."""
+    power = np.abs if p in (1, math.inf) else np.square
+    combine = np.maximum if p == math.inf else np.add
+    out = np.zeros((X.shape[0], Y.shape[0]))
+    plane = np.empty_like(out)
+    for c in range(X.shape[1]):
+        term = plane if c else out
+        power(np.subtract(X[:, c, None], Y[None, :, c], out=term), out=term)
+        if c:
+            combine(out, plane, out=out)
+    return out if p in (1, math.inf) else np.sqrt(out, out=out)
 
 
 class RankEstimate(NamedTuple):
@@ -72,25 +80,36 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
                         p: float = 2) -> RankEstimate:
     """Least L with f(x) <=_C f(y) + L ||x - y|| e over all sampled pairs.
 
-    Computed as the max over ordered pairs of phi_{e,C}(f(x) - f(y)) / ||x-y||.
-    Coincident points with different values make the rank +inf.
+    Computed as the max over ordered pairs of phi_{e,C}(f(x) - f(y)) / ||x-y||,
+    phi(v_i - v_j) as a running max of (<h_k, v_i> - <h_k, v_j>) / <h_k, e>
+    over one n x n plane per halfspace (+inf where <h_k, e> = 0 and the
+    difference is positive, as in halfspace_ratio). Coincident points with
+    different values make the rank +inf.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
         raise ValueError("need matching points/values with at least one pair")
-    phi = GerstewitzFn(cone, e)
-    diffs = vals[:, None, :] - vals[None, :, :]
-    n = pts.shape[0]
-    num = phi.value_many(diffs.reshape(n * n, -1)).reshape(n, n)
-    den = _norms(pts[:, None, :] - pts[None, :, :], p)
-    np.fill_diagonal(den, 1.0)
+    tols = default_tolerances()
+    phi = GerstewitzFn(cone, e)   # rejects e outside C, or with R e inside C
+    he = cone.halfspace_values(phi.e)
+    HV = cone.halfspace_values(vals)
+    num = np.full((pts.shape[0], pts.shape[0]), -np.inf)
+    for hv, h_e in zip(HV.T, he):
+        plane = hv[:, None] - hv[None, :]
+        if h_e > tols.interior:
+            np.maximum(num, np.divide(plane, h_e, out=plane), out=num)
+        else:
+            num[plane > tols.membership] = np.inf
     np.fill_diagonal(num, 0.0)
-    coincident = (den <= 1e-15) & (num > default_tolerances().strict_nonzero)
-    if np.any(coincident):
-        return RankEstimate(math.inf, True)
-    den = np.maximum(den, 1e-15)
-    return RankEstimate(max(0.0, float(np.max(num / den))), True)
+    den = _pair_norms(pts, pts, p)
+    np.fill_diagonal(den, 1.0)
+    close = den <= tols.coincident
+    if close.any():
+        if np.any(num[close] > tols.strict_nonzero):
+            return RankEstimate(math.inf, True)
+        den[close] = tols.coincident
+    return RankEstimate(max(0.0, float(np.max(np.divide(num, den, out=num)))), True)
 
 
 @dataclass
@@ -127,14 +146,15 @@ class PenaltyInstance:
         self.e = as_vector(self.e, self.cone.dim, "e")
         if not self.cone.interior_contains(self.e):
             raise InvalidCone("e must be interior to the cone")
-        if abs(ambient_norm(self.e, p=self.norm_p) - 1.0) > 1e-9:
+        if abs(ambient_norm(self.e, p=self.norm_p) - 1.0) > default_tolerances().unit_norm:
             raise ValueError("e must have unit ambient norm")
         self._check_rank()
 
     def _check_rank(self):
         est = cone_lipschitz_rank(self.points, self.values, self.cone, self.e,
                                   p=self.norm_p)
-        if est.value > self.rank + 1e3 * default_tolerances().membership:
+        tols = default_tolerances()
+        if est.value > self.rank + tols.rank_slack * tols.membership:
             raise ValueError(
                 f"declared rank {self.rank} violates the Lipschitz inequality "
                 f"on the sample (measured {est.value})")
@@ -144,12 +164,10 @@ class PenaltyInstance:
         return self.points[self.feasible_mask]
 
     def distances_to_omega(self) -> np.ndarray:
-        D = _norms(self.points[:, None, :] - self.omega_points[None, :, :], self.norm_p)
-        return np.min(D, axis=1)
+        return np.min(_pair_norms(self.points, self.omega_points, self.norm_p), axis=1)
 
     def penalized_values(self, L: float) -> np.ndarray:
-        d = self.distances_to_omega()
-        return self.values + L * d[:, None] * self.e[None, :]
+        return self.values + L * self.distances_to_omega()[:, None] * self.e[None, :]
 
 
 def penalized_objective(instance: PenaltyInstance, L: float):
@@ -169,10 +187,26 @@ def penalized_objective(instance: PenaltyInstance, L: float):
 
 
 def _lookup(instance, x):
-    hits = np.where(_norms(instance.points - x[None, :], 2) <= 1e-12)[0]
+    radius = default_tolerances().lookup_radius
+    hits = np.where(_pair_norms(instance.points, x[None, :], 2)[:, 0] <= radius)[0]
     if hits.size == 0:
         raise ValueError("point not in the ground set and no objective given")
     return instance.values[hits[0]]
+
+
+def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float) -> np.ndarray:
+    """reach[i] = max ||v_j - v_i|| over the j with <h_k, v_j> - <h_k, v_i> <= tol
+    for every k (v_j - v_i in -C), 0 if none. Row i is cone-minimal at
+    strict_tol iff not reach[i] > strict_tol: one relation, every strict_tol."""
+    memb = np.ones((V.shape[0], V.shape[0]), dtype=bool)
+    for hv in cone.halfspace_values(V).T:
+        memb &= hv[None, :] - hv[:, None] <= tol
+    # fmax skips a NaN norm, as the comparison norm > strict_tol does
+    return np.fmax.reduce(np.where(memb, _pair_norms(V, V, 2), 0.0), axis=1)
+
+
+def _minimal(reach: np.ndarray, strict_tol: float) -> np.ndarray:
+    return np.flatnonzero(~(reach > strict_tol))
 
 
 def cone_minimal_points(values, cone: PolyhedralCone, tol: float | None = None,
@@ -184,11 +218,7 @@ def cone_minimal_points(values, cone: PolyhedralCone, tol: float | None = None,
     V = np.atleast_2d(np.asarray(values, dtype=float))
     if V.shape[0] == 0:
         raise ValueError("empty value list")
-    diff = V[None, :, :] - V[:, None, :]          # diff[i, j] = v_j - v_i
-    memb = np.all(np.tensordot(diff, -cone.halfspaces, axes=([2], [1])) >= -tol, axis=2)
-    nonzero = _norms(diff, 2) > strict_tol
-    dominated = np.any(memb & nonzero, axis=1)
-    return np.where(~dominated)[0]
+    return _minimal(_dominance_reach(V, cone, tol), strict_tol)
 
 
 @dataclass
@@ -228,28 +258,22 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
         raise PreconditionViolation(
             f"penalty weight L={L} must exceed the rank {instance.rank} "
             "strictly; the equivalence is not guaranteed below that")
-    omega_idx = np.where(instance.feasible_mask)[0]
-    m1_local = cone_minimal_points(instance.values[omega_idx], instance.cone)
-    m1 = omega_idx[m1_local]
-    m2 = cone_minimal_points(instance.penalized_values(L), instance.cone)
-    equal = np.array_equal(np.sort(m1), np.sort(m2))
-
-    m2_rank = cone_minimal_points(instance.penalized_values(instance.rank), instance.cone)
-    inclusion = bool(np.all(np.isin(m1, m2_rank)))
-
-    sensitive = False
-    for factor in (0.1, 10.0):
-        st = tols.strict_nonzero * factor
-        a = omega_idx[cone_minimal_points(instance.values[omega_idx], instance.cone,
-                                          strict_tol=st)]
-        b = cone_minimal_points(instance.penalized_values(L), instance.cone,
-                                strict_tol=st)
-        if not (np.array_equal(np.sort(a), np.sort(m1)) and
-                np.array_equal(np.sort(b), np.sort(m2))):
-            sensitive = True
-    return PenaltyReport(L=L, rank=instance.rank, minimal_constrained=np.sort(m1),
-                         minimal_penalized=np.sort(m2), equal=equal,
-                         inclusion_at_rank=inclusion, tol_sensitive=sensitive)
+    cone, tol, st = instance.cone, tols.membership, tols.strict_nonzero
+    omega_idx = np.flatnonzero(instance.feasible_mask)
+    d = instance.distances_to_omega()[:, None]
+    # one dominance relation per value set; every threshold reads it
+    r_omega = _dominance_reach(instance.values[omega_idx], cone, tol)
+    r_L, r_rank = (_dominance_reach(instance.values + w * d * instance.e[None, :],
+                                    cone, tol) for w in (L, instance.rank))
+    m1 = omega_idx[_minimal(r_omega, st)]
+    m2 = _minimal(r_L, st)
+    sensitive = not all(
+        np.array_equal(omega_idx[_minimal(r_omega, st * f)], m1) and
+        np.array_equal(_minimal(r_L, st * f), m2) for f in (0.1, 10.0))
+    return PenaltyReport(L=L, rank=instance.rank, minimal_constrained=m1,
+                         minimal_penalized=m2, equal=np.array_equal(m1, m2),
+                         inclusion_at_rank=bool(np.all(np.isin(m1, _minimal(r_rank, st)))),
+                         tol_sensitive=sensitive)
 
 
 def random_instance(rng: np.random.Generator, max_dim: int = 3, max_m: int = 3,
@@ -277,6 +301,6 @@ def random_instance(rng: np.random.Generator, max_dim: int = 3, max_m: int = 3,
     e_raw = np.sum(cone.generators, axis=0)
     e = e_raw / ambient_norm(e_raw, p=2)
     est = cone_lipschitz_rank(pts, values, cone, e, p=2)
-    assert math.isfinite(est.value) and est.value > 1e-6
+    assert math.isfinite(est.value) and est.value > default_tolerances().min_sample_rank
     return PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
                            cone=cone, e=e, rank=est.value, values=values)

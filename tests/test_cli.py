@@ -263,9 +263,34 @@ def test_tol_override_flag(capsys, tmp_path, monkeypatch):
         code, report, _ = run_cli(capsys, ["--tol-override", "1e-3", "scalarize",
                                            "--problem", str(path), "--point", "1,1"])
         assert code == 0 and report["value"] == pytest.approx(1.0)
-        assert float(os.environ["CONEGEN_TOL"]) == 1e-3
+        assert "CONEGEN_TOL" not in os.environ
     finally:
         os.environ.pop("CONEGEN_TOL", None)
+
+
+def test_tol_override_ends_with_the_call(capsys, tmp_path, monkeypatch):
+    # v_1 - v_0 = (-1, 1e-4) lies in -C at tolerance 1e-3 only
+    import os
+    from conegen.config import Tolerances, default_tolerances
+    path = tmp_path / "pen.json"
+    path.write_text(json.dumps({
+        "version": 1, "cone": {"kind": "coordinate", "dim": 2},
+        "penalty": {"points": [[0.0], [1.0]], "values": [[0.0, 0.0], [-1.0, 1e-4]],
+                    "feasible": [0, 1], "rank": 2.0, "e": [0.6, 0.8]},
+    }))
+    argv = ["minimal", "--problem", str(path)]
+    for env in (None, "1e-6"):
+        if env is None:
+            monkeypatch.delenv("CONEGEN_TOL", raising=False)
+        else:
+            monkeypatch.setenv("CONEGEN_TOL", env)
+        _, report, _ = run_cli(capsys, ["--tol-override", "1e-3"] + argv)
+        assert report["minimal_indices"] == [1]
+        assert os.environ.get("CONEGEN_TOL") == env
+        _, report, _ = run_cli(capsys, argv)
+        assert report["minimal_indices"] == [0, 1]
+    monkeypatch.delenv("CONEGEN_TOL")
+    assert default_tolerances() == Tolerances()
 
 
 def test_hausdorff_problem_block_with_directions(capsys, tmp_path):

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conegen.cones import coordinate_cone
-from conegen.numkernel import (LPProblem, brute_force_grid_min, project_box,
-                               projected_gradient, solve_lp, verify_farkas)
+from conegen.numkernel import (LPProblem, project_box, projected_gradient,
+                               solve_lp, verify_farkas)
 from lp_oracle import enumerate_polytope_vertices
+from penalty_oracle import brute_force_grid_min
 
 
 def test_lp_basic_min():

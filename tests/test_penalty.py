@@ -5,12 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conegen.cones import coordinate_cone
-from conegen.numkernel import brute_force_grid_min
+import conegen.penalty as penalty_module
+from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.penalty import (PenaltyInstance, PreconditionViolation,
                              cone_lipschitz_rank, cone_minimal_points,
                              distance_to_set, penalized_objective,
                              random_instance, verify_penalty_equivalence)
+from penalty_oracle import (brute_force_grid_min, minimal_oracle, rank_oracle,
+                            report_oracle)
+
+
+def random_cone(rng, m, general):
+    """Coordinate cone, or a general one: the half-line of -1 when m = 1, else
+    the simplicial cone of random_instance with both descriptions given."""
+    if not general:
+        return coordinate_cone(m)
+    if m == 1:
+        return PolyhedralCone(1, generators=[[-1.0]])
+    gens = np.eye(m) + 0.25 * rng.uniform(-1.0, 1.0, size=(m, m))
+    return PolyhedralCone(m, generators=gens, halfspaces=np.linalg.inv(gens).T)
 
 
 def scalar_abs_instance():
@@ -75,6 +88,42 @@ class TestRank:
         est = cone_lipschitz_rank(pts, vals, coordinate_cone(1), [1.0])
         assert est.value == math.inf
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 30), m=st.integers(1, 6), d=st.integers(1, 4),
+           n=st.integers(2, 30), p=st.sampled_from([1, 2, math.inf]),
+           general=st.booleans(),
+           case=st.sampled_from(["random", "boundary e", "coincident", "repeated",
+                                 "constant"]))
+    def test_matches_tensor_oracle(self, seed, m, d, n, p, general, case):
+        # bit for bit on coordinate cones; on general ones <h, v_i> - <h, v_j>
+        # rounds differently from <h, v_i - v_j>
+        rng = np.random.default_rng(seed)
+        cone = random_cone(rng, m, general)
+        pts = rng.uniform(-1.0, 1.0, size=(n, d))
+        vals = rng.normal(size=(n, m))
+        e = np.sum(cone.generators, axis=0)
+        e = e / np.linalg.norm(e)
+        if case == "boundary e" and m >= 2:
+            e = cone.generators[0]
+        elif case in ("coincident", "repeated"):
+            pts[-1] = pts[0]
+            if case == "repeated":   # same point, same value: a finite rank
+                vals[-1] = vals[0]
+        elif case == "constant":
+            vals[:] = vals[0]
+        got = cone_lipschitz_rank(pts, vals, cone, e, p=p).value
+        ref = rank_oracle(pts, vals, cone, e, p=p)
+        if general and math.isfinite(ref):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        else:
+            assert got == ref
+        if case == "coincident":
+            assert got == math.inf
+        if case == "repeated":
+            assert math.isfinite(got)
+        if case == "constant":
+            assert got == 0.0
+
 
 class TestPenalizedObjective:
     def test_on_feasible_point(self):
@@ -124,6 +173,28 @@ class TestMinimalPoints:
         perm = rng.permutation(12)
         got = set(map(tuple, vals[perm][cone_minimal_points(vals[perm], cone)]))
         assert base == got
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 30), m=st.integers(1, 6), n=st.integers(1, 40),
+           general=st.booleans(), strict_tol=st.sampled_from([1e-9, 1e-8, 1e-7]),
+           copies=st.integers(0, 6))
+    def test_matches_tensor_oracle(self, seed, m, n, general, strict_tol, copies):
+        # duplicated rows, and copies moved by about 5e-9 or 5e-8, straddle
+        # every strict_tol
+        rng = np.random.default_rng(seed)
+        cone = random_cone(rng, m, general)
+        vals = rng.normal(size=(n, m))
+        shift = rng.choice([0.0, 5e-9, 5e-8], size=(copies, 1))
+        vals = np.vstack([vals, vals[rng.integers(0, n, size=copies)]
+                          + shift * rng.normal(size=(copies, m))])
+        got = cone_minimal_points(vals, cone, strict_tol=strict_tol)
+        assert np.array_equal(got, minimal_oracle(vals, cone, strict_tol=strict_tol))
+
+    def test_membership_tolerance_is_closed(self):
+        vals = np.array([[0.0, 0.0], [-1.0, 0.5]])
+        for tol, want in ((0.5, [1]), (0.25, [0, 1])):
+            assert list(cone_minimal_points(vals, coordinate_cone(2), tol=tol)) == want
+            assert list(minimal_oracle(vals, coordinate_cone(2), tol=tol)) == want
 
     def test_agrees_with_brute_force(self):
         rng = np.random.default_rng(24)
@@ -181,6 +252,45 @@ class TestEquivalence:
             rep = verify_penalty_equivalence(inst, 1.1 * inst.rank)
             assert rep.equal and rep.inclusion_at_rank
         assert any(kind == "general" and dim >= 4 for kind, dim in dims)
+
+
+class TestReportsMatchOracle:
+    @staticmethod
+    def check(inst):
+        L = 1.1 * inst.rank
+        got, ref = verify_penalty_equivalence(inst, L), report_oracle(inst, L)
+        assert np.array_equal(got.minimal_constrained, ref.minimal_constrained)
+        assert np.array_equal(got.minimal_penalized, ref.minimal_penalized)
+        assert (got.equal, got.inclusion_at_rank, got.tol_sensitive) == \
+            (ref.equal, ref.inclusion_at_rank, ref.tol_sensitive)
+
+    def test_criterion_4_seed(self):
+        rng = np.random.default_rng(104)
+        for _ in range(200):
+            self.check(random_instance(rng))
+
+    def test_general_cones_up_to_dim6(self):
+        rng = np.random.default_rng(27)
+        for _ in range(30):
+            self.check(random_instance(rng, max_m=6))
+
+    def test_one_relation_per_value_set(self, monkeypatch):
+        calls = {"relations": 0, "distances": 0}
+        reach = penalty_module._dominance_reach
+        distances = PenaltyInstance.distances_to_omega
+
+        def counted_reach(*args):
+            calls["relations"] += 1
+            return reach(*args)
+
+        def counted_distances(self):
+            calls["distances"] += 1
+            return distances(self)
+
+        monkeypatch.setattr(penalty_module, "_dominance_reach", counted_reach)
+        monkeypatch.setattr(PenaltyInstance, "distances_to_omega", counted_distances)
+        verify_penalty_equivalence(scalar_abs_instance(), 1.5)
+        assert calls == {"relations": 3, "distances": 1}
 
 
 class TestInstanceValidation:
