@@ -113,6 +113,9 @@ def cmd_subdiff(args) -> int:
 def cmd_penalize(args) -> int:
     pf = parse_problem(args.problem)
     _require_block(pf, "penalty")
+    if pf.norm.weights is not None:
+        raise ProblemFormatError("penalize supports unweighted norms only; "
+                                 "remove norm.weights", "$.norm.weights")
     b = pf.block
     inst = PenaltyInstance(points=b["points"], feasible_mask=b["feasible"],
                            objective=None, cone=pf.cone, e=b["e"],

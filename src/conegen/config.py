@@ -23,7 +23,18 @@ class Tolerances:
                     tie threshold relative to max(1, step)
     rank_margin     required gap L - L_f before penalty equivalence is attempted
     gradient_map    stopping norm of the projected-gradient mapping
-    kkt             KKT residual target of the primal solver
+    kkt             KKT residual bound of an "optimal" primal, relative to
+                    max(1, ||grad f(x)||_inf)
+    qp_step         active-set QP, X the largest |bound| of the box: a step p is
+                    zero at ||p||_inf <= qp_step * X, a row a'x <= b is active
+                    at slack <= qp_step * ||a|| * X, a rate a'p counts above
+                    qp_step * ||a|| * ||p||
+    qp_curv         active-set QP: zero curvature at reduced-Hessian eigenvalues
+                    <= qp_curv * ||Q||_F, descent along them at gradient
+                    components > qp_curv * ||grad f||_inf; a row within
+                    qp_curv * ||a|| of the span of those before it is dependent
+    qp_sign         active-set QP: a working row's multiplier is negative below
+                    -qp_sign * ||grad f||_inf / ||a||
     fd_step         step of finite-difference validation of directional derivatives
     fd_check        tolerance of that validation (absorbs kink proximity)
     gap_assert      duality-gap bound asserted under the modified Slater condition
@@ -44,6 +55,9 @@ class Tolerances:
     rank_margin: float = 1e-9
     gradient_map: float = 1e-7
     kkt: float = 1e-6
+    qp_step: float = 1e-12
+    qp_curv: float = 1e-10
+    qp_sign: float = 1e-9
     fd_step: float = 1e-5
     fd_check: float = 1e-4
     gap_assert: float = 1e-5

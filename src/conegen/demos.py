@@ -9,7 +9,7 @@ import numpy as np
 
 from .cones import coordinate_cone
 from .duality import (BoxProgram, VectorObjective, duality_gap_report,
-                      solve_primal, stationarity_certificate)
+                      stationarity_certificate)
 from .numkernel import project_box, projected_gradient
 
 
@@ -58,12 +58,11 @@ def run_torsion_demo(n_grid: int = 12, load: float = 8.0) -> TorsionResult:
     prog = build_torsion_program(n_grid, load)
     m = prog.m
     e = np.ones(m) / math.sqrt(m)
-    primal = solve_primal(prog)
-    if primal.status != "optimal":
-        raise RuntimeError(f"torsion primal solve returned {primal.status}")
     report = duality_gap_report(prog, e)
-    return TorsionResult(grid=n_grid, load=load, solution=primal.x,
-                         value=primal.value, gap_report=report.to_dict())
+    if report.primal_status != "optimal":
+        raise RuntimeError(f"torsion primal solve returned {report.primal_status}")
+    return TorsionResult(grid=n_grid, load=load, solution=report.witness,
+                         value=report.primal_value, gap_report=report.to_dict())
 
 
 @dataclass

@@ -20,8 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_LIMITS, SolverLimits, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
-from .numkernel import (FarkasCertificate, LPProblem, as_vector,
-                        project_box, projected_gradient, solve_lp)
+from .numkernel import FarkasCertificate, LPProblem, as_vector, solve_lp
 
 
 @dataclass
@@ -155,25 +154,33 @@ def dual_value(prog: BoxProgram, mult: Multipliers) -> float:
     Solves the stationarity system; a residual gradient outside range(Q)
     means linear descent to -inf.
     """
-    b = prog.q.copy()
-    if prog.m:
-        b += prog.G.T @ mult.y
-    b += -mult.x1 + mult.x2
-    if prog.k:
-        b += prog.H.T @ mult.z
+    b = _linear_term(prog, mult)
     const = prog.c + float(mult.x1 @ prog.x_lo) - float(mult.x2 @ prog.x_hi)
     if prog.m:
         const += float(mult.y @ prog.g0)
     if prog.k:
         const += float(mult.z @ prog.h0)
     if not prog.Q.any():
-        if np.max(np.abs(b)) > 1e-11:
-            return -math.inf
-        return const
+        return const if np.max(np.abs(b)) <= 1e-11 else -math.inf
+    x = _inner_argmin(prog, b)
+    return -math.inf if x is None else float(0.5 * x @ prog.Q @ x + b @ x + const)
+
+
+def _linear_term(prog: BoxProgram, mult: Multipliers) -> np.ndarray:
+    """The Lagrangian's linear coefficients q + G'y* - x1* + x2* + H'z*."""
+    b = prog.q.copy()
+    if prog.m:
+        b += prog.G.T @ mult.y
+    b += -mult.x1 + mult.x2
+    if prog.k:
+        b += prog.H.T @ mult.z
+    return b
+
+
+def _inner_argmin(prog: BoxProgram, b: np.ndarray):
+    """A minimizer of 0.5 x'Qx + b'x over R^n, or None when b leaves range(Q)."""
     x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
-    if np.max(np.abs(prog.Q @ x + b)) > 1e-8:
-        return -math.inf
-    return float(0.5 * x @ prog.Q @ x + b @ x + const)
+    return None if np.max(np.abs(prog.Q @ x + b)) > 1e-8 else x
 
 
 # ---------------------------------------------------------------------------
@@ -298,158 +305,159 @@ def _constraint_rows(prog: BoxProgram):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def _phase1_point(prog: BoxProgram):
+def _feasible_set_lp(prog: BoxProgram, cost, limits: SolverLimits):
+    """min cost'x over the feasible set, by simplex."""
     gA, gb = prog._ineq_rows()
-    rep = solve_lp(LPProblem(
-        cost=np.zeros(prog.n),
-        ineq_lhs=None if gA.shape[0] == 0 else -gA,
+    return solve_lp(LPProblem(
+        cost=cost, ineq_lhs=None if gA.shape[0] == 0 else -gA,
         ineq_rhs=None if gA.shape[0] == 0 else -gb,
         eq_lhs=prog.H, eq_rhs=None if prog.k == 0 else -prog.h0,
-        lower=prog.x_lo, upper=prog.x_hi))
-    return rep
+        lower=prog.x_lo, upper=prog.x_hi), limits=limits)
 
 
 def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers) -> float:
-    grad = prog.gradient(x)
-    if prog.m:
-        grad = grad + prog.G.T @ mult.y
-    grad = grad - mult.x1 + mult.x2
-    if prog.k:
-        grad = grad + prog.H.T @ mult.z
-    stat = float(np.max(np.abs(grad)))
-    comp = max(float(np.max(mult.x1 * np.abs(x - prog.x_lo), initial=0.0)),
-               float(np.max(mult.x2 * np.abs(prog.x_hi - x), initial=0.0)))
-    if prog.m:
-        comp = max(comp, float(np.max(np.abs(mult.y) *
-                                      np.abs(prog.cone_y.halfspaces @ prog.g(x)))))
-    feas = 0.0
-    feas = max(feas, float(np.max(prog.x_lo - x, initial=0.0)),
-               float(np.max(x - prog.x_hi, initial=0.0)))
-    if prog.m:
-        feas = max(feas, float(np.max(prog.cone_y.halfspaces @ prog.g(x), initial=0.0)))
-    if prog.k:
-        feas = max(feas, float(np.max(np.abs(prog.h(x)), initial=0.0)))
-    return max(stat, comp, feas)
+    """Worst of stationarity, complementarity and primal infeasibility. With
+    y* in C* and g(x) in -C, <y*, g(x)> = 0 is complementarity on every
+    halfspace of C at once, whichever coordinates y* is written in."""
+    gx = prog.g(x)
+    cone_viol = prog.cone_y.halfspaces @ gx if prog.m else gx
+    return float(max(np.max(np.abs(prog.Q @ x + _linear_term(prog, mult))),
+                     np.max(mult.x1 * np.abs(x - prog.x_lo)),
+                     np.max(mult.x2 * np.abs(prog.x_hi - x)), abs(mult.y @ gx),
+                     np.max(prog.x_lo - x), np.max(x - prog.x_hi),
+                     np.max(cone_viol, initial=0.0),
+                     np.max(np.abs(prog.h(x)), initial=0.0)))
 
 
 def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
                    limits: SolverLimits) -> PrimalResult:
-    """Primal active-set method for PSD Q over polyhedral constraints.
+    """Primal active-set method for PSD Q over polyhedral constraints, with
+    null-space steps (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
+    ch. 16). Deterministic: lowest-index rules throughout.
 
-    The feasible set is compact (box), so unbounded equality-constrained
-    subproblems always hit a blocking constraint. Deterministic: lowest-index
-    rules throughout.
+    The working set starts from the equality rows, plus, for an LP (Q = 0,
+    x0 its simplex vertex), every row active at x0, less the rows dependent
+    on those before them. Working box rows fix their
+    coordinates; the other working rows, restricted to the free coordinates,
+    are factored by one QR per iteration, M' = [Y Z][R; 0]. The step
+    minimizes the quadratic over range(Z); a gradient component along a
+    zero-curvature eigenvector of Z'QZ gives a descent ray to the first
+    blocking row instead (the box is compact, so one exists). A full step
+    ends at the subspace minimizer, so the next step is zero by construction;
+    multipliers are solved from R only then. Thresholds are relative to the
+    box, the rows, Q and the gradient (see `Tolerances`), and the result is
+    "optimal" only if its KKT residual is within kkt * max(1, ||grad f||_inf).
     """
-    A, b = _constraint_rows(prog)
-    E = prog.H if prog.k else np.zeros((0, prog.n))
-    x = x0.copy()
-    work = set(np.where(A @ x >= b - 1e-9)[0])
+    tols = default_tolerances()
     n = prog.n
+    A, b = _constraint_rows(prog)
+    norms = np.linalg.norm(A, axis=1)
+    x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
+    q_norm = float(np.linalg.norm(prog.Q))
+    x = x0.copy()
+    E = prog.H if prog.k else np.zeros((0, n))
+    active = np.flatnonzero(b - A @ x <= tols.qp_step * norms * x_scale) \
+        if q_norm == 0.0 else np.zeros(0, dtype=int)
+    keep = _independent_rows(np.vstack([E, A[active]]), tols.qp_curv)
+    eq_rows = keep[keep < prog.k]   # a dependent equality row is redundant
+    E = E[eq_rows]
+    work = np.zeros(A.shape[0], dtype=bool)
+    work[active[keep[keep >= prog.k] - prog.k]] = True
+    at_min = False
     for it in range(limits.active_set_iters):
-        W = sorted(work)
-        Aw = A[W] if W else np.zeros((0, n))
-        C = np.vstack([Aw, E])
         grad = prog.gradient(x)
-        p, lam, consistent = _eqp_step(prog.Q, grad, C)
-        if not consistent:
-            d = _descent_ray(prog.Q, grad, C)
-            if d is None:
-                p = np.zeros(n)
-            else:
-                alpha, blocker = _ratio_test(A, b, x, d, math.inf, work)
-                if blocker is None:
-                    raise RuntimeError("unbounded ray inside a compact box")
-                x = x + alpha * d
-                work.add(blocker)
+        g_scale = float(np.max(np.abs(grad)))
+        free = np.flatnonzero(~(work[:n] | work[n:2 * n]))
+        rows = np.flatnonzero(work[2 * n:]) + 2 * n
+        C = np.vstack([A[rows], E])
+        YZ, R = np.linalg.qr(C[:, free].T, mode="complete")
+        Y, Z, R = YZ[:, :C.shape[0]], YZ[:, C.shape[0]:], R[:C.shape[0]]
+        p, newton = np.zeros(n), True
+        if not at_min:
+            w, V = np.linalg.eigh(Z.T @ prog.Q[free[:, None], free] @ Z)
+            c = V.T @ (Z.T @ grad[free])
+            flat = w <= tols.qp_curv * q_norm
+            ray = flat & (np.abs(c) > tols.qp_curv * g_scale)
+            newton = not ray.any()
+            if newton:
+                d, alpha_max = V[:, ~flat] @ (c[~flat] / w[~flat]), 1.0
+            else:   # zero-curvature descent: to its line minimizer or a block
+                d, curv = V[:, ray] @ c[ray], float(w[ray] @ c[ray] ** 2)
+                alpha_max = float(c[ray] @ c[ray]) / curv if curv > 0.0 else math.inf
+            p[free] = -(Z @ d)
+        if newton and (at_min or np.max(np.abs(p)) <= tols.qp_step * x_scale):
+            lam = np.linalg.solve(R, -(Y.T @ grad[free]))
+            r = grad + C.T @ lam
+            box = np.flatnonzero(work[:2 * n])
+            ineq = np.concatenate([box, rows])
+            lam_ineq = np.concatenate([np.where(box < n, r[box % n], -r[box % n]),
+                                       lam[:rows.size]])
+            neg = lam_ineq * norms[ineq] < -tols.qp_sign * g_scale
+            if neg.any():
+                work[ineq[np.argmax(neg)]] = False
+                at_min = False
                 continue
-        if np.linalg.norm(p) <= 1e-11:
-            lam_ineq = lam[:len(W)]
-            neg = [W[i] for i in range(len(W)) if lam_ineq[i] < -1e-9]
-            if not neg:
-                mult = _multipliers_from_rows(prog, W, lam)
-                res = _kkt_residual(prog, x, mult)
-                return PrimalResult("optimal", x, prog.objective(x), mult, res, it + 1)
-            work.discard(min(neg))
-            continue
-        alpha, blocker = _ratio_test(A, b, x, p, 1.0, work)
+            z = np.zeros(prog.k)
+            z[eq_rows] = lam[rows.size:]
+            mult = _multipliers_from_rows(prog, ineq, lam_ineq, z)
+            res = _kkt_residual(prog, x, mult)
+            status = "optimal" if res <= tols.kkt * max(1.0, g_scale) else "numerical"
+            return PrimalResult(status, x, prog.objective(x), mult, res, it + 1)
+        alpha, blocker = _ratio_test(A, b, x, p, alpha_max, work, norms, tols.qp_step)
+        if not math.isfinite(alpha):
+            raise RuntimeError("unbounded ray inside a compact box")
         x = x + alpha * p
         if blocker is not None:
-            work.add(blocker)
+            work[blocker] = True
+            if blocker < 2 * n:   # a box row: put the coordinate on its bound
+                x[blocker % n] = -b[blocker] if blocker < n else b[blocker]
+        at_min = newton and blocker is None
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
                         _kkt_residual(prog, x, mult), limits.active_set_iters)
 
 
-def _eqp_step(Q, grad, C):
-    """Minimize 0.5 p'Qp + grad'p subject to C p = 0."""
-    n = Q.shape[0]
-    mC = C.shape[0]
-    K = np.zeros((n + mC, n + mC))
-    K[:n, :n] = Q
-    K[:n, n:] = C.T
-    K[n:, :n] = C
-    rhs = np.concatenate([-grad, np.zeros(mC)])
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    residual = np.max(np.abs(K @ sol - rhs)) if K.size else 0.0
-    return sol[:n], sol[n:], residual <= 1e-8
+def _independent_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows left when each row within tol * its norm of the
+    span of the rows left before it is dropped. While those are independent,
+    |R_jj| of a QR of rows' is row j's distance from their span."""
+    keep = np.arange(rows.shape[0])
+    norms = np.linalg.norm(rows, axis=1)
+    while keep.size:
+        diag = np.abs(np.diagonal(np.linalg.qr(rows[keep].T, mode="r")))
+        small = np.flatnonzero(diag <= tol * norms[keep[:diag.size]])
+        if small.size == 0:
+            return keep[:diag.size]   # rows past the dimension are dependent
+        keep = np.delete(keep, small[0])
+    return keep
 
 
-def _descent_ray(Q, grad, C):
-    """Zero-curvature descent direction in the null space of C, if any."""
-    n = Q.shape[0]
-    if C.shape[0]:
-        _, s, vt = np.linalg.svd(C)
-        rank = int(np.sum(s > 1e-10))
-        Z = vt[rank:].T
-    else:
-        Z = np.eye(n)
-    if Z.shape[1] == 0:
-        return None
-    Hr = Z.T @ Q @ Z
-    gr = Z.T @ grad
-    w, V = np.linalg.eigh(Hr)
-    for i in range(len(w)):
-        if w[i] <= 1e-10 and abs(V[:, i] @ gr) > 1e-10:
-            d = Z @ V[:, i]
-            return -d if d @ grad > 0 else d
-    return None
-
-
-def _ratio_test(A, b, x, p, alpha_max, work):
-    """Longest step along p up to alpha_max, and the row that blocks it.
-
-    Rows of the working set are skipped: p lies in their null space, and a
-    rounding-level rate on one of them would block at step 0 and re-add a row
-    already in the set until the iteration cap.
-    """
-    slack = b - A @ x
+def _ratio_test(A, b, x, p, alpha_max, work, norms, rate_tol):
+    """Longest step along p up to alpha_max, and the lowest-index row that
+    blocks it. Working rows and rates a'p <= rate_tol * ||a|| * ||p|| are
+    skipped: p is in the working rows' null space, so such a rate is rounding
+    on a row they imply, and it would block at step 0."""
     rate = A @ p
-    blocker = None
-    alpha = alpha_max
-    for i in range(A.shape[0]):
-        if rate[i] > 1e-12 and i not in work:
-            a = max(slack[i], 0.0) / rate[i]
-            if a < alpha - 1e-14:
-                alpha = a
-                blocker = i
-    return alpha, blocker
+    cand = np.flatnonzero((rate > rate_tol * norms * np.linalg.norm(p)) & ~work)
+    if cand.size == 0:
+        return alpha_max, None
+    steps = np.maximum(b[cand] - A[cand] @ x, 0.0) / rate[cand]
+    j = int(np.argmin(steps))
+    if steps[j] >= alpha_max:
+        return alpha_max, None
+    return float(steps[j]), int(cand[j])
 
 
-def _multipliers_from_rows(prog: BoxProgram, W, lam) -> Multipliers:
-    n = prog.n
-    x1 = np.zeros(n)
-    x2 = np.zeros(n)
-    y = np.zeros(prog.m)
-    K = prog.cone_y.halfspaces.shape[0] if prog.m else 0
-    for idx, row in enumerate(W):
-        val = max(float(lam[idx]), 0.0)
-        if row < n:
-            x1[row] = val
-        elif row < 2 * n:
-            x2[row - n] = val
-        else:
-            y += val * prog.cone_y.halfspaces[row - 2 * n]
-    z = np.asarray(lam[len(W):], dtype=float) if prog.k else np.zeros(0)
+def _multipliers_from_rows(prog: BoxProgram, rows, lam, z) -> Multipliers:
+    """Multipliers from those of the working rows of `_constraint_rows`."""
+    n, lam = prog.n, np.maximum(lam, 0.0)
+    x1, x2 = np.zeros(n), np.zeros(n)
+    x1[rows[rows < n]] = lam[rows < n]
+    upper = (rows >= n) & (rows < 2 * n)
+    x2[rows[upper] - n] = lam[upper]
+    cone = rows >= 2 * n
+    y = prog.cone_y.halfspaces[rows[cone] - 2 * n].T @ lam[cone] if prog.m \
+        else np.zeros(0)
     return Multipliers(y=y, x1=x1, x2=x2, z=z)
 
 
@@ -457,41 +465,20 @@ def solve_primal(prog: BoxProgram,
                  limits: SolverLimits = DEFAULT_LIMITS) -> PrimalResult:
     """Minimize over the feasible set; exact on convex quadratics.
 
-    LP instances go to the simplex. Box-only quadratics run projected
-    gradient with an active-set polish; instances with g or h rows use the
-    active-set method directly, since no closed-form projection onto the
-    composite feasible set exists. Infeasibility returns a Farkas
-    certificate.
+    LP instances go to the simplex, and the active-set method then reads the
+    multipliers at its vertex. Quadratics run the active-set method from the
+    phase-1 vertex. Infeasibility returns a Farkas certificate; a simplex
+    solve that ends "numerical" or at its iteration cap is returned as is.
+    The iterations are the simplex pivots plus the active-set steps.
     """
-    feas = _phase1_point(prog)
-    if feas.status == "infeasible":
-        return PrimalResult("infeasible", None, None, None, None,
-                            feas.iterations, farkas=feas.farkas)
-    if not prog.Q.any():
-        gA, gb = prog._ineq_rows()
-        rep = solve_lp(LPProblem(
-            cost=prog.q,
-            ineq_lhs=None if gA.shape[0] == 0 else -gA,
-            ineq_rhs=None if gA.shape[0] == 0 else -gb,
-            eq_lhs=prog.H, eq_rhs=None if prog.k == 0 else -prog.h0,
-            lower=prog.x_lo, upper=prog.x_hi), limits=limits)
-        if rep.status != "optimal":
-            return PrimalResult(rep.status, rep.point, None, None, None,
-                                rep.iterations, farkas=rep.farkas)
-        x = rep.point
-        result = _active_set_qp(prog, x, limits)
-        result.iterations += rep.iterations
-        return result
-    if prog.m == 0 and prog.k == 0:
-        L = float(np.max(np.linalg.eigvalsh(prog.Q)))
-        pg = projected_gradient(prog.gradient,
-                                lambda v: project_box(v, prog.x_lo, prog.x_hi),
-                                feas.point, step=1.0 / max(L, 1e-12),
-                                objective=prog.objective, limits=limits)
-        result = _active_set_qp(prog, pg.point, limits)
-        result.iterations += pg.iterations
-        return result
-    return _active_set_qp(prog, feas.point, limits)
+    rep = _feasible_set_lp(prog, prog.q if not prog.Q.any() else np.zeros(prog.n),
+                           limits)
+    if rep.status != "optimal":
+        return PrimalResult(rep.status, None, None, None, None,
+                            rep.iterations, farkas=rep.farkas)
+    result = _active_set_qp(prog, rep.point, limits)
+    result.iterations += rep.iterations
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +539,7 @@ def solve_dual(prog: BoxProgram, e=None, mult0: Multipliers | None = None,
         if primal_value is not None and math.isfinite(best_val) and \
                 primal_value - best_val <= 1e-12 * max(1.0, abs(primal_value)):
             return DualResult("optimal", best, best_val, k)
-        x_hat = _inner_argmin(prog, mult)
+        x_hat = _inner_argmin(prog, _linear_term(prog, mult))
         if x_hat is None:
             mult = _halve_toward(best, mult)
             val = dual_value(prog, mult)
@@ -591,19 +578,6 @@ def solve_dual(prog: BoxProgram, e=None, mult0: Multipliers | None = None,
 def _halve_toward(best: Multipliers, mult: Multipliers) -> Multipliers:
     return Multipliers(y=0.5 * (best.y + mult.y), x1=0.5 * (best.x1 + mult.x1),
                        x2=0.5 * (best.x2 + mult.x2), z=0.5 * (best.z + mult.z))
-
-
-def _inner_argmin(prog: BoxProgram, mult: Multipliers):
-    b = prog.q.copy()
-    if prog.m:
-        b += prog.G.T @ mult.y
-    b += -mult.x1 + mult.x2
-    if prog.k:
-        b += prog.H.T @ mult.z
-    x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
-    if np.max(np.abs(prog.Q @ x + b)) > 1e-8:
-        return None
-    return x
 
 
 def _dual_lp(prog: BoxProgram, limits: SolverLimits) -> DualResult:

@@ -241,6 +241,30 @@ def test_penalize_verification_failure_exit1(capsys, tmp_path):
     assert report["tol_sensitive"]
 
 
+def test_penalize_weighted_norm_refused(capsys, tmp_path):
+    # the penalty check measures ranks and distances in the unweighted norm, so
+    # a weighted norm (under which rank 0.02 is valid here) is refused, not
+    # silently replaced
+    grid = np.arange(-2.0, 2.25, 0.25)
+    path = tmp_path / "weighted.json"
+    path.write_text(json.dumps({
+        "version": 1,
+        "norm": {"p": 2, "weights": [100]},
+        "cone": {"kind": "coordinate", "dim": 1},
+        "penalty": {
+            "points": [[v] for v in grid],
+            "values": [[abs(v)] for v in grid],
+            "feasible": [int(i) for i in np.where((grid >= 1) & (grid <= 2))[0]],
+            "rank": 0.02,
+            "e": [1.0],
+        },
+    }))
+    code, report, err = run_cli(capsys, ["penalize", "--problem", str(path),
+                                         "--L", "0.05"])
+    assert code == 2 and report is None
+    assert "norm.weights" in err
+
+
 def test_tol_env_override(monkeypatch):
     from conegen.config import default_tolerances
     from conegen.cones import coordinate_cone

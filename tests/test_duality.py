@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conegen import duality
 from conegen.cones import PolyhedralCone, coordinate_cone
+from conegen.numkernel import SolveReport
 from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              StationarityCertificate, VectorObjective,
                              check_modified_slater, dual_value,
@@ -148,6 +153,135 @@ class TestPrimal:
             rep = solve_primal(prog)
             assert rep.status == "optimal"
             assert rep.kkt_residual <= 1e-6
+
+
+def kkt_residual(prog, rep):
+    """Worst violation of the KKT conditions at rep.x with rep.multipliers:
+    stationarity, primal and dual feasibility, complementarity (coordinate
+    cone only)."""
+    x, mu = rep.x, rep.multipliers
+    gx = prog.G @ x + prog.g0
+    grad = prog.Q @ x + prog.q + prog.G.T @ mu.y - mu.x1 + mu.x2
+    viol = [np.max(prog.x_lo - x), np.max(x - prog.x_hi), np.max(gx),
+            -np.min(mu.y), -np.min(mu.x1), -np.min(mu.x2),
+            np.max(np.abs(mu.y * gx)), np.max(np.abs(mu.x1 * (x - prog.x_lo))),
+            np.max(np.abs(mu.x2 * (prog.x_hi - x)))]
+    if prog.k:
+        grad += prog.H.T @ mu.z
+        viol.append(np.max(np.abs(prog.H @ x + prog.h0)))
+    return float(max(viol + [np.max(np.abs(grad))]))
+
+
+def box_draws(indices):
+    """Draws of random_box_program(default_rng(5), "qp", n_max=40, m_max=24)."""
+    rng = np.random.default_rng(5)
+    draws = [random_box_program(rng, "qp", n_max=40, m_max=24)[0]
+             for _ in range(max(indices) + 1)]
+    return [draws[i] for i in indices]
+
+
+def cap_program():
+    """The Slater-satisfying QP (n = 32, m = 2, one equality row, rank-deficient
+    Q) on which an earlier active-set method reached its iteration cap: the
+    seventh of the draws below from default_rng(7)."""
+    rng = np.random.default_rng(7)
+    for kind in ("lp",) * 4 + ("qp",) * 3:
+        n = int(rng.integers(2, 41))
+        m = int(rng.integers(1, 25))
+        x_lo = -1.0 - rng.random(n)
+        x_hi = 1.0 + rng.random(n)
+        center = 0.5 * (x_lo + x_hi)
+        if kind == "qp":
+            r = int(rng.integers(1, n + 1))
+            B = rng.normal(size=(r, n))
+            Q = B.T @ B + (0.05 if r == n else 0.0) * np.eye(n)
+        else:
+            Q = np.zeros((n, n))
+        q = rng.normal(size=n)
+        G = rng.normal(size=(m, n))
+        g0 = -(G @ center) - rng.uniform(0.5, 1.5, size=m)
+        H = h0 = None
+        if rng.random() < 0.4:
+            H = rng.normal(size=(1, n))
+            h0 = -(H @ center)
+        c = float(rng.normal())
+    return BoxProgram(n=n, Q=Q, q=q, c=c, x_lo=x_lo, x_hi=x_hi, G=G, g0=g0,
+                      cone_y=coordinate_cone(m), H=H, h0=h0)
+
+
+class TestActiveSetRegressions:
+    """Draws 1 and 22 took 2000 steps of rounding-noise length to the
+    iteration cap under an absolute step stop. Draw 23's reduced Hessian is
+    near singular: a Cholesky-diagonal singularity test accepts it and steps
+    2e15 to an infeasible point."""
+
+    @pytest.mark.parametrize("prog", box_draws([1, 22, 23]) + [cap_program()],
+                             ids=["draw1", "draw22", "draw23", "cap_n32"])
+    def test_optimal_feasible_kkt(self, prog):
+        rep = solve_primal(prog)
+        assert rep.status == "optimal"
+        assert rep.iterations < 2000
+        assert prog.feasible(rep.x, tol=1e-9)
+        assert kkt_residual(prog, rep) <= 1e-9
+
+    def test_near_singular_value(self):
+        # scipy's trust-constr agrees with this value
+        rep = solve_primal(box_draws([23])[0])
+        assert rep.value == pytest.approx(-14.0601405, abs=1e-7)
+
+
+class TestStatusReporting:
+    @pytest.mark.parametrize("status", ["numerical", "iteration-cap"])
+    def test_phase1_status_returned(self, monkeypatch, status):
+        prog, _ = random_box_program(np.random.default_rng(4), "qp")
+        monkeypatch.setattr(duality, "_feasible_set_lp", lambda p, *_: SolveReport(
+            status=status, point=0.5 * (p.x_lo + p.x_hi), iterations=7))
+        rep = solve_primal(prog)
+        assert rep.status == status and rep.x is None and rep.iterations == 7
+
+    def test_residual_gate_relative_to_gradient(self, monkeypatch):
+        # min 0.5 x^2 - 101 x on [0, 1]: x = 1 with gradient -100 there, so
+        # the gate admits residuals up to kkt * 100
+        prog = BoxProgram(n=1, Q=[[1.0]], q=[-101.0], c=0.0, x_lo=[0.0], x_hi=[1.0])
+        kkt = duality.default_tolerances().kkt
+        for residual, status in [(50 * kkt, "optimal"), (200 * kkt, "numerical")]:
+            monkeypatch.setattr(duality, "_kkt_residual", lambda *a, r=residual: r)
+            rep = solve_primal(prog)
+            assert rep.status == status and rep.kkt_residual == residual
+            assert rep.x == pytest.approx([1.0])
+
+
+class TestScaleInvariance:
+    """No status and no minimizer depends on how the input is scaled."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(1e-3, 1e3))
+    def test_objective_scaling(self, seed, s):
+        # rank-deficient Q included: the path, zero-curvature rays and all,
+        # does not depend on the scale of f
+        prog, _ = random_box_program(np.random.default_rng(seed), "qp",
+                                     n_max=10, m_max=8)
+        base = solve_primal(prog)
+        scaled = solve_primal(dataclasses.replace(prog, Q=s * prog.Q, q=s * prog.q,
+                                                  c=s * prog.c))
+        assert base.status == scaled.status == "optimal"
+        assert np.allclose(scaled.x, base.x, rtol=0, atol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_constraint_row_scaling(self, seed, data):
+        # positive definite Q: the minimizer does not depend on the vertex
+        # that phase 1 finds for the rescaled rows
+        prog, _ = random_box_program(np.random.default_rng(seed), "qp",
+                                     n_max=10, m_max=8)
+        prog = dataclasses.replace(prog, Q=prog.Q + 0.05 * np.eye(prog.n))
+        t = np.array(data.draw(st.lists(st.floats(1e-3, 1e3), min_size=prog.m,
+                                        max_size=prog.m)))
+        base = solve_primal(prog)
+        scaled = solve_primal(dataclasses.replace(prog, G=t[:, None] * prog.G,
+                                                  g0=t * prog.g0))
+        assert base.status == scaled.status == "optimal"
+        assert np.allclose(scaled.x, base.x, rtol=0, atol=1e-9)
 
 
 class TestDualSolve:
