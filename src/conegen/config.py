@@ -45,6 +45,8 @@ class Tolerances:
     unit_norm       accepted deviation of the ambient norm of e from 1
     lookup_radius   Euclidean radius within which a point is a ground-set point
     min_sample_rank least rank of a random penalty instance
+    isometry        largest support-minus-definitional Hausdorff gap of an isometry
+    grid_match      largest coordinate gap of two direction grids lattice ops combine
     """
 
     membership: float = 1e-9
@@ -67,6 +69,8 @@ class Tolerances:
     unit_norm: float = 1e-9
     lookup_radius: float = 1e-12
     min_sample_rank: float = 1e-6
+    isometry: float = 1e-9
+    grid_match: float = 1e-12
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ of support functions over the Euclidean unit sphere. In the plane that sup
 is computed exactly over a finite candidate set (the refined normal fan's
 rays, i.e. the edge normals of both polytopes, plus the normalized pairwise
 vertex differences where the piecewise-linear difference peaks inside a fan
-cell). In higher dimension a quasi-uniform direction sample is used and the
-sampling resolution is reported, never hidden.
+cell). The definitional route (max vertex-to-hull distance, all pairs in one
+array pass) shares only the two hulls with it, each built once per call. In
+higher dimension a quasi-uniform direction sample is used and the sampling
+resolution is reported, never hidden.
 """
 from __future__ import annotations
 
@@ -46,7 +48,7 @@ def convex_hull_2d(points) -> np.ndarray:
     Degenerate inputs collapse to a point or segment.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
-    pts = sorted(map(tuple, P))
+    pts = sorted(P.tolist())   # Python floats: sorted and compared as tuples
     pts = [pts[0]] + [p for q, p in zip(pts, pts[1:]) if p != q]
     if len(pts) <= 2:
         return np.array(pts)
@@ -75,45 +77,34 @@ def convex_hull_2d(points) -> np.ndarray:
 
 
 def _edge_normals(hull: np.ndarray) -> np.ndarray:
-    n = hull.shape[0]
-    if n == 1:
-        return np.zeros((0, 2))
-    if n == 2:
-        t = hull[1] - hull[0]
-        t = t / math.hypot(*t)   # hypot: no underflow on tiny edges
-        return np.array([[t[1], -t[0]], [-t[1], t[0]]])
+    pts = hull.tolist()
     normals = []
-    for i in range(n):
-        t = hull[(i + 1) % n] - hull[i]
-        t = t / math.hypot(*t)
-        normals.append([t[1], -t[0]])  # outward for ccw order
-    return np.array(normals)
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1] if len(pts) > 2 else pts[1:]):
+        r = math.hypot(x1 - x0, y1 - y0)   # hypot: no underflow on tiny edges
+        normals.append([(y1 - y0) / r, -((x1 - x0) / r)])  # outward for ccw order
+    if len(pts) == 2:   # a segment: both normals of its one edge
+        normals.append([-normals[0][0], -normals[0][1]])
+    return np.array(normals).reshape(-1, 2)
 
 
-def _point_to_segment(p, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
-
-
-def _point_to_hull(p, hull: np.ndarray) -> float:
-    n = hull.shape[0]
-    if n == 1:
-        return float(np.linalg.norm(p - hull[0]))
-    if n == 2:
-        return _point_to_segment(p, hull[0], hull[1])
-    # an exact sign test: a point near every edge's line of a thin hull may
-    # still lie far beyond its ends
-    inside = True
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0:
-            inside = False
-            break
-    if inside:
-        return 0.0
-    return min(_point_to_segment(p, hull[i], hull[(i + 1) % n]) for i in range(n))
+def _hull_distances(P: np.ndarray, hull: np.ndarray):
+    """(distances, inside) of the rows of P to conv(hull), in one array pass
+    over every row-edge pair. Inside a hull of 3 or more vertices is an exact
+    sign test of the edge cross products: a point near every edge's line of a
+    thin hull may still lie far beyond its ends."""
+    AB = np.concatenate([hull[1:], hull[:1]]) - hull   # 0 for a one-point hull
+    AP = P[:, None, :] - hull[None, :, :]
+    abx, aby, apx, apy = AB[:, 0], AB[:, 1], AP[..., 0], AP[..., 1]
+    # project on unit edges: |AB|^2 would underflow on edges near 1e-160
+    length = np.hypot(abx, aby)
+    ux, uy = (AB / np.where(length > 0, length, 1.0)[:, None]).T
+    t = np.minimum(np.maximum(apx * ux + apy * uy, 0.0), length)
+    dist = np.minimum.reduce(np.hypot(apx - t * ux, apy - t * uy), axis=1)
+    if hull.shape[0] < 3:
+        return dist, np.zeros(P.shape[0], dtype=bool)
+    inside = np.logical_and.reduce(abx * apy - aby * apx >= 0, axis=1)
+    dist[inside] = 0.0
+    return dist, inside
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +144,34 @@ def covering_radius_estimate(directions: np.ndarray, probes: int = 512,
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
-def _exact_directions_2d(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    hull_a = convex_hull_2d(A)
-    hull_b = convex_hull_2d(B)
-    cands = [_edge_normals(hull_a), _edge_normals(hull_b)]
-    diff = hull_a[:, None, :] - hull_b[None, :, :]
-    diff = diff.reshape(-1, 2)
+def _as_pair(a_vertices, b_vertices):
+    A = np.atleast_2d(np.asarray(a_vertices, dtype=float))
+    B = np.atleast_2d(np.asarray(b_vertices, dtype=float))
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        raise ValueError("empty polytope")
+    if A.shape[1] != B.shape[1]:
+        raise ValueError("dimension mismatch")
+    return A, B
+
+
+def _exact_directions_2d(hull_a: np.ndarray, hull_b: np.ndarray) -> np.ndarray:
+    diff = (hull_a[:, None, :] - hull_b[None, :, :]).reshape(-1, 2)
     norms = np.hypot(diff[:, 0], diff[:, 1])
     nz = norms > 0
-    if np.any(nz):
-        units = diff[nz] / norms[nz][:, None]
-        cands += [units, -units]
-    cands = [c for c in cands if c.size]
-    if not cands:
-        return np.zeros((0, 2))
-    return np.vstack(cands)
+    units = diff[nz] / norms[nz][:, None]
+    return np.vstack([_edge_normals(hull_a), _edge_normals(hull_b), units, -units])
+
+
+def _support_route_2d(A, B, hull_a, hull_b):
+    """(distance, certificate direction, h_A, h_B): the support gaps of the
+    point sets A and B on the exact candidate directions of their hulls."""
+    D = _exact_directions_2d(hull_a, hull_b)
+    if D.shape[0] == 0:   # both singletons at the same point
+        return 0.0, None, np.zeros(0), np.zeros(0)
+    h_a, h_b = support_values(A, D), support_values(B, D)
+    gaps = np.abs(h_a - h_b)
+    k = int(np.argmax(gaps))
+    return float(gaps[k]), D[k].tolist(), h_a, h_b
 
 
 def hausdorff_distance(a_vertices, b_vertices, n_sample: int = 1024,
@@ -181,21 +185,11 @@ def hausdorff_distance(a_vertices, b_vertices, n_sample: int = 1024,
     dual-sphere sample through `directions` (which also forces sampled mode).
     Returns (distance, info dict).
     """
-    A = np.atleast_2d(np.asarray(a_vertices, dtype=float))
-    B = np.atleast_2d(np.asarray(b_vertices, dtype=float))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        raise ValueError("empty polytope")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("dimension mismatch")
+    A, B = _as_pair(a_vertices, b_vertices)
     dim = A.shape[1]
     if dim == 2 and directions is None:
-        D = _exact_directions_2d(A, B)
-        if D.shape[0] == 0:   # both singletons at the same point
-            return 0.0, {"exact": True, "certificate_direction": None}
-        gaps = np.abs(support_values(A, D) - support_values(B, D))
-        k = int(np.argmax(gaps))
-        return float(gaps[k]), {"exact": True,
-                                "certificate_direction": D[k].tolist()}
+        dist, cert, _, _ = _support_route_2d(A, B, convex_hull_2d(A), convex_hull_2d(B))
+        return dist, {"exact": True, "certificate_direction": cert}
     D = direction_grid(dim, n_sample) if directions is None \
         else np.asarray(directions, dtype=float)
     gaps = np.abs(support_values(A, D) - support_values(B, D))
@@ -212,13 +206,15 @@ def hausdorff_distance(a_vertices, b_vertices, n_sample: int = 1024,
 
 def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
     """2-D Hausdorff distance straight from the enlargement definition:
-    max over each hull's vertices of the Euclidean distance to the other set.
-    Kept independent of the support-function route on purpose."""
+    max over each hull's vertices of the Euclidean distance to the other hull.
+
+    It shares only the hulls with the support route: no direction, support
+    value or gap. Each distance is the nearest point on the other hull's
+    edges, or 0 inside it by an exact sign test (_hull_distances)."""
     hull_a = convex_hull_2d(a_vertices)
     hull_b = convex_hull_2d(b_vertices)
-    d_ab = max(_point_to_hull(p, hull_b) for p in hull_a)
-    d_ba = max(_point_to_hull(p, hull_a) for p in hull_b)
-    return max(d_ab, d_ba)
+    return max(float(_hull_distances(hull_a, hull_b)[0].max()),
+               float(_hull_distances(hull_b, hull_a)[0].max()))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +242,8 @@ class SupportSample:
 
     def _check_grid(self, other: "SupportSample"):
         if self.directions.shape != other.directions.shape or \
-                np.max(np.abs(self.directions - other.directions)) > 1e-12:
+                np.max(np.abs(self.directions - other.directions)) > \
+                default_tolerances().grid_match:
             raise GridMismatch("support samples live on different direction grids")
 
 
@@ -277,37 +274,33 @@ def lattice_meet(a: SupportSample, b: SupportSample) -> SupportSample:
 def verify_order_isometry(a_vertices, b_vertices) -> dict:
     """Report comparing the metric and order on sets with their images.
 
-    The support route of hausdorff_distance must match the definitional
-    enlargement computation to 1e-9, and inclusion must match pointwise
-    dominance of support values on the exact direction set.
+    In the plane each set's hull is built once. The support route (the value
+    of hausdorff_distance) must match the definitional enlargement distance
+    to Tolerances.isometry, and inclusion (every vertex within membership of
+    the other hull) must match pointwise dominance of support values, at
+    membership, on the exact direction set.
     """
-    tol = default_tolerances().membership
-    A = np.atleast_2d(np.asarray(a_vertices, dtype=float))
-    B = np.atleast_2d(np.asarray(b_vertices, dtype=float))
+    tols = default_tolerances()
+    A, B = _as_pair(a_vertices, b_vertices)
     if A.shape[1] != 2:
         dist, info = hausdorff_distance(A, B)
         return {"exact": False, "support_route": dist,
                 "resolution_bound": info.get("resolution_bound"),
                 "isometry_holds": None}
-    support_route, _ = hausdorff_distance(A, B)
-    definitional = hausdorff_distance_definitional(A, B)
-    D = _exact_directions_2d(A, B)
-    if D.shape[0] == 0:
-        h_a = h_b = np.zeros(0)
-    else:
-        h_a = support_values(A, D)
-        h_b = support_values(B, D)
-    hull_a = convex_hull_2d(A)
-    hull_b = convex_hull_2d(B)
-    a_in_b_geom = all(_point_to_hull(p, hull_b) <= 1e-9 for p in hull_a)
-    b_in_a_geom = all(_point_to_hull(p, hull_a) <= 1e-9 for p in hull_b)
-    a_in_b_supp = bool(np.all(h_a <= h_b + tol)) if D.size else True
-    b_in_a_supp = bool(np.all(h_b <= h_a + tol)) if D.size else True
+    hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
+    support_route, _, h_a, h_b = _support_route_2d(A, B, hull_a, hull_b)
+    d_ab = _hull_distances(hull_a, hull_b)[0]
+    d_ba = _hull_distances(hull_b, hull_a)[0]
+    definitional = max(float(d_ab.max()), float(d_ba.max()))
+    a_in_b_geom = bool(np.all(d_ab <= tols.membership))
+    b_in_a_geom = bool(np.all(d_ba <= tols.membership))
+    a_in_b_supp = bool(np.all(h_a <= h_b + tols.membership))
+    b_in_a_supp = bool(np.all(h_b <= h_a + tols.membership))
     return {
         "exact": True,
         "support_route": support_route,
         "definitional": definitional,
-        "isometry_holds": abs(support_route - definitional) <= 1e-9,
+        "isometry_holds": abs(support_route - definitional) <= tols.isometry,
         "order_preserved": (a_in_b_geom == a_in_b_supp) and (b_in_a_geom == b_in_a_supp),
         "a_subset_b": a_in_b_geom,
         "b_subset_a": b_in_a_geom,

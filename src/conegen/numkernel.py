@@ -37,7 +37,7 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must have finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")

@@ -116,8 +116,9 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
 class PenaltyInstance:
     """Finite ground set S, feasible subset Omega, vector objective, cone data.
 
-    The declared rank is validated at construction: every ordered pair of S
-    must satisfy f(x) <=_C f(y) + rank * ||x - y|| e.
+    A declared rank is validated at construction: every ordered pair of S
+    must satisfy f(x) <=_C f(y) + rank * ||x - y|| e. With rank=None the rank
+    is measured on S instead (cone_lipschitz_rank), once.
     """
 
     points: np.ndarray
@@ -125,7 +126,7 @@ class PenaltyInstance:
     objective: Callable[[np.ndarray], np.ndarray] | None
     cone: PolyhedralCone
     e: np.ndarray
-    rank: float
+    rank: float | None
     norm_p: float = 2
     values: np.ndarray = field(default=None)
 
@@ -148,13 +149,12 @@ class PenaltyInstance:
             raise InvalidCone("e must be interior to the cone")
         if abs(ambient_norm(self.e, p=self.norm_p) - 1.0) > default_tolerances().unit_norm:
             raise ValueError("e must have unit ambient norm")
-        self._check_rank()
-
-    def _check_rank(self):
         est = cone_lipschitz_rank(self.points, self.values, self.cone, self.e,
                                   p=self.norm_p)
         tols = default_tolerances()
-        if est.value > self.rank + tols.rank_slack * tols.membership:
+        if self.rank is None:
+            self.rank = est.value
+        elif est.value > self.rank + tols.rank_slack * tols.membership:
             raise ValueError(
                 f"declared rank {self.rank} violates the Lipschitz inequality "
                 f"on the sample (measured {est.value})")
@@ -300,7 +300,7 @@ def random_instance(rng: np.random.Generator, max_dim: int = 3, max_m: int = 3,
     values = pts @ A.T + noise
     e_raw = np.sum(cone.generators, axis=0)
     e = e_raw / ambient_norm(e_raw, p=2)
-    est = cone_lipschitz_rank(pts, values, cone, e, p=2)
-    assert math.isfinite(est.value) and est.value > default_tolerances().min_sample_rank
-    return PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
-                           cone=cone, e=e, rank=est.value, values=values)
+    inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
+                           cone=cone, e=e, rank=None, values=values)
+    assert math.isfinite(inst.rank) and inst.rank > default_tolerances().min_sample_rank
+    return inst

@@ -1,0 +1,47 @@
+"""Reference point-to-hull distances for the lattice tests, kept deliberately
+plain: one point and one edge at a time, in scalar numpy operations.
+
+The library computes every vertex-edge pair in one array pass
+(conegen.lattice._hull_distances); the tests compare the two.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+
+def point_to_segment(p, a, b) -> float:
+    ab = b - a
+    denom = float(ab @ ab)
+    t = 0.0 if denom == 0 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p - (a + t * ab)))
+
+
+def inside_hull(p, hull: np.ndarray) -> bool:
+    """Exact sign test of p against every edge of a ccw hull of 3 or more
+    vertices; False for a point or a segment."""
+    n = hull.shape[0]
+    if n < 3:
+        return False
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0:
+            return False
+    return True
+
+
+def point_to_hull(p, hull: np.ndarray) -> float:
+    n = hull.shape[0]
+    if n == 1:
+        return float(np.linalg.norm(p - hull[0]))
+    if n == 2:
+        return point_to_segment(p, hull[0], hull[1])
+    if inside_hull(p, hull):
+        return 0.0
+    return min(point_to_segment(p, hull[i], hull[(i + 1) % n]) for i in range(n))
+
+
+def hull_distances_oracle(P, hull: np.ndarray):
+    """(distances, inside flags) of every row of P, one point at a time."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    return (np.array([point_to_hull(p, hull) for p in P]),
+            np.array([inside_hull(p, hull) for p in P], dtype=bool))

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conegen.lattice import (GridMismatch, SupportSample, convex_hull_2d,
-                             direction_grid, hausdorff_distance,
+from conegen.lattice import (GridMismatch, SupportSample, _hull_distances,
+                             convex_hull_2d, direction_grid, hausdorff_distance,
                              hausdorff_distance_definitional, lattice_join,
                              lattice_meet, support_function, support_values,
                              verify_order_isometry)
+from lattice_oracle import hull_distances_oracle, point_to_hull
 
 SQUARE = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
 
@@ -119,6 +120,83 @@ class TestHausdorffInvariances:
         assert hausdorff_distance(A, A)[0] == 0.0
 
 
+coords = st.tuples(st.floats(-5, 5), st.floats(-5, 5))
+int_coords = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+# the shapes behind the hull and distance defects hypothesis found before:
+# collinear and repeated points, points and segments, edges at 1e-160 scale
+# and thin near-vertical triangles
+hull_inputs = st.one_of(
+    point_sets,
+    st.builds(lambda a, v, ts: np.array(a, float) + np.outer(ts, v),
+              int_coords, int_coords, st.lists(st.integers(-3, 3), min_size=1, max_size=6)),
+    st.builds(lambda pts, k: np.array(pts * k), st.lists(coords, min_size=1, max_size=3),
+              st.integers(2, 3)),
+    st.lists(coords, min_size=1, max_size=2).map(np.array),
+    point_sets.map(lambda P: 1e-160 * P),
+    st.builds(lambda eps, h, top: np.array([[0.0, 0.0], [0.0, -h], [-eps, top]]),
+              st.floats(1e-300, 1e-6), st.floats(0.1, 5), st.floats(0.1, 5)),
+)
+
+
+class TestHullDistanceKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(hull_inputs, hull_inputs)
+    @example(np.array([[0.0, 0.0], [0.0, -2.0], [-1e-180, 1.0]]), np.array([[0.0, 0.0]]))
+    @example(np.array([[0.0, 0.0], [0.0, 3.9e-103], [1.0, 0.0]]), np.array([[2.0, 0.0]]))
+    @example(np.array([[0.0, 0.0], [1.75e-298, 0.0], [0.0, 1.0]]), np.array([[3.0, 3.0]]))
+    def test_matches_scalar_oracle(self, A, B):
+        hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
+        for P, hull in ((hull_a, hull_b), (hull_b, hull_a), (np.vstack([A, B]), hull_b)):
+            dist, inside = _hull_distances(P, hull)
+            ref, ref_inside = hull_distances_oracle(P, hull)
+            scale = max(1.0, float(np.abs(P).max()), float(np.abs(hull).max()))
+            assert np.array_equal(inside, ref_inside)
+            assert np.all(np.abs(dist - ref) <= 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets, st.lists(coords, min_size=1, max_size=2).map(np.array))
+    def test_tiny_segment_projection_does_not_underflow(self, P, H):
+        # a point or a segment: the projection alone, no inside test
+        s = 2.0 ** -530   # ~2.9e-160: an exact scaling, and squares underflow
+        hull = convex_hull_2d(H)
+        dist = _hull_distances(P, hull)[0]
+        tiny = _hull_distances(s * P, s * hull)[0]
+        assert np.all(np.abs(tiny - s * dist) <= 1e-12 * s * max(1.0, float(np.abs(P).max())))
+
+    def test_thin_triangle_far_vertex(self):
+        thin = [[0.0, 0.0], [0.0, -2.0], [-1e-180, 1.0]]
+        assert hausdorff_distance_definitional(thin, [[0.0, 0.0]]) == 2.0
+
+
+def criterion_7_pairs():
+    """Criterion 7's random pairs, then each A with a shrunken copy inside it."""
+    rng = np.random.default_rng(107)
+    pairs = []
+    for _ in range(200):
+        A = rng.normal(size=(int(rng.integers(1, 9)), 2)) * rng.uniform(0.3, 2.0)
+        B = rng.normal(size=(int(rng.integers(1, 9)), 2)) + rng.uniform(-1, 1, 2)
+        pairs.append((A, B))
+    return pairs + [(A, 0.5 * (A - A.mean(axis=0)) + A.mean(axis=0)) for A, _ in pairs]
+
+
+class TestIsometryConsistency:
+    def test_support_route_is_hausdorff_distance(self):
+        for A, B in criterion_7_pairs():
+            rep = verify_order_isometry(A, B)
+            assert rep["support_route"] == hausdorff_distance(A, B)[0]
+            assert rep["isometry_holds"] and rep["order_preserved"]
+
+    def test_inclusion_matches_scalar_oracle(self):
+        seen = set()
+        for A, B in criterion_7_pairs():
+            rep = verify_order_isometry(A, B)
+            hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
+            assert rep["a_subset_b"] == all(point_to_hull(p, hull_b) <= 1e-9 for p in hull_a)
+            assert rep["b_subset_a"] == all(point_to_hull(p, hull_a) <= 1e-9 for p in hull_b)
+            seen.add((rep["a_subset_b"], rep["b_subset_a"]))
+        assert {(False, False), (False, True)} <= seen
+
+
 class TestLatticeOps:
     def grid(self):
         return direction_grid(2, 128)
@@ -169,6 +247,13 @@ class TestLatticeOps:
         m = lattice_meet(a, b)
         assert m.values[0] == pytest.approx(0.0)  # min(1, 0) at d = (1,0)
         assert np.all(m.values <= a.values + 1e-15)
+
+    def test_grid_match_threshold(self):
+        D = direction_grid(2, 64)
+        a = SupportSample.from_polytope(SQUARE, D)
+        lattice_join(a, SupportSample.from_polytope(SQUARE, D + 1e-13))
+        with pytest.raises(GridMismatch):
+            lattice_join(a, SupportSample.from_polytope(SQUARE, D + 1e-11))
 
     def test_grid_mismatch(self):
         a = SupportSample.from_polytope(SQUARE, direction_grid(2, 64))

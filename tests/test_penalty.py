@@ -313,3 +313,24 @@ class TestInstanceValidation:
             PenaltyInstance(points=grid, feasible_mask=np.array([True, True]),
                             objective=None, cone=coordinate_cone(1), e=[2.0],
                             rank=1.0, values=grid.copy())
+
+    def test_rank_none_is_measured(self):
+        grid = np.array([[0.0], [1.0], [3.0]])
+        inst = PenaltyInstance(points=grid, feasible_mask=np.array([True, False, True]),
+                               objective=None, cone=coordinate_cone(1), e=[1.0],
+                               rank=None, values=2.0 * grid)
+        assert inst.rank == cone_lipschitz_rank(grid, 2.0 * grid, coordinate_cone(1),
+                                                [1.0]).value == 2.0
+
+    def test_random_instance_measures_rank_once(self, monkeypatch):
+        calls = []
+        rank = penalty_module.cone_lipschitz_rank
+
+        def counted_rank(*args, **kwargs):
+            calls.append(1)
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(penalty_module, "cone_lipschitz_rank", counted_rank)
+        inst = random_instance(np.random.default_rng(104))
+        assert len(calls) == 1
+        assert inst.rank == rank(inst.points, inst.values, inst.cone, inst.e).value
