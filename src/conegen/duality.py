@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_LIMITS, SolverLimits, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
-from .numkernel import FarkasCertificate, LPProblem, as_vector, solve_lp
+from .numkernel import FarkasCertificate, LPFailure, LPProblem, as_vector, solve_lp
 
 
 @dataclass
@@ -212,16 +212,27 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     Equivalent to max over the h-feasible box of min_k <A_k, -g(x)> being
     strictly positive. Also reports (qualitatively) whether h(Omega) covers a
     neighborhood of 0: full row rank of H plus an h-solution strictly inside
-    the box.
+    the box. A failed LP is named in the diagnosis; when it is the h-solution
+    LP, h_neighborhood is None.
     """
     tols = default_tolerances()
+    try:
+        interior, failed = _h_interior(prog), ""
+        h_ok = interior is not None and (
+            prog.k == 0 or int(np.linalg.matrix_rank(prog.H, tol=1e-10)) == prog.k)
+    except LPFailure as exc:
+        interior, h_ok, failed = None, None, str(exc)
+
+    def report(satisfied, witness, lam, margin, diagnosis=""):
+        return SlaterReport(satisfied, witness, lam, margin, h_ok,
+                            "; ".join(d for d in (diagnosis, failed) if d))
+
     if prog.m == 0:
-        rep = _h_interior(prog)
-        if rep is None:
-            return SlaterReport(False, None, None, -math.inf, _h_rank_ok(prog),
-                                "equality constraints infeasible on the box")
-        return SlaterReport(True, rep, 1.0, math.inf, _h_rank_ok(prog),
-                            "no cone constraint; Slater reduces to h-feasibility")
+        if interior is None:
+            return report(False, None, None, -math.inf,
+                          "" if failed else "equality constraints infeasible on the box")
+        return report(True, interior, 1.0, math.inf,
+                      "no cone constraint; Slater reduces to h-feasibility")
     e = as_vector(e, prog.m, "e")
     if not prog.cone_y.interior_contains(e):
         raise ValueError("e must be interior to the constraint cone")
@@ -238,22 +249,23 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     rep = solve_lp(LPProblem(cost=-np.eye(nv)[-1], ineq_lhs=ineq, ineq_rhs=off,
                              eq_lhs=eq, eq_rhs=eq_rhs, lower=lower, upper=upper))
     if rep.status == "infeasible":
-        return SlaterReport(False, None, None, -math.inf, _h_rank_ok(prog),
-                            "equality constraints infeasible on the box")
+        return report(False, None, None, -math.inf,
+                      "equality constraints infeasible on the box")
     if rep.status != "optimal":
-        return SlaterReport(False, None, None, -math.inf, _h_rank_ok(prog),
-                            f"search LP returned {rep.status}")
+        return report(False, None, None, -math.inf, f"search LP returned {rep.status}")
     x_bar = rep.point[:prog.n]
     margin = float(rep.point[-1])
     if margin <= tols.membership:
-        return SlaterReport(False, None, None, margin, _h_rank_ok(prog),
-                            "-g(x) never reaches the interior of the cone")
+        return report(False, None, None, margin,
+                      "-g(x) never reaches the interior of the cone")
     ratios = (A @ e) / np.maximum(A @ -prog.g(x_bar), 1e-300)
     lam = max(1.0, 2.0 * float(np.max(ratios)))
-    return SlaterReport(True, x_bar, lam, margin, _h_rank_ok(prog))
+    return report(True, x_bar, lam, margin)
 
 
 def _h_interior(prog: BoxProgram):
+    """A solution of h(x) = 0 strictly inside the box, None when there is none
+    (an infeasible LP or a margin <= 1e-9); any other failed LP raises."""
     if prog.k == 0:
         return 0.5 * (prog.x_lo + prog.x_hi)
     nv = prog.n + 1
@@ -266,17 +278,11 @@ def _h_interior(prog: BoxProgram):
                              eq_lhs=eq, eq_rhs=-prog.h0,
                              lower=np.concatenate([np.full(prog.n, -math.inf), [0.0]]),
                              upper=np.concatenate([np.full(prog.n, math.inf), [1.0]])))
-    if rep.status != "optimal" or rep.point[-1] <= 1e-9:
+    if rep.status not in ("optimal", "infeasible"):
+        raise LPFailure(f"h-interior LP returned {rep.status}")
+    if rep.status == "infeasible" or rep.point[-1] <= 1e-9:
         return None
     return rep.point[:prog.n]
-
-
-def _h_rank_ok(prog: BoxProgram) -> bool | None:
-    if prog.k == 0:
-        return True
-    if np.linalg.matrix_rank(prog.H, tol=1e-10) < prog.k:
-        return False
-    return _h_interior(prog) is not None
 
 
 # ---------------------------------------------------------------------------

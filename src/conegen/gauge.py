@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
-from .numkernel import LPProblem, as_vector, solve_lp
+from .numkernel import LPFailure, LPProblem, as_vector, solve_lp
 
 
 class GaugeBody:
@@ -51,7 +51,7 @@ def minkowski_gauge(body_vertices, x) -> float:
 
     Substituting beta_j = lam * alpha_j turns the bilinear description into
     min sum(beta) s.t. V^T beta = x, beta >= 0; infeasibility means x is not
-    absorbed and the gauge is +inf.
+    absorbed and the gauge is +inf. Any other failed LP raises LPFailure.
     """
     V = np.atleast_2d(np.asarray(body_vertices, dtype=float))
     if V.shape[0] == 0:
@@ -61,8 +61,10 @@ def minkowski_gauge(body_vertices, x) -> float:
         return 0.0
     rep = solve_lp(LPProblem(cost=np.ones(V.shape[0]), eq_lhs=V.T, eq_rhs=x,
                              lower=np.zeros(V.shape[0])))
-    if rep.status != "optimal":
+    if rep.status == "infeasible":
         return math.inf
+    if rep.status != "optimal":
+        raise LPFailure(f"gauge LP returned {rep.status}")
     return float(rep.value)
 
 

@@ -91,7 +91,8 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray):
     """(distances, inside) of the rows of P to conv(hull), in one array pass
     over every row-edge pair. Inside a hull of 3 or more vertices is an exact
     sign test of the edge cross products: a point near every edge's line of a
-    thin hull may still lie far beyond its ends."""
+    thin hull may still lie far beyond its ends. The test does not depend on
+    the scale of the input: it reads the same at 1e-160 as at 1."""
     AB = np.concatenate([hull[1:], hull[:1]]) - hull   # 0 for a one-point hull
     AP = P[:, None, :] - hull[None, :, :]
     abx, aby, apx, apy = AB[:, 0], AB[:, 1], AP[..., 0], AP[..., 1]
@@ -102,7 +103,11 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray):
     dist = np.minimum.reduce(np.hypot(apx - t * ux, apy - t * uy), axis=1)
     if hull.shape[0] < 3:
         return dist, np.zeros(P.shape[0], dtype=bool)
-    inside = np.logical_and.reduce(abx * apy - aby * apx >= 0, axis=1)
+    # the sign test's edges times 4^-e, 2^e the hull's extent: the cross
+    # products are then of the order of |AP| / 2^e and, exactly rescaled,
+    # keep their signs
+    cx, cy = np.ldexp(AB, -2 * math.frexp(float(np.abs(AB).max()))[1]).T
+    inside = np.logical_and.reduce(cx * apy - cy * apx >= 0, axis=1)
     dist[inside] = 0.0
     return dist, inside
 

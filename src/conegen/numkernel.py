@@ -119,6 +119,11 @@ class SolveReport:
     duals: np.ndarray | None = None  # row duals: [ineq..., eq...] in input order
 
 
+class LPFailure(RuntimeError):
+    """An LP whose status ("numerical", "iteration-cap", ...) decides nothing
+    about the question it was asked."""
+
+
 def verify_farkas(problem: LPProblem, cert: FarkasCertificate, tol: float = 1e-7) -> bool:
     """Independent sign check of an infeasibility certificate."""
     if np.any(cert.y_ineq < -tol) or np.any(cert.y_lower < -tol) or np.any(cert.y_upper < -tol):

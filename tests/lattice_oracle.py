@@ -6,6 +6,8 @@ The library computes every vertex-edge pair in one array pass
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -18,13 +20,16 @@ def point_to_segment(p, a, b) -> float:
 
 def inside_hull(p, hull: np.ndarray) -> bool:
     """Exact sign test of p against every edge of a ccw hull of 3 or more
-    vertices; False for a point or a segment."""
+    vertices; False for a point or a segment. The edges are multiplied by
+    4^-e, 2^e the largest edge coordinate, so that no product underflows."""
     n = hull.shape[0]
     if n < 3:
         return False
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0:
+    edges = [hull[(i + 1) % n] - hull[i] for i in range(n)]
+    e = math.frexp(max(abs(float(c)) for ab in edges for c in ab))[1]
+    for a, ab in zip(hull, edges):
+        ab = np.ldexp(ab, -2 * e)
+        if ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0]) < 0:
             return False
     return True
 

@@ -4,8 +4,8 @@ rank_oracle, minimal_oracle and report_oracle are the all-pairs tensor forms
 of cone_lipschitz_rank, cone_minimal_points and verify_penalty_equivalence:
 they difference every ordered pair of rows into an n x n x m tensor, map it
 through the cone's halfspaces and filter it once per threshold. The library
-works in halfspace coordinates one plane at a time instead; the tests compare
-the two. brute_force_grid_min is an independent double loop over pairs that
+works in halfspace coordinates instead, one plane per halfspace over row
+blocks of the unordered pairs; the tests compare the two. brute_force_grid_min is an independent double loop over pairs that
 calls only PolyhedralCone.contains.
 """
 from __future__ import annotations

@@ -250,6 +250,22 @@ class TestStatusReporting:
             assert rep.status == status and rep.kkt_residual == residual
             assert rep.x == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("status", ["numerical", "iteration-cap"])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_failed_h_interior_lp_is_reported(self, monkeypatch, status, m):
+        # h(x) = x1 - x2 = 0 on [0, 1]^2, with and without a cone row; only
+        # the h-interior LP (its 2n box rows) fails
+        cone_rows = dict(G=[[1.0, 0.0]], g0=[-2.0], cone_y=coordinate_cone(1)) if m else {}
+        prog = BoxProgram(n=2, Q=None, q=[0.0, 0.0], c=0.0, x_lo=[0.0, 0.0],
+                          x_hi=[1.0, 1.0], H=[[1.0, -1.0]], h0=[0.0], **cone_rows)
+        solve_lp = duality.solve_lp
+        monkeypatch.setattr(duality, "solve_lp", lambda lp: SolveReport(status=status)
+                            if lp.ineq_lhs.shape[0] == 2 * prog.n else solve_lp(lp))
+        rep = check_modified_slater(prog, [1.0] if m else None)
+        assert rep.h_neighborhood is None
+        assert f"h-interior LP returned {status}" in rep.diagnosis
+        assert rep.satisfied == bool(m)   # without a cone row Slater is undecided
+
 
 class TestScaleInvariance:
     """No status and no minimizer depends on how the input is scaled."""

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conegen import gauge
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
 from conegen.gauge import (GaugeBody, ambient_comparison, equivalence_constant,
                            linfty_isometry, minkowski_gauge)
+from conegen.numkernel import LPFailure, SolveReport
 from lp_oracle import gauge_lp, oracle_cones
 
 
@@ -124,6 +126,16 @@ class TestMinkowskiGauge:
         assert minkowski_gauge(self.SQUARE, [0.0, 0.0]) == 0.0
         with pytest.raises(ValueError):
             minkowski_gauge(np.zeros((0, 2)), [1.0, 0.0])
+
+    @pytest.mark.parametrize("status", ["infeasible", "numerical", "iteration-cap"])
+    def test_only_infeasible_is_infinite(self, monkeypatch, status):
+        # +inf says "not absorbed"; a failed LP says nothing of the sort
+        monkeypatch.setattr(gauge, "solve_lp", lambda lp: SolveReport(status=status))
+        if status == "infeasible":
+            assert minkowski_gauge(self.SQUARE, [1.0, 0.0]) == math.inf
+        else:
+            with pytest.raises(LPFailure, match=status):
+                minkowski_gauge(self.SQUARE, [1.0, 0.0])
 
 
 class TestEquivalenceConstant:

@@ -138,6 +138,12 @@ hull_inputs = st.one_of(
 )
 
 
+# coordinates 0 or of magnitude at least 2^-10, so that no intermediate of
+# the kernel is subnormal at any scale 2^k, |k| <= 600
+scalable = st.one_of(st.just(0.0), st.floats(2.0 ** -10, 5), st.floats(-5, -2.0 ** -10))
+scalable_sets = st.lists(st.tuples(scalable, scalable), min_size=1, max_size=7).map(np.array)
+
+
 class TestHullDistanceKernel:
     @settings(max_examples=300, deadline=None)
     @given(hull_inputs, hull_inputs)
@@ -162,6 +168,25 @@ class TestHullDistanceKernel:
         dist = _hull_distances(P, hull)[0]
         tiny = _hull_distances(s * P, s * hull)[0]
         assert np.all(np.abs(tiny - s * dist) <= 1e-12 * s * max(1.0, float(np.abs(P).max())))
+
+    def test_inside_test_at_tiny_scale(self):
+        # (0, 0) lies 1e-6 s outside this triangle; unscaled, its one negative
+        # cross product, -1e-6 s^2, underflows to -0 and it tests inside
+        s = 2.0 ** -530
+        hull = s * np.array([[0.0, 1e-6], [1.0, 0.0], [0.0, 1.0]])
+        dist, inside = _hull_distances(np.zeros((1, 2)), hull)
+        assert not inside[0]
+        assert dist[0] == pytest.approx(1e-6 * s, rel=1e-9)   # 2.8e-166
+
+    @settings(max_examples=150, deadline=None)
+    @given(scalable_sets, scalable_sets, st.integers(-600, 600))
+    def test_exact_under_power_of_two_scaling(self, P, H, k):
+        hull = convex_hull_2d(H)
+        dist, inside = _hull_distances(P, hull)
+        s = 2.0 ** k
+        dist_s, inside_s = _hull_distances(s * P, s * hull)
+        assert np.array_equal(inside_s, inside)
+        assert np.array_equal(dist_s, s * dist)
 
     def test_thin_triangle_far_vertex(self):
         thin = [[0.0, 0.0], [0.0, -2.0], [-1e-180, 1.0]]

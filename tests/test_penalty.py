@@ -125,6 +125,78 @@ class TestRank:
             assert got == 0.0
 
 
+B = penalty_module._BLOCK
+# the pair kernels take one block below 2 B rows, then blocks of B to 2 B - 1
+MULTI_BLOCK_SIZES = (B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 300)
+
+
+class TestMultiBlock:
+    """The row-block kernels against the all-pairs tensor oracles, with pairs
+    that straddle blocks."""
+
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("general", [False, True])
+    def test_match_tensor_oracles(self, n, general):
+        rng = np.random.default_rng([n, general])
+        for m in (1, 2, 4, 6):
+            cone = random_cone(rng, m, general)
+            pts = rng.uniform(-1.0, 1.0, size=(n, 3))
+            vals = rng.normal(size=(n, m))
+            # copies of the first block's rows at the end, exact and moved by
+            # about 5e-9 and 5e-8: duplicates across blocks, both sides of
+            # strict_tol
+            shift = np.array([0.0, 5e-9, 5e-8])[:, None] * rng.normal(size=(3, m))
+            vals[-3:] = vals[:3] + shift
+            e = np.sum(cone.generators, axis=0)
+            e = e / np.linalg.norm(e)
+            for p in (1, 2, math.inf):
+                got = cone_lipschitz_rank(pts, vals, cone, e, p=p).value
+                ref = rank_oracle(pts, vals, cone, e, p=p)
+                if general:
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
+                else:
+                    assert got == ref
+            assert np.array_equal(cone_minimal_points(vals, cone),
+                                  minimal_oracle(vals, cone))
+
+    @pytest.mark.parametrize("n", [2 * B + 1, 300])
+    def test_coincident_pair_in_different_blocks(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        vals = rng.normal(size=(n, 2))
+        pts[-1] = pts[0]
+        e = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        assert cone_lipschitz_rank(pts, vals, coordinate_cone(2), e).value == math.inf
+        vals[-1] = vals[0]
+        assert math.isfinite(cone_lipschitz_rank(pts, vals, coordinate_cone(2), e).value)
+
+    def test_membership_tolerance_is_closed_across_blocks(self):
+        # row 0 dominates row n - 1 at tol 0.5 exactly: the pair sits in the
+        # first and the last block, and the rows between form an antichain
+        n = 2 * B + 1
+        t = 10.0 + np.arange(n)
+        vals = np.column_stack([t, -t])
+        vals[0], vals[-1] = [-1.0, 0.5], [0.0, 0.0]
+        for tol, want in ((0.5, np.arange(n - 1)), (0.25, np.arange(n))):
+            assert np.array_equal(cone_minimal_points(vals, coordinate_cone(2), tol=tol), want)
+            assert np.array_equal(minimal_oracle(vals, coordinate_cone(2), tol=tol), want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_boundary_e_in_both_directions(self, sign):
+        # <h_2, e> = 0: only the pair (0, n - 1), in the first and the last
+        # block, differs along h_2 by more than the membership tolerance
+        n = 2 * B + 1
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        vals = np.column_stack([rng.normal(size=n), np.zeros(n)])
+        cone, e = coordinate_cone(2), np.array([1.0, 0.0])
+        finite = cone_lipschitz_rank(pts, vals, cone, e).value
+        assert math.isfinite(finite) and finite == rank_oracle(pts, vals, cone, e)
+        vals[0, 1], vals[-1, 1] = 0.8e-9 * sign, -0.8e-9 * sign
+        assert cone_lipschitz_rank(pts, vals, cone, e).value == math.inf
+        assert rank_oracle(pts, vals, cone, e) == math.inf
+
+
 class TestPenalizedObjective:
     def test_on_feasible_point(self):
         inst = scalar_abs_instance()
