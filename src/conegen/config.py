@@ -33,6 +33,10 @@ class Tolerances:
                     <= qp_curv * ||Q||_F, descent along them at gradient
                     components > qp_curv * ||grad f||_inf; a row within
                     qp_curv * ||a|| of the span of those before it is dependent
+                    (also for the rank of H in the Slater check); a box
+                    program's Q is symmetric and PSD within qp_curv * ||Q||_F;
+                    the dual function's stationarity residual counts as zero up
+                    to qp_curv times the largest |entry| of its linear terms
     qp_sign         active-set QP: a working row's multiplier is negative below
                     -qp_sign * ||grad f||_inf / ||a||
     fd_step         step of finite-difference validation of directional derivatives
@@ -77,9 +81,7 @@ class Tolerances:
 class SolverLimits:
     simplex_iters: int = 20_000
     active_set_iters: int = 2_000
-    dual_ascent_iters: int = 50_000
     pg_iters: int = 200_000
-    dykstra_sweeps: int = 500
 
 
 def default_tolerances() -> Tolerances:

@@ -3,8 +3,10 @@ and Fermat-rule stationarity certificates.
 
 The primal is min 0.5 x'Qx + q'x + c over the box [x_a, x_b] subject to the
 affine map g(x) = Gx + g0 landing in -Y+ and h(x) = Hx + h0 = 0. All
-constraints are polyhedral, so the inner Lagrangian minimization is an exact
-linear solve and LP instances are handed to the simplex on both sides.
+constraints are affine, so every minimizer has KKT multipliers with no
+constraint qualification, and they maximize the dual with zero gap: the dual
+is read at the primal's multipliers, and its inner Lagrangian minimization is
+an exact linear solve.
 
 Sign convention: the Lagrangian adds <y*, g(x)> and <z*, h(x)> and subtracts
 the box terms <x1*, x - x_a> and <x2*, x_b - x>, all multipliers in their
@@ -44,10 +46,11 @@ class BoxProgram:
         self.Q = np.zeros((n, n)) if self.Q is None else np.asarray(self.Q, dtype=float)
         if self.Q.shape != (n, n):
             raise ValueError("Q has wrong shape")
-        if np.max(np.abs(self.Q - self.Q.T)) > 1e-10:
+        tol = default_tolerances().qp_curv * float(np.linalg.norm(self.Q))
+        if np.max(np.abs(self.Q - self.Q.T)) > tol:
             raise ValueError("Q must be symmetric")
         self.Q = 0.5 * (self.Q + self.Q.T)
-        if self.Q.any() and np.min(np.linalg.eigvalsh(self.Q)) < -1e-10:
+        if self.Q.any() and np.min(np.linalg.eigvalsh(self.Q)) < -tol:
             raise ValueError("Q must be positive semidefinite")
         self.q = as_vector(self.q, n, "q")
         self.c = float(self.c)
@@ -151,36 +154,33 @@ def lagrangian_value(prog: BoxProgram, x, mult: Multipliers) -> float:
 def dual_value(prog: BoxProgram, mult: Multipliers) -> float:
     """Exact unconstrained minimum of the Lagrangian over R^n.
 
-    Solves the stationarity system; a residual gradient outside range(Q)
-    means linear descent to -inf.
+    Solves the stationarity system Qx = -b, b the Lagrangian's linear term.
+    A residual above qp_curv times the largest |entry| among b's terms (q,
+    G'y*, x1*, x2*, H'z*) puts b outside range(Q): linear descent to -inf.
     """
-    b = _linear_term(prog, mult)
+    b, scale = _linear_term(prog, mult)
+    tol = default_tolerances().qp_curv * scale
     const = prog.c + float(mult.x1 @ prog.x_lo) - float(mult.x2 @ prog.x_hi)
     if prog.m:
         const += float(mult.y @ prog.g0)
     if prog.k:
         const += float(mult.z @ prog.h0)
     if not prog.Q.any():
-        return const if np.max(np.abs(b)) <= 1e-11 else -math.inf
-    x = _inner_argmin(prog, b)
-    return -math.inf if x is None else float(0.5 * x @ prog.Q @ x + b @ x + const)
-
-
-def _linear_term(prog: BoxProgram, mult: Multipliers) -> np.ndarray:
-    """The Lagrangian's linear coefficients q + G'y* - x1* + x2* + H'z*."""
-    b = prog.q.copy()
-    if prog.m:
-        b += prog.G.T @ mult.y
-    b += -mult.x1 + mult.x2
-    if prog.k:
-        b += prog.H.T @ mult.z
-    return b
-
-
-def _inner_argmin(prog: BoxProgram, b: np.ndarray):
-    """A minimizer of 0.5 x'Qx + b'x over R^n, or None when b leaves range(Q)."""
+        return const if np.max(np.abs(b)) <= tol else -math.inf
     x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
-    return None if np.max(np.abs(prog.Q @ x + b)) > 1e-8 else x
+    if np.max(np.abs(prog.Q @ x + b)) > tol:
+        return -math.inf
+    return float(0.5 * x @ prog.Q @ x + b @ x + const)
+
+
+def _linear_term(prog: BoxProgram, mult: Multipliers):
+    """The Lagrangian's linear coefficients q + G'y* - x1* + x2* + H'z*, and
+    the largest |entry| among those five terms."""
+    gy = prog.G.T @ mult.y if prog.m else np.zeros(prog.n)
+    hz = prog.H.T @ mult.z if prog.k else np.zeros(prog.n)
+    b = prog.q + gy + (-mult.x1 + mult.x2) + hz
+    scale = max(float(np.max(np.abs(t))) for t in (prog.q, gy, mult.x1, mult.x2, hz))
+    return b, scale
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     try:
         interior, failed = _h_interior(prog), ""
         h_ok = interior is not None and (
-            prog.k == 0 or int(np.linalg.matrix_rank(prog.H, tol=1e-10)) == prog.k)
+            prog.k == 0 or _independent_rows(prog.H, tols.qp_curv).size == prog.k)
     except LPFailure as exc:
         interior, h_ok, failed = None, None, str(exc)
 
@@ -327,7 +327,7 @@ def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers) -> float:
     halfspace of C at once, whichever coordinates y* is written in."""
     gx = prog.g(x)
     cone_viol = prog.cone_y.halfspaces @ gx if prog.m else gx
-    return float(max(np.max(np.abs(prog.Q @ x + _linear_term(prog, mult))),
+    return float(max(np.max(np.abs(prog.Q @ x + _linear_term(prog, mult)[0])),
                      np.max(mult.x1 * np.abs(x - prog.x_lo)),
                      np.max(mult.x2 * np.abs(prog.x_hi - x)), abs(mult.y @ gx),
                      np.max(prog.x_lo - x), np.max(x - prog.x_hi),
@@ -496,132 +496,33 @@ class DualResult:
     multipliers: Multipliers
     value: float
     iterations: int
-    capped: bool = False
+
+    @property
+    def capped(self) -> bool:
+        """The primal solve stopped at its iteration cap."""
+        return self.status == "iteration-cap"
 
 
-def _project_dual_cone(cone: PolyhedralCone, y: np.ndarray,
-                       sweeps: int) -> np.ndarray:
-    """Projection onto {y : <y, g_j> >= 0}; clamp for the coordinate cone,
-    Dykstra over the halfspaces otherwise."""
-    if cone.kind in ("coordinate", "weighted-coordinate"):
-        return np.maximum(y, 0.0)
-    G = cone.generators
-    x = y.copy()
-    corrections = np.zeros((G.shape[0], y.shape[0]))
-    for _ in range(sweeps):
-        moved = 0.0
-        for j in range(G.shape[0]):
-            prev = x + corrections[j]
-            viol = float(G[j] @ prev)
-            newx = prev - min(viol, 0.0) * G[j]
-            corrections[j] = prev - newx
-            moved = max(moved, float(np.max(np.abs(newx - x))))
-            x = newx
-        if moved <= 1e-14:
-            break
-    return x
-
-
-def solve_dual(prog: BoxProgram, e=None, mult0: Multipliers | None = None,
-               primal_value: float | None = None,
+def solve_dual(prog: BoxProgram, primal: PrimalResult | None = None,
                limits: SolverLimits = DEFAULT_LIMITS) -> DualResult:
-    """Maximize the dual function over the multiplier cone.
+    """The dual function at the primal's KKT multipliers.
 
-    LP instances solve the explicit dual LP by simplex. Quadratic instances
-    run projected supergradient ascent (Polyak steps when the primal value is
-    known, 1/k otherwise) from mult0; a divergence guard returns the best
-    iterate when the cap is reached.
+    Every constraint is affine, so a minimizer has KKT multipliers with no
+    constraint qualification, and they maximize the dual with zero gap. The
+    primal is solved here when none is given; `iterations` counts that solve
+    (0 when the primal is given). The status is the primal's when it is not
+    "optimal"; otherwise "optimal" for a finite dual value and "numerical"
+    when the multipliers leave the Lagrangian unbounded below.
     """
-    if not prog.Q.any():
-        return _dual_lp(prog, limits)
-    tols = default_tolerances()
-    mult = mult0 if mult0 is not None else zero_multipliers(prog)
-    best = mult
-    best_val = dual_value(prog, mult)
-    if not math.isfinite(best_val):
-        best_val = -math.inf
-    val = best_val
-    for k in range(limits.dual_ascent_iters):
-        if primal_value is not None and math.isfinite(best_val) and \
-                primal_value - best_val <= 1e-12 * max(1.0, abs(primal_value)):
-            return DualResult("optimal", best, best_val, k)
-        x_hat = _inner_argmin(prog, _linear_term(prog, mult))
-        if x_hat is None:
-            mult = _halve_toward(best, mult)
-            val = dual_value(prog, mult)
-            continue
-        sg_y = prog.g(x_hat) if prog.m else np.zeros(0)
-        sg_x1 = -(x_hat - prog.x_lo)
-        sg_x2 = -(prog.x_hi - x_hat)
-        sg_z = prog.h(x_hat) if prog.k else np.zeros(0)
-        # Project the supergradient at active bounds so the Polyak step is
-        # sized by the movable components only.
-        sg_x1[(mult.x1 <= 0.0) & (sg_x1 < 0.0)] = 0.0
-        sg_x2[(mult.x2 <= 0.0) & (sg_x2 < 0.0)] = 0.0
-        if prog.m and prog.cone_y.kind in ("coordinate", "weighted-coordinate"):
-            sg_y[(mult.y <= 0.0) & (sg_y < 0.0)] = 0.0
-        norm2 = float(sg_y @ sg_y + sg_x1 @ sg_x1 + sg_x2 @ sg_x2 + sg_z @ sg_z)
-        if norm2 <= 1e-24:
-            return DualResult("optimal", mult, val, k)
-        if primal_value is not None and math.isfinite(val):
-            step = max(primal_value - val, 0.0) / norm2 + 1e-16
-        else:
-            step = 1.0 / (k + 1)
-        y_new = mult.y + step * sg_y if prog.m else mult.y
-        if prog.m:
-            y_new = _project_dual_cone(prog.cone_y, y_new, limits.dykstra_sweeps)
-        mult = Multipliers(y=y_new,
-                           x1=np.maximum(mult.x1 + step * sg_x1, 0.0),
-                           x2=np.maximum(mult.x2 + step * sg_x2, 0.0),
-                           z=mult.z + step * sg_z)
-        val = dual_value(prog, mult)
-        if math.isfinite(val) and val > best_val:
-            best_val, best = val, mult
-    return DualResult("iteration-cap", best, best_val,
-                      limits.dual_ascent_iters, capped=True)
-
-
-def _halve_toward(best: Multipliers, mult: Multipliers) -> Multipliers:
-    return Multipliers(y=0.5 * (best.y + mult.y), x1=0.5 * (best.x1 + mult.x1),
-                       x2=0.5 * (best.x2 + mult.x2), z=0.5 * (best.z + mult.z))
-
-
-def _dual_lp(prog: BoxProgram, limits: SolverLimits) -> DualResult:
-    """Explicit dual of the LP instance: maximize the affine dual objective
-    over multipliers forced to zero the Lagrangian's x-gradient."""
-    n, m, k = prog.n, prog.m, prog.k
-    nv = m + 2 * n + k
-    # variable order: y (m), x1 (n), x2 (n), z (k)
-    eq = np.zeros((n, nv))
-    if m:
-        eq[:, :m] = prog.G.T
-    eq[:, m:m + n] = -np.eye(n)
-    eq[:, m + n:m + 2 * n] = np.eye(n)
-    if k:
-        eq[:, m + 2 * n:] = prog.H.T
-    cost = np.zeros(nv)
-    if m:
-        cost[:m] = -prog.g0
-    cost[m:m + n] = -prog.x_lo
-    cost[m + n:m + 2 * n] = prog.x_hi
-    if k:
-        cost[m + 2 * n:] = -prog.h0
-    ineq = None
-    if m:
-        ineq = np.zeros((prog.cone_y.generators.shape[0], nv))
-        ineq[:, :m] = prog.cone_y.generators
-    lower = np.concatenate([np.full(m, -math.inf), np.zeros(2 * n),
-                            np.full(k, -math.inf)])
-    rep = solve_lp(LPProblem(cost=cost, ineq_lhs=ineq,
-                             ineq_rhs=None if ineq is None else np.zeros(ineq.shape[0]),
-                             eq_lhs=eq, eq_rhs=-prog.q, lower=lower), limits=limits)
-    if rep.status != "optimal":
-        return DualResult(rep.status, zero_multipliers(prog), -math.inf,
-                          rep.iterations)
-    p = rep.point
-    mult = Multipliers(y=p[:m], x1=p[m:m + n], x2=p[m + n:m + 2 * n],
-                       z=p[m + 2 * n:])
-    return DualResult("optimal", mult, -rep.value + prog.c, rep.iterations)
+    iterations = 0
+    if primal is None:
+        primal = solve_primal(prog, limits)
+        iterations = primal.iterations
+    mult = zero_multipliers(prog) if primal.multipliers is None else primal.multipliers
+    value = dual_value(prog, mult)
+    status = primal.status if primal.status != "optimal" else \
+        "optimal" if math.isfinite(value) else "numerical"
+    return DualResult(status, mult, value, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +530,10 @@ def _dual_lp(prog: BoxProgram, limits: SolverLimits) -> DualResult:
 
 @dataclass
 class GapReport:
+    """Primal and dual values of a box program. The dual value is the dual
+    function at the multipliers reported, so by weak duality a gap near 0
+    certifies the witness and the multipliers together."""
+
     primal_status: str
     primal_value: float | None
     dual_value: float | None
@@ -641,7 +546,7 @@ class GapReport:
     pi: np.ndarray | None = None
     e_prime: np.ndarray | None = None
     kkt_residual: float | None = None  # of the primal point
-    dual_capped: bool | None = None    # dual ascent hit its cap; None: no dual solve
+    dual_status: str | None = None     # DualResult.status; None: no dual solve
 
     def to_dict(self) -> dict:
         d = {
@@ -650,7 +555,7 @@ class GapReport:
             "dual_value": self.dual_value,
             "gap": self.gap,
             "kkt_residual": self.kkt_residual,
-            "dual_capped": self.dual_capped,
+            "dual_status": self.dual_status,
             "slater": self.slater.to_dict(),
             "witness": None if self.witness is None else self.witness.tolist(),
             "gap_asserted": self.gap_asserted,
@@ -671,7 +576,8 @@ class GapReport:
 
 def duality_gap_report(prog: BoxProgram, e=None,
                        limits: SolverLimits = DEFAULT_LIMITS) -> GapReport:
-    """Primal and dual values with the gap asserted only under modified Slater."""
+    """Primal value, and the dual value at the primal's KKT multipliers; the
+    gap is asserted only under modified Slater."""
     tols = default_tolerances()
     if prog.m and e is None:
         e = np.sum(prog.cone_y.generators, axis=0)
@@ -683,8 +589,7 @@ def duality_gap_report(prog: BoxProgram, e=None,
         return GapReport(primal.status, None, None, None, slater, None, None,
                          gap_asserted=False, gap_ok=True,
                          kkt_residual=primal.kkt_residual)
-    dual = solve_dual(prog, e, mult0=primal.multipliers,
-                      primal_value=primal.value, limits=limits)
+    dual = solve_dual(prog, primal, limits)
     dual.multipliers.validate(prog)
     gap = primal.value - dual.value
     asserted = bool(slater.satisfied)
@@ -697,7 +602,7 @@ def duality_gap_report(prog: BoxProgram, e=None,
     return GapReport(primal.status, primal.value, dual.value, gap, slater,
                      primal.x, dual.multipliers, asserted, ok,
                      pi=pi, e_prime=e_prime, kkt_residual=primal.kkt_residual,
-                     dual_capped=dual.capped)
+                     dual_status=dual.status)
 
 
 # ---------------------------------------------------------------------------

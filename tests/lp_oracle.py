@@ -1,5 +1,6 @@
 """LP and enumeration oracles for the order-interval gauge and the Gerstewitz
-function, solved by the library's simplex.
+function, solved by the library's simplex, and an L-BFGS-B oracle for the
+optimal value of a positive definite box QP.
 
 They state each quantity by its definition, independently of the closed-form
 halfspace ratio that the library evaluates:
@@ -14,6 +15,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from conegen.cones import PolyhedralCone
 from conegen.numkernel import LPProblem, solve_lp
@@ -110,3 +113,25 @@ def oracle_cones() -> dict:
                                                       np.eye(4)[3] - np.eye(4)[:3]])),
     }
     return {name: (cone, np.sum(cone.generators, axis=0)) for name, cone in cones.items()}
+
+
+def qp_dual_value(prog) -> float:
+    """Optimal value of min 0.5 x'Qx + q'x + c s.t. A x <= b, Q positive
+    definite, A stacking the box rows and the cone's halfspace rows A_C G (b:
+    -A_C g0): the max over lam >= 0 of the dual c - 0.5 w'Q^-1 w - b'lam with
+    w = q + A'lam, by L-BFGS-B. It shares no code with solve_primal."""
+    n = prog.n
+    A_c = prog.cone_y.halfspaces
+    A = np.vstack([np.eye(n), -np.eye(n), A_c @ prog.G])
+    b = np.concatenate([prog.x_hi, -prog.x_lo, -(A_c @ prog.g0)])
+    chol = cho_factor(prog.Q)
+
+    def negated_dual(lam):
+        w = prog.q + A.T @ lam
+        z = cho_solve(chol, w)
+        return 0.5 * w @ z + b @ lam, A @ z + b
+
+    res = minimize(negated_dual, np.zeros(A.shape[0]), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * A.shape[0],
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    return prog.c - res.fun

@@ -8,8 +8,6 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.duality import (StationarityCertificate, VectorObjective,
@@ -24,7 +22,7 @@ from conegen.lattice import (convex_hull_2d, hausdorff_distance,
 from conegen.numkernel import verify_farkas
 from conegen.penalty import random_instance, verify_penalty_equivalence
 from conegen.scalarization import GerstewitzFn
-from lp_oracle import gauge_lp, oracle_cones, phi_lp
+from lp_oracle import gauge_lp, oracle_cones, phi_lp, qp_dual_value
 
 
 def _finish(name, failures, t0, budget):
@@ -307,32 +305,11 @@ def test_criterion_7_lattice_suite():
     _finish("criterion 7 (lattice/Hausdorff)", failures, t0, 20)
 
 
-def _qp_dual_value(prog):
-    """Optimal value of min 0.5 x'Qx + q'x + c s.t. A x <= b, Q positive
-    definite, A stacking the box rows and G: the max over lam >= 0 of the dual
-    c - 0.5 w'Q^-1 w - b'lam with w = q + A'lam, by L-BFGS-B. It shares no
-    code with solve_primal."""
-    n = prog.n
-    A = np.vstack([np.eye(n), -np.eye(n), prog.G])
-    b = np.concatenate([prog.x_hi, -prog.x_lo, -prog.g0])
-    chol = cho_factor(prog.Q)
-
-    def negated_dual(lam):
-        w = prog.q + A.T @ lam
-        z = cho_solve(chol, w)
-        return 0.5 * w @ z + b @ lam, A @ z + b
-
-    res = minimize(negated_dual, np.zeros(A.shape[0]), jac=True, method="L-BFGS-B",
-                   bounds=[(0.0, None)] * A.shape[0],
-                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
-    return prog.c - res.fun
-
-
 def test_criterion_8_demos():
     t0 = time.time()
     failures = []
     tor = run_torsion_demo(n_grid=12, load=8.0)
-    oracle = _qp_dual_value(build_torsion_program(12, 8.0))
+    oracle = qp_dual_value(build_torsion_program(12, 8.0))
     if abs(oracle - tor.value) > 1e-6:
         failures.append(("torsion-oracle", oracle, tor.value))
     if not tor.gap_report["gap_ok"]:

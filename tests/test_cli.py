@@ -175,7 +175,7 @@ class TestCommands:
     def test_duality_reports_solver_facts(self, capsys, duality_file):
         code, report, _ = run_cli(capsys, ["duality", "--problem", duality_file])
         assert code == 0
-        assert report["dual_capped"] is False
+        assert report["dual_status"] == "optimal"
         assert 0.0 <= report["kkt_residual"] <= 1e-6
 
     def test_certify(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conegen import duality
 from conegen.cones import PolyhedralCone, coordinate_cone
@@ -17,6 +18,7 @@ from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              solve_dual, solve_primal,
                              stationarity_certificate, zero_multipliers)
 from conegen.numkernel import verify_farkas
+from lp_oracle import qp_dual_value
 
 
 def lp_example():
@@ -31,6 +33,21 @@ class TestBoxProgram:
         with pytest.raises(ValueError):
             BoxProgram(n=2, Q=[[-1.0, 0.0], [0.0, 1.0]], q=[0.0, 0.0], c=0.0,
                        x_lo=[0.0, 0.0], x_hi=[1.0, 1.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.floats(-8.0, 8.0))
+    def test_psd_checks_relative_to_scale(self, seed, log_s):
+        # rank-deficient B'B carries rounding-level asymmetry and negative
+        # eigenvalues, both proportional to its scale
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 25))
+        B = rng.normal(size=(int(rng.integers(1, n)), n))
+        Q = 10.0 ** log_s * (B.T @ B)
+        box = dict(n=n, q=np.zeros(n), c=0.0, x_lo=-np.ones(n), x_hi=np.ones(n))
+        BoxProgram(Q=Q, **box)
+        v = np.linalg.svd(B)[2][-1]   # B v = 0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            BoxProgram(Q=Q - 1e-3 * np.linalg.norm(Q) * np.outer(v, v), **box)
 
     def test_box_gap_check(self):
         with pytest.raises(ValueError):
@@ -96,6 +113,12 @@ class TestSlater:
                           x_hi=[1.0, 1.0], H=[[1.0, -1.0]], h0=[0.0])
         rep = check_modified_slater(prog, None)
         assert rep.h_neighborhood
+
+    @pytest.mark.parametrize("t", [1.0, 1e-12])
+    def test_h_rank_relative_to_row_norm(self, t):
+        prog = BoxProgram(n=2, Q=None, q=[0.0, 0.0], c=0.0, x_lo=[-1.0, -1.0],
+                          x_hi=[1.0, 1.0], H=[[t, t]], h0=[0.0])
+        assert check_modified_slater(prog, None).h_neighborhood
 
     def test_h_infeasible_diagnosis(self):
         prog = BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
@@ -299,14 +322,64 @@ class TestScaleInvariance:
         assert base.status == scaled.status == "optimal"
         assert np.allclose(scaled.x, base.x, rtol=0, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["qp", "lp"]), st.floats(-8.0, 8.0))
+    def test_gap_report_objective_scaling(self, seed, kind, log_s):
+        prog, e = random_box_program(np.random.default_rng(seed), kind,
+                                     n_max=24, m_max=16)
+        s = 10.0 ** log_s
+        base = duality_gap_report(prog, e)
+        scaled = duality_gap_report(dataclasses.replace(
+            prog, Q=s * prog.Q, q=s * prog.q, c=s * prog.c), e)
+        assert (scaled.primal_status, scaled.dual_status, scaled.gap_ok) == \
+            (base.primal_status, base.dual_status, base.gap_ok)
+
+
+def simplicial_cone(rng, m):
+    """A random simplicial cone given by both of its descriptions."""
+    gens = np.eye(m) + 0.25 * rng.uniform(-1.0, 1.0, size=(m, m))
+    return PolyhedralCone(m, generators=gens, halfspaces=np.linalg.inv(gens).T)
+
+
+class TestDualOracles:
+    """The dual value at the primal's multipliers against solvers that share
+    no code with the library."""
+
+    def test_qp_against_lbfgsb(self):
+        rng = np.random.default_rng(32)
+        for k in range(40):
+            prog, _ = random_box_program(rng, "qp", n_max=40, m_max=24, with_h=False)
+            prog = dataclasses.replace(prog, Q=prog.Q + 0.05 * np.eye(prog.n))
+            if k % 3 == 0:   # -g(centre) = C's generators times w > 0
+                cone = simplicial_cone(rng, prog.m)
+                centre = 0.5 * (prog.x_lo + prog.x_hi)
+                g0 = -(prog.G @ centre) - cone.generators.T @ rng.uniform(0.5, 1.5, prog.m)
+                prog = dataclasses.replace(prog, g0=g0, cone_y=cone)
+            dual = solve_dual(prog)
+            dual.multipliers.validate(prog)
+            assert dual.status == "optimal"
+            assert abs(dual.value - qp_dual_value(prog)) <= 1e-6
+
+    def test_lp_against_highs(self):
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            prog, _ = random_box_program(rng, "lp", n_max=40, m_max=24)
+            ref = linprog(prog.q, A_ub=prog.G, b_ub=-prog.g0, A_eq=prog.H,
+                          b_eq=None if prog.H is None else -prog.h0,
+                          bounds=list(zip(prog.x_lo, prog.x_hi)), method="highs")
+            v = ref.fun + prog.c
+            dual = solve_dual(prog)
+            dual.multipliers.validate(prog)
+            assert dual.status == "optimal"
+            assert abs(dual.value - v) <= 1e-7 * max(1.0, abs(v))
+
 
 class TestDualSolve:
     def test_unconstrained_quadratic(self):
         prog = BoxProgram(n=2, Q=np.eye(2), q=[0.0, 0.0], c=0.0,
                           x_lo=[-1.0, -1.0], x_hi=[1.0, 1.0])
         primal = solve_primal(prog)
-        dual = solve_dual(prog, mult0=primal.multipliers,
-                          primal_value=primal.value)
+        dual = solve_dual(prog, primal)
         assert dual.value == pytest.approx(primal.value, abs=1e-9)
 
     def test_lp_duality(self):
@@ -319,9 +392,22 @@ class TestDualSolve:
         prog = BoxProgram(n=2, Q=2 * np.eye(2), q=[1.0, -1.0], c=0.0,
                           x_lo=[0.0, 0.0], x_hi=[1.0, 1.0])
         primal = solve_primal(prog)
-        dual = solve_dual(prog, primal_value=primal.value)
+        dual = solve_dual(prog)
         assert primal.value - dual.value <= 1e-5
         assert dual.value <= primal.value + 1e-9
+
+    def test_status_rules(self):
+        # min x1 + x2 on [0, 1]^2: zero multipliers leave the Lagrangian
+        # unbounded below; a failed primal passes its status on
+        prog = lp_example()
+        primal = solve_primal(prog)
+        stale = dataclasses.replace(primal, multipliers=zero_multipliers(prog))
+        dual = solve_dual(prog, stale)
+        assert dual.status == "numerical" and dual.value == -math.inf
+        capped = dataclasses.replace(primal, status="iteration-cap", multipliers=None)
+        dual = solve_dual(prog, capped)
+        assert dual.status == "iteration-cap" and dual.capped
+        assert dual.iterations == 0 and solve_dual(prog).iterations == primal.iterations
 
     def test_slater_violating_weak_duality(self):
         prog = BoxProgram(n=1, Q=[[1.0]], q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
