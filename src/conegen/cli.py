@@ -16,9 +16,8 @@ import numpy as np
 
 from . import demos
 from .config import ENV_TOL
-from .cones import (COORDINATE_KINDS, DimensionMismatch, InvalidCone,
-                    UnsupportedRepresentation)
-from .gauge import GaugeBody, ambient_comparison, linfty_isometry
+from .cones import DimensionMismatch, InvalidCone, UnsupportedRepresentation
+from .gauge import GaugeBody, ambient_comparison
 from .lattice import hausdorff_distance
 from .penalty import (PenaltyInstance, PreconditionViolation,
                       cone_minimal_points, verify_penalty_equivalence)
@@ -73,9 +72,7 @@ def cmd_gauge(args) -> int:
     body = GaugeBody(pf.cone, pf.block["u"])
     x = _parse_point(args.point)
     value = body.gauge(x)
-    report = {"command": "gauge", "gauge": value}
-    if pf.cone.kind in COORDINATE_KINDS:
-        report["isometry_image"] = linfty_isometry(body.u, x)
+    report = {"command": "gauge", "gauge": value, "isometry_image": body.isometry_image(x)}
     report["ambient_comparison"] = ambient_comparison(
         body, x[None, :], p=pf.norm.p, weights=pf.norm.weights)
     _emit(report, f"gauge value {value}")

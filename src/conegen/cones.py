@@ -1,21 +1,18 @@
 """Polyhedral ordering cones in R^n.
 
-A cone is stored with both descriptions whenever they are derivable: an
-inward-normal halfspace list (x in C iff <A_k, x> >= 0 for all k) and a
-generator list. Conversion between the two is implemented only in dimension
-<= 3 by exhaustive facet / extreme-ray enumeration; in higher dimension a
-general cone must be constructed with both lists supplied. Every cone is
-salient (contains no line), which is checked at construction; the degenerate
-cone {0} is rejected.
+A cone is stored with both descriptions: an inward-normal halfspace list
+(x in C iff <A_k, x> >= 0 for all k) and a generator list. Either one may be
+given in any dimension; the other is derived by one double-description
+routine, and when both are given they must describe the same cone. Every cone
+is salient (contains no line), which is checked at construction; the
+degenerate cone {0} is rejected.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
 from .config import default_tolerances, resolve_tol
-from .numkernel import as_vector
+from .numkernel import as_vector, independent_rows
 
 
 class DimensionMismatch(ValueError):
@@ -41,11 +38,11 @@ def _unit_rows(M: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_unit_rows(M: np.ndarray) -> np.ndarray:
-    out = []
-    for row in M:
-        if not any(np.linalg.norm(row - r) < 1e-9 for r in out):
-            out.append(row)
-    return np.array(out)
+    """M without each row within membership of an earlier row."""
+    D = M[:, None] - M[None]
+    close = np.einsum("ijk,ijk->ij", D, D) < default_tolerances().membership ** 2
+    earlier = np.arange(M.shape[0])
+    return M[~(close & (earlier < earlier[:, None])).any(axis=1)]
 
 
 class PolyhedralCone:
@@ -80,14 +77,10 @@ class PolyhedralCone:
                 raise DimensionMismatch(f"{name} have dimension {M.shape[1]}, expected {dim}")
         if H is None and G is None:
             raise InvalidCone("a general cone needs halfspaces or generators")
-        if dim <= 3:
-            if H is None:
-                H = _facets_from_generators(G)
-            elif G is None:
-                G = _rays_from_halfspaces(H)
-        elif H is None or G is None:
-            raise UnsupportedRepresentation(
-                "above dimension 3 a general cone requires both halfspaces and generators")
+        if H is None:
+            H = _facets_from_generators(G)
+        elif G is None:
+            G = _extreme_rays(H)
         self.halfspaces = _dedupe_unit_rows(H)
         self.generators = _dedupe_unit_rows(G)
         if _skip_checks:
@@ -98,21 +91,22 @@ class PolyhedralCone:
         tol = default_tolerances().membership
         if self.generators.shape[0] == 0:
             raise InvalidCone("degenerate cone {0} is rejected")
+        if self.halfspaces.shape[0] == 0:
+            raise InvalidCone("cone contains a line (ordering-cone property violated)")
         prods = self.generators @ self.halfspaces.T
         if np.min(prods) < -1e3 * tol:
             raise InvalidCone(
                 "cross-consistency failure: a generator violates a halfspace "
                 f"(worst slack {np.min(prods):.3e})")
-        for g in self.generators:
-            if self.contains(-g, tol=tol):
-                raise InvalidCone("cone contains a line (ordering-cone property violated)")
-        if both_given and self.dim <= 3:
+        if np.any(np.max(prods, axis=1) <= tol):    # some -g is in the cone
+            raise InvalidCone("cone contains a line (ordering-cone property violated)")
+        if both_given:
             self._check_rep_equality()
 
     def _check_rep_equality(self):
         # Both lists were user-supplied: make sure they describe one cone,
         # not merely a consistent pair.
-        rays = _rays_from_halfspaces(self.halfspaces)
+        rays = _extreme_rays(self.halfspaces)
         facets = _facets_from_generators(self.generators)
         if rays.size and facets.size:
             slack = min(np.min(rays @ facets.T), np.min(self.generators @ self.halfspaces.T))
@@ -158,7 +152,7 @@ class PolyhedralCone:
         """
         if self.kind in COORDINATE_KINDS:
             return PolyhedralCone(self.dim, kind="coordinate")
-        if np.linalg.matrix_rank(self.generators, tol=1e-10) < self.dim:
+        if independent_rows(self.generators, default_tolerances().qp_curv).size < self.dim:
             raise UnsupportedRepresentation(
                 "dual of a lower-dimensional cone contains a line")
         dual = PolyhedralCone(self.dim, halfspaces=self.generators,
@@ -211,82 +205,55 @@ def _is_identity(M: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# representation conversion, dimension <= 3
+# representation conversion
 
-def _rot90(v):
-    return np.array([-v[1], v[0]])
+def _extreme_rays(H: np.ndarray) -> np.ndarray:
+    """Extreme rays (unit rows) of the pointed cone {x : Hx >= 0}, H with unit
+    rows, by the incremental double-description method (Motzkin et al. 1953;
+    Fukuda & Prodon, LNCS 1120, 1996).
 
-
-def _rays_from_halfspaces(H: np.ndarray) -> np.ndarray:
+    The simplicial cone of the first independent rows starts it; each further
+    row h keeps the rays with <h, r> >= 0 and adds, for each adjacent pair
+    across h'x = 0, the ray where their segment meets it. Two rays are adjacent
+    iff no third ray is tight on every row both are tight on. <h, r> is zero
+    within membership; a row within qp_curv of the span of the rows before it
+    is dependent, and fewer than dim independent rows mean a line.
+    """
+    tols = default_tolerances()
     dim = H.shape[1]
-    if dim == 1:
-        rays = [np.array([s]) for s in (1.0, -1.0) if np.min(H * s) >= -1e-12]
-        return np.array(rays) if rays else np.zeros((0, 1))
-    cands = []
-    if dim == 2:
-        for h in H:
-            for r in (_rot90(h), -_rot90(h)):
-                cands.append(r)
-    else:
-        for i, j in itertools.combinations(range(H.shape[0]), 2):
-            c = np.cross(H[i], H[j])
-            if np.linalg.norm(c) > 1e-12:
-                cands.append(c)
-                cands.append(-c)
-        if H.shape[0] == 1:
-            cands = []
-    kept = []
-    for r in cands:
-        r = r / np.linalg.norm(r)
-        if np.min(H @ r) >= -1e-9:
-            kept.append(r)
-    if not kept:
-        return np.zeros((0, dim))
-    return _dedupe_unit_rows(np.array(kept))
+    basis = independent_rows(H, tols.qp_curv)
+    if basis.size < dim:
+        raise InvalidCone("cone contains a line (ordering-cone property violated)")
+    R = _unit_rows(np.linalg.inv(H[basis]).T)
+    Z = ~np.eye(dim, dtype=bool)        # Z[i, j]: ray i is tight on row j seen so far
+    rest = np.ones(H.shape[0], dtype=bool)
+    rest[basis] = False
+    for h in H[rest]:
+        v = R @ h
+        zero = np.abs(v) <= tols.membership
+        pos = np.flatnonzero(v > tols.membership)
+        neg = np.flatnonzero(v < -tols.membership)
+        P, N = np.repeat(pos, neg.size), np.tile(neg, pos.size)
+        common = Z[P] & Z[N]
+        tight = common.sum(axis=1)
+        covers = (common.astype(np.int64) @ Z.T.astype(np.int64)) == tight[:, None]
+        adj = (tight >= dim - 2) & (covers.sum(axis=1) == 2)
+        P, N, common = P[adj], N[adj], common[adj]
+        kept = v >= -tols.membership
+        R = np.vstack([R[kept], _unit_rows(v[P, None] * R[N] - v[N, None] * R[P])])
+        Z = np.vstack([np.column_stack([Z[kept], zero[kept]]),
+                       np.column_stack([common, np.ones(P.size, dtype=bool)])])
+    return R
 
 
 def _facets_from_generators(G: np.ndarray) -> np.ndarray:
-    dim = G.shape[1]
-    G = _dedupe_unit_rows(_unit_rows(G))
-    rank = np.linalg.matrix_rank(G, tol=1e-10)
-    if rank < dim:
-        # Lower-dimensional cone: enforce the span with paired halfspaces and
-        # recurse inside span coordinates.
-        _, _, vt = np.linalg.svd(G)
-        span = vt[:rank]
-        comp = vt[rank:]
-        inner = _facets_from_generators(G @ span.T) if rank > 0 else np.zeros((0, rank))
-        lifted = inner @ span if inner.size else np.zeros((0, dim))
-        paired = np.vstack([comp, -comp])
-        return _unit_rows(np.vstack([lifted, paired])) if lifted.size or paired.size else paired
-    if dim == 1:
-        return G.copy()
-    facets = []
-    if dim == 2:
-        # Extreme pair = the two generators with maximal opening angle.
-        best = None
-        for i, j in itertools.combinations(range(G.shape[0]), 2):
-            d = float(G[i] @ G[j])
-            if best is None or d < best[0]:
-                best = (d, i, j)
-        if best is None:
-            raise InvalidCone("a full-dimensional planar cone needs two generators")
-        _, i, j = best
-        for a, b in ((G[i], G[j]), (G[j], G[i])):
-            n = _rot90(a)
-            if n @ b < 0:
-                n = -n
-            facets.append(n)
-    else:
-        for i, j in itertools.combinations(range(G.shape[0]), 2):
-            n = np.cross(G[i], G[j])
-            if np.linalg.norm(n) < 1e-12:
-                continue
-            n = n / np.linalg.norm(n)
-            for cand in (n, -n):
-                prods = G @ cand
-                if np.min(prods) >= -1e-9 and np.sum(np.abs(prods) < 1e-9) >= 2:
-                    facets.append(cand)
-    if not facets:
-        raise InvalidCone("facet enumeration failed; is the cone full-dimensional?")
-    return _dedupe_unit_rows(np.array(facets))
+    """Inward facet normals of cone(G): the extreme rays of its dual
+    {y : Gy >= 0}. A lower-dimensional cone(G) gets its facets inside span(G)
+    and both signs of each normal of the span."""
+    try:
+        return _extreme_rays(G)
+    except InvalidCone:                 # the dual holds a line: cone(G) is flat
+        rank = independent_rows(G, default_tolerances().qp_curv).size
+    _, _, vt = np.linalg.svd(G)
+    span, comp = vt[:rank], vt[rank:]
+    return np.vstack([_extreme_rays(G @ span.T) @ span, comp, -comp])

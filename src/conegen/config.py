@@ -11,7 +11,11 @@ ENV_TOL = "CONEGEN_TOL"
 class Tolerances:
     """Tolerances used across the library; absolute unless stated otherwise.
 
-    membership      slack accepted in cone inequalities <A_k, x> >= -membership
+    membership      slack accepted in cone inequalities <A_k, x> >= -membership;
+                    unit cone rows closer than it are one row, and a unit ray
+                    is tight on a unit row within it when cone descriptions
+                    are converted; the modified Slater margin must exceed it
+                    in units of the size of the margin's terms
     interior        strict-inequality margin for interior / strict-positivity tests
     strict_nonzero  norm threshold realizing "nonzero" in strict cone comparisons
     lp_feas         simplex feasibility threshold on each equilibrated row,
@@ -33,7 +37,8 @@ class Tolerances:
                     <= qp_curv * ||Q||_F, descent along them at gradient
                     components > qp_curv * ||grad f||_inf; a row within
                     qp_curv * ||a|| of the span of those before it is dependent
-                    (also for the rank of H in the Slater check); a box
+                    (also for the rank of H in the Slater check and of a
+                    cone's rows when its descriptions are converted); a box
                     program's Q is symmetric and PSD within qp_curv * ||Q||_F;
                     the dual function's stationarity residual counts as zero up
                     to qp_curv times the largest |entry| of its linear terms

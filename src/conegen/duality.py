@@ -22,7 +22,8 @@ import numpy as np
 
 from .config import DEFAULT_LIMITS, SolverLimits, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
-from .numkernel import FarkasCertificate, LPFailure, LPProblem, as_vector, solve_lp
+from .numkernel import (FarkasCertificate, LPFailure, LPProblem, as_vector,
+                        independent_rows, solve_lp)
 
 
 @dataclass
@@ -219,7 +220,7 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     try:
         interior, failed = _h_interior(prog), ""
         h_ok = interior is not None and (
-            prog.k == 0 or _independent_rows(prog.H, tols.qp_curv).size == prog.k)
+            prog.k == 0 or independent_rows(prog.H, tols.qp_curv).size == prog.k)
     except LPFailure as exc:
         interior, h_ok, failed = None, None, str(exc)
 
@@ -239,9 +240,15 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     A = prog.cone_y.halfspaces
     rows_x = -(A @ prog.G)
     off = A @ prog.g0
-    # max t  s.t.  rows_x @ x - t >= off  for every cone row, x in box, h = 0
+    # max t  s.t.  rows_x @ x - t >= off  for every cone row, x in box, h = 0,
+    # with t in units of the terms' size: a power of two near the larger of
+    # |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
+    # margin test depends on the scale of (G, g0)
+    x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
+    unit = float(np.ldexp(1.0, np.frexp(max(np.max(np.abs(rows_x)) * x_scale,
+                                            np.max(np.abs(off))) or 1.0)[1]))
     nv = prog.n + 1
-    ineq = np.hstack([rows_x, -np.ones((A.shape[0], 1))])
+    ineq = np.hstack([rows_x, np.full((A.shape[0], 1), -unit)])
     eq = None if prog.k == 0 else np.hstack([prog.H, np.zeros((prog.k, 1))])
     eq_rhs = None if prog.k == 0 else -prog.h0
     lower = np.concatenate([prog.x_lo, [-math.inf]])
@@ -254,8 +261,8 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     if rep.status != "optimal":
         return report(False, None, None, -math.inf, f"search LP returned {rep.status}")
     x_bar = rep.point[:prog.n]
-    margin = float(rep.point[-1])
-    if margin <= tols.membership:
+    margin = float(rep.point[-1]) * unit
+    if rep.point[-1] <= tols.membership:
         return report(False, None, None, margin,
                       "-g(x) never reaches the interior of the cone")
     ratios = (A @ e) / np.maximum(A @ -prog.g(x_bar), 1e-300)
@@ -364,7 +371,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     E = prog.H if prog.k else np.zeros((0, n))
     active = np.flatnonzero(b - A @ x <= tols.qp_step * norms * x_scale) \
         if q_norm == 0.0 else np.zeros(0, dtype=int)
-    keep = _independent_rows(np.vstack([E, A[active]]), tols.qp_curv)
+    keep = independent_rows(np.vstack([E, A[active]]), tols.qp_curv)
     eq_rows = keep[keep < prog.k]   # a dependent equality row is redundant
     E = E[eq_rows]
     work = np.zeros(A.shape[0], dtype=bool)
@@ -421,21 +428,6 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
                         _kkt_residual(prog, x, mult), limits.active_set_iters)
-
-
-def _independent_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the rows left when each row within tol * its norm of the
-    span of the rows left before it is dropped. While those are independent,
-    |R_jj| of a QR of rows' is row j's distance from their span."""
-    keep = np.arange(rows.shape[0])
-    norms = np.linalg.norm(rows, axis=1)
-    while keep.size:
-        diag = np.abs(np.diagonal(np.linalg.qr(rows[keep].T, mode="r")))
-        small = np.flatnonzero(diag <= tol * norms[keep[:diag.size]])
-        if small.size == 0:
-            return keep[:diag.size]   # rows past the dimension are dependent
-        keep = np.delete(keep, small[0])
-    return keep
 
 
 def _ratio_test(A, b, x, p, alpha_max, work, norms, rate_tol):

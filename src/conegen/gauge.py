@@ -41,6 +41,12 @@ class GaugeBody:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return halfspace_ratio(self.cone, self._hu, X, absolute=True)
 
+    def isometry_image(self, x) -> np.ndarray:
+        """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the
+        coordinate kinds."""
+        x = as_vector(x, self.cone.dim, "point")
+        return self.cone.halfspace_values(x) / self._hu
+
 
 def order_interval_gauge(body: GaugeBody, x) -> float:
     return body.gauge(x)

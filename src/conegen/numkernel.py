@@ -44,6 +44,21 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def independent_rows(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the rows left when each row within tol * its norm of the
+    span of the rows left before it is dropped. While those are independent,
+    |R_jj| of a QR of rows' is row j's distance from their span."""
+    keep = np.arange(rows.shape[0])
+    norms = np.linalg.norm(rows, axis=1)
+    while keep.size:
+        diag = np.abs(np.diagonal(np.linalg.qr(rows[keep].T, mode="r")))
+        small = np.flatnonzero(diag <= tol * norms[keep[:diag.size]])
+        if small.size == 0:
+            return keep[:diag.size]   # rows past the dimension are dependent
+        keep = np.delete(keep, small[0])
+    return keep
+
+
 @dataclass
 class LPProblem:
     """min cost @ x  s.t.  ineq_lhs @ x >= ineq_rhs,  eq_lhs @ x == eq_rhs,

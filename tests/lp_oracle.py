@@ -65,7 +65,8 @@ def dirder_lp(cone, e, y, d) -> float:
 def enumerate_polytope_vertices(ineq_lhs, ineq_rhs, eq_lhs=None, eq_rhs=None,
                                 tol: float = 1e-9) -> np.ndarray:
     """Vertices of the polytope {x : ineq_lhs @ x >= ineq_rhs, eq_lhs @ x == eq_rhs}
-    by exhaustive basis enumeration, deduplicated after rounding to 9 decimals."""
+    by exhaustive basis enumeration. Two basic solutions within tol times the
+    largest vertex entry are one vertex."""
     A = np.atleast_2d(np.asarray(ineq_lhs, dtype=float))
     b = np.atleast_1d(np.asarray(ineq_rhs, dtype=float))
     dim = A.shape[1]
@@ -77,7 +78,7 @@ def enumerate_polytope_vertices(ineq_lhs, ineq_rhs, eq_lhs=None, eq_rhs=None,
         f = np.atleast_1d(np.asarray(eq_rhs, dtype=float))
     rank_eq = np.linalg.matrix_rank(E, tol=1e-10) if E.size else 0
     need = dim - rank_eq
-    verts = {}
+    verts = []
     for combo in itertools.combinations(range(A.shape[0]), need):
         M = np.vstack([E, A[list(combo)]]) if combo else E
         rhs = np.concatenate([f, b[list(combo)]]) if combo else f
@@ -90,8 +91,12 @@ def enumerate_polytope_vertices(ineq_lhs, ineq_rhs, eq_lhs=None, eq_rhs=None,
             continue
         if A.shape[0] and np.min(A @ x - b) < -max(tol, 1e-8):
             continue
-        verts.setdefault(tuple(np.round(x, 9) + 0.0), x)
-    return np.array(list(verts.values())) if verts else np.zeros((0, dim))
+        verts.append(x)
+    if not verts:
+        return np.zeros((0, dim))
+    P = np.array(verts)
+    same = np.max(np.abs(P[:, None] - P[None]), axis=2) <= tol * np.max(np.abs(P))
+    return P[~np.tril(same, -1).any(axis=1)]
 
 
 def oracle_cones() -> dict:

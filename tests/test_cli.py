@@ -148,7 +148,11 @@ class TestCommands:
         cone = parse_problem(str(path)).cone
         assert report["gauge"] == pytest.approx(
             gauge_lp(cone, [0.2, -0.1, 1.0], [0.5, -0.25, 0.125]), abs=1e-9)
-        assert "isometry_image" not in report
+        H = cone.halfspaces
+        image = np.array(report["isometry_image"])
+        assert np.allclose(image, (H @ [0.5, -0.25, 0.125]) / (H @ [0.2, -0.1, 1.0]),
+                           rtol=0, atol=1e-12)
+        assert np.max(np.abs(image)) == report["gauge"]
 
     def test_penalize_ok(self, capsys, penalty_file):
         code, report, _ = run_cli(capsys, ["penalize", "--problem", penalty_file,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from conegen.cones import (InvalidCone, PolyhedralCone,
-                           UnsupportedRepresentation, coordinate_cone,
+                           UnsupportedRepresentation, _extreme_rays,
+                           _facets_from_generators, coordinate_cone,
                            weighted_coordinate_cone)
 
 
@@ -70,9 +74,11 @@ class TestDual:
         with pytest.raises(UnsupportedRepresentation):
             ray.dual()
 
-    def test_general_without_generators_above_dim3(self):
-        with pytest.raises(UnsupportedRepresentation):
-            PolyhedralCone(4, halfspaces=np.eye(4))
+    def test_halfspaces_alone_above_dim3(self):
+        cone = PolyhedralCone(4, halfspaces=np.eye(4))
+        rng = np.random.default_rng(4)
+        for x in np.vstack([rng.normal(size=(300, 4)), np.abs(rng.normal(size=(50, 4)))]):
+            assert cone.contains(x) == coordinate_cone(4).contains(x)
 
 
 class TestInterior:
@@ -135,6 +141,8 @@ class TestConstruction:
     def test_line_rejected(self):
         with pytest.raises(InvalidCone):
             PolyhedralCone(2, generators=[[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(InvalidCone, match="line"):   # the whole plane: no facet
+            PolyhedralCone(2, generators=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
     def test_halfplane_rejected(self):
         # single halfspace in the plane contains the line x1 = 0
@@ -161,3 +169,95 @@ class TestConstruction:
     def test_coordinate_halfspaces_are_basis(self):
         c = coordinate_cone(4)
         assert np.array_equal(c.halfspaces, np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# the double-description routine against qhull
+
+
+def unit(M):
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    return M / np.linalg.norm(M, axis=1)[:, None]
+
+
+def same_rows(A, B, tol=1e-8):
+    """Unit-row sets equal both ways, each row matched within tol."""
+    if A.shape != B.shape:
+        return False
+    D = np.max(np.abs(A[:, None] - B[None]), axis=2) <= tol
+    return bool(D.any(axis=1).all() and D.any(axis=0).all())
+
+
+def random_pointed_cone(rng, d, k):
+    """k generators (p_i, 1), p_i Gaussian, under a random rotation and axis
+    scaling, with the extreme ones and the inward facet normals of their cone
+    read by qhull from the hull of the generators and the origin."""
+    P = np.hstack([rng.normal(size=(k, d - 1)), np.ones((k, 1))])
+    Q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    G = P @ (Q * rng.uniform(0.5, 2.0, size=d)).T
+    hull = ConvexHull(np.vstack([np.zeros(d), G]))
+    through_0 = np.abs(hull.equations[:, -1]) <= 1e-12 * np.max(np.abs(G))
+    facets = unit(-hull.equations[through_0, :-1])
+    facets = facets[~np.tril(np.max(np.abs(facets[:, None] - facets[None]), axis=2)
+                             <= 1e-8, -1).any(axis=1)]
+    extreme = unit(G[hull.vertices[hull.vertices > 0] - 1])
+    return unit(G), extreme, facets
+
+
+class TestDoubleDescription:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 6))
+    def test_both_directions_match_qhull(self, seed, d):
+        rng = np.random.default_rng(seed)
+        G, extreme, facets = random_pointed_cone(rng, d, int(rng.integers(d, 2 * d + 4)))
+        assert same_rows(_facets_from_generators(G), facets)
+        assert same_rows(_extreme_rays(facets), extreme)
+        # round trip through both conversions
+        assert same_rows(_facets_from_generators(_extreme_rays(facets)), facets)
+        cone = PolyhedralCone(d, halfspaces=facets)
+        assert same_rows(cone.generators, extreme)
+        assert same_rows(PolyhedralCone(d, generators=G).halfspaces, facets)
+        PolyhedralCone(d, halfspaces=facets, generators=G)   # one cone: accepted
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(2, 6))
+    def test_redundant_rows(self, seed, d):
+        # positive combinations of generators (of facet normals) add no facet
+        # (no extreme ray)
+        rng = np.random.default_rng(seed)
+        G, extreme, facets = random_pointed_cone(rng, d, 2 * d)
+        W = rng.uniform(0.1, 1.0, size=(4, G.shape[0]))
+        assert same_rows(_facets_from_generators(unit(np.vstack([W @ G, G]))), facets)
+        W = rng.uniform(0.1, 1.0, size=(4, facets.shape[0]))
+        assert same_rows(_extreme_rays(unit(np.vstack([facets, W @ facets]))), extreme)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(3, 6), st.data())
+    def test_lower_dimensional_embedded(self, seed, d, data):
+        # a full cone of R^r placed in R^d by a random isometry: its facets
+        # lift, the rest of the rows pin the span from both sides, and those
+        # rows give back the extreme rays
+        r = data.draw(st.integers(2, d - 1))
+        rng = np.random.default_rng(seed)
+        G, extreme, facets = random_pointed_cone(rng, r, int(rng.integers(r, 2 * r + 3)))
+        E = np.linalg.qr(rng.normal(size=(d, d)))[0][:, :r]
+        H = PolyhedralCone(d, generators=G @ E.T).halfspaces
+        on_span = np.abs(H @ E).max(axis=1) > 1e-8
+        assert same_rows(H[on_span], facets @ E.T)
+        pins = H[~on_span]
+        assert pins.shape[0] == 2 * (d - r) and np.allclose(pins @ E, 0.0, atol=1e-12)
+        assert np.linalg.matrix_rank(pins) == d - r
+        assert same_rows(pins, -pins)
+        assert same_rows(PolyhedralCone(d, halfspaces=H).generators, extreme @ E.T)
+
+    def test_cube_cone_from_either_description(self):
+        cube = np.array([[a, b, c, 1.0] for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                         for c in (-1.0, 1.0)])
+        facets = unit(np.vstack([np.eye(4)[:3] + np.eye(4)[3], np.eye(4)[3] - np.eye(4)[:3]]))
+        assert same_rows(PolyhedralCone(4, generators=cube).halfspaces, facets)
+        assert same_rows(PolyhedralCone(4, halfspaces=facets).generators, unit(cube))
+
+    def test_line_rejected_in_every_dimension(self):
+        for d in range(2, 7):
+            with pytest.raises(InvalidCone, match="line"):
+                PolyhedralCone(d, halfspaces=np.eye(d)[:-1])

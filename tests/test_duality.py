@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -333,6 +333,24 @@ class TestScaleInvariance:
             prog, Q=s * prog.Q, q=s * prog.q, c=s * prog.c), e)
         assert (scaled.primal_status, scaled.dual_status, scaled.gap_ok) == \
             (base.primal_status, base.dual_status, base.gap_ok)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(["qp", "lp"]), st.integers(-10, 10),
+           st.booleans())
+    @example(0, "qp", -10, False)
+    def test_slater_constraint_scaling(self, seed, kind, log_s, tight):
+        # the margin is read against the scale of the cone rows; with a row
+        # pinned at g_0(x) = 0 the margin is 0 and Slater fails at every scale
+        prog, e = random_box_program(np.random.default_rng(seed), kind)
+        if tight:
+            prog = dataclasses.replace(prog, G=np.vstack([0.0 * prog.G[:1], prog.G[1:]]),
+                                       g0=np.concatenate([[0.0], prog.g0[1:]]))
+        s = 10.0 ** log_s
+        base = check_modified_slater(prog, e)
+        scaled = check_modified_slater(dataclasses.replace(prog, G=s * prog.G,
+                                                           g0=s * prog.g0), e)
+        assert base.satisfied == (not tight)
+        assert scaled.satisfied == base.satisfied
 
 
 def simplicial_cone(rng, m):

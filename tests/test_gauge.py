@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conegen import gauge
-from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
+from conegen.cones import (InvalidCone, PolyhedralCone, coordinate_cone,
+                           weighted_coordinate_cone)
 from conegen.gauge import (GaugeBody, ambient_comparison, equivalence_constant,
                            linfty_isometry, minkowski_gauge)
 from conegen.numkernel import LPFailure, SolveReport
@@ -205,6 +206,29 @@ class TestIsometry:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             linfty_isometry([1.0, 0.0], [1.0, 1.0])
+
+    def test_image_on_coordinate_kinds_is_linfty_isometry(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n = int(rng.integers(1, 8))
+            u = rng.uniform(0.1, 4.0, n)
+            x = rng.normal(size=n)
+            for cone in (coordinate_cone(n), weighted_coordinate_cone(rng.uniform(0.5, 2.0, n))):
+                assert np.array_equal(GaugeBody(cone, u).isometry_image(x), linfty_isometry(u, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 6))
+    def test_image_supnorm_is_lp_gauge_on_halfspace_cones(self, seed, d):
+        # x -> (<h_k, x> / <h_k, u>)_k maps ||.||_u isometrically into the
+        # sup-norm space, on cones given by their halfspaces alone
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=d)
+        H = rng.normal(size=(int(rng.integers(d, 2 * d + 1)), d))
+        H *= np.sign(H @ u)[:, None]          # u is interior to {x : Hx >= 0}
+        body = GaugeBody(PolyhedralCone(d, halfspaces=H), u)
+        for x in rng.normal(size=(5, d)):
+            image = body.isometry_image(x)
+            assert np.max(np.abs(image)) == pytest.approx(gauge_lp(body.cone, u, x), rel=1e-9)
 
 
 def test_ambient_comparison_reports_only():

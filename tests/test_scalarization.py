@@ -312,14 +312,12 @@ class TestClosedFormAgainstOracles:
 
     def test_descriptions_of_different_cones_rejected(self):
         # the cube cone's facets with only the four tetrahedron generators:
-        # consistent (above dimension 3 the descriptions are not compared),
-        # but no facet row has three independent tight generators
+        # consistent, but the cube's other four vertices lie outside the
+        # tetrahedron's cone
         tetra = [[1, 1, 1, 1.0], [1, -1, -1, 1.0], [-1, 1, -1, 1.0], [-1, -1, 1, 1.0]]
         cube4, _ = oracle_cones()["cube4"]
-        cone = PolyhedralCone(4, halfspaces=cube4.halfspaces, generators=tetra)
-        fn = GerstewitzFn(cone, [0.0, 0.0, 0.0, 1.0])
         with pytest.raises(InvalidCone, match="different cones"):
-            fn.subdifferential(np.zeros(4))
+            PolyhedralCone(4, halfspaces=cube4.halfspaces, generators=tetra)
 
     def test_lower_dimensional_cone(self):
         cone = PolyhedralCone(3, generators=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
