@@ -167,18 +167,16 @@ def _scalar_cone():
 
 
 def cmd_hausdorff(args) -> int:
-    directions = None
     if args.problem:
         pf = parse_problem(args.problem)
         _require_block(pf, "lattice")
         a, b = pf.block["a_vertices"], pf.block["b_vertices"]
-        directions = pf.block.get("directions")
     elif args.a and args.b:
         a = _read_vertices(args.a)
         b = _read_vertices(args.b)
     else:
         raise ProblemFormatError("hausdorff needs --a/--b or --problem")
-    dist, info = hausdorff_distance(a, b, directions=directions)
+    dist, info = hausdorff_distance(a, b)
     report = {"command": "hausdorff", "distance": dist, **info}
     _emit(report, f"hausdorff distance {dist}")
     return EXIT_OK

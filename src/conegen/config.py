@@ -35,7 +35,9 @@ class Tolerances:
                     qp_step * ||a|| * ||p||
     qp_curv         active-set QP: zero curvature at reduced-Hessian eigenvalues
                     <= qp_curv * ||Q||_F, descent along them at gradient
-                    components > qp_curv * ||grad f||_inf; a row within
+                    components > qp_curv * max(||Q||_F * X, ||q||_inf), the
+                    scale of the gradient's terms (||grad f|| itself is
+                    rounding noise at a zero-gradient optimum); a row within
                     qp_curv * ||a|| of the span of those before it is dependent
                     (also for the rank of H in the Slater check and of a
                     cone's rows when its descriptions are converted); a box
@@ -43,7 +45,7 @@ class Tolerances:
                     the dual function's stationarity residual counts as zero up
                     to qp_curv times the largest |entry| of its linear terms
     qp_sign         active-set QP: a working row's multiplier is negative below
-                    -qp_sign * ||grad f||_inf / ||a||
+                    -qp_sign * max(||Q||_F * X, ||q||_inf) / ||a||
     fd_step         step of finite-difference validation of directional derivatives
     fd_check        tolerance of that validation (absorbs kink proximity)
     gap_assert      duality-gap bound asserted under the modified Slater condition

@@ -358,8 +358,8 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     blocking row instead (the box is compact, so one exists). A full step
     ends at the subspace minimizer, so the next step is zero by construction;
     multipliers are solved from R only then. Thresholds are relative to the
-    box, the rows, Q and the gradient (see `Tolerances`), and the result is
-    "optimal" only if its KKT residual is within kkt * max(1, ||grad f||_inf).
+    box, the rows, Q and q (see `Tolerances`), and the result is "optimal"
+    only if its KKT residual is within kkt * max(1, ||grad f||_inf).
     """
     tols = default_tolerances()
     n = prog.n
@@ -367,6 +367,8 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     norms = np.linalg.norm(A, axis=1)
     x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
     q_norm = float(np.linalg.norm(prog.Q))
+    # the scale of grad f's terms: ||grad f|| is rounding noise where grad f = 0
+    g_ref = max(q_norm * x_scale, float(np.max(np.abs(prog.q))))
     x = x0.copy()
     E = prog.H if prog.k else np.zeros((0, n))
     active = np.flatnonzero(b - A @ x <= tols.qp_step * norms * x_scale) \
@@ -379,7 +381,6 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     at_min = False
     for it in range(limits.active_set_iters):
         grad = prog.gradient(x)
-        g_scale = float(np.max(np.abs(grad)))
         free = np.flatnonzero(~(work[:n] | work[n:2 * n]))
         rows = np.flatnonzero(work[2 * n:]) + 2 * n
         C = np.vstack([A[rows], E])
@@ -390,7 +391,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
             w, V = np.linalg.eigh(Z.T @ prog.Q[free[:, None], free] @ Z)
             c = V.T @ (Z.T @ grad[free])
             flat = w <= tols.qp_curv * q_norm
-            ray = flat & (np.abs(c) > tols.qp_curv * g_scale)
+            ray = flat & (np.abs(c) > tols.qp_curv * g_ref)
             newton = not ray.any()
             if newton:
                 d, alpha_max = V[:, ~flat] @ (c[~flat] / w[~flat]), 1.0
@@ -405,7 +406,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
             ineq = np.concatenate([box, rows])
             lam_ineq = np.concatenate([np.where(box < n, r[box % n], -r[box % n]),
                                        lam[:rows.size]])
-            neg = lam_ineq * norms[ineq] < -tols.qp_sign * g_scale
+            neg = lam_ineq * norms[ineq] < -tols.qp_sign * g_ref
             if neg.any():
                 work[ineq[np.argmax(neg)]] = False
                 at_min = False
@@ -414,7 +415,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
             z[eq_rows] = lam[rows.size:]
             mult = _multipliers_from_rows(prog, ineq, lam_ineq, z)
             res = _kkt_residual(prog, x, mult)
-            status = "optimal" if res <= tols.kkt * max(1.0, g_scale) else "numerical"
+            status = "optimal" if res <= tols.kkt * max(1.0, np.abs(grad).max()) else "numerical"
             return PrimalResult(status, x, prog.objective(x), mult, res, it + 1)
         alpha, blocker = _ratio_test(A, b, x, p, alpha_max, work, norms, tols.qp_step)
         if not math.isfinite(alpha):

@@ -8,8 +8,8 @@ rays, i.e. the edge normals of both polytopes, plus the normalized pairwise
 vertex differences where the piecewise-linear difference peaks inside a fan
 cell). The definitional route (max vertex-to-hull distance, all pairs in one
 array pass) shares only the two hulls with it, each built once per call. In
-higher dimension a quasi-uniform direction sample is used and the sampling
-resolution is reported, never hidden.
+any other dimension each vertex-to-hull distance is a nearest-point QP, and
+the farthest vertex's separating direction attains the sup exactly.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import default_tolerances
+from .duality import BoxProgram, solve_primal
 
 
 class GridMismatch(ValueError):
@@ -52,9 +53,14 @@ def convex_hull_2d(points) -> np.ndarray:
     pts = [pts[0]] + [p for q, p in zip(pts, pts[1:]) if p != q]
     if len(pts) <= 2:
         return np.array(pts)
+    # each cross product's factors times 2^-e, 2^e the points' extent: no
+    # product over- or underflows, and the hull of 2^k P is 2^k times P's
+    s = math.ldexp(1.0, -math.frexp(max(-pts[0][0], pts[-1][0],
+                                        *(abs(p[1]) for p in pts)))[1])
 
     def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+        return (a[0] - o[0]) * s * ((b[1] - o[1]) * s) - \
+            (a[1] - o[1]) * s * ((b[0] - o[0]) * s)
 
     # Only an exactly collinear point is dropped: a margin would also drop
     # the far end of a thin near-vertical triangle, whose x order is not its
@@ -135,17 +141,6 @@ def direction_grid(dim: int, n: int = 1024, seed: int = 0) -> np.ndarray:
     return D / np.linalg.norm(D, axis=1)[:, None]
 
 
-def covering_radius_estimate(directions: np.ndarray, probes: int = 512,
-                             seed: int = 1) -> float:
-    """Estimated covering radius of a direction sample on the unit sphere."""
-    rng = np.random.default_rng(seed)
-    dim = directions.shape[1]
-    P = rng.normal(size=(probes, dim))
-    P /= np.linalg.norm(P, axis=1)[:, None]
-    cosines = np.clip(P @ directions.T, -1.0, 1.0)
-    return float(np.max(np.arccos(np.max(cosines, axis=1))))
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
@@ -179,34 +174,41 @@ def _support_route_2d(A, B, hull_a, hull_b):
     return float(gaps[k]), D[k].tolist(), h_a, h_b
 
 
-def hausdorff_distance(a_vertices, b_vertices, n_sample: int = 1024,
-                       directions=None):
-    """Hausdorff distance through support functions.
+def _separations(A: np.ndarray, B: np.ndarray):
+    """(distances, unit directions a - p(a)) of each point a of A, then of B,
+    p(a) its nearest point in the other hull (direction 0 at distance 0).
+    Each p(a) is a BoxProgram, min 0.5 |(Y - a)'w|^2 over the weight simplex
+    of the other set's points Y, centred at a; a solve that ends other than
+    "optimal" raises."""
+    sep = []
+    for P, Y in ((A, B), (B, A)):
+        k = Y.shape[0]
+        for Yc in Y[None, :, :] - P[:, None, :]:
+            res = solve_primal(BoxProgram(n=k, Q=Yc @ Yc.T, q=np.zeros(k), c=0.0,
+                                          x_lo=np.zeros(k), x_hi=np.ones(k),
+                                          H=np.ones((1, k)), h0=-np.ones(1)))
+            if res.status != "optimal":
+                raise RuntimeError(f"nearest-point QP ended {res.status!r}")
+            sep.append(-(res.x @ Yc))
+    dists = np.linalg.norm(sep, axis=1)
+    return dists, np.array(sep) / np.where(dists > 0, dists, 1.0)[:, None]
 
-    Dimension 2: exact over the Euclidean dual sphere (the sup of |h_A - h_B|
-    is attained on the finite candidate set). Higher dimension: sampled max
-    plus a reported resolution bound. The constructions are norm-dependent;
-    the Euclidean ball is the fixed default, and callers may supply their own
-    dual-sphere sample through `directions` (which also forces sampled mode).
-    Returns (distance, info dict).
-    """
+
+def hausdorff_distance(a_vertices, b_vertices):
+    """Euclidean Hausdorff distance, exact in every dimension; returns
+    (distance, info dict). In the plane, the sup of |h_A - h_B| over the
+    hulls' finite candidate set. Otherwise the largest vertex-to-hull
+    distance (a convex function peaks at a vertex), and the certificate
+    u = (a* - p*) / |a* - p*|, a* that vertex and p* its nearest point,
+    attains it: |h_A(u) - h_B(u)| >= |a* - p*| = sup |h_A - h_B|."""
     A, B = _as_pair(a_vertices, b_vertices)
-    dim = A.shape[1]
-    if dim == 2 and directions is None:
+    if A.shape[1] == 2:
         dist, cert, _, _ = _support_route_2d(A, B, convex_hull_2d(A), convex_hull_2d(B))
         return dist, {"exact": True, "certificate_direction": cert}
-    D = direction_grid(dim, n_sample) if directions is None \
-        else np.asarray(directions, dtype=float)
-    gaps = np.abs(support_values(A, D) - support_values(B, D))
-    k = int(np.argmax(gaps))
-    lip = float(np.max(np.linalg.norm(A, axis=1)) + np.max(np.linalg.norm(B, axis=1)))
-    theta = covering_radius_estimate(D)
-    return float(gaps[k]), {
-        "exact": False,
-        "certificate_direction": D[k].tolist(),
-        "resolution_bound": lip * theta,
-        "covering_radius_estimate": theta,
-    }
+    dists, U = _separations(A, B)
+    k = int(np.argmax(dists))
+    return float(dists[k]), {"exact": True,
+                             "certificate_direction": U[k].tolist() if dists[k] > 0 else None}
 
 
 def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
@@ -279,23 +281,26 @@ def lattice_meet(a: SupportSample, b: SupportSample) -> SupportSample:
 def verify_order_isometry(a_vertices, b_vertices) -> dict:
     """Report comparing the metric and order on sets with their images.
 
-    In the plane each set's hull is built once. The support route (the value
-    of hausdorff_distance) must match the definitional enlargement distance
-    to Tolerances.isometry, and inclusion (every vertex within membership of
-    the other hull) must match pointwise dominance of support values, at
-    membership, on the exact direction set.
+    The support route must match the definitional enlargement distance to
+    Tolerances.isometry, and inclusion (every vertex within membership of the
+    other hull) must match pointwise dominance of support values, at
+    membership, on a direction set: in the plane the exact candidate set of
+    the hulls, each built once; elsewhere every vertex's separating direction,
+    the support route then being the gap at the certificate direction.
     """
     tols = default_tolerances()
     A, B = _as_pair(a_vertices, b_vertices)
-    if A.shape[1] != 2:
-        dist, info = hausdorff_distance(A, B)
-        return {"exact": False, "support_route": dist,
-                "resolution_bound": info.get("resolution_bound"),
-                "isometry_holds": None}
-    hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
-    support_route, _, h_a, h_b = _support_route_2d(A, B, hull_a, hull_b)
-    d_ab = _hull_distances(hull_a, hull_b)[0]
-    d_ba = _hull_distances(hull_b, hull_a)[0]
+    if A.shape[1] == 2:
+        hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
+        support_route, _, h_a, h_b = _support_route_2d(A, B, hull_a, hull_b)
+        d_ab = _hull_distances(hull_a, hull_b)[0]
+        d_ba = _hull_distances(hull_b, hull_a)[0]
+    else:
+        dists, U = _separations(A, B)
+        h_a, h_b = support_values(A, U), support_values(B, U)
+        k = int(np.argmax(dists))
+        support_route = abs(float(h_a[k] - h_b[k]))
+        d_ab, d_ba = dists[:A.shape[0]], dists[A.shape[0]:]
     definitional = max(float(d_ab.max()), float(d_ba.max()))
     a_in_b_geom = bool(np.all(d_ab <= tols.membership))
     b_in_a_geom = bool(np.all(d_ba <= tols.membership))

@@ -112,7 +112,7 @@ _BLOCK_KEYS = {
     "scalarize": {"e"},
     "penalty": {"points", "feasible", "values", "rank", "e"},
     "duality": {"n", "Q", "q", "c", "box", "G", "g0", "H", "h0", "e"},
-    "lattice": {"a_vertices", "b_vertices", "directions"},
+    "lattice": {"a_vertices", "b_vertices"},
 }
 
 
@@ -245,12 +245,6 @@ def _validate_block(pf: ProblemFile):
             block[key] = np.atleast_2d(_matrix(block[key], f"{loc}.{key}"))
         if block["a_vertices"].shape[1] != block["b_vertices"].shape[1]:
             raise ProblemFormatError("vertex arrays have different dimensions", loc)
-        if "directions" in block:
-            D = np.atleast_2d(_matrix(block["directions"], f"{loc}.directions"))
-            if D.shape[1] != block["a_vertices"].shape[1]:
-                raise ProblemFormatError("directions have the wrong dimension",
-                                         f"{loc}.directions")
-            block["directions"] = D
 
 
 def build_box_program(pf: ProblemFile):

@@ -321,18 +321,28 @@ def test_tol_override_ends_with_the_call(capsys, tmp_path, monkeypatch):
     assert default_tolerances() == Tolerances()
 
 
-def test_hausdorff_problem_block_with_directions(capsys, tmp_path):
+def test_lattice_block_rejects_directions(capsys, tmp_path):
+    # the exact route needs no direction sample, and the schema has none
     path = tmp_path / "lat.json"
-    # sup-norm-style dual sample: the 1-norm sphere directions
     path.write_text(json.dumps({
         "version": 1,
         "lattice": {"a_vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]],
                     "b_vertices": [[2, 2], [2, -2], [-2, 2], [-2, -2]],
-                    "directions": [[1, 0], [0, 1], [-1, 0], [0, -1],
-                                   [0.5, 0.5], [0.5, -0.5], [-0.5, 0.5],
-                                   [-0.5, -0.5]]},
+                    "directions": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+    }))
+    code, report, err = run_cli(capsys, ["hausdorff", "--problem", str(path)])
+    assert code == 2 and report is None
+    assert "unknown key 'directions'" in err
+
+
+def test_hausdorff_3d_is_exact(capsys, tmp_path):
+    path = tmp_path / "lat3.json"
+    cube = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+    path.write_text(json.dumps({
+        "version": 1, "lattice": {"a_vertices": cube, "b_vertices": [[0, 0, 3]]},
     }))
     code, report, _ = run_cli(capsys, ["hausdorff", "--problem", str(path)])
-    assert code == 0
-    assert not report["exact"]
-    assert report["distance"] == pytest.approx(1.0)  # sup-ball enlargement
+    assert code == 0 and report["exact"] is True
+    # the far corners (+-1, +-1, -1) are sqrt(1 + 1 + 16) from (0, 0, 3)
+    assert report["distance"] == pytest.approx(18 ** 0.5, abs=1e-9)
+    assert np.linalg.norm(report["certificate_direction"]) == pytest.approx(1.0, abs=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from conegen import duality
 from conegen.cones import PolyhedralCone, coordinate_cone
@@ -251,6 +251,71 @@ class TestActiveSetRegressions:
         # scipy's trust-constr agrees with this value
         rep = solve_primal(box_draws([23])[0])
         assert rep.value == pytest.approx(-14.0601405, abs=1e-7)
+
+
+def nearest_point_qp(Y, a):
+    """The nearest point of conv(rows of Y) to a as a program over the
+    weights: min 0.5 |Y'w - a|^2 over w in [0, 1]^k with 1'w = 1."""
+    k = Y.shape[0]
+    return BoxProgram(n=k, Q=Y @ Y.T, q=-(Y @ a), c=0.5 * float(a @ a),
+                      x_lo=np.zeros(k), x_hi=np.ones(k), H=np.ones((1, k)),
+                      h0=[-1.0])
+
+
+def nearest_point_draw(seed):
+    """k > d + 1 Gaussian vertices, and a point inside the hull (a random
+    convex combination) or outside it (pushed away from the centroid)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.choice([2, 3, 4, 6]))
+    Y = rng.normal(size=(int(rng.integers(d + 2, 12)), d))
+    if rng.random() < 0.5:
+        a = rng.dirichlet(np.ones(Y.shape[0])) @ Y
+    else:
+        a = Y.mean(axis=0) + 3.0 * rng.normal(size=d)
+    return Y, a
+
+
+class TestNearestPointQPs:
+    """At an interior point of the hull the optimum has grad f = 0 and many
+    minimizing weights; measured against ||grad f||, which is then rounding
+    noise, the multiplier sign and descent tests cycled to the cap."""
+
+    def test_zero_gradient_optimum(self):
+        Y = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        a = np.array([0.3, 0.6])
+        rep = solve_primal(nearest_point_qp(Y, a))
+        assert rep.status == "optimal" and rep.iterations < 100
+        assert np.linalg.norm(rep.x @ Y - a) <= 1e-12
+        assert rep.x.sum() == pytest.approx(1.0, abs=1e-12) and rep.x.min() >= 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_distances_match_slsqp(self, seed):
+        Y, a = nearest_point_draw(seed)
+        k = Y.shape[0]
+        rep = solve_primal(nearest_point_qp(Y, a))
+        assert rep.status == "optimal"
+
+        def half_sq_dist(w):
+            return 0.5 * np.sum((w @ Y - a) ** 2)
+
+        ref = minimize(half_sq_dist, np.full(k, 1.0 / k), jac=lambda w: Y @ (w @ Y - a),
+                       method="SLSQP", bounds=[(0.0, 1.0)] * k,
+                       options={"ftol": 1e-12, "maxiter": 500},
+                       constraints={"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                                    "jac": lambda w: np.ones((1, k))})
+        assert ref.success
+        # squared: SLSQP's ftol bounds the objective, and at an inside point
+        # its distance, a square root of ~1e-12, reads only to ~1e-6
+        assert half_sq_dist(rep.x) == pytest.approx(half_sq_dist(ref.x), abs=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-8.0, 8.0))
+    def test_status_independent_of_scale(self, seed, log_s):
+        prog = nearest_point_qp(*nearest_point_draw(seed))
+        s = 10.0 ** log_s
+        scaled = dataclasses.replace(prog, Q=s * prog.Q, q=s * prog.q, c=s * prog.c)
+        assert solve_primal(prog).status == solve_primal(scaled).status == "optimal"
 
 
 class TestStatusReporting:

@@ -76,13 +76,6 @@ class TestHausdorff:
             assert dab == dba
             assert dab <= dac + dcb + 1e-9
 
-    def test_sampled_mode_reports_resolution(self):
-        d, info = hausdorff_distance([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                                     [[0.0, 0.0, 0.0]], n_sample=4096)
-        assert not info["exact"]
-        assert d <= 1.0 + 1e-12
-        assert d + info["resolution_bound"] >= 1.0
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_distance(np.zeros((0, 2)), SQUARE)
@@ -180,11 +173,15 @@ class TestHullDistanceKernel:
 
     @settings(max_examples=150, deadline=None)
     @given(scalable_sets, scalable_sets, st.integers(-600, 600))
+    @example(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 600)
+    @example(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), -600)
     def test_exact_under_power_of_two_scaling(self, P, H, k):
         hull = convex_hull_2d(H)
         dist, inside = _hull_distances(P, hull)
         s = 2.0 ** k
-        dist_s, inside_s = _hull_distances(s * P, s * hull)
+        hull_s = convex_hull_2d(s * H)   # its cross products neither over- nor underflow
+        assert np.array_equal(hull_s, s * hull)
+        dist_s, inside_s = _hull_distances(s * P, hull_s)
         assert np.array_equal(inside_s, inside)
         assert np.array_equal(dist_s, s * dist)
 
@@ -317,7 +314,92 @@ class TestOrderIsometry:
             B = random_polytope(rng)
             assert verify_order_isometry(A, B)["order_preserved"]
 
-    def test_non_2d_routes_to_sampled(self):
+    def test_simplices_in_3d(self):
         rep = verify_order_isometry(np.eye(3), 2 * np.eye(3))
-        assert not rep["exact"]
-        assert rep["isometry_holds"] is None
+        assert rep["exact"] and rep["isometry_holds"] and rep["order_preserved"]
+        # 2 e_1 projects on the plane of conv{e_1, e_2, e_3} at (5/3, -1/3,
+        # -1/3), outside the face: its nearest point is e_1, at distance 1;
+        # each e_i is 1/sqrt(3) from conv{2 e_1, 2 e_2, 2 e_3}
+        assert rep["support_route"] == pytest.approx(1.0, abs=1e-9)
+        assert not rep["a_subset_b"] and not rep["b_subset_a"]
+
+
+def embed(P, Q, t):
+    """P in R^2 placed in R^d: padded with zeros, rotated by Q, translated by t."""
+    d = Q.shape[0]
+    return np.hstack([P, np.zeros((P.shape[0], d - 2))]) @ Q.T + t
+
+
+def random_isometry(rng, d):
+    Q, R = np.linalg.qr(rng.normal(size=(d, d)))
+    return Q * np.sign(np.diag(R)), rng.normal(size=d)
+
+
+class TestExactRouteAboveThePlane:
+    def test_embedded_criterion_7_pairs(self):
+        rng = np.random.default_rng(108)
+        for A, B in criterion_7_pairs()[::20]:
+            d2 = hausdorff_distance(A, B)[0]
+            for d in (3, 4, 5, 6):
+                Q, t = random_isometry(rng, d)
+                Ad, Bd = embed(A, Q, t), embed(B, Q, t)
+                dist, info = hausdorff_distance(Ad, Bd)
+                assert info["exact"]
+                assert dist == pytest.approx(d2, abs=1e-9)
+                u = info["certificate_direction"]
+                if d2 == 0.0:   # a point and its shrunken copy, itself
+                    assert u is None
+                    continue
+                assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+                gap = support_function(Ad, u) - support_function(Bd, u)
+                assert abs(gap) == pytest.approx(d2, abs=1e-9)
+
+    def test_embedded_isometry_report_matches_the_plane(self):
+        rng = np.random.default_rng(109)
+        for A, B in criterion_7_pairs()[5::40]:
+            ref = verify_order_isometry(A, B)
+            Q, t = random_isometry(rng, 4)
+            rep = verify_order_isometry(embed(A, Q, t), embed(B, Q, t))
+            assert rep["exact"] and rep["isometry_holds"] is True
+            assert rep["order_preserved"]
+            assert rep["support_route"] == pytest.approx(ref["support_route"], abs=1e-9)
+            assert (rep["a_subset_b"], rep["b_subset_a"]) == \
+                (ref["a_subset_b"], ref["b_subset_a"])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_3d_translation_rotation_and_symmetry(self, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(int(rng.integers(1, 8)), 3))
+        B = rng.normal(size=(int(rng.integers(1, 8)), 3)) + rng.uniform(-1, 1, 3)
+        Q, t = random_isometry(rng, 3)
+        d = hausdorff_distance(A, B)[0]
+        assert close(hausdorff_distance(A + t, B + t)[0], d)
+        assert close(hausdorff_distance(A @ Q.T, B @ Q.T)[0], d)
+        assert close(hausdorff_distance(B, A)[0], d)
+
+    def test_shrunken_copy_inside(self):
+        rng = np.random.default_rng(110)
+        for d in (1, 3, 5):
+            A = rng.normal(size=(6, d))
+            C = 0.5 * (A - A.mean(axis=0)) + A.mean(axis=0)
+            rep = verify_order_isometry(A, C)
+            assert rep["exact"] and rep["isometry_holds"] is True
+            assert rep["b_subset_a"] and not rep["a_subset_b"]
+            assert rep["order_preserved"]
+
+    def test_intervals(self):
+        d, info = hausdorff_distance([[0.0], [2.0]], [[1.0], [5.0]])
+        assert d == pytest.approx(3.0, abs=1e-12) and info["exact"]
+        assert info["certificate_direction"] == pytest.approx([1.0])
+        rep = verify_order_isometry([[0.0], [3.0]], [[1.0], [2.0]])
+        assert rep["isometry_holds"] is True and rep["order_preserved"]
+        assert rep["b_subset_a"] and not rep["a_subset_b"]
+        assert rep["support_route"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_identical_sets(self):
+        cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+        d, info = hausdorff_distance(cube, cube)
+        assert d <= 1e-12
+        rep = verify_order_isometry(cube, cube[::-1])
+        assert rep["a_subset_b"] and rep["b_subset_a"] and rep["isometry_holds"]
