@@ -14,7 +14,9 @@ makes "\\ {0}" robust on grids.
 
 The rank and the dominance relation build each unordered pair once, in row
 blocks of halfspace planes, and read it both ways: the max of phi(v_i - v_j)
-and phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e.
+and phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. The inclusion
+at the rank reads the dominance relation on the rows of the constrained
+minimal set only, each against every column.
 """
 from __future__ import annotations
 
@@ -217,15 +219,34 @@ def _lookup(instance, x):
     return instance.values[hits[0]]
 
 
-def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float) -> np.ndarray:
+def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
+                     rows: np.ndarray | None = None) -> np.ndarray:
     """reach[i] = max ||v_j - v_i|| over the j with <h_k, v_j> - <h_k, v_i> <= tol
     for every k (v_j - v_i in -C), 0 if none. Row i is cone-minimal at
     strict_tol iff not reach[i] > strict_tol: one relation, every strict_tol.
     A pair block's running max over k decides (i, j), its running min (j, i),
-    read for j >= hi only: the diagonal square holds both directions."""
+    read for j >= hi only: the diagonal square holds both directions.
+
+    With rows given, the reach of those rows only, in their order, each read
+    against every column in blocks of at most _BLOCK rows. A plane read the
+    other way is the exact negation, so the values equal reach[rows]."""
+    HV = cone.halfspace_values(V)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        sq = np.zeros(rows.shape[0])
+        for lo in range(0, rows.shape[0], _BLOCK):
+            R = rows[lo:lo + _BLOCK]
+            up = np.subtract(HV[None, :, 0], HV[R, None, 0])
+            plane = np.empty_like(up)
+            for hv in HV.T[1:]:
+                np.maximum(up, np.subtract(hv[None, :], hv[R, None], out=plane), out=up)
+            block = sq[lo:lo + _BLOCK]
+            np.fmax(block, np.fmax.reduce(_pair_sums(V[R], V, 2) * (up <= tol), axis=1),
+                    out=block)
+        return np.sqrt(sq)
     n = V.shape[0]
     sq = np.zeros(n)   # squared: sqrt is monotone and correctly rounded
-    for lo, hi, planes in _pair_blocks(cone.halfspace_values(V)):
+    for lo, hi, planes in _pair_blocks(HV):
         b = hi - lo
         up = next(planes).copy()
         down = up[:, b:].copy()
@@ -284,9 +305,11 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
     """Check both directions of the exact-penalty equivalence on the instance.
 
     Requires L > rank strictly (margin rank_margin); the one-directional
-    inclusion is additionally checked at L = rank exactly. The report flags
-    instances whose minimal sets move when the strict-order threshold is
-    varied by a factor of ten.
+    inclusion is additionally checked at L = rank exactly, on the rows of the
+    constrained minimal set m1 only: it holds iff none of them is dominated
+    among the penalized values at the rank (vacuously for an empty m1). The
+    report flags instances whose minimal sets move when the strict-order
+    threshold is varied by a factor of ten.
     """
     tols = default_tolerances()
     if L <= instance.rank + tols.rank_margin:
@@ -296,18 +319,20 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
     cone, tol, st = instance.cone, tols.membership, tols.strict_nonzero
     omega_idx = np.flatnonzero(instance.feasible_mask)
     d = instance.distances_to_omega()[:, None]
-    # one dominance relation per value set; every threshold reads it
+    # one dominance relation per value set; every threshold reads it. At the
+    # rank only m1's rows are read: m1 is included iff none of them is dominated
     r_omega = _dominance_reach(instance.values[omega_idx], cone, tol)
-    r_L, r_rank = (_dominance_reach(instance.values + w * d * instance.e[None, :],
-                                    cone, tol) for w in (L, instance.rank))
+    r_L = _dominance_reach(instance.values + L * d * instance.e[None, :], cone, tol)
     m1 = omega_idx[_minimal(r_omega, st)]
     m2 = _minimal(r_L, st)
+    r_rank = _dominance_reach(instance.values + instance.rank * d * instance.e[None, :],
+                              cone, tol, m1)
     sensitive = not all(
         np.array_equal(omega_idx[_minimal(r_omega, st * f)], m1) and
         np.array_equal(_minimal(r_L, st * f), m2) for f in (0.1, 10.0))
     return PenaltyReport(L=L, rank=instance.rank, minimal_constrained=m1,
                          minimal_penalized=m2, equal=np.array_equal(m1, m2),
-                         inclusion_at_rank=bool(np.all(np.isin(m1, _minimal(r_rank, st)))),
+                         inclusion_at_rank=not np.any(r_rank > st),
                          tol_sensitive=sensitive)
 
 

@@ -14,6 +14,7 @@ LP runs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,7 +74,11 @@ def _facet_rows(cone: PolyhedralCone, tol: float) -> np.ndarray:
 
 
 class GerstewitzFn:
-    """Pair (C, e) with e in C \\ {0}; the line Re must not lie in C."""
+    """Pair (C, e) with e in C \\ {0}; the line Re must not lie in C.
+
+    The checks on e run at construction. The facet rows that give the
+    subdifferential's vertices are built on the first subdifferential or
+    directional_derivative call: phi's values never read them."""
 
     def __init__(self, cone: PolyhedralCone, e):
         self.cone = cone
@@ -89,9 +94,14 @@ class GerstewitzFn:
         pos = self._he > tols.interior
         self._pos = None if pos.all() else pos
         self._slack = tols.membership
-        # rows that give the subdifferential's vertices and its rays
-        self._vertex_rows = np.flatnonzero(pos & _facet_rows(cone, tols.membership))
-        self._ray_rows = np.flatnonzero(~pos)
+        self._ray_rows = np.flatnonzero(~pos)   # the subdifferential's rays
+
+    @functools.cached_property
+    def _vertex_rows(self) -> np.ndarray:
+        """The facet rows with <h_k, e> > 0: the subdifferential's vertices."""
+        facets = _facet_rows(self.cone, self._slack)
+        facets[self._ray_rows] = False
+        return np.flatnonzero(facets)
 
     # -- evaluation -----------------------------------------------------------
 

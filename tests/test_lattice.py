@@ -397,6 +397,22 @@ class TestExactRouteAboveThePlane:
         assert rep["b_subset_a"] and not rep["a_subset_b"]
         assert rep["support_route"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", ["cube", "simplex"])
+    def test_identical_sets_exact_zero_without_a_qp(self, shape, monkeypatch):
+        import conegen.lattice as lattice_module
+        monkeypatch.setattr(lattice_module, "solve_primal",
+                            lambda *a, **k: pytest.fail("a QP was solved"))
+        if shape == "cube":
+            P = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+        else:
+            P = np.vstack([np.zeros(4), np.eye(4)])
+        for Q in (P, P[::-1]):
+            assert hausdorff_distance(P, Q) == (0.0, {"exact": True,
+                                                      "certificate_direction": None})
+            rep = verify_order_isometry(P, Q)
+            assert rep["definitional"] == 0.0 and rep["support_route"] == 0.0
+            assert rep["a_subset_b"] and rep["b_subset_a"] and rep["isometry_holds"]
+
     def test_identical_sets(self):
         cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
         d, info = hausdorff_distance(cube, cube)

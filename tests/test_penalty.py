@@ -197,6 +197,45 @@ class TestMultiBlock:
         assert rank_oracle(pts, vals, cone, e) == math.inf
 
 
+class TestRowReach:
+    """The reach of a row subset equals the full relation's rows bit for bit:
+    blocks of up to B rows against every column, with the planes read the
+    other way round from the pair blocks'."""
+
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("general", [False, True])
+    def test_equals_full_relation_rows(self, n, general):
+        rng = np.random.default_rng([n, general, 1])
+        for m in (1, 2, 4, 6):
+            cone = random_cone(rng, m, general)
+            vals = rng.normal(size=(n, m))
+            # exact and nearly exact copies across blocks, as in TestMultiBlock
+            shift = np.array([0.0, 5e-9, 5e-8])[:, None] * rng.normal(size=(3, m))
+            vals[-3:] = vals[:3] + shift
+            subsets = [np.arange(0), rng.permutation(n)[:max(1, n // 5)],
+                       np.arange(n)[::-1], np.concatenate([np.arange(n), [0, n - 1]])]
+            for tol in (1e-9, 0.5):
+                full = penalty_module._dominance_reach(vals, cone, tol)
+                for R in subsets:
+                    got = penalty_module._dominance_reach(vals, cone, tol, rows=R)
+                    assert got.shape == R.shape
+                    assert np.array_equal(got, full[R])
+
+    def test_verification_reads_rank_relation_on_m1(self, monkeypatch):
+        seen = []
+        reach = penalty_module._dominance_reach
+
+        def recorded_reach(V, cone, tol, rows=None):
+            seen.append(rows)
+            return reach(V, cone, tol, rows)
+
+        monkeypatch.setattr(penalty_module, "_dominance_reach", recorded_reach)
+        rep = verify_penalty_equivalence(scalar_abs_instance(), 1.5)
+        assert seen[:2] == [None, None] and len(seen) == 3
+        assert np.array_equal(seen[2], rep.minimal_constrained)
+        assert rep.inclusion_at_rank is True
+
+
 class TestPenalizedObjective:
     def test_on_feasible_point(self):
         inst = scalar_abs_instance()
