@@ -25,6 +25,10 @@ class Tolerances:
                     "numerical", not "optimal"
     lp_pivot        simplex pivot and reduced-cost threshold, and the ratio-test
                     tie threshold relative to max(1, step)
+    farkas          verify_farkas: each entry of the combination of left-hand
+                    sides vanishes within farkas times the sum of its terms'
+                    magnitudes, and no sign-constrained multiplier is below
+                    -farkas
     rank_margin     required gap L - L_f before penalty equivalence is attempted
     gradient_map    stopping norm of the projected-gradient mapping
     kkt             KKT residual bound of an "optimal" primal, relative to
@@ -49,6 +53,14 @@ class Tolerances:
     fd_step         step of finite-difference validation of directional derivatives
     fd_check        tolerance of that validation (absorbs kink proximity)
     gap_assert      duality-gap bound asserted under the modified Slater condition
+    h_margin        the Slater check's h-solution is strictly inside the box only
+                    at a depth above h_margin, in units of each coordinate's
+                    half-width (x_b - x_a) / 2
+    slater_floor    floor of the divisors <A_k, -g(x)> when lambda is read at a
+                    Slater witness x: the search LP's margin makes them positive
+                    up to its row residuals, and the floor keeps lambda finite
+    active_bound    a stationarity certificate's point is outside the box beyond
+                    active_bound, and a box bound is active within it
     weak_duality    slack allowed in the weak-duality inequality
     coincident      sample points this close are one point (rank +inf if their
                     values differ); also the floor of the rank's pair distances
@@ -65,6 +77,7 @@ class Tolerances:
     strict_nonzero: float = 1e-8
     lp_feas: float = 1e-9
     lp_pivot: float = 1e-11
+    farkas: float = 1e-7
     rank_margin: float = 1e-9
     gradient_map: float = 1e-7
     kkt: float = 1e-6
@@ -74,6 +87,9 @@ class Tolerances:
     fd_step: float = 1e-5
     fd_check: float = 1e-4
     gap_assert: float = 1e-5
+    h_margin: float = 1e-9
+    slater_floor: float = 1e-300
+    active_bound: float = 1e-9
     weak_duality: float = 1e-9
     coincident: float = 1e-15
     rank_slack: float = 1e3

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, SolverLimits, default_tolerances
+from .config import DEFAULT_LIMITS, SolverLimits, Tolerances, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
 from .numkernel import (FarkasCertificate, LPFailure, LPProblem, as_vector,
                         independent_rows, solve_lp)
@@ -218,7 +218,7 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     """
     tols = default_tolerances()
     try:
-        interior, failed = _h_interior(prog), ""
+        interior, failed = _h_interior(prog, tols), ""
         h_ok = interior is not None and (
             prog.k == 0 or independent_rows(prog.H, tols.qp_curv).size == prog.k)
     except LPFailure as exc:
@@ -265,14 +265,15 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     if rep.point[-1] <= tols.membership:
         return report(False, None, None, margin,
                       "-g(x) never reaches the interior of the cone")
-    ratios = (A @ e) / np.maximum(A @ -prog.g(x_bar), 1e-300)
+    ratios = (A @ e) / np.maximum(A @ -prog.g(x_bar), tols.slater_floor)
     lam = max(1.0, 2.0 * float(np.max(ratios)))
     return report(True, x_bar, lam, margin)
 
 
-def _h_interior(prog: BoxProgram):
+def _h_interior(prog: BoxProgram, tols: Tolerances):
     """A solution of h(x) = 0 strictly inside the box, None when there is none
-    (an infeasible LP or a margin <= 1e-9); any other failed LP raises."""
+    (an infeasible LP or a margin <= tols.h_margin); any other failed LP
+    raises."""
     if prog.k == 0:
         return 0.5 * (prog.x_lo + prog.x_hi)
     nv = prog.n + 1
@@ -287,7 +288,7 @@ def _h_interior(prog: BoxProgram):
                              upper=np.concatenate([np.full(prog.n, math.inf), [1.0]])))
     if rep.status not in ("optimal", "infeasible"):
         raise LPFailure(f"h-interior LP returned {rep.status}")
-    if rep.status == "infeasible" or rep.point[-1] <= 1e-9:
+    if rep.status == "infeasible" or rep.point[-1] <= tols.h_margin:
         return None
     return rep.point[:prog.n]
 
@@ -342,17 +343,28 @@ def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers) -> float:
                      np.max(np.abs(prog.h(x)), initial=0.0)))
 
 
+def _gated(prog: BoxProgram, x: np.ndarray, mult: Multipliers,
+           iterations: int) -> PrimalResult:
+    """The primal result at x: "optimal" only if the KKT residual is within
+    kkt * max(1, ||grad f(x)||_inf), "numerical" otherwise."""
+    res = _kkt_residual(prog, x, mult)
+    gate = default_tolerances().kkt * max(1.0, np.abs(prog.gradient(x)).max())
+    return PrimalResult("optimal" if res <= gate else "numerical", x,
+                        prog.objective(x), mult, res, iterations)
+
+
 def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
                    limits: SolverLimits) -> PrimalResult:
-    """Primal active-set method for PSD Q over polyhedral constraints, with
-    null-space steps (Nocedal & Wright, *Numerical Optimization*, 2nd ed.,
-    ch. 16). Deterministic: lowest-index rules throughout.
+    """Primal active-set method for a nonzero PSD Q over polyhedral
+    constraints, with null-space steps (Nocedal & Wright, *Numerical
+    Optimization*, 2nd ed., ch. 16), from the feasible point x0.
+    Deterministic: lowest-index rules throughout. An LP never comes here:
+    `solve_primal` reads its multipliers off the simplex.
 
-    The working set starts from the equality rows, plus, for an LP (Q = 0,
-    x0 its simplex vertex), every row active at x0, less the rows dependent
-    on those before them. Working box rows fix their
-    coordinates; the other working rows, restricted to the free coordinates,
-    are factored by one QR per iteration, M' = [Y Z][R; 0]. The step
+    The working set starts from the equality rows less those dependent on
+    the rows before them. Working box rows fix their coordinates; the other
+    working rows, restricted to the free coordinates, are factored by one
+    QR per iteration, M' = [Y Z][R; 0]. The step
     minimizes the quadratic over range(Z); a gradient component along a
     zero-curvature eigenvector of Z'QZ gives a descent ray to the first
     blocking row instead (the box is compact, so one exists). A full step
@@ -371,13 +383,9 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     g_ref = max(q_norm * x_scale, float(np.max(np.abs(prog.q))))
     x = x0.copy()
     E = prog.H if prog.k else np.zeros((0, n))
-    active = np.flatnonzero(b - A @ x <= tols.qp_step * norms * x_scale) \
-        if q_norm == 0.0 else np.zeros(0, dtype=int)
-    keep = independent_rows(np.vstack([E, A[active]]), tols.qp_curv)
-    eq_rows = keep[keep < prog.k]   # a dependent equality row is redundant
+    eq_rows = independent_rows(E, tols.qp_curv)   # a dependent row is redundant
     E = E[eq_rows]
     work = np.zeros(A.shape[0], dtype=bool)
-    work[active[keep[keep >= prog.k] - prog.k]] = True
     at_min = False
     for it in range(limits.active_set_iters):
         grad = prog.gradient(x)
@@ -414,9 +422,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
             z = np.zeros(prog.k)
             z[eq_rows] = lam[rows.size:]
             mult = _multipliers_from_rows(prog, ineq, lam_ineq, z)
-            res = _kkt_residual(prog, x, mult)
-            status = "optimal" if res <= tols.kkt * max(1.0, np.abs(grad).max()) else "numerical"
-            return PrimalResult(status, x, prog.objective(x), mult, res, it + 1)
+            return _gated(prog, x, mult, it + 1)
         alpha, blocker = _ratio_test(A, b, x, p, alpha_max, work, norms, tols.qp_step)
         if not math.isfinite(alpha):
             raise RuntimeError("unbounded ray inside a compact box")
@@ -464,20 +470,33 @@ def solve_primal(prog: BoxProgram,
                  limits: SolverLimits = DEFAULT_LIMITS) -> PrimalResult:
     """Minimize over the feasible set; exact on convex quadratics.
 
-    LP instances go to the simplex, and the active-set method then reads the
-    multipliers at its vertex. Quadratics run the active-set method from the
-    phase-1 vertex. Infeasibility returns a Farkas certificate; a simplex
-    solve that ends "numerical" or at its iteration cap is returned as is.
-    The iterations are the simplex pivots plus the active-set steps.
+    An LP (Q = 0) is solved by the simplex, and its multipliers are the
+    simplex's row duals (Chvatal, *Linear Programming*, ch. 8 and 10): lam
+    on the cone rows, clipped at 0, gives y* = A'lam; z* is minus the
+    equality duals; x1* and x2* are the positive and negative parts of the
+    stationarity residual q + G'y* + H'z*. A quadratic runs the active-set
+    method from the phase-1 vertex. Either result is "optimal" only within
+    the KKT gate of `_gated`. Infeasibility returns a Farkas
+    certificate; a simplex solve that ends "numerical" or at its iteration
+    cap is returned as is. The iterations are the simplex pivots plus, for
+    a quadratic, the active-set steps.
     """
-    rep = _feasible_set_lp(prog, prog.q if not prog.Q.any() else np.zeros(prog.n),
-                           limits)
+    lp = not prog.Q.any()
+    rep = _feasible_set_lp(prog, prog.q if lp else np.zeros(prog.n), limits)
     if rep.status != "optimal":
         return PrimalResult(rep.status, None, None, None, None,
                             rep.iterations, farkas=rep.farkas)
-    result = _active_set_qp(prog, rep.point, limits)
-    result.iterations += rep.iterations
-    return result
+    if not lp:
+        result = _active_set_qp(prog, rep.point, limits)
+        result.iterations += rep.iterations
+        return result
+    x, n_cone = rep.point, rep.duals.size - prog.k
+    lam = np.maximum(rep.duals[:n_cone], 0.0)
+    y = prog.cone_y.halfspaces.T @ lam if prog.m else np.zeros(0)
+    z = -rep.duals[n_cone:]
+    r = _linear_term(prog, Multipliers(y, np.zeros(prog.n), np.zeros(prog.n), z))[0]
+    mult = Multipliers(y=y, x1=np.maximum(r, 0.0), x2=np.maximum(-r, 0.0), z=z)
+    return _gated(prog, x, mult, rep.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -664,13 +683,16 @@ class CertificateRefusal:
 
 def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
                              e, x_bar, x_lo, x_hi,
-                             active_tol: float = 1e-9):
+                             active_tol: float | None = None):
     """Find y* in the dual cone with <y*, e> = 1 and -grad<y*, F>(x_bar) in
     the normal cone of the box at x_bar, or refuse with a Farkas certificate.
 
-    The box normal cone is the sign-pattern cone of the active bounds; a
-    point outside the box has empty normal cone and is refused outright.
+    The box normal cone is the sign-pattern cone of the active bounds (active
+    within active_tol, by default Tolerances.active_bound); a point outside
+    the box has empty normal cone and is refused outright.
     """
+    tols = default_tolerances()
+    active_tol = tols.active_bound if active_tol is None else active_tol
     m = objective.m
     e = as_vector(e, m, "e")
     x_bar = as_vector(x_bar, objective.lins.shape[1], "x_bar")
@@ -686,7 +708,7 @@ def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
     # lower-active ones (normal = -s must be <= 0), s_i <= 0 on upper-active.
     # A Jacobian column that vanishes to the KKT target (the gradient at an
     # optimum, up to rounding) meets its condition for every y* and gives no row.
-    vanishing = np.abs(J).max(axis=0, initial=0.0) <= default_tolerances().kkt
+    vanishing = np.abs(J).max(axis=0, initial=0.0) <= tols.kkt
     ineq = [cone_y.generators]
     ineq_rhs = [np.zeros(cone_y.generators.shape[0])]
     eq = [e[None, :]]

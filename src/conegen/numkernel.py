@@ -9,7 +9,9 @@ to infinity-norm 1 first. The entering column follows Dantzig's rule
 degenerate pivots it follows Bland's rule (lowest index, ratio ties by lowest
 basic index) until the next nondegenerate pivot, so the method terminates
 (Bland, Math. Oper. Res. 2(2), 1977). Nothing is random, so identical
-inputs produce bitwise-identical reports. Statuses are decided on the equilibrated rows,
+inputs produce bitwise-identical reports. The reduced costs are the last row
+of the tableau array, so each pivot is one in-place rank-1 update of rows and
+costs together. Statuses are decided on the equilibrated rows,
 each held to lp_feas * max(1, |b_i|) with b_i its own right-hand side, so
 neither the row scale nor the variable bounds move the threshold: phase 1
 reports "infeasible" when an artificial ends above it. The final point is
@@ -131,7 +133,10 @@ class SolveReport:
     residuals: dict = field(default_factory=dict)
     iterations: int = 0
     farkas: FarkasCertificate | None = None
-    duals: np.ndarray | None = None  # row duals: [ineq..., eq...] in input order
+    # Row duals y, [ineq..., eq...] in input order, of an "optimal" solve:
+    # cost = A'y + r, r the bound multipliers (lower minus upper);
+    # duality.solve_primal reads an LP's KKT multipliers from them.
+    duals: np.ndarray | None = None
 
 
 class LPFailure(RuntimeError):
@@ -139,23 +144,34 @@ class LPFailure(RuntimeError):
     about the question it was asked."""
 
 
-def verify_farkas(problem: LPProblem, cert: FarkasCertificate, tol: float = 1e-7) -> bool:
-    """Independent sign check of an infeasibility certificate."""
+def verify_farkas(problem: LPProblem, cert: FarkasCertificate,
+                  tol: float | None = None) -> bool:
+    """Independent sign check of an infeasibility certificate, read relative
+    to the size of the certificate's own terms, so that neither the rows' nor
+    the variables' scale moves it. Each entry of the combination of left-hand
+    sides must vanish within tol times the sum of its terms' magnitudes (tol
+    defaults to Tolerances.farkas). The combination of right-hand sides must
+    be positive beyond the rounding bound of its own sum, k * eps times the
+    sum of its k terms' magnitudes (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 4.2): a translated problem's terms
+    cancel to a right-hand side many orders below their size. A bound
+    multiplier on an infinite bound makes the right-hand side -inf.
+    """
+    tol = default_tolerances().farkas if tol is None else tol
     if np.any(cert.y_ineq < -tol) or np.any(cert.y_lower < -tol) or np.any(cert.y_upper < -tol):
         return False
-    n = problem.nvars
-    combo = cert.y_ineq @ problem.ineq_lhs if cert.y_ineq.size else np.zeros(n)
-    if cert.y_eq.size:
-        combo = combo + cert.y_eq @ problem.eq_lhs
-    combo = combo + cert.y_lower - cert.y_upper
-    rhs = float(cert.y_ineq @ problem.ineq_rhs) if cert.y_ineq.size else 0.0
-    if cert.y_eq.size:
-        rhs += float(cert.y_eq @ problem.eq_rhs)
-    finite_lo = np.isfinite(problem.lower)
-    finite_hi = np.isfinite(problem.upper)
-    rhs += float(cert.y_lower[finite_lo] @ problem.lower[finite_lo])
-    rhs -= float(cert.y_upper[finite_hi] @ problem.upper[finite_hi])
-    return bool(np.max(np.abs(combo)) <= tol and rhs > tol)
+    combo = cert.y_ineq @ problem.ineq_lhs + cert.y_eq @ problem.eq_lhs \
+        + cert.y_lower - cert.y_upper
+    size = np.abs(cert.y_ineq) @ np.abs(problem.ineq_lhs) \
+        + np.abs(cert.y_eq) @ np.abs(problem.eq_lhs) \
+        + np.abs(cert.y_lower) + np.abs(cert.y_upper)
+    lo, hi = cert.y_lower != 0.0, cert.y_upper != 0.0
+    terms = np.concatenate([cert.y_ineq * problem.ineq_rhs, cert.y_eq * problem.eq_rhs,
+                            cert.y_lower[lo] * problem.lower[lo],
+                            -cert.y_upper[hi] * problem.upper[hi]])
+    rhs = float(terms.sum())
+    rounding = terms.size * np.finfo(float).eps * float(np.abs(terms).sum())
+    return bool(np.all(np.abs(combo) <= tol * size) and rhs > rounding)
 
 
 # Pricing falls back from Dantzig's rule to Bland's lowest-index rule after
@@ -196,9 +212,10 @@ def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
     slack = nz + np.arange(n_in)
     art = nz + n_in + np.arange(art_rows.size)
     f = sigma * rho
-    T = np.zeros((m, nz + n_in + art.size))
-    T[:, :n] = A * f[:, None] * sign
-    T[:, n:nz] = -T[:, free]
+    # Row m is reserved for the reduced costs, which pivot with the rows.
+    T = np.zeros((m + 1, nz + n_in + art.size))
+    T[:m, :n] = A * f[:, None] * sign
+    T[:m, n:nz] = -T[:m, free]
     T[np.arange(n_in), slack] = -sigma[:n_in]
     T[art_rows, art] = 1.0
     basis = nz + np.arange(m)
@@ -212,7 +229,7 @@ def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
     # lp_feas relative to its own right-hand side, whatever the bounds.
     feas_tol = tols.lp_feas * np.maximum(1.0, np.abs(b * rho))
 
-    T0 = T.copy()  # the pivots overwrite T
+    T0 = T[:m].copy()  # the pivots overwrite T
     rep = _two_phase(T, sigma * r, basis, upper, cost, art, feas_tol[art_rows],
                      tols, limits)
     out = SolveReport(status=rep["status"], iterations=rep["iterations"])
@@ -263,14 +280,17 @@ def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
 
 
 def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
-    """Bounded-variable two-phase simplex on T z = xb, 0 <= z <= upper.
+    """Bounded-variable two-phase simplex on T[:-1] z = xb, 0 <= z <= upper.
 
-    The columns `basis` hold the identity, and `art` are the artificial
-    columns, each held to its entry of feas_tol in phase 1. Returns the row
-    duals y = c_B B^-1 of the phase that decided the status, read off the
-    reduced costs of the starting basis columns.
+    The last row of T holds the reduced costs of the current phase, so that
+    one rank-1 update per pivot moves the rows and the costs together. The
+    columns `basis` hold the identity, and `art` are the artificial columns,
+    each held to its entry of feas_tol in phase 1. Returns the row duals
+    y = c_B B^-1 of the phase that decided the status, read off the reduced
+    costs of the starting basis columns.
     """
     start = basis.copy()
+    rows, d = T[:-1], T[-1]
     # Nonbasic columns sit at zero (-1: may increase) or at their upper bound
     # (+1: may decrease); 0 marks basic columns and columns fixed at zero.
     sgn = np.where(upper > 0.0, -1.0, 0.0)
@@ -280,8 +300,8 @@ def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
         # Phase 1: minimize the sum of the artificials.
         c1 = np.zeros(T.shape[1])
         c1[art] = 1.0
-        d = c1 - c1[basis] @ T
-        status, iters = _simplex_loop(T, d, xb, basis, upper, sgn, tols,
+        d[:] = c1 - c1[basis] @ rows
+        status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols,
                                       limits.simplex_iters, iters)
         if status != "optimal":
             return {"status": status, "iterations": iters}
@@ -296,8 +316,8 @@ def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
         upper[art] = 0.0
         sgn[art] = 0.0
 
-    d = cost - cost[basis] @ T
-    status, iters = _simplex_loop(T, d, xb, basis, upper, sgn, tols,
+    d[:] = cost - cost[basis] @ rows
+    status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols,
                                   limits.simplex_iters, iters)
     if status != "optimal":
         return {"status": status, "iterations": iters}
@@ -306,29 +326,35 @@ def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
             "opt_resid": float(max(0.0, (d * sgn).max(initial=0.0)))}
 
 
-def _simplex_loop(T, d, xb, basis, upper, sgn, tols, max_iters, iters):
-    """Minimize over 0 <= z <= upper from the basis `basis` with values xb.
+def _simplex_loop(T, xb, basis, upper, sgn, tols, max_iters, iters):
+    """Minimize over 0 <= z <= upper from the basis `basis` with values xb;
+    the last row of T is the reduced-cost row d.
 
     The entering column has the largest reduced-cost violation d * sgn
     (Dantzig), lowest index on ties; it either flips to its other bound or
-    pivots in.
+    pivots in. A pivot is one in-place rank-1 update of all of T, rows and
+    d alike, through a product buffer allocated once per call.
     """
-    m, ncols = T.shape
+    m, ncols = T.shape[0] - 1, T.shape[1]
     if ncols == 0:
         return "optimal", iters
+    d = T[m]
     ub = upper[basis]
     ratio = np.empty(m)
+    score = np.empty(ncols)
+    piv = np.empty(ncols)
+    prod = np.empty_like(T)
     degenerate = 0
     while True:
-        score = d * sgn
+        np.multiply(d, sgn, out=score)
         bland = degenerate >= _BLAND_AFTER
         # Bland: the first eligible column; Dantzig: the first largest score.
-        col = int(np.argmax(score > tols.lp_pivot) if bland else np.argmax(score))
+        col = int((score > tols.lp_pivot).argmax() if bland else score.argmax())
         if score[col] <= tols.lp_pivot:
             return "optimal", iters
         if iters >= max_iters:
             return "iteration-cap", iters
-        alpha = T[:, col] * -sgn[col]  # xb(t) = xb - t alpha
+        alpha = T[:m, col] * -sgn[col]  # xb(t) = xb - t alpha
         ratio.fill(np.inf)
         np.divide(np.maximum(xb, 0.0), alpha, out=ratio, where=alpha > tols.lp_pivot)
         np.divide(np.minimum(xb - ub, 0.0), alpha, out=ratio, where=alpha < -tols.lp_pivot)
@@ -342,7 +368,7 @@ def _simplex_loop(T, d, xb, basis, upper, sgn, tols, max_iters, iters):
             degenerate = 0
             continue
         tie = tols.lp_pivot * max(1.0, step)
-        ties = np.flatnonzero(ratio <= step + tie)
+        ties = (ratio <= step + tie).nonzero()[0]
         if ties.size == 1:
             row = int(ties[0])
         elif bland:
@@ -357,15 +383,11 @@ def _simplex_loop(T, d, xb, basis, upper, sgn, tols, max_iters, iters):
         sgn[col] = 0.0
         basis[row] = col
         ub[row] = upper[col]
-        _pivot(T, d, row, col)
+        np.divide(T[row], T[row, col], out=piv)
+        np.multiply(T[:, col, None], piv, out=prod)
+        T -= prod
+        T[row] = piv
         degenerate = degenerate + 1 if step <= tie else 0
-
-
-def _pivot(T, d, row, col):
-    piv = T[row] / T[row, col]
-    T -= np.outer(T[:, col], piv)
-    T[row] = piv
-    d -= d[col] * piv
 
 
 # ---------------------------------------------------------------------------

@@ -457,6 +457,82 @@ class TestDualOracles:
             assert abs(dual.value - v) <= 1e-7 * max(1.0, abs(v))
 
 
+def cone_kkt_residual(prog, rep):
+    """kkt_residual for any constraint cone C = {v : A v >= 0} = cone(rows of
+    W): -g(x) in C, y* in C* (W y* >= 0) and <y*, g(x)> = 0."""
+    x, mu = rep.x, rep.multipliers
+    gx = prog.G @ x + prog.g0
+    grad = prog.q + prog.G.T @ mu.y - mu.x1 + mu.x2
+    viol = [np.max(prog.x_lo - x), np.max(x - prog.x_hi),
+            np.max(prog.cone_y.halfspaces @ gx), -np.min(prog.cone_y.generators @ mu.y),
+            -np.min(mu.x1), -np.min(mu.x2), abs(mu.y @ gx),
+            np.max(np.abs(mu.x1 * (x - prog.x_lo))),
+            np.max(np.abs(mu.x2 * (prog.x_hi - x)))]
+    if prog.k:
+        grad += prog.H.T @ mu.z
+        viol.append(np.max(np.abs(prog.H @ x + prog.h0)))
+    return float(max(viol + [np.max(np.abs(grad))]))
+
+
+class TestLPMultipliersFromSimplex:
+    """An LP's KKT multipliers are read off the simplex's row duals: the
+    active-set method never runs on it, and its iterations are the pivots."""
+
+    @pytest.fixture
+    def no_active_set(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the active-set QP ran on an LP")
+        monkeypatch.setattr(duality, "_active_set_qp", refuse)
+
+    @staticmethod
+    def check(prog, e, residual=kkt_residual):
+        primal = solve_primal(prog)
+        assert primal.status == "optimal"
+        assert residual(prog, primal) <= 1e-9
+        assert primal.iterations == duality._feasible_set_lp(
+            prog, prog.q, duality.DEFAULT_LIMITS).iterations
+        rep = duality_gap_report(prog, e)
+        assert rep.primal_status == rep.dual_status == "optimal"
+        assert abs(rep.gap) <= 1e-9
+
+    @pytest.mark.parametrize("n_max, m_max", [(6, 4), (40, 24)])
+    @pytest.mark.parametrize("with_h", [False, True])
+    def test_random_lps(self, no_active_set, n_max, m_max, with_h):
+        rng = np.random.default_rng([n_max, with_h])
+        for _ in range(15):
+            self.check(*random_box_program(rng, "lp", n_max=n_max, m_max=m_max,
+                                           with_h=with_h))
+
+    def test_general_cone(self, no_active_set):
+        # -g(centre) = the cone's generators times w > 0
+        rng = np.random.default_rng(43)
+        for _ in range(15):
+            prog, _ = random_box_program(rng, "lp", n_max=12, m_max=6)
+            cone = simplicial_cone(rng, prog.m)
+            centre = 0.5 * (prog.x_lo + prog.x_hi)
+            g0 = -(prog.G @ centre) - cone.generators.T @ rng.uniform(0.5, 1.5, prog.m)
+            prog = dataclasses.replace(prog, g0=g0, cone_y=cone)
+            e = cone.generators.sum(axis=0)
+            self.check(prog, e / np.linalg.norm(e), residual=cone_kkt_residual)
+
+    def test_duplicated_equality_row(self, no_active_set):
+        # a dependent equality row stays basic in the simplex at zero
+        rng = np.random.default_rng(44)
+        for _ in range(10):
+            prog, e = random_box_program(rng, "lp", n_max=12, with_h=True)
+            prog = dataclasses.replace(prog, H=np.vstack([prog.H, prog.H]),
+                                       h0=np.concatenate([prog.h0, prog.h0]))
+            self.check(prog, e)
+
+    def test_quadratic_runs_the_active_set(self, monkeypatch):
+        calls = []
+        active_set = duality._active_set_qp
+        monkeypatch.setattr(duality, "_active_set_qp",
+                            lambda *a: calls.append(a) or active_set(*a))
+        prog, _ = random_box_program(np.random.default_rng(4), "qp")
+        assert solve_primal(prog).status == "optimal" and len(calls) == 1
+
+
 class TestDualSolve:
     def test_unconstrained_quadratic(self):
         prog = BoxProgram(n=2, Q=np.eye(2), q=[0.0, 0.0], c=0.0,

@@ -12,12 +12,15 @@ a scale-free reference. The copies with bounds at +-1e8, or translated by up
 to 1e8, start the simplex far from the rows' scale; HiGHS solves each of
 them as given.
 """
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from conegen.config import Tolerances
-from conegen.numkernel import LPProblem, solve_lp, verify_farkas
+from conegen.numkernel import FarkasCertificate, LPProblem, solve_lp, verify_farkas
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 KINDS = ("box", "lower", "upper", "free")
@@ -85,13 +88,19 @@ def _family(rng, kind):
     return c, A, b, E, f, lower, upper
 
 
-def _highs(c, A, b, E, f, lower, upper):
+def _highs(c, A, b, E, f, lower, upper, duals=False):
+    """HiGHS's status and value; with duals, also its row marginals in
+    solve_lp's convention: y >= 0 on the rows A x >= b (HiGHS reads them as
+    -A x <= -b, so the sign flips) and y on E x = f, both d value / d rhs."""
     # HiGHS's presolve reports some unbounded instances of the family as
     # infeasible; its simplex without presolve reports them as unbounded.
     res = linprog(c, A_ub=-A, b_ub=-b, A_eq=E if E.size else None,
                   b_eq=f if E.size else None, bounds=list(zip(lower, upper)),
                   method="highs", options={"presolve": False})
-    return HIGHS_STATUS[res.status], res.fun
+    if not duals:
+        return HIGHS_STATUS[res.status], res.fun
+    y_eq = res.eqlin.marginals if E.size else np.zeros(0)
+    return HIGHS_STATUS[res.status], res.fun, np.concatenate([-res.ineqlin.marginals, y_eq])
 
 
 def _check(problem, status, value):
@@ -136,6 +145,59 @@ def test_scaled_infeasible_rows(scale):
     rep = solve_lp(p)
     assert rep.status == "infeasible"
     assert verify_farkas(p, rep.farkas)
+
+
+@pytest.mark.parametrize("log_s", range(-8, 9, 2))
+def test_farkas_certificate_under_variable_scaling(log_s):
+    """min 0 s.t. s x1 + s x2 >= 3, 0 <= x <= 1/s has no point (s x1 + s x2 <= 2)
+    whatever s is; the certificate's right-hand side is about 1/s, so it is
+    only read against the size of its own terms. Row scales of 10^-8 to 10^8
+    on top change nothing either."""
+    s = 10.0 ** log_s
+    for r in (1e-8, 1.0, 1e8):
+        p = LPProblem(cost=[0.0, 0.0], ineq_lhs=[[r * s, r * s]], ineq_rhs=[3.0 * r],
+                      lower=[0.0, 0.0], upper=[1.0 / s, 1.0 / s])
+        rep = solve_lp(p)
+        assert rep.status == "infeasible"
+        assert verify_farkas(p, rep.farkas)
+
+
+def test_farkas_certificates_of_scaled_families():
+    """The infeasible family with every variable scaled by s = 10^-8 ... 10^8
+    and each row by 10^-8, 1 or 10^8: "infeasible", and the certificate
+    verifies."""
+    rng = np.random.default_rng(2)
+    for _ in range(15):
+        c, A, b, E, f, lower, upper = _family(rng, "infeasible")
+        for log_s in range(-8, 9, 4):
+            s = 10.0 ** log_s
+            r = 10.0 ** rng.choice([-8, 0, 8], size=A.shape[0])
+            p = LPProblem(cost=c * s, ineq_lhs=A * s * r[:, None], ineq_rhs=b * r,
+                          eq_lhs=E * s, eq_rhs=f, lower=lower / s, upper=upper / s)
+            rep = solve_lp(p)
+            assert rep.status == "infeasible"
+            assert verify_farkas(p, rep.farkas)
+
+
+def test_farkas_rejects_empty_and_invalid_certificates():
+    """An all-zero certificate proves nothing; neither does a multiplier on an
+    infinite bound, nor a combination that does not vanish."""
+    p = LPProblem(cost=[0.0, 0.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[3.0],
+                  lower=[0.0, -np.inf], upper=[1.0, 1.0])
+    zero = FarkasCertificate(y_ineq=np.zeros(1), y_eq=np.zeros(0),
+                             y_lower=np.zeros(2), y_upper=np.zeros(2))
+    assert not verify_farkas(p, zero)
+    # x1 <= 1 and x2 <= 1 give x1 + x2 <= 2 < 3: a valid certificate
+    good = FarkasCertificate(y_ineq=np.ones(1), y_eq=np.zeros(0),
+                             y_lower=np.zeros(2), y_upper=np.ones(2))
+    assert verify_farkas(p, good)
+    # 2 (x1 + x2 >= 3) + (x2 >= -inf) - 2 (x1 <= 1) - 3 (x2 <= 1): the
+    # left-hand sides cancel, and the right-hand side is 6 - 2 - 3 - inf
+    on_infinite_bound = FarkasCertificate(
+        y_ineq=np.array([2.0]), y_eq=np.zeros(0), y_lower=np.array([0.0, 1.0]),
+        y_upper=np.array([2.0, 3.0]))
+    assert not verify_farkas(p, on_infinite_bound)
+    assert not verify_farkas(p, dataclasses.replace(good, y_upper=np.array([1.0, 0.5])))
 
 
 def test_far_bound_does_not_loosen_feasibility():
@@ -209,3 +271,47 @@ def test_determinism_bitwise_box_lp():
     assert r1.status == r2.status == "optimal"
     assert r1.point.tobytes() == r2.point.tobytes()
     assert r1.value == r2.value and r1.iterations == r2.iterations
+
+
+def test_duals_match_highs_marginals():
+    """On nondegenerate optima (exactly n active rows, equalities and bounds,
+    each with a nonzero multiplier) the row duals are unique, and solve_lp's
+    match HiGHS's marginals."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        c, A, b, E, f, lower, upper = _family(rng, "feasible")
+        status, value, y_ref = _highs(c, A, b, E, f, lower, upper, duals=True)
+        rep = solve_lp(LPProblem(cost=c, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=f,
+                                 lower=lower, upper=upper))
+        assert rep.status == status == "optimal"
+        x, y_ineq = rep.point, rep.duals[:A.shape[0]]
+        rows = np.abs(A @ x - b) <= 1e-9 * (1.0 + np.abs(b))
+        bounds = (np.abs(x - lower) <= 1e-9) | (np.abs(x - upper) <= 1e-9)
+        r = c - A.T @ y_ineq - E.T @ rep.duals[A.shape[0]:]
+        assert rows.sum() + bounds.sum() + E.shape[0] == c.size
+        assert np.all(y_ineq[rows] > 1e-9) and np.all(np.abs(r[bounds]) > 1e-9)
+        np.testing.assert_allclose(rep.duals, y_ref, rtol=1e-9, atol=1e-9)
+
+
+# solve_lp(_box_lp(n, 0)): the iterations, the value's hex and the sha256 of
+# the duals' bytes. Any change to the pivot rules, or to the floating-point
+# operations of a pivot, shows here. Recorded with numpy 2.4.6 and its
+# OpenBLAS on x86-64, with 1 and 2 BLAS threads alike.
+BOX_LP_PINS = {
+    10: (24, "-0x1.ef0f0542731e5p+2",
+         "25e889173aa474bbbb5d11015a9e8e344d2bdb4c1f12f780896066d197894567"),
+    20: (51, "-0x1.0e18cf04d0777p+2",
+         "05e176dcaba4122d4812aa04f4945cbdc4bcf80c1ea64ed1e2b426cfa5cfd57d"),
+    40: (150, "-0x1.780b7ae35f40bp+4",
+         "a339f33033b96ad33abc07eb4803a915116389597371baee9a5fcc763ef21e7a"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(BOX_LP_PINS))
+def test_box_lp_pivots_pinned(n):
+    iterations, value, duals = BOX_LP_PINS[n]
+    rep = solve_lp(_box_lp(n, 0))
+    assert rep.status == "optimal"
+    assert rep.iterations == iterations
+    assert rep.value == float.fromhex(value)
+    assert hashlib.sha256(rep.duals.tobytes()).hexdigest() == duals
