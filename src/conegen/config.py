@@ -25,10 +25,12 @@ class Tolerances:
                     "numerical", not "optimal"
     lp_pivot        simplex pivot and reduced-cost threshold, and the ratio-test
                     tie threshold relative to max(1, step)
-    farkas          verify_farkas: each entry of the combination of left-hand
-                    sides vanishes within farkas times the sum of its terms'
-                    magnitudes, and no sign-constrained multiplier is below
-                    -farkas
+    farkas          verify_farkas: no sign-constrained multiplier is below
+                    -farkas times the largest |multiplier|, and on a variable
+                    with an infinite bound the combination of left-hand sides
+                    vanishes within farkas times the sum of its terms'
+                    magnitudes (a boxed variable's leftover is charged to the
+                    right-hand side instead)
     rank_margin     required gap L - L_f before penalty equivalence is attempted
     gradient_map    stopping norm of the projected-gradient mapping
     kkt             KKT residual bound of an "optimal" primal, relative to

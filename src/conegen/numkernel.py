@@ -146,32 +146,53 @@ class LPFailure(RuntimeError):
 
 def verify_farkas(problem: LPProblem, cert: FarkasCertificate,
                   tol: float | None = None) -> bool:
-    """Independent sign check of an infeasibility certificate, read relative
-    to the size of the certificate's own terms, so that neither the rows' nor
-    the variables' scale moves it. Each entry of the combination of left-hand
-    sides must vanish within tol times the sum of its terms' magnitudes (tol
-    defaults to Tolerances.farkas). The combination of right-hand sides must
-    be positive beyond the rounding bound of its own sum, k * eps times the
+    """Independent check of an infeasibility certificate, read relative to the
+    size of the certificate's own terms, so that neither the rows' nor the
+    variables' scale moves it; tol defaults to Tolerances.farkas.
+
+    Every feasible x satisfies combo @ x >= rhs, combo and rhs the
+    combinations of the left- and right-hand sides, so the certificate holds
+    when rhs exceeds the largest combo @ x can be over the bounds. A
+    sign-constrained multiplier below -tol times the largest |multiplier|
+    rejects the certificate; the smaller negative ones count as zero. On a
+    variable boxed on both sides, the leftover combo_j, widened by the
+    rounding of its own sum, is charged to the right-hand side at
+    max(|l_j|, |u_j|). On a variable with an infinite bound nothing bounds
+    the leftover, so combo_j must vanish within tol times the sum of its
+    terms' magnitudes: the simplex's multipliers leave up to about 1e-13 of
+    that size there. Such a certificate proves infeasible a problem whose
+    coefficients in those columns differ from the given ones by at most tol
+    relative (a backward-error statement). The right-hand side must then be
+    positive beyond the rounding bound of its own sum, k * eps times the
     sum of its k terms' magnitudes (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., sec. 4.2): a translated problem's terms
     cancel to a right-hand side many orders below their size. A bound
     multiplier on an infinite bound makes the right-hand side -inf.
     """
     tol = default_tolerances().farkas if tol is None else tol
-    if np.any(cert.y_ineq < -tol) or np.any(cert.y_lower < -tol) or np.any(cert.y_upper < -tol):
+    signed = np.concatenate([cert.y_ineq, cert.y_lower, cert.y_upper])
+    if np.any(signed < -tol * np.abs(np.concatenate([signed, cert.y_eq])).max(initial=0.0)):
         return False
-    combo = cert.y_ineq @ problem.ineq_lhs + cert.y_eq @ problem.eq_lhs \
-        + cert.y_lower - cert.y_upper
-    size = np.abs(cert.y_ineq) @ np.abs(problem.ineq_lhs) \
-        + np.abs(cert.y_eq) @ np.abs(problem.eq_lhs) \
-        + np.abs(cert.y_lower) + np.abs(cert.y_upper)
-    lo, hi = cert.y_lower != 0.0, cert.y_upper != 0.0
-    terms = np.concatenate([cert.y_ineq * problem.ineq_rhs, cert.y_eq * problem.eq_rhs,
-                            cert.y_lower[lo] * problem.lower[lo],
-                            -cert.y_upper[hi] * problem.upper[hi]])
+    y_ineq, y_lower, y_upper = (np.maximum(y, 0.0)
+                                for y in (cert.y_ineq, cert.y_lower, cert.y_upper))
+    combo = y_ineq @ problem.ineq_lhs + cert.y_eq @ problem.eq_lhs + y_lower - y_upper
+    size = y_ineq @ np.abs(problem.ineq_lhs) + np.abs(cert.y_eq) @ np.abs(problem.eq_lhs) \
+        + y_lower + y_upper
+    eps = np.finfo(float).eps
+    boxed = np.isfinite(problem.lower) & np.isfinite(problem.upper)
+    if np.any(np.abs(combo[~boxed]) > tol * size[~boxed]):
+        return False
+    # combo_j sums m + 2 terms; its rounding is charged with it
+    k = problem.ineq_lhs.shape[0] + problem.eq_lhs.shape[0] + 2
+    reach = np.maximum(np.abs(problem.lower[boxed]), np.abs(problem.upper[boxed]))
+    leftover = (np.abs(combo[boxed]) + k * eps * size[boxed]) * reach
+    lo, hi = y_lower != 0.0, y_upper != 0.0
+    terms = np.concatenate([y_ineq * problem.ineq_rhs, cert.y_eq * problem.eq_rhs,
+                            y_lower[lo] * problem.lower[lo],
+                            -y_upper[hi] * problem.upper[hi], -leftover])
     rhs = float(terms.sum())
-    rounding = terms.size * np.finfo(float).eps * float(np.abs(terms).sum())
-    return bool(np.all(np.abs(combo) <= tol * size) and rhs > rounding)
+    rounding = terms.size * eps * float(np.abs(terms).sum())
+    return bool(rhs > rounding)
 
 
 # Pricing falls back from Dantzig's rule to Bland's lowest-index rule after

@@ -181,7 +181,8 @@ def test_farkas_certificates_of_scaled_families():
 
 def test_farkas_rejects_empty_and_invalid_certificates():
     """An all-zero certificate proves nothing; neither does a multiplier on an
-    infinite bound, nor a combination that does not vanish."""
+    infinite bound, a combination that does not vanish, or a certificate of a
+    feasible problem."""
     p = LPProblem(cost=[0.0, 0.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[3.0],
                   lower=[0.0, -np.inf], upper=[1.0, 1.0])
     zero = FarkasCertificate(y_ineq=np.zeros(1), y_eq=np.zeros(0),
@@ -198,6 +199,15 @@ def test_farkas_rejects_empty_and_invalid_certificates():
         y_upper=np.array([2.0, 3.0]))
     assert not verify_farkas(p, on_infinite_bound)
     assert not verify_farkas(p, dataclasses.replace(good, y_upper=np.array([1.0, 0.5])))
+    # x1 + x2 >= 2 on [0, 1]^2 is feasible at (1, 1): a leftover of 1e-10 on
+    # a boxed variable is charged to the right-hand side of 1e-10 it would
+    # buy, and multipliers of -1e-9 are negative at the certificate's scale
+    p = dataclasses.replace(p, ineq_rhs=np.array([2.0]), lower=np.zeros(2))
+    assert not verify_farkas(p, dataclasses.replace(good, y_upper=np.array([1.0, 1.0 - 1e-10])))
+    box = LPProblem(cost=[0.0], lower=[0.0], upper=[1.0])
+    assert not verify_farkas(box, FarkasCertificate(
+        y_ineq=np.zeros(0), y_eq=np.zeros(0), y_lower=np.array([-1e-9]),
+        y_upper=np.array([-1e-9])))
 
 
 def test_far_bound_does_not_loosen_feasibility():
