@@ -9,14 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import demos
-from .config import ENV_TOL
-from .cones import DimensionMismatch, InvalidCone, UnsupportedRepresentation
+from .config import default_tolerances, use_tolerances
+from .cones import (DimensionMismatch, InvalidCone, UnsupportedRepresentation,
+                    coordinate_cone)
 from .gauge import GaugeBody, ambient_comparison
 from .lattice import hausdorff_distance
 from .penalty import (PenaltyInstance, PreconditionViolation,
@@ -153,17 +154,12 @@ def cmd_certify(args) -> int:
     x_bar = _parse_point(args.point)
     objective = VectorObjective(lins=prog.q[None, :], consts=np.array([prog.c]),
                                 quads=[prog.Q] if prog.Q.any() else None)
-    cert = stationarity_certificate(objective, _scalar_cone(), np.ones(1),
+    cert = stationarity_certificate(objective, coordinate_cone(1), np.ones(1),
                                     x_bar, prog.x_lo, prog.x_hi)
     d = cert.to_dict()
     d["command"] = "certify"
     _emit(d, "certified" if d["certified"] else f"refused: {d.get('reason')}")
     return EXIT_OK
-
-
-def _scalar_cone():
-    from .cones import coordinate_cone
-    return coordinate_cone(1)
 
 
 def cmd_hausdorff(args) -> int:
@@ -259,22 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    saved_tol = os.environ.get(ENV_TOL)
+    tols = default_tolerances()
     if args.tol_override is not None:
-        os.environ[ENV_TOL] = repr(args.tol_override)
-    try:
-        return args.fn(args)
-    except (ProblemFormatError, PreconditionViolation, EmptyDomain,
-            InvalidCone, DimensionMismatch, UnsupportedRepresentation,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    finally:
-        # the override holds for this call only, also when main runs in-process
-        if saved_tol is None:
-            os.environ.pop(ENV_TOL, None)
-        else:
-            os.environ[ENV_TOL] = saved_tol
+        tols = replace(tols, membership=args.tol_override)
+    # the override holds for this call only, also when main runs in-process
+    with use_tolerances(tols):
+        try:
+            return args.fn(args)
+        except (ProblemFormatError, PreconditionViolation, EmptyDomain,
+                InvalidCone, DimensionMismatch, UnsupportedRepresentation,
+                ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import default_tolerances, resolve_tol
+from .config import default_tolerances
 from .numkernel import as_vector, independent_rows
 
 
@@ -119,7 +119,7 @@ class PolyhedralCone:
 
     def contains(self, x, tol: float | None = None) -> bool:
         x = as_vector(x, self.dim, "point")
-        tol = resolve_tol(tol)
+        tol = default_tolerances().membership if tol is None else tol
         return bool(np.min(self.halfspaces @ x) >= -tol)
 
     def order_leq(self, x, y, tol: float | None = None) -> bool:

@@ -1,10 +1,9 @@
-"""Centralized tolerances and iteration caps shared by every module."""
+"""Centralized tolerances shared by every module, and the scope that sets them."""
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, replace
-
-ENV_TOL = "CONEGEN_TOL"
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,9 @@ class Tolerances:
                     magnitudes (a boxed variable's leftover is charged to the
                     right-hand side instead)
     rank_margin     required gap L - L_f before penalty equivalence is attempted
-    gradient_map    stopping norm of the projected-gradient mapping
+    gradient_map    stopping norm of the projected-gradient mapping; the VI
+                    demo's bounds are active within it, the accuracy its
+                    projected-gradient point was found to
     kkt             KKT residual bound of an "optimal" primal, relative to
                     max(1, ||grad f(x)||_inf)
     qp_step         active-set QP, X the largest |bound| of the box: a step p is
@@ -52,8 +53,6 @@ class Tolerances:
                     to qp_curv times the largest |entry| of its linear terms
     qp_sign         active-set QP: a working row's multiplier is negative below
                     -qp_sign * max(||Q||_F * X, ||q||_inf) / ||a||
-    fd_step         step of finite-difference validation of directional derivatives
-    fd_check        tolerance of that validation (absorbs kink proximity)
     gap_assert      duality-gap bound asserted under the modified Slater condition
     h_margin        the Slater check's h-solution is strictly inside the box only
                     at a depth above h_margin, in units of each coordinate's
@@ -63,7 +62,6 @@ class Tolerances:
                     up to its row residuals, and the floor keeps lambda finite
     active_bound    a stationarity certificate's point is outside the box beyond
                     active_bound, and a box bound is active within it
-    weak_duality    slack allowed in the weak-duality inequality
     coincident      sample points this close are one point (rank +inf if their
                     values differ); also the floor of the rank's pair distances
     rank_slack      measured rank may exceed a declared one by rank_slack * membership
@@ -86,13 +84,10 @@ class Tolerances:
     qp_step: float = 1e-12
     qp_curv: float = 1e-10
     qp_sign: float = 1e-9
-    fd_step: float = 1e-5
-    fd_check: float = 1e-4
     gap_assert: float = 1e-5
     h_margin: float = 1e-9
     slater_floor: float = 1e-300
     active_bound: float = 1e-9
-    weak_duality: float = 1e-9
     coincident: float = 1e-15
     rank_slack: float = 1e3
     unit_norm: float = 1e-9
@@ -102,23 +97,22 @@ class Tolerances:
     grid_match: float = 1e-12
 
 
-@dataclass(frozen=True)
-class SolverLimits:
-    simplex_iters: int = 20_000
-    active_set_iters: int = 2_000
-    pg_iters: int = 200_000
+DEFAULT_TOLERANCES = Tolerances()   # frozen: one instance serves every caller
+_IN_FORCE: ContextVar[Tolerances] = ContextVar("conegen_tolerances",
+                                               default=DEFAULT_TOLERANCES)
 
 
 def default_tolerances() -> Tolerances:
-    """Default tolerances; CONEGEN_TOL (absolute, numeric) overrides membership."""
-    env = os.environ.get(ENV_TOL)
-    return DEFAULT_TOLERANCES if env is None else \
-        replace(DEFAULT_TOLERANCES, membership=float(env))
+    """The tolerances in force: DEFAULT_TOLERANCES outside any use_tolerances."""
+    return _IN_FORCE.get()
 
 
-DEFAULT_TOLERANCES = Tolerances()   # frozen: one instance serves every caller
-DEFAULT_LIMITS = SolverLimits()
-
-
-def resolve_tol(tol: float | None) -> float:
-    return default_tolerances().membership if tol is None else float(tol)
+@contextmanager
+def use_tolerances(tols: Tolerances):
+    """Put tols in force for the body of a with, restoring the previous
+    tolerances on exit, also when the body raises."""
+    token = _IN_FORCE.set(tols)
+    try:
+        yield
+    finally:
+        _IN_FORCE.reset(token)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import default_tolerances
 from .cones import coordinate_cone
 from .duality import (BoxProgram, VectorObjective, duality_gap_report,
                       stationarity_certificate)
@@ -106,8 +107,9 @@ def run_vi_demo(seed: int = 0, n: int = 6) -> VIResult:
     # linearized objective at the solution: F(x) = diag(v) (x - x_bar)
     objective = VectorObjective(lins=np.diag(v), consts=-v * x_bar)
     e = np.ones(n)  # unit vector of the weighted L2 norm: sum w_i = 1
-    cert = stationarity_certificate(objective, coordinate_cone(n), e,
-                                    x_bar, x_lo, x_hi, active_tol=1e-7)
+    # a bound is active within the accuracy the projected gradient stopped at
+    cert = stationarity_certificate(objective, coordinate_cone(n), e, x_bar, x_lo,
+                                    x_hi, active_tol=default_tolerances().gradient_map)
     certified = cert.to_dict().get("certified", False)
     return VIResult(point=x_bar, operator_value=v,
                     certificate=cert.to_dict(), certified=certified)

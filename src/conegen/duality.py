@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, SolverLimits, Tolerances, default_tolerances
+from .config import Tolerances, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
 from .numkernel import (FarkasCertificate, LPFailure, LPProblem, as_vector,
                         independent_rows, solve_lp)
@@ -319,14 +319,14 @@ def _constraint_rows(prog: BoxProgram):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def _feasible_set_lp(prog: BoxProgram, cost, limits: SolverLimits):
+def _feasible_set_lp(prog: BoxProgram, cost):
     """min cost'x over the feasible set, by simplex."""
     gA, gb = prog._ineq_rows()
     return solve_lp(LPProblem(
         cost=cost, ineq_lhs=None if gA.shape[0] == 0 else -gA,
         ineq_rhs=None if gA.shape[0] == 0 else -gb,
         eq_lhs=prog.H, eq_rhs=None if prog.k == 0 else -prog.h0,
-        lower=prog.x_lo, upper=prog.x_hi), limits=limits)
+        lower=prog.x_lo, upper=prog.x_hi))
 
 
 def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers) -> float:
@@ -353,8 +353,10 @@ def _gated(prog: BoxProgram, x: np.ndarray, mult: Multipliers,
                         prog.objective(x), mult, res, iterations)
 
 
-def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
-                   limits: SolverLimits) -> PrimalResult:
+ACTIVE_SET_CAP = 2_000   # active-set steps before "iteration-cap"
+
+
+def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     """Primal active-set method for a nonzero PSD Q over polyhedral
     constraints, with null-space steps (Nocedal & Wright, *Numerical
     Optimization*, 2nd ed., ch. 16), from the feasible point x0.
@@ -387,7 +389,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
     E = E[eq_rows]
     work = np.zeros(A.shape[0], dtype=bool)
     at_min = False
-    for it in range(limits.active_set_iters):
+    for it in range(ACTIVE_SET_CAP):
         grad = prog.gradient(x)
         free = np.flatnonzero(~(work[:n] | work[n:2 * n]))
         rows = np.flatnonzero(work[2 * n:]) + 2 * n
@@ -434,7 +436,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray,
         at_min = newton and blocker is None
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
-                        _kkt_residual(prog, x, mult), limits.active_set_iters)
+                        _kkt_residual(prog, x, mult), ACTIVE_SET_CAP)
 
 
 def _ratio_test(A, b, x, p, alpha_max, work, norms, rate_tol):
@@ -466,8 +468,7 @@ def _multipliers_from_rows(prog: BoxProgram, rows, lam, z) -> Multipliers:
     return Multipliers(y=y, x1=x1, x2=x2, z=z)
 
 
-def solve_primal(prog: BoxProgram,
-                 limits: SolverLimits = DEFAULT_LIMITS) -> PrimalResult:
+def solve_primal(prog: BoxProgram) -> PrimalResult:
     """Minimize over the feasible set; exact on convex quadratics.
 
     An LP (Q = 0) is solved by the simplex, and its multipliers are the
@@ -482,12 +483,12 @@ def solve_primal(prog: BoxProgram,
     a quadratic, the active-set steps.
     """
     lp = not prog.Q.any()
-    rep = _feasible_set_lp(prog, prog.q if lp else np.zeros(prog.n), limits)
+    rep = _feasible_set_lp(prog, prog.q if lp else np.zeros(prog.n))
     if rep.status != "optimal":
         return PrimalResult(rep.status, None, None, None, None,
                             rep.iterations, farkas=rep.farkas)
     if not lp:
-        result = _active_set_qp(prog, rep.point, limits)
+        result = _active_set_qp(prog, rep.point)
         result.iterations += rep.iterations
         return result
     x, n_cone = rep.point, rep.duals.size - prog.k
@@ -515,8 +516,7 @@ class DualResult:
         return self.status == "iteration-cap"
 
 
-def solve_dual(prog: BoxProgram, primal: PrimalResult | None = None,
-               limits: SolverLimits = DEFAULT_LIMITS) -> DualResult:
+def solve_dual(prog: BoxProgram, primal: PrimalResult | None = None) -> DualResult:
     """The dual function at the primal's KKT multipliers.
 
     Every constraint is affine, so a minimizer has KKT multipliers with no
@@ -528,7 +528,7 @@ def solve_dual(prog: BoxProgram, primal: PrimalResult | None = None,
     """
     iterations = 0
     if primal is None:
-        primal = solve_primal(prog, limits)
+        primal = solve_primal(prog)
         iterations = primal.iterations
     mult = zero_multipliers(prog) if primal.multipliers is None else primal.multipliers
     value = dual_value(prog, mult)
@@ -586,8 +586,7 @@ class GapReport:
         return d
 
 
-def duality_gap_report(prog: BoxProgram, e=None,
-                       limits: SolverLimits = DEFAULT_LIMITS) -> GapReport:
+def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
     """Primal value, and the dual value at the primal's KKT multipliers; the
     gap is asserted only under modified Slater."""
     tols = default_tolerances()
@@ -596,12 +595,12 @@ def duality_gap_report(prog: BoxProgram, e=None,
         e = e / np.linalg.norm(e)
     slater = check_modified_slater(prog, e) if prog.m else \
         check_modified_slater(prog, None)
-    primal = solve_primal(prog, limits)
+    primal = solve_primal(prog)
     if primal.status != "optimal":
         return GapReport(primal.status, None, None, None, slater, None, None,
                          gap_asserted=False, gap_ok=True,
                          kkt_residual=primal.kkt_residual)
-    dual = solve_dual(prog, primal, limits)
+    dual = solve_dual(prog, primal)
     dual.multipliers.validate(prog)
     gap = primal.value - dual.value
     asserted = bool(slater.satisfied)

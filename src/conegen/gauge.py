@@ -48,10 +48,6 @@ class GaugeBody:
         return self.cone.halfspace_values(x) / self._hu
 
 
-def order_interval_gauge(body: GaugeBody, x) -> float:
-    return body.gauge(x)
-
-
 def minkowski_gauge(body_vertices, x) -> float:
     """Gauge inf{lam > 0 : x/lam in conv(body_vertices)} via one LP.
 

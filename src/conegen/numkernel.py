@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, SolverLimits, Tolerances, default_tolerances
+from .config import default_tolerances
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
@@ -199,11 +199,12 @@ def verify_farkas(problem: LPProblem, cert: FarkasCertificate,
 # this many consecutive degenerate pivots, and returns to Dantzig after the
 # next nondegenerate one. A degenerate run under Bland's rule cannot cycle.
 _BLAND_AFTER = 20
+# Pivots (bound flips included) over both phases before "iteration-cap".
+SIMPLEX_CAP = 20_000
 
 
-def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
-             limits: SolverLimits = DEFAULT_LIMITS) -> SolveReport:
-    tols = tols or default_tolerances()
+def solve_lp(problem: LPProblem) -> SolveReport:
+    tols = default_tolerances()
     n, n_in = problem.nvars, problem.ineq_lhs.shape[0]
     A = np.concatenate([problem.ineq_lhs, problem.eq_lhs])
     b = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
@@ -251,8 +252,7 @@ def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
     feas_tol = tols.lp_feas * np.maximum(1.0, np.abs(b * rho))
 
     T0 = T[:m].copy()  # the pivots overwrite T
-    rep = _two_phase(T, sigma * r, basis, upper, cost, art, feas_tol[art_rows],
-                     tols, limits)
+    rep = _two_phase(T, sigma * r, basis, upper, cost, art, feas_tol[art_rows], tols)
     out = SolveReport(status=rep["status"], iterations=rep["iterations"])
     if rep["status"] not in ("optimal", "infeasible"):
         return out
@@ -300,7 +300,7 @@ def solve_lp(problem: LPProblem, tols: Tolerances | None = None,
     return out
 
 
-def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
+def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols):
     """Bounded-variable two-phase simplex on T[:-1] z = xb, 0 <= z <= upper.
 
     The last row of T holds the reduced costs of the current phase, so that
@@ -322,8 +322,7 @@ def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
         c1 = np.zeros(T.shape[1])
         c1[art] = 1.0
         d[:] = c1 - c1[basis] @ rows
-        status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols,
-                                      limits.simplex_iters, iters)
+        status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols, iters)
         if status != "optimal":
             return {"status": status, "iterations": iters}
         held = np.full(T.shape[1], np.inf)
@@ -338,8 +337,7 @@ def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
         sgn[art] = 0.0
 
     d[:] = cost - cost[basis] @ rows
-    status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols,
-                                  limits.simplex_iters, iters)
+    status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols, iters)
     if status != "optimal":
         return {"status": status, "iterations": iters}
     return {"status": "optimal", "basis": basis, "at_upper": sgn > 0.0,
@@ -347,7 +345,7 @@ def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols, limits):
             "opt_resid": float(max(0.0, (d * sgn).max(initial=0.0)))}
 
 
-def _simplex_loop(T, xb, basis, upper, sgn, tols, max_iters, iters):
+def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
     """Minimize over 0 <= z <= upper from the basis `basis` with values xb;
     the last row of T is the reduced-cost row d.
 
@@ -373,7 +371,7 @@ def _simplex_loop(T, xb, basis, upper, sgn, tols, max_iters, iters):
         col = int((score > tols.lp_pivot).argmax() if bland else score.argmax())
         if score[col] <= tols.lp_pivot:
             return "optimal", iters
-        if iters >= max_iters:
+        if iters >= SIMPLEX_CAP:
             return "iteration-cap", iters
         alpha = T[:m, col] * -sgn[col]  # xb(t) = xb - t alpha
         ratio.fill(np.inf)
@@ -423,20 +421,23 @@ def project_box(x, lower, upper) -> np.ndarray:
     return np.clip(x, lower, upper)
 
 
+PG_CAP = 200_000   # projected-gradient steps before "iteration-cap"
+
+
 def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
                        project: Callable[[np.ndarray], np.ndarray],
                        x0,
                        step: float | Callable[[int], float],
-                       objective: Callable[[np.ndarray], float] | None = None,
-                       tols: Tolerances | None = None,
-                       limits: SolverLimits = DEFAULT_LIMITS) -> SolveReport:
-    """Projected gradient descent; stops at gradient-mapping norm <= tols.gradient_map."""
-    tols = tols or default_tolerances()
+                       objective: Callable[[np.ndarray], float] | None = None
+                       ) -> SolveReport:
+    """Projected gradient descent; stops at gradient-mapping norm <= the
+    tolerances' gradient_map."""
+    gradient_map = default_tolerances().gradient_map
     x = project(np.asarray(x0, dtype=float))
     best_x = x
     best_val = objective(x) if objective is not None else None
     step_at = step if callable(step) else (lambda _k: step)
-    for k in range(limits.pg_iters):
+    for k in range(PG_CAP):
         s = step_at(k)
         x_new = project(x - s * grad(x))
         gm = float(np.linalg.norm(x - x_new) / s)
@@ -446,10 +447,10 @@ def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
                 best_val, best_x = val, x_new
         else:
             best_x = x_new
-        if gm <= tols.gradient_map:
+        if gm <= gradient_map:
             return SolveReport(status="optimal", point=best_x, value=best_val,
                                residuals={"gradient_map": gm}, iterations=k + 1)
         x = x_new
-    gm = float(np.linalg.norm(x - project(x - step_at(limits.pg_iters) * grad(x))))
+    gm = float(np.linalg.norm(x - project(x - step_at(PG_CAP) * grad(x))))
     return SolveReport(status="iteration-cap", point=best_x, value=best_val,
-                       residuals={"gradient_map": gm}, iterations=limits.pg_iters)
+                       residuals={"gradient_map": gm}, iterations=PG_CAP)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import default_tolerances, resolve_tol
+from .config import default_tolerances
 from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
 from .numkernel import as_vector
 
@@ -53,7 +53,7 @@ class SubdifferentialResult:
         return self.rays.shape[0] == 0
 
     def contains(self, z, tol: float | None = None) -> bool:
-        tol = resolve_tol(tol)
+        tol = default_tolerances().membership if tol is None else tol
         z = as_vector(z, self.e.shape[0], "functional")
         if np.min(self.cone.generators @ z) < -tol:
             return False

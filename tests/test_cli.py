@@ -269,37 +269,34 @@ def test_penalize_weighted_norm_refused(capsys, tmp_path):
     assert "norm.weights" in err
 
 
-def test_tol_env_override(monkeypatch):
-    from conegen.config import default_tolerances
+def test_tol_scoped_override(monkeypatch):
+    from conegen.config import DEFAULT_TOLERANCES, Tolerances, default_tolerances, use_tolerances
     from conegen.cones import coordinate_cone
-    monkeypatch.setenv("CONEGEN_TOL", "0.5")
-    assert default_tolerances().membership == 0.5
-    assert coordinate_cone(2).contains([1.0, -0.4])  # loose tolerance
-    monkeypatch.delenv("CONEGEN_TOL")
+    monkeypatch.setenv("CONEGEN_TOL", "0.5")  # no longer read
+    assert default_tolerances() is DEFAULT_TOLERANCES
+    with use_tolerances(Tolerances(membership=0.5)):
+        assert default_tolerances().membership == 0.5
+        assert coordinate_cone(2).contains([1.0, -0.4])  # loose tolerance
     assert not coordinate_cone(2).contains([1.0, -0.4])
 
 
-def test_tol_override_flag(capsys, tmp_path, monkeypatch):
-    import os
-    monkeypatch.delenv("CONEGEN_TOL", raising=False)
+def test_tol_override_flag(capsys, tmp_path):
+    from conegen.config import default_tolerances
     path = tmp_path / "scal.json"
     path.write_text(json.dumps({
         "version": 1, "cone": {"kind": "coordinate", "dim": 2},
         "scalarize": {"e": [1.0, 1.0]},
     }))
-    try:
-        code, report, _ = run_cli(capsys, ["--tol-override", "1e-3", "scalarize",
-                                           "--problem", str(path), "--point", "1,1"])
-        assert code == 0 and report["value"] == pytest.approx(1.0)
-        assert "CONEGEN_TOL" not in os.environ
-    finally:
-        os.environ.pop("CONEGEN_TOL", None)
+    before = default_tolerances()
+    code, report, _ = run_cli(capsys, ["--tol-override", "1e-3", "scalarize",
+                                       "--problem", str(path), "--point", "1,1"])
+    assert code == 0 and report["value"] == pytest.approx(1.0)
+    assert default_tolerances() is before
 
 
-def test_tol_override_ends_with_the_call(capsys, tmp_path, monkeypatch):
+def test_tol_override_ends_with_the_call(capsys, tmp_path):
     # v_1 - v_0 = (-1, 1e-4) lies in -C at tolerance 1e-3 only
-    import os
-    from conegen.config import Tolerances, default_tolerances
+    from conegen.config import Tolerances, default_tolerances, use_tolerances
     path = tmp_path / "pen.json"
     path.write_text(json.dumps({
         "version": 1, "cone": {"kind": "coordinate", "dim": 2},
@@ -307,17 +304,13 @@ def test_tol_override_ends_with_the_call(capsys, tmp_path, monkeypatch):
                     "feasible": [0, 1], "rank": 2.0, "e": [0.6, 0.8]},
     }))
     argv = ["minimal", "--problem", str(path)]
-    for env in (None, "1e-6"):
-        if env is None:
-            monkeypatch.delenv("CONEGEN_TOL", raising=False)
-        else:
-            monkeypatch.setenv("CONEGEN_TOL", env)
-        _, report, _ = run_cli(capsys, ["--tol-override", "1e-3"] + argv)
-        assert report["minimal_indices"] == [1]
-        assert os.environ.get("CONEGEN_TOL") == env
-        _, report, _ = run_cli(capsys, argv)
-        assert report["minimal_indices"] == [0, 1]
-    monkeypatch.delenv("CONEGEN_TOL")
+    for outer in (default_tolerances(), Tolerances(membership=1e-6)):
+        with use_tolerances(outer):
+            _, report, _ = run_cli(capsys, ["--tol-override", "1e-3"] + argv)
+            assert report["minimal_indices"] == [1]
+            assert default_tolerances() is outer
+            _, report, _ = run_cli(capsys, argv)
+            assert report["minimal_indices"] == [0, 1]
     assert default_tolerances() == Tolerances()
 
 

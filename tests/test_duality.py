@@ -475,8 +475,7 @@ class TestLPMultipliersFromSimplex:
         primal = solve_primal(prog)
         assert primal.status == "optimal"
         assert kkt_residual(prog, primal) <= 1e-9
-        assert primal.iterations == duality._feasible_set_lp(
-            prog, prog.q, duality.DEFAULT_LIMITS).iterations
+        assert primal.iterations == duality._feasible_set_lp(prog, prog.q).iterations
         rep = duality_gap_report(prog, e)
         assert rep.primal_status == rep.dual_status == "optimal"
         assert abs(rep.gap) <= 1e-9

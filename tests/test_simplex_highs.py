@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conegen.config import Tolerances
+from conegen.config import Tolerances, use_tolerances
 from conegen.numkernel import FarkasCertificate, LPProblem, solve_lp, verify_farkas
 
 HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
@@ -234,7 +234,8 @@ def test_post_solve_gate():
         assert rep.status == "optimal"
         if max(rep.residuals["ineq"], rep.residuals["eq"]) == 0.0:
             continue
-        strict = solve_lp(p, Tolerances(lp_feas=1e-300))
+        with use_tolerances(Tolerances(lp_feas=1e-300)):
+            strict = solve_lp(p)
         assert strict.status == "numerical"
         assert strict.point is not None
         assert max(strict.residuals["ineq"], strict.residuals["eq"]) > 0.0
