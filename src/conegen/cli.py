@@ -163,35 +163,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_hausdorff(args) -> int:
-    if args.problem:
-        pf = parse_problem(args.problem)
-        _require_block(pf, "lattice")
-        a, b = pf.block["a_vertices"], pf.block["b_vertices"]
-    elif args.a and args.b:
-        a = _read_vertices(args.a)
-        b = _read_vertices(args.b)
-    else:
-        raise ProblemFormatError("hausdorff needs --a/--b or --problem")
-    dist, info = hausdorff_distance(a, b)
+    pf = parse_problem(args.problem)
+    _require_block(pf, "lattice")
+    dist, info = hausdorff_distance(pf.block["a_vertices"], pf.block["b_vertices"])
     report = {"command": "hausdorff", "distance": dist, **info}
     _emit(report, f"hausdorff distance {dist}")
     return EXIT_OK
-
-
-def _read_vertices(path: str) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFormatError(f"cannot read vertices from {path}: {exc}")
-    if isinstance(raw, dict):
-        if "vertices" not in raw:
-            raise ProblemFormatError(f"{path}: expected a \"vertices\" array")
-        raw = raw["vertices"]
-    arr = np.atleast_2d(np.asarray(raw, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ProblemFormatError(f"{path}: vertices must be finite")
-    return arr
 
 
 def cmd_demo(args) -> int:
@@ -240,10 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_problem("certify", help="stationarity certificate at a point")
     p.add_argument("--point", required=True)
     p.set_defaults(fn=cmd_certify)
-    p = sub.add_parser("hausdorff", help="Hausdorff distance of two polytopes")
-    p.add_argument("--a")
-    p.add_argument("--b")
-    p.add_argument("--problem")
+    p = with_problem("hausdorff", help="Hausdorff distance of two polytopes")
     p.set_defaults(fn=cmd_hausdorff)
     p = sub.add_parser("demo", help="run a demonstration")
     p.add_argument("which", choices=["torsion", "vi"])

@@ -27,9 +27,6 @@ class UnsupportedRepresentation(ValueError):
     pass
 
 
-COORDINATE_KINDS = ("coordinate", "weighted-coordinate")
-
-
 def _unit_rows(M: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(M, axis=1)
     if np.any(norms < 1e-14):
@@ -48,26 +45,20 @@ def _dedupe_unit_rows(M: np.ndarray) -> np.ndarray:
 class PolyhedralCone:
     """Ordering cone with halfspace and generator descriptions.
 
-    kind is one of "coordinate", "weighted-coordinate", "general". For the
-    coordinate kinds the cone is the nonnegative orthant as a set; the
-    weighted variant keeps the defining weights around for callers that work
-    in a rescaled frame.
+    kind is "coordinate" (the nonnegative orthant, both descriptions the
+    identity) or "general".
     """
 
     def __init__(self, dim: int, halfspaces=None, generators=None,
-                 kind: str = "general", weights=None, _skip_checks: bool = False):
+                 kind: str = "general", _skip_checks: bool = False):
         if dim < 1:
             raise InvalidCone("cone dimension must be positive")
         self.dim = int(dim)
         self.kind = kind
-        self.weights = None if weights is None else as_vector(weights, dim, "weights")
 
-        if kind in COORDINATE_KINDS:
+        if kind == "coordinate":
             self.halfspaces = np.eye(dim)
             self.generators = np.eye(dim)
-            if kind == "weighted-coordinate":
-                if self.weights is None or np.any(self.weights <= 0):
-                    raise InvalidCone("weighted-coordinate cone needs positive weights")
             return
 
         H = None if halfspaces is None else _unit_rows(np.atleast_2d(np.asarray(halfspaces, dtype=float)))
@@ -130,8 +121,8 @@ class PolyhedralCone:
 
     def halfspace_values(self, X):
         """<A_k, x> for one point x (a K-vector) or every row of X (an n x K
-        array); no matmul on the coordinate kinds, whose A is the identity."""
-        return X if self.kind in COORDINATE_KINDS else X @ self.halfspaces.T
+        array); no matmul on the coordinate cone, whose A is the identity."""
+        return X if self.kind == "coordinate" else X @ self.halfspaces.T
 
     def interior_contains(self, x) -> bool:
         x = as_vector(x, self.dim, "point")
@@ -150,17 +141,14 @@ class PolyhedralCone:
         Requires a full-dimensional input, otherwise the dual contains a line
         and is no ordering cone.
         """
-        if self.kind in COORDINATE_KINDS:
+        if self.kind == "coordinate":
             return PolyhedralCone(self.dim, kind="coordinate")
         if independent_rows(self.generators, default_tolerances().qp_curv).size < self.dim:
             raise UnsupportedRepresentation(
                 "dual of a lower-dimensional cone contains a line")
-        dual = PolyhedralCone(self.dim, halfspaces=self.generators,
+        return PolyhedralCone(self.dim, halfspaces=self.generators,
                               generators=self.halfspaces, kind="general",
                               _skip_checks=True)
-        if _is_identity(dual.halfspaces) and _is_identity(dual.generators):
-            return PolyhedralCone(self.dim, kind="coordinate")
-        return dual
 
     def __repr__(self):
         return (f"PolyhedralCone(dim={self.dim}, kind={self.kind!r}, "
@@ -190,18 +178,6 @@ def halfspace_ratio(cone: PolyhedralCone, hu, X, absolute: bool = False,
 
 def coordinate_cone(dim: int) -> PolyhedralCone:
     return PolyhedralCone(dim, kind="coordinate")
-
-
-def weighted_coordinate_cone(weights) -> PolyhedralCone:
-    w = as_vector(weights, name="weights")
-    return PolyhedralCone(w.shape[0], kind="weighted-coordinate", weights=w)
-
-
-def _is_identity(M: np.ndarray) -> bool:
-    if M.shape[0] != M.shape[1]:
-        return False
-    P = M[np.lexsort(M.T[::-1])]
-    return bool(np.allclose(P, np.eye(M.shape[0]), atol=1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -593,8 +593,7 @@ def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
     if prog.m and e is None:
         e = np.sum(prog.cone_y.generators, axis=0)
         e = e / np.linalg.norm(e)
-    slater = check_modified_slater(prog, e) if prog.m else \
-        check_modified_slater(prog, None)
+    slater = check_modified_slater(prog, e)
     primal = solve_primal(prog)
     if primal.status != "optimal":
         return GapReport(primal.status, None, None, None, slater, None, None,
@@ -792,10 +791,8 @@ def random_box_program(rng: np.random.Generator, kind: str = "qp",
 
 
 def random_multipliers(rng: np.random.Generator, prog: BoxProgram) -> Multipliers:
-    y = np.abs(rng.normal(size=prog.m))
-    if prog.m and prog.cone_y.kind == "general":
-        y = np.abs(rng.normal(size=prog.cone_y.halfspaces.shape[0])) @ \
-            prog.cone_y.halfspaces
+    A = prog.cone_y.halfspaces if prog.m else np.zeros((0, 0))
+    y = np.abs(rng.normal(size=A.shape[0])) @ A
     return Multipliers(y=y, x1=np.abs(rng.normal(size=prog.n)),
                        x2=np.abs(rng.normal(size=prog.n)),
                        z=rng.normal(size=prog.k))

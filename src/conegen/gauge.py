@@ -43,7 +43,7 @@ class GaugeBody:
 
     def isometry_image(self, x) -> np.ndarray:
         """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the
-        coordinate kinds."""
+        coordinate cone."""
         x = as_vector(x, self.cone.dim, "point")
         return self.cone.halfspace_values(x) / self._hu
 
@@ -79,15 +79,6 @@ def equivalence_constant(cone: PolyhedralCone, u, v) -> float:
     bu = GaugeBody(cone, u)
     bv = GaugeBody(cone, v)
     return max(bu.gauge(v), bv.gauge(u), 1.0)
-
-
-def linfty_isometry(u, x) -> np.ndarray:
-    """Coordinate-cone isometry x -> (x_i / u_i): sup-norm of the image equals ||x||_u."""
-    u = as_vector(u, name="generating element")
-    x = as_vector(x, u.shape[0], "point")
-    if np.any(u <= 0):
-        raise ValueError("invalid generating element: all entries must be positive")
-    return x / u
 
 
 def ambient_norm(x, p: float = 2, weights=None) -> float:

@@ -1,9 +1,9 @@
 """Problem-file parsing and validation.
 
 A problem file is JSON with a version tag, an ambient norm spec, a cone spec,
-optional generating element, and exactly one program block (gauge, scalarize,
-penalty, duality, or lattice). Validation happens before any computation;
-unknown keys are rejected with the offending location.
+and exactly one program block (gauge, scalarize, penalty, duality, or
+lattice). Validation happens before any computation; unknown keys are
+rejected with the offending location.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ class ProblemFile:
     version: int
     norm: NormSpec
     cone: PolyhedralCone | None
-    generating_element: np.ndarray | None
     block_name: str
     block: dict = field(default_factory=dict)
 
@@ -54,6 +53,16 @@ def _matrix(value, location: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ProblemFormatError("entries must be finite", location)
     return arr
+
+
+def _number(value, location: str, integer: bool = False):
+    """A finite JSON number as a float, or as an int when integer is set (an
+    integral float such as 3.0 counts)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -math.inf < value < math.inf or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ProblemFormatError(f"expected {kind}, got {value!r}", location)
+    return int(value) if integer else float(value)
 
 
 def _parse_norm(obj, location: str) -> NormSpec:
@@ -83,11 +92,8 @@ def parse_cone(obj, location: str = "$.cone") -> PolyhedralCone:
         _expect_keys(obj, {"kind", "dim"}, location)
         if "dim" not in obj:
             raise ProblemFormatError("coordinate cone needs \"dim\"", location)
-        return PolyhedralCone(int(obj["dim"]), kind="coordinate")
-    if kind == "weighted-coordinate":
-        _expect_keys(obj, {"kind", "weights"}, location)
-        w = _matrix(obj.get("weights"), f"{location}.weights")
-        return PolyhedralCone(w.shape[0], kind="weighted-coordinate", weights=w)
+        return PolyhedralCone(_number(obj["dim"], f"{location}.dim", integer=True),
+                              kind="coordinate")
     if kind == "general":
         _expect_keys(obj, {"kind", "dim", "halfspaces", "generators"}, location)
         H = _matrix(obj["halfspaces"], f"{location}.halfspaces") \
@@ -97,13 +103,14 @@ def parse_cone(obj, location: str = "$.cone") -> PolyhedralCone:
         if H is None and G is None:
             raise ProblemFormatError("general cone needs halfspaces or generators",
                                      location)
-        dim = int(obj.get("dim", (H if H is not None else G).shape[-1]))
+        dim = _number(obj["dim"], f"{location}.dim", integer=True) if "dim" in obj \
+            else (H if H is not None else G).shape[-1]
         try:
             return PolyhedralCone(dim, halfspaces=H, generators=G, kind="general")
         except (InvalidCone, UnsupportedRepresentation, ValueError) as exc:
             raise ProblemFormatError(str(exc), location)
     raise ProblemFormatError(
-        "kind must be \"coordinate\", \"weighted-coordinate\" or \"general\"",
+        "kind must be \"coordinate\" or \"general\"",
         f"{location}.kind")
 
 
@@ -128,7 +135,7 @@ def parse_problem(path: str) -> ProblemFile:
         raise ProblemFormatError(f"invalid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ProblemFormatError("top level must be an object")
-    allowed = {"version", "norm", "cone", "generating_element", *BLOCKS}
+    allowed = {"version", "norm", "cone", *BLOCKS}
     _expect_keys(raw, allowed, "$")
     version = raw.get("version", 1)
     if version != 1:
@@ -149,42 +156,30 @@ def parse_problem(path: str) -> ProblemFile:
         cone = parse_cone(raw["cone"])
     elif name in ("gauge", "scalarize", "penalty", "duality"):
         raise ProblemFormatError(f"block {name!r} requires a cone", "$.cone")
-    gen = None
-    if "generating_element" in raw:
-        gen = _matrix(raw["generating_element"], "$.generating_element")
-        if cone is not None and gen.shape != (cone.dim,):
-            raise ProblemFormatError(
-                f"generating element has dimension {gen.shape[0]}, cone has {cone.dim}",
-                "$.generating_element")
-    pf = ProblemFile(version=version, norm=norm, cone=cone,
-                     generating_element=gen, block_name=name, block=block)
+    pf = ProblemFile(version=version, norm=norm, cone=cone, block_name=name,
+                     block=block)
     _validate_block(pf)
     return pf
+
+
+def _require(block: dict, keys, location: str):
+    for key in keys:
+        if key not in block:
+            raise ProblemFormatError(f"missing key {key!r}", location)
 
 
 def _validate_block(pf: ProblemFile):
     name, block = pf.block_name, pf.block
     loc = f"$.{name}"
-    if name == "gauge":
-        u = pf.generating_element if "u" not in block else \
-            _matrix(block["u"], f"{loc}.u")
-        if u is None:
-            raise ProblemFormatError("gauge needs u or a generating element", loc)
-        if u.shape != (pf.cone.dim,):
-            raise ProblemFormatError("u has wrong dimension", f"{loc}.u")
-        block["u"] = u
-    elif name == "scalarize":
-        e = pf.generating_element if "e" not in block else \
-            _matrix(block["e"], f"{loc}.e")
-        if e is None:
-            raise ProblemFormatError("scalarize needs e or a generating element", loc)
-        if e.shape != (pf.cone.dim,):
-            raise ProblemFormatError("e has wrong dimension", f"{loc}.e")
-        block["e"] = e
+    if name in ("gauge", "scalarize"):
+        key = "u" if name == "gauge" else "e"
+        _require(block, (key,), loc)
+        vec = _matrix(block[key], f"{loc}.{key}")
+        if vec.shape != (pf.cone.dim,):
+            raise ProblemFormatError(f"{key} has wrong dimension", f"{loc}.{key}")
+        block[key] = vec
     elif name == "penalty":
-        for key in ("points", "values", "rank"):
-            if key not in block:
-                raise ProblemFormatError(f"missing key {key!r}", loc)
+        _require(block, ("points", "values", "feasible", "rank", "e"), loc)
         pts = np.atleast_2d(_matrix(block["points"], f"{loc}.points"))
         vals = np.atleast_2d(_matrix(block["values"], f"{loc}.values"))
         if pts.shape[0] != vals.shape[0]:
@@ -192,32 +187,30 @@ def _validate_block(pf: ProblemFile):
         if vals.shape[1] != pf.cone.dim:
             raise ProblemFormatError("values do not match the cone dimension",
                                      f"{loc}.values")
-        if "feasible" not in block:
-            raise ProblemFormatError("missing key 'feasible'", loc)
-        feas = np.asarray(block["feasible"])
-        if feas.dtype == bool:
+        feas, n, floc = block["feasible"], pts.shape[0], f"{loc}.feasible"
+        if not isinstance(feas, list):
+            raise ProblemFormatError("feasible must be a boolean mask or an index list",
+                                     floc)
+        if feas and all(isinstance(v, bool) for v in feas):
             # JSON booleans form a mask; integers are indices into the points
-            if feas.shape[0] != pts.shape[0]:
-                raise ProblemFormatError("feasible mask length mismatch",
-                                         f"{loc}.feasible")
-            mask = feas
+            if len(feas) != n:
+                raise ProblemFormatError("feasible mask length mismatch", floc)
+            mask = np.array(feas)
         else:
-            mask = np.zeros(pts.shape[0], dtype=bool)
-            try:
-                mask[np.asarray(feas, dtype=int)] = True
-            except (IndexError, ValueError, TypeError):
-                raise ProblemFormatError("feasible must be a boolean mask or "
-                                         "an index list", f"{loc}.feasible")
-        e = block.get("e", pf.generating_element)
-        if e is None:
-            raise ProblemFormatError("penalty needs e or a generating element", loc)
+            mask = np.zeros(n, dtype=bool)
+            for i, v in enumerate(feas):
+                j = _number(v, f"{floc}[{i}]", integer=True)
+                if not 0 <= j < n:
+                    raise ProblemFormatError(f"index {j} outside [0, {n})", f"{floc}[{i}]")
+                mask[j] = True
         block.update(points=pts, values=vals, feasible=mask,
-                     rank=float(block["rank"]), e=_matrix(e, f"{loc}.e"))
+                     rank=_number(block["rank"], f"{loc}.rank"),
+                     e=_matrix(block["e"], f"{loc}.e"))
     elif name == "duality":
-        for key in ("n", "q", "box"):
-            if key not in block:
-                raise ProblemFormatError(f"missing key {key!r}", loc)
-        n = int(block["n"])
+        _require(block, ("n", "q", "box"), loc)
+        n = block["n"] = _number(block["n"], f"{loc}.n", integer=True)
+        if "c" in block:
+            block["c"] = _number(block["c"], f"{loc}.c")
         box = block["box"]
         if not isinstance(box, dict):
             raise ProblemFormatError("box must be an object", f"{loc}.box")
@@ -226,22 +219,18 @@ def _validate_block(pf: ProblemFile):
         upper = _matrix(box.get("upper"), f"{loc}.box.upper")
         if lower.shape != (n,) or upper.shape != (n,):
             raise ProblemFormatError("box bounds must have length n", f"{loc}.box")
-        for key in ("Q", "G", "H"):
-            if key in block:
-                block[key] = _matrix(block[key], f"{loc}.{key}")
-        for key in ("q", "g0", "h0"):
+        for key in ("Q", "q", "G", "g0", "H", "h0"):
             if key in block:
                 block[key] = _matrix(block[key], f"{loc}.{key}")
         if "G" in block and block["G"].shape[0] != pf.cone.dim:
             raise ProblemFormatError("G rows must match the cone dimension",
                                      f"{loc}.G")
         block["box"] = {"lower": lower, "upper": upper}
-        block["e"] = _matrix(block["e"], f"{loc}.e") if "e" in block \
-            else pf.generating_element
+        if "e" in block:
+            block["e"] = _matrix(block["e"], f"{loc}.e")
     elif name == "lattice":
+        _require(block, ("a_vertices", "b_vertices"), loc)
         for key in ("a_vertices", "b_vertices"):
-            if key not in block:
-                raise ProblemFormatError(f"missing key {key!r}", loc)
             block[key] = np.atleast_2d(_matrix(block[key], f"{loc}.{key}"))
         if block["a_vertices"].shape[1] != block["b_vertices"].shape[1]:
             raise ProblemFormatError("vertex arrays have different dimensions", loc)
@@ -252,12 +241,11 @@ def build_box_program(pf: ProblemFile):
     from .duality import BoxProgram
 
     block = pf.block
-    n = int(block["n"])
     return BoxProgram(
-        n=n,
+        n=block["n"],
         Q=block.get("Q"),
         q=block["q"],
-        c=float(block.get("c", 0.0)),
+        c=block.get("c", 0.0),
         x_lo=block["box"]["lower"],
         x_hi=block["box"]["upper"],
         G=block.get("G"),

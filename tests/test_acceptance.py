@@ -15,7 +15,7 @@ from conegen.duality import (StationarityCertificate, VectorObjective,
                              random_box_program, random_multipliers,
                              solve_primal, stationarity_certificate)
 from conegen.demos import build_torsion_program, run_torsion_demo, run_vi_demo
-from conegen.gauge import GaugeBody, equivalence_constant, linfty_isometry
+from conegen.gauge import GaugeBody, equivalence_constant
 from conegen.lattice import (convex_hull_2d, hausdorff_distance,
                              hausdorff_distance_definitional, lattice_join,
                              direction_grid, SupportSample, support_values)
@@ -44,7 +44,7 @@ def test_criterion_1_gauge_isometry_suite():
         X = rng.normal(size=(10, n)) * rng.uniform(0.1, 5.0)
         gauges = body.gauge_many(X)
         for x, g in zip(X, gauges):
-            gap = abs(np.max(np.abs(linfty_isometry(u, x))) - g)
+            gap = abs(np.max(np.abs(body.isometry_image(x))) - g)
             if gap > 1e-12:
                 failures.append(("isometry", k, gap))
         x = X[0]

@@ -194,11 +194,13 @@ class TestCommands:
         assert code == 0 and report["certified"]
 
     def test_hausdorff(self, capsys, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps({"vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}))
-        b.write_text(json.dumps({"vertices": [[0, 0]]}))
-        code, report, _ = run_cli(capsys, ["hausdorff", "--a", str(a), "--b", str(b)])
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "lattice": {"a_vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]],
+                        "b_vertices": [[0, 0]]},
+        }))
+        code, report, _ = run_cli(capsys, ["hausdorff", "--problem", str(path)])
         assert code == 0
         assert report["distance"] == pytest.approx(2 ** 0.5, abs=1e-12)
 
@@ -339,3 +341,77 @@ def test_hausdorff_3d_is_exact(capsys, tmp_path):
     # the far corners (+-1, +-1, -1) are sqrt(1 + 1 + 16) from (0, 0, 3)
     assert report["distance"] == pytest.approx(18 ** 0.5, abs=1e-9)
     assert np.linalg.norm(report["certificate_direction"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _write(tmp_path, body):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"version": 1, **body}))
+    return str(path)
+
+
+PENALTY = {"points": [[0.0], [1.0]], "values": [[0.0], [1.0]],
+           "feasible": [0, 1], "rank": 1.0, "e": [1.0]}
+DUALITY = {"n": 2, "q": [1.0, 1.0], "box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}}
+
+
+@pytest.mark.parametrize("command, body, location", [
+    ("duality", {"cone": {"kind": "coordinate", "dim": 1},
+                 "duality": {**DUALITY, "n": [2]}}, "$.duality.n"),
+    ("duality", {"cone": {"kind": "coordinate", "dim": 1},
+                 "duality": {**DUALITY, "n": 2.5}}, "$.duality.n"),
+    ("duality", {"cone": {"kind": "coordinate", "dim": 1},
+                 "duality": {**DUALITY, "c": [1]}}, "$.duality.c"),
+    ("duality", {"cone": {"kind": "coordinate", "dim": [2]},
+                 "duality": DUALITY}, "$.cone.dim"),
+    ("minimal", {"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {**PENALTY, "rank": [1]}}, "$.penalty.rank"),
+    ("minimal", {"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {**PENALTY, "feasible": True}}, "$.penalty.feasible"),
+    ("minimal", {"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {**PENALTY, "feasible": [-1]}}, "$.penalty.feasible[0]"),
+    ("minimal", {"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {**PENALTY, "feasible": [1, 2]}}, "$.penalty.feasible[1]"),
+    ("minimal", {"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {**PENALTY, "feasible": [0.5]}}, "$.penalty.feasible[0]"),
+    ("minimal", {"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {**PENALTY, "feasible": [True, 1]}}, "$.penalty.feasible[0]"),
+], ids=["n-list", "n-fraction", "c-list", "dim-list", "rank-list", "feasible-true",
+        "feasible-negative", "feasible-past-end", "feasible-fraction", "feasible-mixed"])
+def test_malformed_numbers_exit2_at_their_key(capsys, tmp_path, command, body, location):
+    code, report, err = run_cli(capsys, [command, "--problem", _write(tmp_path, body)])
+    assert code == 2 and report is None
+    assert f"error: {location}: " in err
+
+
+def test_integral_float_is_an_integer(capsys, tmp_path):
+    path = _write(tmp_path, {"cone": {"kind": "coordinate", "dim": 1},
+                             "penalty": {**PENALTY, "feasible": [1.0]}})
+    code, report, _ = run_cli(capsys, ["minimal", "--problem", path])
+    assert code == 0 and report["minimal_indices"] == [0]
+    assert parse_problem(path).block["feasible"].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("body, needle", [
+    ({"cone": {"kind": "weighted-coordinate", "weights": [1.0, 2.0]},
+      "gauge": {"u": [1.0, 1.0]}}, "$.cone.kind"),
+    ({"cone": {"kind": "coordinate", "dim": 2}, "generating_element": [1.0, 1.0],
+      "gauge": {"u": [1.0, 1.0]}}, "unknown key 'generating_element'"),
+    ({"cone": {"kind": "coordinate", "dim": 2}, "gauge": {}}, "missing key 'u'"),
+], ids=["weighted-coordinate", "generating-element", "gauge-without-u"])
+def test_removed_spellings_exit2(capsys, tmp_path, body, needle):
+    code, report, err = run_cli(capsys, ["gauge", "--problem", _write(tmp_path, body),
+                                         "--point", "1,1"])
+    assert code == 2 and report is None
+    assert needle in err
+
+
+def test_hausdorff_vertex_files_flag_removed(capsys, tmp_path):
+    # vertices come from a lattice block only; --a/--b are argparse errors
+    path = _write(tmp_path, {"lattice": {"a_vertices": [[0, 0]], "b_vertices": [[1, 0]]}})
+    for argv, needle in ((["--a", "A.json", "--b", "B.json"], "required: --problem"),
+                         (["--problem", path, "--a", "A.json"], "unrecognized arguments: --a")):
+        with pytest.raises(SystemExit) as exc:
+            main(["hausdorff", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and not captured.out
+        assert needle in captured.err

@@ -6,8 +6,7 @@ from scipy.spatial import ConvexHull
 
 from conegen.cones import (InvalidCone, PolyhedralCone,
                            UnsupportedRepresentation, _extreme_rays,
-                           _facets_from_generators, coordinate_cone,
-                           weighted_coordinate_cone)
+                           _facets_from_generators, coordinate_cone)
 
 
 def wedge():
@@ -159,12 +158,6 @@ class TestConstruction:
         with pytest.raises(InvalidCone):
             PolyhedralCone(2, halfspaces=[[1.0, 0.0], [0.0, 1.0]],
                            generators=[[1.0, 0.0]])
-
-    def test_weighted_coordinate(self):
-        c = weighted_coordinate_cone([1.0, 2.0, 0.5])
-        assert c.contains([1.0, 1.0, 1.0])
-        assert not c.contains([-1.0, 1.0, 1.0])
-        assert c.dual().kind == "coordinate"
 
     def test_coordinate_halfspaces_are_basis(self):
         c = coordinate_cone(4)
