@@ -29,7 +29,7 @@ class UnsupportedRepresentation(ValueError):
 
 def _unit_rows(M: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(M, axis=1)
-    if np.any(norms < 1e-14):
+    if np.any(norms < default_tolerances().zero_row):
         raise InvalidCone("zero row in cone description")
     return M / norms[:, None]
 
@@ -79,13 +79,14 @@ class PolyhedralCone:
         self._check_consistency(halfspaces is not None and generators is not None)
 
     def _check_consistency(self, both_given: bool):
-        tol = default_tolerances().membership
+        tols = default_tolerances()
+        tol = tols.membership
         if self.generators.shape[0] == 0:
             raise InvalidCone("degenerate cone {0} is rejected")
         if self.halfspaces.shape[0] == 0:
             raise InvalidCone("cone contains a line (ordering-cone property violated)")
         prods = self.generators @ self.halfspaces.T
-        if np.min(prods) < -1e3 * tol:
+        if np.min(prods) < -tols.cross_slack * tol:
             raise InvalidCone(
                 "cross-consistency failure: a generator violates a halfspace "
                 f"(worst slack {np.min(prods):.3e})")
@@ -101,7 +102,7 @@ class PolyhedralCone:
         facets = _facets_from_generators(self.generators)
         if rays.size and facets.size:
             slack = min(np.min(rays @ facets.T), np.min(self.generators @ self.halfspaces.T))
-            if slack < -1e-7:
+            if slack < -default_tolerances().rep_slack:
                 raise InvalidCone(
                     "halfspaces and generators describe different cones "
                     f"(worst slack {slack:.3e})")

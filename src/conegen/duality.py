@@ -189,6 +189,13 @@ def _linear_term(prog: BoxProgram, mult: Multipliers):
 
 @dataclass
 class SlaterReport:
+    """The modified Slater decision. `margin` is min_k <A_k, -g(witness)> over
+    the cone rows A_k, in the units of g: a certified lower bound on the
+    search LP's maximum (its maximum when the LP ran). `witness` is the
+    centre point of `_centre_point` when its margin already decides, else the
+    search LP's argmax; lam is read at that witness, and so are the gap
+    report's `e_prime` and `multipliers_lifted`."""
+
     satisfied: bool
     witness: np.ndarray | None
     lam: float | None
@@ -211,14 +218,18 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     """Search for feasible x with -lam g(x) - e interior to Y+ for some lam > 0.
 
     Equivalent to max over the h-feasible box of min_k <A_k, -g(x)> being
-    strictly positive. Also reports (qualitatively) whether h(Omega) covers a
-    neighborhood of 0: full row rank of H plus an h-solution strictly inside
-    the box. A failed LP is named in the diagnosis; when it is the h-solution
-    LP, h_neighborhood is None.
+    strictly positive. The centre point of `_centre_point` is tried first:
+    when its margin already exceeds membership in units of the terms, it is
+    the witness and no LP runs; otherwise the search LP decides. Also
+    reports (qualitatively) whether h(Omega) covers a neighborhood of 0: full
+    row rank of H plus an h-solution strictly inside the box. A failed LP is
+    named in the diagnosis; when it is the h-solution LP, h_neighborhood is
+    None.
     """
     tols = default_tolerances()
+    centre = _centre_point(prog)
     try:
-        interior, failed = _h_interior(prog, tols), ""
+        interior, failed = _h_interior(prog, tols, centre), ""
         h_ok = interior is not None and (
             prog.k == 0 or independent_rows(prog.H, tols.qp_curv).size == prog.k)
     except LPFailure as exc:
@@ -240,13 +251,24 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     A = prog.cone_y.halfspaces
     rows_x = -(A @ prog.G)
     off = A @ prog.g0
-    # max t  s.t.  rows_x @ x - t >= off  for every cone row, x in box, h = 0,
-    # with t in units of the terms' size: a power of two near the larger of
-    # |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
+    # margins are in units of the terms' size: a power of two near the larger
+    # of |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
     # margin test depends on the scale of (G, g0)
     x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
     unit = float(np.ldexp(1.0, np.frexp(max(np.max(np.abs(rows_x)) * x_scale,
                                             np.max(np.abs(off))) or 1.0)[1]))
+
+    def satisfied_at(x, margin):
+        ratios = (A @ e) / np.maximum(A @ -prog.g(x), tols.slater_floor)
+        return report(True, x, max(1.0, 2.0 * float(np.max(ratios))), margin)
+
+    if centre is not None:
+        # the search LP's maximum is at least the centre's margin, so a
+        # centre margin above membership decides as the LP would
+        margin = float(np.min(A @ -prog.g(centre)))
+        if margin / unit > tols.membership:
+            return satisfied_at(centre, margin)
+    # max t  s.t.  rows_x @ x - t unit >= off  for every cone row, x in box, h = 0
     nv = prog.n + 1
     ineq = np.hstack([rows_x, np.full((A.shape[0], 1), -unit)])
     eq = None if prog.k == 0 else np.hstack([prog.H, np.zeros((prog.k, 1))])
@@ -260,24 +282,43 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
                       "equality constraints infeasible on the box")
     if rep.status != "optimal":
         return report(False, None, None, -math.inf, f"search LP returned {rep.status}")
-    x_bar = rep.point[:prog.n]
     margin = float(rep.point[-1]) * unit
     if rep.point[-1] <= tols.membership:
         return report(False, None, None, margin,
                       "-g(x) never reaches the interior of the cone")
-    ratios = (A @ e) / np.maximum(A @ -prog.g(x_bar), tols.slater_floor)
-    lam = max(1.0, 2.0 * float(np.max(ratios)))
-    return report(True, x_bar, lam, margin)
+    return satisfied_at(rep.point[:prog.n], margin)
 
 
-def _h_interior(prog: BoxProgram, tols: Tolerances):
+def _centre_point(prog: BoxProgram):
+    """The box centre moved onto {Hx = -h0} by one least-squares step, or None
+    unless that point is strictly inside the box and meets h within
+    membership times the size of h's terms there. It is a closed-form
+    feasible start for the QP, a candidate Slater witness and a candidate
+    h-interior point; each caller falls back to its LP on None."""
+    x = 0.5 * (prog.x_lo + prog.x_hi)
+    if prog.k:
+        x = x - np.linalg.lstsq(prog.H, prog.h(x), rcond=None)[0]
+        scale = max((np.abs(prog.H) @ np.abs(x)).max(), np.abs(prog.h0).max())
+        if np.abs(prog.h(x)).max() > default_tolerances().membership * scale:
+            return None
+    return x if ((prog.x_lo < x) & (x < prog.x_hi)).all() else None
+
+
+def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
     """A solution of h(x) = 0 strictly inside the box, None when there is none
     (an infeasible LP or a margin <= tols.h_margin); any other failed LP
-    raises."""
+    raises. The depth of a point is min_i of its distance to the nearer
+    bound over the half-width (x_b - x_a)_i / 2; the centre point is returned
+    without an LP when its depth exceeds h_margin, since the LP's optimum is
+    at least that deep."""
     if prog.k == 0:
         return 0.5 * (prog.x_lo + prog.x_hi)
-    nv = prog.n + 1
     gap = prog.x_hi - prog.x_lo
+    if centre is not None:
+        depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / (gap / 2))
+        if depth > tols.h_margin:
+            return centre
+    nv = prog.n + 1
     ineq = np.vstack([np.hstack([np.eye(prog.n), -gap[:, None] / 2]),
                       np.hstack([-np.eye(prog.n), -gap[:, None] / 2])])
     rhs = np.concatenate([prog.x_lo, -prog.x_hi])
@@ -476,13 +517,20 @@ def solve_primal(prog: BoxProgram) -> PrimalResult:
     on the cone rows, clipped at 0, gives y* = A'lam; z* is minus the
     equality duals; x1* and x2* are the positive and negative parts of the
     stationarity residual q + G'y* + H'z*. A quadratic runs the active-set
-    method from the phase-1 vertex. Either result is "optimal" only within
-    the KKT gate of `_gated`. Infeasibility returns a Farkas
-    certificate; a simplex solve that ends "numerical" or at its iteration
-    cap is returned as is. The iterations are the simplex pivots plus, for
-    a quadratic, the active-set steps.
+    method from the centre point of `_centre_point` when that point also
+    meets the cone rows, and from the simplex's phase-1 vertex otherwise.
+    Either result is "optimal" only within the KKT gate of `_gated`.
+    Infeasibility returns a Farkas certificate; a simplex solve that ends
+    "numerical" or at its iteration cap is returned as is. The iterations
+    are the simplex pivots (none when the quadratic starts at the centre
+    point) plus, for a quadratic, the active-set steps.
     """
     lp = not prog.Q.any()
+    x0 = None if lp else _centre_point(prog)
+    if x0 is not None:
+        gA, gb = prog._ineq_rows()
+        if (gA @ x0 <= gb).all():
+            return _active_set_qp(prog, x0)
     rep = _feasible_set_lp(prog, prog.q if lp else np.zeros(prog.n))
     if rep.status != "optimal":
         return PrimalResult(rep.status, None, None, None, None,

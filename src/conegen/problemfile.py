@@ -203,9 +203,12 @@ def _validate_block(pf: ProblemFile):
                 if not 0 <= j < n:
                     raise ProblemFormatError(f"index {j} outside [0, {n})", f"{floc}[{i}]")
                 mask[j] = True
+        e = _matrix(block["e"], f"{loc}.e")
+        if e.shape != (pf.cone.dim,):
+            raise ProblemFormatError(f"e has shape {e.shape}, expected {(pf.cone.dim,)}",
+                                     f"{loc}.e")
         block.update(points=pts, values=vals, feasible=mask,
-                     rank=_number(block["rank"], f"{loc}.rank"),
-                     e=_matrix(block["e"], f"{loc}.e"))
+                     rank=_number(block["rank"], f"{loc}.rank"), e=e)
     elif name == "duality":
         _require(block, ("n", "q", "box"), loc)
         n = block["n"] = _number(block["n"], f"{loc}.n", integer=True)
@@ -219,15 +222,24 @@ def _validate_block(pf: ProblemFile):
         upper = _matrix(box.get("upper"), f"{loc}.box.upper")
         if lower.shape != (n,) or upper.shape != (n,):
             raise ProblemFormatError("box bounds must have length n", f"{loc}.box")
-        for key in ("Q", "q", "G", "g0", "H", "h0"):
+        for key in ("Q", "q", "G", "g0", "H", "h0", "e"):
             if key in block:
                 block[key] = _matrix(block[key], f"{loc}.{key}")
-        if "G" in block and block["G"].shape[0] != pf.cone.dim:
-            raise ProblemFormatError("G rows must match the cone dimension",
-                                     f"{loc}.G")
+        # a 1-D H is one row, as in BoxProgram; g0 and h0 come with G and H
+        m = pf.cone.dim
+        shapes = {"Q": (n, n), "q": (n,), "G": (m, n), "e": (m,)}
+        if "G" in block:
+            _require(block, ("g0",), loc)
+            shapes["g0"] = (m,)
+        if "H" in block:
+            _require(block, ("h0",), loc)
+            H = block["H"] = np.atleast_2d(block["H"])
+            shapes.update(H=(H.shape[0], n), h0=(H.shape[0],))
+        for key, shape in shapes.items():
+            if key in block and block[key].shape != shape:
+                raise ProblemFormatError(
+                    f"{key} has shape {block[key].shape}, expected {shape}", f"{loc}.{key}")
         block["box"] = {"lower": lower, "upper": upper}
-        if "e" in block:
-            block["e"] = _matrix(block["e"], f"{loc}.e")
     elif name == "lattice":
         _require(block, ("a_vertices", "b_vertices"), loc)
         for key in ("a_vertices", "b_vertices"):

@@ -383,6 +383,38 @@ def test_malformed_numbers_exit2_at_their_key(capsys, tmp_path, command, body, l
     assert f"error: {location}: " in err
 
 
+CUT = {**DUALITY, "G": [[-1.0, -1.0]], "g0": [1.0]}
+
+
+@pytest.mark.parametrize("command, block, location", [
+    ("duality", {**CUT, "q": [1.0, 1.0, 1.0]}, "$.duality.q"),
+    ("duality", {**CUT, "Q": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}, "$.duality.Q"),
+    ("duality", {**CUT, "G": [[-1.0, -1.0, -1.0]]}, "$.duality.G"),
+    ("duality", {**CUT, "g0": [1.0, 2.0]}, "$.duality.g0"),
+    ("duality", {**CUT, "H": [[1.0, 1.0, 1.0]], "h0": [-1.0]}, "$.duality.H"),
+    ("duality", {**CUT, "H": [[1.0, -1.0]], "h0": [0.0, 0.0]}, "$.duality.h0"),
+    ("duality", {**CUT, "e": [1.0, 1.0]}, "$.duality.e"),
+    ("minimal", {**PENALTY, "e": [1.0, 1.0]}, "$.penalty.e"),
+], ids=["q", "Q", "G", "g0", "H", "h0", "duality-e", "penalty-e"])
+def test_wrong_shapes_exit2_at_their_key(capsys, tmp_path, command, block, location):
+    name = location.split(".")[1]
+    body = {"cone": {"kind": "coordinate", "dim": 1}, name: block}
+    code, report, err = run_cli(capsys, [command, "--problem", _write(tmp_path, body)])
+    assert code == 2 and report is None
+    assert f"error: {location}: " in err and "expected" in err
+
+
+@pytest.mark.parametrize("block, key", [
+    ({**DUALITY, "G": [[-1.0, -1.0]]}, "g0"),
+    ({**DUALITY, "H": [[1.0, -1.0]]}, "h0"),
+], ids=["G-without-g0", "H-without-h0"])
+def test_offset_comes_with_its_matrix(capsys, tmp_path, block, key):
+    body = {"cone": {"kind": "coordinate", "dim": 1}, "duality": block}
+    code, report, err = run_cli(capsys, ["duality", "--problem", _write(tmp_path, body)])
+    assert code == 2 and report is None
+    assert f"error: $.duality: missing key '{key}'" in err
+
+
 def test_integral_float_is_an_integer(capsys, tmp_path):
     path = _write(tmp_path, {"cone": {"kind": "coordinate", "dim": 1},
                              "penalty": {**PENALTY, "feasible": [1.0]}})

@@ -45,16 +45,32 @@ def test_simplex_cap_reaches_the_gap_report(monkeypatch):
     assert duality_gap_report(prog).primal_status == "iteration-cap"
 
 
-def test_active_set_cap_counts_the_phase_one_pivots(monkeypatch):
-    prog = BoxProgram(n=2, Q=np.eye(2), q=np.ones(2), c=0.0, x_lo=np.zeros(2),
-                      x_hi=np.ones(2), G=np.array([[-1.0, -1.0]]), g0=np.array([1.0]),
+def _cut_qp(rhs):
+    # min 0.5|x|^2 + x1 + x2 on [0, 1]^2 with x1 + x2 >= rhs
+    return BoxProgram(n=2, Q=np.eye(2), q=np.ones(2), c=0.0, x_lo=np.zeros(2),
+                      x_hi=np.ones(2), G=np.array([[-1.0, -1.0]]), g0=np.array([rhs]),
                       cone_y=coordinate_cone(1))
+
+
+def test_active_set_cap_counts_the_phase_one_pivots(monkeypatch):
+    prog = _cut_qp(1.5)   # the centre (0.5, 0.5) violates the cut: phase 1 runs
     pivots = duality._feasible_set_lp(prog, np.zeros(2)).iterations
     full = solve_primal(prog)
     assert full.status == "optimal" and full.iterations >= pivots + 2
     monkeypatch.setattr(duality, "ACTIVE_SET_CAP", 1)
     capped = solve_primal(prog)
     assert (capped.status, capped.iterations) == ("iteration-cap", pivots + 1)
+
+
+def test_active_set_cap_counts_only_its_steps_from_the_centre(monkeypatch):
+    prog = _cut_qp(1.0)   # the centre meets the cut: no phase-1 LP
+    steps = duality._active_set_qp(prog, np.full(2, 0.5)).iterations
+    monkeypatch.setattr(duality, "_feasible_set_lp", None)
+    full = solve_primal(prog)
+    assert full.status == "optimal" and full.iterations == steps >= 2
+    monkeypatch.setattr(duality, "ACTIVE_SET_CAP", 1)
+    capped = solve_primal(prog)
+    assert (capped.status, capped.iterations) == ("iteration-cap", 1)
 
 
 def test_use_tolerances_restores_when_the_body_raises():

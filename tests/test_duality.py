@@ -17,6 +17,7 @@ from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              random_box_program, random_multipliers,
                              solve_dual, solve_primal,
                              stationarity_certificate, zero_multipliers)
+from conegen.lattice import hausdorff_distance
 from conegen.numkernel import verify_farkas
 from lp_oracle import qp_dual_value
 
@@ -96,12 +97,26 @@ class TestDualValue:
 
 class TestSlater:
     def test_scalar_true(self):
+        # g(x) = x - 2 on [0, 1]: the centre 0.5 has margin 1.5, so it is the
+        # witness, and lam = 2 * <A, e> / <A, -g(0.5)> = 4/3
         prog = BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
                           G=[[1.0]], g0=[-2.0], cone_y=coordinate_cone(1))
         rep = check_modified_slater(prog, [1.0])
         assert rep.satisfied
+        assert np.allclose(rep.witness, [0.5])
+        assert rep.lam == pytest.approx(4.0 / 3.0)
+        assert rep.margin == pytest.approx(1.5)
+
+    def test_scalar_true_by_search_lp(self):
+        # g(x) = x - 0.4 on [0, 1]: the centre violates the row, so the
+        # search LP decides, at its argmax 0 with margin 0.4
+        prog = BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
+                          G=[[1.0]], g0=[-0.4], cone_y=coordinate_cone(1))
+        rep = check_modified_slater(prog, [1.0])
+        assert rep.satisfied
         assert np.allclose(rep.witness, [0.0])
-        assert rep.lam == pytest.approx(1.0)
+        assert rep.margin == pytest.approx(0.4)
+        assert rep.lam == pytest.approx(5.0)
 
     def test_scalar_false(self):
         prog = BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
@@ -321,10 +336,141 @@ class TestNearestPointQPs:
         assert solve_primal(prog).status == solve_primal(scaled).status == "optimal"
 
 
+def centre_infeasible_program(rng, kind, variant):
+    """A program of random_box_program's family whose box centre c fails the
+    closed-form start, built around a point p strictly inside the box that
+    meets every row strictly (so Slater holds), r the box half-widths:
+    "cut" adds the cone row a'x >= a'(c + p) / 2, a = p - c, which c
+    violates; "equality" adds h(x) = w'(x - c - w), w = 1.2 r u with
+    |u_i| = 1 on the narrowest coordinate and 1/2 elsewhere: the
+    least-squares point of c on h = 0 is c + w, outside the box, while the
+    plane still cuts the box at p, between c and the corner c + r sign(w)."""
+    prog, _ = random_box_program(rng, kind, n_max=10, m_max=4, with_h=False)
+    n, m = prog.n, prog.m
+    c, r = 0.5 * (prog.x_lo + prog.x_hi), 0.5 * (prog.x_hi - prog.x_lo)
+    G, H, h0 = prog.G, None, None
+    if variant == "cut":
+        p = c + r * rng.uniform(0.2, 0.6, n) * rng.choice([-1.0, 1.0], n)
+        G = np.vstack([G, c - p])
+    else:
+        u = 0.5 * rng.choice([-1.0, 1.0], n)
+        u[np.argmin(r)] *= 2.0
+        w = 1.2 * r * u
+        p = c + (w @ w) / (np.abs(w) @ r) * r * np.sign(w)
+        H, h0 = w[None, :], [-(w @ (c + w))]
+    g0 = -(prog.G @ p) - rng.uniform(0.5, 1.5, m)
+    if variant == "cut":
+        g0 = np.append(g0, (p - c) @ (c + p) / 2)
+    prog = dataclasses.replace(prog, G=G, g0=g0, cone_y=coordinate_cone(G.shape[0]),
+                               H=H, h0=h0)
+    return prog, np.ones(prog.m) / math.sqrt(prog.m), p
+
+
+class TestCentreInfeasible:
+    """Programs whose box centre fails the closed-form start keep the LP
+    fallback: statuses, gap reports and values against HiGHS (LPs) and the
+    KKT oracle (QPs)."""
+
+    @staticmethod
+    def check(prog, e, p):
+        assert np.all((p > prog.x_lo) & (p < prog.x_hi)) and prog.feasible(p)
+        centre = duality._centre_point(prog)
+        if centre is not None:   # the cut: the centre violates a cone row
+            gA, gb = prog._ineq_rows()
+            assert np.any(gA @ centre > gb)
+        rep = duality_gap_report(prog, e)
+        assert rep.primal_status == rep.dual_status == "optimal"
+        assert rep.slater.satisfied and rep.slater.h_neighborhood and rep.gap_ok
+        assert abs(rep.gap) <= 1e-5
+        assert rep.slater.margin > 0 and prog.feasible(rep.slater.witness)
+        return solve_primal(prog)
+
+    @pytest.mark.parametrize("variant", ["cut", "equality"])
+    def test_lps_against_highs(self, variant):
+        rng = np.random.default_rng([41, variant == "cut"])
+        for _ in range(20):
+            prog, e, p = centre_infeasible_program(rng, "lp", variant)
+            primal = self.check(prog, e, p)
+            ref = linprog(prog.q, A_ub=prog.G, b_ub=-prog.g0, A_eq=prog.H,
+                          b_eq=None if prog.H is None else -prog.h0,
+                          bounds=list(zip(prog.x_lo, prog.x_hi)), method="highs")
+            assert ref.status == 0
+            v = ref.fun + prog.c
+            assert abs(primal.value - v) <= 1e-7 * max(1.0, abs(v))
+            assert kkt_residual(prog, primal) <= 1e-9
+
+    @pytest.mark.parametrize("variant", ["cut", "equality"])
+    def test_qps_against_the_kkt_oracle(self, monkeypatch, variant):
+        phase1 = []
+        feasible_set_lp = duality._feasible_set_lp
+        monkeypatch.setattr(duality, "_feasible_set_lp",
+                            lambda *a: phase1.append(a) or feasible_set_lp(*a))
+        rng = np.random.default_rng([42, variant == "cut"])
+        for i in range(20):
+            prog, e, p = centre_infeasible_program(rng, "qp", variant)
+            primal = self.check(prog, e, p)
+            assert primal.status == "optimal" and kkt_residual(prog, primal) <= 1e-9
+            assert len(phase1) == 2 * (i + 1)   # the gap report's solve and this one
+
+
+class TestNoLPFromTheCentre:
+    """Where the centre point answers, no simplex LP runs."""
+
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def refuse(lp):
+            raise AssertionError("a simplex LP ran")
+        monkeypatch.setattr(duality, "solve_lp", refuse)
+
+    def test_qp_solve_and_gap_report(self, no_lp):
+        rng = np.random.default_rng(45)
+        for _ in range(20):
+            prog, e = random_box_program(rng, "qp")
+            primal = solve_primal(prog)
+            assert primal.status == "optimal" and kkt_residual(prog, primal) <= 1e-9
+            rep = duality_gap_report(prog, e)
+            assert rep.slater.satisfied and rep.gap_ok and rep.slater.h_neighborhood
+            assert rep.primal_value == primal.value
+
+    @pytest.mark.parametrize("kind", ["qp", "lp"])
+    def test_slater_check(self, monkeypatch, kind):
+        # the margin read at the centre is a lower bound on the search LP's
+        # maximum, and the witness is feasible
+        rng = np.random.default_rng([46, kind == "qp"])
+        progs = [random_box_program(rng, kind, n_max=12, m_max=6) for _ in range(20)]
+        with monkeypatch.context() as mp:
+            mp.setattr(duality, "solve_lp", lambda lp: pytest.fail("a simplex LP ran"))
+            reps = [check_modified_slater(prog, e) for prog, e in progs]
+        for (prog, e), rep in zip(progs, reps):
+            assert rep.satisfied and rep.h_neighborhood
+            A = prog.cone_y.halfspaces
+            assert rep.margin == np.min(A @ -prog.g(rep.witness)) > 0
+            assert prog.feasible(rep.witness)
+            # max t over the box and h = 0 with A(-g(x)) >= t
+            nv = prog.n + 1
+            ref = linprog(-np.eye(nv)[-1], A_ub=np.hstack([A @ prog.G, np.ones((prog.m, 1))]),
+                          b_ub=-(A @ prog.g0),
+                          A_eq=None if prog.H is None else np.hstack([prog.H, [[0.0]]]),
+                          b_eq=None if prog.H is None else -prog.h0,
+                          bounds=list(zip(prog.x_lo, prog.x_hi)) + [(None, None)],
+                          method="highs")
+            assert ref.status == 0 and rep.margin <= -ref.fun + 1e-9
+
+    def test_hausdorff_3d(self, no_lp):
+        cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+                        dtype=float)
+        assert hausdorff_distance(cube, cube + [0.0, 0.0, 3.0])[0] == pytest.approx(3.0)
+        assert hausdorff_distance(cube, 2.0 * cube)[0] == pytest.approx(math.sqrt(3.0))
+
+
 class TestStatusReporting:
     @pytest.mark.parametrize("status", ["numerical", "iteration-cap"])
     def test_phase1_status_returned(self, monkeypatch, status):
-        prog, _ = random_box_program(np.random.default_rng(4), "qp")
+        # x1 + x2 >= 1.5 on [0, 1]^2: the centre violates the cone row, so
+        # the QP needs the phase-1 LP
+        prog = BoxProgram(n=2, Q=np.eye(2), q=np.ones(2), c=0.0, x_lo=np.zeros(2),
+                          x_hi=np.ones(2), G=[[-1.0, -1.0]], g0=[1.5],
+                          cone_y=coordinate_cone(1))
         monkeypatch.setattr(duality, "_feasible_set_lp", lambda p, *_: SolveReport(
             status=status, point=0.5 * (p.x_lo + p.x_hi), iterations=7))
         rep = solve_primal(prog)
@@ -344,11 +490,13 @@ class TestStatusReporting:
     @pytest.mark.parametrize("status", ["numerical", "iteration-cap"])
     @pytest.mark.parametrize("m", [0, 1])
     def test_failed_h_interior_lp_is_reported(self, monkeypatch, status, m):
-        # h(x) = x1 - x2 = 0 on [0, 1]^2, with and without a cone row; only
-        # the h-interior LP (its 2n box rows) fails
+        # h(x) = x1 + x2 - 1 = 0 on [0, 1] x [0, 10], with and without a cone
+        # row; the centre moved onto h = 0 is (-1.75, 2.75), outside the box,
+        # so the h-interior LP (its 2n box rows) runs, and only it fails
         cone_rows = dict(G=[[1.0, 0.0]], g0=[-2.0], cone_y=coordinate_cone(1)) if m else {}
         prog = BoxProgram(n=2, Q=None, q=[0.0, 0.0], c=0.0, x_lo=[0.0, 0.0],
-                          x_hi=[1.0, 1.0], H=[[1.0, -1.0]], h0=[0.0], **cone_rows)
+                          x_hi=[1.0, 10.0], H=[[1.0, 1.0]], h0=[-1.0], **cone_rows)
+        assert duality._centre_point(prog) is None
         solve_lp = duality.solve_lp
         monkeypatch.setattr(duality, "solve_lp", lambda lp: SolveReport(status=status)
                             if lp.ineq_lhs.shape[0] == 2 * prog.n else solve_lp(lp))
