@@ -15,6 +15,11 @@ from .config import default_tolerances
 from .numkernel import as_vector, independent_rows
 
 
+ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
+CROSS_SLACK = 1e3     # generators may leave the halfspaces by CROSS_SLACK * membership
+REP_SLACK = 1e-7      # two given descriptions agree when rays meet facets within -REP_SLACK
+
+
 class DimensionMismatch(ValueError):
     pass
 
@@ -29,7 +34,7 @@ class UnsupportedRepresentation(ValueError):
 
 def _unit_rows(M: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(M, axis=1)
-    if np.any(norms < default_tolerances().zero_row):
+    if np.any(norms < ZERO_ROW):
         raise InvalidCone("zero row in cone description")
     return M / norms[:, None]
 
@@ -79,14 +84,13 @@ class PolyhedralCone:
         self._check_consistency(halfspaces is not None and generators is not None)
 
     def _check_consistency(self, both_given: bool):
-        tols = default_tolerances()
-        tol = tols.membership
+        tol = default_tolerances().membership
         if self.generators.shape[0] == 0:
             raise InvalidCone("degenerate cone {0} is rejected")
         if self.halfspaces.shape[0] == 0:
             raise InvalidCone("cone contains a line (ordering-cone property violated)")
         prods = self.generators @ self.halfspaces.T
-        if np.min(prods) < -tols.cross_slack * tol:
+        if np.min(prods) < -CROSS_SLACK * tol:
             raise InvalidCone(
                 "cross-consistency failure: a generator violates a halfspace "
                 f"(worst slack {np.min(prods):.3e})")
@@ -102,7 +106,7 @@ class PolyhedralCone:
         facets = _facets_from_generators(self.generators)
         if rays.size and facets.size:
             slack = min(np.min(rays @ facets.T), np.min(self.generators @ self.halfspaces.T))
-            if slack < -default_tolerances().rep_slack:
+            if slack < -REP_SLACK:
                 raise InvalidCone(
                     "halfspaces and generators describe different cones "
                     f"(worst slack {slack:.3e})")

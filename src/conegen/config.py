@@ -70,13 +70,6 @@ class Tolerances:
     min_sample_rank least rank of a random penalty instance
     isometry        largest support-minus-definitional Hausdorff gap of an isometry
     grid_match      largest coordinate gap of two direction grids lattice ops combine
-    zero_row        a cone description row of norm below zero_row is a zero row
-    cross_slack     a cone's generators may leave its halfspaces by up to
-                    cross_slack * membership, the rounding of a converted
-                    description, before the two are inconsistent
-    rep_slack       halfspaces and generators that are both given describe one
-                    cone when each one's rays meet the other's facets within
-                    -rep_slack
     """
 
     membership: float = 1e-9
@@ -102,9 +95,6 @@ class Tolerances:
     min_sample_rank: float = 1e-6
     isometry: float = 1e-9
     grid_match: float = 1e-12
-    zero_row: float = 1e-14
-    cross_slack: float = 1e3
-    rep_slack: float = 1e-7
 
 
 DEFAULT_TOLERANCES = Tolerances()   # frozen: one instance serves every caller

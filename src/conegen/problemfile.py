@@ -203,7 +203,7 @@ def _validate_block(pf: ProblemFile):
                 if not 0 <= j < n:
                     raise ProblemFormatError(f"index {j} outside [0, {n})", f"{floc}[{i}]")
                 mask[j] = True
-        e = _matrix(block["e"], f"{loc}.e")
+        e = np.atleast_1d(_matrix(block["e"], f"{loc}.e"))   # a scalar e is (1,)
         if e.shape != (pf.cone.dim,):
             raise ProblemFormatError(f"e has shape {e.shape}, expected {(pf.cone.dim,)}",
                                      f"{loc}.e")
@@ -222,10 +222,13 @@ def _validate_block(pf: ProblemFile):
         upper = _matrix(box.get("upper"), f"{loc}.box.upper")
         if lower.shape != (n,) or upper.shape != (n,):
             raise ProblemFormatError("box bounds must have length n", f"{loc}.box")
+        # lifted as BoxProgram lifts them: a 1-D G or H is one row and a
+        # scalar vector has length 1; g0 and h0 come with G and H
         for key in ("Q", "q", "G", "g0", "H", "h0", "e"):
             if key in block:
-                block[key] = _matrix(block[key], f"{loc}.{key}")
-        # a 1-D H is one row, as in BoxProgram; g0 and h0 come with G and H
+                arr = _matrix(block[key], f"{loc}.{key}")
+                block[key] = arr if key == "Q" else \
+                    np.atleast_2d(arr) if key in ("G", "H") else np.atleast_1d(arr)
         m = pf.cone.dim
         shapes = {"Q": (n, n), "q": (n,), "G": (m, n), "e": (m,)}
         if "G" in block:
@@ -233,8 +236,8 @@ def _validate_block(pf: ProblemFile):
             shapes["g0"] = (m,)
         if "H" in block:
             _require(block, ("h0",), loc)
-            H = block["H"] = np.atleast_2d(block["H"])
-            shapes.update(H=(H.shape[0], n), h0=(H.shape[0],))
+            k = block["H"].shape[0]
+            shapes.update(H=(k, n), h0=(k,))
         for key, shape in shapes.items():
             if key in block and block[key].shape != shape:
                 raise ProblemFormatError(

@@ -415,6 +415,25 @@ def test_offset_comes_with_its_matrix(capsys, tmp_path, block, key):
     assert f"error: $.duality: missing key '{key}'" in err
 
 
+@pytest.mark.parametrize("command, name, lists, scalars", [
+    ("duality", "duality",
+     {"n": 1, "q": [1.0], "box": {"lower": [0.0], "upper": [1.0]},
+      "G": [[1.0]], "g0": [-0.25], "H": [[2.0]], "h0": [-1.0], "e": [1.0]},
+     {"q": 1.0, "G": [1.0], "g0": -0.25, "H": [2.0], "h0": -1.0, "e": 1.0}),
+    ("minimal", "penalty", PENALTY, {"e": 1.0}),
+], ids=["duality", "penalty"])
+def test_scalar_vectors_and_one_row_matrices_at_dimension_one(
+        capsys, tmp_path, command, name, lists, scalars):
+    """A scalar vector is read as length 1 and a 1-D G or H as one row."""
+    reports = []
+    for block in (lists, {**lists, **scalars}):
+        body = {"cone": {"kind": "coordinate", "dim": 1}, name: block}
+        code, report, err = run_cli(capsys, [command, "--problem", _write(tmp_path, body)])
+        assert code == 0, err
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_integral_float_is_an_integer(capsys, tmp_path):
     path = _write(tmp_path, {"cone": {"kind": "coordinate", "dim": 1},
                              "penalty": {**PENALTY, "feasible": [1.0]}})
