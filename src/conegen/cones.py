@@ -113,16 +113,14 @@ class PolyhedralCone:
 
     # -- queries ------------------------------------------------------------
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.dim, "point")
-        tol = default_tolerances().membership if tol is None else tol
-        return bool(np.min(self.halfspaces @ x) >= -tol)
+        return bool(np.min(self.halfspaces @ x) >= -default_tolerances().membership)
 
-    def order_leq(self, x, y, tol: float | None = None) -> bool:
+    def order_leq(self, x, y) -> bool:
         """x <=_C y, i.e. y - x in C."""
         x = as_vector(x, self.dim, "x")
-        y = as_vector(y, self.dim, "y")
-        return self.contains(y - x, tol=tol)
+        return self.contains(as_vector(y, self.dim, "y") - x)
 
     def halfspace_values(self, X):
         """<A_k, x> for one point x (a K-vector) or every row of X (an n x K
@@ -148,7 +146,7 @@ class PolyhedralCone:
         """
         if self.kind == "coordinate":
             return PolyhedralCone(self.dim, kind="coordinate")
-        if independent_rows(self.generators, default_tolerances().qp_curv).size < self.dim:
+        if independent_rows(self.generators).size < self.dim:
             raise UnsupportedRepresentation(
                 "dual of a lower-dimensional cone contains a line")
         return PolyhedralCone(self.dim, halfspaces=self.generators,
@@ -202,7 +200,7 @@ def _extreme_rays(H: np.ndarray) -> np.ndarray:
     """
     tols = default_tolerances()
     dim = H.shape[1]
-    basis = independent_rows(H, tols.qp_curv)
+    basis = independent_rows(H)
     if basis.size < dim:
         raise InvalidCone("cone contains a line (ordering-cone property violated)")
     R = _unit_rows(np.linalg.inv(H[basis]).T)
@@ -234,7 +232,7 @@ def _facets_from_generators(G: np.ndarray) -> np.ndarray:
     try:
         return _extreme_rays(G)
     except InvalidCone:                 # the dual holds a line: cone(G) is flat
-        rank = independent_rows(G, default_tolerances().qp_curv).size
+        rank = independent_rows(G).size
     _, _, vt = np.linalg.svd(G)
     span, comp = vt[:rank], vt[rank:]
     return np.vstack([_extreme_rays(G @ span.T) @ span, comp, -comp])

@@ -31,9 +31,7 @@ class Tolerances:
                     magnitudes (a boxed variable's leftover is charged to the
                     right-hand side instead)
     rank_margin     required gap L - L_f before penalty equivalence is attempted
-    gradient_map    stopping norm of the projected-gradient mapping; the VI
-                    demo's bounds are active within it, the accuracy its
-                    projected-gradient point was found to
+    gradient_map    stopping norm of the projected-gradient mapping
     kkt             KKT residual bound of an "optimal" primal, relative to
                     max(1, ||grad f(x)||_inf)
     qp_step         active-set QP, X the largest |bound| of the box: a step p is
@@ -61,7 +59,9 @@ class Tolerances:
                     Slater witness x: the search LP's margin makes them positive
                     up to its row residuals, and the floor keeps lambda finite
     active_bound    a stationarity certificate's point is outside the box beyond
-                    active_bound, and a box bound is active within it
+                    active_bound, and a box bound is active within it; the VI
+                    demo certifies with active_bound = gradient_map in force,
+                    the accuracy its projected-gradient point was found to
     coincident      sample points this close are one point (rank +inf if their
                     values differ); also the floor of the rank's pair distances
     rank_slack      measured rank may exceed a declared one by rank_slack * membership

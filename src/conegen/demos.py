@@ -3,11 +3,11 @@ variational inequality on a weighted finite-dimensional L2 space."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import default_tolerances
+from .config import default_tolerances, use_tolerances
 from .cones import coordinate_cone
 from .duality import (BoxProgram, VectorObjective, duality_gap_report,
                       stationarity_certificate)
@@ -108,8 +108,8 @@ def run_vi_demo(seed: int = 0, n: int = 6) -> VIResult:
     objective = VectorObjective(lins=np.diag(v), consts=-v * x_bar)
     e = np.ones(n)  # unit vector of the weighted L2 norm: sum w_i = 1
     # a bound is active within the accuracy the projected gradient stopped at
-    cert = stationarity_certificate(objective, coordinate_cone(n), e, x_bar, x_lo,
-                                    x_hi, active_tol=default_tolerances().gradient_map)
-    certified = cert.to_dict().get("certified", False)
-    return VIResult(point=x_bar, operator_value=v,
-                    certificate=cert.to_dict(), certified=certified)
+    tols = default_tolerances()
+    with use_tolerances(replace(tols, active_bound=tols.gradient_map)):
+        cert = stationarity_certificate(objective, coordinate_cone(n), e, x_bar, x_lo, x_hi)
+    d = cert.to_dict()
+    return VIResult(point=x_bar, operator_value=v, certificate=d, certified=d["certified"])

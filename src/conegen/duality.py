@@ -89,12 +89,12 @@ class BoxProgram:
     def h(self, x) -> np.ndarray:
         return self.H @ x + self.h0 if self.H is not None else np.zeros(0)
 
-    def feasible(self, x, tol: float | None = None) -> bool:
-        tol = default_tolerances().membership if tol is None else tol
+    def feasible(self, x) -> bool:
+        tol = default_tolerances().membership
         x = as_vector(x, self.n, "x")
         if np.max(self.x_lo - x) > tol or np.max(x - self.x_hi) > tol:
             return False
-        if self.m and not self.cone_y.contains(-self.g(x), tol=tol):
+        if self.m and not self.cone_y.contains(-self.g(x)):
             return False
         return not (self.k and np.max(np.abs(self.h(x))) > tol)
 
@@ -116,11 +116,10 @@ class Multipliers:
     z: np.ndarray
 
     def validate(self, prog: BoxProgram):
-        tol = default_tolerances()
-        if prog.m and np.min(prog.cone_y.generators @ self.y) < -tol.membership:
+        tols = default_tolerances()
+        if prog.m and np.min(prog.cone_y.generators @ self.y) < -tols.membership:
             raise ValueError("y* outside the dual constraint cone")
-        if np.min(self.x1, initial=0.0) < -tol.interior or \
-                np.min(self.x2, initial=0.0) < -tol.interior:
+        if min(np.min(self.x1, initial=0.0), np.min(self.x2, initial=0.0)) < -tols.interior:
             raise ValueError("box multipliers must be nonnegative")
 
     def lifted(self, pi: np.ndarray, e_prime: np.ndarray) -> dict:
@@ -231,7 +230,7 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     try:
         interior, failed = _h_interior(prog, tols, centre), ""
         h_ok = interior is not None and (
-            prog.k == 0 or independent_rows(prog.H, tols.qp_curv).size == prog.k)
+            prog.k == 0 or independent_rows(prog.H).size == prog.k)
     except LPFailure as exc:
         interior, h_ok, failed = None, None, str(exc)
 
@@ -426,7 +425,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     g_ref = max(q_norm * x_scale, float(np.max(np.abs(prog.q))))
     x = x0.copy()
     E = prog.H if prog.k else np.zeros((0, n))
-    eq_rows = independent_rows(E, tols.qp_curv)   # a dependent row is redundant
+    eq_rows = independent_rows(E)   # a dependent row is redundant
     E = E[eq_rows]
     work = np.zeros(A.shape[0], dtype=bool)
     at_min = False
@@ -728,27 +727,25 @@ class CertificateRefusal:
 
 
 def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
-                             e, x_bar, x_lo, x_hi,
-                             active_tol: float | None = None):
+                             e, x_bar, x_lo, x_hi):
     """Find y* in the dual cone with <y*, e> = 1 and -grad<y*, F>(x_bar) in
     the normal cone of the box at x_bar, or refuse with a Farkas certificate.
 
     The box normal cone is the sign-pattern cone of the active bounds (active
-    within active_tol, by default Tolerances.active_bound); a point outside
-    the box has empty normal cone and is refused outright.
+    within Tolerances.active_bound); a point outside the box has empty normal
+    cone and is refused outright.
     """
     tols = default_tolerances()
-    active_tol = tols.active_bound if active_tol is None else active_tol
     m = objective.m
     e = as_vector(e, m, "e")
     x_bar = as_vector(x_bar, objective.lins.shape[1], "x_bar")
     x_lo = as_vector(x_lo, x_bar.shape[0], "x_a")
     x_hi = as_vector(x_hi, x_bar.shape[0], "x_b")
-    if np.max(x_lo - x_bar) > active_tol or np.max(x_bar - x_hi) > active_tol:
+    if np.max(x_lo - x_bar) > tols.active_bound or np.max(x_bar - x_hi) > tols.active_bound:
         return CertificateRefusal("x_bar outside the box: N(x, Omega) is empty")
     J = objective.jacobian(x_bar)          # (m, n)
-    lower_active = np.abs(x_bar - x_lo) <= active_tol
-    upper_active = np.abs(x_bar - x_hi) <= active_tol
+    lower_active = np.abs(x_bar - x_lo) <= tols.active_bound
+    upper_active = np.abs(x_bar - x_hi) <= tols.active_bound
     # Constraints on y*: dual-cone rows, <y*, e> = 1, and componentwise
     # conditions on s = J^T y*: s_i = 0 on inactive coordinates, s_i >= 0 on
     # lower-active ones (normal = -s must be <= 0), s_i <= 0 on upper-active.

@@ -81,15 +81,19 @@ def equivalence_constant(cone: PolyhedralCone, u, v) -> float:
     return max(bu.gauge(v), bv.gauge(u), 1.0)
 
 
+def check_norm_p(p):
+    """p if it is an ambient norm exponent: 1, 2 or math.inf (not "inf" or True)."""
+    if isinstance(p, bool) or p not in (1, 2, math.inf):
+        raise ValueError(f"ambient norm must have p in {{1, 2, inf}}, got {p!r}")
+    return p
+
+
 def ambient_norm(x, p: float = 2, weights=None) -> float:
     """p-norm (p in {1, 2, inf}) with optional positive coordinate weights."""
+    check_norm_p(p)
     x = np.asarray(x, dtype=float)
     if weights is not None:
         x = x * np.asarray(weights, dtype=float)
-    if p == math.inf or p == "inf":
-        return float(np.max(np.abs(x)))
-    if p not in (1, 2):
-        raise ValueError("ambient norm must have p in {1, 2, inf}")
     return float(np.linalg.norm(x, ord=p))
 
 

@@ -177,23 +177,25 @@ def _support_route_2d(A, B, hull_a, hull_b):
 def _separations(A: np.ndarray, B: np.ndarray):
     """(distances, unit directions a - p(a)) of each point a of A, then of B,
     p(a) its nearest point in the other hull (direction 0 at distance 0).
-    A point of the other set is its own p(a), at distance 0.0 exactly.
-    Otherwise p(a) is a BoxProgram, min 0.5 |(Y - a)'w|^2 over the weight
-    simplex of the other set's points Y, centred at a; a solve that ends
-    other than "optimal" raises."""
+    A point of the other set is its own p(a), at distance 0.0 exactly, and
+    a one-point set {y} is p(a) = y. Otherwise p(a) is a BoxProgram,
+    min 0.5 |(Y - a)'w|^2 over the weight simplex of the other set's points
+    Y, centred at a; a solve that ends other than "optimal" raises."""
     sep = []
     for P, Y in ((A, B), (B, A)):
         k = Y.shape[0]
         for Yc in Y[None, :, :] - P[:, None, :]:
             if not np.all(np.any(Yc, axis=1)):   # y - a is 0 only at y = a
                 sep.append(np.zeros(P.shape[1]))
-                continue
-            res = solve_primal(BoxProgram(n=k, Q=Yc @ Yc.T, q=np.zeros(k), c=0.0,
-                                          x_lo=np.zeros(k), x_hi=np.ones(k),
-                                          H=np.ones((1, k)), h0=-np.ones(1)))
-            if res.status != "optimal":
-                raise RuntimeError(f"nearest-point QP ended {res.status!r}")
-            sep.append(-(res.x @ Yc))
+            elif k == 1:   # the one weight is 1: a - y, as the QP's w = [1.0] gives it
+                sep.append(-Yc[0])
+            else:
+                res = solve_primal(BoxProgram(n=k, Q=Yc @ Yc.T, q=np.zeros(k), c=0.0,
+                                              x_lo=np.zeros(k), x_hi=np.ones(k),
+                                              H=np.ones((1, k)), h0=-np.ones(1)))
+                if res.status != "optimal":
+                    raise RuntimeError(f"nearest-point QP ended {res.status!r}")
+                sep.append(-(res.x @ Yc))
     dists = np.linalg.norm(sep, axis=1)
     return dists, np.array(sep) / np.where(dists > 0, dists, 1.0)[:, None]
 

@@ -46,10 +46,11 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def independent_rows(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Indices of the rows left when each row within tol * its norm of the
-    span of the rows left before it is dropped. While those are independent,
-    |R_jj| of a QR of rows' is row j's distance from their span."""
+def independent_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows left when each row within qp_curv * its norm of
+    the span of the rows left before it is dropped. While those are
+    independent, |R_jj| of a QR of rows' is row j's distance from their span."""
+    tol = default_tolerances().qp_curv
     keep = np.arange(rows.shape[0])
     norms = np.linalg.norm(rows, axis=1)
     while keep.size:
@@ -144,11 +145,10 @@ class LPFailure(RuntimeError):
     about the question it was asked."""
 
 
-def verify_farkas(problem: LPProblem, cert: FarkasCertificate,
-                  tol: float | None = None) -> bool:
+def verify_farkas(problem: LPProblem, cert: FarkasCertificate) -> bool:
     """Independent check of an infeasibility certificate, read relative to the
     size of the certificate's own terms, so that neither the rows' nor the
-    variables' scale moves it; tol defaults to Tolerances.farkas.
+    variables' scale moves it; tol is Tolerances.farkas.
 
     Every feasible x satisfies combo @ x >= rhs, combo and rhs the
     combinations of the left- and right-hand sides, so the certificate holds
@@ -169,7 +169,7 @@ def verify_farkas(problem: LPProblem, cert: FarkasCertificate,
     cancel to a right-hand side many orders below their size. A bound
     multiplier on an infinite bound makes the right-hand side -inf.
     """
-    tol = default_tolerances().farkas if tol is None else tol
+    tol = default_tolerances().farkas
     signed = np.concatenate([cert.y_ineq, cert.y_lower, cert.y_upper])
     if np.any(signed < -tol * np.abs(np.concatenate([signed, cert.y_eq])).max(initial=0.0)):
         return False

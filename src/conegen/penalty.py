@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .cones import InvalidCone, PolyhedralCone
-from .gauge import ambient_norm
+from .gauge import ambient_norm, check_norm_p
 from .numkernel import as_vector
 from .scalarization import GerstewitzFn
 
@@ -45,6 +45,7 @@ def distance_to_set(x, omega, p: float = 2):
     A box is passed as a (lower, upper) pair and handled by componentwise
     clamping, which is exact for every p-norm.
     """
+    check_norm_p(p)
     x = as_vector(x, name="point")
     if isinstance(omega, tuple) and len(omega) == 2:
         lo = as_vector(omega[0], x.shape[0], "box lower")
@@ -110,6 +111,7 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     <h_k, e> = 0 and the difference is nonzero, as in halfspace_ratio).
     Coincident points with different values make the rank +inf.
     """
+    check_norm_p(p)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
@@ -156,6 +158,7 @@ class PenaltyInstance:
     values: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        check_norm_p(self.norm_p)
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.feasible_mask = np.asarray(self.feasible_mask, dtype=bool)
         if self.feasible_mask.shape[0] != self.points.shape[0]:
@@ -265,16 +268,13 @@ def _minimal(reach: np.ndarray, strict_tol: float) -> np.ndarray:
     return np.flatnonzero(~(reach > strict_tol))
 
 
-def cone_minimal_points(values, cone: PolyhedralCone, tol: float | None = None,
-                        strict_tol: float | None = None) -> np.ndarray:
+def cone_minimal_points(values, cone: PolyhedralCone) -> np.ndarray:
     """Indices i with no j such that values[j] - values[i] in -C \\ {0}."""
     tols = default_tolerances()
-    tol = tols.membership if tol is None else tol
-    strict_tol = tols.strict_nonzero if strict_tol is None else strict_tol
     V = np.atleast_2d(np.asarray(values, dtype=float))
     if V.shape[0] == 0:
         raise ValueError("empty value list")
-    return _minimal(_dominance_reach(V, cone, tol), strict_tol)
+    return _minimal(_dominance_reach(V, cone, tols.membership), tols.strict_nonzero)
 
 
 @dataclass

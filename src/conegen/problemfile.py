@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import InvalidCone, PolyhedralCone, UnsupportedRepresentation
+from .gauge import check_norm_p
 
 BLOCKS = ("gauge", "scalarize", "penalty", "duality", "lattice")
 
@@ -72,9 +73,9 @@ def _parse_norm(obj, location: str) -> NormSpec:
         raise ProblemFormatError("norm spec must be an object", location)
     _expect_keys(obj, {"p", "weights"}, location)
     p = obj.get("p", 2)
-    if p == "inf":
-        p = math.inf
-    if p not in (1, 2, math.inf):
+    try:
+        p = check_norm_p(math.inf if p == "inf" else p)
+    except ValueError:
         raise ProblemFormatError("p must be 1, 2 or \"inf\"", f"{location}.p")
     weights = None
     if "weights" in obj:

@@ -52,14 +52,11 @@ class SubdifferentialResult:
     def bounded(self) -> bool:
         return self.rays.shape[0] == 0
 
-    def contains(self, z, tol: float | None = None) -> bool:
-        tol = default_tolerances().membership if tol is None else tol
+    def contains(self, z) -> bool:
+        tol = default_tolerances().membership
         z = as_vector(z, self.e.shape[0], "functional")
-        if np.min(self.cone.generators @ z) < -tol:
-            return False
-        if abs(float(z @ self.e) - 1.0) > tol:
-            return False
-        return abs(float(z @ self.y) - self.value) <= tol
+        return bool(np.min(self.cone.generators @ z) >= -tol) and \
+            abs(float(z @ self.e) - 1.0) <= tol and abs(float(z @ self.y) - self.value) <= tol
 
 
 def _facet_rows(cone: PolyhedralCone, tol: float) -> np.ndarray:
@@ -117,10 +114,10 @@ class GerstewitzFn:
         """phi at every row of Y, with the same values (and +inf rows) as value."""
         return self._ratio(np.atleast_2d(np.asarray(Y, dtype=float)))
 
-    def sublevel(self, y, r: float, tol: float | None = None) -> bool:
+    def sublevel(self, y, r: float) -> bool:
         """phi(y) <= r  iff  y in r e - C."""
         y = as_vector(y, self.cone.dim, "point")
-        return self.cone.contains(r * self.e - y, tol=tol)
+        return self.cone.contains(r * self.e - y)
 
     # -- subdifferential --------------------------------------------------------
 

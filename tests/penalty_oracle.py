@@ -5,8 +5,9 @@ of cone_lipschitz_rank, cone_minimal_points and verify_penalty_equivalence:
 they difference every ordered pair of rows into an n x n x m tensor, map it
 through the cone's halfspaces and filter it once per threshold. The library
 works in halfspace coordinates instead, one plane per halfspace over row
-blocks of the unordered pairs; the tests compare the two. brute_force_grid_min is an independent double loop over pairs that
-calls only PolyhedralCone.contains.
+blocks of the unordered pairs; the tests compare the two.
+brute_force_grid_min is an independent double loop over pairs with its own
+halfspace test, min_k <h_k, -diff> >= -tol.
 """
 from __future__ import annotations
 
@@ -119,7 +120,7 @@ def brute_force_grid_min(evaluate: Callable[[np.ndarray], np.ndarray],
             diff = values[j] - values[i]  # want: diff in -C \ {0}
             if float(np.linalg.norm(diff)) <= strict_tol:
                 continue
-            if cone.contains(-diff, tol=tol):
+            if np.min(cone.halfspaces @ -diff) >= -tol:
                 dominated = True
                 break
         if not dominated:

@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conegen.cli import main
+from conegen.cones import coordinate_cone
+from conegen.duality import VectorObjective, stationarity_certificate
+from conegen.numkernel import FarkasCertificate, verify_farkas
 from conegen.problemfile import ProblemFormatError, parse_problem
 from lp_oracle import gauge_lp
 
@@ -466,3 +470,107 @@ def test_hausdorff_vertex_files_flag_removed(capsys, tmp_path):
         captured = capsys.readouterr()
         assert exc.value.code == 2 and not captured.out
         assert needle in captured.err
+
+
+COORD2 = {"kind": "coordinate", "dim": 2}
+GAUGE = {"cone": COORD2, "gauge": {"u": [1.0, 1.0]}}
+P1 = {"cone": {"kind": "coordinate", "dim": 1}, "penalty": PENALTY}
+D1 = {"cone": {"kind": "coordinate", "dim": 1}, "duality": DUALITY}
+
+
+@pytest.mark.parametrize("command, text, location", [
+    ("gauge", {**GAUGE, "norm": [2]}, "$.norm"),
+    ("gauge", {**GAUGE, "norm": {"p": 3}}, "$.norm.p"),
+    ("gauge", {**GAUGE, "norm": {"p": True}}, "$.norm.p"),
+    ("gauge", {**GAUGE, "norm": {"weights": [1.0, 0.0]}}, "$.norm.weights"),
+    ("gauge", {**GAUGE, "cone": [1.0]}, "$.cone"),
+    ("gauge", {**GAUGE, "cone": {"kind": "coordinate"}}, "$.cone"),
+    ("gauge", {**GAUGE, "cone": {"kind": "general", "dim": 2}}, "$.cone"),
+    ("gauge", "{", "$"),
+    ("gauge", [GAUGE], "$"),
+    ("gauge", {**GAUGE, "version": 2}, "$.version"),
+    ("gauge", {**GAUGE, "gauge": [1.0, 1.0]}, "$.gauge"),
+    ("gauge", {"gauge": {"u": [1.0]}}, "$.cone"),
+    ("minimal", {**P1, "penalty": {**PENALTY, "values": [[0.0]]}}, "$.penalty"),
+    ("minimal", {**P1, "penalty": {**PENALTY, "values": [[0.0, 0.0], [1.0, 1.0]]}},
+     "$.penalty.values"),
+    ("minimal", {**P1, "penalty": {**PENALTY, "feasible": [True]}}, "$.penalty.feasible"),
+    ("duality", {**D1, "duality": {**DUALITY, "box": [0.0, 1.0]}}, "$.duality.box"),
+    ("duality", {**D1, "duality": {**DUALITY, "box": {"lower": [0.0], "upper": [1.0]}}},
+     "$.duality.box"),
+    ("hausdorff", {"lattice": {"a_vertices": [[0.0, 0.0]], "b_vertices": [[1.0, 0.0, 0.0]]}},
+     "$.lattice"),
+], ids=["norm-list", "norm-p3", "norm-p-true", "norm-weight-zero", "cone-list", "coordinate-no-dim",
+        "general-empty", "invalid-json", "top-level-list", "version-2", "block-list",
+        "missing-cone", "points-values-length", "values-dimension", "mask-length",
+        "box-list", "box-length", "lattice-dimensions"])
+def test_rejections_exit2_at_their_location(capsys, tmp_path, command, text, location):
+    path = tmp_path / "p.json"
+    if isinstance(text, dict):
+        text = {"version": 1, **text}
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    extra = ["--point", "1,1"] if command == "gauge" else []
+    code, report, err = run_cli(capsys, [command, "--problem", str(path), *extra])
+    assert code == 2 and report is None
+    assert f"error: {location}: " in err
+
+
+def test_unparsable_point_exit2(capsys, gauge_file):
+    code, report, err = run_cli(capsys, ["gauge", "--problem", gauge_file,
+                                         "--point", "1,x,1"])
+    assert code == 2 and report is None
+    assert "error: $: cannot parse point '1,x,1'" in err
+
+
+def test_boolean_mask_reads_as_its_index_list(capsys, tmp_path):
+    reports = []
+    for feasible in ([0, 1], [True, True]):
+        path = _write(tmp_path, {**P1, "penalty": {**PENALTY, "feasible": feasible}})
+        assert parse_problem(path).block["feasible"].tolist() == [True, True]
+        code, report, _ = run_cli(capsys, ["penalize", "--problem", path, "--L", "1.5"])
+        assert code == 0
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+def test_p_inf_string_is_the_sup_norm(capsys, tmp_path):
+    path = _write(tmp_path, {**GAUGE, "norm": {"p": "inf"}})
+    assert parse_problem(path).norm.p == math.inf
+    code, report, _ = run_cli(capsys, ["gauge", "--problem", path, "--point", "3,-4"])
+    assert code == 0 and report["gauge"] == 4.0
+    assert report["ambient_comparison"] == {"checked": 1, "violations": []}
+
+
+def test_weighted_ambient_norm_in_the_gauge_report(capsys, tmp_path):
+    # ||(1, 0)||_u = 1 for u = (1, 1), below the weighted sup-norm 2 |x_1|
+    path = _write(tmp_path, {**GAUGE, "norm": {"p": "inf", "weights": [2.0, 1.0]}})
+    code, report, _ = run_cli(capsys, ["gauge", "--problem", path, "--point", "1,0"])
+    assert code == 0 and report["gauge"] == 1.0
+    assert report["ambient_comparison"] == {
+        "checked": 1,
+        "violations": [{"point": [1.0, 0.0], "gauge": 1.0, "ambient": 2.0}]}
+
+
+def test_general_cone_dimension_inferred(tmp_path):
+    path = _write(tmp_path, {"cone": {"kind": "general",
+                                      "generators": [[1.0, 0.0], [1.0, 1.0]]},
+                             "gauge": {"u": [2.0, 1.0]}})
+    assert parse_problem(path).cone.dim == 2
+
+
+def test_certify_refusal_carries_a_farkas_certificate(capsys, tmp_path):
+    # q = (1, -1) on [-1, 1]^2: at the interior point (0, 0) the Fermat rule
+    # needs y* q = 0 with y* = 1, which no multiplier meets
+    path = _write(tmp_path, {"cone": {"kind": "coordinate", "dim": 1},
+                             "duality": {"n": 2, "q": [1.0, -1.0],
+                                         "box": {"lower": [-1.0, -1.0],
+                                                 "upper": [1.0, 1.0]}}})
+    code, report, err = run_cli(capsys, ["certify", "--problem", path, "--point", "0,0"])
+    assert code == 0 and report["certified"] is False
+    assert report["reason"] == "no multiplier satisfies the Fermat rule"
+    assert err.startswith("refused: ")
+    refusal = stationarity_certificate(
+        VectorObjective(lins=np.array([[1.0, -1.0]]), consts=np.zeros(1)),
+        coordinate_cone(1), np.ones(1), np.zeros(2), -np.ones(2), np.ones(2))
+    cert = FarkasCertificate(**{k: np.array(v) for k, v in report["farkas"].items()})
+    assert verify_farkas(refusal.lp, cert)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import (InvalidCone, PolyhedralCone,
                            UnsupportedRepresentation, _extreme_rays,
                            _facets_from_generators, coordinate_cone)
@@ -13,16 +16,23 @@ def wedge():
     return PolyhedralCone(2, generators=[[1.0, 0.0], [1.0, 1.0]])
 
 
+def exact_membership():
+    return use_tolerances(replace(default_tolerances(), membership=0.0))
+
+
 class TestContains:
     def test_orthant(self):
         c = coordinate_cone(2)
-        assert c.contains([1.0, 2.0], tol=0.0)
-        assert not c.contains([1.0, -1.0], tol=0.0)
+        with exact_membership():
+            assert c.contains([1.0, 2.0])
+            assert not c.contains([1.0, -1.0])
 
     def test_wedge_nonneg_combination(self):
         # (2,1) = 1*(1,0) + 1*(1,1), both coefficients nonnegative
-        assert wedge().contains([2.0, 1.0], tol=0.0)
-        assert not wedge().contains([-1.0, 0.5])
+        w = wedge()
+        with exact_membership():
+            assert w.contains([2.0, 1.0])
+        assert not w.contains([-1.0, 0.5])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -102,11 +112,12 @@ class TestInterior:
                 b /= np.linalg.norm(b)
                 eps = 1e-2
                 ok = False
-                while eps >= 1e-13:
-                    if cone.contains(x - eps * b, tol=0.0):
-                        ok = True
-                        break
-                    eps /= 10.0
+                with exact_membership():
+                    while eps >= 1e-13:
+                        if cone.contains(x - eps * b):
+                            ok = True
+                            break
+                        eps /= 10.0
                 assert ok, "interior point not robust to small perturbations"
 
 

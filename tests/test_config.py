@@ -1,5 +1,6 @@
 """The tolerances have one source, the caps show in reports, and a scoped
 override of the tolerances ends with its scope."""
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -27,6 +28,20 @@ def test_every_tolerance_is_read_outside_config():
     unread = [f.name for f in dataclasses.fields(Tolerances)
               if not re.search(rf"\.{f.name}\b", text)]
     assert unread == []
+
+
+def test_no_public_function_takes_a_tolerance():
+    # use_tolerances is the one way to set a tolerance: no per-call parameter
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not node.name.startswith("_"):
+                args = node.args
+                found += [f"{path.name}:{node.name}({a.arg})"
+                          for a in args.posonlyargs + args.args + args.kwonlyargs
+                          if a.arg == "tol" or a.arg.endswith("_tol")]
+    assert found == []
 
 
 def test_no_module_reads_the_environment():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
 from conegen import duality
+from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.numkernel import SolveReport
 from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
@@ -262,7 +263,8 @@ class TestActiveSetRegressions:
         rep = solve_primal(prog)
         assert rep.status == "optimal"
         assert rep.iterations < 2000
-        assert prog.feasible(rep.x, tol=1e-9)
+        with use_tolerances(dataclasses.replace(default_tolerances(), membership=1e-9)):
+            assert prog.feasible(rep.x)
         assert kkt_residual(prog, rep) <= 1e-9
 
     def test_near_singular_value(self):
@@ -459,6 +461,17 @@ class TestNoLPFromTheCentre:
                         dtype=float)
         assert hausdorff_distance(cube, cube + [0.0, 0.0, 3.0])[0] == pytest.approx(3.0)
         assert hausdorff_distance(cube, 2.0 * cube)[0] == pytest.approx(math.sqrt(3.0))
+
+    def test_hausdorff_to_one_point(self, no_lp):
+        # the one weight is 1: no QP, and the values of the QP route bit for bit
+        cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+                        dtype=float)
+        point = np.array([[0.0, 0.0, 3.0]])
+        for A, B in ((cube, point), (point, cube)):
+            dist, info = hausdorff_distance(A, B)
+            assert dist == 4.242640687119285
+            assert info["certificate_direction"] == [
+                -0.23570226039551587, -0.23570226039551587, -0.9428090415820635]
 
 
 class TestStatusReporting:
@@ -798,9 +811,9 @@ class TestCertificates:
             rep = solve_primal(prog)
             obj = VectorObjective(lins=prog.q[None, :], consts=[prog.c],
                                   quads=[prog.Q])
-            cert = stationarity_certificate(obj, coordinate_cone(1), [1.0],
-                                            rep.x, prog.x_lo, prog.x_hi,
-                                            active_tol=1e-7)
+            with use_tolerances(dataclasses.replace(default_tolerances(), active_bound=1e-7)):
+                cert = stationarity_certificate(obj, coordinate_cone(1), [1.0],
+                                                rep.x, prog.x_lo, prog.x_hi)
             assert isinstance(cert, StationarityCertificate)
             assert max(cert.residuals.values()) <= 1e-8
 

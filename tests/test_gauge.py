@@ -19,12 +19,14 @@ def dyadic_body(n):
 
 
 def bisect_gauge(cone, u, x, hi=1e6):
-    """Independent oracle: bisection on the defining infimum."""
+    """Independent oracle: bisection on the defining infimum, each order
+    constraint an exact halfspace test."""
     u, x = np.asarray(u, float), np.asarray(x, float)
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if cone.contains(mid * u - x, tol=0.0) and cone.contains(mid * u + x, tol=0.0):
+        if np.min(cone.halfspaces @ (mid * u - x)) >= 0.0 and \
+                np.min(cone.halfspaces @ (mid * u + x)) >= 0.0:
             hi = mid
         else:
             lo = mid

@@ -219,6 +219,22 @@ class TestIsometryConsistency:
         assert {(False, False), (False, True)} <= seen
 
 
+class TestDirectionGrid:
+    @pytest.mark.parametrize("dim, n, rows", [(1, 64, 2), (3, 64, 64), (4, 64, 64),
+                                              (6, 33, 33)])
+    def test_unit_rows(self, dim, n, rows):
+        D = direction_grid(dim, n)
+        assert D.shape == (rows, dim)
+        assert np.allclose(np.linalg.norm(D, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 3, 4, 6])
+    def test_seed_determinism(self, dim):
+        assert np.array_equal(direction_grid(dim, 50, seed=7), direction_grid(dim, 50, seed=7))
+        other = direction_grid(dim, 50, seed=8)
+        # the fixed 1-D, 2-D and 3-D grids ignore the seed; a Gaussian one draws from it
+        assert np.array_equal(direction_grid(dim, 50, seed=7), other) == (dim <= 3)
+
+
 class TestLatticeOps:
     def grid(self):
         return direction_grid(2, 128)

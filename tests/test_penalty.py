@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conegen.penalty as penalty_module
+from conegen.gauge import ambient_norm
+from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.penalty import (PenaltyInstance, PreconditionViolation,
                              cone_lipschitz_rank, cone_minimal_points,
@@ -59,6 +62,36 @@ class TestDistance:
             dx, _ = distance_to_set(x, omega)
             dy, _ = distance_to_set(y, omega)
             assert dx <= np.linalg.norm(x - y) + dy + 1e-12
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_box_and_point_list_forms_agree(self, p):
+        # the one-point set {y} as the box [y, y] and as the list [y]
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            x, y = rng.normal(size=(2, int(rng.integers(1, 6))))
+            box, listed = distance_to_set(x, (y, y), p=p), distance_to_set(x, [y], p=p)
+            assert box[0] == pytest.approx(listed[0], rel=1e-15, abs=0)
+            assert box[0] == pytest.approx(ambient_norm(x - y, p=p), rel=1e-15, abs=0)
+            assert np.array_equal(box[1], listed[1])
+        assert distance_to_set([3.0, 4.0], ([0.0, 0.0], [0.0, 0.0]), p=p)[0] == \
+            distance_to_set([3.0, 4.0], [[0.0, 0.0]], p=p)[0] == {1: 7.0, 2: 5.0}.get(p, 4.0)
+
+
+@pytest.mark.parametrize("p", [3, "inf", 0, True])
+def test_every_reader_of_p_refuses_other_exponents(p):
+    pts, vals = np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])
+    cone, e = coordinate_cone(1), np.ones(1)
+    readers = [
+        lambda: ambient_norm([3.0, 4.0], p=p),
+        lambda: distance_to_set([3.0, 4.0], ([0.0, 0.0], [0.0, 0.0]), p=p),
+        lambda: distance_to_set([3.0, 4.0], [[0.0, 0.0]], p=p),
+        lambda: cone_lipschitz_rank(pts, vals, cone, e, p=p),
+        lambda: PenaltyInstance(points=pts, feasible_mask=[True, False], objective=None,
+                                cone=cone, e=e, rank=None, values=vals, norm_p=p),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="p in {1, 2, inf}"):
+            read()
 
 
 class TestRank:
@@ -178,7 +211,8 @@ class TestMultiBlock:
         vals = np.column_stack([t, -t])
         vals[0], vals[-1] = [-1.0, 0.5], [0.0, 0.0]
         for tol, want in ((0.5, np.arange(n - 1)), (0.25, np.arange(n))):
-            assert np.array_equal(cone_minimal_points(vals, coordinate_cone(2), tol=tol), want)
+            with use_tolerances(replace(default_tolerances(), membership=tol)):
+                assert np.array_equal(cone_minimal_points(vals, coordinate_cone(2)), want)
             assert np.array_equal(minimal_oracle(vals, coordinate_cone(2), tol=tol), want)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -298,13 +332,15 @@ class TestMinimalPoints:
         shift = rng.choice([0.0, 5e-9, 5e-8], size=(copies, 1))
         vals = np.vstack([vals, vals[rng.integers(0, n, size=copies)]
                           + shift * rng.normal(size=(copies, m))])
-        got = cone_minimal_points(vals, cone, strict_tol=strict_tol)
+        with use_tolerances(replace(default_tolerances(), strict_nonzero=strict_tol)):
+            got = cone_minimal_points(vals, cone)
         assert np.array_equal(got, minimal_oracle(vals, cone, strict_tol=strict_tol))
 
     def test_membership_tolerance_is_closed(self):
         vals = np.array([[0.0, 0.0], [-1.0, 0.5]])
         for tol, want in ((0.5, [1]), (0.25, [0, 1])):
-            assert list(cone_minimal_points(vals, coordinate_cone(2), tol=tol)) == want
+            with use_tolerances(replace(default_tolerances(), membership=tol)):
+                assert list(cone_minimal_points(vals, coordinate_cone(2))) == want
             assert list(minimal_oracle(vals, coordinate_cone(2), tol=tol)) == want
 
     def test_agrees_with_brute_force(self):
