@@ -1,5 +1,9 @@
 """Command-line interface: parse a problem file, dispatch, emit a JSON report.
 
+`COMMANDS` holds one row per problem-file subcommand. `main` parses the file,
+checks that it holds the row's block, calls the handler, which only computes,
+and emits its report.
+
 Reports go to stdout as JSON; a one-line human summary goes to stderr. Exit
 codes: 0 success, 1 verification failure (an asserted check did not hold),
 2 input error.
@@ -61,56 +65,34 @@ def _parse_point(text: str) -> np.ndarray:
         raise ProblemFormatError(f"cannot parse point {text!r}: {exc}")
 
 
-def _require_block(pf, expected: str):
-    if pf.block_name != expected:
-        raise ProblemFormatError(
-            f"command needs a {expected!r} block, file has {pf.block_name!r}")
-
-
-def cmd_gauge(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "gauge")
+def cmd_gauge(pf, args):
     body = GaugeBody(pf.cone, pf.block["u"])
     x = _parse_point(args.point)
     value = body.gauge(x)
-    report = {"command": "gauge", "gauge": value, "isometry_image": body.isometry_image(x)}
-    report["ambient_comparison"] = ambient_comparison(
-        body, x[None, :], p=pf.norm.p, weights=pf.norm.weights)
-    _emit(report, f"gauge value {value}")
-    return EXIT_OK
+    report = {"gauge": value, "isometry_image": body.isometry_image(x),
+              "ambient_comparison": ambient_comparison(
+                  body, x[None, :], p=pf.norm.p, weights=pf.norm.weights)}
+    return report, f"gauge value {value}", EXIT_OK
 
 
-def cmd_scalarize(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "scalarize")
+def cmd_scalarize(pf, args):
     fn = GerstewitzFn(pf.cone, pf.block["e"])
     y = _parse_point(args.point)
     value = fn.value(y)
-    _emit({"command": "scalarize", "value": value}, f"phi value {value}")
-    return EXIT_OK
+    return {"value": value}, f"phi value {value}", EXIT_OK
 
 
-def cmd_subdiff(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "scalarize")
+def cmd_subdiff(pf, args):
     fn = GerstewitzFn(pf.cone, pf.block["e"])
     y = _parse_point(args.point)
     sub = fn.subdifferential(y)
-    report = {
-        "command": "subdiff",
-        "value": sub.value,
-        "bounded": sub.bounded,
-        "witness": sub.witness,
-        "vertices": sub.vertices,
-        "rays": sub.rays,
-    }
-    _emit(report, f"subdifferential: {len(sub.vertices)} vertices, {len(sub.rays)} rays")
-    return EXIT_OK
+    report = {"value": sub.value, "bounded": sub.bounded, "witness": sub.witness,
+              "vertices": sub.vertices, "rays": sub.rays}
+    return (report, f"subdifferential: {len(sub.vertices)} vertices, {len(sub.rays)} rays",
+            EXIT_OK)
 
 
-def cmd_penalize(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "penalty")
+def cmd_penalize(pf, args):
     if pf.norm.weights is not None:
         raise ProblemFormatError("penalize supports unweighted norms only; "
                                  "remove norm.weights", "$.norm.weights")
@@ -119,72 +101,66 @@ def cmd_penalize(args) -> int:
                            objective=None, cone=pf.cone, e=b["e"],
                            rank=b["rank"], values=b["values"], norm_p=pf.norm.p)
     report = verify_penalty_equivalence(inst, args.L).to_dict()
-    report["command"] = "penalize"
-    _emit(report, f"equal={report['equal']} (L={args.L}, rank={inst.rank})")
-    return EXIT_OK if report["equal"] else EXIT_VERIFICATION
+    return (report, f"equal={report['equal']} (L={args.L}, rank={inst.rank})",
+            EXIT_OK if report["equal"] else EXIT_VERIFICATION)
 
 
-def cmd_minimal(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "penalty")
+def cmd_minimal(pf, args):
     idx = cone_minimal_points(pf.block["values"], pf.cone)
-    report = {"command": "minimal", "minimal_indices": idx,
-              "minimal_points": pf.block["points"][idx]}
-    _emit(report, f"{idx.shape[0]} cone-minimal points")
-    return EXIT_OK
+    report = {"minimal_indices": idx, "minimal_points": pf.block["points"][idx]}
+    return report, f"{idx.shape[0]} cone-minimal points", EXIT_OK
 
 
-def cmd_duality(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "duality")
-    prog = build_box_program(pf)
-    e = pf.block.get("e")
-    report = duality_gap_report(prog, e)
-    d = report.to_dict()
-    d["command"] = "duality"
-    _emit(d, f"primal={report.primal_value} dual={report.dual_value} "
-             f"gap={report.gap} slater={report.slater.satisfied}")
-    return EXIT_OK if report.gap_ok else EXIT_VERIFICATION
+def cmd_duality(pf, args):
+    report = duality_gap_report(build_box_program(pf), pf.block.get("e"))
+    return (report.to_dict(), f"primal={report.primal_value} dual={report.dual_value} "
+            f"gap={report.gap} slater={report.slater.satisfied}",
+            EXIT_OK if report.gap_ok else EXIT_VERIFICATION)
 
 
-def cmd_certify(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "duality")
+def cmd_certify(pf, args):
     prog = build_box_program(pf)
     x_bar = _parse_point(args.point)
     objective = VectorObjective(lins=prog.q[None, :], consts=np.array([prog.c]),
                                 quads=[prog.Q] if prog.Q.any() else None)
-    cert = stationarity_certificate(objective, coordinate_cone(1), np.ones(1),
-                                    x_bar, prog.x_lo, prog.x_hi)
-    d = cert.to_dict()
-    d["command"] = "certify"
-    _emit(d, "certified" if d["certified"] else f"refused: {d.get('reason')}")
-    return EXIT_OK
+    d = stationarity_certificate(objective, coordinate_cone(1), np.ones(1),
+                                 x_bar, prog.x_lo, prog.x_hi).to_dict()
+    return d, "certified" if d["certified"] else f"refused: {d.get('reason')}", EXIT_OK
 
 
-def cmd_hausdorff(args) -> int:
-    pf = parse_problem(args.problem)
-    _require_block(pf, "lattice")
+def cmd_hausdorff(pf, args):
     dist, info = hausdorff_distance(pf.block["a_vertices"], pf.block["b_vertices"])
-    report = {"command": "hausdorff", "distance": dist, **info}
-    _emit(report, f"hausdorff distance {dist}")
-    return EXIT_OK
+    return {"distance": dist, **info}, f"hausdorff distance {dist}", EXIT_OK
 
 
-def cmd_demo(args) -> int:
+def cmd_demo(pf, args):
     if args.which == "torsion":
         result = demos.run_torsion_demo(n_grid=args.grid)
         d = result.to_dict()
-        d["command"] = "demo torsion"
-        ok = d["gap"]["gap_ok"]
-        _emit(d, f"torsion value {result.value}, gap {d['gap']['gap']}")
-        return EXIT_OK if ok else EXIT_VERIFICATION
+        return (d, f"torsion value {result.value}, gap {d['gap']['gap']}",
+                EXIT_OK if d["gap"]["gap_ok"] else EXIT_VERIFICATION)
     result = demos.run_vi_demo(seed=args.seed)
-    d = result.to_dict()
-    d["command"] = "demo vi"
-    _emit(d, "VI necessary condition certified" if result.certified
-          else "VI certificate refused")
-    return EXIT_OK if result.certified else EXIT_VERIFICATION
+    if result.certified:
+        return result.to_dict(), "VI necessary condition certified", EXIT_OK
+    return result.to_dict(), "VI certificate refused", EXIT_VERIFICATION
+
+
+# One row per problem-file subcommand: its name, the block it reads, its
+# extra option (flag and type) and help text, and its handler.
+COMMANDS = (
+    ("gauge", "gauge", ("--point", str), "order-interval gauge of a point", cmd_gauge),
+    ("scalarize", "scalarize", ("--point", str), "Gerstewitz value at a point",
+     cmd_scalarize),
+    ("subdiff", "scalarize", ("--point", str), "Gerstewitz subdifferential at a point",
+     cmd_subdiff),
+    ("penalize", "penalty", ("--L", float), "verify exact-penalty equivalence",
+     cmd_penalize),
+    ("minimal", "penalty", None, "cone-minimal points of the value list", cmd_minimal),
+    ("duality", "duality", None, "duality gap report", cmd_duality),
+    ("certify", "duality", ("--point", str), "stationarity certificate at a point",
+     cmd_certify),
+    ("hausdorff", "lattice", None, "Hausdorff distance of two polytopes", cmd_hausdorff),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,38 +168,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-override", type=float, default=None,
                         help="absolute membership tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_problem(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, block, option, text, fn in COMMANDS:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--problem", required=True)
-        return p
-
-    p = with_problem("gauge", help="order-interval gauge of a point")
-    p.add_argument("--point", required=True)
-    p.set_defaults(fn=cmd_gauge)
-    p = with_problem("scalarize", help="Gerstewitz value at a point")
-    p.add_argument("--point", required=True)
-    p.set_defaults(fn=cmd_scalarize)
-    p = with_problem("subdiff", help="Gerstewitz subdifferential at a point")
-    p.add_argument("--point", required=True)
-    p.set_defaults(fn=cmd_subdiff)
-    p = with_problem("penalize", help="verify exact-penalty equivalence")
-    p.add_argument("--L", type=float, required=True)
-    p.set_defaults(fn=cmd_penalize)
-    p = with_problem("minimal", help="cone-minimal points of the value list")
-    p.set_defaults(fn=cmd_minimal)
-    p = with_problem("duality", help="duality gap report")
-    p.set_defaults(fn=cmd_duality)
-    p = with_problem("certify", help="stationarity certificate at a point")
-    p.add_argument("--point", required=True)
-    p.set_defaults(fn=cmd_certify)
-    p = with_problem("hausdorff", help="Hausdorff distance of two polytopes")
-    p.set_defaults(fn=cmd_hausdorff)
+        if option is not None:
+            p.add_argument(option[0], type=option[1], required=True)
+        p.set_defaults(fn=fn, block=block)
     p = sub.add_parser("demo", help="run a demonstration")
     p.add_argument("which", choices=["torsion", "vi"])
     p.add_argument("--grid", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_demo)
+    p.set_defaults(fn=cmd_demo, block=None)
     return parser
 
 
@@ -235,12 +190,21 @@ def main(argv=None) -> int:
     # the override holds for this call only, also when main runs in-process
     with use_tolerances(tols):
         try:
-            return args.fn(args)
+            pf = None
+            if args.block is not None:
+                pf = parse_problem(args.problem)
+                if pf.block_name != args.block:
+                    raise ProblemFormatError(f"command needs a {args.block!r} block, "
+                                             f"file has {pf.block_name!r}")
+            report, summary, code = args.fn(pf, args)
         except (ProblemFormatError, PreconditionViolation, EmptyDomain,
                 InvalidCone, DimensionMismatch, UnsupportedRepresentation,
                 ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
+    report["command"] = f"demo {args.which}" if pf is None else args.command
+    _emit(report, summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ satisfied Slater flag implies a vanishing gap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,6 +105,17 @@ class BoxProgram:
             return np.zeros((0, self.n)), np.zeros(0)
         A = self.cone_y.halfspaces
         return A @ self.G, -(A @ self.g0)
+
+    @functools.cached_property
+    def _lstsq_centre(self) -> np.ndarray:
+        """The box centre moved onto {Hx = -h0} by one least-squares step (the
+        centre itself when there is no h). It reads no tolerance, so it is
+        computed once per program; read-only."""
+        x = 0.5 * (self.x_lo + self.x_hi)
+        if self.k:
+            x = x - np.linalg.lstsq(self.H, self.h(x), rcond=None)[0]
+        x.flags.writeable = False
+        return x
 
 
 @dataclass
@@ -289,18 +301,17 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
 
 
 def _centre_point(prog: BoxProgram):
-    """The box centre moved onto {Hx = -h0} by one least-squares step, or None
-    unless that point is strictly inside the box and meets h within
-    membership times the size of h's terms there. It is a closed-form
-    feasible start for the QP, a candidate Slater witness and a candidate
-    h-interior point; each caller falls back to its LP on None."""
-    x = 0.5 * (prog.x_lo + prog.x_hi)
+    """A copy of `BoxProgram._lstsq_centre`, or None unless that point is
+    strictly inside the box and meets h within membership times the size of
+    h's terms there. It is a closed-form feasible start for the QP, a
+    candidate Slater witness and a candidate h-interior point; each caller
+    falls back to its LP on None."""
+    x = prog._lstsq_centre
     if prog.k:
-        x = x - np.linalg.lstsq(prog.H, prog.h(x), rcond=None)[0]
         scale = max((np.abs(prog.H) @ np.abs(x)).max(), np.abs(prog.h0).max())
         if np.abs(prog.h(x)).max() > default_tolerances().membership * scale:
             return None
-    return x if ((prog.x_lo < x) & (x < prog.x_hi)).all() else None
+    return x.copy() if ((prog.x_lo < x) & (x < prog.x_hi)).all() else None
 
 
 def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
@@ -606,6 +617,7 @@ class GapReport:
     e_prime: np.ndarray | None = None
     kkt_residual: float | None = None  # of the primal point
     dual_status: str | None = None     # DualResult.status; None: no dual solve
+    farkas: FarkasCertificate | None = None  # of an infeasible primal
 
     def to_dict(self) -> dict:
         d = {
@@ -620,6 +632,8 @@ class GapReport:
             "gap_asserted": self.gap_asserted,
             "gap_ok": self.gap_ok,
         }
+        if self.farkas is not None:
+            d["farkas"] = self.farkas.to_dict()
         if self.multipliers is not None:
             d["multipliers"] = {
                 "y": self.multipliers.y.tolist(),
@@ -645,7 +659,7 @@ def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
     if primal.status != "optimal":
         return GapReport(primal.status, None, None, None, slater, None, None,
                          gap_asserted=False, gap_ok=True,
-                         kkt_residual=primal.kkt_residual)
+                         kkt_residual=primal.kkt_residual, farkas=primal.farkas)
     dual = solve_dual(prog, primal)
     dual.multipliers.validate(prog)
     gap = primal.value - dual.value
@@ -717,12 +731,7 @@ class CertificateRefusal:
     def to_dict(self):
         d = {"certified": False, "reason": self.reason}
         if self.farkas is not None:
-            d["farkas"] = {
-                "y_ineq": self.farkas.y_ineq.tolist(),
-                "y_eq": self.farkas.y_eq.tolist(),
-                "y_lower": self.farkas.y_lower.tolist(),
-                "y_upper": self.farkas.y_upper.tolist(),
-            }
+            d["farkas"] = self.farkas.to_dict()
         return d
 
 

@@ -125,6 +125,10 @@ class FarkasCertificate:
     y_lower: np.ndarray
     y_upper: np.ndarray
 
+    def to_dict(self) -> dict:
+        return {"y_ineq": self.y_ineq.tolist(), "y_eq": self.y_eq.tolist(),
+                "y_lower": self.y_lower.tolist(), "y_upper": self.y_upper.tolist()}
+
 
 @dataclass
 class SolveReport:

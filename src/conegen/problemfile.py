@@ -16,7 +16,16 @@ import numpy as np
 from .cones import InvalidCone, PolyhedralCone, UnsupportedRepresentation
 from .gauge import check_norm_p
 
-BLOCKS = ("gauge", "scalarize", "penalty", "duality", "lattice")
+# Each program block's keys: those it requires, in the order they are
+# checked, and those it may hold besides.
+_BLOCK_KEYS = {
+    "gauge": (("u",), ()),
+    "scalarize": (("e",), ()),
+    "penalty": (("points", "values", "feasible", "rank", "e"), ()),
+    "duality": (("n", "q", "box"), ("Q", "c", "G", "g0", "H", "h0", "e")),
+    "lattice": (("a_vertices", "b_vertices"), ()),
+}
+BLOCKS = tuple(_BLOCK_KEYS)
 
 
 class ProblemFormatError(ValueError):
@@ -115,15 +124,6 @@ def parse_cone(obj, location: str = "$.cone") -> PolyhedralCone:
         f"{location}.kind")
 
 
-_BLOCK_KEYS = {
-    "gauge": {"u"},
-    "scalarize": {"e"},
-    "penalty": {"points", "feasible", "values", "rank", "e"},
-    "duality": {"n", "Q", "q", "c", "box", "G", "g0", "H", "h0", "e"},
-    "lattice": {"a_vertices", "b_vertices"},
-}
-
-
 def parse_problem(path: str) -> ProblemFile:
     """Read, validate and assemble a problem file; diagnostics carry the
     offending key and location."""
@@ -149,7 +149,8 @@ def parse_problem(path: str) -> ProblemFile:
     block = raw[name]
     if not isinstance(block, dict):
         raise ProblemFormatError("block must be an object", f"$.{name}")
-    _expect_keys(block, _BLOCK_KEYS[name], f"$.{name}")
+    required, optional = _BLOCK_KEYS[name]
+    _expect_keys(block, {*required, *optional}, f"$.{name}")
 
     norm = _parse_norm(raw.get("norm"), "$.norm")
     cone = None
@@ -172,15 +173,15 @@ def _require(block: dict, keys, location: str):
 def _validate_block(pf: ProblemFile):
     name, block = pf.block_name, pf.block
     loc = f"$.{name}"
+    required = _BLOCK_KEYS[name][0]
+    _require(block, required, loc)
     if name in ("gauge", "scalarize"):
-        key = "u" if name == "gauge" else "e"
-        _require(block, (key,), loc)
+        (key,) = required
         vec = _matrix(block[key], f"{loc}.{key}")
         if vec.shape != (pf.cone.dim,):
             raise ProblemFormatError(f"{key} has wrong dimension", f"{loc}.{key}")
         block[key] = vec
     elif name == "penalty":
-        _require(block, ("points", "values", "feasible", "rank", "e"), loc)
         pts = np.atleast_2d(_matrix(block["points"], f"{loc}.points"))
         vals = np.atleast_2d(_matrix(block["values"], f"{loc}.values"))
         if pts.shape[0] != vals.shape[0]:
@@ -211,7 +212,6 @@ def _validate_block(pf: ProblemFile):
         block.update(points=pts, values=vals, feasible=mask,
                      rank=_number(block["rank"], f"{loc}.rank"), e=e)
     elif name == "duality":
-        _require(block, ("n", "q", "box"), loc)
         n = block["n"] = _number(block["n"], f"{loc}.n", integer=True)
         if "c" in block:
             block["c"] = _number(block["c"], f"{loc}.c")
@@ -245,8 +245,7 @@ def _validate_block(pf: ProblemFile):
                     f"{key} has shape {block[key].shape}, expected {shape}", f"{loc}.{key}")
         block["box"] = {"lower": lower, "upper": upper}
     elif name == "lattice":
-        _require(block, ("a_vertices", "b_vertices"), loc)
-        for key in ("a_vertices", "b_vertices"):
+        for key in required:
             block[key] = np.atleast_2d(_matrix(block[key], f"{loc}.{key}"))
         if block["a_vertices"].shape[1] != block["b_vertices"].shape[1]:
             raise ProblemFormatError("vertex arrays have different dimensions", loc)

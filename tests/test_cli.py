@@ -7,7 +7,7 @@ import pytest
 from conegen.cli import main
 from conegen.cones import coordinate_cone
 from conegen.duality import VectorObjective, stationarity_certificate
-from conegen.numkernel import FarkasCertificate, verify_farkas
+from conegen.numkernel import FarkasCertificate, LPProblem, verify_farkas
 from conegen.problemfile import ProblemFormatError, parse_problem
 from lp_oracle import gauge_lp
 
@@ -227,10 +227,25 @@ class TestCommands:
         run_cli(capsys, ["gauge", "--problem", gauge_file, "--point", "1,1,1"])
         assert open(gauge_file).read() == before
 
-    def test_wrong_block_for_command(self, capsys, gauge_file):
-        code, _, err = run_cli(capsys, ["scalarize", "--problem", gauge_file,
-                                        "--point", "1,1,1"])
-        assert code == 2 and "block" in err
+    def test_wrong_block_for_command(self, capsys, gauge_file, penalty_file,
+                                     duality_file):
+        # every problem-file subcommand refuses a file holding another block
+        other = {"gauge": (penalty_file, "penalty"), "scalarize": (gauge_file, "gauge"),
+                 "penalty": (duality_file, "duality"), "duality": (gauge_file, "gauge"),
+                 "lattice": (penalty_file, "penalty")}
+        for command, block, extra in [
+                ("gauge", "gauge", ["--point", "1,1,1"]),
+                ("scalarize", "scalarize", ["--point", "1,1,1"]),
+                ("subdiff", "scalarize", ["--point", "1,1,1"]),
+                ("penalize", "penalty", ["--L", "1"]),
+                ("minimal", "penalty", []),
+                ("duality", "duality", []),
+                ("certify", "duality", ["--point", "0,0"]),
+                ("hausdorff", "lattice", [])]:
+            path, has = other[block]
+            code, report, err = run_cli(capsys, [command, "--problem", path, *extra])
+            assert code == 2 and report is None, command
+            assert err == f"error: $: command needs a {block!r} block, file has {has!r}\n"
 
 
 def test_penalize_verification_failure_exit1(capsys, tmp_path):
@@ -574,3 +589,20 @@ def test_certify_refusal_carries_a_farkas_certificate(capsys, tmp_path):
         coordinate_cone(1), np.ones(1), np.zeros(2), -np.ones(2), np.ones(2))
     cert = FarkasCertificate(**{k: np.array(v) for k, v in report["farkas"].items()})
     assert verify_farkas(refusal.lp, cert)
+
+
+def test_infeasible_primal_report_carries_a_farkas_certificate(capsys, tmp_path):
+    # x in [0, 1] with g(x) = 2 - x in -R+, i.e. x >= 2: no feasible point
+    G, g0 = np.array([[-1.0]]), np.array([2.0])
+    path = _write(tmp_path, {"cone": {"kind": "coordinate", "dim": 1},
+                             "duality": {"n": 1, "q": [1.0],
+                                         "box": {"lower": [0.0], "upper": [1.0]},
+                                         "G": G.tolist(), "g0": g0.tolist()}})
+    code, report, err = run_cli(capsys, ["duality", "--problem", path])
+    assert code == 0 and report["primal_status"] == "infeasible"
+    assert err == "primal=None dual=None gap=None slater=False\n"
+    # the feasible-set LP: the cone row -g(x) >= 0, i.e. -G x >= g0, on the box
+    lp = LPProblem(cost=np.array([1.0]), ineq_lhs=-G, ineq_rhs=g0,
+                   lower=np.zeros(1), upper=np.ones(1))
+    cert = FarkasCertificate(**{k: np.array(v) for k, v in report["farkas"].items()})
+    assert verify_farkas(lp, cert)

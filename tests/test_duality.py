@@ -745,6 +745,46 @@ class TestGapReport:
                 if math.isfinite(dv):
                     assert dv <= primal.value + 1e-9
 
+    def test_multipliers_lifted(self):
+        # (y o e', x1 o pi, x2 o pi, z) with pi = x_b - x_a and e' the
+        # normalised e - g(witness)
+        prog = BoxProgram(n=3, Q=np.eye(3), q=[2.0, -3.0, 0.5], c=0.0,
+                          x_lo=[-1.0, 0.0, -2.0], x_hi=[1.0, 3.0, 2.0],
+                          G=[[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], g0=[-1.5, -1.0],
+                          cone_y=coordinate_cone(2), H=[[1.0, 0.0, 1.0]], h0=[0.2])
+        e = np.array([1.0, 2.0])
+        d = duality_gap_report(prog, e).to_dict()
+        assert d["slater"]["satisfied"] and d["gap_ok"]
+        raw = e - prog.g(np.array(d["slater"]["witness"]))
+        pi = prog.x_hi - prog.x_lo
+        mult = {k: np.array(v) for k, v in d["multipliers"].items()}
+        expected = {"y": mult["y"] * raw / np.linalg.norm(raw), "x1": mult["x1"] * pi,
+                    "x2": mult["x2"] * pi, "z": mult["z"]}
+        assert d["multipliers_lifted"].keys() == expected.keys()
+        for key, value in expected.items():
+            np.testing.assert_allclose(d["multipliers_lifted"][key], value,
+                                       rtol=1e-12, atol=0)
+        # y, x1 and z are nonzero here, so each lift is exercised
+        assert all(np.any(mult[k] != 0) for k in ("y", "x1", "z"))
+
+    def test_centre_least_squares_runs_once(self, monkeypatch):
+        # a quadratic gap report reads the centre point in the Slater check
+        # and in the primal solve; the least-squares step onto h = 0 runs once
+        prog = BoxProgram(n=2, Q=np.eye(2), q=[1.0, -1.0], c=0.0,
+                          x_lo=[-1.0, -1.0], x_hi=[1.0, 2.0], G=[[1.0, 0.0]],
+                          g0=[-2.0], cone_y=coordinate_cone(1),
+                          H=[[1.0, 2.0]], h0=[-0.5])
+        lstsq, calls = np.linalg.lstsq, []
+
+        def spy(a, *args, **kwargs):
+            calls.append(a is prog.H)
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        rep = duality_gap_report(prog, [1.0])
+        assert rep.primal_status == "optimal" and rep.slater.satisfied
+        assert sum(calls) == 1
+
     def test_general_cone_constraint(self):
         cone = PolyhedralCone(2, generators=[[1.0, 0.2], [0.2, 1.0]])
         prog = BoxProgram(n=2, Q=np.eye(2), q=[0.5, -0.3], c=0.0,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conegen.cli import build_parser
+from conegen.cli import COMMANDS, build_parser
 from conegen.problemfile import parse_problem
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -32,6 +32,12 @@ def test_json_example_parses(tmp_path, body):
 @pytest.mark.parametrize("line", CLI_LINES)
 def test_cli_line_parses(line):
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_every_subcommand_has_a_cli_line():
+    parsed = [build_parser().parse_args(shlex.split(line)[1:]) for line in CLI_LINES]
+    assert {row[0] for row in COMMANDS} <= {args.command for args in parsed}
+    assert {args.which for args in parsed if args.command == "demo"} == {"torsion", "vi"}
 
 
 @pytest.mark.parametrize("body", PYTHON_BLOCKS,
