@@ -186,6 +186,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     tols = default_tolerances()
     if args.tol_override is not None:
+        if not (math.isfinite(args.tol_override) and args.tol_override >= 0.0):
+            print(f"error: --tol-override must be finite and >= 0, got {args.tol_override}",
+                  file=sys.stderr)
+            return EXIT_INPUT
         tols = replace(tols, membership=args.tol_override)
     # the override holds for this call only, also when main runs in-process
     with use_tolerances(tols):

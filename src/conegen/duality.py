@@ -134,15 +134,15 @@ class Multipliers:
         if min(np.min(self.x1, initial=0.0), np.min(self.x2, initial=0.0)) < -tols.interior:
             raise ValueError("box multipliers must be nonnegative")
 
+    def to_dict(self) -> dict:
+        return {"y": self.y.tolist(), "x1": self.x1.tolist(),
+                "x2": self.x2.tolist(), "z": self.z.tolist()}
+
     def lifted(self, pi: np.ndarray, e_prime: np.ndarray) -> dict:
         """Coordinates of the multipliers in the reweighted generating-space
         frame (x scaled by pi, y by e'); a diagonal change of frame only."""
-        return {
-            "y": (self.y * e_prime).tolist(),
-            "x1": (self.x1 * pi).tolist(),
-            "x2": (self.x2 * pi).tolist(),
-            "z": self.z.tolist(),
-        }
+        return Multipliers(self.y * e_prime, self.x1 * pi, self.x2 * pi,
+                           self.z).to_dict()
 
 
 def zero_multipliers(prog: BoxProgram) -> Multipliers:
@@ -153,14 +153,9 @@ def zero_multipliers(prog: BoxProgram) -> Multipliers:
 def lagrangian_value(prog: BoxProgram, x, mult: Multipliers) -> float:
     """f(x) + <y*, g(x)> - <x1*, x - x_a> - <x2*, x_b - x> + <z*, h(x)>."""
     x = as_vector(x, prog.n, "x")
-    val = prog.objective(x)
-    if prog.m:
-        val += float(mult.y @ prog.g(x))
-    val -= float(mult.x1 @ (x - prog.x_lo))
-    val -= float(mult.x2 @ (prog.x_hi - x))
-    if prog.k:
-        val += float(mult.z @ prog.h(x))
-    return val
+    return (prog.objective(x) + float(mult.y @ prog.g(x))
+            - float(mult.x1 @ (x - prog.x_lo)) - float(mult.x2 @ (prog.x_hi - x))
+            + float(mult.z @ prog.h(x)))
 
 
 def dual_value(prog: BoxProgram, mult: Multipliers) -> float:
@@ -260,14 +255,13 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     if not prog.cone_y.interior_contains(e):
         raise ValueError("e must be interior to the constraint cone")
     A = prog.cone_y.halfspaces
-    rows_x = -(A @ prog.G)
-    off = A @ prog.g0
+    gA, gb = prog._ineq_rows()   # A G and -(A g0)
     # margins are in units of the terms' size: a power of two near the larger
     # of |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
     # margin test depends on the scale of (G, g0)
     x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
-    unit = float(np.ldexp(1.0, np.frexp(max(np.max(np.abs(rows_x)) * x_scale,
-                                            np.max(np.abs(off))) or 1.0)[1]))
+    unit = float(np.ldexp(1.0, np.frexp(max(np.max(np.abs(gA)) * x_scale,
+                                            np.max(np.abs(gb))) or 1.0)[1]))
 
     def satisfied_at(x, margin):
         ratios = (A @ e) / np.maximum(A @ -prog.g(x), tols.slater_floor)
@@ -279,15 +273,9 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
         margin = float(np.min(A @ -prog.g(centre)))
         if margin / unit > tols.membership:
             return satisfied_at(centre, margin)
-    # max t  s.t.  rows_x @ x - t unit >= off  for every cone row, x in box, h = 0
-    nv = prog.n + 1
-    ineq = np.hstack([rows_x, np.full((A.shape[0], 1), -unit)])
-    eq = None if prog.k == 0 else np.hstack([prog.H, np.zeros((prog.k, 1))])
-    eq_rhs = None if prog.k == 0 else -prog.h0
-    lower = np.concatenate([prog.x_lo, [-math.inf]])
-    upper = np.concatenate([prog.x_hi, [math.inf]])
-    rep = solve_lp(LPProblem(cost=-np.eye(nv)[-1], ineq_lhs=ineq, ineq_rhs=off,
-                             eq_lhs=eq, eq_rhs=eq_rhs, lower=lower, upper=upper))
+    # max t  s.t.  -A G x - t unit >= A g0  for every cone row, x in box, h = 0
+    rep = _max_t_lp(prog, -gA, np.full(gA.shape[0], -unit), -gb,
+                    (prog.x_lo, prog.x_hi), (-math.inf, math.inf))
     if rep.status == "infeasible":
         return report(False, None, None, -math.inf,
                       "equality constraints infeasible on the box")
@@ -328,20 +316,27 @@ def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
         depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / (gap / 2))
         if depth > tols.h_margin:
             return centre
-    nv = prog.n + 1
-    ineq = np.vstack([np.hstack([np.eye(prog.n), -gap[:, None] / 2]),
-                      np.hstack([-np.eye(prog.n), -gap[:, None] / 2])])
-    rhs = np.concatenate([prog.x_lo, -prog.x_hi])
-    eq = np.hstack([prog.H, np.zeros((prog.k, 1))])
-    rep = solve_lp(LPProblem(cost=-np.eye(nv)[-1], ineq_lhs=ineq, ineq_rhs=rhs,
-                             eq_lhs=eq, eq_rhs=-prog.h0,
-                             lower=np.concatenate([np.full(prog.n, -math.inf), [0.0]]),
-                             upper=np.concatenate([np.full(prog.n, math.inf), [1.0]])))
+    inf = np.full(prog.n, math.inf)
+    rep = _max_t_lp(prog, np.vstack([np.eye(prog.n), -np.eye(prog.n)]),
+                    np.tile(-gap / 2, 2), np.concatenate([prog.x_lo, -prog.x_hi]),
+                    (-inf, inf), (0.0, 1.0))
     if rep.status not in ("optimal", "infeasible"):
         raise LPFailure(f"h-interior LP returned {rep.status}")
     if rep.status == "infeasible" or rep.point[-1] <= tols.h_margin:
         return None
     return rep.point[:prog.n]
+
+
+def _max_t_lp(prog: BoxProgram, rows, t_col, rhs, x_bounds, t_bounds):
+    """max t over (x, t) s.t. rows @ x + t_col t >= rhs, h(x) = 0 and x, t
+    within their (lower, upper) bounds; the Slater search LP and the
+    h-interior LP."""
+    eq = None if prog.k == 0 else np.hstack([prog.H, np.zeros((prog.k, 1))])
+    return solve_lp(LPProblem(cost=-np.eye(prog.n + 1)[-1],
+                              ineq_lhs=np.hstack([rows, t_col[:, None]]), ineq_rhs=rhs,
+                              eq_lhs=eq, eq_rhs=None if eq is None else -prog.h0,
+                              lower=np.append(x_bounds[0], t_bounds[0]),
+                              upper=np.append(x_bounds[1], t_bounds[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +544,12 @@ def solve_primal(prog: BoxProgram) -> PrimalResult:
         result = _active_set_qp(prog, rep.point)
         result.iterations += rep.iterations
         return result
-    x, n_cone = rep.point, rep.duals.size - prog.k
-    lam = np.maximum(rep.duals[:n_cone], 0.0)
-    y = prog.cone_y.halfspaces.T @ lam if prog.m else np.zeros(0)
-    z = -rep.duals[n_cone:]
-    r = _linear_term(prog, Multipliers(y, np.zeros(prog.n), np.zeros(prog.n), z))[0]
-    mult = Multipliers(y=y, x1=np.maximum(r, 0.0), x2=np.maximum(-r, 0.0), z=z)
-    return _gated(prog, x, mult, rep.iterations)
+    n_cone = rep.duals.size - prog.k
+    mult = _multipliers_from_rows(prog, 2 * prog.n + np.arange(n_cone),
+                                  rep.duals[:n_cone], -rep.duals[n_cone:])
+    r = _linear_term(prog, mult)[0]   # x1* = x2* = 0 so far
+    mult.x1, mult.x2 = np.maximum(r, 0.0), np.maximum(-r, 0.0)
+    return _gated(prog, rep.point, mult, rep.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -635,12 +629,7 @@ class GapReport:
         if self.farkas is not None:
             d["farkas"] = self.farkas.to_dict()
         if self.multipliers is not None:
-            d["multipliers"] = {
-                "y": self.multipliers.y.tolist(),
-                "x1": self.multipliers.x1.tolist(),
-                "x2": self.multipliers.x2.tolist(),
-                "z": self.multipliers.z.tolist(),
-            }
+            d["multipliers"] = self.multipliers.to_dict()
             if self.pi is not None and (self.e_prime is not None or self.multipliers.y.size == 0):
                 ep = self.e_prime if self.e_prime is not None else np.zeros(0)
                 d["multipliers_lifted"] = self.multipliers.lifted(self.pi, ep)
@@ -753,34 +742,23 @@ def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
     if np.max(x_lo - x_bar) > tols.active_bound or np.max(x_bar - x_hi) > tols.active_bound:
         return CertificateRefusal("x_bar outside the box: N(x, Omega) is empty")
     J = objective.jacobian(x_bar)          # (m, n)
-    lower_active = np.abs(x_bar - x_lo) <= tols.active_bound
-    upper_active = np.abs(x_bar - x_hi) <= tols.active_bound
+    lower = np.abs(x_bar - x_lo) <= tols.active_bound
+    upper = np.abs(x_bar - x_hi) <= tols.active_bound
     # Constraints on y*: dual-cone rows, <y*, e> = 1, and componentwise
     # conditions on s = J^T y*: s_i = 0 on inactive coordinates, s_i >= 0 on
-    # lower-active ones (normal = -s must be <= 0), s_i <= 0 on upper-active.
-    # A Jacobian column that vanishes to the KKT target (the gradient at an
-    # optimum, up to rounding) meets its condition for every y* and gives no row.
+    # lower-active ones (normal = -s must be <= 0), s_i <= 0 on upper-active;
+    # none where both bounds are active. A Jacobian column that vanishes to
+    # the KKT target (the gradient at an optimum, up to rounding) meets its
+    # condition for every y* and gives no row.
+    one_sided, inactive = lower ^ upper, ~(lower | upper)
+    sign = np.where(upper, -1.0, 1.0)      # a one-sided row: sign_i s_i >= 0
     vanishing = np.abs(J).max(axis=0, initial=0.0) <= tols.kkt
-    ineq = [cone_y.generators]
-    ineq_rhs = [np.zeros(cone_y.generators.shape[0])]
-    eq = [e[None, :]]
-    eq_rhs = [np.ones(1)]
-    for i in range(x_bar.shape[0]):
-        col = J[:, i]
-        if (lower_active[i] and upper_active[i]) or vanishing[i]:
-            continue
-        if lower_active[i]:
-            ineq.append(col[None, :])
-            ineq_rhs.append(np.zeros(1))
-        elif upper_active[i]:
-            ineq.append(-col[None, :])
-            ineq_rhs.append(np.zeros(1))
-        else:
-            eq.append(col[None, :])
-            eq_rhs.append(np.zeros(1))
-    lp = LPProblem(cost=np.zeros(m), ineq_lhs=np.vstack(ineq),
-                   ineq_rhs=np.concatenate(ineq_rhs), eq_lhs=np.vstack(eq),
-                   eq_rhs=np.concatenate(eq_rhs))
+    cols = np.flatnonzero(one_sided & ~vanishing)
+    eq_cols = np.flatnonzero(inactive & ~vanishing)
+    ineq = np.vstack([cone_y.generators, (J[:, cols] * sign[cols]).T])
+    lp = LPProblem(cost=np.zeros(m), ineq_lhs=ineq, ineq_rhs=np.zeros(ineq.shape[0]),
+                   eq_lhs=np.vstack([e[None, :], J[:, eq_cols].T]),
+                   eq_rhs=np.eye(1, 1 + eq_cols.size)[0])
     rep = solve_lp(lp)
     if rep.status == "infeasible":
         return CertificateRefusal("no multiplier satisfies the Fermat rule",
@@ -789,27 +767,15 @@ def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
         return CertificateRefusal(f"certificate LP returned {rep.status}")
     y_star = rep.point
     normal = -(J.T @ y_star)
+    # normal_i <= 0 lower-active, >= 0 upper-active, = 0 inactive
+    viol = np.where(inactive, np.abs(normal), sign * normal)[one_sided | inactive]
     residuals = {
         "dual_cone": float(max(0.0, -np.min(cone_y.generators @ y_star))),
         "normalization": abs(float(y_star @ e) - 1.0),
-        "normal_cone": _normal_cone_violation(normal, lower_active, upper_active),
+        "normal_cone": float(max(0.0, np.max(viol, initial=0.0))),
     }
     return StationarityCertificate(y_star=y_star, normal=normal,
                                    residuals=residuals)
-
-
-def _normal_cone_violation(normal, lower_active, upper_active) -> float:
-    v = 0.0
-    for i in range(normal.shape[0]):
-        if lower_active[i] and upper_active[i]:
-            continue
-        if lower_active[i]:
-            v = max(v, normal[i])          # must be <= 0
-        elif upper_active[i]:
-            v = max(v, -normal[i])         # must be >= 0
-        else:
-            v = max(v, abs(normal[i]))     # must vanish
-    return float(v)
 
 
 # ---------------------------------------------------------------------------

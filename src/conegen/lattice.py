@@ -218,14 +218,19 @@ def hausdorff_distance(a_vertices, b_vertices):
 
 
 def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
-    """2-D Hausdorff distance straight from the enlargement definition:
-    max over each hull's vertices of the Euclidean distance to the other hull.
+    """Hausdorff distance straight from the enlargement definition, in every
+    dimension: max over each set's vertices of the Euclidean distance to the
+    other set's hull.
 
-    It shares only the hulls with the support route: no direction, support
-    value or gap. Each distance is the nearest point on the other hull's
-    edges, or 0 inside it by an exact sign test (_hull_distances)."""
-    hull_a = convex_hull_2d(a_vertices)
-    hull_b = convex_hull_2d(b_vertices)
+    In the plane it shares only the hulls with the support route: no
+    direction, support value or gap. Each distance is the nearest point on
+    the other hull's edges, or 0 inside it by an exact sign test
+    (_hull_distances). Elsewhere each distance is a nearest-point QP of
+    `_separations`, so the result equals `hausdorff_distance`'s."""
+    A, B = _as_pair(a_vertices, b_vertices)
+    if A.shape[1] != 2:
+        return float(_separations(A, B)[0].max())
+    hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
     return max(float(_hull_distances(hull_a, hull_b)[0].max()),
                float(_hull_distances(hull_b, hull_a)[0].max()))
 

@@ -304,7 +304,7 @@ class PenaltyReport:
 def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyReport:
     """Check both directions of the exact-penalty equivalence on the instance.
 
-    Requires L > rank strictly (margin rank_margin); the one-directional
+    Requires a finite L > rank strictly (margin rank_margin); the one-directional
     inclusion is additionally checked at L = rank exactly, on the rows of the
     constrained minimal set m1 only: it holds iff none of them is dominated
     among the penalized values at the rank (vacuously for an empty m1). The
@@ -312,6 +312,8 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
     threshold is varied by a factor of ten.
     """
     tols = default_tolerances()
+    if not math.isfinite(L):
+        raise PreconditionViolation(f"penalty weight L={L} must be finite")
     if L <= instance.rank + tols.rank_margin:
         raise PreconditionViolation(
             f"penalty weight L={L} must exceed the rank {instance.rank} "

@@ -168,6 +168,13 @@ class TestCommands:
                                         "--L", "0.5"])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("L", ["nan", "inf"])
+    def test_penalize_non_finite_weight_exit2(self, capsys, penalty_file, L):
+        code, report, err = run_cli(capsys, ["penalize", "--problem", penalty_file,
+                                             "--L", L])
+        assert code == 2 and report is None
+        assert err == f"error: penalty weight L={L} must be finite\n"
+
     def test_minimal(self, capsys, penalty_file):
         code, report, _ = run_cli(capsys, ["minimal", "--problem", penalty_file])
         assert code == 0
@@ -309,10 +316,27 @@ def test_tol_override_flag(capsys, tmp_path):
         "scalarize": {"e": [1.0, 1.0]},
     }))
     before = default_tolerances()
-    code, report, _ = run_cli(capsys, ["--tol-override", "1e-3", "scalarize",
-                                       "--problem", str(path), "--point", "1,1"])
-    assert code == 0 and report["value"] == pytest.approx(1.0)
-    assert default_tolerances() is before
+    for value in ("1e-3", "0"):   # T = 0 is exact membership, and legal
+        code, report, _ = run_cli(capsys, ["--tol-override", value, "scalarize",
+                                           "--problem", str(path), "--point", "1,1"])
+        assert code == 0 and report["value"] == pytest.approx(1.0)
+        assert default_tolerances() is before
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tol_override_must_be_finite_and_nonnegative(capsys, tmp_path, value):
+    # with nan, the gauge 0.5 against the ambient norm 1.118 of (1, 0.5)
+    # used to pass unflagged; -1 and inf gave misleading cone errors
+    path = _write(tmp_path, {"cone": {"kind": "general",
+                                      "generators": [[1.0, 0.0], [1.0, 1.0]]},
+                             "gauge": {"u": [2.0, 1.0]}})
+    argv = ["gauge", "--problem", path, "--point", "1,0.5"]
+    code, report, err = run_cli(capsys, ["--tol-override", value] + argv)
+    assert code == 2 and report is None
+    assert err == f"error: --tol-override must be finite and >= 0, got {float(value)}\n"
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0 and report["ambient_comparison"]["violations"] == [
+        {"point": [1.0, 0.5], "gauge": 0.5, "ambient": math.hypot(1.0, 0.5)}]
 
 
 def test_tol_override_ends_with_the_call(capsys, tmp_path):

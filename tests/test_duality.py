@@ -833,6 +833,26 @@ class TestCertificates:
         assert isinstance(cert, StationarityCertificate)
         assert np.allclose(cert.y_star, [0.5, 0.5])
 
+    def test_refused_certificate_lp_rows(self):
+        # coordinates: lower-active, upper-active, active at both bounds,
+        # inactive, and inactive with a vanishing column. Rows: the cone's
+        # generators, then the one-sided columns in coordinate order (an
+        # upper-active one negated, so its 0 becomes -0.0); equalities: e,
+        # then the inactive columns. y1 = 0 and y1 = 2 y2 leave no y with
+        # y1 + y2 = 1.
+        obj = VectorObjective(lins=[[1.0, 3.0, 5.0, 1.0, 1e-8],
+                                    [2.0, 0.0, 5.0, -2.0, -1e-8]], consts=[0.0, 0.0])
+        ref = stationarity_certificate(obj, coordinate_cone(2), [1.0, 1.0],
+                                       [0.0, 1.0, 0.0, 0.5, 0.5],
+                                       [0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 1.0, 1.0])
+        assert isinstance(ref, CertificateRefusal)
+        expected = {"ineq_lhs": [[1.0, 0.0], [0.0, 1.0], [1.0, 2.0], [-3.0, -0.0]],
+                    "ineq_rhs": [0.0, 0.0, 0.0, 0.0],
+                    "eq_lhs": [[1.0, 1.0], [1.0, -2.0]], "eq_rhs": [1.0, 0.0]}
+        for name, rows in expected.items():
+            assert getattr(ref.lp, name).tobytes() == np.array(rows).tobytes(), name
+        assert verify_farkas(ref.lp, ref.farkas)
+
     def test_outside_box_refused(self):
         obj = VectorObjective(lins=[[1.0]], consts=[0.0])
         ref = stationarity_certificate(obj, coordinate_cone(1), [1.0],

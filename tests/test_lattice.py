@@ -404,6 +404,14 @@ class TestExactRouteAboveThePlane:
             assert rep["b_subset_a"] and not rep["a_subset_b"]
             assert rep["order_preserved"]
 
+    def test_definitional_distance_of_cubes(self):
+        cube = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+                        dtype=float)
+        for B, d in ((cube + [0.0, 0.0, 3.0], 3.0), (2.0 * cube, math.sqrt(3.0))):
+            definitional = hausdorff_distance_definitional(cube, B)
+            assert definitional == hausdorff_distance(cube, B)[0]
+            assert definitional == pytest.approx(d, abs=1e-12)
+
     def test_intervals(self):
         d, info = hausdorff_distance([[0.0], [2.0]], [[1.0], [5.0]])
         assert d == pytest.approx(3.0, abs=1e-12) and info["exact"]

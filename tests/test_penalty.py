@@ -381,6 +381,12 @@ class TestEquivalence:
         with pytest.raises(PreconditionViolation):
             verify_penalty_equivalence(scalar_abs_instance(), 1.0)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, L):
+        # nan fails no comparison with the rank, and inf * 0 is nan
+        with pytest.raises(PreconditionViolation, match="must be finite"):
+            verify_penalty_equivalence(scalar_abs_instance(), L)
+
     def test_randomized_suite(self):
         rng = np.random.default_rng(25)
         for _ in range(40):
