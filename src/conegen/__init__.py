@@ -12,8 +12,7 @@ from .duality import (BoxProgram, Multipliers, VectorObjective,
                       check_modified_slater, dual_value, duality_gap_report,
                       lagrangian_value, solve_dual, solve_primal,
                       stationarity_certificate)
-from .lattice import (SupportSample, hausdorff_distance, lattice_join,
-                      lattice_meet, support_function, verify_order_isometry)
+from .lattice import hausdorff_distance, support_function, verify_order_isometry
 from .numkernel import (LPProblem, SolveReport, project_box, projected_gradient,
                         solve_lp)
 

@@ -69,7 +69,6 @@ class Tolerances:
     lookup_radius   Euclidean radius within which a point is a ground-set point
     min_sample_rank least rank of a random penalty instance
     isometry        largest support-minus-definitional Hausdorff gap of an isometry
-    grid_match      largest coordinate gap of two direction grids lattice ops combine
     """
 
     membership: float = 1e-9
@@ -94,7 +93,6 @@ class Tolerances:
     lookup_radius: float = 1e-12
     min_sample_rank: float = 1e-6
     isometry: float = 1e-9
-    grid_match: float = 1e-12
 
 
 DEFAULT_TOLERANCES = Tolerances()   # frozen: one instance serves every caller

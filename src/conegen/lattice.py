@@ -14,16 +14,11 @@ the farthest vertex's separating direction attains the sup exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import default_tolerances
 from .duality import BoxProgram, solve_primal
-
-
-class GridMismatch(ValueError):
-    pass
 
 
 def support_function(vertices, d) -> float:
@@ -119,29 +114,6 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# direction grids
-
-def direction_grid(dim: int, n: int = 1024, seed: int = 0) -> np.ndarray:
-    """Quasi-uniform unit directions: uniform angles (2-D), Fibonacci sphere
-    (3-D), seeded Gaussian normalization above that."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        ang = 2 * np.pi * np.arange(n) / n
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    if dim == 3:
-        k = np.arange(n) + 0.5
-        phi = np.arccos(1 - 2 * k / n)
-        theta = np.pi * (1 + math.sqrt(5)) * k
-        return np.stack([np.sin(phi) * np.cos(theta),
-                         np.sin(phi) * np.sin(theta),
-                         np.cos(phi)], axis=1)
-    rng = np.random.default_rng(seed)
-    D = rng.normal(size=(n, dim))
-    return D / np.linalg.norm(D, axis=1)[:, None]
-
-
-# ---------------------------------------------------------------------------
 # Hausdorff distance
 
 def _as_pair(a_vertices, b_vertices):
@@ -151,6 +123,8 @@ def _as_pair(a_vertices, b_vertices):
         raise ValueError("empty polytope")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("vertices must have finite entries")
     return A, B
 
 
@@ -233,60 +207,6 @@ def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
     hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
     return max(float(_hull_distances(hull_a, hull_b)[0].max()),
                float(_hull_distances(hull_b, hull_a)[0].max()))
-
-
-# ---------------------------------------------------------------------------
-# lattice elements
-
-@dataclass
-class SupportSample:
-    """Support values on a fixed direction grid.
-
-    kind records whether the values are known to be a support function
-    ("support_function") or only an element of the surrounding function
-    lattice ("function_lattice"), which is all a pointwise min guarantees.
-    """
-
-    directions: np.ndarray
-    values: np.ndarray
-    vertices: np.ndarray | None = None
-    kind: str = "support_function"
-
-    @classmethod
-    def from_polytope(cls, vertices, directions) -> "SupportSample":
-        D = np.asarray(directions, dtype=float)
-        return cls(directions=D, values=support_values(vertices, D),
-                   vertices=np.atleast_2d(np.asarray(vertices, dtype=float)))
-
-    def _check_grid(self, other: "SupportSample"):
-        if self.directions.shape != other.directions.shape or \
-                np.max(np.abs(self.directions - other.directions)) > \
-                default_tolerances().grid_match:
-            raise GridMismatch("support samples live on different direction grids")
-
-
-def lattice_join(a: SupportSample, b: SupportSample) -> SupportSample:
-    """Pointwise max; equals the support function of conv(A u B) on the grid."""
-    a._check_grid(b)
-    verts = None
-    if a.vertices is not None and b.vertices is not None:
-        verts = np.vstack([a.vertices, b.vertices])
-        if verts.shape[1] == 2:
-            verts = convex_hull_2d(verts)
-    kind = "support_function" if (a.kind == b.kind == "support_function") \
-        else "function_lattice"
-    return SupportSample(directions=a.directions,
-                         values=np.maximum(a.values, b.values),
-                         vertices=verts, kind=kind)
-
-
-def lattice_meet(a: SupportSample, b: SupportSample) -> SupportSample:
-    """Pointwise min; a function-lattice element, not necessarily a support
-    function of any set."""
-    a._check_grid(b)
-    return SupportSample(directions=a.directions,
-                         values=np.minimum(a.values, b.values),
-                         vertices=None, kind="function_lattice")
 
 
 def verify_order_isometry(a_vertices, b_vertices) -> dict:

@@ -175,6 +175,19 @@ class TestCommands:
         assert code == 2 and report is None
         assert err == f"error: penalty weight L={L} must be finite\n"
 
+    def test_penalize_minus_inf_weight(self, capsys, penalty_file):
+        # argparse reads a separate "-inf" as an option; "--L=-inf" reaches the check
+        with pytest.raises(SystemExit) as exc:
+            main(["penalize", "--problem", penalty_file, "--L", "-inf"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.splitlines()[-1] == \
+            "conegen penalize: error: argument --L: expected one argument"
+        code, report, err = run_cli(capsys, ["penalize", "--problem", penalty_file,
+                                             "--L=-inf"])
+        assert code == 2 and report is None
+        assert err == "error: penalty weight L=-inf must be finite\n"
+
     def test_minimal(self, capsys, penalty_file):
         code, report, _ = run_cli(capsys, ["minimal", "--problem", penalty_file])
         assert code == 0
@@ -337,6 +350,17 @@ def test_tol_override_must_be_finite_and_nonnegative(capsys, tmp_path, value):
     code, report, _ = run_cli(capsys, argv)
     assert code == 0 and report["ambient_comparison"]["violations"] == [
         {"point": [1.0, 0.5], "gauge": 0.5, "ambient": math.hypot(1.0, 0.5)}]
+
+
+def test_tol_override_minus_inf_is_read_as_an_option(capsys, gauge_file):
+    # argparse reads a separate "-inf" as an option: a usage error, no report
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol-override", "-inf", "gauge", "--problem", gauge_file,
+              "--point", "1,1,1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.splitlines()[-1] == \
+        "conegen: error: argument --tol-override: expected one argument"
 
 
 def test_tol_override_ends_with_the_call(capsys, tmp_path):

@@ -30,6 +30,11 @@ def test_every_tolerance_is_read_outside_config():
     assert unread == []
 
 
+def test_docstring_names_exactly_the_fields():
+    documented = re.findall(r"^    ([a-z_]+)(?=\s)", Tolerances.__doc__, flags=re.M)
+    assert documented == [f.name for f in dataclasses.fields(Tolerances)]
+
+
 def test_no_public_function_takes_a_tolerance():
     # use_tolerances is the one way to set a tolerance: no per-call parameter
     found = []

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conegen.lattice import (GridMismatch, SupportSample, _hull_distances,
-                             convex_hull_2d, direction_grid, hausdorff_distance,
-                             hausdorff_distance_definitional, lattice_join,
-                             lattice_meet, support_function, support_values,
-                             verify_order_isometry)
+from conegen.lattice import (_hull_distances, convex_hull_2d, hausdorff_distance,
+                             hausdorff_distance_definitional, support_function,
+                             support_values, verify_order_isometry)
 from lattice_oracle import hull_distances_oracle, point_to_hull
 
 SQUARE = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
@@ -79,6 +77,17 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             hausdorff_distance(np.zeros((0, 2)), SQUARE)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fn", [hausdorff_distance, hausdorff_distance_definitional,
+                                    verify_order_isometry])
+    def test_non_finite_vertices_rejected(self, fn, dim, entry):
+        bad = np.eye(dim)
+        bad[0, 0] = entry
+        for A, B in ((bad, np.zeros((1, dim))), (np.zeros((1, dim)), bad)):
+            with pytest.raises(ValueError, match="^vertices must have finite entries$"):
+                fn(A, B)
 
 
 point_sets = st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
@@ -217,87 +226,6 @@ class TestIsometryConsistency:
             assert rep["b_subset_a"] == all(point_to_hull(p, hull_a) <= 1e-9 for p in hull_b)
             seen.add((rep["a_subset_b"], rep["b_subset_a"]))
         assert {(False, False), (False, True)} <= seen
-
-
-class TestDirectionGrid:
-    @pytest.mark.parametrize("dim, n, rows", [(1, 64, 2), (3, 64, 64), (4, 64, 64),
-                                              (6, 33, 33)])
-    def test_unit_rows(self, dim, n, rows):
-        D = direction_grid(dim, n)
-        assert D.shape == (rows, dim)
-        assert np.allclose(np.linalg.norm(D, axis=1), 1.0, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("dim", [1, 3, 4, 6])
-    def test_seed_determinism(self, dim):
-        assert np.array_equal(direction_grid(dim, 50, seed=7), direction_grid(dim, 50, seed=7))
-        other = direction_grid(dim, 50, seed=8)
-        # the fixed 1-D, 2-D and 3-D grids ignore the seed; a Gaussian one draws from it
-        assert np.array_equal(direction_grid(dim, 50, seed=7), other) == (dim <= 3)
-
-
-class TestLatticeOps:
-    def grid(self):
-        return direction_grid(2, 128)
-
-    def test_join_idempotent(self):
-        h = SupportSample.from_polytope(SQUARE, self.grid())
-        j = lattice_join(h, h)
-        assert np.array_equal(j.values, h.values)
-
-    def test_join_of_points_is_hull_support(self):
-        D = self.grid()
-        a = SupportSample.from_polytope([[1.0, 0.0]], D)
-        b = SupportSample.from_polytope([[0.0, 1.0]], D)
-        j = lattice_join(a, b)
-        assert j.values[0] == pytest.approx(1.0)  # d = (1, 0)
-        hull = convex_hull_2d([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(j.values, support_values(hull, D))
-
-    def test_join_dominates_arguments(self):
-        rng = np.random.default_rng(32)
-        D = self.grid()
-        a = SupportSample.from_polytope(random_polytope(rng), D)
-        b = SupportSample.from_polytope(random_polytope(rng), D)
-        j = lattice_join(a, b)
-        assert np.all(j.values >= a.values - 1e-15)
-        assert np.all(j.values >= b.values - 1e-15)
-
-    def test_join_correctness_random(self):
-        rng = np.random.default_rng(33)
-        D = self.grid()
-        for _ in range(50):
-            A, B = random_polytope(rng), random_polytope(rng)
-            j = lattice_join(SupportSample.from_polytope(A, D),
-                             SupportSample.from_polytope(B, D))
-            hull = convex_hull_2d(np.vstack([A, B]))
-            assert np.allclose(j.values, support_values(hull, D), atol=1e-12)
-
-    def test_meet_idempotent_and_tagged(self):
-        h = SupportSample.from_polytope(SQUARE, self.grid())
-        m = lattice_meet(h, h)
-        assert np.array_equal(m.values, h.values)
-        assert m.kind == "function_lattice"
-
-    def test_meet_below_arguments(self):
-        D = self.grid()
-        a = SupportSample.from_polytope([[0.0, 0.0], [1.0, 0.0]], D)
-        b = SupportSample.from_polytope([[0.0, 0.0], [0.0, 1.0]], D)
-        m = lattice_meet(a, b)
-        assert m.values[0] == pytest.approx(0.0)  # min(1, 0) at d = (1,0)
-        assert np.all(m.values <= a.values + 1e-15)
-
-    def test_grid_match_threshold(self):
-        D = direction_grid(2, 64)
-        a = SupportSample.from_polytope(SQUARE, D)
-        lattice_join(a, SupportSample.from_polytope(SQUARE, D + 1e-13))
-        with pytest.raises(GridMismatch):
-            lattice_join(a, SupportSample.from_polytope(SQUARE, D + 1e-11))
-
-    def test_grid_mismatch(self):
-        a = SupportSample.from_polytope(SQUARE, direction_grid(2, 64))
-        b = SupportSample.from_polytope(SQUARE, direction_grid(2, 128))
-        with pytest.raises(GridMismatch):
-            lattice_join(a, b)
 
 
 class TestOrderIsometry:
