@@ -18,10 +18,12 @@ class Tolerances:
     interior        strict-inequality margin for interior / strict-positivity tests
     strict_nonzero  norm threshold realizing "nonzero" in strict cone comparisons
     lp_feas         simplex feasibility threshold on each equilibrated row,
-                    relative to max(1, |b_i|), b_i its right-hand side: phase 1
-                    reports "infeasible" above it, and a final point above it
-                    (and above lp_feas times the row's terms there) is
-                    "numerical", not "optimal"
+                    relative to max(1, |b_i|), b_i its right-hand side (a
+                    basic variable's bound violation counts times its column's
+                    largest equilibrated entry): a row beyond it that no
+                    column moves back is "infeasible", and a final point
+                    above it (and above lp_feas times the row's terms there)
+                    is "numerical", not "optimal"
     lp_pivot        simplex pivot and reduced-cost threshold, and the ratio-test
                     tie threshold relative to max(1, step)
     farkas          verify_farkas: no sign-constrained multiplier is below

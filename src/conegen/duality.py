@@ -273,9 +273,13 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
         margin = float(np.min(A @ -prog.g(centre)))
         if margin / unit > tols.membership:
             return satisfied_at(centre, margin)
-    # max t  s.t.  -A G x - t unit >= A g0  for every cone row, x in box, h = 0
+    # max t  s.t.  -A G x - t unit >= A g0  for every cone row, x in box, h = 0;
+    # the rows imply t <= (|A G| max|x| + |A g0|) / unit, and that bound lets
+    # the simplex start dual feasible with t at it
+    x_abs = np.maximum(np.abs(prog.x_lo), np.abs(prog.x_hi))
+    t_hi = float(np.max(np.abs(gA) @ x_abs + np.abs(gb))) / unit
     rep = _max_t_lp(prog, -gA, np.full(gA.shape[0], -unit), -gb,
-                    (prog.x_lo, prog.x_hi), (-math.inf, math.inf))
+                    (prog.x_lo, prog.x_hi), (-math.inf, t_hi))
     if rep.status == "infeasible":
         return report(False, None, None, -math.inf,
                       "equality constraints infeasible on the box")
@@ -316,10 +320,11 @@ def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
         depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / (gap / 2))
         if depth > tols.h_margin:
             return centre
-    inf = np.full(prog.n, math.inf)
+    # the box rows with t >= 0 imply the box bounds on x, which keep one
+    # simplex column per coordinate
     rep = _max_t_lp(prog, np.vstack([np.eye(prog.n), -np.eye(prog.n)]),
                     np.tile(-gap / 2, 2), np.concatenate([prog.x_lo, -prog.x_hi]),
-                    (-inf, inf), (0.0, 1.0))
+                    (prog.x_lo, prog.x_hi), (0.0, 1.0))
     if rep.status not in ("optimal", "infeasible"):
         raise LPFailure(f"h-interior LP returned {rep.status}")
     if rep.status == "infeasible" or rep.point[-1] <= tols.h_margin:
@@ -523,7 +528,8 @@ def solve_primal(prog: BoxProgram) -> PrimalResult:
     equality duals; x1* and x2* are the positive and negative parts of the
     stationarity residual q + G'y* + H'z*. A quadratic runs the active-set
     method from the centre point of `_centre_point` when that point also
-    meets the cone rows, and from the simplex's phase-1 vertex otherwise.
+    meets the cone rows, and from the vertex the simplex finds with zero cost
+    otherwise.
     Either result is "optimal" only within the KKT gate of `_gated`.
     Infeasibility returns a Farkas certificate; a simplex solve that ends
     "numerical" or at its iteration cap is returned as is. The iterations

@@ -1,25 +1,28 @@
 """Deterministic dense numerical kernels: simplex LP, projections, iterations.
 
-The simplex is a two-phase dense tableau with bounded variables (Chvatal,
-Linear Programming, ch. 8): a bound is a column bound, not a row, a nonbasic
-variable sits at one of its bounds, and only a variable free on both sides is
-split into x+ - x-. Each nonzero inequality and equality row is equilibrated
-to infinity-norm 1 first. The entering column follows Dantzig's rule
-(largest reduced-cost violation, lowest index on ties); after a run of
-degenerate pivots it follows Bland's rule (lowest index, ratio ties by lowest
-basic index) until the next nondegenerate pivot, so the method terminates
-(Bland, Math. Oper. Res. 2(2), 1977). Nothing is random, so identical
-inputs produce bitwise-identical reports. The reduced costs are the last row
-of the tableau array, so each pivot is one in-place rank-1 update of rows and
-costs together. Statuses are decided on the equilibrated rows,
-each held to lp_feas * max(1, |b_i|) with b_i its own right-hand side, so
-neither the row scale nor the variable bounds move the threshold: phase 1
-reports "infeasible" when an artificial ends above it. The final point is
-solved afresh from the optimal basis with the nonbasic variables exactly at
-their bounds; if a row's residual there exceeds that threshold, and also
-lp_feas times the size of the row's terms at the point, the report is
-"numerical", never "optimal". Problems stay at a few hundred rows; no
-sparsity, no warm starts.
+The simplex is a dense tableau with bounded variables (Chvatal, Linear
+Programming, ch. 8): a bound is a column bound, not a row, and only a
+variable free on both sides is split into x+ - x-. Each nonzero row is
+equilibrated to infinity-norm 1 and gets a slack, fixed at zero on an
+equality row; the slacks are the first basis. Every other column starts at
+the bound its cost favours, so a dual simplex starts at once, with no phase
+1 (Maros, Computational Techniques of the Simplex Method, 2003, ch. 10): the
+most violated row leaves, and its ratio test flips bounds. A column
+unbounded above with a negative cost starts at zero with cost 0; a primal
+loop with Dantzig's rule then restores its cost. After a run of degenerate
+pivots both loops follow Bland's rule until the next nondegenerate pivot
+(Bland, Math. Oper. Res. 2(2), 1977). Nothing is random, so identical inputs
+produce bitwise-identical reports. The reduced costs are the last row of the
+tableau, so each pivot is one in-place rank-1 update of rows and costs.
+Statuses are decided on the equilibrated rows, each held to
+lp_feas * max(1, |b_i|) with b_i its own right-hand side, so neither the row
+scale nor the variable bounds move the threshold: a row beyond it that no
+column moves back is "infeasible", and its row of B^-1 is the Farkas
+certificate. The final point is solved afresh from the optimal basis with
+the nonbasic variables exactly at their bounds; if a row's residual there
+exceeds that threshold, and also lp_feas times the size of the row's terms
+at the point, the report is "numerical", never "optimal". Problems stay at a
+few hundred rows; no sparsity, no warm starts.
 """
 from __future__ import annotations
 
@@ -203,7 +206,7 @@ def verify_farkas(problem: LPProblem, cert: FarkasCertificate) -> bool:
 # this many consecutive degenerate pivots, and returns to Dantzig after the
 # next nondegenerate one. A degenerate run under Bland's rule cannot cycle.
 _BLAND_AFTER = 20
-# Pivots (bound flips included) over both phases before "iteration-cap".
+# Iterations of both loops (a primal bound flip is one) before "iteration-cap".
 SIMPLEX_CAP = 20_000
 
 
@@ -227,41 +230,42 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
     r = (b - A @ shift) * rho
 
-    # Rows sigma * (rho A z - slack) = sigma * r with sigma * r >= 0. An
-    # inequality row already satisfied at z = 0 starts with its slack basic;
-    # every other row gets an artificial column.
-    slack_start = np.zeros(m, dtype=bool)
-    slack_start[:n_in] = r[:n_in] <= 0.0
-    sigma = np.where(slack_start | (r < 0.0), -1.0, 1.0)
-    art_rows = np.flatnonzero(~slack_start)
+    # Rows s - rho A z = -r with slacks s = rho (A x - b), >= 0 on an
+    # inequality row and 0 on an equality row. The slacks are the first
+    # basis, so their columns of the tableau hold B^-1 throughout.
     nz = n + free.size
-    slack = nz + np.arange(n_in)
-    art = nz + n_in + np.arange(art_rows.size)
-    f = sigma * rho
+    slack = nz + np.arange(m)
     # Row m is reserved for the reduced costs, which pivot with the rows.
-    T = np.zeros((m + 1, nz + n_in + art.size))
-    T[:m, :n] = A * f[:, None] * sign
+    T = np.zeros((m + 1, nz + m))
+    T[:m, :n] = A * -rho[:, None] * sign
     T[:m, n:nz] = -T[:m, free]
-    T[np.arange(n_in), slack] = -sigma[:n_in]
-    T[art_rows, art] = 1.0
-    basis = nz + np.arange(m)
-    basis[art_rows] = art
+    T[np.arange(m), slack] = 1.0
     upper = np.full(T.shape[1], np.inf)
     upper[:n] = np.where(has_lo & has_hi, hi - lo, np.inf)
+    upper[slack[n_in:]] = 0.0
     cost = np.zeros(T.shape[1])
     cost[:n] = problem.cost * sign
     cost[n:nz] = -problem.cost[free]
-    # Phase 1 and the post-solve gate both hold each equilibrated row to
-    # lp_feas relative to its own right-hand side, whatever the bounds.
+    # Each equilibrated row is held to lp_feas relative to its own right-hand
+    # side, whatever the bounds, in the dual loop and the post-solve gate
+    # alike. A basic column's bound violation counts in the same row units,
+    # times the column's largest entry, and is held to lp_feas.
     feas_tol = tols.lp_feas * np.maximum(1.0, np.abs(b * rho))
+    held = np.full(T.shape[1], tols.lp_feas)
+    held[slack] = feas_tol
 
     T0 = T[:m].copy()  # the pivots overwrite T
-    rep = _two_phase(T, sigma * r, basis, upper, cost, art, feas_tol[art_rows], tols)
+    rep = _dual_simplex(T, -r, slack, upper, cost, held, tols)
     out = SolveReport(status=rep["status"], iterations=rep["iterations"])
-    if rep["status"] not in ("optimal", "infeasible"):
-        return out
-    y = f * rep["y"]  # multipliers of the input rows
     if rep["status"] == "infeasible":
+        # One step of iterative refinement of that row w of B^-1 (Gleixner,
+        # Steffy & Wolter, INFORMS J. Comput. 28, 2016).
+        B, w = T0[:, rep["basis"]], rep["w"]
+        try:
+            w = w + np.linalg.solve(B.T, np.eye(1, m, rep["row"])[0] - w @ B)
+        except np.linalg.LinAlgError:
+            pass
+        y = rho * rep["side"] * w
         y_ineq = np.maximum(y[:n_in], 0.0)
         g = y_ineq @ problem.ineq_lhs + y[n_in:] @ problem.eq_lhs
         out.farkas = FarkasCertificate(
@@ -269,6 +273,9 @@ def solve_lp(problem: LPProblem) -> SolveReport:
             y_lower=np.where(has_lo, np.maximum(-g, 0.0), 0.0),
             y_upper=np.where(has_hi, np.maximum(g, 0.0), 0.0))
         return out
+    if rep["status"] != "optimal":
+        return out
+    y = -rho * rep["y"]  # the input rows' multipliers: T's rows are -rho times them
 
     # The point is solved afresh from the final basis in the units of x: the
     # nonbasic variables sit exactly at their bounds and the basic ones solve
@@ -282,7 +289,7 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     unit = np.ones(T.shape[1])  # columns in x units: x_j = -z on a negative part
     unit[:n], unit[n:nz] = sign, -1.0
     try:
-        v = np.linalg.solve(T0[:, basis] * unit[basis], f * (b - A @ x))
+        v = np.linalg.solve(T0[:, basis] * unit[basis], rho * (A @ x - b))
     except np.linalg.LinAlgError:
         return SolveReport(status="numerical", iterations=rep["iterations"])
     x[var] = v[carries]
@@ -304,49 +311,124 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     return out
 
 
-def _two_phase(T, xb, basis, upper, cost, art, feas_tol, tols):
-    """Bounded-variable two-phase simplex on T[:-1] z = xb, 0 <= z <= upper.
-
-    The last row of T holds the reduced costs of the current phase, so that
-    one rank-1 update per pivot moves the rows and the costs together. The
-    columns `basis` hold the identity, and `art` are the artificial columns,
-    each held to its entry of feas_tol in phase 1. Returns the row duals
-    y = c_B B^-1 of the phase that decided the status, read off the reduced
-    costs of the starting basis columns.
+def _dual_simplex(T, xb, start, upper, cost, held, tols):
+    """Bounded-variable simplex on T[:-1] z = xb, 0 <= z <= upper from the
+    identity columns `start`, each other column at the bound its cost
+    favours: the dual loop, then the primal loop with the true costs of the
+    columns unbounded above that started at zero with cost 0. Returns the row
+    duals y = c_B B^-1, read off the reduced costs of the starting columns,
+    or, for "infeasible", the row of B^-1 that proves it.
     """
-    start = basis.copy()
+    basis = start.copy()
     rows, d = T[:-1], T[-1]
+    weight = np.abs(rows).max(axis=0, initial=0.0)
+    adverse = (cost < 0.0) & np.isinf(upper)
+    at_upper = (cost < 0.0) & ~adverse
+    d[:] = np.where(adverse, 0.0, cost)
     # Nonbasic columns sit at zero (-1: may increase) or at their upper bound
     # (+1: may decrease); 0 marks basic columns and columns fixed at zero.
-    sgn = np.where(upper > 0.0, -1.0, 0.0)
+    sgn = np.where(upper > 0.0, np.where(at_upper, 1.0, -1.0), 0.0)
     sgn[basis] = 0.0
-    iters = 0
-    if art.size:
-        # Phase 1: minimize the sum of the artificials.
-        c1 = np.zeros(T.shape[1])
-        c1[art] = 1.0
-        d[:] = c1 - c1[basis] @ rows
+    xb -= rows[:, at_upper] @ upper[at_upper]
+    status, iters, row = _dual_loop(T, xb, basis, upper, sgn, weight, held, tols)
+    if status == "infeasible":
+        return {"status": status, "iterations": iters, "basis": basis, "row": row,
+                "w": rows[row, start], "side": 1.0 if xb[row] < 0.0 else -1.0}
+    if status == "optimal":
+        if adverse.any():
+            d[:] = cost - cost[basis] @ rows
         status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols, iters)
-        if status != "optimal":
-            return {"status": status, "iterations": iters}
-        held = np.full(T.shape[1], np.inf)
-        held[art] = feas_tol
-        if np.any(xb > held[basis]):
-            return {"status": "infeasible", "iterations": iters,
-                    "y": c1[start] - d[start]}
-        # Artificials are fixed at zero from here on; one that stays basic
-        # marks a redundant row.
-        xb[c1[basis] > 0.0] = 0.0
-        upper[art] = 0.0
-        sgn[art] = 0.0
-
-    d[:] = cost - cost[basis] @ rows
-    status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols, iters)
     if status != "optimal":
         return {"status": status, "iterations": iters}
     return {"status": "optimal", "basis": basis, "at_upper": sgn > 0.0,
-            "iterations": iters, "y": cost[start] - d[start],
+            "iterations": iters, "y": -d[start],
             "opt_resid": float(max(0.0, (d * sgn).max(initial=0.0)))}
+
+
+def _dual_loop(T, xb, basis, upper, sgn, weight, held, tols):
+    """Dual simplex from a dual-feasible basis: drive every basic column into
+    its bounds, or find a row that no nonbasic column moves towards them.
+
+    The row whose basic column lies furthest outside its bounds, in the row
+    units of `weight` and beyond `held`, leaves. The ratio test takes the
+    eligible columns in order of |d_j| / |alpha_j|, flips those whose whole
+    range leaves the row still outside, and the next enters, the largest
+    |alpha_j| among ratio ties. Under Bland's rule the lowest basic index
+    leaves and the lowest tied column enters. Returns (status, iterations,
+    leaving row).
+    """
+    m, ncols = T.shape[0] - 1, T.shape[1]
+    d = T[m]
+    ub, wb, hb = upper[basis], weight[basis], held[basis]
+    piv = np.empty(ncols)
+    prod = np.empty_like(T)
+    degenerate = 0
+    iters = 0
+    while True:
+        viol = np.maximum(xb - ub, -xb) * wb
+        over = viol > hb
+        if not over.any():
+            return "optimal", iters, None
+        if iters >= SIMPLEX_CAP:
+            return "iteration-cap", iters, None
+        bland = degenerate >= _BLAND_AFTER
+        if bland:
+            cand = over.nonzero()[0]
+            row = int(cand[basis[cand].argmin()])
+        else:
+            row = int(np.where(over, viol, 0.0).argmax())
+        below = xb[row] < 0.0
+        excess = -xb[row] if below else xb[row] - ub[row]
+        alpha = T[row] * (sgn if below else -sgn)
+        elig = (alpha > tols.lp_pivot).nonzero()[0]
+        if elig.size == 0:
+            return "infeasible", iters, row
+        a = alpha[elig]
+        ratio = np.maximum(d[elig] * -sgn[elig], 0.0) / a
+        room = a * upper[elig]  # how far each column's whole range moves the row
+        left = ratio.copy()
+        flips, reach = [], 0.0
+        while True:  # the breakpoints in order of ratio, lowest index on ties
+            k = int(left.argmin())
+            if reach + room[k] >= excess:
+                break
+            if len(flips) + 1 == left.size:
+                # Every eligible column at its other bound still leaves the
+                # row outside beyond its threshold: the dual is unbounded.
+                if (excess - (reach + room[k])) * wb[row] > hb[row]:
+                    return "infeasible", iters, row
+                break
+            flips.append(k)
+            reach += room[k]
+            left[k] = np.inf
+        iters += 1
+        if flips:
+            flip = elig[flips]
+            xb += T[:m, flip] @ (sgn[flip] * upper[flip])
+            sgn[flip] = -sgn[flip]
+        step = ratio[k]
+        tie = tols.lp_pivot * max(1.0, step)
+        ties = (left <= step + tie).nonzero()[0]
+        col = int(elig[ties.min() if bland else ties[a[ties].argmax()]])
+        leave = basis[row]
+        move = (xb[row] - (0.0 if below else ub[row])) / T[row, col]
+        entered = (upper[col] if sgn[col] > 0.0 else 0.0) + move
+        xb -= move * T[:m, col]
+        xb[row] = entered
+        sgn[leave] = 0.0 if upper[leave] <= 0.0 else (-1.0 if below else 1.0)
+        sgn[col] = 0.0
+        basis[row] = col
+        ub[row], wb[row], hb[row] = upper[col], weight[col], held[col]
+        _pivot(T, row, col, piv, prod)
+        degenerate = degenerate + 1 if step <= tie else 0
+
+
+def _pivot(T, row, col, piv, prod):
+    """Pivot T in place on (row, col), through the buffers piv and prod."""
+    np.divide(T[row], T[row, col], out=piv)
+    np.multiply(T[:, col, None], piv, out=prod)
+    T -= prod
+    T[row] = piv
 
 
 def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
@@ -355,8 +437,7 @@ def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
 
     The entering column has the largest reduced-cost violation d * sgn
     (Dantzig), lowest index on ties; it either flips to its other bound or
-    pivots in. A pivot is one in-place rank-1 update of all of T, rows and
-    d alike, through a product buffer allocated once per call.
+    pivots in.
     """
     m, ncols = T.shape[0] - 1, T.shape[1]
     if ncols == 0:
@@ -406,10 +487,7 @@ def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
         sgn[col] = 0.0
         basis[row] = col
         ub[row] = upper[col]
-        np.divide(T[row], T[row, col], out=piv)
-        np.multiply(T[:, col, None], piv, out=prod)
-        T -= prod
-        T[row] = piv
+        _pivot(T, row, col, piv, prod)
         degenerate = degenerate + 1 if step <= tie else 0
 
 

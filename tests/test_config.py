@@ -54,9 +54,12 @@ def test_no_module_reads_the_environment():
 
 
 def test_simplex_cap_reaches_the_gap_report(monkeypatch):
-    # min -sum(x) over [0, 1]^3: three bound flips, each counted as a pivot
+    # min -sum(x) over [0, 1]^3 with x1 + x2 <= 0.5 and x2 + x3 <= 0.5: the
+    # simplex starts at the corner (1, 1, 1), which violates both rows
     prog = BoxProgram(n=3, Q=np.zeros((3, 3)), q=-np.ones(3), c=0.0,
-                      x_lo=np.zeros(3), x_hi=np.ones(3))
+                      x_lo=np.zeros(3), x_hi=np.ones(3),
+                      G=np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]),
+                      g0=np.array([-0.5, -0.5]), cone_y=coordinate_cone(2))
     assert solve_primal(prog).status == "optimal"
     assert solve_primal(prog).iterations >= 2
     monkeypatch.setattr(numkernel, "SIMPLEX_CAP", 1)

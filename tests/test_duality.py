@@ -7,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from conegen import duality
+from conegen import duality, numkernel
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
+from conegen.demos import run_torsion_demo
+from conegen.gauge import minkowski_gauge
 from conegen.numkernel import SolveReport
 from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              StationarityCertificate, VectorObjective,
@@ -413,6 +415,46 @@ class TestCentreInfeasible:
             primal = self.check(prog, e, p)
             assert primal.status == "optimal" and kkt_residual(prog, primal) <= 1e-9
             assert len(phase1) == 2 * (i + 1)   # the gap report's solve and this one
+
+
+def test_no_lp_built_in_src_takes_a_cleanup_pivot(monkeypatch):
+    """Every LP the library builds starts the simplex dual feasible at the
+    bound each cost favours, so the primal clean-up after the dual loop
+    pivots nowhere: on criterion 5's programs, on the centre-infeasible
+    programs (whose search and h-interior LPs run), on the torsion grid 12
+    and on Minkowski gauges. Beale's LP, whose costs are negative on columns
+    unbounded above, shows that the counter sees clean-up pivots."""
+    pivots = []
+    loop = numkernel._simplex_loop
+
+    def counted(T, xb, basis, upper, sgn, tols, iters):
+        status, done = loop(T, xb, basis, upper, sgn, tols, iters)
+        pivots.append(done - iters)
+        return status, done
+
+    monkeypatch.setattr(numkernel, "_simplex_loop", counted)
+    rng = np.random.default_rng(105)   # criterion 5's programs and draws
+    for k in range(100):
+        prog, e = random_box_program(rng, kind="qp" if k % 2 == 0 else "lp")
+        duality_gap_report(prog, e)
+        for _ in range(20):
+            random_multipliers(rng, prog)
+    for kind, seed in (("lp", 41), ("qp", 42)):
+        for variant in ("cut", "equality"):
+            rng = np.random.default_rng([seed, variant == "cut"])
+            for _ in range(20):
+                prog, e, _ = centre_infeasible_program(rng, kind, variant)
+                assert duality_gap_report(prog, e).slater.satisfied
+    run_torsion_demo(n_grid=12)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        assert minkowski_gauge(rng.normal(size=(6, 3)), rng.normal(size=3)) > 0.0
+    assert len(pivots) > 200 and max(pivots) == 0
+    c = np.array([-0.75, 20.0, -0.5, 6.0])
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    numkernel.solve_lp(numkernel.LPProblem(cost=c, ineq_lhs=-A, ineq_rhs=-np.array([0.0, 0.0, 1.0]),
+                                           lower=np.zeros(4)))
+    assert pivots[-1] > 0
 
 
 class TestNoLPFromTheCentre:
