@@ -67,6 +67,7 @@ class Tolerances:
     coincident      sample points this close are one point (rank +inf if their
                     values differ); also the floor of the rank's pair distances
     rank_slack      measured rank may exceed a declared one by rank_slack * membership
+                    times the declared rank
     unit_norm       accepted deviation of the ambient norm of e from 1
     lookup_radius   Euclidean radius within which a point is a ground-set point
     min_sample_rank least rank of a random penalty instance

@@ -35,6 +35,33 @@ def build_torsion_program(n_grid: int = 12, load: float = 8.0) -> BoxProgram:
     discretized with n_grid interior points: the slope constraint becomes
     |(u_{i+1} - u_i)/h| <= 1 on each of the n_grid + 1 intervals, two affine
     rows each, with the coordinate cone ordering the constraint space.
+
+    Closed form, and what the discrete solution makes of it. The continuous
+    solution has u' = clip(load (1/2 - x), -1, 1): slope 1 up to the free
+    boundary x* = 1/2 - 1/load, and u(1/2) = 1/2 - 1/(2 load) stays below
+    the box's 0.6. Its multiplier density is lambda(x) = max(load |1/2 - x|
+    - 1, 0): peak load/2 - 1 at x = 0 and 1, integral load x*^2.
+
+    The KKT conditions at node j read w_j - w_{j+1} = load h with w_i = s_i
+    + y_i / h on interval i, s_i its slope and y_i the multiplier of its
+    active row (signed by the row's direction); with the symmetry about 1/2,
+    w_i = load (1/2 - m_i) at the interval midpoint m_i = (i - 1/2) h.
+    Complementarity then gives s_i = clip(w_i, -1, 1) and y_i / h =
+    lambda(m_i): the discrete slopes and densities are the continuous ones
+    at the midpoints, and every error is the midpoint rule's. That rule is
+    exact on linear pieces, so only the interval holding a kink of u' (at
+    x* and 1 - x*) contributes. With delta the offset of x* from the
+    midpoint of its interval and r = h/2 - |delta| in [0, h/2]:
+      - max nodal error = (load / 2) r^2 <= load h^2 / 8, reached between
+        the two kinks (whose errors cancel at x = 1);
+      - peak density y_1 / h = lambda(h/2) = load/2 - 1 - load h / 2, when
+        the first interval is active (load (1/2 - h/2) > 1);
+      - sum of y = load x*^2 - load r^2.
+    At load 8 (x* = 3/8) and grids 12, 24, 48 and 96, (grid + 1) x* has
+    fraction 0.875, 0.375, 0.375 and 0.375, so r = h/8, 3h/8, 3h/8, 3h/8:
+    the nodal error is 0.0625 h^2 or 0.5625 h^2 (below 0.6 h^2), the peak
+    density is 3 - 4 h, and the sum of y is 1.125 minus at most 8 (3h/8)^2
+    = 1.8e-3 (grid 24), within 5e-3. Other grids can reach h^2 and 2 h^2.
     """
     n = n_grid
     h = 1.0 / (n + 1)

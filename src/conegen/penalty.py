@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import default_tolerances
+from .config import Tolerances, default_tolerances
 from .cones import InvalidCone, PolyhedralCone
 from .gauge import ambient_norm, check_norm_p
 from .numkernel import as_vector
@@ -102,6 +102,10 @@ class RankEstimate(NamedTuple):
     heuristic: bool
 
 
+# the last measurement: (key of its exact inputs, estimate); see cone_lipschitz_rank
+_last_rank: tuple | None = None
+
+
 def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
                         p: float = 2) -> RankEstimate:
     """Least L with f(x) <=_C f(y) + L ||x - y|| e over all sampled pairs.
@@ -110,13 +114,35 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     norm a running max of |<h_k, v_i> - <h_k, v_j>| / <h_k, e> (+inf where
     <h_k, e> = 0 and the difference is nonzero, as in halfspace_ratio).
     Coincident points with different values make the rank +inf.
+
+    The last estimate is kept with the exact inputs the measurement reads:
+    the bytes of points, values, e and the cone's halfspaces, the cone's
+    kind, p and the tolerances in force. A rank just measured on the same
+    inputs, as when PenaltyInstance checks a declared rank its caller has
+    measured, is returned without being measured again; a call that raises
+    keeps nothing.
     """
+    global _last_rank
     check_norm_p(p)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
         raise ValueError("need matching points/values with at least one pair")
+    e = as_vector(e, cone.dim, "direction e")
     tols = default_tolerances()
+    H = cone.halfspaces
+    key = (pts.shape, pts.tobytes(), vals.shape, vals.tobytes(), cone.kind,
+           H.shape, H.tobytes(), e.tobytes(), p, tols)
+    last = _last_rank
+    if last is not None and last[0] == key:
+        return last[1]
+    est = _measure_rank(pts, vals, cone, e, p, tols)
+    _last_rank = (key, est)
+    return est
+
+
+def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
+                  e: np.ndarray, p: float, tols: Tolerances) -> RankEstimate:
     phi = GerstewitzFn(cone, e)   # rejects e outside C, or with R e inside C
     he = cone.halfspace_values(phi.e)
     rank = 0.0
@@ -144,8 +170,12 @@ class PenaltyInstance:
     """Finite ground set S, feasible subset Omega, vector objective, cone data.
 
     A declared rank is validated at construction: every ordered pair of S
-    must satisfy f(x) <=_C f(y) + rank * ||x - y|| e. With rank=None the rank
-    is measured on S instead (cone_lipschitz_rank), once.
+    must satisfy f(x) <=_C f(y) + rank * ||x - y|| e, up to rank_slack *
+    membership times the rank: rounding moves a rank by a fraction of itself
+    at every scale of the values. With rank=None the rank is
+    measured on S instead (cone_lipschitz_rank), once. A declared rank that
+    the caller has just measured on the same points, values, cone, e and p
+    is not measured again: cone_lipschitz_rank returns its last estimate.
     """
 
     points: np.ndarray
@@ -182,7 +212,7 @@ class PenaltyInstance:
         tols = default_tolerances()
         if self.rank is None:
             self.rank = est.value
-        elif est.value > self.rank + tols.rank_slack * tols.membership:
+        elif est.value > self.rank * (1.0 + tols.rank_slack * tols.membership):
             raise ValueError(
                 f"declared rank {self.rank} violates the Lipschitz inequality "
                 f"on the sample (measured {est.value})")

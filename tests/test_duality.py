@@ -937,3 +937,20 @@ class TestMultiplierValidation:
         with pytest.raises(ValueError):
             Multipliers(y=np.zeros(1), x1=np.array([-1e-6, 0.0]),
                         x2=np.zeros(2), z=np.zeros(0)).validate(prog)
+
+
+@pytest.mark.parametrize("grid", [12, 24, 48, 96])
+def test_torsion_demo_against_its_closed_form(grid):
+    """u' = clip(load (1/2 - x), -1, 1) at load 8: the limits derived in
+    build_torsion_program's docstring. The peak density is 3 - 4 h exactly
+    there, so its limit carries a rounding allowance of 1e-9."""
+    load, h = 8.0, 1.0 / (grid + 1)
+    tor = run_torsion_demo(n_grid=grid, load=load)
+    x = h * np.arange(1, grid + 1)
+    ramp = np.minimum(x, 1.0 - x)   # u where |u'| = 1
+    middle = 0.375 + 4.0 * x - 4.0 * x ** 2 - 0.9375   # u on [3/8, 5/8]
+    exact = np.where((x > 0.375) & (x < 0.625), middle, ramp)
+    assert np.max(np.abs(tor.solution - exact)) <= 0.6 * h ** 2
+    y = np.asarray(tor.gap_report["multipliers"]["y"])
+    assert abs(np.max(y) / h - (load / 2 - 1)) <= 4 * h + 1e-9
+    assert abs(np.sum(y) - 1.125) <= 5e-3

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import conegen.penalty as penalty_module
 from conegen.gauge import ambient_norm
 from conegen.config import default_tolerances, use_tolerances
-from conegen.cones import PolyhedralCone, coordinate_cone
+from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
 from conegen.penalty import (PenaltyInstance, PreconditionViolation,
                              cone_lipschitz_rank, cone_minimal_points,
                              distance_to_set, penalized_objective,
@@ -487,3 +487,107 @@ class TestInstanceValidation:
         inst = random_instance(np.random.default_rng(104))
         assert len(calls) == 1
         assert inst.rank == rank(inst.points, inst.values, inst.cone, inst.e).value
+
+
+def general_rank_inputs(seed, n=60):
+    """Random points and values with a 2-D general cone and its unit e."""
+    rng = np.random.default_rng(seed)
+    cone = random_cone(rng, 2, True)
+    e = np.sum(cone.generators, axis=0)
+    return (rng.uniform(-1.0, 1.0, size=(n, 2)), rng.normal(size=(n, 2)), cone,
+            e / np.linalg.norm(e))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 30), log_s=st.floats(-6.0, 12.0),
+       case=st.sampled_from(["oracle", "understated"]))
+def test_declared_rank_check_is_independent_of_scale(seed, log_s, case):
+    # the oracle's rank differs from the kernel's by ulps of the rank: an
+    # absolute slack refuses it once the values are large, and accepts a
+    # rank understated by 0.1% once they are small
+    for k in range(5):
+        pts, vals, cone, e = general_rank_inputs([seed, k])
+        vals *= 10.0 ** log_s
+        measured = cone_lipschitz_rank(pts, vals, cone, e).value
+
+        def declare(rank):
+            return PenaltyInstance(points=pts, feasible_mask=np.ones(len(pts), bool),
+                                   objective=None, cone=cone, e=e, rank=rank,
+                                   values=vals)
+
+        if case == "oracle":
+            assert declare(rank_oracle(pts, vals, cone, e)).rank > 0.0
+        else:
+            with pytest.raises(ValueError, match="violates the Lipschitz"):
+                declare((1.0 - 1e-3) * measured)
+
+
+class TestRankMemo:
+    """cone_lipschitz_rank keeps its last estimate with the exact inputs it
+    read; a repeat returns it, and any changed input measures afresh."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        monkeypatch.setattr(penalty_module, "_last_rank", None)
+        calls = []
+        blocks = penalty_module._pair_blocks
+
+        def counted(HV):
+            calls.append(HV.shape[0])
+            return blocks(HV)
+
+        monkeypatch.setattr(penalty_module, "_pair_blocks", counted)
+        return calls
+
+    def test_measure_then_declare_runs_the_kernel_once(self, kernel_calls):
+        pts, vals, cone, e = general_rank_inputs(1)
+        rank = cone_lipschitz_rank(pts, vals, cone, e).value
+        inst = PenaltyInstance(points=pts, feasible_mask=np.arange(60) % 3 == 0,
+                               objective=None, cone=cone, e=e, rank=rank, values=vals)
+        assert len(kernel_calls) == 1 and inst.rank == rank
+
+    def test_hit_equals_a_fresh_measurement(self, kernel_calls):
+        pts, vals, cone, e = general_rank_inputs(2)
+        first = cone_lipschitz_rank(pts, vals, cone, e)
+        again = cone_lipschitz_rank(pts.copy(), vals.tolist(), cone, list(e))
+        assert len(kernel_calls) == 1 and again == first
+        fresh = penalty_module._measure_rank(pts, vals, cone, e, 2, default_tolerances())
+        assert again == fresh
+        assert abs(again.value - rank_oracle(pts, vals, cone, e)) <= 1e-12 * again.value
+
+    @pytest.mark.parametrize("part", ["values", "tolerances", "p", "e", "cone"])
+    def test_each_key_part_forces_a_fresh_measurement(self, kernel_calls, part):
+        rng = np.random.default_rng(5)
+        pts, vals = rng.uniform(-1.0, 1.0, size=(40, 2)), rng.normal(size=(40, 2))
+        cone, e, p = coordinate_cone(2), np.array([1.0, 1.0]) / math.sqrt(2.0), 2
+        tols = default_tolerances()
+        before = cone_lipschitz_rank(pts, vals, cone, e).value
+        if part == "values":
+            vals *= 2.0   # in place: the caller's array, same identity
+        elif part == "tolerances":   # pairs closer than 0.5 are coincident
+            tols = replace(tols, coincident=0.5)
+        elif part == "p":
+            p = 1
+        elif part == "e":
+            e = np.array([0.6, 0.8])
+        else:
+            cone = PolyhedralCone(2, generators=[[1.0, 0.0], [1.0, 1.0]])
+            e = np.array([1.0, 0.5]) / math.sqrt(1.25)
+        with use_tolerances(tols):
+            got = cone_lipschitz_rank(pts, vals, cone, e, p=p)
+            assert len(kernel_calls) == 2 and got.value != before
+            assert got == penalty_module._measure_rank(pts, vals, cone, e, p, tols)
+            if part != "tolerances":
+                assert got.value == pytest.approx(rank_oracle(pts, vals, cone, e, p=p),
+                                                  rel=1e-12)
+            else:
+                assert got.value == math.inf
+
+    def test_a_raising_call_stores_nothing(self, kernel_calls):
+        pts, vals, cone, e = general_rank_inputs(3)
+        cone_lipschitz_rank(pts, vals, cone, e)
+        kept = penalty_module._last_rank
+        for _ in range(2):
+            with pytest.raises(InvalidCone, match="must belong to the cone"):
+                cone_lipschitz_rank(pts, vals, cone, -e)
+        assert penalty_module._last_rank is kept and len(kernel_calls) == 1
