@@ -14,9 +14,12 @@ makes "\\ {0}" robust on grids.
 
 The rank and the dominance relation build each unordered pair once, in row
 blocks of halfspace planes, and read it both ways: the max of phi(v_i - v_j)
-and phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. The inclusion
-at the rank reads the dominance relation on the rows of the constrained
-minimal set only, each against every column.
+and phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. A
+verification builds the full relation on Omega's values only. The penalized
+values are first read against the columns of the constrained minimal set
+m1, which above the rank dominates the points outside Omega; the rows this
+screen leaves open are then read against every column. The inclusion at
+the rank reads the rows of m1 only, each against every column.
 """
 from __future__ import annotations
 
@@ -33,6 +36,8 @@ from .numkernel import as_vector
 from .scalarization import GerstewitzFn
 
 _BLOCK = 64   # rows per pair block: 64 beat 128 and 256 on the penalty benchmark
+# the factors of strict_nonzero at which a report re-reads the minimal sets
+_SWEEP = (0.1, 10.0)
 
 
 class PreconditionViolation(ValueError):
@@ -113,7 +118,8 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     The max over unordered pairs of ||f(x) - f(y)||_e / ||x - y||, with the
     norm a running max of |<h_k, v_i> - <h_k, v_j>| / <h_k, e> (+inf where
     <h_k, e> = 0 and the difference is nonzero, as in halfspace_ratio).
-    Coincident points with different values make the rank +inf.
+    Coincident points with different values make the rank +inf; a point or
+    value with a nan or infinite entry is refused (ValueError).
 
     The last estimate is kept with the exact inputs the measurement reads:
     the bytes of points, values, e and the cone's halfspaces, the cone's
@@ -128,6 +134,8 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
         raise ValueError("need matching points/values with at least one pair")
+    if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
+        raise ValueError("points and values must have finite entries")
     e = as_vector(e, cone.dim, "direction e")
     tols = default_tolerances()
     H = cone.halfspaces
@@ -169,11 +177,11 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
 class PenaltyInstance:
     """Finite ground set S, feasible subset Omega, vector objective, cone data.
 
-    A declared rank is validated at construction: every ordered pair of S
-    must satisfy f(x) <=_C f(y) + rank * ||x - y|| e, up to rank_slack *
-    membership times the rank: rounding moves a rank by a fraction of itself
-    at every scale of the values. With rank=None the rank is
-    measured on S instead (cone_lipschitz_rank), once. A declared rank that
+    A declared rank is validated at construction, and nan refused: every
+    ordered pair of S must satisfy f(x) <=_C f(y) + rank * ||x - y|| e, up
+    to rank_slack * membership times the rank: rounding moves a rank by a
+    fraction of itself at every scale of the values. With rank=None the rank
+    is measured on S instead (cone_lipschitz_rank), once. A declared rank that
     the caller has just measured on the same points, values, cone, e and p
     is not measured again: cone_lipschitz_rank returns its last estimate.
     """
@@ -189,6 +197,8 @@ class PenaltyInstance:
 
     def __post_init__(self):
         check_norm_p(self.norm_p)
+        if self.rank is not None and math.isnan(self.rank):
+            raise ValueError("declared rank must not be nan")
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.feasible_mask = np.asarray(self.feasible_mask, dtype=bool)
         if self.feasible_mask.shape[0] != self.points.shape[0]:
@@ -222,7 +232,9 @@ class PenaltyInstance:
         return self.points[self.feasible_mask]
 
     def distances_to_omega(self) -> np.ndarray:
-        return np.min(_pair_norms(self.points, self.omega_points, self.norm_p), axis=1)
+        # the root of the row minimum: sqrt is monotone and correctly rounded
+        near = np.min(_pair_sums(self.points, self.omega_points, self.norm_p), axis=1)
+        return near if self.norm_p in (1, math.inf) else np.sqrt(near)
 
     def penalized_values(self, L: float) -> np.ndarray:
         return self.values + L * self.distances_to_omega()[:, None] * self.e[None, :]
@@ -253,31 +265,38 @@ def _lookup(instance, x):
 
 
 def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
-                     rows: np.ndarray | None = None) -> np.ndarray:
+                     rows: np.ndarray | None = None,
+                     cols: np.ndarray | None = None) -> np.ndarray:
     """reach[i] = max ||v_j - v_i|| over the j with <h_k, v_j> - <h_k, v_i> <= tol
     for every k (v_j - v_i in -C), 0 if none. Row i is cone-minimal at
     strict_tol iff not reach[i] > strict_tol: one relation, every strict_tol.
     A pair block's running max over k decides (i, j), its running min (j, i),
     read for j >= hi only: the diagonal square holds both directions.
 
-    With rows given, the reach of those rows only, in their order, each read
-    against every column in blocks of at most _BLOCK rows. A plane read the
-    other way is the exact negation, so the values equal reach[rows]."""
+    With rows or cols given, the reach of those rows only, in their order,
+    over those columns only (every row, every column by default), in blocks
+    of about _BLOCK * n pairs. A plane read the other way is the exact
+    negation, so with every column the values equal reach[rows]; over a
+    column subset each is a lower bound of it."""
     HV = cone.halfspace_values(V)
-    if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
-        sq = np.zeros(rows.shape[0])
-        for lo in range(0, rows.shape[0], _BLOCK):
-            R = rows[lo:lo + _BLOCK]
-            up = np.subtract(HV[None, :, 0], HV[R, None, 0])
+    n = V.shape[0]
+    if rows is not None or cols is not None:
+        R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+        HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
+        sq = np.zeros(R.shape[0])
+        if VC.shape[0] == 0:
+            return sq
+        step = max(1, _BLOCK * n // VC.shape[0])
+        for lo in range(0, R.shape[0], step):
+            rb = R[lo:lo + step]
+            up = np.subtract(HC[None, :, 0], HV[rb, None, 0])
             plane = np.empty_like(up)
-            for hv in HV.T[1:]:
-                np.maximum(up, np.subtract(hv[None, :], hv[R, None], out=plane), out=up)
-            block = sq[lo:lo + _BLOCK]
-            np.fmax(block, np.fmax.reduce(_pair_sums(V[R], V, 2) * (up <= tol), axis=1),
+            for hc, hv in zip(HC.T[1:], HV.T[1:]):
+                np.maximum(up, np.subtract(hc[None, :], hv[rb, None], out=plane), out=up)
+            block = sq[lo:lo + step]
+            np.fmax(block, np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol), axis=1),
                     out=block)
         return np.sqrt(sq)
-    n = V.shape[0]
     sq = np.zeros(n)   # squared: sqrt is monotone and correctly rounded
     for lo, hi, planes in _pair_blocks(HV):
         b = hi - lo
@@ -339,7 +358,14 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
     constrained minimal set m1 only: it holds iff none of them is dominated
     among the penalized values at the rank (vacuously for an empty m1). The
     report flags instances whose minimal sets move when the strict-order
-    threshold is varied by a factor of ten.
+    threshold is varied by a factor of ten (_SWEEP).
+
+    The penalized values at L are screened against the columns of m1 first.
+    A screened entry is the entry of the full relation, so a screened reach
+    is a lower bound of the full one, and a row it puts above the largest
+    threshold read is decided at every threshold. The other rows, the open
+    ones, get their full reach; the report reads the same as from the full
+    relation, for any m1.
     """
     tols = default_tolerances()
     if not math.isfinite(L):
@@ -351,17 +377,22 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
     cone, tol, st = instance.cone, tols.membership, tols.strict_nonzero
     omega_idx = np.flatnonzero(instance.feasible_mask)
     d = instance.distances_to_omega()[:, None]
-    # one dominance relation per value set; every threshold reads it. At the
-    # rank only m1's rows are read: m1 is included iff none of them is dominated
+    # one dominance relation per value set; every threshold reads it
     r_omega = _dominance_reach(instance.values[omega_idx], cone, tol)
-    r_L = _dominance_reach(instance.values + L * d * instance.e[None, :], cone, tol)
     m1 = omega_idx[_minimal(r_omega, st)]
+    # at L, a row that m1 dominates by more than the largest threshold is
+    # decided: its full reach is no smaller. Only the open rows read every column
+    V_L = instance.values + L * d * instance.e[None, :]
+    r_L = _dominance_reach(V_L, cone, tol, cols=m1)
+    open_rows = _minimal(r_L, st * max(_SWEEP))
+    r_L[open_rows] = _dominance_reach(V_L, cone, tol, rows=open_rows)
     m2 = _minimal(r_L, st)
+    # at the rank only m1's rows are read: m1 is included iff none is dominated
     r_rank = _dominance_reach(instance.values + instance.rank * d * instance.e[None, :],
-                              cone, tol, m1)
+                              cone, tol, rows=m1)
     sensitive = not all(
         np.array_equal(omega_idx[_minimal(r_omega, st * f)], m1) and
-        np.array_equal(_minimal(r_L, st * f), m2) for f in (0.1, 10.0))
+        np.array_equal(_minimal(r_L, st * f), m2) for f in _SWEEP)
     return PenaltyReport(L=L, rank=instance.rank, minimal_constrained=m1,
                          minimal_penalized=m2, equal=np.array_equal(m1, m2),
                          inclusion_at_rank=not np.any(r_rank > st),

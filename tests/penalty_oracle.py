@@ -1,7 +1,8 @@
 """Reference implementations for the penalty suite, kept deliberately plain.
 
-rank_oracle, minimal_oracle and report_oracle are the all-pairs tensor forms
-of cone_lipschitz_rank, cone_minimal_points and verify_penalty_equivalence:
+rank_oracle, reach_oracle, minimal_oracle and report_oracle are the all-pairs
+tensor forms of cone_lipschitz_rank, the dominance reach, cone_minimal_points
+and verify_penalty_equivalence:
 they difference every ordered pair of rows into an n x n x m tensor, map it
 through the cone's halfspaces and filter it once per threshold. The library
 works in halfspace coordinates instead, one plane per halfspace over row
@@ -46,17 +47,21 @@ def rank_oracle(points, values, cone, e, p: float = 2) -> float:
     return max(0.0, float(np.max(num / den)))
 
 
-def minimal_oracle(values, cone, tol: float | None = None,
-                   strict_tol: float | None = None) -> np.ndarray:
-    """Indices i with no j such that values[j] - values[i] in -C \\ {0}."""
-    tols = default_tolerances()
-    tol = tols.membership if tol is None else tol
-    strict_tol = tols.strict_nonzero if strict_tol is None else strict_tol
+def reach_oracle(values, cone, tol: float | None = None) -> np.ndarray:
+    """reach[i, j] = ||values[j] - values[i]|| where that difference lies in
+    -C at tol, else 0."""
+    tol = default_tolerances().membership if tol is None else tol
     V = np.atleast_2d(np.asarray(values, dtype=float))
     diff = V[None, :, :] - V[:, None, :]          # diff[i, j] = v_j - v_i
     memb = np.all(np.tensordot(diff, -cone.halfspaces, axes=([2], [1])) >= -tol, axis=2)
-    nonzero = _norms(diff, 2) > strict_tol
-    return np.where(~np.any(memb & nonzero, axis=1))[0]
+    return np.where(memb, _norms(diff, 2), 0.0)
+
+
+def minimal_oracle(values, cone, tol: float | None = None,
+                   strict_tol: float | None = None) -> np.ndarray:
+    """Indices i with no j such that values[j] - values[i] in -C \\ {0}."""
+    strict_tol = default_tolerances().strict_nonzero if strict_tol is None else strict_tol
+    return np.where(~np.any(reach_oracle(values, cone, tol) > strict_tol, axis=1))[0]
 
 
 def report_oracle(instance, L: float) -> PenaltyReport:

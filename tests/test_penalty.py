@@ -15,7 +15,7 @@ from conegen.penalty import (PenaltyInstance, PreconditionViolation,
                              distance_to_set, penalized_objective,
                              random_instance, verify_penalty_equivalence)
 from penalty_oracle import (brute_force_grid_min, minimal_oracle, rank_oracle,
-                            report_oracle)
+                            reach_oracle, report_oracle)
 
 
 def random_cone(rng, m, general):
@@ -75,6 +75,23 @@ class TestDistance:
             assert np.array_equal(box[1], listed[1])
         assert distance_to_set([3.0, 4.0], ([0.0, 0.0], [0.0, 0.0]), p=p)[0] == \
             distance_to_set([3.0, 4.0], [[0.0, 0.0]], p=p)[0] == {1: 7.0, 2: 5.0}.get(p, 4.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, math.inf])
+def test_distances_to_omega_equal_the_minimum_of_the_norms(p):
+    # the root of the row minimum against the minimum of the roots: sqrt is
+    # monotone and correctly rounded, so the bytes agree
+    rng = np.random.default_rng(28)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+        pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6)
+        mask = rng.random(n) < 0.3
+        mask[0] = True
+        inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
+                               cone=coordinate_cone(1), e=[1.0], rank=None,
+                               values=rng.normal(size=(n, 1)), norm_p=p)
+        old = np.min(penalty_module._pair_norms(pts, pts[mask], p), axis=1)
+        assert inst.distances_to_omega().tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("p", [3, "inf", 0, True])
@@ -256,18 +273,119 @@ class TestRowReach:
                     assert np.array_equal(got, full[R])
 
     def test_verification_reads_rank_relation_on_m1(self, monkeypatch):
+        # the full relation on Omega, the screen of the penalized values
+        # against m1's columns, full rows for the rows it leaves open (here m1
+        # alone: m1 dominates every other point by at least 0.125), and m1's
+        # rows at the rank
         seen = []
         reach = penalty_module._dominance_reach
 
-        def recorded_reach(V, cone, tol, rows=None):
-            seen.append(rows)
-            return reach(V, cone, tol, rows)
+        def recorded_reach(V, cone, tol, rows=None, cols=None):
+            seen.append((V, rows, cols))
+            return reach(V, cone, tol, rows=rows, cols=cols)
 
         monkeypatch.setattr(penalty_module, "_dominance_reach", recorded_reach)
-        rep = verify_penalty_equivalence(scalar_abs_instance(), 1.5)
-        assert seen[:2] == [None, None] and len(seen) == 3
-        assert np.array_equal(seen[2], rep.minimal_constrained)
+        inst = scalar_abs_instance()
+        rep = verify_penalty_equivalence(inst, 1.5)
+        m1 = rep.minimal_constrained
+        assert len(seen) == 4 and m1.tolist() == [12]
+        (v0, r0, c0), (v1, r1, c1), (v2, r2, c2), (v3, r3, c3) = seen
+        assert np.array_equal(v0, inst.values[inst.feasible_mask]) and r0 is c0 is None
+        assert np.array_equal(v1, inst.penalized_values(1.5))
+        assert r1 is None and np.array_equal(c1, m1)
+        assert np.array_equal(v2, v1) and np.array_equal(r2, m1) and c2 is None
+        assert np.array_equal(v3, inst.penalized_values(inst.rank))
+        assert np.array_equal(r3, m1) and c3 is None
         assert rep.inclusion_at_rank is True
+
+
+class TestScreen:
+    """The reach over a column subset: each value a lower bound of the full
+    reach, and the max over those columns of the tensor oracle's relation."""
+
+    @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
+    @pytest.mark.parametrize("general", [False, True])
+    def test_column_reach_bounds_the_full_reach(self, n, general):
+        rng = np.random.default_rng([n, general, 2])
+        for m in (1, 2, 4, 6):
+            cone = random_cone(rng, m, general)
+            vals = rng.normal(size=(n, m))
+            shift = np.array([0.0, 5e-9, 5e-8])[:, None] * rng.normal(size=(3, m))
+            vals[-3:] = vals[:3] + shift
+            subsets = [np.arange(0), rng.permutation(n)[:1],
+                       rng.permutation(n)[:max(1, n // 5)], np.arange(n)[::-1]]
+            rows = rng.permutation(n)[:max(1, n // 3)]
+            for tol in (1e-9, 0.5):
+                full = penalty_module._dominance_reach(vals, cone, tol)
+                ref = reach_oracle(vals, cone, tol)
+                for C in subsets:
+                    got = penalty_module._dominance_reach(vals, cone, tol, cols=C)
+                    assert got.shape == (n,) and np.all(got <= full)
+                    assert np.array_equal(got, np.max(ref[:, C], axis=1, initial=0.0))
+                    some = penalty_module._dominance_reach(vals, cone, tol, rows=rows,
+                                                           cols=C)
+                    assert np.array_equal(some, got[rows])
+
+    def test_open_row_gets_its_full_reach(self):
+        # at membership 0.5 on the line every point dominates every other;
+        # x = 1 is dominated by m1 = {x = 0} by 5e-8 only, but by x = 2 by
+        # 0.4: a screen that closed it at strict_nonzero would read it as
+        # minimal at 10 strict_nonzero
+        with use_tolerances(replace(default_tolerances(), membership=0.5)):
+            inst = PenaltyInstance(points=[[0.0], [1.0], [2.0]],
+                                   feasible_mask=[True, False, False], objective=None,
+                                   cone=coordinate_cone(1), e=[1.0], rank=None,
+                                   values=[[0.0], [5e-8 - 1.0], [0.4 - 2.0]])
+            rep = verify_penalty_equivalence(inst, 1.0)
+            m2, sensitive = full_relation_reading(inst, 1.0)
+        assert np.array_equal(rep.minimal_penalized, m2) and m2.size == 0
+        assert rep.tol_sensitive is sensitive is False
+
+
+def full_relation_reading(inst, L):
+    """(m2, tol_sensitive) read from the full relation of the penalized values,
+    as the verification read them before the screen."""
+    tols = default_tolerances()
+    reach, minimal = penalty_module._dominance_reach, penalty_module._minimal
+    st, omega_idx = tols.strict_nonzero, np.flatnonzero(inst.feasible_mask)
+    r_omega = reach(inst.values[omega_idx], inst.cone, tols.membership)
+    r_L = reach(inst.penalized_values(L), inst.cone, tols.membership)
+    m1, m2 = omega_idx[minimal(r_omega, st)], minimal(r_L, st)
+    sensitive = not all(
+        np.array_equal(omega_idx[minimal(r_omega, st * f)], m1) and
+        np.array_equal(minimal(r_L, st * f), m2) for f in (0.1, 10.0))
+    return m2, sensitive
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 30), m=st.integers(1, 6), general=st.booleans(),
+       n=st.integers(20, 120), copies=st.integers(0, 6), lam=st.floats(0.0, 9.0))
+def test_screened_report_matches_full_relation(seed, m, general, n, copies, lam):
+    # copies of the constrained minimizers' values at new feasible points,
+    # moved by about 5e-9 or 5e-8: both sides of every threshold factor; L
+    # from just above the rank to 10 times it
+    rng = np.random.default_rng(seed)
+    cone = random_cone(rng, m, general)
+    d = int(rng.integers(1, 4))
+    pts = rng.uniform(-1.0, 1.0, size=(n + copies, d))
+    vals = pts @ rng.normal(size=(m, d)).T + \
+        0.3 * np.sin(pts @ (3.0 * rng.normal(size=(m, d))).T)
+    mask = rng.random(n + copies) < 0.3
+    mask[0] = True
+    mask[n:] = True
+    omega_idx = np.flatnonzero(mask[:n])
+    m1 = omega_idx[minimal_oracle(vals[omega_idx], cone)]
+    shift = rng.choice([5e-9, 5e-8], size=(copies, 1))
+    vals[n:] = vals[rng.choice(m1, size=copies)] + shift * rng.normal(size=(copies, m))
+    e = np.sum(cone.generators, axis=0)
+    inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None, cone=cone,
+                           e=e / np.linalg.norm(e), rank=None, values=vals)
+    L = (1.0 + lam) * inst.rank + 2.0 * default_tolerances().rank_margin
+    rep, ref = verify_penalty_equivalence(inst, L), report_oracle(inst, L)
+    m2, sensitive = full_relation_reading(inst, L)
+    assert np.array_equal(rep.minimal_penalized, m2)
+    assert np.array_equal(rep.minimal_penalized, ref.minimal_penalized)
+    assert rep.tol_sensitive == sensitive == ref.tol_sensitive
 
 
 class TestPenalizedObjective:
@@ -428,22 +546,38 @@ class TestReportsMatchOracle:
             self.check(random_instance(rng, max_m=6))
 
     def test_one_relation_per_value_set(self, monkeypatch):
-        calls = {"relations": 0, "distances": 0}
+        # one full relation (Omega's values), the screen against m1's columns,
+        # full rows for the open rows only, m1's rows at the rank, and the
+        # distances to Omega once
+        calls = {"relations": [], "distances": 0}
         reach = penalty_module._dominance_reach
         distances = PenaltyInstance.distances_to_omega
 
-        def counted_reach(*args):
-            calls["relations"] += 1
-            return reach(*args)
+        def counted_reach(V, cone, tol, rows=None, cols=None):
+            calls["relations"].append((rows, cols))
+            return reach(V, cone, tol, rows=rows, cols=cols)
 
         def counted_distances(self):
             calls["distances"] += 1
             return distances(self)
 
+        # |x| on the grid with Omega = [1, 2], and a feasible point x = 2.5
+        # whose value 1 + 5e-8 m1 = {1} dominates by less than 10 strict_nonzero
+        base = scalar_abs_instance()
+        inst = PenaltyInstance(points=np.vstack([base.points, [[2.5]]]),
+                               feasible_mask=np.append(base.feasible_mask, True),
+                               objective=None, cone=base.cone, e=base.e, rank=None,
+                               values=np.vstack([base.values, [[1.0 + 5e-8]]]))
         monkeypatch.setattr(penalty_module, "_dominance_reach", counted_reach)
         monkeypatch.setattr(PenaltyInstance, "distances_to_omega", counted_distances)
-        verify_penalty_equivalence(scalar_abs_instance(), 1.5)
-        assert calls == {"relations": 3, "distances": 1}
+        rep = verify_penalty_equivalence(inst, 1.1 * inst.rank)
+        m1, open_rows = rep.minimal_constrained, np.array([12, 17])
+        assert m1.tolist() == [12] and rep.tol_sensitive
+        assert [(r is None, c is None) for r, c in calls["relations"]] == \
+            [(True, True), (True, False), (False, True), (False, True)]
+        (_, screened), (finished, _), (at_rank, _) = calls["relations"][1:]
+        assert np.array_equal(screened, m1) and np.array_equal(finished, open_rows)
+        assert np.array_equal(at_rank, m1) and calls["distances"] == 1
 
 
 class TestInstanceValidation:
@@ -474,6 +608,40 @@ class TestInstanceValidation:
                                rank=None, values=2.0 * grid)
         assert inst.rank == cone_lipschitz_rank(grid, 2.0 * grid, coordinate_cone(1),
                                                 [1.0]).value == 2.0
+
+    def test_nan_declared_rank_refused(self):
+        # nan passes every L > rank comparison: at L = 1, below the true rank
+        # 5, the report said equal
+        grid = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="must not be nan"):
+            PenaltyInstance(points=grid, feasible_mask=[True, False, False],
+                            objective=None, cone=coordinate_cone(1), e=[1.0],
+                            rank=math.nan, values=5.0 * grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["points", "values"])
+    def test_non_finite_inputs_refused(self, monkeypatch, bad, where):
+        # max(0.0, nan) is 0.0: one nan value measured a rank of 0
+        monkeypatch.setattr(penalty_module, "_last_rank", None)
+        data = {"points": np.array([[0.0], [1.0], [2.0]]),
+                "values": np.array([[0.0], [5.0], [10.0]])}
+        data[where][1, 0] = bad
+        with pytest.raises(ValueError, match="finite entries"):
+            cone_lipschitz_rank(data["points"], data["values"], coordinate_cone(1), [1.0])
+        with pytest.raises(ValueError, match="finite entries"):
+            PenaltyInstance(points=data["points"], feasible_mask=[True, False, False],
+                            objective=None, cone=coordinate_cone(1), e=[1.0],
+                            rank=None, values=data["values"])
+        assert penalty_module._last_rank is None
+
+    def test_coincident_points_keep_an_infinite_rank(self):
+        inst = PenaltyInstance(points=[[0.0], [0.0], [1.0]],
+                               feasible_mask=[True, False, False], objective=None,
+                               cone=coordinate_cone(1), e=[1.0], rank=None,
+                               values=[[0.0], [1.0], [2.0]])
+        assert inst.rank == math.inf
+        with pytest.raises(PreconditionViolation, match="must exceed the rank"):
+            verify_penalty_equivalence(inst, 1e300)
 
     def test_random_instance_measures_rank_once(self, monkeypatch):
         calls = []
