@@ -16,8 +16,9 @@ from .numkernel import as_vector, independent_rows
 
 
 ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
-CROSS_SLACK = 1e3     # generators may leave the halfspaces by CROSS_SLACK * membership
-REP_SLACK = 1e-7      # two given descriptions agree when rays meet facets within -REP_SLACK
+# times dim: bound on the rounding of a dot product of unit dim-vectors, with
+# room to spare (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)
+ROUNDING = 64 * np.finfo(float).eps
 
 
 class DimensionMismatch(ValueError):
@@ -40,9 +41,9 @@ def _unit_rows(M: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_unit_rows(M: np.ndarray) -> np.ndarray:
-    """M without each row within membership of an earlier row."""
+    """M without each row within ROUNDING * dim of an earlier row."""
     D = M[:, None] - M[None]
-    close = np.einsum("ijk,ijk->ij", D, D) < default_tolerances().membership ** 2
+    close = np.einsum("ijk,ijk->ij", D, D) <= (ROUNDING * M.shape[1]) ** 2
     earlier = np.arange(M.shape[0])
     return M[~(close & (earlier < earlier[:, None])).any(axis=1)]
 
@@ -76,7 +77,7 @@ class PolyhedralCone:
         if H is None:
             H = _facets_from_generators(G)
         elif G is None:
-            G = _extreme_rays(H)
+            G = _extreme_rays(H)[0]
         self.halfspaces = _dedupe_unit_rows(H)
         self.generators = _dedupe_unit_rows(G)
         if _skip_checks:
@@ -84,32 +85,29 @@ class PolyhedralCone:
         self._check_consistency(halfspaces is not None and generators is not None)
 
     def _check_consistency(self, both_given: bool):
+        """A derived description was checked by its conversion. Two given
+        ones are asked the user's question at membership, as contains asks
+        it: every generator lies in the halfspaces, and every extreme ray of
+        the halfspaces lies within its bound plus membership of a generator."""
         tol = default_tolerances().membership
         if self.generators.shape[0] == 0:
             raise InvalidCone("degenerate cone {0} is rejected")
         if self.halfspaces.shape[0] == 0:
             raise InvalidCone("cone contains a line (ordering-cone property violated)")
         prods = self.generators @ self.halfspaces.T
-        if np.min(prods) < -CROSS_SLACK * tol:
+        if both_given and np.min(prods) < -tol:
             raise InvalidCone(
                 "cross-consistency failure: a generator violates a halfspace "
                 f"(worst slack {np.min(prods):.3e})")
         if np.any(np.max(prods, axis=1) <= tol):    # some -g is in the cone
             raise InvalidCone("cone contains a line (ordering-cone property violated)")
         if both_given:
-            self._check_rep_equality()
-
-    def _check_rep_equality(self):
-        # Both lists were user-supplied: make sure they describe one cone,
-        # not merely a consistent pair.
-        rays = _extreme_rays(self.halfspaces)
-        facets = _facets_from_generators(self.generators)
-        if rays.size and facets.size:
-            slack = min(np.min(rays @ facets.T), np.min(self.generators @ self.halfspaces.T))
-            if slack < -REP_SLACK:
+            rays, bounds = _extreme_rays(self.halfspaces)
+            miss = np.linalg.norm(rays[:, None] - self.generators[None], axis=2).min(axis=1) - bounds
+            if np.any(miss > tol):
                 raise InvalidCone(
-                    "halfspaces and generators describe different cones "
-                    f"(worst slack {slack:.3e})")
+                    "halfspaces and generators describe different cones (an "
+                    f"extreme ray lies {np.max(miss):.3e} from every generator)")
 
     # -- queries ------------------------------------------------------------
 
@@ -186,53 +184,69 @@ def coordinate_cone(dim: int) -> PolyhedralCone:
 # ---------------------------------------------------------------------------
 # representation conversion
 
-def _extreme_rays(H: np.ndarray) -> np.ndarray:
+def _null_rays(rows: np.ndarray, tight: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit null vector r_i of the rows tight[i] selects, signed so that
+    <r_i, ref_i> >= 0, and the bound (ROUNDING dim s_1 + s_dim) / s_(dim-1) on
+    its angle to the exact one, s those rows' singular values (backward error
+    over the gap; 0 in R^1, where no row pins the ray)."""
+    dim = rows.shape[1]
+    _, s, vt = np.linalg.svd(np.where(tight[:, :, None], rows, 0.0), full_matrices=False)
+    R = vt[:, -1] * np.copysign(1.0, np.einsum("ij,ij->i", vt[:, -1], ref))[:, None]
+    gap = s[:, -2] if dim > 1 else np.inf
+    return R, (ROUNDING * dim * s[:, 0] + s[:, -1]) / gap
+
+
+def _extreme_rays(H: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Extreme rays (unit rows) of the pointed cone {x : Hx >= 0}, H with unit
     rows, by the incremental double-description method (Motzkin et al. 1953;
-    Fukuda & Prodon, LNCS 1120, 1996).
+    Fukuda & Prodon, LNCS 1120, 1996), each with a bound on its angle to the
+    exact ray.
 
     The simplicial cone of the first independent rows starts it; each further
     row h keeps the rays with <h, r> >= 0 and adds, for each adjacent pair
     across h'x = 0, the ray where their segment meets it. Two rays are adjacent
-    iff no third ray is tight on every row both are tight on. <h, r> is zero
-    within membership; a row within qp_curv of the span of the rows before it
-    is dependent, and fewer than dim independent rows mean a line.
+    iff no third ray is tight on every row both are tight on. Each ray is
+    the null vector of the rows it is tight on (_null_rays), and <h, r> is
+    zero within its bound plus ROUNDING * dim; the rays returned meet every
+    row at that slack. Fewer than dim independent rows (basis, when given,
+    is independent_rows(H)) mean a line.
     """
-    tols = default_tolerances()
     dim = H.shape[1]
-    basis = independent_rows(H)
+    basis = independent_rows(H) if basis is None else basis
     if basis.size < dim:
         raise InvalidCone("cone contains a line (ordering-cone property violated)")
-    R = _unit_rows(np.linalg.inv(H[basis]).T)
-    Z = ~np.eye(dim, dtype=bool)        # Z[i, j]: ray i is tight on row j seen so far
-    rest = np.ones(H.shape[0], dtype=bool)
-    rest[basis] = False
-    for h in H[rest]:
-        v = R @ h
-        zero = np.abs(v) <= tols.membership
-        pos = np.flatnonzero(v > tols.membership)
-        neg = np.flatnonzero(v < -tols.membership)
+    H = np.vstack([H[basis], np.delete(H, basis, axis=0)])   # in the order the rows are read
+    Z = ~np.eye(dim, dtype=bool)         # Z[i, j]: ray i is tight on row j read so far
+    R, bound = _null_rays(H[:dim], Z, H[:dim])
+    for j in range(dim, H.shape[0]):
+        v, slack = R @ H[j], bound + ROUNDING * dim
+        zero, kept = np.abs(v) <= slack, v >= -slack
+        pos, neg = np.flatnonzero(v > slack), np.flatnonzero(~kept)
         P, N = np.repeat(pos, neg.size), np.tile(neg, pos.size)
         common = Z[P] & Z[N]
-        tight = common.sum(axis=1)
-        covers = (common.astype(np.int64) @ Z.T.astype(np.int64)) == tight[:, None]
-        adj = (tight >= dim - 2) & (covers.sum(axis=1) == 2)
-        P, N, common = P[adj], N[adj], common[adj]
-        kept = v >= -tols.membership
-        R = np.vstack([R[kept], _unit_rows(v[P, None] * R[N] - v[N, None] * R[P])])
-        Z = np.vstack([np.column_stack([Z[kept], zero[kept]]),
-                       np.column_stack([common, np.ones(P.size, dtype=bool)])])
-    return R
+        near = common.sum(axis=1) >= dim - 2   # only these can be adjacent
+        P, N, common = P[near], N[near], common[near]
+        covers = (common.astype(float) @ Z.T.astype(float)) == common.sum(axis=1)[:, None]
+        adj = covers.sum(axis=1) == 2
+        P, N = P[adj], N[adj]
+        Z_new = np.column_stack([common[adj], np.ones(P.size, dtype=bool)])
+        R_new, bound_new = _null_rays(H[:j + 1], Z_new, v[P, None] * R[N] - v[N, None] * R[P])
+        R, bound = np.vstack([R[kept], R_new]), np.concatenate([bound[kept], bound_new])
+        Z = np.vstack([np.column_stack([Z[kept], zero[kept]]), Z_new])
+    worst = np.min(H @ R.T + bound + ROUNDING * dim, initial=np.inf)
+    if worst < 0:
+        raise InvalidCone("cross-consistency failure: a converted ray violates a row "
+                          f"(worst slack {worst:.3e})")
+    return R, bound
 
 
 def _facets_from_generators(G: np.ndarray) -> np.ndarray:
     """Inward facet normals of cone(G): the extreme rays of its dual
     {y : Gy >= 0}. A lower-dimensional cone(G) gets its facets inside span(G)
     and both signs of each normal of the span."""
-    try:
-        return _extreme_rays(G)
-    except InvalidCone:                 # the dual holds a line: cone(G) is flat
-        rank = independent_rows(G).size
+    basis = independent_rows(G)
+    if basis.size == G.shape[1]:
+        return _extreme_rays(G, basis)[0]
     _, _, vt = np.linalg.svd(G)
-    span, comp = vt[:rank], vt[rank:]
-    return np.vstack([_extreme_rays(G @ span.T) @ span, comp, -comp])
+    span, comp = vt[:basis.size], vt[basis.size:]
+    return np.vstack([_extreme_rays(G @ span.T)[0] @ span, comp, -comp])

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 class Tolerances:
     """Tolerances used across the library; absolute unless stated otherwise.
 
-    membership      slack accepted in cone inequalities <A_k, x> >= -membership;
-                    unit cone rows closer than it are one row, and a unit ray
-                    is tight on a unit row within it when cone descriptions
-                    are converted; the modified Slater margin must exceed it
-                    in units of the size of the margin's terms
+    membership      slack accepted in cone inequalities <A_k, x> >= -membership
+                    (also by the generators of a cone given both descriptions,
+                    each of whose extreme rays must lie within it of a
+                    generator); the modified Slater margin must exceed it in
+                    units of the size of the margin's terms
     interior        strict-inequality margin for interior / strict-positivity tests
     strict_nonzero  norm threshold realizing "nonzero" in strict cone comparisons
     lp_feas         simplex feasibility threshold on each equilibrated row,

@@ -12,10 +12,11 @@ tolerance plus a norm threshold: the equivalence statement orders values by
 the non-closed cone of interior points together with 0, and the norm margin
 makes "\\ {0}" robust on grids.
 
-The rank and the dominance relation build each unordered pair once, in row
-blocks of halfspace planes, and read it both ways: the max of phi(v_i - v_j)
-and phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. A
-verification builds the full relation on Omega's values only. The penalized
+The rank builds each unordered pair once, in row blocks of halfspace
+planes, and reads it both ways: the max of phi(v_i - v_j) and
+phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. The dominance
+relation reads rows against columns in blocks. A verification builds the
+full relation on Omega's values only. The penalized
 values are first read against the columns of the constrained minimal set
 m1, which above the rank dominates the points outside Omega; the rows this
 screen leaves open are then read against every column. The inclusion at
@@ -270,46 +271,26 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
     """reach[i] = max ||v_j - v_i|| over the j with <h_k, v_j> - <h_k, v_i> <= tol
     for every k (v_j - v_i in -C), 0 if none. Row i is cone-minimal at
     strict_tol iff not reach[i] > strict_tol: one relation, every strict_tol.
-    A pair block's running max over k decides (i, j), its running min (j, i),
-    read for j >= hi only: the diagonal square holds both directions.
 
-    With rows or cols given, the reach of those rows only, in their order,
-    over those columns only (every row, every column by default), in blocks
-    of about _BLOCK * n pairs. A plane read the other way is the exact
-    negation, so with every column the values equal reach[rows]; over a
-    column subset each is a lower bound of it."""
+    The reach of the given rows only, in their order, over the given columns
+    only (every row, every column by default), in blocks of about
+    _BLOCK * n pairs; over a column subset each value is a lower bound of
+    the reach over every column."""
     HV = cone.halfspace_values(V)
     n = V.shape[0]
-    if rows is not None or cols is not None:
-        R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-        HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
-        sq = np.zeros(R.shape[0])
-        if VC.shape[0] == 0:
-            return sq
-        step = max(1, _BLOCK * n // VC.shape[0])
-        for lo in range(0, R.shape[0], step):
-            rb = R[lo:lo + step]
-            up = np.subtract(HC[None, :, 0], HV[rb, None, 0])
-            plane = np.empty_like(up)
-            for hc, hv in zip(HC.T[1:], HV.T[1:]):
-                np.maximum(up, np.subtract(hc[None, :], hv[rb, None], out=plane), out=up)
-            block = sq[lo:lo + step]
-            np.fmax(block, np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol), axis=1),
-                    out=block)
-        return np.sqrt(sq)
-    sq = np.zeros(n)   # squared: sqrt is monotone and correctly rounded
-    for lo, hi, planes in _pair_blocks(HV):
-        b = hi - lo
-        up = next(planes).copy()
-        down = up[:, b:].copy()
-        for plane in planes:
-            np.maximum(up, plane, out=up)
-            np.minimum(down, plane[:, b:], out=down)
-        norms = _pair_sums(V[lo:hi], V[lo:], 2)
+    R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
+    sq = np.zeros(R.shape[0])   # squared: sqrt is monotone and correctly rounded
+    step = max(1, _BLOCK * n // max(1, VC.shape[0]))
+    for lo in range(0, R.shape[0], step):
+        rb = R[lo:lo + step]
+        up = np.subtract(HC[None, :, 0], HV[rb, None, 0])
+        plane = np.empty_like(up)
+        for hc, hv in zip(HC.T[1:], HV.T[1:]):
+            np.maximum(up, np.subtract(hc[None, :], hv[rb, None], out=plane), out=up)
         # a bool product is ~5x faster than np.where; fmax skips inf * 0 = NaN
-        np.fmax(sq[lo:hi], np.fmax.reduce(norms * (up <= tol), axis=1), out=sq[lo:hi])
-        if hi < n:
-            np.fmax(sq[hi:], np.fmax.reduce(norms[:, b:] * (down >= -tol), axis=0), out=sq[hi:])
+        sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol), axis=1,
+                                          initial=0.0)
     return np.sqrt(sq)
 
 

@@ -334,6 +334,14 @@ def test_tol_override_flag(capsys, tmp_path):
                                            "--problem", str(path), "--point", "1,1"])
         assert code == 0 and report["value"] == pytest.approx(1.0)
         assert default_tolerances() is before
+        # the wedge cone{(1, 0), (1, 1)} builds from either description at T
+        for rep, rows in (("generators", [[1.0, 0.0], [1.0, 1.0]]),
+                          ("halfspaces", [[0.0, 1.0], [1.0, -1.0]])):
+            wedge = _write(tmp_path, {"cone": {"kind": "general", rep: rows},
+                                      "gauge": {"u": [2.0, 1.0]}})
+            code, report, _ = run_cli(capsys, ["--tol-override", value, "gauge",
+                                               "--problem", wedge, "--point", "1 0.5"])
+            assert code == 0 and report["gauge"] == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -170,6 +170,17 @@ class TestConstruction:
             PolyhedralCone(2, halfspaces=[[1.0, 0.0], [0.0, 1.0]],
                            generators=[[1.0, 0.0]])
 
+    def test_both_descriptions_convert_once(self, monkeypatch):
+        # the generators are checked against the halfspaces' extreme rays:
+        # one conversion, none from the generators
+        import conegen.cones as cones_module
+        calls, real = [], cones_module._extreme_rays
+        monkeypatch.setattr(cones_module, "_extreme_rays",
+                            lambda *args: calls.append(args) or real(*args))
+        G = np.eye(3) + 0.2
+        PolyhedralCone(3, generators=G, halfspaces=np.linalg.inv(G).T)
+        assert len(calls) == 1
+
     def test_coordinate_halfspaces_are_basis(self):
         c = coordinate_cone(4)
         assert np.array_equal(c.halfspaces, np.eye(4))
@@ -211,17 +222,42 @@ def random_pointed_cone(rng, d, k):
 class TestDoubleDescription:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 6))
+    # near-duplicate rays under a zero test at membership, and (83371, 5)
+    # under a constant rounding bound without the per-ray one
+    @example(532, 5)
+    @example(3677, 5)
+    @example(3322, 4)
+    @example(1759, 6)
+    @example(1967, 6)
+    @example(54755, 6)
+    @example(83371, 5)
     def test_both_directions_match_qhull(self, seed, d):
         rng = np.random.default_rng(seed)
         G, extreme, facets = random_pointed_cone(rng, d, int(rng.integers(d, 2 * d + 4)))
         assert same_rows(_facets_from_generators(G), facets)
-        assert same_rows(_extreme_rays(facets), extreme)
+        assert same_rows(_extreme_rays(facets)[0], extreme)
         # round trip through both conversions
-        assert same_rows(_facets_from_generators(_extreme_rays(facets)), facets)
+        assert same_rows(_facets_from_generators(_extreme_rays(facets)[0]), facets)
         cone = PolyhedralCone(d, halfspaces=facets)
         assert same_rows(cone.generators, extreme)
         assert same_rows(PolyhedralCone(d, generators=G).halfspaces, facets)
         PolyhedralCone(d, halfspaces=facets, generators=G)   # one cone: accepted
+
+    def test_conversion_ignores_membership(self):
+        # the conversion decides tightness from its own rounding: the same
+        # rows under every membership, exact membership included
+        for d in range(3, 7):
+            for seed in range(30):
+                rng = np.random.default_rng(seed)
+                G, _, facets = random_pointed_cone(rng, d, int(rng.integers(d, 2 * d + 4)))
+                built = []
+                for tol in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                    with use_tolerances(replace(default_tolerances(), membership=tol)):
+                        built.append((PolyhedralCone(d, generators=G).halfspaces,
+                                      PolyhedralCone(d, halfspaces=facets).generators))
+                for H, R in built[1:]:
+                    assert same_rows(H, built[0][0], 1e-12)
+                    assert same_rows(R, built[0][1], 1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 6))
@@ -233,7 +269,7 @@ class TestDoubleDescription:
         W = rng.uniform(0.1, 1.0, size=(4, G.shape[0]))
         assert same_rows(_facets_from_generators(unit(np.vstack([W @ G, G]))), facets)
         W = rng.uniform(0.1, 1.0, size=(4, facets.shape[0]))
-        assert same_rows(_extreme_rays(unit(np.vstack([facets, W @ facets]))), extreme)
+        assert same_rows(_extreme_rays(unit(np.vstack([facets, W @ facets])))[0], extreme)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(3, 6), st.data())

@@ -249,9 +249,8 @@ class TestMultiBlock:
 
 
 class TestRowReach:
-    """The reach of a row subset equals the full relation's rows bit for bit:
-    blocks of up to B rows against every column, with the planes read the
-    other way round from the pair blocks'."""
+    """The reach of a row subset equals the full relation's rows bit for bit,
+    in any order and with repeats."""
 
     @pytest.mark.parametrize("n", MULTI_BLOCK_SIZES)
     @pytest.mark.parametrize("general", [False, True])
