@@ -5,7 +5,8 @@ A cone is stored with both descriptions: an inward-normal halfspace list
 given in any dimension; the other is derived by one double-description
 routine, and when both are given they must describe the same cone. Every cone
 is salient (contains no line), which is checked at construction; the
-degenerate cone {0} is rejected.
+degenerate cone {0} is rejected. The same conversion tells which halfspace
+rows are facets. An OrderUnit reads a cone's rows against one element u.
 """
 from __future__ import annotations
 
@@ -40,23 +41,36 @@ def _unit_rows(M: np.ndarray) -> np.ndarray:
     return M / norms[:, None]
 
 
-def _dedupe_unit_rows(M: np.ndarray) -> np.ndarray:
-    """M without each row within ROUNDING * dim of an earlier row."""
+def _first_rows(M: np.ndarray) -> np.ndarray:
+    """Mask of the rows of M not within ROUNDING * dim of an earlier row."""
     D = M[:, None] - M[None]
     close = np.einsum("ijk,ijk->ij", D, D) <= (ROUNDING * M.shape[1]) ** 2
     earlier = np.arange(M.shape[0])
-    return M[~(close & (earlier < earlier[:, None])).any(axis=1)]
+    return ~(close & (earlier < earlier[:, None])).any(axis=1)
+
+
+def _maximal_rows(tight: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose tight set (tight[k, i]: row k is tight on ray i)
+    is maximal among the proper rows, those not tight on every ray: the facet
+    rows. A pin of a flat cone's span is tight on every ray, and a redundant
+    row's set lies strictly inside a facet's."""
+    proper = ~tight.all(axis=1)
+    size = tight.sum(axis=1)
+    T = tight.astype(float)
+    inside = (T @ T.T == size[:, None]) & (size[:, None] < size) & proper
+    return proper & ~inside.any(axis=1)
 
 
 class PolyhedralCone:
     """Ordering cone with halfspace and generator descriptions.
 
     kind is "coordinate" (the nonnegative orthant, both descriptions the
-    identity) or "general".
+    identity) or "general". facets masks the halfspace rows that support a
+    facet (_maximal_rows of the tight sets the conversion decided).
     """
 
     def __init__(self, dim: int, halfspaces=None, generators=None,
-                 kind: str = "general", _skip_checks: bool = False):
+                 kind: str = "general"):
         if dim < 1:
             raise InvalidCone("cone dimension must be positive")
         self.dim = int(dim)
@@ -65,6 +79,7 @@ class PolyhedralCone:
         if kind == "coordinate":
             self.halfspaces = np.eye(dim)
             self.generators = np.eye(dim)
+            self.facets = np.ones(dim, dtype=bool)
             return
 
         H = None if halfspaces is None else _unit_rows(np.atleast_2d(np.asarray(halfspaces, dtype=float)))
@@ -74,21 +89,23 @@ class PolyhedralCone:
                 raise DimensionMismatch(f"{name} have dimension {M.shape[1]}, expected {dim}")
         if H is None and G is None:
             raise InvalidCone("a general cone needs halfspaces or generators")
+        tight = None    # tight[k, i]: halfspace row k is tight on ray i
         if H is None:
-            H = _facets_from_generators(G)
+            H, tight = _facets_from_generators(G)
         elif G is None:
-            G = _extreme_rays(H)[0]
-        self.halfspaces = _dedupe_unit_rows(H)
-        self.generators = _dedupe_unit_rows(G)
-        if _skip_checks:
-            return
-        self._check_consistency(halfspaces is not None and generators is not None)
+            G, tight = _extreme_rays(H)[:2]
+        kept = _first_rows(H)
+        self.halfspaces, self.generators = H[kept], G[_first_rows(G)]
+        self.facets = _maximal_rows(self._check_consistency(None if tight is None else tight[kept]))
 
-    def _check_consistency(self, both_given: bool):
-        """A derived description was checked by its conversion. Two given
-        ones are asked the user's question at membership, as contains asks
-        it: every generator lies in the halfspaces, and every extreme ray of
-        the halfspaces lies within its bound plus membership of a generator."""
+    def _check_consistency(self, tight):
+        """Returns the halfspace rows' tight sets. A derived description was
+        checked by the conversion that gave them. Two given ones (tight None)
+        are asked the user's question at membership, as contains asks it, in
+        one conversion of the halfspaces: every generator lies in the
+        halfspaces, and every extreme ray lies within its bound plus
+        membership of a generator."""
+        both_given = tight is None
         tol = default_tolerances().membership
         if self.generators.shape[0] == 0:
             raise InvalidCone("degenerate cone {0} is rejected")
@@ -102,12 +119,13 @@ class PolyhedralCone:
         if np.any(np.max(prods, axis=1) <= tol):    # some -g is in the cone
             raise InvalidCone("cone contains a line (ordering-cone property violated)")
         if both_given:
-            rays, bounds = _extreme_rays(self.halfspaces)
+            rays, tight, bounds = _extreme_rays(self.halfspaces)
             miss = np.linalg.norm(rays[:, None] - self.generators[None], axis=2).min(axis=1) - bounds
             if np.any(miss > tol):
                 raise InvalidCone(
                     "halfspaces and generators describe different cones (an "
                     f"extreme ray lies {np.max(miss):.3e} from every generator)")
+        return tight
 
     # -- queries ------------------------------------------------------------
 
@@ -148,8 +166,7 @@ class PolyhedralCone:
             raise UnsupportedRepresentation(
                 "dual of a lower-dimensional cone contains a line")
         return PolyhedralCone(self.dim, halfspaces=self.generators,
-                              generators=self.halfspaces, kind="general",
-                              _skip_checks=True)
+                              generators=self.halfspaces)
 
     def __repr__(self):
         return (f"PolyhedralCone(dim={self.dim}, kind={self.kind!r}, "
@@ -157,24 +174,35 @@ class PolyhedralCone:
                 f"{self.generators.shape[0]} generators)")
 
 
-def halfspace_ratio(cone: PolyhedralCone, hu, X, absolute: bool = False,
-                    pos=None, slack: float = 0.0):
-    """max_k s(<A_k, x>) / <A_k, u> for one point x or every row of X.
+class OrderUnit:
+    """An element u of C \\ {0} whose line R u does not lie in C (checked
+    here), read through C's rows: hu = (<h_k, u>)_k, face masks the rows that
+    vanish at u (<h_k, u> <= interior) and slack is membership."""
 
-    hu is cone.halfspace_values(u); s is |.| when absolute (the norm ||x||_u,
-    i.e. the sup-norm of x's image under the isometry
-    x -> (<A_k, x> / <A_k, u>)_k into l-infinity), otherwise the identity
-    (the Gerstewitz function with e = u). With pos given, only the rows where
-    pos holds enter the max; a row outside pos (<A_k, u> ~ 0) with
-    <A_k, x> > slack makes the value +inf.
-    """
-    HX = cone.halfspace_values(X)
-    if absolute:
-        HX = np.abs(HX)
-    if pos is None:
-        return (HX / hu).max(axis=-1)
-    ratio = (HX[..., pos] / hu[pos]).max(axis=-1)
-    return np.where((HX[..., ~pos] > slack).any(axis=-1), np.inf, ratio)
+    def __init__(self, cone: PolyhedralCone, u: np.ndarray):
+        tols = default_tolerances()
+        if not np.any(u):
+            raise InvalidCone("direction e must be nonzero")
+        self.hu = cone.halfspace_values(u)
+        if np.min(self.hu) < -tols.membership:
+            raise InvalidCone("e must belong to the cone (C + [0,inf) e subset C)")
+        if np.max(self.hu) <= tols.membership:
+            raise InvalidCone("the line R e lies in the cone")
+        self.face = self.hu <= tols.interior
+        self.slack = tols.membership
+        self._face = self.face if self.face.any() else None
+
+    def ratio(self, HX):
+        """max_k HX[..., k] / <h_k, u> off u's face, for row values HX of one
+        point or of each row of a matrix; +inf where a face row's value
+        exceeds slack. On |<h_k, x>| this is ||x||_u, the sup-norm of x's
+        image under the isometry x -> (<h_k, x> / <h_k, u>)_k into
+        l-infinity; on <h_k, y> it is the Gerstewitz function with e = u."""
+        if self._face is None:
+            return (HX / self.hu).max(axis=-1)
+        off = ~self._face
+        ratio = (HX[..., off] / self.hu[off]).max(axis=-1)
+        return np.where((HX[..., self._face] > self.slack).any(axis=-1), np.inf, ratio)
 
 
 def coordinate_cone(dim: int) -> PolyhedralCone:
@@ -196,11 +224,11 @@ def _null_rays(rows: np.ndarray, tight: np.ndarray, ref: np.ndarray) -> tuple[np
     return R, (ROUNDING * dim * s[:, 0] + s[:, -1]) / gap
 
 
-def _extreme_rays(H: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _extreme_rays(H: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extreme rays (unit rows) of the pointed cone {x : Hx >= 0}, H with unit
     rows, by the incremental double-description method (Motzkin et al. 1953;
-    Fukuda & Prodon, LNCS 1120, 1996), each with a bound on its angle to the
-    exact ray.
+    Fukuda & Prodon, LNCS 1120, 1996); the rows' tight sets (tight[k, i]: row
+    k is tight on ray i); and each ray's bound on its angle to the exact ray.
 
     The simplicial cone of the first independent rows starts it; each further
     row h keeps the rays with <h, r> >= 0 and adds, for each adjacent pair
@@ -215,7 +243,8 @@ def _extreme_rays(H: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.nd
     basis = independent_rows(H) if basis is None else basis
     if basis.size < dim:
         raise InvalidCone("cone contains a line (ordering-cone property violated)")
-    H = np.vstack([H[basis], np.delete(H, basis, axis=0)])   # in the order the rows are read
+    order = np.concatenate([basis, np.delete(np.arange(H.shape[0]), basis)])
+    H = H[order]                         # in the order the rows are read
     Z = ~np.eye(dim, dtype=bool)         # Z[i, j]: ray i is tight on row j read so far
     R, bound = _null_rays(H[:dim], Z, H[:dim])
     for j in range(dim, H.shape[0]):
@@ -237,16 +266,20 @@ def _extreme_rays(H: np.ndarray, basis: np.ndarray | None = None) -> tuple[np.nd
     if worst < 0:
         raise InvalidCone("cross-consistency failure: a converted ray violates a row "
                           f"(worst slack {worst:.3e})")
-    return R, bound
+    return R, Z.T[np.argsort(order)], bound
 
 
-def _facets_from_generators(G: np.ndarray) -> np.ndarray:
+def _facets_from_generators(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inward facet normals of cone(G): the extreme rays of its dual
-    {y : Gy >= 0}. A lower-dimensional cone(G) gets its facets inside span(G)
-    and both signs of each normal of the span."""
+    {y : Gy >= 0}, with their tight sets over the rows of G. A
+    lower-dimensional cone(G) gets its facets inside span(G) and both signs
+    of each normal of the span, which are tight on every generator."""
     basis = independent_rows(G)
     if basis.size == G.shape[1]:
-        return _extreme_rays(G, basis)[0]
+        R, tight, _ = _extreme_rays(G, basis)
+        return R, tight.T
     _, _, vt = np.linalg.svd(G)
     span, comp = vt[:basis.size], vt[basis.size:]
-    return np.vstack([_extreme_rays(G @ span.T)[0] @ span, comp, -comp])
+    R, tight, _ = _extreme_rays(G @ span.T)
+    pins = np.ones((len(comp), len(G)), dtype=bool)
+    return np.vstack([R @ span, comp, -comp]), np.vstack([tight.T, pins, pins])

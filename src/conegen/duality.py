@@ -692,13 +692,6 @@ class VectorObjective:
     def m(self):
         return self.lins.shape[0]
 
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = self.lins @ x + self.consts
-        if self.quads is not None:
-            out = out + 0.5 * np.array([x @ Q @ x for Q in self.quads])
-        return out
-
     def jacobian(self, x) -> np.ndarray:
         J = self.lins.copy()
         if self.quads is not None:

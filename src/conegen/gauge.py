@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
+from .cones import InvalidCone, OrderUnit, PolyhedralCone
 from .numkernel import LPFailure, LPProblem, as_vector, solve_lp
 
 
@@ -29,23 +29,23 @@ class GaugeBody:
         self.u = as_vector(u, cone.dim, "generating element")
         if not cone.interior_contains(self.u):
             raise InvalidCone("generating element u must lie in the interior of the cone")
-        self._hu = cone.halfspace_values(self.u)
+        self._unit = OrderUnit(cone, self.u)
 
     def gauge(self, x) -> float:
         """||x||_u = max_k |<h_k, x>| / <h_k, u>."""
         x = as_vector(x, self.cone.dim, "point")
-        return float(halfspace_ratio(self.cone, self._hu, x, absolute=True))
+        return float(self._unit.ratio(np.abs(self.cone.halfspace_values(x))))
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         """||x||_u for every row x of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return halfspace_ratio(self.cone, self._hu, X, absolute=True)
+        return self._unit.ratio(np.abs(self.cone.halfspace_values(X)))
 
     def isometry_image(self, x) -> np.ndarray:
         """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the
         coordinate cone."""
         x = as_vector(x, self.cone.dim, "point")
-        return self.cone.halfspace_values(x) / self._hu
+        return self.cone.halfspace_values(x) / self._unit.hu
 
 
 def minkowski_gauge(body_vertices, x) -> float:

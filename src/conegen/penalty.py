@@ -31,10 +31,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .cones import InvalidCone, PolyhedralCone
+from .cones import InvalidCone, OrderUnit, PolyhedralCone
 from .gauge import ambient_norm, check_norm_p
 from .numkernel import as_vector
-from .scalarization import GerstewitzFn
 
 _BLOCK = 64   # rows per pair block: 64 beat 128 and 256 on the penalty benchmark
 # the factors of strict_nonzero at which a report re-reads the minimal sets
@@ -118,7 +117,7 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
 
     The max over unordered pairs of ||f(x) - f(y)||_e / ||x - y||, with the
     norm a running max of |<h_k, v_i> - <h_k, v_j>| / <h_k, e> (+inf where
-    <h_k, e> = 0 and the difference is nonzero, as in halfspace_ratio).
+    <h_k, e> = 0 and the difference is nonzero, as in OrderUnit.ratio).
     Coincident points with different values make the rank +inf; a point or
     value with a nan or infinite entry is refused (ValueError).
 
@@ -152,17 +151,16 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
 
 def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
                   e: np.ndarray, p: float, tols: Tolerances) -> RankEstimate:
-    phi = GerstewitzFn(cone, e)   # rejects e outside C, or with R e inside C
-    he = cone.halfspace_values(phi.e)
+    unit = OrderUnit(cone, e)   # rejects e outside C, or with R e inside C
     rank = 0.0
     for lo, hi, planes in _pair_blocks(cone.halfspace_values(vals)):
         num = np.zeros((hi - lo, pts.shape[0] - lo))
-        for plane, h_e in zip(planes, he):
+        for plane, h_e, on_face in zip(planes, unit.hu, unit.face):
             np.abs(plane, out=plane)
-            if h_e > tols.interior:
-                np.maximum(num, np.divide(plane, h_e, out=plane), out=num)
+            if on_face:
+                num[plane > unit.slack] = np.inf
             else:
-                num[plane > tols.membership] = np.inf
+                np.maximum(num, np.divide(plane, h_e, out=plane), out=num)
         den = _pair_norms(pts[lo:hi], pts[lo:], p)
         np.fill_diagonal(den, 1.0)   # the pairs (i, i): num is 0 there
         close = den <= tols.coincident

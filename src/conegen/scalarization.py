@@ -14,14 +14,13 @@ LP runs.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, PolyhedralCone, halfspace_ratio
+from .cones import InvalidCone, OrderUnit, PolyhedralCone
 from .numkernel import as_vector
 
 
@@ -59,51 +58,25 @@ class SubdifferentialResult:
             abs(float(z @ self.e) - 1.0) <= tol and abs(float(z @ self.y) - self.value) <= tol
 
 
-def _facet_rows(cone: PolyhedralCone, tol: float) -> np.ndarray:
-    """Mask of the halfspace rows that support a facet of C: the generators
-    tight on the row span rank(G) - 1 dimensions. A redundant row fails, and
-    on a lower-dimensional C so does a row that only pins its span."""
-    G = cone.generators
-    tight = np.abs(cone.halfspace_values(G)) <= tol
-    # row k's tight generators, with the others zeroed, in one batched rank
-    ranks = np.linalg.matrix_rank(tight.T[:, :, None] * G, tol=tol)
-    return ranks == np.linalg.matrix_rank(G, tol=tol) - 1
-
-
 class GerstewitzFn:
     """Pair (C, e) with e in C \\ {0}; the line Re must not lie in C.
 
-    The checks on e run at construction. The facet rows that give the
-    subdifferential's vertices are built on the first subdifferential or
-    directional_derivative call: phi's values never read them."""
+    The checks on e run at construction (OrderUnit). The subdifferential's
+    vertices come from the facet rows off e's face, its rays from the rows
+    on it."""
 
     def __init__(self, cone: PolyhedralCone, e):
         self.cone = cone
         self.e = as_vector(e, cone.dim, "direction e")
-        tols = default_tolerances()
-        if not np.any(self.e):
-            raise InvalidCone("direction e must be nonzero")
-        self._he = cone.halfspace_values(self.e)
-        if np.min(self._he) < -tols.membership:
-            raise InvalidCone("e must belong to the cone (C + [0,inf) e subset C)")
-        if np.max(self._he) <= tols.membership:
-            raise InvalidCone("the line R e lies in the cone")
-        pos = self._he > tols.interior
-        self._pos = None if pos.all() else pos
-        self._slack = tols.membership
-        self._ray_rows = np.flatnonzero(~pos)   # the subdifferential's rays
-
-    @functools.cached_property
-    def _vertex_rows(self) -> np.ndarray:
-        """The facet rows with <h_k, e> > 0: the subdifferential's vertices."""
-        facets = _facet_rows(self.cone, self._slack)
-        facets[self._ray_rows] = False
-        return np.flatnonzero(facets)
+        self._unit = OrderUnit(cone, self.e)
+        self._he, self._slack = self._unit.hu, self._unit.slack
+        self._ray_rows = np.flatnonzero(self._unit.face)
+        self._vertex_rows = np.flatnonzero(cone.facets & ~self._unit.face)
 
     # -- evaluation -----------------------------------------------------------
 
     def _ratio(self, Y):
-        return halfspace_ratio(self.cone, self._he, Y, pos=self._pos, slack=self._slack)
+        return self._unit.ratio(self.cone.halfspace_values(Y))
 
     def value(self, y) -> float:
         """phi(y) = inf{t : t e - y in C}; +inf when y is outside R e - C."""

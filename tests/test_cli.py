@@ -662,3 +662,18 @@ def test_infeasible_primal_report_carries_a_farkas_certificate(capsys, tmp_path)
                    lower=np.zeros(1), upper=np.ones(1))
     cert = FarkasCertificate(**{k: np.array(v) for k, v in report["farkas"].items()})
     assert verify_farkas(lp, cert)
+
+
+def test_tol_override_zero_subdiff_on_the_pyramid(capsys, tmp_path):
+    # the facet rows come from the cone's conversion, not from membership:
+    # at T = 0 the pyramid keeps its four facets and phi's one vertex
+    path = _write(tmp_path, {"cone": {"kind": "general",
+                                      "generators": [[1, 0, 0.4], [0, 1, 0.4],
+                                                     [-1, 0, 0.4], [0, -1, 0.4]]},
+                             "scalarize": {"e": [0.0, 0.0, 1.6]}})
+    argv = ["subdiff", "--problem", path, "--point", "0.3 -0.2 0.1"]
+    code, default, _ = run_cli(capsys, argv)
+    assert code == 0 and len(default["vertices"]) == 1
+    code, exact, err = run_cli(capsys, ["--tol-override", "0"] + argv)
+    assert code == 0 and "1 vertices, 0 rays" in err
+    assert exact["vertices"] == default["vertices"] and exact["value"] == default["value"]

@@ -10,6 +10,7 @@ from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import (InvalidCone, PolyhedralCone,
                            UnsupportedRepresentation, _extreme_rays,
                            _facets_from_generators, coordinate_cone)
+from lp_oracle import oracle_cones
 
 
 def wedge():
@@ -234,10 +235,10 @@ class TestDoubleDescription:
     def test_both_directions_match_qhull(self, seed, d):
         rng = np.random.default_rng(seed)
         G, extreme, facets = random_pointed_cone(rng, d, int(rng.integers(d, 2 * d + 4)))
-        assert same_rows(_facets_from_generators(G), facets)
+        assert same_rows(_facets_from_generators(G)[0], facets)
         assert same_rows(_extreme_rays(facets)[0], extreme)
         # round trip through both conversions
-        assert same_rows(_facets_from_generators(_extreme_rays(facets)[0]), facets)
+        assert same_rows(_facets_from_generators(_extreme_rays(facets)[0])[0], facets)
         cone = PolyhedralCone(d, halfspaces=facets)
         assert same_rows(cone.generators, extreme)
         assert same_rows(PolyhedralCone(d, generators=G).halfspaces, facets)
@@ -267,7 +268,7 @@ class TestDoubleDescription:
         rng = np.random.default_rng(seed)
         G, extreme, facets = random_pointed_cone(rng, d, 2 * d)
         W = rng.uniform(0.1, 1.0, size=(4, G.shape[0]))
-        assert same_rows(_facets_from_generators(unit(np.vstack([W @ G, G]))), facets)
+        assert same_rows(_facets_from_generators(unit(np.vstack([W @ G, G])))[0], facets)
         W = rng.uniform(0.1, 1.0, size=(4, facets.shape[0]))
         assert same_rows(_extreme_rays(unit(np.vstack([facets, W @ facets])))[0], extreme)
 
@@ -301,3 +302,77 @@ class TestDoubleDescription:
         for d in range(2, 7):
             with pytest.raises(InvalidCone, match="line"):
                 PolyhedralCone(d, halfspaces=np.eye(d)[:-1])
+
+
+# ---------------------------------------------------------------------------
+# facet rows from the conversion's tight sets
+
+MEMBERSHIPS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3)
+
+
+def rank_facets(cone, tol):
+    """The halfspace rows whose generators tight at tol (|<h, g>| <= tol)
+    span rank(G) - 1 dimensions, ranks read at tol: a batched rank test."""
+    G = cone.generators
+    tight = np.abs(G @ cone.halfspaces.T) <= tol
+    ranks = np.linalg.matrix_rank(tight.T[:, :, None] * G, tol=tol)
+    return ranks == np.linalg.matrix_rank(G, tol=tol) - 1
+
+
+def random_facet_cases(seed, d):
+    """Builders of three random cones in R^d: from generators; from facet
+    normals with nonnegative combinations of them added; and a flat cone, a
+    full cone of R^r (r < d) placed in R^d by a random isometry."""
+    rng = np.random.default_rng([seed, d])
+    G, _, facets = random_pointed_cone(rng, d, int(rng.integers(d, 2 * d + 4)))
+    W = rng.uniform(0.1, 1.0, size=(3, facets.shape[0])) * (rng.random((3, facets.shape[0])) < 0.5)
+    W[np.arange(3), rng.integers(facets.shape[0], size=3)] = 1.0
+    H = unit(np.vstack([facets, W @ facets]))
+    r = int(rng.integers(1, d))
+    flat = np.ones((1, 1)) if r == 1 else \
+        random_pointed_cone(rng, r, int(rng.integers(r, 2 * r + 3)))[0]
+    flat = flat @ np.linalg.qr(rng.normal(size=(d, d)))[0][:, :r].T
+    return (lambda: PolyhedralCone(d, generators=G),
+            lambda: PolyhedralCone(d, halfspaces=H),
+            lambda: PolyhedralCone(d, generators=flat))
+
+
+def fixed_facet_cases():
+    """The pointwise benchmark's fixed cones: oracle_cones() and coordinate
+    cones."""
+    cases = [lambda name=name: oracle_cones()[name][0] for name in oracle_cones()]
+    return cases + [lambda d=d: coordinate_cone(d) for d in (2, 3, 5, 8, 13, 20)]
+
+
+def check_facet_mask(build):
+    """The mask equals the rank test at the default membership, and the
+    cone's rows and mask are the same under every membership."""
+    cone = build()
+    assert np.array_equal(cone.facets, rank_facets(cone, default_tolerances().membership))
+    for tol in MEMBERSHIPS:
+        with use_tolerances(replace(default_tolerances(), membership=tol)):
+            other = build()
+        assert np.array_equal(other.halfspaces, cone.halfspaces)
+        assert np.array_equal(other.facets, cone.facets)
+
+
+class TestFacetMask:
+    def test_fixed_cones(self):
+        for build in fixed_facet_cases():
+            check_facet_mask(build)
+        # the pyramid's four facets, at membership 0 too
+        with exact_membership():
+            assert oracle_cones()["pyramid3"][0].facets.sum() == 4
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_random_cones_read_no_tolerance(self, d):
+        for seed in range(30):
+            for build in random_facet_cases(seed, d):
+                check_facet_mask(build)
+
+    def test_pins_and_redundant_rows_are_not_facets(self):
+        ray = PolyhedralCone(3, generators=[[1.0, 1.0, 0.0]])
+        assert ray.facets.tolist() == [True, False, False, False, False]
+        cone = PolyhedralCone(2, halfspaces=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
+        assert cone.facets.tolist() == [True, True, False, False]
+        assert cone.dual().facets.tolist() == [True, True]

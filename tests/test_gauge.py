@@ -71,8 +71,10 @@ class TestOrderIntervalGauge:
                     body.gauge(x), abs=1e-9)
 
     def test_non_interior_u_rejected(self):
-        with pytest.raises(InvalidCone):
-            GaugeBody(coordinate_cone(2), [1.0, 0.0])
+        message = "^generating element u must lie in the interior of the cone$"
+        for u in ([1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1e-13, 1e-13]):
+            with pytest.raises(InvalidCone, match=message):
+                GaugeBody(coordinate_cone(2), u)
 
 
 class TestNormAxioms:

@@ -600,6 +600,15 @@ class TestInstanceValidation:
                             objective=None, cone=coordinate_cone(1), e=[2.0],
                             rank=1.0, values=grid.copy())
 
+    def test_e_on_the_boundary_refused(self):
+        # e = (1, 0) is in C but not interior, for the rank measured or declared
+        grid = np.array([[0.0], [1.0]])
+        for rank in (None, 1.0):
+            with pytest.raises(InvalidCone, match="^e must be interior to the cone$"):
+                PenaltyInstance(points=grid, feasible_mask=np.array([True, True]),
+                                objective=None, cone=coordinate_cone(2), e=[1.0, 0.0],
+                                rank=rank, values=np.hstack([grid, grid]))
+
     def test_rank_none_is_measured(self):
         grid = np.array([[0.0], [1.0], [3.0]])
         inst = PenaltyInstance(points=grid, feasible_mask=np.array([True, False, True]),

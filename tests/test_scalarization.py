@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-import conegen.scalarization as scalarization_module
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
-from conegen.penalty import (PenaltyInstance, cone_lipschitz_rank,
-                             verify_penalty_equivalence)
 from conegen.scalarization import EmptyDomain, GerstewitzFn
 from lp_oracle import dirder_lp, enumerate_polytope_vertices, oracle_cones, phi_lp
 
@@ -374,38 +371,12 @@ class TestDirectionalDerivative:
                 assert dd == pytest.approx(fd, abs=1e-4)
 
 
-class TestFacetRowsOnFirstUse:
-    def test_built_once_and_only_for_the_subdifferential(self, monkeypatch):
-        calls = []
-        facet_rows = scalarization_module._facet_rows
-
-        def counted(*args):
-            calls.append(1)
-            return facet_rows(*args)
-
-        monkeypatch.setattr(scalarization_module, "_facet_rows", counted)
-        rng = np.random.default_rng(31)
-        cone = PolyhedralCone(3, generators=np.eye(3) + 0.25 * rng.uniform(-1, 1, (3, 3)))
-        e = np.sum(cone.generators, axis=0)
-        e = e / np.linalg.norm(e)
-        pts, vals = rng.uniform(-1, 1, (40, 2)), rng.normal(size=(40, 3))
-        rank = cone_lipschitz_rank(pts, vals, cone, e).value
-        inst = PenaltyInstance(points=pts, feasible_mask=np.arange(40) < 10,
-                               objective=None, cone=cone, e=e, rank=rank, values=vals)
-        verify_penalty_equivalence(inst, 1.1 * rank)
-        fn = GerstewitzFn(cone, e)
-        assert fn.value([0.3, -0.2, 0.1]) < math.inf and not calls
-        sub = fn.subdifferential([0.3, -0.2, 0.1])
-        assert len(calls) == 1
-        dd = fn.directional_derivative([0.3, -0.2, 0.1], [1.0, 0.0, -1.0])
-        assert len(calls) == 1
-        assert dd == pytest.approx(max(float(v @ [1.0, 0.0, -1.0]) for v in sub.vertices))
-
-    def test_construction_checks_on_e_unchanged(self, monkeypatch):
-        monkeypatch.setattr(scalarization_module, "_facet_rows",
-                            lambda *a: pytest.fail("facet rows built at construction"))
+class TestChecksOnE:
+    def test_construction_checks_on_e_unchanged(self):
         cone = coordinate_cone(2)
         GerstewitzFn(cone, [1.0, 0.0])   # e on the boundary: a ray row
-        for e, message in (([0.0, 0.0], "nonzero"), ([1.0, -1.0], "belong")):
-            with pytest.raises(InvalidCone, match=message):
+        for e, message in (([0.0, 0.0], "direction e must be nonzero"),
+                           ([1.0, -1.0], r"e must belong to the cone \(C \+ \[0,inf\) e subset C\)"),
+                           ([1e-12, 1e-12], "the line R e lies in the cone")):
+            with pytest.raises(InvalidCone, match=f"^{message}$"):
                 GerstewitzFn(cone, e)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import conegen.numkernel as numkernel
 from conegen.config import Tolerances, use_tolerances
 from conegen.numkernel import FarkasCertificate, LPProblem, solve_lp, verify_farkas
 
@@ -135,6 +136,18 @@ def test_matches_highs(kind):
         for b_, f_, lo_, hi_ in (far, moved):
             _check(LPProblem(cost=c, ineq_lhs=A, ineq_rhs=b_, eq_lhs=E, eq_rhs=f_,
                              lower=lo_, upper=hi_), *_highs(c, A, b_, E, f_, lo_, hi_))
+
+
+@pytest.mark.parametrize("kind", ["feasible", "infeasible", "unbounded"])
+def test_blands_rule_from_the_first_pivot_matches_highs(kind, monkeypatch):
+    # Bland's rule is the fallback after _BLAND_AFTER degenerate pivots in a
+    # row; chosen from the first pivot, it reaches HiGHS's status and value
+    monkeypatch.setattr(numkernel, "_BLAND_AFTER", 0)
+    rng = np.random.default_rng(["feasible", "infeasible", "unbounded"].index(kind))
+    for _ in range(40):
+        c, A, b, E, f, lower, upper = _family(rng, kind)
+        _check(LPProblem(cost=c, ineq_lhs=A, ineq_rhs=b, eq_lhs=E, eq_rhs=f,
+                         lower=lower, upper=upper), *_highs(c, A, b, E, f, lower, upper))
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-8, 1e-10, 1e-14])
@@ -254,6 +267,12 @@ def test_beale_cycling_example():
     assert rep.value == pytest.approx(-1.25, abs=1e-12)
     assert rep.value == pytest.approx(_highs(c, -A, -b, np.zeros((0, 4)), np.zeros(0),
                                              np.zeros(4), np.full(4, np.inf))[1], abs=1e-9)
+
+
+def test_beale_under_blands_rule_from_the_first_pivot(monkeypatch):
+    # Beale's ratio ties reach Bland's tie-break in the primal loop
+    monkeypatch.setattr(numkernel, "_BLAND_AFTER", 0)
+    test_beale_cycling_example()
 
 
 def _box_lp(n, seed):
