@@ -415,16 +415,18 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     `solve_primal` reads its multipliers off the simplex.
 
     The working set starts from the equality rows less those dependent on
-    the rows before them. Working box rows fix their coordinates; the other
-    working rows, restricted to the free coordinates, are factored by one
-    QR per iteration, M' = [Y Z][R; 0]. The step
-    minimizes the quadratic over range(Z); a gradient component along a
-    zero-curvature eigenvector of Z'QZ gives a descent ray to the first
-    blocking row instead (the box is compact, so one exists). A full step
-    ends at the subspace minimizer, so the next step is zero by construction;
-    multipliers are solved from R only then. Thresholds are relative to the
-    box, the rows, Q and q (see `Tolerances`), and the result is "optimal"
-    only if its KKT residual is within kkt * max(1, ||grad f||_inf).
+    the rows before them; box rows are +-e_j rows. An orthonormal basis Z of
+    its null space is kept across steps: an entering row is reflected out of
+    Z, and one QR rebuilds Z when a row leaves (Gill, Golub, Murray &
+    Saunders, Math. Comp. 28, 1974). The step minimizes the quadratic over
+    range(Z). Only where a Cholesky of Z'QZ - qp_curv ||Q||_F I fails does
+    eigh look for zero curvature; a gradient component along such an
+    eigenvector gives a descent ray to the first blocking row instead (the
+    box is compact, so one exists). A full step ends at the subspace
+    minimizer, so the next step is zero by construction; multipliers are
+    solved from a QR of the working rows only then. Thresholds are relative
+    to the box, the rows, Q and q (see `Tolerances`), and the result is
+    "optimal" only if its KKT residual is within kkt * max(1, ||grad f||_inf).
     """
     tols = default_tolerances()
     n = prog.n
@@ -439,28 +441,31 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     eq_rows = independent_rows(E)   # a dependent row is redundant
     E = E[eq_rows]
     work = np.zeros(A.shape[0], dtype=bool)
+    Z = _null_basis(A, E, work)
     at_min = False
     for it in range(ACTIVE_SET_CAP):
         grad = prog.gradient(x)
-        free = np.flatnonzero(~(work[:n] | work[n:2 * n]))
-        rows = np.flatnonzero(work[2 * n:]) + 2 * n
-        C = np.vstack([A[rows], E])
-        YZ, R = np.linalg.qr(C[:, free].T, mode="complete")
-        Y, Z, R = YZ[:, :C.shape[0]], YZ[:, C.shape[0]:], R[:C.shape[0]]
         p, newton = np.zeros(n), True
         if not at_min:
-            w, V = np.linalg.eigh(Z.T @ prog.Q[free[:, None], free] @ Z)
-            c = V.T @ (Z.T @ grad[free])
-            flat = w <= tols.qp_curv * q_norm
-            ray = flat & (np.abs(c) > tols.qp_curv * g_ref)
-            newton = not ray.any()
-            if newton:
-                d, alpha_max = V[:, ~flat] @ (c[~flat] / w[~flat]), 1.0
-            else:   # zero-curvature descent: to its line minimizer or a block
-                d, curv = V[:, ray] @ c[ray], float(w[ray] @ c[ray] ** 2)
-                alpha_max = float(c[ray] @ c[ray]) / curv if curv > 0.0 else math.inf
-            p[free] = -(Z @ d)
+            M, c = Z.T @ prog.Q @ Z, Z.T @ grad
+            try:   # succeeds only if every eigenvalue of M is above the shift
+                np.linalg.cholesky(M - tols.qp_curv * q_norm * np.eye(M.shape[0]))
+                d, alpha_max = np.linalg.solve(M, c), 1.0
+            except np.linalg.LinAlgError:
+                w, V = np.linalg.eigh(M)
+                c = V.T @ c
+                flat = w <= tols.qp_curv * q_norm
+                ray = flat & (np.abs(c) > tols.qp_curv * g_ref)
+                newton = not ray.any()
+                if newton:
+                    d, alpha_max = V[:, ~flat] @ (c[~flat] / w[~flat]), 1.0
+                else:   # zero-curvature descent: to its line minimizer or a block
+                    d, curv = V[:, ray] @ c[ray], float(w[ray] @ c[ray] ** 2)
+                    alpha_max = float(c[ray] @ c[ray]) / curv if curv > 0.0 else math.inf
+            p = -(Z @ d)
         if newton and (at_min or np.max(np.abs(p)) <= tols.qp_step * x_scale):
+            free, rows, C = _working(A, E, work)
+            Y, R = np.linalg.qr(C[:, free].T)
             lam = np.linalg.solve(R, -(Y.T @ grad[free]))
             r = grad + C.T @ lam
             box = np.flatnonzero(work[:2 * n])
@@ -470,6 +475,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
             neg = lam_ineq * norms[ineq] < -tols.qp_sign * g_ref
             if neg.any():
                 work[ineq[np.argmax(neg)]] = False
+                Z = _null_basis(A, E, work)
                 at_min = False
                 continue
             z = np.zeros(prog.k)
@@ -482,12 +488,40 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
         x = x + alpha * p
         if blocker is not None:
             work[blocker] = True
+            Z = _reflect_out(Z, A[blocker])
             if blocker < 2 * n:   # a box row: put the coordinate on its bound
                 x[blocker % n] = -b[blocker] if blocker < n else b[blocker]
+                Z[blocker % n] = 0.0   # so that p leaves it exactly there
         at_min = newton and blocker is None
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
                         _kkt_residual(prog, x, mult), ACTIVE_SET_CAP)
+
+
+def _working(A, E, work):
+    """Free coordinates, working rows past the box rows, and those rows on E."""
+    n = A.shape[1]
+    rows = np.flatnonzero(work[2 * n:]) + 2 * n
+    return (np.flatnonzero(~(work[:n] | work[n:2 * n])), rows,
+            np.vstack([A[rows], E]))
+
+
+def _null_basis(A, E, work):
+    """Orthonormal basis of the working rows' null space: the free unit
+    vectors, or the trailing columns of one QR of the other rows on them."""
+    free, _, C = _working(A, E, work)
+    Z = np.zeros((A.shape[1], free.size - C.shape[0]))
+    YZ = np.linalg.qr(C[:, free].T, mode="complete")[0] if C.shape[0] else np.eye(free.size)
+    Z[free] = YZ[:, C.shape[0]:]
+    return Z
+
+
+def _reflect_out(Z, a):
+    """Orthonormal basis of range(Z) less a's direction (Z orthonormal, Z'a !=
+    0): Z times the reflection of Z'a onto e_1, less its first column."""
+    u = Z.T @ a
+    u[0] += math.copysign(np.linalg.norm(u), u[0])
+    return Z[:, 1:] - np.outer(Z @ u, (2.0 / (u @ u)) * u[1:])
 
 
 def _ratio_test(A, b, x, p, alpha_max, work, norms, rate_tol):

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conegen
 from conegen.cli import main
 from conegen.cones import coordinate_cone
 from conegen.duality import VectorObjective, stationarity_certificate
@@ -677,3 +682,15 @@ def test_tol_override_zero_subdiff_on_the_pyramid(capsys, tmp_path):
     code, exact, err = run_cli(capsys, ["--tol-override", "0"] + argv)
     assert code == 0 and "1 vertices, 0 rays" in err
     assert exact["vertices"] == default["vertices"] and exact["value"] == default["value"]
+
+
+def test_import_loads_no_scipy():
+    # a fresh process pays about 0.3 s to import scipy.linalg after numpy,
+    # on every CLI start and benchmark set-up; scipy is a test dependency only
+    src = str(Path(conegen.__file__).resolve().parents[1])
+    code = ("import sys, conegen, conegen.cli, conegen.demos, conegen.problemfile;"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -275,6 +275,88 @@ class TestActiveSetRegressions:
         assert rep.value == pytest.approx(-14.0601405, abs=1e-7)
 
 
+class TestNullSpaceUpdates:
+    """The active-set QP keeps its null-space basis Z across steps: an
+    entering row is reflected out of Z, one QR rebuilds Z when a row leaves,
+    and eigh runs only where a Cholesky of Z'QZ shifted by the curvature
+    threshold fails. The counts wrap numpy's factorisations."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(["qr", "eigh", "cholesky", "_active_set_qp",
+                                "_null_basis"], 0)
+
+        def wrap(owner, name):
+            f = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("qr", "eigh", "cholesky"):
+            wrap(np.linalg, name)
+        wrap(duality, "_active_set_qp")
+        wrap(duality, "_null_basis")
+        return counts
+
+    def test_torsion_runs_no_eigh_and_no_qr_per_step(self, counts):
+        # a QR and an eigh per step would be 38 of each here
+        run_torsion_demo(n_grid=48)
+        qps = counts["_active_set_qp"]
+        leaves = counts["_null_basis"] - qps
+        assert qps >= 1 and counts["eigh"] == 0 and counts["cholesky"] >= 30
+        # per QP: one for the start, one per leaving row, and one per
+        # multiplier solve, each of which drops a row or returns
+        assert counts["qr"] <= qps + leaves + (leaves + qps)
+
+    def test_full_rank_box_qps_run_no_eigh(self, counts):
+        rng = np.random.default_rng(106)   # criterion 6's scalar box QPs
+        for _ in range(50):
+            n = int(rng.integers(1, 6))
+            B = rng.normal(size=(n, n))
+            prog = BoxProgram(n=n, Q=B.T @ B + 0.05 * np.eye(n), q=rng.normal(size=n),
+                              c=0.0, x_lo=-np.ones(n), x_hi=np.ones(n))
+            assert solve_primal(prog).status == "optimal"
+        assert counts["_active_set_qp"] == 50 and counts["eigh"] == 0
+
+    def test_near_singular_draw_runs_eigh(self, counts):
+        rep = solve_primal(box_draws([23])[0])
+        assert counts["eigh"] > 0
+        assert rep.value == pytest.approx(-14.0601405, abs=1e-7)
+
+    def test_long_add_drop_qp_from_a_box_vertex(self, counts):
+        # the centre 0 violates mean(x) >= 0.2, so the QP starts at the
+        # simplex's vertex and rows leave one by one
+        n, rng = 40, np.random.default_rng(2)
+        B = rng.normal(size=(n, n))
+        prog = BoxProgram(n=n, Q=B.T @ B + 0.05 * np.eye(n), q=rng.normal(size=n),
+                          c=0.0, x_lo=-np.ones(n), x_hi=np.ones(n),
+                          G=-np.ones((1, n)) / n, g0=[0.2], cone_y=coordinate_cone(1))
+        rep = solve_primal(prog)
+        assert rep.status == "optimal"
+        assert counts["_null_basis"] - counts["_active_set_qp"] >= 10
+        assert abs(rep.value - qp_dual_value(prog)) <= 1e-6
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 48), st.data())
+    def test_reflect_out(self, n, data):
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        Z = np.linalg.qr(rng.normal(size=(n, k)))[0]
+        # Z'a near -e_1 cancels in a reflection whose sign ignores Z'a's
+        a = {"general": rng.normal(size=n), "in span": Z @ rng.normal(size=k),
+             "box": np.eye(n)[rng.integers(n)],
+             "near -Z e_1": Z @ (1e-8 * rng.normal(size=k) - np.eye(k)[0])}[
+                 data.draw(st.sampled_from(["general", "in span", "box", "near -Z e_1"]))]
+        a = a * 10.0 ** data.draw(st.floats(-6.0, 6.0))
+        W = duality._reflect_out(Z, a)
+        assert W.shape == (n, k - 1)
+        assert np.max(np.abs(W.T @ W - np.eye(k - 1)), initial=0.0) <= 1e-13
+        assert np.max(np.abs(a @ W), initial=0.0) <= 1e-13 * np.linalg.norm(a)
+        assert np.max(np.abs(Z @ (Z.T @ W) - W), initial=0.0) <= 1e-13
+
+
 def nearest_point_qp(Y, a):
     """The nearest point of conv(rows of Y) to a as a program over the
     weights: min 0.5 |Y'w - a|^2 over w in [0, 1]^k with 1'w = 1."""
