@@ -13,7 +13,6 @@ from .duality import (BoxProgram, Multipliers, VectorObjective,
                       lagrangian_value, solve_dual, solve_primal,
                       stationarity_certificate)
 from .lattice import hausdorff_distance, support_function, verify_order_isometry
-from .numkernel import (LPProblem, SolveReport, project_box, projected_gradient,
-                        solve_lp)
+from .numkernel import LPProblem, SolveReport, projected_gradient, solve_lp
 
 __version__ = "0.1.0"

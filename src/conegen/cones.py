@@ -141,6 +141,8 @@ class PolyhedralCone:
     def halfspace_values(self, X):
         """<A_k, x> for one point x (a K-vector) or every row of X (an n x K
         array); no matmul on the coordinate cone, whose A is the identity."""
+        if X.shape[-1] != self.dim:
+            raise DimensionMismatch(f"points have dimension {X.shape[-1]}, expected {self.dim}")
         return X if self.kind == "coordinate" else X @ self.halfspaces.T
 
     def interior_contains(self, x) -> bool:

@@ -14,7 +14,9 @@ class Tolerances:
                     (also by the generators of a cone given both descriptions,
                     each of whose extreme rays must lie within it of a
                     generator); the modified Slater margin must exceed it in
-                    units of the size of the margin's terms
+                    units of the size of the margin's terms; a point is in a
+                    box [x_a, x_b] within it, and a bound is active within it
+                    (a stationarity certificate's box test)
     interior        strict-inequality margin for interior / strict-positivity tests
     strict_nonzero  norm threshold realizing "nonzero" in strict cone comparisons
     lp_feas         simplex feasibility threshold on each equilibrated row,
@@ -60,10 +62,6 @@ class Tolerances:
     slater_floor    floor of the divisors <A_k, -g(x)> when lambda is read at a
                     Slater witness x: the search LP's margin makes them positive
                     up to its row residuals, and the floor keeps lambda finite
-    active_bound    a stationarity certificate's point is outside the box beyond
-                    active_bound, and a box bound is active within it; the VI
-                    demo certifies with active_bound = gradient_map in force,
-                    the accuracy its projected-gradient point was found to
     coincident      sample points this close are one point (rank +inf if their
                     values differ); also the floor of the rank's pair distances
     rank_slack      measured rank may exceed a declared one by rank_slack * membership
@@ -89,7 +87,6 @@ class Tolerances:
     gap_assert: float = 1e-5
     h_margin: float = 1e-9
     slater_floor: float = 1e-300
-    active_bound: float = 1e-9
     coincident: float = 1e-15
     rank_slack: float = 1e3
     unit_norm: float = 1e-9

@@ -3,15 +3,13 @@ variational inequality on a weighted finite-dimensional L2 space."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import default_tolerances, use_tolerances
 from .cones import coordinate_cone
 from .duality import (BoxProgram, VectorObjective, duality_gap_report,
-                      stationarity_certificate)
-from .numkernel import project_box, projected_gradient
+                      solve_primal, stationarity_certificate)
 
 
 @dataclass
@@ -69,12 +67,7 @@ def build_torsion_program(n_grid: int = 12, load: float = 8.0) -> BoxProgram:
     K = (np.diag(main) - np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / h
     q = -load * h * np.ones(n)
     # difference matrix D u gives the n + 1 interval slopes times h
-    D = np.zeros((n + 1, n))
-    for i in range(n + 1):
-        if i < n:
-            D[i, i] = 1.0
-        if i > 0:
-            D[i, i - 1] = -1.0
+    D = np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)
     G = np.vstack([D, -D]) / h
     g0 = -np.ones(2 * (n + 1))
     return BoxProgram(n=n, Q=K, q=q, c=0.0, x_lo=np.zeros(n),
@@ -111,9 +104,11 @@ def run_vi_demo(seed: int = 0, n: int = 6) -> VIResult:
 
     The weights are a discrete probability measure, T is symmetric positive
     definite with positive entries, and the box sits strictly inside the
-    positive cone. The weighted scalar VI is solved by projected gradient;
-    the returned point is then certified against the composed-subdifferential
-    necessary condition with the linearized objective diag(T x)(x - x_bar).
+    positive cone. With T symmetric the VI is the first-order condition of
+    the box QP min 0.5 x'W T x, which solve_primal solves exactly (active
+    coordinates sit on their bounds); the point is then certified against
+    the composed-subdifferential necessary condition with the linearized
+    objective diag(T x)(x - x_bar), at the tolerances in force.
     """
     rng = np.random.default_rng(seed)
     w = np.full(n, 1.0 / n)
@@ -121,22 +116,15 @@ def run_vi_demo(seed: int = 0, n: int = 6) -> VIResult:
     T = np.eye(n) + 0.3 * (R + R.T) / 2
     x_lo = 0.1 * np.ones(n)
     x_hi = 1.0 + rng.uniform(0.0, 0.5, size=n)
-    W = np.diag(w)
-    WT = W @ T
-
-    rep = projected_gradient(lambda x: WT @ x,
-                             lambda x: project_box(x, x_lo, x_hi),
-                             0.5 * (x_lo + x_hi),
-                             step=1.0 / float(np.max(np.linalg.eigvalsh(WT))),
-                             objective=lambda x: 0.5 * x @ WT @ x)
-    x_bar = rep.point
+    rep = solve_primal(BoxProgram(n=n, Q=np.diag(w) @ T, q=np.zeros(n), c=0.0,
+                                  x_lo=x_lo, x_hi=x_hi))
+    if rep.status != "optimal":
+        raise RuntimeError(f"VI box QP solve returned {rep.status}")
+    x_bar = rep.x
     v = T @ x_bar
     # linearized objective at the solution: F(x) = diag(v) (x - x_bar)
     objective = VectorObjective(lins=np.diag(v), consts=-v * x_bar)
     e = np.ones(n)  # unit vector of the weighted L2 norm: sum w_i = 1
-    # a bound is active within the accuracy the projected gradient stopped at
-    tols = default_tolerances()
-    with use_tolerances(replace(tols, active_bound=tols.gradient_map)):
-        cert = stationarity_certificate(objective, coordinate_cone(n), e, x_bar, x_lo, x_hi)
+    cert = stationarity_certificate(objective, coordinate_cone(n), e, x_bar, x_lo, x_hi)
     d = cert.to_dict()
     return VIResult(point=x_bar, operator_value=v, certificate=d, certified=d["certified"])

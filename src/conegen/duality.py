@@ -763,7 +763,7 @@ def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
     the normal cone of the box at x_bar, or refuse with a Farkas certificate.
 
     The box normal cone is the sign-pattern cone of the active bounds (active
-    within Tolerances.active_bound); a point outside the box has empty normal
+    within Tolerances.membership); a point outside the box has empty normal
     cone and is refused outright.
     """
     tols = default_tolerances()
@@ -772,11 +772,12 @@ def stationarity_certificate(objective: VectorObjective, cone_y: PolyhedralCone,
     x_bar = as_vector(x_bar, objective.lins.shape[1], "x_bar")
     x_lo = as_vector(x_lo, x_bar.shape[0], "x_a")
     x_hi = as_vector(x_hi, x_bar.shape[0], "x_b")
-    if np.max(x_lo - x_bar) > tols.active_bound or np.max(x_bar - x_hi) > tols.active_bound:
+    tol = tols.membership   # the box is the coordinate cone's order interval
+    if np.max(x_lo - x_bar) > tol or np.max(x_bar - x_hi) > tol:
         return CertificateRefusal("x_bar outside the box: N(x, Omega) is empty")
     J = objective.jacobian(x_bar)          # (m, n)
-    lower = np.abs(x_bar - x_lo) <= tols.active_bound
-    upper = np.abs(x_bar - x_hi) <= tols.active_bound
+    lower = np.abs(x_bar - x_lo) <= tol
+    upper = np.abs(x_bar - x_hi) <= tol
     # Constraints on y*: dual-cone rows, <y*, e> = 1, and componentwise
     # conditions on s = J^T y*: s_i = 0 on inactive coordinates, s_i >= 0 on
     # lower-active ones (normal = -s must be <= 0), s_i <= 0 on upper-active;

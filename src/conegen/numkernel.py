@@ -1,4 +1,4 @@
-"""Deterministic dense numerical kernels: simplex LP, projections, iterations.
+"""Deterministic dense numerical kernels: the simplex LP and a projected gradient.
 
 The simplex is a dense tableau with bounded variables (Chvatal, Linear
 Programming, ch. 8): a bound is a column bound, not a row, and only a
@@ -492,16 +492,8 @@ def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
 
 
 # ---------------------------------------------------------------------------
-# projections and first-order iterations
-
-def project_box(x, lower, upper) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if np.any(lower > upper):
-        raise ValueError("invalid box: lower exceeds upper")
-    return np.clip(x, lower, upper)
-
+# first-order iteration: no library code calls it (the VI demo's box QP goes
+# through duality.solve_primal); it stays while perfbench/spans.py traces it
 
 PG_CAP = 200_000   # projected-gradient steps before "iteration-cap"
 

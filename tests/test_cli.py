@@ -349,6 +349,20 @@ def test_tol_override_flag(capsys, tmp_path):
             assert code == 0 and report["gauge"] == pytest.approx(0.5)
 
 
+def test_tol_override_reaches_the_certificates_box_test(capsys, tmp_path):
+    # 1e-6 below the box [1, 2]: outside at the default membership, and on
+    # the active lower bound, where Q x > 0 meets the Fermat rule, at 1e-5
+    path = _write(tmp_path, {"cone": {"kind": "coordinate", "dim": 1},
+                             "duality": {"n": 1, "Q": [[2.0]], "q": [0.0],
+                                         "box": {"lower": [1.0], "upper": [2.0]}}})
+    argv = ["certify", "--problem", path, "--point", repr(1.0 - 1e-6)]
+    code, report, _ = run_cli(capsys, argv)
+    assert code == 0 and report["certified"] is False
+    assert "outside the box" in report["reason"]
+    code, report, _ = run_cli(capsys, ["--tol-override", "1e-5"] + argv)
+    assert code == 0 and report["certified"] is True
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_tol_override_must_be_finite_and_nonnegative(capsys, tmp_path, value):
     # with nan, the gauge 0.5 against the ambient norm 1.118 of (1, 0.5)

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from conegen.config import default_tolerances, use_tolerances
-from conegen.cones import (InvalidCone, PolyhedralCone,
+from conegen.cones import (DimensionMismatch, InvalidCone, PolyhedralCone,
                            UnsupportedRepresentation, _extreme_rays,
                            _facets_from_generators, coordinate_cone)
+from conegen.gauge import GaugeBody
+from conegen.penalty import cone_lipschitz_rank, cone_minimal_points
+from conegen.scalarization import GerstewitzFn
 from lp_oracle import oracle_cones
 
 
@@ -19,6 +22,20 @@ def wedge():
 
 def exact_membership():
     return use_tolerances(replace(default_tolerances(), membership=0.0))
+
+
+@pytest.mark.parametrize("cone", [coordinate_cone(2), wedge()], ids=["coordinate", "general"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_values_of_the_wrong_width_are_refused(cone, width):
+    # the coordinate cone reads values without a matmul: their width is
+    # checked there too, not broadcast against the cone's rows
+    u, X, pts = np.array([2.0, 1.0]), np.ones((2, width)), np.array([[0.0], [1.0]])
+    for call in (lambda: GaugeBody(cone, u).gauge_many(X),
+                 lambda: GerstewitzFn(cone, u).value_many(X),
+                 lambda: cone_lipschitz_rank(pts, X, cone, u),
+                 lambda: cone_minimal_points(X, cone)):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 class TestContains:

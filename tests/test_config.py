@@ -49,6 +49,17 @@ def test_no_public_function_takes_a_tolerance():
     assert found == []
 
 
+def test_only_the_cli_sets_tolerances():
+    # library code runs at the tolerances in force; cli.main alone opens a
+    # use_tolerances scope, for --tol-override
+    callers = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and "use_tolerances" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))}
+    assert callers == {"cli.py"}
+
+
 def test_no_module_reads_the_environment():
     assert not re.search(r"\benviron\b|\bgetenv\b", _module_sources())
 

@@ -10,7 +10,7 @@ from scipy.optimize import linprog, minimize
 from conegen import duality, numkernel
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
-from conegen.demos import run_torsion_demo
+from conegen.demos import run_torsion_demo, run_vi_demo
 from conegen.gauge import minkowski_gauge
 from conegen.numkernel import SolveReport
 from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
@@ -995,9 +995,8 @@ class TestCertificates:
             rep = solve_primal(prog)
             obj = VectorObjective(lins=prog.q[None, :], consts=[prog.c],
                                   quads=[prog.Q])
-            with use_tolerances(dataclasses.replace(default_tolerances(), active_bound=1e-7)):
-                cert = stationarity_certificate(obj, coordinate_cone(1), [1.0],
-                                                rep.x, prog.x_lo, prog.x_hi)
+            cert = stationarity_certificate(obj, coordinate_cone(1), [1.0],
+                                            rep.x, prog.x_lo, prog.x_hi)
             assert isinstance(cert, StationarityCertificate)
             assert max(cert.residuals.values()) <= 1e-8
 
@@ -1036,3 +1035,22 @@ def test_torsion_demo_against_its_closed_form(grid):
     y = np.asarray(tor.gap_report["multipliers"]["y"])
     assert abs(np.max(y) / h - (load / 2 - 1)) <= 4 * h + 1e-9
     assert abs(np.sum(y) - 1.125) <= 5e-3
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vi_demo_point_is_its_box_qps_exact_minimizer(seed):
+    """The VI demo's point is solve_primal's on the box QP min 0.5 x'W T x.
+    W T has positive entries and the box lies in the positive cone, so the
+    gradient is positive there and the minimizer is the lower corner, on
+    which every coordinate sits exactly."""
+    n = 6
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(0.0, 1.0, size=(n, n))
+    T = np.eye(n) + 0.3 * (R + R.T) / 2
+    x_lo, x_hi = 0.1 * np.ones(n), 1.0 + rng.uniform(0.0, 0.5, size=n)
+    rep = solve_primal(BoxProgram(n=n, Q=np.diag(np.full(n, 1.0 / n)) @ T,
+                                  q=np.zeros(n), c=0.0, x_lo=x_lo, x_hi=x_hi))
+    vi = run_vi_demo(seed=seed, n=n)
+    assert rep.status == "optimal"
+    assert np.array_equal(vi.point, rep.x) and np.array_equal(vi.point, x_lo)
+    assert vi.certified

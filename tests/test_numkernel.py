@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conegen.cones import coordinate_cone
-from conegen.numkernel import (LPProblem, project_box, projected_gradient,
-                               solve_lp, verify_farkas)
+from conegen.numkernel import LPProblem, projected_gradient, solve_lp, verify_farkas
 from lp_oracle import enumerate_polytope_vertices
 from penalty_oracle import brute_force_grid_min
 
@@ -70,30 +67,10 @@ def test_lp_agrees_with_vertex_enumeration():
         assert rep.value == pytest.approx(float(np.min(verts @ c)), abs=1e-9)
 
 
-def test_project_box_examples():
-    assert np.allclose(project_box([3, -3], [-1, -1], [1, 1]), [1, -1])
-    x = np.array([0.2, -0.3])
-    assert np.allclose(project_box(x, [-1, -1], [1, 1]), x)
-    once = project_box([5, 5], [0, 0], [1, 2])
-    assert np.allclose(project_box(once, [0, 0], [1, 2]), once)
-    with pytest.raises(ValueError):
-        project_box([0.0], [1.0], [0.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-50, 50), min_size=3, max_size=3),
-       st.lists(st.floats(-50, 50), min_size=3, max_size=3))
-def test_project_box_nonexpansive(xs, ys):
-    lo, hi = -np.ones(3), np.ones(3)
-    px = project_box(np.array(xs), lo, hi)
-    py = project_box(np.array(ys), lo, hi)
-    assert np.linalg.norm(px - py) <= np.linalg.norm(np.array(xs) - np.array(ys)) + 1e-12
-
-
 def test_projected_gradient_quadratic_on_box():
     n = 4
     rep = projected_gradient(lambda x: x,
-                             lambda x: project_box(x, np.ones(n), 2 * np.ones(n)),
+                             lambda x: np.clip(x, np.ones(n), 2 * np.ones(n)),
                              x0=1.7 * np.ones(n), step=1.0,
                              objective=lambda x: 0.5 * float(x @ x))
     assert rep.status == "optimal"
@@ -103,7 +80,7 @@ def test_projected_gradient_quadratic_on_box():
 def test_projected_gradient_linear_hits_vertex():
     c = np.array([1.0, -2.0])
     rep = projected_gradient(lambda x: c,
-                             lambda x: project_box(x, np.zeros(2), np.ones(2)),
+                             lambda x: np.clip(x, np.zeros(2), np.ones(2)),
                              x0=np.array([0.5, 0.5]), step=0.5,
                              objective=lambda x: float(c @ x))
     assert rep.status == "optimal"
@@ -116,7 +93,7 @@ def test_projected_gradient_matches_kkt():
     Q = np.array([[2.0, 0.0], [0.0, 1.0]])
     q = np.array([-2.0, 1.0])
     rep = projected_gradient(lambda x: Q @ x + q,
-                             lambda x: project_box(x, np.zeros(2), 2 * np.ones(2)),
+                             lambda x: np.clip(x, np.zeros(2), 2 * np.ones(2)),
                              x0=np.ones(2), step=0.5,
                              objective=lambda x: 0.5 * x @ Q @ x + q @ x)
     assert np.allclose(rep.point, [1.0, 0.0], atol=1e-6)
@@ -133,7 +110,7 @@ def test_projected_gradient_best_value_monotone():
         return v
 
     projected_gradient(lambda x: Q @ x,
-                       lambda x: project_box(x, -np.ones(2), np.ones(2)),
+                       lambda x: np.clip(x, -np.ones(2), np.ones(2)),
                        x0=np.array([1.0, -1.0]), step=0.2, objective=tracking_obj)
     best = np.minimum.accumulate(vals)
     assert np.all(np.diff(best) <= 1e-15)
