@@ -3,7 +3,7 @@ exact penalties, box-constrained Lagrange duality, and support-function
 lattices, all at finite truncation with machine-checkable properties."""
 
 from .cones import PolyhedralCone, coordinate_cone
-from .gauge import GaugeBody, equivalence_constant, minkowski_gauge
+from .gauge import GaugeBody, equivalence_constant
 from .scalarization import GerstewitzFn
 from .penalty import (PenaltyInstance, cone_lipschitz_rank, cone_minimal_points,
                       distance_to_set, penalized_objective,

@@ -7,8 +7,7 @@ constraints reads lam <h_k, u> >= |<h_k, x>|, so the gauge is the closed form
 max_k |<h_k, x>| / <h_k, u>: the sup-norm of the image of x under the linear
 isometry x -> (<h_k, x> / <h_k, u>)_k into the finite sup-norm space. On the
 coordinate cone this is the weighted sup-norm max_i |x_i| / u_i and the
-isometry is onto. Only the gauge of a general vertex body needs an LP.
-Infeasible gauges return math.inf; vectors themselves never carry infinities.
+isometry is onto. No gauge here runs an LP.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .cones import InvalidCone, OrderUnit, PolyhedralCone
-from .numkernel import LPFailure, LPProblem, as_vector, solve_lp
+from .numkernel import as_vector
 
 
 class GaugeBody:
@@ -46,28 +45,6 @@ class GaugeBody:
         coordinate cone."""
         x = as_vector(x, self.cone.dim, "point")
         return self.cone.halfspace_values(x) / self._unit.hu
-
-
-def minkowski_gauge(body_vertices, x) -> float:
-    """Gauge inf{lam > 0 : x/lam in conv(body_vertices)} via one LP.
-
-    Substituting beta_j = lam * alpha_j turns the bilinear description into
-    min sum(beta) s.t. V^T beta = x, beta >= 0; infeasibility means x is not
-    absorbed and the gauge is +inf. Any other failed LP raises LPFailure.
-    """
-    V = np.atleast_2d(np.asarray(body_vertices, dtype=float))
-    if V.shape[0] == 0:
-        raise ValueError("empty vertex list")
-    x = as_vector(x, V.shape[1], "point")
-    if not np.any(x):
-        return 0.0
-    rep = solve_lp(LPProblem(cost=np.ones(V.shape[0]), eq_lhs=V.T, eq_rhs=x,
-                             lower=np.zeros(V.shape[0])))
-    if rep.status == "infeasible":
-        return math.inf
-    if rep.status != "optimal":
-        raise LPFailure(f"gauge LP returned {rep.status}")
-    return float(rep.value)
 
 
 def equivalence_constant(cone: PolyhedralCone, u, v) -> float:

@@ -14,9 +14,15 @@ makes "\\ {0}" robust on grids.
 
 The rank builds each unordered pair once, in row blocks of halfspace
 planes, and reads it both ways: the max of phi(v_i - v_j) and
-phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. The dominance
-relation reads rows against columns in blocks. A verification builds the
-full relation on Omega's values only. The penalized
+phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. On a line
+(points in R^1) one sort answers instead: a chord's slope is a gap-weighted
+mean of the slopes of the consecutive pairs it spans, so the rank is read
+off sorted neighbours, and the distance of a point to Omega off its nearest
+Omega points on either side. p = 2 norms square differences of entries
+scaled by an exact power of two where a square could overflow.
+
+The dominance relation reads rows against columns in blocks. A
+verification builds the full relation on Omega's values only. The penalized
 values are first read against the columns of the constrained minimal set
 m1, which above the rank dominates the points outside Omega; the rows this
 screen leaves open are then read against every column. The inclusion at
@@ -48,7 +54,8 @@ def distance_to_set(x, omega, p: float = 2):
     """(min distance, attaining witness) from x to a finite point list or box.
 
     A box is passed as a (lower, upper) pair and handled by componentwise
-    clamping, which is exact for every p-norm.
+    clamping, which is exact for every p-norm. Both forms measure with the
+    pair norms, which do not overflow.
     """
     check_norm_p(p)
     x = as_vector(x, name="point")
@@ -58,7 +65,7 @@ def distance_to_set(x, omega, p: float = 2):
         if np.any(lo > hi):
             raise ValueError("invalid box")
         witness = np.clip(x, lo, hi)
-        return ambient_norm(x - witness, p=p), witness
+        return float(_pair_norms(x[None, :], witness[None, :], p)[0, 0]), witness
     pts = np.atleast_2d(np.asarray(omega, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("empty omega")
@@ -68,14 +75,36 @@ def distance_to_set(x, omega, p: float = 2):
 
 
 def _pair_norms(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
-    out = _pair_sums(X, Y, p)
-    return out if p in (1, math.inf) else np.sqrt(out, out=out)
+    shift = _shift(p, X, Y)
+    return _root(_pair_sums(X, Y, p, shift), p, shift)
 
 
-def _pair_sums(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
+def _shift(p: float, *arrays: np.ndarray) -> int:
+    """The exponent s by which _pair_sums scales its entries down, 2^-s: 0
+    unless p = 2 and an entry reaches 2^500, where the square of a
+    difference could overflow; then 2^s exceeds every |entry|. Below 2^500
+    a sum of squared differences stays finite in up to 2^20 coordinates."""
+    if p != 2:
+        return 0
+    top = max(np.abs(a).max() for a in arrays)
+    return math.frexp(top)[1] if top >= 2.0 ** 500 else 0
+
+
+def _root(sums: np.ndarray, p: float, shift: int) -> np.ndarray:
+    """The norms, in place, from sums of _pair_sums at the given shift."""
+    if p in (1, math.inf):
+        return sums
+    np.sqrt(sums, out=sums)
+    return np.ldexp(sums, shift, out=sums) if shift else sums
+
+
+def _pair_sums(X: np.ndarray, Y: np.ndarray, p: float, shift: int = 0) -> np.ndarray:
     """||x_i - y_j|| (the p-norm for p = 1 or inf, else the squared 2-norm)
-    for all rows of X and Y, one coordinate plane at a time. Below 8
-    coordinates the sum runs in the order of numpy's sum over a last axis."""
+    for all rows of X and Y times 2^-shift, one coordinate plane at a time.
+    Below 8 coordinates the sum runs in the order of numpy's sum over a
+    last axis."""
+    if shift:
+        X, Y = np.ldexp(X, -shift), np.ldexp(Y, -shift)
     power = np.abs if p in (1, math.inf) else np.square
     combine = np.maximum if p == math.inf else np.add
     out = np.zeros((X.shape[0], Y.shape[0]))
@@ -119,7 +148,11 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     norm a running max of |<h_k, v_i> - <h_k, v_j>| / <h_k, e> (+inf where
     <h_k, e> = 0 and the difference is nonzero, as in OrderUnit.ratio).
     Coincident points with different values make the rank +inf; a point or
-    value with a nan or infinite entry is refused (ValueError).
+    value with a nan or infinite entry is refused (ValueError). Points on a
+    line are read in one sort: the max is attained at sorted neighbours
+    (_line_rank), and two neighbours within coincident hand the sample to
+    the pairwise kernel. p = 2 distances do not overflow: where a square
+    could, the points are scaled by an exact power of two first.
 
     The last estimate is kept with the exact inputs the measurement reads:
     the bytes of points, values, e and the cone's halfspaces, the cone's
@@ -152,8 +185,13 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
 def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
                   e: np.ndarray, p: float, tols: Tolerances) -> RankEstimate:
     unit = OrderUnit(cone, e)   # rejects e outside C, or with R e inside C
-    rank = 0.0
-    for lo, hi, planes in _pair_blocks(cone.halfspace_values(vals)):
+    HV = cone.halfspace_values(vals)
+    if pts.shape[1] == 1:
+        rank = _line_rank(pts[:, 0], HV, unit, tols)
+        if rank is not None:
+            return RankEstimate(rank, True)
+    rank, shift = 0.0, _shift(p, pts)
+    for lo, hi, planes in _pair_blocks(HV):
         num = np.zeros((hi - lo, pts.shape[0] - lo))
         for plane, h_e, on_face in zip(planes, unit.hu, unit.face):
             np.abs(plane, out=plane)
@@ -161,7 +199,7 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
                 num[plane > unit.slack] = np.inf
             else:
                 np.maximum(num, np.divide(plane, h_e, out=plane), out=num)
-        den = _pair_norms(pts[lo:hi], pts[lo:], p)
+        den = _root(_pair_sums(pts[lo:hi], pts[lo:], p, shift), p, shift)
         np.fill_diagonal(den, 1.0)   # the pairs (i, i): num is 0 there
         close = den <= tols.coincident
         if close.any():
@@ -170,6 +208,30 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
             den[close] = tols.coincident
         rank = max(rank, float(np.max(np.divide(num, den, out=num))))
     return RankEstimate(rank, True)
+
+
+def _line_rank(x: np.ndarray, HV: np.ndarray, unit: OrderUnit,
+               tols: Tolerances) -> float | None:
+    """The rank of points x_i on a line from one sort, or None when two
+    sorted neighbours lie within coincident (the pairwise kernel applies the
+    coincident rule then). Over a chord, <h_k, v> / <h_k, e> changes by the
+    sum of its changes over the consecutive pairs the chord spans, and the
+    chord's length is the sum of their gaps, in every p-norm: so no chord's
+    slope exceeds the largest consecutive one, each read as the pairwise
+    kernel reads it. A face row is +inf when its range, the largest
+    difference of any pair, exceeds slack. Rounding can put a chord above
+    every consecutive pair, by at most 8 units of roundoff (four roundings
+    on each side): the value is then at most about 4 eps below the pairwise
+    kernel's, and never above it."""
+    order = np.argsort(x, kind="stable")
+    gap = np.diff(x[order])
+    if np.any(gap <= tols.coincident):
+        return None
+    if unit.face.any() and np.any(np.ptp(HV[:, unit.face], axis=0) > unit.slack):
+        return math.inf
+    off = ~unit.face
+    slope = np.abs(np.diff(HV[order][:, off], axis=0)) / unit.hu[off]
+    return float(np.max(slope.max(axis=1) / gap))
 
 
 @dataclass
@@ -231,12 +293,28 @@ class PenaltyInstance:
         return self.points[self.feasible_mask]
 
     def distances_to_omega(self) -> np.ndarray:
+        """d(x, Omega) in the norm_p norm for every point x of S. On a line,
+        where every p-norm is |x - y|, from the nearest Omega points on
+        either side of x in one sort of Omega; else from every pair, p = 2
+        norms scaled by a power of two where a square could overflow."""
+        pts, omega, p = self.points, self.omega_points, self.norm_p
+        if pts.shape[1] == 1:
+            return _line_distances(pts[:, 0], omega[:, 0])
+        shift = _shift(p, pts, omega)
         # the root of the row minimum: sqrt is monotone and correctly rounded
-        near = np.min(_pair_sums(self.points, self.omega_points, self.norm_p), axis=1)
-        return near if self.norm_p in (1, math.inf) else np.sqrt(near)
+        return _root(np.min(_pair_sums(pts, omega, p, shift), axis=1), p, shift)
 
     def penalized_values(self, L: float) -> np.ndarray:
         return self.values + L * self.distances_to_omega()[:, None] * self.e[None, :]
+
+
+def _line_distances(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """min_j |x_i - omega_j| from the sorted omega: its nearest entries at or
+    above x_i and below x_i."""
+    w = np.sort(omega)
+    above = np.searchsorted(w, x)   # w[above - 1] < x_i <= w[above]
+    return np.minimum(np.abs(x - w[np.minimum(above, w.size - 1)]),
+                      np.abs(x - w[np.maximum(above - 1, 0)]))
 
 
 def penalized_objective(instance: PenaltyInstance, L: float):
@@ -278,6 +356,7 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
     n = V.shape[0]
     R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
+    shift = _shift(2, V)
     sq = np.zeros(R.shape[0])   # squared: sqrt is monotone and correctly rounded
     step = max(1, _BLOCK * n // max(1, VC.shape[0]))
     for lo in range(0, R.shape[0], step):
@@ -287,9 +366,9 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
         for hc, hv in zip(HC.T[1:], HV.T[1:]):
             np.maximum(up, np.subtract(hc[None, :], hv[rb, None], out=plane), out=up)
         # a bool product is ~5x faster than np.where; fmax skips inf * 0 = NaN
-        sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol), axis=1,
-                                          initial=0.0)
-    return np.sqrt(sq)
+        sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2, shift) * (up <= tol),
+                                          axis=1, initial=0.0)
+    return _root(sq, 2, shift)
 
 
 def _minimal(reach: np.ndarray, strict_tol: float) -> np.ndarray:

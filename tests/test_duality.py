@@ -11,7 +11,6 @@ from conegen import duality, numkernel
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.demos import run_torsion_demo, run_vi_demo
-from conegen.gauge import minkowski_gauge
 from conegen.numkernel import SolveReport
 from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              StationarityCertificate, VectorObjective,
@@ -503,9 +502,9 @@ def test_no_lp_built_in_src_takes_a_cleanup_pivot(monkeypatch):
     """Every LP the library builds starts the simplex dual feasible at the
     bound each cost favours, so the primal clean-up after the dual loop
     pivots nowhere: on criterion 5's programs, on the centre-infeasible
-    programs (whose search and h-interior LPs run), on the torsion grid 12
-    and on Minkowski gauges. Beale's LP, whose costs are negative on columns
-    unbounded above, shows that the counter sees clean-up pivots."""
+    programs (whose search and h-interior LPs run) and on the torsion grid
+    12. Beale's LP, whose costs are negative on columns unbounded above,
+    shows that the counter sees clean-up pivots."""
     pivots = []
     loop = numkernel._simplex_loop
 
@@ -528,9 +527,6 @@ def test_no_lp_built_in_src_takes_a_cleanup_pivot(monkeypatch):
                 prog, e, _ = centre_infeasible_program(rng, kind, variant)
                 assert duality_gap_report(prog, e).slater.satisfied
     run_torsion_demo(n_grid=12)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        assert minkowski_gauge(rng.normal(size=(6, 3)), rng.normal(size=3)) > 0.0
     assert len(pivots) > 200 and max(pivots) == 0
     c = np.array([-0.75, 20.0, -0.5, 6.0])
     A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conegen import gauge
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
-from conegen.gauge import (GaugeBody, ambient_comparison, equivalence_constant,
-                           minkowski_gauge)
-from conegen.numkernel import LPFailure, SolveReport
+from conegen.gauge import GaugeBody, ambient_comparison, equivalence_constant
 from lp_oracle import gauge_lp, oracle_cones
 
 
@@ -111,35 +108,6 @@ class TestNormAxioms:
             a = rng.normal(size=4)
             b = a * rng.uniform(0.0, 1.0, size=4)  # |b_j| <= |a_j|
             assert body.gauge(a) >= body.gauge(b) - 1e-12
-
-
-class TestMinkowskiGauge:
-    SQUARE = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
-
-    def test_vertex_on_boundary(self):
-        assert minkowski_gauge(self.SQUARE, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-9)
-
-    def test_scaling(self):
-        # membership-bisection oracle gives 2 for (2, 0) in the unit square
-        assert minkowski_gauge(self.SQUARE, [2.0, 0.0]) == pytest.approx(2.0, abs=1e-9)
-
-    def test_outside_span(self):
-        assert minkowski_gauge([[-1.0, 0.0], [1.0, 0.0]], [0.0, 1.0]) == math.inf
-
-    def test_zero_and_empty(self):
-        assert minkowski_gauge(self.SQUARE, [0.0, 0.0]) == 0.0
-        with pytest.raises(ValueError):
-            minkowski_gauge(np.zeros((0, 2)), [1.0, 0.0])
-
-    @pytest.mark.parametrize("status", ["infeasible", "numerical", "iteration-cap"])
-    def test_only_infeasible_is_infinite(self, monkeypatch, status):
-        # +inf says "not absorbed"; a failed LP says nothing of the sort
-        monkeypatch.setattr(gauge, "solve_lp", lambda lp: SolveReport(status=status))
-        if status == "infeasible":
-            assert minkowski_gauge(self.SQUARE, [1.0, 0.0]) == math.inf
-        else:
-            with pytest.raises(LPFailure, match=status):
-                minkowski_gauge(self.SQUARE, [1.0, 0.0])
 
 
 class TestEquivalenceConstant:

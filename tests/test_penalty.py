@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import conegen.penalty as penalty_module
@@ -767,3 +767,178 @@ class TestRankMemo:
             with pytest.raises(InvalidCone, match="must belong to the cone"):
                 cone_lipschitz_rank(pts, vals, cone, -e)
         assert penalty_module._last_rank is kept and len(kernel_calls) == 1
+
+
+EPS = np.finfo(float).eps
+
+
+def embedded(pts):
+    """Points on a line as points of the plane with a zero second column: the
+    pairwise kernels read the same norms there (|t| + 0, max(|t|, 0) and
+    sqrt(t^2 + 0))."""
+    return np.column_stack([pts, np.zeros(len(pts))])
+
+
+def line_sample(rng, n, m, general, specials, face):
+    """Points on a line with the given special neighbours, values, cone and e.
+    A special is a point moved next to another by 0, coincident or
+    2 coincident, or a cluster of three points 0.6 coincident apart; its
+    value is the other's, or moved by 0.5 or 2 strict_nonzero."""
+    tols = default_tolerances()
+    cone = random_cone(rng, m, general)
+    x = rng.uniform(-1.0, 1.0, size=n)
+    vals = rng.normal(size=(n, m))
+    for kind in specials:
+        i, j = rng.choice(n, size=2, replace=False)
+        steps = [0.6, 1.2] if kind == "cluster" else [kind]
+        for s, k in zip(steps, [j, (j + 1) % n]):
+            if k == i:
+                continue
+            x[k] = x[i] + s * tols.coincident
+            vals[k] = vals[i] + rng.choice([0.0, 0.5, 2.0]) * tols.strict_nonzero * \
+                rng.normal(size=m) / math.sqrt(m)
+    if face and m >= 2:
+        e = cone.generators[0]
+        on_face = cone.halfspace_values(e) <= tols.interior
+        # the face rows drift by 0.4 slack per sorted step: no neighbours
+        # differ by more than slack there, but the range may
+        drift = np.argsort(np.argsort(x)) * 0.4 * tols.membership * rng.integers(0, 2)
+        HV = cone.halfspace_values(vals)
+        HV[:, on_face] = drift[:, None]
+        vals = np.linalg.solve(cone.halfspaces, HV.T).T if cone.kind != "coordinate" else HV
+    else:
+        e = np.sum(cone.generators, axis=0)
+    return x[:, None], vals, cone, e / np.linalg.norm(e)
+
+
+SPECIALS = st.lists(st.sampled_from([0.0, 1.0, 2.0, "cluster"]), max_size=3)
+
+
+class TestLineKernels:
+    """On a line the rank and the distances to Omega come from one sort; they
+    are compared with the pairwise kernels on the same points in the plane
+    and with the all-pairs oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 30), n=st.integers(2, 40), m=st.integers(1, 4),
+           p=st.sampled_from([1, 2, math.inf]), general=st.booleans(),
+           specials=SPECIALS, face=st.booleans())
+    def test_rank_matches_the_pairwise_kernel(self, seed, n, m, p, general, specials,
+                                              face):
+        # a chord can round at most 8 units of roundoff above the sorted
+        # neighbours it spans: the line's rank is never above the pairwise
+        # one and at most 4 eps below it (5 eps allows for second order)
+        rng = np.random.default_rng(seed)
+        pts, vals, cone, e = line_sample(rng, n, m, general, specials, face)
+        line = cone_lipschitz_rank(pts, vals, cone, e, p=p).value
+        pair = cone_lipschitz_rank(embedded(pts), vals, cone, e, p=p).value
+        assert line <= pair <= line * (1.0 + 5.0 * EPS)
+        # on general cones <h, v_i - v_j> rounds differently from
+        # <h, v_i> - <h, v_j>, by much more than 1e-12 of a difference of
+        # values moved by strict_nonzero
+        ref = rank_oracle(pts, vals, cone, e, p=p)
+        if not general:
+            assert line <= ref <= line * (1.0 + 5.0 * EPS)
+        elif not specials and math.isfinite(ref):
+            assert abs(line - ref) <= 1e-12 * ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 30), n=st.integers(2, 60),
+           p=st.sampled_from([1, 2, math.inf]), specials=SPECIALS,
+           log_s=st.floats(-6.0, 6.0))
+    def test_distances_match_the_pairwise_kernel(self, seed, n, p, specials, log_s):
+        # bit for bit: |x - w| is every p-norm on a line, and sqrt(t^2) = |t|
+        rng = np.random.default_rng(seed)
+        pts, vals, cone, e = line_sample(rng, n, 1, False, specials, False)
+        pts *= 10.0 ** log_s
+        mask = rng.random(n) < 0.3
+        mask[rng.integers(n)] = True
+        inst, flat = (PenaltyInstance(points=P, feasible_mask=mask, objective=None,
+                                      cone=cone, e=e, rank=0.0, values=np.zeros((n, 1)),
+                                      norm_p=p) for P in (pts, embedded(pts)))
+        got = inst.distances_to_omega()
+        assert got.tobytes() == flat.distances_to_omega().tobytes()
+        assert got.tobytes() == \
+            np.min(penalty_module._pair_norms(pts, pts[mask], p), axis=1).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 30), n=st.integers(2, 40), m=st.integers(1, 3),
+           p=st.sampled_from([1, 2, math.inf]), general=st.booleans(),
+           specials=SPECIALS)
+    def test_reports_match_the_oracle(self, seed, n, m, p, general, specials):
+        rng = np.random.default_rng(seed)
+        pts, vals, cone, e = line_sample(rng, n, m, general, specials, False)
+        mask = rng.random(n) < 0.3
+        mask[rng.integers(n)] = True
+        inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
+                               cone=cone, e=e / ambient_norm(e, p=p), rank=None,
+                               values=vals, norm_p=p)
+        # L = 1.1 rank must exceed the rank by rank_margin
+        assume(math.isfinite(inst.rank) and
+               0.1 * inst.rank > default_tolerances().rank_margin)
+        TestReportsMatchOracle.check(inst)
+
+    @pytest.mark.parametrize("steps, want", [(5, math.inf), (2, 1.0)])
+    def test_a_face_row_is_decided_by_its_range(self, steps, want):
+        # <h_2, e> = 0 and h_2's values climb 0.4 slack per point: each
+        # neighbour pair is within slack, the range is not for 5 points
+        slack = default_tolerances().membership
+        x = np.arange(float(steps))[:, None]
+        vals = np.column_stack([x[:, 0], 0.4 * slack * np.arange(steps)])
+        cone, e = coordinate_cone(2), np.array([1.0, 0.0])
+        assert cone_lipschitz_rank(x, vals, cone, e).value == want
+        assert cone_lipschitz_rank(embedded(x), vals, cone, e).value == want
+        assert rank_oracle(x, vals, cone, e) == want
+
+    def test_the_pairwise_kernel_runs_only_for_close_neighbours(self, monkeypatch):
+        monkeypatch.setattr(penalty_module, "_last_rank", None)
+        calls = []
+        blocks = penalty_module._pair_blocks
+        monkeypatch.setattr(penalty_module, "_pair_blocks",
+                            lambda HV: calls.append(len(HV)) or blocks(HV))
+        rng = np.random.default_rng(31)
+        x, vals = rng.uniform(-1.0, 1.0, size=(300, 1)), rng.normal(size=(300, 2))
+        cone, e = coordinate_cone(2), np.array([1.0, 1.0]) / math.sqrt(2.0)
+        assert math.isfinite(cone_lipschitz_rank(x, vals, cone, e).value)
+        assert calls == []
+        x[7] = x[3] + default_tolerances().coincident
+        assert cone_lipschitz_rank(x, vals, cone, e).value == math.inf
+        assert calls == [300]
+        vals[7] = vals[3]
+        assert cone_lipschitz_rank(x, vals, cone, e).value == \
+            rank_oracle(x, vals, cone, e)
+        assert calls == [300, 300]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 30), k=st.integers(0, 600),
+       p=st.sampled_from([1, 2, math.inf]), d=st.integers(1, 2), general=st.booleans())
+def test_scaling_by_a_power_of_two_scales_the_norms_exactly(seed, k, p, d, general):
+    # squares of differences beyond about 1.3e154 overflowed for p = 2: the
+    # rank read 0.0 and the distances inf
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+    cone = random_cone(rng, m, general)
+    pts = rng.uniform(-1.0, 1.0, size=(n, d))
+    vals = pts @ rng.normal(size=(m, d)).T + 0.3 * np.sin(pts @ rng.normal(size=(m, d)).T)
+    mask = rng.random(n) < 0.3
+    mask[0] = True
+    e = np.sum(cone.generators, axis=0)
+    e = e / ambient_norm(e, p=p)
+    base, big = (PenaltyInstance(points=np.ldexp(pts, s), feasible_mask=mask,
+                                 objective=None, cone=cone, e=e, rank=None,
+                                 values=np.ldexp(vals, s), norm_p=p) for s in (0, k))
+    assert big.rank == base.rank > 0.0
+    assert big.distances_to_omega().tobytes() == \
+        np.ldexp(base.distances_to_omega(), k).tobytes()
+    assert verify_penalty_equivalence(big, 1.1 * big.rank).rank == base.rank
+
+
+def test_distance_to_a_far_point():
+    # a point list and a box, both of which overflowed for p = 2
+    assert distance_to_set([1e200], [[0.0]]) == (1e200, np.zeros(1))
+    assert distance_to_set([1e200], ([0.0], [0.0])) == (1e200, np.zeros(1))
+    far = 2.0 ** 700
+    assert distance_to_set([3.0 * far, 0.0], [[0.0, 4.0 * far]])[0] == 5.0 * far
+    assert distance_to_set([3.0 * far, 0.0], ([-far, 4.0 * far], [0.0, 5.0 * far]))[0] == \
+        5.0 * far
