@@ -358,18 +358,6 @@ class PrimalResult:
     farkas: FarkasCertificate | None = None
 
 
-def _constraint_rows(prog: BoxProgram):
-    """Inequality rows a@x <= b: box lower, box upper, then cone rows of g."""
-    n = prog.n
-    rows = [-np.eye(n), np.eye(n)]
-    rhs = [-prog.x_lo, prog.x_hi]
-    gA, gb = prog._ineq_rows()
-    if gA.shape[0]:
-        rows.append(gA)
-        rhs.append(gb)
-    return np.vstack(rows), np.concatenate(rhs)
-
-
 def _feasible_set_lp(prog: BoxProgram, cost):
     """min cost'x over the feasible set, by simplex."""
     gA, gb = prog._ineq_rows()
@@ -411,26 +399,30 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     """Primal active-set method for a nonzero PSD Q over polyhedral
     constraints, with null-space steps (Nocedal & Wright, *Numerical
     Optimization*, 2nd ed., ch. 16), from the feasible point x0.
-    Deterministic: lowest-index rules throughout. An LP never comes here:
-    `solve_primal` reads its multipliers off the simplex.
+    Deterministic: lowest-index rules throughout, in the order lower bounds,
+    upper bounds, cone rows. An LP never comes here: `solve_primal` reads
+    its multipliers off the simplex.
 
-    The working set starts from the equality rows less those dependent on
-    the rows before them; box rows are +-e_j rows. An orthonormal basis Z of
-    its null space is kept across steps: an entering row is reflected out of
-    Z, and one QR rebuilds Z when a row leaves (Gill, Golub, Murray &
-    Saunders, Math. Comp. 28, 1974). The step minimizes the quadratic over
-    range(Z). Only where a Cholesky of Z'QZ - qp_curv ||Q||_F I fails does
-    eigh look for zero curvature; a gradient component along such an
-    eigenvector gives a descent ray to the first blocking row instead (the
-    box is compact, so one exists). A full step ends at the subspace
-    minimizer, so the next step is zero by construction; multipliers are
-    solved from a QR of the working rows only then. Thresholds are relative
-    to the box, the rows, Q and q (see `Tolerances`), and the result is
-    "optimal" only if its KKT residual is within kkt * max(1, ||grad f||_inf).
+    The box is held as bounds: one sign per coordinate, -1 on x_a, +1 on x_b
+    and 0 free. The working set starts from the equality rows less those
+    dependent on the rows before them. An orthonormal basis Z of its null
+    space is kept across steps: an entering bound or row is reflected out of
+    Z, and one QR rebuilds Z when one leaves (Gill, Golub, Murray &
+    Saunders, Math. Comp. 28, 1974). The step minimizes the quadratic over range(Z).
+    Only where a Cholesky of Z'QZ - qp_curv ||Q||_F I fails does eigh look
+    for zero curvature; a gradient component along such an eigenvector gives
+    a descent ray to the first blocking row instead (the box is compact, so
+    one exists). A full step ends at the subspace minimizer, so the next
+    step is zero by construction; multipliers are solved from a QR of the
+    working rows on the free coordinates only then, and a bound's multiplier
+    is the remaining gradient component, r_j on x_a and -r_j on x_b.
+    Thresholds are relative to the box, the rows, Q and q (see
+    `Tolerances`), and the result is "optimal" only if its KKT residual is
+    within kkt * max(1, ||grad f||_inf).
     """
     tols = default_tolerances()
     n = prog.n
-    A, b = _constraint_rows(prog)
+    A, b = prog._ineq_rows()
     norms = np.linalg.norm(A, axis=1)
     x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
     q_norm = float(np.linalg.norm(prog.Q))
@@ -440,8 +432,9 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     E = prog.H if prog.k else np.zeros((0, n))
     eq_rows = independent_rows(E)   # a dependent row is redundant
     E = E[eq_rows]
+    side = np.zeros(n, dtype=int)
     work = np.zeros(A.shape[0], dtype=bool)
-    Z = _null_basis(A, E, work)
+    Z = _null_basis(A, E, work, side)
     at_min = False
     for it in range(ACTIVE_SET_CAP):
         grad = prog.gradient(x)
@@ -464,52 +457,57 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
                     alpha_max = float(c[ray] @ c[ray]) / curv if curv > 0.0 else math.inf
             p = -(Z @ d)
         if newton and (at_min or np.max(np.abs(p)) <= tols.qp_step * x_scale):
-            free, rows, C = _working(A, E, work)
+            free, rows, C = _working(A, E, work, side)
             Y, R = np.linalg.qr(C[:, free].T)
             lam = np.linalg.solve(R, -(Y.T @ grad[free]))
             r = grad + C.T @ lam
-            box = np.flatnonzero(work[:2 * n])
-            ineq = np.concatenate([box, rows])
-            lam_ineq = np.concatenate([np.where(box < n, r[box % n], -r[box % n]),
-                                       lam[:rows.size]])
-            neg = lam_ineq * norms[ineq] < -tols.qp_sign * g_ref
-            if neg.any():
-                work[ineq[np.argmax(neg)]] = False
-                Z = _null_basis(A, E, work)
-                at_min = False
-                continue
-            z = np.zeros(prog.k)
-            z[eq_rows] = lam[rows.size:]
-            mult = _multipliers_from_rows(prog, ineq, lam_ineq, z)
-            return _gated(prog, x, mult, it + 1)
-        alpha, blocker = _ratio_test(A, b, x, p, alpha_max, work, norms, tols.qp_step)
+            bound = -side * r   # 0 on a free coordinate
+            floor = -tols.qp_sign * g_ref
+            out = np.flatnonzero(bound < floor)
+            neg = lam[:rows.size] * norms[rows] < floor
+            if out.size:   # the lowest: a lower bound before any upper one
+                side[out[np.argmin(side[out])]] = 0
+            elif neg.any():
+                work[rows[np.argmax(neg)]] = False
+            else:
+                z = np.zeros(prog.k)
+                z[eq_rows] = lam[rows.size:]
+                held = np.maximum(bound, 0.0)
+                mult = Multipliers(_cone_multiplier(prog, rows, lam[:rows.size]),
+                                   held * (side < 0), held * (side > 0), z)
+                return _gated(prog, x, mult, it + 1)
+            Z = _null_basis(A, E, work, side)
+            at_min = False
+            continue
+        alpha, hit = _ratio_test(prog, A, b, x, p, alpha_max, side, work, norms,
+                                 tols.qp_step)
         if not math.isfinite(alpha):
             raise RuntimeError("unbounded ray inside a compact box")
         x = x + alpha * p
-        if blocker is not None:
-            work[blocker] = True
-            Z = _reflect_out(Z, A[blocker])
-            if blocker < 2 * n:   # a box row: put the coordinate on its bound
-                x[blocker % n] = -b[blocker] if blocker < n else b[blocker]
-                Z[blocker % n] = 0.0   # so that p leaves it exactly there
-        at_min = newton and blocker is None
+        if hit is not None:
+            j, s = hit
+            Z = _reflect_out(Z, s * np.eye(1, n, j)[0] if s else A[j])
+            if s:   # a bound: the coordinate on it, and a zero row of Z keeps it there
+                side[j] = s
+                x[j], Z[j] = (prog.x_lo if s < 0 else prog.x_hi)[j], 0.0
+            else:
+                work[j] = True
+        at_min = newton and hit is None
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
                         _kkt_residual(prog, x, mult), ACTIVE_SET_CAP)
 
 
-def _working(A, E, work):
-    """Free coordinates, working rows past the box rows, and those rows on E."""
-    n = A.shape[1]
-    rows = np.flatnonzero(work[2 * n:]) + 2 * n
-    return (np.flatnonzero(~(work[:n] | work[n:2 * n])), rows,
-            np.vstack([A[rows], E]))
+def _working(A, E, work, side):
+    """Free coordinates, working cone rows, and those rows on E."""
+    rows = np.flatnonzero(work)
+    return np.flatnonzero(side == 0), rows, np.vstack([A[rows], E])
 
 
-def _null_basis(A, E, work):
-    """Orthonormal basis of the working rows' null space: the free unit
+def _null_basis(A, E, work, side):
+    """Orthonormal basis of the working set's null space: the free unit
     vectors, or the trailing columns of one QR of the other rows on them."""
-    free, _, C = _working(A, E, work)
+    free, _, C = _working(A, E, work, side)
     Z = np.zeros((A.shape[1], free.size - C.shape[0]))
     YZ = np.linalg.qr(C[:, free].T, mode="complete")[0] if C.shape[0] else np.eye(free.size)
     Z[free] = YZ[:, C.shape[0]:]
@@ -524,33 +522,38 @@ def _reflect_out(Z, a):
     return Z[:, 1:] - np.outer(Z @ u, (2.0 / (u @ u)) * u[1:])
 
 
-def _ratio_test(A, b, x, p, alpha_max, work, norms, rate_tol):
-    """Longest step along p up to alpha_max, and the lowest-index row that
-    blocks it. Working rows and rates a'p <= rate_tol * ||a|| * ||p|| are
-    skipped: p is in the working rows' null space, so such a rate is rounding
-    on a row they imply, and it would block at step 0."""
+def _ratio_test(prog, A, b, x, p, alpha_max, side, work, norms, rate_tol):
+    """Longest step along p up to alpha_max, and what blocks it first: (j, s)
+    for coordinate j reaching x_a (s = -1) or x_b (s = +1), (i, 0) for cone
+    row i. Ties go to the lowest index, lower bounds before upper bounds
+    before cone rows. Working rows and rates a'p <= rate_tol * ||a|| * ||p||
+    are skipped: p is in the working set's null space, so such a rate is
+    rounding on a row it implies, and it would block at step 0. A held
+    coordinate has p_j = 0 exactly, so its bounds never block."""
+    p_norm = np.linalg.norm(p)
+    # each coordinate heads for x_b where p_j > 0 and for x_a elsewhere
+    up, speed = p > 0.0, np.abs(p)
+    steps = np.full(p.size, math.inf)
+    np.divide(np.maximum(np.where(up, prog.x_hi - x, x - prog.x_lo), 0.0), speed,
+              out=steps, where=speed > rate_tol * p_norm)
+    k = int(np.lexsort((up, steps))[0])   # stable: by coordinate within a side
+    alpha, hit = alpha_max, None
+    if steps[k] < alpha:
+        alpha, hit = float(steps[k]), (k, 1 if up[k] else -1)
     rate = A @ p
-    cand = np.flatnonzero((rate > rate_tol * norms * np.linalg.norm(p)) & ~work)
-    if cand.size == 0:
-        return alpha_max, None
-    steps = np.maximum(b[cand] - A[cand] @ x, 0.0) / rate[cand]
-    j = int(np.argmin(steps))
-    if steps[j] >= alpha_max:
-        return alpha_max, None
-    return float(steps[j]), int(cand[j])
+    cand = np.flatnonzero((rate > rate_tol * norms * p_norm) & ~work)
+    if cand.size:
+        steps = np.maximum((b - A @ x)[cand], 0.0) / rate[cand]
+        k = int(np.argmin(steps))
+        if steps[k] < alpha:
+            alpha, hit = float(steps[k]), (int(cand[k]), 0)
+    return alpha, hit
 
 
-def _multipliers_from_rows(prog: BoxProgram, rows, lam, z) -> Multipliers:
-    """Multipliers from those of the working rows of `_constraint_rows`."""
-    n, lam = prog.n, np.maximum(lam, 0.0)
-    x1, x2 = np.zeros(n), np.zeros(n)
-    x1[rows[rows < n]] = lam[rows < n]
-    upper = (rows >= n) & (rows < 2 * n)
-    x2[rows[upper] - n] = lam[upper]
-    cone = rows >= 2 * n
-    y = prog.cone_y.halfspaces[rows[cone] - 2 * n].T @ lam[cone] if prog.m \
-        else np.zeros(0)
-    return Multipliers(y=y, x1=x1, x2=x2, z=z)
+def _cone_multiplier(prog: BoxProgram, rows, lam) -> np.ndarray:
+    """y* = A_rows' max(lam, 0), A the halfspace rows of the constraint cone
+    and lam the multipliers of its rows `rows`."""
+    return prog.cone_y.halfspaces[rows].T @ np.maximum(lam, 0.0) if prog.m else np.zeros(0)
 
 
 def solve_primal(prog: BoxProgram) -> PrimalResult:
@@ -585,8 +588,8 @@ def solve_primal(prog: BoxProgram) -> PrimalResult:
         result.iterations += rep.iterations
         return result
     n_cone = rep.duals.size - prog.k
-    mult = _multipliers_from_rows(prog, 2 * prog.n + np.arange(n_cone),
-                                  rep.duals[:n_cone], -rep.duals[n_cone:])
+    mult = Multipliers(_cone_multiplier(prog, np.arange(n_cone), rep.duals[:n_cone]),
+                       np.zeros(prog.n), np.zeros(prog.n), -rep.duals[n_cone:])
     r = _linear_term(prog, mult)[0]   # x1* = x2* = 0 so far
     mult.x1, mult.x2 = np.maximum(r, 0.0), np.maximum(-r, 0.0)
     return _gated(prog, rep.point, mult, rep.iterations)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .cones import InvalidCone, OrderUnit, PolyhedralCone
-from .gauge import ambient_norm, check_norm_p
+from .gauge import ambient_norm, check_norm_p, norm_shift
 from .numkernel import as_vector
 
 _BLOCK = 64   # rows per pair block: 64 beat 128 and 256 on the penalty benchmark
@@ -75,19 +75,8 @@ def distance_to_set(x, omega, p: float = 2):
 
 
 def _pair_norms(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
-    shift = _shift(p, X, Y)
+    shift = norm_shift(p, X, Y)
     return _root(_pair_sums(X, Y, p, shift), p, shift)
-
-
-def _shift(p: float, *arrays: np.ndarray) -> int:
-    """The exponent s by which _pair_sums scales its entries down, 2^-s: 0
-    unless p = 2 and an entry reaches 2^500, where the square of a
-    difference could overflow; then 2^s exceeds every |entry|. Below 2^500
-    a sum of squared differences stays finite in up to 2^20 coordinates."""
-    if p != 2:
-        return 0
-    top = max(np.abs(a).max() for a in arrays)
-    return math.frexp(top)[1] if top >= 2.0 ** 500 else 0
 
 
 def _root(sums: np.ndarray, p: float, shift: int) -> np.ndarray:
@@ -190,7 +179,7 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
         rank = _line_rank(pts[:, 0], HV, unit, tols)
         if rank is not None:
             return RankEstimate(rank, True)
-    rank, shift = 0.0, _shift(p, pts)
+    rank, shift = 0.0, norm_shift(p, pts)
     for lo, hi, planes in _pair_blocks(HV):
         num = np.zeros((hi - lo, pts.shape[0] - lo))
         for plane, h_e, on_face in zip(planes, unit.hu, unit.face):
@@ -300,7 +289,7 @@ class PenaltyInstance:
         pts, omega, p = self.points, self.omega_points, self.norm_p
         if pts.shape[1] == 1:
             return _line_distances(pts[:, 0], omega[:, 0])
-        shift = _shift(p, pts, omega)
+        shift = norm_shift(p, pts, omega)
         # the root of the row minimum: sqrt is monotone and correctly rounded
         return _root(np.min(_pair_sums(pts, omega, p, shift), axis=1), p, shift)
 
@@ -356,7 +345,7 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
     n = V.shape[0]
     R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
-    shift = _shift(2, V)
+    shift = norm_shift(2, V)
     sq = np.zeros(R.shape[0])   # squared: sqrt is monotone and correctly rounded
     step = max(1, _BLOCK * n // max(1, VC.shape[0]))
     for lo in range(0, R.shape[0], step):

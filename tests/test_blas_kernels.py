@@ -1,0 +1,70 @@
+"""Decisions do not depend on the BLAS kernel.
+
+numpy's OpenBLAS picks its kernel from the CPU when it is imported, and the
+summation order inside `@`, `solve` and `qr` depends on that kernel, so the
+bits of a report may differ between hosts. OPENBLAS_CORETYPE selects the
+kernel of a process started with it (Prescott: SSE3 only), and changes no
+machine setting. The same fixed op set runs here and in such a process; its
+statuses, Slater decisions, gap checks, dual statuses and penalty
+equalities must agree. Iteration counts are not compared.
+
+Run as a script, this file prints the decisions as JSON.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import conegen
+from conegen.demos import build_torsion_program
+from conegen.duality import duality_gap_report, random_box_program, random_multipliers
+from conegen.numkernel import solve_lp
+from conegen.penalty import random_instance, verify_penalty_equivalence
+from test_simplex_highs import _box_lp
+
+KERNEL = "Prescott"
+
+
+def _gap_decisions(prog, e):
+    rep = duality_gap_report(prog, e)
+    return [rep.primal_status, bool(rep.slater.satisfied), bool(rep.gap_ok), rep.dual_status]
+
+
+def decisions() -> list:
+    out = []
+    rng = np.random.default_rng(105)   # acceptance criterion 5's programs
+    for k in range(100):
+        prog, e = random_box_program(rng, kind="qp" if k % 2 == 0 else "lp")
+        out.append(["gap", k] + _gap_decisions(prog, e))
+        for _ in range(20):   # criterion 5's draws between programs
+            random_multipliers(rng, prog)
+    for grid in (12, 24):
+        prog = build_torsion_program(grid, 8.0)
+        out.append(["torsion", grid] + _gap_decisions(prog, np.ones(prog.m) / np.sqrt(prog.m)))
+    for n in (10, 20, 40):
+        rng = np.random.default_rng(3)
+        out.extend(["box lp", n, solve_lp(_box_lp(n, rng)).status] for _ in range(20))
+    rng = np.random.default_rng(104)   # criterion 4's first instances
+    for k in range(50):
+        inst = random_instance(rng)
+        rep = verify_penalty_equivalence(inst, 1.1 * inst.rank)
+        out.append(["penalty", k, bool(rep.equal), bool(rep.inclusion_at_rank)])
+    return out
+
+
+def test_decisions_do_not_depend_on_the_blas_kernel():
+    src = str(Path(conegen.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_CORETYPE=KERNEL, PYTHONPATH=path)
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                           text=True, check=True, timeout=120)
+    here = decisions()
+    assert len(here) == 100 + 2 + 60 + 50
+    assert json.loads(child.stdout) == here
+
+
+if __name__ == "__main__":
+    print(json.dumps(decisions()))

@@ -356,6 +356,56 @@ class TestNullSpaceUpdates:
         assert np.max(np.abs(Z @ (Z.T @ W) - W), initial=0.0) <= 1e-13
 
 
+def box_as_cone_rows(prog, widen):
+    """The program with its box [x_a, x_b] also written as the 2n cone rows
+    x_a - x <= 0 and x - x_b <= 0 of a coordinate cone, and its bounds moved
+    out to [x_a - widen, x_b + widen]."""
+    n = prog.n
+    return BoxProgram(n=n, Q=prog.Q, q=prog.q, c=prog.c, x_lo=prog.x_lo - widen,
+                      x_hi=prog.x_hi + widen, G=np.vstack([prog.G, -np.eye(n), np.eye(n)]),
+                      g0=np.concatenate([prog.g0, prog.x_lo, -prog.x_hi]),
+                      cone_y=coordinate_cone(prog.m + 2 * n), H=prog.H, h0=prog.h0)
+
+
+class TestBoundsAsRows:
+    """The active-set QP holds the box as bounds. The same box written as
+    cone rows, with the bounds widened out of the way, is the same program;
+    repeated as cone rows inside the same bounds, every bound ties with its
+    row, and the lowest-index rule takes the bound."""
+
+    @staticmethod
+    def draws(count=60):
+        rng = np.random.default_rng(32)
+        for _ in range(count):
+            prog, _ = random_box_program(rng, "qp", n_max=8)
+            B = rng.normal(size=(prog.n, prog.n))
+            # full rank Q for a unique minimizer, a large q for active bounds
+            yield dataclasses.replace(prog, Q=B.T @ B + 0.05 * np.eye(prog.n),
+                                      q=4.0 * rng.normal(size=prog.n))
+
+    def test_widened_bounds_and_rows_give_the_same_program(self):
+        held = 0
+        for prog in self.draws():
+            bounds = solve_primal(prog)
+            rows = box_as_cone_rows(prog, 1.0)
+            as_rows = solve_primal(rows)
+            assert bounds.status == as_rows.status == "optimal"
+            held += int(np.sum((bounds.x == prog.x_lo) | (bounds.x == prog.x_hi)))
+            assert np.max(np.abs(bounds.x - as_rows.x)) <= 1e-9
+            assert abs(bounds.value - as_rows.value) <= 1e-9
+            # a degenerate draw has more than one multiplier: compare values
+            assert abs(solve_dual(prog, bounds).value
+                       - solve_dual(rows, as_rows).value) <= 1e-9
+        assert held >= 40   # the bound path runs
+
+    def test_bounds_repeated_as_rows(self):
+        for prog in self.draws():
+            bounds = solve_primal(prog)
+            both = solve_primal(box_as_cone_rows(prog, 0.0))
+            assert both.status == "optimal"
+            assert np.max(np.abs(bounds.x - both.x)) <= 1e-9
+
+
 def nearest_point_qp(Y, a):
     """The nearest point of conv(rows of Y) to a as a program over the
     weights: min 0.5 |Y'w - a|^2 over w in [0, 1]^k with 1'w = 1."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
-from conegen.gauge import GaugeBody, ambient_comparison, equivalence_constant
+from conegen.gauge import GaugeBody, ambient_comparison, ambient_norm, equivalence_constant
 from lp_oracle import gauge_lp, oracle_cones
 
 
@@ -213,3 +213,14 @@ def test_ambient_comparison_reports_only():
     body2 = GaugeBody(coordinate_cone(2), [0.5, 0.5])
     rep2 = ambient_comparison(body2, [[1.0, 0.0], [0.3, -0.4]], p=math.inf)
     assert rep2["violations"] == []
+
+
+def test_ambient_norm_of_a_far_point():
+    # p = 2 scales by a power of two where a square would overflow
+    assert ambient_norm([1e200, 0.0]) == 1e200
+    assert ambient_norm([3e300, 4e300]) == 5e300
+    rep = ambient_comparison(GaugeBody(coordinate_cone(2), [1.0, 1.0]), [[1e200, 0.0]])
+    assert rep["violations"] == []
+    # below 2^500 the norm is numpy's, bit for bit
+    x = np.random.default_rng(5).normal(size=(20, 4)) * 2.0 ** np.arange(-40, 500, 27)[:, None]
+    assert [ambient_norm(row) for row in x] == [float(np.linalg.norm(row)) for row in x]

@@ -342,7 +342,11 @@ def test_dual_start_cuts_the_box_lp_pivots(n):
 # solve_lp(_box_lp(n, 0)): the iterations, the value's hex and the sha256 of
 # the duals' bytes. Any change to the pivot rules, or to the floating-point
 # operations of a pivot, shows here. Recorded with numpy 2.4.6 and its
-# OpenBLAS on x86-64, with 1 and 2 BLAS threads alike.
+# OpenBLAS on x86-64, with 1 and 2 BLAS threads alike, on OpenBLAS's default
+# AVX-512 (SkylakeX) kernel only: under OPENBLAS_CORETYPE=Haswell or Prescott
+# the iterations still match, but the value at n = 10 reads
+# -7.735291781322733. tests/test_blas_kernels.py checks decisions across
+# kernels.
 BOX_LP_PINS = {
     10: (11, "-0x1.ef0f0542731e3p+2",
          "c6a6ab8fc9d8db04c8327809caabc623cc7cda4f32bded3fe743479890585b08"),
