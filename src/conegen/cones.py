@@ -89,43 +89,43 @@ class PolyhedralCone:
                 raise DimensionMismatch(f"{name} have dimension {M.shape[1]}, expected {dim}")
         if H is None and G is None:
             raise InvalidCone("a general cone needs halfspaces or generators")
-        tight = None    # tight[k, i]: halfspace row k is tight on ray i
-        if H is None:
+        given = H is not None      # given halfspaces are converted below, once
+        if not given:   # tight[k, i]: halfspace row k is tight on ray i
             H, tight = _facets_from_generators(G)
-        elif G is None:
-            G, tight = _extreme_rays(H)[:2]
         kept = _first_rows(H)
-        self.halfspaces, self.generators = H[kept], G[_first_rows(G)]
-        self.facets = _maximal_rows(self._check_consistency(None if tight is None else tight[kept]))
+        self.halfspaces = H[kept]
+        if G is not None:   # given generators are checked before that conversion
+            self.generators = G[_first_rows(G)]
+            self._check_rows(cross=given)
+        if given:
+            rays, tight, bounds = _extreme_rays(H)
+            if G is None:
+                self.generators = rays[_first_rows(rays)]
+                self._check_rows(cross=False)
+            else:
+                miss = np.linalg.norm(rays[:, None] - self.generators[None], axis=2).min(axis=1) - bounds
+                if np.any(miss > default_tolerances().membership):
+                    raise InvalidCone(
+                        "halfspaces and generators describe different cones (an "
+                        f"extreme ray lies {np.max(miss):.3e} from every generator)")
+        self.facets = _maximal_rows(tight[kept])
 
-    def _check_consistency(self, tight):
-        """Returns the halfspace rows' tight sets. A derived description was
-        checked by the conversion that gave them. Two given ones (tight None)
-        are asked the user's question at membership, as contains asks it, in
-        one conversion of the halfspaces: every generator lies in the
-        halfspaces, and every extreme ray lies within its bound plus
-        membership of a generator."""
-        both_given = tight is None
+    def _check_rows(self, cross: bool):
+        """Refuses {0} and a line. With cross, both descriptions were given,
+        and the user's question is asked at membership, as contains asks it,
+        before the halfspaces are converted: every generator lies in the
+        halfspaces. The conversion then checks that every extreme ray lies
+        within its bound plus membership of a generator."""
         tol = default_tolerances().membership
         if self.generators.shape[0] == 0:
             raise InvalidCone("degenerate cone {0} is rejected")
-        if self.halfspaces.shape[0] == 0:
-            raise InvalidCone("cone contains a line (ordering-cone property violated)")
-        prods = self.generators @ self.halfspaces.T
-        if both_given and np.min(prods) < -tol:
+        prods = self.generators @ self.halfspaces.T   # with no row, each max is -inf
+        if cross and np.min(prods, initial=np.inf) < -tol:
             raise InvalidCone(
                 "cross-consistency failure: a generator violates a halfspace "
                 f"(worst slack {np.min(prods):.3e})")
-        if np.any(np.max(prods, axis=1) <= tol):    # some -g is in the cone
+        if np.any(np.max(prods, axis=1, initial=-np.inf) <= tol):    # some -g is in the cone
             raise InvalidCone("cone contains a line (ordering-cone property violated)")
-        if both_given:
-            rays, tight, bounds = _extreme_rays(self.halfspaces)
-            miss = np.linalg.norm(rays[:, None] - self.generators[None], axis=2).min(axis=1) - bounds
-            if np.any(miss > tol):
-                raise InvalidCone(
-                    "halfspaces and generators describe different cones (an "
-                    f"extreme ray lies {np.max(miss):.3e} from every generator)")
-        return tight
 
     # -- queries ------------------------------------------------------------
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
-from .numkernel import (FarkasCertificate, LPFailure, LPProblem, as_vector,
-                        independent_rows, solve_lp)
+from .numkernel import FarkasCertificate, LPProblem, as_vector, independent_rows, solve_lp
 
 
 @dataclass
@@ -234,12 +233,9 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     """
     tols = default_tolerances()
     centre = _centre_point(prog)
-    try:
-        interior, failed = _h_interior(prog, tols, centre), ""
-        h_ok = interior is not None and (
-            prog.k == 0 or independent_rows(prog.H).size == prog.k)
-    except LPFailure as exc:
-        interior, h_ok, failed = None, None, str(exc)
+    interior, failed = _h_interior(prog, tols, centre)
+    h_ok = None if failed else interior is not None and (
+        prog.k == 0 or independent_rows(prog.H).size == prog.k)
 
     def report(satisfied, witness, lam, margin, diagnosis=""):
         return SlaterReport(satisfied, witness, lam, margin, h_ok,
@@ -307,29 +303,30 @@ def _centre_point(prog: BoxProgram):
 
 
 def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
-    """A solution of h(x) = 0 strictly inside the box, None when there is none
-    (an infeasible LP or a margin <= tols.h_margin); any other failed LP
-    raises. The depth of a point is min_i of its distance to the nearer
-    bound over the half-width (x_b - x_a)_i / 2; the centre point is returned
-    without an LP when its depth exceeds h_margin, since the LP's optimum is
-    at least that deep."""
+    """(x, diagnosis): x a solution of h(x) = 0 strictly inside the box, None
+    when there is none (an infeasible LP or a margin <= tols.h_margin) or
+    when the LP fails otherwise, which the diagnosis then names. The depth
+    of a point is min_i of its distance to the nearer bound over the
+    half-width (x_b - x_a)_i / 2; the centre point is returned without an LP
+    when its depth exceeds h_margin, since the LP's optimum is at least that
+    deep."""
     if prog.k == 0:
-        return 0.5 * (prog.x_lo + prog.x_hi)
+        return 0.5 * (prog.x_lo + prog.x_hi), ""
     gap = prog.x_hi - prog.x_lo
     if centre is not None:
         depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / (gap / 2))
         if depth > tols.h_margin:
-            return centre
+            return centre, ""
     # the box rows with t >= 0 imply the box bounds on x, which keep one
     # simplex column per coordinate
     rep = _max_t_lp(prog, np.vstack([np.eye(prog.n), -np.eye(prog.n)]),
                     np.tile(-gap / 2, 2), np.concatenate([prog.x_lo, -prog.x_hi]),
                     (prog.x_lo, prog.x_hi), (0.0, 1.0))
     if rep.status not in ("optimal", "infeasible"):
-        raise LPFailure(f"h-interior LP returned {rep.status}")
+        return None, f"h-interior LP returned {rep.status}"
     if rep.status == "infeasible" or rep.point[-1] <= tols.h_margin:
-        return None
-    return rep.point[:prog.n]
+        return None, ""
+    return rep.point[:prog.n], ""
 
 
 def _max_t_lp(prog: BoxProgram, rows, t_col, rhs, x_bounds, t_bounds):

@@ -66,20 +66,21 @@ def check_norm_p(p):
 
 
 def norm_shift(p: float, *arrays: np.ndarray) -> int:
-    """The exponent s by which a p-norm scales its entries down, 2^-s, before
-    it squares them: 0 unless p = 2 and an entry reaches 2^500, where the
-    square of an entry or of a difference of two could overflow; then 2^s
-    exceeds every |entry|. Below 2^500 a sum of squared differences stays
-    finite in up to 2^20 coordinates."""
+    """The exponent s by which a p-norm scales its entries, 2^-s, before it
+    squares them: 0 unless p = 2 and the largest |entry| reaches 2^500, where
+    the square of an entry or of a difference of two could overflow, or is
+    positive and below 2^-500, where it could underflow to 0; then 2^s
+    exceeds the largest |entry| by at most a factor of 2. Between the two a
+    sum of squared differences stays finite in up to 2^20 coordinates."""
     if p != 2:
         return 0
     top = max(np.abs(a).max(initial=0.0) for a in arrays)
-    return math.frexp(top)[1] if top >= 2.0 ** 500 else 0
+    return math.frexp(top)[1] if top >= 2.0 ** 500 or 0.0 < top < 2.0 ** -500 else 0
 
 
 def ambient_norm(x, p: float = 2, weights=None) -> float:
     """p-norm (p in {1, 2, inf}) with optional positive coordinate weights,
-    scaled by `norm_shift` where a square could overflow."""
+    scaled by `norm_shift` where a square could overflow or underflow."""
     check_norm_p(p)
     x = np.asarray(x, dtype=float)
     if weights is not None:

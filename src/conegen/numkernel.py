@@ -147,11 +147,6 @@ class SolveReport:
     duals: np.ndarray | None = None
 
 
-class LPFailure(RuntimeError):
-    """An LP whose status ("numerical", "iteration-cap", ...) decides nothing
-    about the question it was asked."""
-
-
 def verify_farkas(problem: LPProblem, cert: FarkasCertificate) -> bool:
     """Independent check of an infeasibility certificate, read relative to the
     size of the certificate's own terms, so that neither the rows' nor the
@@ -228,9 +223,9 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     free = np.flatnonzero(~(has_lo | has_hi))
     sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
     shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    r = (b - A @ shift) * rho
+    xb = (b - A @ shift) * -rho
 
-    # Rows s - rho A z = -r with slacks s = rho (A x - b), >= 0 on an
+    # Rows s - rho A z = xb with slacks s = rho (A x - b), >= 0 on an
     # inequality row and 0 on an equality row. The slacks are the first
     # basis, so their columns of the tableau hold B^-1 throughout.
     nz = n + free.size
@@ -255,17 +250,17 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     held[slack] = feas_tol
 
     T0 = T[:m].copy()  # the pivots overwrite T
-    rep = _dual_simplex(T, -r, slack, upper, cost, held, tols)
-    out = SolveReport(status=rep["status"], iterations=rep["iterations"])
-    if rep["status"] == "infeasible":
-        # One step of iterative refinement of that row w of B^-1 (Gleixner,
-        # Steffy & Wolter, INFORMS J. Comput. 28, 2016).
-        B, w = T0[:, rep["basis"]], rep["w"]
+    status, iters, basis, sgn, row = _dual_simplex(T, xb, slack, upper, cost, held, tols)
+    out = SolveReport(status=status, iterations=iters)
+    if status == "infeasible":
+        # The row w of B^-1 of the leaving row, with one step of iterative
+        # refinement (Gleixner, Steffy & Wolter, INFORMS J. Comput. 28, 2016).
+        B, w = T0[:, basis], T[row, slack]
         try:
-            w = w + np.linalg.solve(B.T, np.eye(1, m, rep["row"])[0] - w @ B)
+            w = w + np.linalg.solve(B.T, np.eye(1, m, row)[0] - w @ B)
         except np.linalg.LinAlgError:
             pass
-        y = rho * rep["side"] * w
+        y = rho * (1.0 if xb[row] < 0.0 else -1.0) * w
         y_ineq = np.maximum(y[:n_in], 0.0)
         g = y_ineq @ problem.ineq_lhs + y[n_in:] @ problem.eq_lhs
         out.farkas = FarkasCertificate(
@@ -273,25 +268,26 @@ def solve_lp(problem: LPProblem) -> SolveReport:
             y_lower=np.where(has_lo, np.maximum(-g, 0.0), 0.0),
             y_upper=np.where(has_hi, np.maximum(g, 0.0), 0.0))
         return out
-    if rep["status"] != "optimal":
+    if status != "optimal":
         return out
-    y = -rho * rep["y"]  # the input rows' multipliers: T's rows are -rho times them
+    # The input rows' multipliers. The slacks cost 0, so their reduced costs
+    # are -c_B B^-1, minus the duals of T's rows, which are -rho times them.
+    y = rho * T[m, slack]
 
     # The point is solved afresh from the final basis in the units of x: the
     # nonbasic variables sit exactly at their bounds and the basic ones solve
     # the equilibrated rows, so the rounding of a far bound shifted to zero
     # does not reach it.
-    basis = rep["basis"]
     carries = basis < nz  # basic columns that carry a variable of x
     var = np.concatenate([np.arange(n), free])[basis[carries]]
-    x = np.where(rep["at_upper"][:n], hi, shift)
+    x = np.where(sgn[:n] > 0.0, hi, shift)
     x[var] = 0.0
     unit = np.ones(T.shape[1])  # columns in x units: x_j = -z on a negative part
     unit[:n], unit[n:nz] = sign, -1.0
     try:
         v = np.linalg.solve(T0[:, basis] * unit[basis], rho * (A @ x - b))
     except np.linalg.LinAlgError:
-        return SolveReport(status="numerical", iterations=rep["iterations"])
+        return SolveReport(status="numerical", iterations=iters)
     x[var] = v[carries]
     x = np.minimum(np.maximum(x, lo), hi)
     res = np.concatenate([problem.ineq_rhs - problem.ineq_lhs @ x,
@@ -302,7 +298,7 @@ def solve_lp(problem: LPProblem) -> SolveReport:
         "ineq": float(res[:n_in].max(initial=0.0)),
         "eq": float(res[n_in:].max(initial=0.0)),
         "bounds": 0.0,  # x is clipped to its bounds
-        "optimality": rep["opt_resid"],
+        "optimality": float(max(0.0, (T[m] * sgn).max(initial=0.0))),
     }
     # The gate also allows for the size of the terms each row sums at x.
     terms = tols.lp_feas * rho * (np.abs(A) @ np.abs(x))
@@ -315,9 +311,10 @@ def _dual_simplex(T, xb, start, upper, cost, held, tols):
     """Bounded-variable simplex on T[:-1] z = xb, 0 <= z <= upper from the
     identity columns `start`, each other column at the bound its cost
     favours: the dual loop, then the primal loop with the true costs of the
-    columns unbounded above that started at zero with cost 0. Returns the row
-    duals y = c_B B^-1, read off the reduced costs of the starting columns,
-    or, for "infeasible", the row of B^-1 that proves it.
+    columns unbounded above that started at zero with cost 0. Returns
+    (status, iterations, basis, sgn, row), row the leaving row of an
+    "infeasible" status, else None; T's columns `start` hold B^-1, its last
+    row the reduced costs, and xb the basic values, all in place.
     """
     basis = start.copy()
     rows, d = T[:-1], T[-1]
@@ -331,18 +328,11 @@ def _dual_simplex(T, xb, start, upper, cost, held, tols):
     sgn[basis] = 0.0
     xb -= rows[:, at_upper] @ upper[at_upper]
     status, iters, row = _dual_loop(T, xb, basis, upper, sgn, weight, held, tols)
-    if status == "infeasible":
-        return {"status": status, "iterations": iters, "basis": basis, "row": row,
-                "w": rows[row, start], "side": 1.0 if xb[row] < 0.0 else -1.0}
     if status == "optimal":
         if adverse.any():
             d[:] = cost - cost[basis] @ rows
         status, iters = _simplex_loop(T, xb, basis, upper, sgn, tols, iters)
-    if status != "optimal":
-        return {"status": status, "iterations": iters}
-    return {"status": "optimal", "basis": basis, "at_upper": sgn > 0.0,
-            "iterations": iters, "y": -d[start],
-            "opt_resid": float(max(0.0, (d * sgn).max(initial=0.0)))}
+    return status, iters, basis, sgn, row
 
 
 def _dual_loop(T, xb, basis, upper, sgn, weight, held, tols):

@@ -19,7 +19,8 @@ phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. On a line
 mean of the slopes of the consecutive pairs it spans, so the rank is read
 off sorted neighbours, and the distance of a point to Omega off its nearest
 Omega points on either side. p = 2 norms square differences of entries
-scaled by an exact power of two where a square could overflow.
+scaled by an exact power of two where a square could overflow or
+underflow.
 
 The dominance relation reads rows against columns in blocks. A
 verification builds the full relation on Omega's values only. The penalized
@@ -55,7 +56,7 @@ def distance_to_set(x, omega, p: float = 2):
 
     A box is passed as a (lower, upper) pair and handled by componentwise
     clamping, which is exact for every p-norm. Both forms measure with the
-    pair norms, which do not overflow.
+    pair norms, which neither overflow nor underflow.
     """
     check_norm_p(p)
     x = as_vector(x, name="point")
@@ -140,8 +141,9 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     value with a nan or infinite entry is refused (ValueError). Points on a
     line are read in one sort: the max is attained at sorted neighbours
     (_line_rank), and two neighbours within coincident hand the sample to
-    the pairwise kernel. p = 2 distances do not overflow: where a square
-    could, the points are scaled by an exact power of two first.
+    the pairwise kernel. p = 2 distances neither overflow nor underflow:
+    where a square could, the points are scaled by an exact power of two
+    first.
 
     The last estimate is kept with the exact inputs the measurement reads:
     the bytes of points, values, e and the cone's halfspaces, the cone's
@@ -285,7 +287,8 @@ class PenaltyInstance:
         """d(x, Omega) in the norm_p norm for every point x of S. On a line,
         where every p-norm is |x - y|, from the nearest Omega points on
         either side of x in one sort of Omega; else from every pair, p = 2
-        norms scaled by a power of two where a square could overflow."""
+        norms scaled by a power of two where a square could overflow or
+        underflow."""
         pts, omega, p = self.points, self.omega_points, self.norm_p
         if pts.shape[1] == 1:
             return _line_distances(pts[:, 0], omega[:, 0])
@@ -308,6 +311,8 @@ def _line_distances(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
 
 def penalized_objective(instance: PenaltyInstance, L: float):
     """x -> f(x) + L d(x, Omega) e as a callable (x need not lie in S)."""
+    if not math.isfinite(L):
+        raise ValueError(f"penalty weight L={L} must be finite")
     if L < 0:
         raise ValueError("penalty weight must be nonnegative")
     omega = instance.omega_points
@@ -370,6 +375,8 @@ def cone_minimal_points(values, cone: PolyhedralCone) -> np.ndarray:
     V = np.atleast_2d(np.asarray(values, dtype=float))
     if V.shape[0] == 0:
         raise ValueError("empty value list")
+    if not np.isfinite(V).all():
+        raise ValueError("values must have finite entries")
     return _minimal(_dominance_reach(V, cone, tols.membership), tols.strict_nonzero)
 
 

@@ -182,6 +182,12 @@ class TestConstruction:
             PolyhedralCone(2, halfspaces=[[1.0, 0.0], [0.0, 1.0]],
                            generators=[[1.0, -1.0], [1.0, 1.0]])
 
+    def test_cross_consistency_named_before_the_line(self):
+        # one halfspace in the plane holds a line, but given generators are
+        # asked about the halfspaces before those are converted
+        with pytest.raises(InvalidCone, match="a generator violates a halfspace"):
+            PolyhedralCone(2, halfspaces=[[1.0, 0.0]], generators=[[-1.0, 0.0], [0.0, 1.0]])
+
     def test_mismatched_reps_rejected(self):
         # cross-consistent pair describing different cones: ray vs quadrant
         with pytest.raises(InvalidCone):

@@ -224,3 +224,14 @@ def test_ambient_norm_of_a_far_point():
     # below 2^500 the norm is numpy's, bit for bit
     x = np.random.default_rng(5).normal(size=(20, 4)) * 2.0 ** np.arange(-40, 500, 27)[:, None]
     assert [ambient_norm(row) for row in x] == [float(np.linalg.norm(row)) for row in x]
+
+
+def test_ambient_norm_of_a_tiny_point():
+    # p = 2 scales by a power of two where a square would underflow to 0
+    assert ambient_norm([3 * 2.0 ** -1000, 4 * 2.0 ** -1000]) == 5 * 2.0 ** -1000
+    assert ambient_norm([1e-200, 0.0]) == 1e-200
+    assert ambient_norm([0.0, 0.0]) == 0.0
+    # from 2^-500 up the norm is numpy's, bit for bit
+    x = np.random.default_rng(6).normal(size=(20, 4))
+    x *= 2.0 ** np.arange(-499, -40, 23)[:, None] / np.abs(x).max(axis=1, keepdims=True)
+    assert [ambient_norm(row) for row in x] == [float(np.linalg.norm(row)) for row in x]

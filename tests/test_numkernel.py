@@ -23,6 +23,24 @@ def test_lp_infeasible_farkas():
     assert verify_farkas(p, rep.farkas)
 
 
+@pytest.mark.parametrize("excess, status", [(1e-11, "optimal"), (1e-6, "infeasible")])
+def test_lp_ratio_test_last_breakpoint(excess, status):
+    # min x1 + 2 x2 s.t. x1 + x2 >= 2 + excess, 0 <= x <= 1: the row leaves,
+    # x1 flips at the first breakpoint, and x2 is the last eligible column.
+    # With both at their upper bounds the row is still short by excess:
+    # within its threshold at 1e-11, so x2 enters; beyond it at 1e-6, so the
+    # row proves the LP infeasible
+    p = LPProblem(cost=[1.0, 2.0], ineq_lhs=[[1.0, 1.0]], ineq_rhs=[2.0 + excess],
+                  lower=[0.0, 0.0], upper=[1.0, 1.0])
+    rep = solve_lp(p)
+    assert rep.status == status
+    if status == "optimal":
+        assert rep.iterations == 1
+        assert rep.point.tolist() == [1.0, 1.0] and rep.value == 3.0
+    else:
+        assert verify_farkas(p, rep.farkas)
+
+
 def test_lp_unbounded():
     p = LPProblem(cost=[-1.0], lower=[0.0])
     assert solve_lp(p).status == "unbounded"

@@ -403,6 +403,12 @@ class TestPenalizedObjective:
         with pytest.raises(ValueError):
             penalized_objective(scalar_abs_instance(), -1.0)
 
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, L):
+        # nan would make every value nan, and inf makes 0 * inf = nan on Omega
+        with pytest.raises(ValueError, match="must be finite"):
+            penalized_objective(scalar_abs_instance(), L)
+
 
 class TestMinimalPoints:
     def test_pareto_example(self):
@@ -412,6 +418,13 @@ class TestMinimalPoints:
 
     def test_singleton(self):
         assert list(cone_minimal_points([[3.0]], coordinate_cone(1))) == [0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a nan row compares false both ways, so it would count as minimal
+        vals = np.array([[0.0, 1.0], [bad, 0.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="must have finite entries"):
+            cone_minimal_points(vals, coordinate_cone(2))
 
     def test_all_equal(self):
         vals = np.ones((4, 2))
@@ -932,6 +945,12 @@ def test_scaling_by_a_power_of_two_scales_the_norms_exactly(seed, k, p, d, gener
     assert big.distances_to_omega().tobytes() == \
         np.ldexp(base.distances_to_omega(), k).tobytes()
     assert verify_penalty_equivalence(big, 1.1 * big.rank).rank == base.rank
+
+
+def test_distance_to_a_tiny_point():
+    # p = 2 scales by a power of two where a square would underflow to 0
+    assert distance_to_set([3e-300, 0.0], [[1e-300, 0.0]])[0] == 3e-300 - 1e-300
+    assert distance_to_set([3e-300, 0.0], ([0.0, 0.0], [1e-300, 0.0]))[0] == 3e-300 - 1e-300
 
 
 def test_distance_to_a_far_point():

@@ -12,8 +12,10 @@ a scale-free reference. The copies with bounds at +-1e8, or translated by up
 to 1e8, start the simplex far from the rows' scale; HiGHS solves each of
 them as given.
 """
+import ctypes
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,29 +341,48 @@ def test_dual_start_cuts_the_box_lp_pivots(n):
     assert np.mean([rep.iterations for rep in reps]) <= 0.6 * TWO_PHASE_MEAN_PIVOTS[n]
 
 
-# solve_lp(_box_lp(n, 0)): the iterations, the value's hex and the sha256 of
-# the duals' bytes. Any change to the pivot rules, or to the floating-point
-# operations of a pivot, shows here. Recorded with numpy 2.4.6 and its
-# OpenBLAS on x86-64, with 1 and 2 BLAS threads alike, on OpenBLAS's default
-# AVX-512 (SkylakeX) kernel only: under OPENBLAS_CORETYPE=Haswell or Prescott
-# the iterations still match, but the value at n = 10 reads
-# -7.735291781322733. tests/test_blas_kernels.py checks decisions across
-# kernels.
+def openblas_kernel():
+    """The kernel numpy's OpenBLAS runs, as the library names it, or None
+    when that cannot be read. The library is the one numpy has loaded, so
+    the name is the kernel that numpy's products use."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+# solve_lp(_box_lp(n, 0)): the iterations and the sha256 of the duals'
+# bytes, and per OpenBLAS kernel the value's hex. Any change to the pivot
+# rules, or to the floating-point operations of a pivot, shows here.
+# Recorded with numpy 2.4.6 and its OpenBLAS 0.3.31 on x86-64, with 1 and 2
+# BLAS threads alike, each kernel in a process started with
+# OPENBLAS_CORETYPE set to it (Prescott names itself Katmai). The value
+# passes through BLAS products whose rounding depends on the kernel; the
+# iterations and the duals' bytes agree on all four.
+# tests/test_blas_kernels.py checks decisions across kernels.
 BOX_LP_PINS = {
-    10: (11, "-0x1.ef0f0542731e3p+2",
-         "c6a6ab8fc9d8db04c8327809caabc623cc7cda4f32bded3fe743479890585b08"),
-    20: (21, "-0x1.0e18cf04d0776p+2",
-         "49d7f8b81684949855d9f95aee4683375c9388afd2e1a77ef06e0689c538ea0d"),
-    40: (67, "-0x1.780b7ae35f40fp+4",
-         "29c419e0acd91481a1478f4c188479a0d1c4b00e85fd701cdf6df9790b9c3bdf"),
+    10: (11, "c6a6ab8fc9d8db04c8327809caabc623cc7cda4f32bded3fe743479890585b08"),
+    20: (21, "49d7f8b81684949855d9f95aee4683375c9388afd2e1a77ef06e0689c538ea0d"),
+    40: (67, "29c419e0acd91481a1478f4c188479a0d1c4b00e85fd701cdf6df9790b9c3bdf"),
+}
+BOX_LP_VALUES = {
+    "SkylakeX": {10: "-0x1.ef0f0542731e3p+2", 20: "-0x1.0e18cf04d0776p+2", 40: "-0x1.780b7ae35f40fp+4"},
+    "Haswell": {10: "-0x1.ef0f0542731e4p+2", 20: "-0x1.0e18cf04d0779p+2", 40: "-0x1.780b7ae35f40ap+4"},
+    "Sandybridge": {10: "-0x1.ef0f0542731e3p+2", 20: "-0x1.0e18cf04d0777p+2", 40: "-0x1.780b7ae35f406p+4"},
+    "Katmai": {10: "-0x1.ef0f0542731e4p+2", 20: "-0x1.0e18cf04d0775p+2", 40: "-0x1.780b7ae35f40ap+4"},
 }
 
 
 @pytest.mark.parametrize("n", sorted(BOX_LP_PINS))
 def test_box_lp_pivots_pinned(n):
-    iterations, value, duals = BOX_LP_PINS[n]
+    iterations, duals = BOX_LP_PINS[n]
     rep = solve_lp(_box_lp(n, 0))
     assert rep.status == "optimal"
     assert rep.iterations == iterations
-    assert rep.value == float.fromhex(value)
+    kernel = openblas_kernel()
+    assert kernel in BOX_LP_VALUES, f"no value pinned for the OpenBLAS kernel {kernel!r}"
+    assert rep.value == float.fromhex(BOX_LP_VALUES[kernel][n]), f"on the OpenBLAS kernel {kernel}"
     assert hashlib.sha256(rep.duals.tobytes()).hexdigest() == duals
