@@ -10,6 +10,8 @@ rows are facets. An OrderUnit reads a cone's rows against one element u.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import default_tolerances
@@ -20,6 +22,11 @@ ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
 # times dim: bound on the rounding of a dot product of unit dim-vectors, with
 # room to spare (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)
 ROUNDING = 64 * np.finfo(float).eps
+# One point's entries below ROW_SAFE in |.|: a sum of their products with a
+# unit row stays below ROW_SAFE sqrt(dim), finite for dim below 2^46. A point
+# with a larger entry is read at 1 / ROW_SCALE of its size.
+ROW_SAFE = 2.0 ** 1000
+ROW_SCALE = 2.0 ** 128
 
 
 class DimensionMismatch(ValueError):
@@ -193,18 +200,42 @@ class OrderUnit:
         self.face = self.hu <= tols.interior
         self.slack = tols.membership
         self._face = self.face if self.face.any() else None
+        self._off = ~self.face
+        self._hu_off = self.hu[self._off]
 
-    def ratio(self, HX):
-        """max_k HX[..., k] / <h_k, u> off u's face, for row values HX of one
-        point or of each row of a matrix; +inf where a face row's value
-        exceeds slack. On |<h_k, x>| this is ||x||_u, the sup-norm of x's
-        image under the isometry x -> (<h_k, x> / <h_k, u>)_k into
-        l-infinity; on <h_k, y> it is the Gerstewitz function with e = u."""
+    def ratio(self, HX, scale: float = 1.0):
+        """max_k HX[..., k] / <h_k, u> off u's face for the row values HX of
+        one point (a vector, read at 1 / scale of its size by
+        `scaled_point`; a Python float, times scale) or of each row of a
+        matrix (an array); +inf where a face row's value exceeds slack, and
+        +0.0 for a zero max of either sign. On |<h_k, x>| this is ||x||_u,
+        the sup-norm of x's image under the isometry x -> (<h_k, x> /
+        <h_k, u>)_k into l-infinity; on <h_k, y> it is the Gerstewitz
+        function with e = u. One point's max is taken over a Python list:
+        over a few rows it costs a third of a numpy reduction, and a max is
+        exact."""
+        if HX.ndim == 1:
+            if self._face is None:
+                return max((HX / self.hu).tolist()) * scale + 0.0
+            if max(HX[self._face].tolist()) > self.slack / scale:
+                return math.inf
+            return max((HX[self._off] / self._hu_off).tolist()) * scale + 0.0
         if self._face is None:
-            return (HX / self.hu).max(axis=-1)
-        off = ~self._face
-        ratio = (HX[..., off] / self.hu[off]).max(axis=-1)
+            return (HX / self.hu).max(axis=-1) + 0.0
+        ratio = (HX[..., self._off] / self._hu_off).max(axis=-1) + 0.0
         return np.where((HX[..., self._face] > self.slack).any(axis=-1), np.inf, ratio)
+
+
+def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """(x / s, s) for the products of one point x with a cone's unit rows:
+    s = 1 and x itself unless an |entry| reaches ROW_SAFE, where a row sum
+    could overflow; then s = ROW_SCALE, a power of two, so x / s is exact
+    (as ambient_norm's norm_shift). Read off a Python list: a numpy
+    reduction over a few entries costs more than the row product."""
+    for v in x.tolist():
+        if not -ROW_SAFE < v < ROW_SAFE:
+            return x / ROW_SCALE, ROW_SCALE
+    return x, 1.0
 
 
 def coordinate_cone(dim: int) -> PolyhedralCone:

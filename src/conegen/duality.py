@@ -51,7 +51,9 @@ class BoxProgram:
         if np.max(np.abs(self.Q - self.Q.T)) > tol:
             raise ValueError("Q must be symmetric")
         self.Q = 0.5 * (self.Q + self.Q.T)
-        if self.Q.any() and np.min(np.linalg.eigvalsh(self.Q)) < -tol:
+        # Q's eigenvalues: the PSD check's, and rank Q for the active-set QP
+        self._q_eigs = np.linalg.eigvalsh(self.Q) if self.Q.any() else np.zeros(n)
+        if np.min(self._q_eigs) < -tol:
             raise ValueError("Q must be positive semidefinite")
         self.q = as_vector(self.q, n, "q")
         self.c = float(self.c)
@@ -406,13 +408,15 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     space is kept across steps: an entering bound or row is reflected out of
     Z, and one QR rebuilds Z when one leaves (Gill, Golub, Murray &
     Saunders, Math. Comp. 28, 1974). The step minimizes the quadratic over range(Z).
-    Only where a Cholesky of Z'QZ - qp_curv ||Q||_F I fails does eigh look
-    for zero curvature; a gradient component along such an eigenvector gives
-    a descent ray to the first blocking row instead (the box is compact, so
-    one exists). A full step ends at the subspace minimizer, so the next
-    step is zero by construction; multipliers are solved from a QR of the
-    working rows on the free coordinates only then, and a bound's multiplier
-    is the remaining gradient component, r_j on x_a and -r_j on x_b.
+    Only where Z has more columns than rank Q (Q's eigenvalues above
+    qp_curv ||Q||_F, kept from the PSD check), or a Cholesky of
+    Z'QZ - qp_curv ||Q||_F I fails, does eigh look for zero curvature; a
+    gradient component along such an eigenvector gives a descent ray to the
+    first blocking row instead (the box is compact, so one exists). A full
+    step ends at the subspace minimizer, so the next step is zero by
+    construction; multipliers are solved from a QR of the working rows on the
+    free coordinates only then, and a bound's multiplier is the remaining
+    gradient component, r_j on x_a and -r_j on x_b.
     Thresholds are relative to the box, the rows, Q and q (see
     `Tolerances`), and the result is "optimal" only if its KKT residual is
     within kkt * max(1, ||grad f||_inf).
@@ -423,6 +427,9 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     norms = np.linalg.norm(A, axis=1)
     x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
     q_norm = float(np.linalg.norm(prog.Q))
+    # M = Z'QZ has rank at most rank Q: with more columns in Z, some
+    # eigenvalue of M is at most the shift (Cauchy interlacing)
+    q_rank = int(np.count_nonzero(prog._q_eigs > tols.qp_curv * q_norm))
     # the scale of grad f's terms: ||grad f|| is rounding noise where grad f = 0
     g_ref = max(q_norm * x_scale, float(np.max(np.abs(prog.q))))
     x = x0.copy()
@@ -438,10 +445,9 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
         p, newton = np.zeros(n), True
         if not at_min:
             M, c = Z.T @ prog.Q @ Z, Z.T @ grad
-            try:   # succeeds only if every eigenvalue of M is above the shift
-                np.linalg.cholesky(M - tols.qp_curv * q_norm * np.eye(M.shape[0]))
+            if Z.shape[1] <= q_rank and _curved(M, tols.qp_curv * q_norm):
                 d, alpha_max = np.linalg.solve(M, c), 1.0
-            except np.linalg.LinAlgError:
+            else:
                 w, V = np.linalg.eigh(M)
                 c = V.T @ c
                 flat = w <= tols.qp_curv * q_norm
@@ -493,6 +499,16 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
                         _kkt_residual(prog, x, mult), ACTIVE_SET_CAP)
+
+
+def _curved(M, shift) -> bool:
+    """Whether every eigenvalue of M is above shift: a Cholesky of M - shift I
+    succeeds."""
+    try:
+        np.linalg.cholesky(M - shift * np.eye(M.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _working(A, E, work, side):

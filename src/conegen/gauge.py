@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point
 from .numkernel import as_vector
 
 
@@ -30,10 +30,18 @@ class GaugeBody:
             raise InvalidCone("generating element u must lie in the interior of the cone")
         self._unit = OrderUnit(cone, self.u)
 
+    def _image(self, x):
+        """x's isometry image from one row product, read at 1 / scale of its
+        size (`scaled_point`), and scale."""
+        x, scale = scaled_point(as_vector(x, self.cone.dim, "point"))
+        return self.cone.halfspace_values(x) / self._unit.hu, scale
+
     def gauge(self, x) -> float:
-        """||x||_u = max_k |<h_k, x>| / <h_k, u>."""
-        x = as_vector(x, self.cone.dim, "point")
-        return float(self._unit.ratio(np.abs(self.cone.halfspace_values(x))))
+        """||x||_u = max_k |<h_k, x>| / <h_k, u>, the sup-norm of x's isometry
+        image; a max over a Python list, which over a few rows costs a third
+        of a numpy reduction (u is interior: no row lies on its face)."""
+        image, scale = self._image(x)
+        return max(map(abs, image.tolist())) * scale
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         """||x||_u for every row x of X."""
@@ -43,8 +51,8 @@ class GaugeBody:
     def isometry_image(self, x) -> np.ndarray:
         """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the
         coordinate cone."""
-        x = as_vector(x, self.cone.dim, "point")
-        return self.cone.halfspace_values(x) / self._unit.hu
+        image, scale = self._image(x)
+        return image * scale
 
 
 def equivalence_constant(cone: PolyhedralCone, u, v) -> float:

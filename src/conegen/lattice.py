@@ -138,11 +138,18 @@ def _exact_directions_2d(hull_a: np.ndarray, hull_b: np.ndarray) -> np.ndarray:
 
 def _support_route_2d(A, B, hull_a, hull_b):
     """(distance, certificate direction, h_A, h_B): the support gaps of the
-    point sets A and B on the exact candidate directions of their hulls."""
+    point sets A and B on the exact candidate directions of their hulls. Sets
+    of two or more points are read with one product; numpy multiplies by a
+    lone point as a matrix-vector product, which can round the last bit
+    apart from the matrix product, so such a set is read on its own."""
     D = _exact_directions_2d(hull_a, hull_b)
     if D.shape[0] == 0:   # both singletons at the same point
         return 0.0, None, np.zeros(0), np.zeros(0)
-    h_a, h_b = support_values(A, D), support_values(B, D)
+    if min(A.shape[0], B.shape[0]) > 1:
+        P = D @ np.concatenate([A, B]).T
+        h_a, h_b = P[:, :A.shape[0]].max(axis=1), P[:, A.shape[0]:].max(axis=1)
+    else:
+        h_a, h_b = support_values(A, D), support_values(B, D)
     gaps = np.abs(h_a - h_b)
     k = int(np.argmax(gaps))
     return float(gaps[k]), D[k].tolist(), h_a, h_b

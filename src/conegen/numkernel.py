@@ -35,6 +35,11 @@ import numpy as np
 from .config import default_tolerances
 
 
+# as_vector checks up to SHORT entries as Python floats, which below about
+# 20 entries costs less than one numpy reduction
+SHORT = 16
+
+
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return a dense 1-D float array with finite entries."""
     arr = np.asarray(x, dtype=float)
@@ -42,7 +47,8 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not (all(map(math.isfinite, arr.tolist())) if arr.size <= SHORT
+            else np.isfinite(arr).all()):
         raise ValueError(f"{name} must have finite entries")
     if dim is not None and arr.shape[0] != dim:
         raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point
 from .numkernel import as_vector
 
 
@@ -75,17 +75,15 @@ class GerstewitzFn:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _ratio(self, Y):
-        return self._unit.ratio(self.cone.halfspace_values(Y))
-
     def value(self, y) -> float:
         """phi(y) = inf{t : t e - y in C}; +inf when y is outside R e - C."""
-        y = as_vector(y, self.cone.dim, "point")
-        return float(self._ratio(y))
+        y, scale = scaled_point(as_vector(y, self.cone.dim, "point"))
+        return self._unit.ratio(self.cone.halfspace_values(y), scale)
 
     def value_many(self, Y: np.ndarray) -> np.ndarray:
         """phi at every row of Y, with the same values (and +inf rows) as value."""
-        return self._ratio(np.atleast_2d(np.asarray(Y, dtype=float)))
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        return self._unit.ratio(self.cone.halfspace_values(Y))
 
     def sublevel(self, y, r: float) -> bool:
         """phi(y) <= r  iff  y in r e - C."""
@@ -95,18 +93,20 @@ class GerstewitzFn:
     # -- subdifferential --------------------------------------------------------
 
     def _active(self, y: np.ndarray):
-        """phi(y), the vertex rows that attain it and the ray rows active at y."""
-        value = float(self._ratio(y))
+        """phi(y), the vertex rows that attain it and the ray rows active at
+        y, all read off one row product with y."""
+        y, scale = scaled_point(y)
+        hy = self.cone.halfspace_values(y)
+        value = self._unit.ratio(hy, scale)
         if not math.isfinite(value):
             raise EmptyDomain("phi is +inf at this point; subdifferential undefined")
-        hy = self.cone.halfspace_values(y)
         rows = self._vertex_rows
         cut = value - self._slack * max(1.0, abs(value))
-        verts = rows[hy[rows] / self._he[rows] >= cut]
+        verts = rows[hy[rows] / self._he[rows] >= cut / scale]
         if verts.size == 0:
             raise InvalidCone("no facet of C attains phi(y): the halfspaces and "
                               "generators of the cone describe different cones")
-        rays = self._ray_rows[np.abs(hy[self._ray_rows]) <= self._slack]
+        rays = self._ray_rows[np.abs(hy[self._ray_rows]) <= self._slack / scale]
         return value, verts, rays
 
     def subdifferential(self, y) -> SubdifferentialResult:
@@ -124,7 +124,8 @@ class GerstewitzFn:
         y = as_vector(y, self.cone.dim, "point")
         d = as_vector(d, self.cone.dim, "direction")
         _, verts, rays = self._active(y)
+        d, scale = scaled_point(d)
         hd = self.cone.halfspace_values(d)
-        if np.any(hd[rays] > self._slack):
+        if np.any(hd[rays] > self._slack / scale):
             return math.inf
-        return float(np.max(hd[verts] / self._he[verts]))
+        return float(np.max(hd[verts] / self._he[verts])) * scale

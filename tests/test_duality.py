@@ -367,6 +367,36 @@ def box_as_cone_rows(prog, widen):
                       cone_y=coordinate_cone(prog.m + 2 * n), H=prog.H, h0=prog.h0)
 
 
+def test_no_cholesky_where_z_is_wider_than_rank_q(monkeypatch):
+    # Z'QZ has rank at most rank Q (eigenvalues above qp_curv ||Q||_F), so
+    # its Cholesky shifted by that threshold cannot succeed where Z has more
+    # columns: eigh runs there at once
+    progs, sizes, eighs = [], [], []
+    qp, cholesky, eigh = duality._active_set_qp, np.linalg.cholesky, np.linalg.eigh
+
+    def solve(prog, x0):
+        progs.append(prog)
+        return qp(prog, x0)
+
+    def factor(M, *args, **kwargs):
+        sizes.append((len(progs) - 1, M.shape[0]))
+        return cholesky(M, *args, **kwargs)
+
+    def eigen(M, *args, **kwargs):
+        eighs.append(M.shape[0])
+        return eigh(M, *args, **kwargs)
+    monkeypatch.setattr(duality, "_active_set_qp", solve)
+    monkeypatch.setattr(np.linalg, "cholesky", factor)
+    monkeypatch.setattr(np.linalg, "eigh", eigen)
+    for prog in box_draws(range(12)) + [cap_program()]:
+        assert solve_primal(prog).status == "optimal"
+    run_torsion_demo(n_grid=12)
+    tol = default_tolerances().qp_curv
+    rank = [int(np.sum(np.linalg.eigvalsh(p.Q) > tol * np.linalg.norm(p.Q))) for p in progs]
+    assert min(rank[i] - p.n for i, p in enumerate(progs)) < 0 and eighs
+    assert sizes and all(k <= rank[i] for i, k in sizes)
+
+
 class TestBoundsAsRows:
     """The active-set QP holds the box as bounds. The same box written as
     cone rows, with the bounds widened out of the way, is the same program;
