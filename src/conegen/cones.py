@@ -207,7 +207,8 @@ class OrderUnit:
         """max_k HX[..., k] / <h_k, u> off u's face for the row values HX of
         one point (a vector, read at 1 / scale of its size by
         `scaled_point`; a Python float, times scale) or of each row of a
-        matrix (an array); +inf where a face row's value exceeds slack, and
+        matrix (an array, each row read at 1 / its entry of scale by
+        `scaled_rows`); +inf where a face row's value exceeds slack, and
         +0.0 for a zero max of either sign. On |<h_k, x>| this is ||x||_u,
         the sup-norm of x's image under the isometry x -> (<h_k, x> /
         <h_k, u>)_k into l-infinity; on <h_k, y> it is the Gerstewitz
@@ -220,10 +221,15 @@ class OrderUnit:
             if max(HX[self._face].tolist()) > self.slack / scale:
                 return math.inf
             return max((HX[self._off] / self._hu_off).tolist()) * scale + 0.0
+        ratio = (HX / self.hu if self._face is None else HX[..., self._off] / self._hu_off).max(axis=-1)
+        slack = self.slack
+        if isinstance(scale, np.ndarray):   # rows read at 1 / scale
+            with np.errstate(over="ignore"):   # past the largest float a row reads inf, as one point does
+                ratio = ratio * scale
+            slack = (slack / scale)[..., None]
         if self._face is None:
-            return (HX / self.hu).max(axis=-1) + 0.0
-        ratio = (HX[..., self._off] / self._hu_off).max(axis=-1) + 0.0
-        return np.where((HX[..., self._face] > self.slack).any(axis=-1), np.inf, ratio)
+            return ratio + 0.0
+        return np.where((HX[..., self._face] > slack).any(axis=-1), np.inf, ratio + 0.0)
 
 
 def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -236,6 +242,17 @@ def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
         if not -ROW_SAFE < v < ROW_SAFE:
             return x / ROW_SCALE, ROW_SCALE
     return x, 1.0
+
+
+def scaled_rows(X: np.ndarray):
+    """(X / s, s) row by row, each row's s as `scaled_point` sets it for
+    that row alone: s = 1.0 for the whole batch when no |entry| reaches
+    ROW_SAFE (one reduction), else an array, ROW_SCALE on the rows that
+    hold such an entry and 1.0 elsewhere."""
+    if np.abs(X).max(initial=0.0) < ROW_SAFE:
+        return X, 1.0
+    s = np.where((np.abs(X) >= ROW_SAFE).any(axis=-1), ROW_SCALE, 1.0)
+    return X / s[..., None], s
 
 
 def coordinate_cone(dim: int) -> PolyhedralCone:

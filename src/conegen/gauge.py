@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
 from .numkernel import as_vector
 
 
@@ -44,9 +44,9 @@ class GaugeBody:
         return max(map(abs, image.tolist())) * scale
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
-        """||x||_u for every row x of X."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._unit.ratio(np.abs(self.cone.halfspace_values(X)))
+        """||x||_u for every row x of X, each read as `gauge` reads it."""
+        X, scale = scaled_rows(np.atleast_2d(np.asarray(X, dtype=float)))
+        return self._unit.ratio(np.abs(self.cone.halfspace_values(X)), scale)
 
     def isometry_image(self, x) -> np.ndarray:
         """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the

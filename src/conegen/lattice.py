@@ -6,19 +6,24 @@ of support functions over the Euclidean unit sphere. In the plane that sup
 is computed exactly over a finite candidate set (the refined normal fan's
 rays, i.e. the edge normals of both polytopes, plus the normalized pairwise
 vertex differences where the piecewise-linear difference peaks inside a fan
-cell). The definitional route (max vertex-to-hull distance, all pairs in one
-array pass) shares only the two hulls with it, each built once per call. In
+cell). The definitional route (max vertex-to-hull distance, both hulls'
+vertices against the other's edges in one array pass) shares only the two
+hulls with it. Each input is read once: its Python rows are checked, chained
+into its hull and, for a far or subnormal pair, read at a power of two. In
 any other dimension each vertex-to-hull distance is a nearest-point QP, and
 the farthest vertex's separating direction attains the sup exactly.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .config import default_tolerances
 from .duality import BoxProgram, solve_primal
+from .numkernel import SHORT
 
 
 def support_function(vertices, d) -> float:
@@ -38,77 +43,130 @@ def support_values(vertices, directions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 2-D convex hull and elementary polygon geometry
 
+# A set whose largest |coordinate| reaches 2^1000, where a support gap could
+# overflow, or lies below 2^-501 but is not 0, where a difference or a product
+# could go subnormal, is read at 2^-shift: the least power of two that brings
+# its frexp exponent into [E_LO, E_HI] (_shift). The way up is exact; the way
+# down rounds only entries below 2^-(1022 - shift).
+E_LO, E_HI = -500, 1000
+# a difference whose norm is subnormal, below TINY, is read at UP times its
+# size, exactly, before it is normalized
+TINY, UP = 2.0 ** -1022, 2.0 ** 600
+
+
+def _shift(top: float) -> int:
+    """The least |s| with frexp(top / 2^s)[1] in [E_LO, E_HI]; 0 for top = 0."""
+    e = math.frexp(top)[1]
+    return e - min(max(e, E_LO), E_HI) if top else 0
+
+
+def _hull_rows(rows: list) -> tuple[list, float]:
+    """Andrew's monotone chain over Python rows [x, y]: (the hull rows in ccw
+    order, the largest |coordinate|). Degenerate inputs collapse to a point
+    or a segment. A set outside [E_LO, E_HI] is chained at 2^-shift, each
+    row carrying its own."""
+    pts = sorted(rows)   # Python floats: sorted and compared as lists
+    top = max(-pts[0][0], pts[-1][0], *[abs(p[1]) for p in pts])
+    if len(pts) > 2:
+        shift = _shift(top)
+        if shift:
+            hull = _hull_rows([[math.ldexp(x, -shift), math.ldexp(y, -shift), [x, y]]
+                               for x, y in pts])[0]
+            return [p[2] for p in hull], top
+        # each cross product's factors times 2^-e, 2^e the points' extent: no
+        # product over- or underflows, and the hull of 2^k P is 2^k times P's.
+        # Only an exactly collinear point is dropped, a repeated one among
+        # them: a margin would also drop the far end of a thin near-vertical
+        # triangle, whose x order is not its order along the line.
+        s = math.ldexp(1.0, -math.frexp(top)[1])
+        lower, upper = [], []
+        for half, seq in ((lower, pts), (upper, pts[::-1])):
+            for p in seq:
+                while len(half) > 1:
+                    o, a = half[-2], half[-1]
+                    if (a[0] - o[0]) * s * ((p[1] - o[1]) * s) - \
+                            (a[1] - o[1]) * s * ((p[0] - o[0]) * s) > 0:
+                        break
+                    half.pop()
+                half.append(p)
+        hull = lower[:-1] + upper[:-1]
+        if len(hull) > 2:
+            return hull, top
+    pts = [pts[0]] + [p for q, p in zip(pts, pts[1:]) if p != q]
+    if len(pts) <= 2:   # one or two distinct points
+        return pts, top
+    # collinear input: the extremes along its longer axis
+    ys = [p[1] for p in pts]
+    col = ys if max(ys) - min(ys) > pts[-1][0] - pts[0][0] else [p[0] for p in pts]
+    return [pts[col.index(min(col))], pts[col.index(max(col))]], top
+
+
 def convex_hull_2d(points) -> np.ndarray:
-    """Andrew monotone chain; returns hull vertices in ccw order.
+    """Andrew monotone chain (_hull_rows); returns hull vertices in ccw order.
 
     Degenerate inputs collapse to a point or segment.
     """
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    pts = sorted(P.tolist())   # Python floats: sorted and compared as tuples
-    pts = [pts[0]] + [p for q, p in zip(pts, pts[1:]) if p != q]
-    if len(pts) <= 2:
-        return np.array(pts)
-    # each cross product's factors times 2^-e, 2^e the points' extent: no
-    # product over- or underflows, and the hull of 2^k P is 2^k times P's
-    s = math.ldexp(1.0, -math.frexp(max(-pts[0][0], pts[-1][0],
-                                        *(abs(p[1]) for p in pts)))[1])
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * s * ((b[1] - o[1]) * s) - \
-            (a[1] - o[1]) * s * ((b[0] - o[0]) * s)
-
-    # Only an exactly collinear point is dropped: a margin would also drop
-    # the far end of a thin near-vertical triangle, whose x order is not its
-    # order along the line.
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) > 1 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) > 1 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:   # collinear input: the extremes along its longer axis
-        Q = np.array(pts)
-        k = int(np.argmax(np.ptp(Q, axis=0)))
-        return Q[[np.argmin(Q[:, k]), np.argmax(Q[:, k])]]
-    return np.array(hull)
+    return np.array(_hull_rows(np.atleast_2d(np.asarray(points, dtype=float)).tolist())[0])
 
 
-def _edge_normals(hull: np.ndarray) -> np.ndarray:
-    pts = hull.tolist()
-    normals = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1] if len(pts) > 2 else pts[1:]):
-        r = math.hypot(x1 - x0, y1 - y0)   # hypot: no underflow on tiny edges
-        normals.append([(y1 - y0) / r, -((x1 - x0) / r)])  # outward for ccw order
-    if len(pts) == 2:   # a segment: both normals of its one edge
-        normals.append([-normals[0][0], -normals[0][1]])
-    return np.array(normals).reshape(-1, 2)
+@lru_cache(maxsize=256)
+def _pair_layout(m: int, k: int, mutual: bool):
+    """Index arrays for _hull_distances over m points and a hull of k
+    vertices, stacked as columns hull 0..k-1, then points k..k+m-1: each
+    edge's end column (the edge from column j is edge j; with mutual the
+    points are a hull too and have edges), then for every pair its point's
+    column and its edge, and the first pair of each point. Point i meets
+    every hull edge; with mutual, hull vertex j then meets every edge of
+    the points' hull."""
+    nxt = [*range(1, k), 0] + ([*range(k + 1, k + m), k] if mutual else [])
+    point = [k + i for i in range(m) for _ in range(k)]
+    edge, starts = [*range(k)] * m, [*range(0, m * k, k)]
+    if mutual:
+        point += [j for j in range(k) for _ in range(m)]
+        edge += [*range(k, k + m)] * k
+        starts += range(m * k, 2 * m * k, m)
+    return np.array(nxt), np.array(point), np.array(edge), np.array(starts)
 
 
-def _hull_distances(P: np.ndarray, hull: np.ndarray):
-    """(distances, inside) of the rows of P to conv(hull), in one array pass
-    over every row-edge pair. Inside a hull of 3 or more vertices is an exact
-    sign test of the edge cross products: a point near every edge's line of a
-    thin hull may still lie far beyond its ends. The test does not depend on
-    the scale of the input: it reads the same at 1e-160 as at 1."""
-    AB = np.concatenate([hull[1:], hull[:1]]) - hull   # 0 for a one-point hull
-    AP = P[:, None, :] - hull[None, :, :]
-    abx, aby, apx, apy = AB[:, 0], AB[:, 1], AP[..., 0], AP[..., 1]
+def _hull_distances(P: np.ndarray, hull: np.ndarray, mutual: bool = False):
+    """(distances, inside) of the rows of P to conv(hull) and, with mutual
+    (P a ccw hull too), then those of hull's rows to conv(P), in one array
+    pass over every point-edge pair of both blocks. Inside a hull of 3 or
+    more vertices is an exact sign test of the edge cross products: a point
+    near every edge's line of a thin hull may still lie far beyond its ends.
+    The test does not depend on the scale of the input: it reads the same at
+    1e-160 as at 1."""
+    m, k = P.shape[0], hull.shape[0]
+    nxt, point, edge, starts = _pair_layout(m, k, mutual)
+    V = np.concatenate([hull, P]).T
+    W = V[:, :nxt.size]   # the vertices whose edges are read
+    AB = V[:, nxt] - W    # each hull's edges; 0 for a one-point hull
     # project on unit edges: |AB|^2 would underflow on edges near 1e-160
-    length = np.hypot(abx, aby)
-    ux, uy = (AB / np.where(length > 0, length, 1.0)[:, None]).T
+    length = np.hypot(AB[0], AB[1])
+    # the sign test's edges times 4^-e, 2^e the largest |edge coordinate| of
+    # their hull: the cross products are then of the order of |AP| / 2^e and,
+    # exactly rescaled, keep their signs. e is raised to at least -1022 and
+    # to 1020 below the exponent of the pass's largest |coordinate|, for a
+    # hull with subnormal edges or one that much smaller than its points'
+    # distances: its scaled edges and their products with AP stay finite,
+    # and a point that far from a hull is outside it at any scale.
+    top = np.maximum.reduceat(np.abs(np.concatenate([AB, V], axis=1)).max(axis=0),
+                              [0, k, nxt.size][:2 + mutual]).tolist()   # hull, P's hull, all
+    floor = max(math.frexp(top[-1])[1] - 1020, -1022)
+    scale = [-2 * max(math.frexp(t)[1], floor) if n > 2 else 0
+             for t, n in zip(top[:-1], (k, m)) for _ in range(n)]
+    # per edge: start vertex, unit edge, length and the sign test's edge
+    T = np.concatenate([W, AB / (length + (length == 0)), length[None], np.ldexp(AB, scale)])
+    # a hull of 1 or 2 vertices has no inside: its sign tests read nan
+    if k < 3:
+        T[5:, :k] = np.nan
+    if mutual and m < 3:
+        T[5:, k:] = np.nan
+    G = T[:, edge]
+    (apx, apy), (ux, uy, length, cx, cy) = V[:, point] - G[:2], G[2:]
     t = np.minimum(np.maximum(apx * ux + apy * uy, 0.0), length)
-    dist = np.minimum.reduce(np.hypot(apx - t * ux, apy - t * uy), axis=1)
-    if hull.shape[0] < 3:
-        return dist, np.zeros(P.shape[0], dtype=bool)
-    # the sign test's edges times 4^-e, 2^e the hull's extent: the cross
-    # products are then of the order of |AP| / 2^e and, exactly rescaled,
-    # keep their signs
-    cx, cy = np.ldexp(AB, -2 * math.frexp(float(np.abs(AB).max()))[1]).T
-    inside = np.logical_and.reduce(cx * apy - cy * apx >= 0, axis=1)
+    dist = np.minimum.reduceat(np.hypot(apx - t * ux, apy - t * uy), starts)
+    inside = np.minimum.reduceat(cx * apy - cy * apx, starts) >= 0
     dist[inside] = 0.0
     return dist, inside
 
@@ -117,37 +175,74 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray):
 # Hausdorff distance
 
 def _as_pair(a_vertices, b_vertices):
+    """(A, B, A's rows, B's rows): two vertex arrays of one dimension with
+    finite entries. The rows are Python lists; a set of up to SHORT entries
+    is checked over them (as_vector's rule)."""
     A = np.atleast_2d(np.asarray(a_vertices, dtype=float))
     B = np.atleast_2d(np.asarray(b_vertices, dtype=float))
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("empty polytope")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise ValueError("vertices must have finite entries")
-    return A, B
+    rows = A.tolist(), B.tolist()
+    for M, R in zip((A, B), rows):
+        if not (all(map(math.isfinite, chain.from_iterable(R))) if M.size <= SHORT
+                else np.isfinite(M).all()):
+            raise ValueError("vertices must have finite entries")
+    return A, B, *rows
 
 
-def _exact_directions_2d(hull_a: np.ndarray, hull_b: np.ndarray) -> np.ndarray:
-    diff = (hull_a[:, None, :] - hull_b[None, :, :]).reshape(-1, 2)
+def _planar(A, B, rows_a, rows_b):
+    """(A, B, hull_a, hull_b, shift): both sets and their hull rows, read at
+    2^-shift, _shift of the pair's largest |coordinate|."""
+    hull_a, top_a = _hull_rows(rows_a)
+    hull_b, top_b = _hull_rows(rows_b)
+    shift = _shift(max(top_a, top_b))
+    if shift:   # the hulls of the sets as read: a far shift can merge small points
+        A, B = np.ldexp(A, -shift), np.ldexp(B, -shift)
+        hull_a, hull_b = _hull_rows(A.tolist())[0], _hull_rows(B.tolist())[0]
+    return A, B, hull_a, hull_b, shift
+
+
+def _exact_directions_2d(hull_a: list, hull_b: list) -> np.ndarray:
+    """The outward edge normals of both hulls (both normals of a segment),
+    then the normalized vertex differences a - b of the two hulls and their
+    negatives; a zero difference has no direction and is left out."""
+    normals = []
+    for hull in (hull_a, hull_b):
+        for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1] if len(hull) > 2 else hull[1:]):
+            dx, dy = x1 - x0, y1 - y0
+            r = math.hypot(dx, dy)   # hypot: no underflow on tiny edges
+            if r < TINY:   # a subnormal r has too few bits to divide by
+                dx, dy = dx * UP, dy * UP
+                r = math.hypot(dx, dy)
+            normals.append([dy / r, -(dx / r)])   # outward for ccw order
+        if len(hull) == 2:
+            normals.append([-normals[-1][0], -normals[-1][1]])
+    na, n = len(hull_a), len(hull_a) + len(hull_b)
+    M = np.array(hull_a + hull_b + normals)   # one conversion: hull rows, then normals
+    diff = (M[:na, None] - M[None, na:n]).reshape(-1, 2)
     norms = np.hypot(diff[:, 0], diff[:, 1])
-    nz = norms > 0
-    units = diff[nz] / norms[nz][:, None]
-    return np.vstack([_edge_normals(hull_a), _edge_normals(hull_b), units, -units])
+    if norms.min() < TINY:   # a zero difference has no direction; read a subnormal one at UP
+        keep = norms > 0
+        diff = diff[keep] * np.where(norms[keep] < TINY, UP, 1.0)[:, None]
+        norms = np.hypot(diff[:, 0], diff[:, 1])
+    units = diff / norms[:, None]
+    return np.concatenate([M[n:], units, -units])
 
 
 def _support_route_2d(A, B, hull_a, hull_b):
     """(distance, certificate direction, h_A, h_B): the support gaps of the
     point sets A and B on the exact candidate directions of their hulls. Sets
-    of two or more points are read with one product; numpy multiplies by a
-    lone point as a matrix-vector product, which can round the last bit
-    apart from the matrix product, so such a set is read on its own."""
+    of two or more points are read with one product, each set's maxima with
+    one reduceat; numpy multiplies by a lone point as a matrix-vector
+    product, which can round the last bit apart from the matrix product, so
+    such a set is read on its own."""
     D = _exact_directions_2d(hull_a, hull_b)
     if D.shape[0] == 0:   # both singletons at the same point
         return 0.0, None, np.zeros(0), np.zeros(0)
     if min(A.shape[0], B.shape[0]) > 1:
-        P = D @ np.concatenate([A, B]).T
-        h_a, h_b = P[:, :A.shape[0]].max(axis=1), P[:, A.shape[0]:].max(axis=1)
+        h_a, h_b = np.maximum.reduceat((D @ np.concatenate([A, B]).T).T, [0, A.shape[0]])
     else:
         h_a, h_b = support_values(A, D), support_values(B, D)
     gaps = np.abs(h_a - h_b)
@@ -188,14 +283,23 @@ def hausdorff_distance(a_vertices, b_vertices):
     distance (a convex function peaks at a vertex), and the certificate
     u = (a* - p*) / |a* - p*|, a* that vertex and p* its nearest point,
     attains it: |h_A(u) - h_B(u)| >= |a* - p*| = sup |h_A - h_B|."""
-    A, B = _as_pair(a_vertices, b_vertices)
+    A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
     if A.shape[1] == 2:
-        dist, cert, _, _ = _support_route_2d(A, B, convex_hull_2d(A), convex_hull_2d(B))
-        return dist, {"exact": True, "certificate_direction": cert}
+        A, B, hull_a, hull_b, shift = _planar(A, B, rows_a, rows_b)
+        dist, cert, _, _ = _support_route_2d(A, B, hull_a, hull_b)
+        return dist * 2.0 ** shift, {"exact": True, "certificate_direction": cert}
     dists, U = _separations(A, B)
     k = int(np.argmax(dists))
     return float(dists[k]), {"exact": True,
                              "certificate_direction": U[k].tolist() if dists[k] > 0 else None}
+
+
+def _enlargement_2d(hull_a: list, hull_b: list) -> np.ndarray:
+    """The distances of hull_a's vertices to conv(hull_b), then of hull_b's
+    to conv(hull_a): one two-block _hull_distances pass."""
+    H = np.array(hull_a + hull_b)
+    Ha, Hb = H[:len(hull_a)], H[len(hull_a):]
+    return _hull_distances(Ha, Hb, mutual=True)[0]
 
 
 def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
@@ -208,12 +312,11 @@ def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
     the other hull's edges, or 0 inside it by an exact sign test
     (_hull_distances). Elsewhere each distance is a nearest-point QP of
     `_separations`, so the result equals `hausdorff_distance`'s."""
-    A, B = _as_pair(a_vertices, b_vertices)
+    A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
     if A.shape[1] != 2:
         return float(_separations(A, B)[0].max())
-    hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
-    return max(float(_hull_distances(hull_a, hull_b)[0].max()),
-               float(_hull_distances(hull_b, hull_a)[0].max()))
+    _, _, hull_a, hull_b, shift = _planar(A, B, rows_a, rows_b)
+    return float(_enlargement_2d(hull_a, hull_b).max()) * 2.0 ** shift
 
 
 def verify_order_isometry(a_vertices, b_vertices) -> dict:
@@ -227,28 +330,30 @@ def verify_order_isometry(a_vertices, b_vertices) -> dict:
     the support route then being the gap at the certificate direction.
     """
     tols = default_tolerances()
-    A, B = _as_pair(a_vertices, b_vertices)
+    A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
     if A.shape[1] == 2:
-        hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
+        A, B, hull_a, hull_b, shift = _planar(A, B, rows_a, rows_b)
         support_route, _, h_a, h_b = _support_route_2d(A, B, hull_a, hull_b)
-        d_ab = _hull_distances(hull_a, hull_b)[0]
-        d_ba = _hull_distances(hull_b, hull_a)[0]
+        d, n = _enlargement_2d(hull_a, hull_b), len(hull_a)
     else:
-        dists, U = _separations(A, B)
+        shift, n = 0, A.shape[0]
+        d, U = _separations(A, B)
         h_a, h_b = support_values(A, U), support_values(B, U)
-        k = int(np.argmax(dists))
+        k = int(np.argmax(d))
         support_route = abs(float(h_a[k] - h_b[k]))
-        d_ab, d_ba = dists[:A.shape[0]], dists[A.shape[0]:]
-    definitional = max(float(d_ab.max()), float(d_ba.max()))
-    a_in_b_geom = bool(np.all(d_ab <= tols.membership))
-    b_in_a_geom = bool(np.all(d_ba <= tols.membership))
-    a_in_b_supp = bool(np.all(h_a <= h_b + tols.membership))
-    b_in_a_supp = bool(np.all(h_b <= h_a + tols.membership))
+    # each set's largest distance to the other hull; distances and support
+    # values are read at 2^-shift, and so is the slack they are held to
+    d_ab, d_ba = np.maximum.reduceat(d, [0, n]).tolist()
+    scale, slack = 2.0 ** shift, tols.membership * 2.0 ** -shift
+    definitional = max(d_ab, d_ba)
+    a_in_b_geom, b_in_a_geom = d_ab <= slack, d_ba <= slack
+    a_in_b_supp = bool((h_a <= h_b + slack).all())
+    b_in_a_supp = bool((h_b <= h_a + slack).all())
     return {
         "exact": True,
-        "support_route": support_route,
-        "definitional": definitional,
-        "isometry_holds": abs(support_route - definitional) <= tols.isometry,
+        "support_route": support_route * scale,
+        "definitional": definitional * scale,
+        "isometry_holds": abs(support_route - definitional) * scale <= tols.isometry,
         "order_preserved": (a_in_b_geom == a_in_b_supp) and (b_in_a_geom == b_in_a_supp),
         "a_subset_b": a_in_b_geom,
         "b_subset_a": b_in_a_geom,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
 from .numkernel import as_vector
 
 
@@ -82,8 +82,8 @@ class GerstewitzFn:
 
     def value_many(self, Y: np.ndarray) -> np.ndarray:
         """phi at every row of Y, with the same values (and +inf rows) as value."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        return self._unit.ratio(self.cone.halfspace_values(Y))
+        Y, scale = scaled_rows(np.atleast_2d(np.asarray(Y, dtype=float)))
+        return self._unit.ratio(self.cone.halfspace_values(Y), scale)
 
     def sublevel(self, y, r: float) -> bool:
         """phi(y) <= r  iff  y in r e - C."""

@@ -173,7 +173,7 @@ def test_merged_support_route_is_the_two_products():
         B = rng.normal(size=(int(rng.integers(1, 41)), 2)) + rng.uniform(-1.0, 1.0, size=2)
         if k % 4 == 0:
             B[: min(len(A), len(B))] = A[: min(len(A), len(B))]   # shared points
-        hull_a, hull_b = convex_hull_2d(A), convex_hull_2d(B)
+        hull_a, hull_b = convex_hull_2d(A).tolist(), convex_hull_2d(B).tolist()
         D = _exact_directions_2d(hull_a, hull_b)
         _, _, h_a, h_b = _support_route_2d(A, B, hull_a, hull_b)
         assert h_a.tobytes() == support_values(A, D).tobytes()
