@@ -15,18 +15,16 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .numkernel import as_vector, independent_rows
+from .numkernel import SUM_E, as_vector, independent_rows, pow2_shift
 
 
 ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
 # times dim: bound on the rounding of a dot product of unit dim-vectors, with
 # room to spare (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)
 ROUNDING = 64 * np.finfo(float).eps
-# One point's entries below ROW_SAFE in |.|: a sum of their products with a
-# unit row stays below ROW_SAFE sqrt(dim), finite for dim below 2^46. A point
-# with a larger entry is read at 1 / ROW_SCALE of its size.
-ROW_SAFE = 2.0 ** 1000
-ROW_SCALE = 2.0 ** 128
+# 2^SUM_E as a float: a point with an entry this large in |.| is read at a
+# power of two (scaled_point)
+ROW_SAFE = 2.0 ** SUM_E
 
 
 class DimensionMismatch(ValueError):
@@ -222,36 +220,41 @@ class OrderUnit:
                 return math.inf
             return max((HX[self._off] / self._hu_off).tolist()) * scale + 0.0
         ratio = (HX / self.hu if self._face is None else HX[..., self._off] / self._hu_off).max(axis=-1)
-        slack = self.slack
-        if isinstance(scale, np.ndarray):   # rows read at 1 / scale
-            with np.errstate(over="ignore"):   # past the largest float a row reads inf, as one point does
-                ratio = ratio * scale
-            slack = (slack / scale)[..., None]
+        with np.errstate(over="ignore"):   # past the largest float a row reads inf, as one point does
+            ratio = ratio * scale   # rows read at 1 / scale
         if self._face is None:
             return ratio + 0.0
+        slack = np.divide(self.slack, scale)[..., None]
         return np.where((HX[..., self._face] > slack).any(axis=-1), np.inf, ratio + 0.0)
+
+
+def row_scale(top: float) -> float:
+    """2^s for values of largest |entry| top read through unit rows: the
+    least power of two that brings top below ROW_SAFE, 1.0 below it."""
+    return 2.0 ** pow2_shift(top, -math.inf, SUM_E)
 
 
 def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
     """(x / s, s) for the products of one point x with a cone's unit rows:
     s = 1 and x itself unless an |entry| reaches ROW_SAFE, where a row sum
-    could overflow; then s = ROW_SCALE, a power of two, so x / s is exact
-    (as ambient_norm's norm_shift). Read off a Python list: a numpy
-    reduction over a few entries costs more than the row product."""
+    could overflow; then s is the least power of two that brings the
+    largest |entry| below ROW_SAFE, so x / s is exact. Read off a Python
+    list: a numpy reduction over a few entries costs more than the row
+    product."""
     for v in x.tolist():
         if not -ROW_SAFE < v < ROW_SAFE:
-            return x / ROW_SCALE, ROW_SCALE
+            s = row_scale(float(np.abs(x).max()))
+            return x / s, s
     return x, 1.0
 
 
 def scaled_rows(X: np.ndarray):
     """(X / s, s) row by row, each row's s as `scaled_point` sets it for
     that row alone: s = 1.0 for the whole batch when no |entry| reaches
-    ROW_SAFE (one reduction), else an array, ROW_SCALE on the rows that
-    hold such an entry and 1.0 elsewhere."""
+    ROW_SAFE (one reduction), else an array of the rows' scales."""
     if np.abs(X).max(initial=0.0) < ROW_SAFE:
         return X, 1.0
-    s = np.where((np.abs(X) >= ROW_SAFE).any(axis=-1), ROW_SCALE, 1.0)
+    s = np.vectorize(row_scale, otypes=[float])(np.abs(X).max(axis=-1))
     return X / s[..., None], s
 
 

@@ -69,7 +69,8 @@ class Tolerances:
     unit_norm       accepted deviation of the ambient norm of e from 1
     lookup_radius   Euclidean radius within which a point is a ground-set point
     min_sample_rank least rank of a random penalty instance
-    isometry        largest support-minus-definitional Hausdorff gap of an isometry
+    isometry        largest support-minus-definitional Hausdorff gap of an isometry,
+                    relative to the larger of the two distances
     """
 
     membership: float = 1e-9

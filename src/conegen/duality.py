@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
-from .numkernel import FarkasCertificate, LPProblem, as_vector, independent_rows, solve_lp
+from .numkernel import (FarkasCertificate, LPProblem, as_vector, independent_rows, pow2_shift,
+                        solve_lp)
 
 
 @dataclass
@@ -257,9 +258,9 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     # margins are in units of the terms' size: a power of two near the larger
     # of |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
     # margin test depends on the scale of (G, g0)
-    x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
-    unit = float(np.ldexp(1.0, np.frexp(max(np.max(np.abs(gA)) * x_scale,
-                                            np.max(np.abs(gb))) or 1.0)[1]))
+    x_abs = np.maximum(np.abs(prog.x_lo), np.abs(prog.x_hi))
+    unit = math.ldexp(1.0, pow2_shift(float(max(np.max(np.abs(gA)) * np.max(x_abs),
+                                                np.max(np.abs(gb)))) or 1.0, 0, 0))
 
     def satisfied_at(x, margin):
         ratios = (A @ e) / np.maximum(A @ -prog.g(x), tols.slater_floor)
@@ -274,7 +275,6 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     # max t  s.t.  -A G x - t unit >= A g0  for every cone row, x in box, h = 0;
     # the rows imply t <= (|A G| max|x| + |A g0|) / unit, and that bound lets
     # the simplex start dual feasible with t at it
-    x_abs = np.maximum(np.abs(prog.x_lo), np.abs(prog.x_hi))
     t_hi = float(np.max(np.abs(gA) @ x_abs + np.abs(gb))) / unit
     rep = _max_t_lp(prog, -gA, np.full(gA.shape[0], -unit), -gb,
                     (prog.x_lo, prog.x_hi), (-math.inf, t_hi))

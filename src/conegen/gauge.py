@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
-from .numkernel import as_vector
+from .numkernel import PRODUCT_E, as_vector, pow2_shift
 
 
 class GaugeBody:
@@ -73,28 +73,27 @@ def check_norm_p(p):
     return p
 
 
-def norm_shift(p: float, *arrays: np.ndarray) -> int:
-    """The exponent s by which a p-norm scales its entries, 2^-s, before it
-    squares them: 0 unless p = 2 and the largest |entry| reaches 2^500, where
-    the square of an entry or of a difference of two could overflow, or is
-    positive and below 2^-500, where it could underflow to 0; then 2^s
-    exceeds the largest |entry| by at most a factor of 2. Between the two a
-    sum of squared differences stays finite in up to 2^20 coordinates."""
-    if p != 2:
-        return 0
-    top = max(np.abs(a).max(initial=0.0) for a in arrays)
-    return math.frexp(top)[1] if top >= 2.0 ** 500 or 0.0 < top < 2.0 ** -500 else 0
+def norm_scaled(p: float, *arrays: np.ndarray) -> tuple:
+    """(s, each array times 2^-s): the arrays as a p-norm reads them before
+    it squares their entries. s = 0 and the arrays themselves unless p = 2
+    and the largest |entry| lies outside the exponents [-PRODUCT_E,
+    PRODUCT_E], where the square of an entry or of a difference of two
+    could overflow or underflow to 0; then the least shift that brings it
+    back (pow2_shift)."""
+    top = max(np.abs(a).max(initial=0.0) for a in arrays) if p == 2 else 0.0
+    shift = pow2_shift(float(top), -PRODUCT_E, PRODUCT_E)
+    return (shift, *(np.ldexp(a, -shift) for a in arrays)) if shift else (0, *arrays)
 
 
 def ambient_norm(x, p: float = 2, weights=None) -> float:
     """p-norm (p in {1, 2, inf}) with optional positive coordinate weights,
-    scaled by `norm_shift` where a square could overflow or underflow."""
+    scaled by `norm_scaled` where a square could overflow or underflow."""
     check_norm_p(p)
     x = np.asarray(x, dtype=float)
     if weights is not None:
         x = x * np.asarray(weights, dtype=float)
-    shift = norm_shift(p, x)
-    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -shift), ord=p), shift))
+    shift, x = norm_scaled(p, x)
+    return float(np.ldexp(np.linalg.norm(x, ord=p), shift))
 
 
 def ambient_comparison(body: GaugeBody, points, p: float = 2, weights=None) -> dict:

@@ -18,12 +18,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain
+from sys import float_info
 
 import numpy as np
 
 from .config import default_tolerances
 from .duality import BoxProgram, solve_primal
-from .numkernel import SHORT
+from .numkernel import PRODUCT_E, SHORT, SUM_E, pow2_shift
 
 
 def support_function(vertices, d) -> float:
@@ -43,32 +44,30 @@ def support_values(vertices, directions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 2-D convex hull and elementary polygon geometry
 
-# A set whose largest |coordinate| reaches 2^1000, where a support gap could
-# overflow, or lies below 2^-501 but is not 0, where a difference or a product
-# could go subnormal, is read at 2^-shift: the least power of two that brings
-# its frexp exponent into [E_LO, E_HI] (_shift). The way up is exact; the way
-# down rounds only entries below 2^-(1022 - shift).
-E_LO, E_HI = -500, 1000
-# a difference whose norm is subnormal, below TINY, is read at UP times its
-# size, exactly, before it is normalized
-TINY, UP = 2.0 ** -1022, 2.0 ** 600
+# A set whose largest |coordinate| reaches 2^SUM_E, where a support gap could
+# overflow, or lies below 2^-(PRODUCT_E + 1) but is not 0, where a difference
+# or a product could go subnormal, is read at 2^-shift, shift =
+# pow2_shift(top, -PRODUCT_E, SUM_E): the least power of two that brings it
+# back. The way up is exact; the way down rounds only entries below
+# 2^-(1022 - shift). A difference whose norm is subnormal is read the same
+# way before it is normalized.
 
-
-def _shift(top: float) -> int:
-    """The least |s| with frexp(top / 2^s)[1] in [E_LO, E_HI]; 0 for top = 0."""
-    e = math.frexp(top)[1]
-    return e - min(max(e, E_LO), E_HI) if top else 0
+# The sign test's edges are read at 4^-e, 2^e above their largest |entry|: e
+# is raised to at least SIGN_E_MIN, so a scaled edge, below 2^-e, is finite,
+# and to SIGN_SPAN below the exponent of the pass's largest |coordinate|, so
+# its product with a difference of two points is finite
+SIGN_E_MIN, SIGN_SPAN = -1022, 1020
 
 
 def _hull_rows(rows: list) -> tuple[list, float]:
     """Andrew's monotone chain over Python rows [x, y]: (the hull rows in ccw
     order, the largest |coordinate|). Degenerate inputs collapse to a point
-    or a segment. A set outside [E_LO, E_HI] is chained at 2^-shift, each
-    row carrying its own."""
+    or a segment. A far or tiny set is chained at 2^-shift, each row
+    carrying its own."""
     pts = sorted(rows)   # Python floats: sorted and compared as lists
     top = max(-pts[0][0], pts[-1][0], *[abs(p[1]) for p in pts])
     if len(pts) > 2:
-        shift = _shift(top)
+        shift = pow2_shift(top, -PRODUCT_E, SUM_E)
         if shift:
             hull = _hull_rows([[math.ldexp(x, -shift), math.ldexp(y, -shift), [x, y]]
                                for x, y in pts])[0]
@@ -78,7 +77,7 @@ def _hull_rows(rows: list) -> tuple[list, float]:
         # Only an exactly collinear point is dropped, a repeated one among
         # them: a margin would also drop the far end of a thin near-vertical
         # triangle, whose x order is not its order along the line.
-        s = math.ldexp(1.0, -math.frexp(top)[1])
+        s = math.ldexp(1.0, -pow2_shift(top, 0, 0))
         lower, upper = [], []
         for half, seq in ((lower, pts), (upper, pts[::-1])):
             for p in seq:
@@ -145,23 +144,20 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray, mutual: bool = False):
     length = np.hypot(AB[0], AB[1])
     # the sign test's edges times 4^-e, 2^e the largest |edge coordinate| of
     # their hull: the cross products are then of the order of |AP| / 2^e and,
-    # exactly rescaled, keep their signs. e is raised to at least -1022 and
-    # to 1020 below the exponent of the pass's largest |coordinate|, for a
-    # hull with subnormal edges or one that much smaller than its points'
-    # distances: its scaled edges and their products with AP stay finite,
-    # and a point that far from a hull is outside it at any scale.
+    # exactly rescaled, keep their signs. e is raised to SIGN_E_MIN and to
+    # SIGN_SPAN below the pass's largest |coordinate| for a hull with
+    # subnormal edges or one that much smaller than its points' distances:
+    # a point that far from a hull is outside it at any scale.
     top = np.maximum.reduceat(np.abs(np.concatenate([AB, V], axis=1)).max(axis=0),
                               [0, k, nxt.size][:2 + mutual]).tolist()   # hull, P's hull, all
-    floor = max(math.frexp(top[-1])[1] - 1020, -1022)
-    scale = [-2 * max(math.frexp(t)[1], floor) if n > 2 else 0
-             for t, n in zip(top[:-1], (k, m)) for _ in range(n)]
+    floor = max(pow2_shift(top[-1], 0, 0) - SIGN_SPAN, SIGN_E_MIN)
+    scale = np.repeat([-2 * max(pow2_shift(t, 0, 0), floor) for t in top[:-1]],
+                      (k, m)[:len(top) - 1])   # per hull
     # per edge: start vertex, unit edge, length and the sign test's edge
     T = np.concatenate([W, AB / (length + (length == 0)), length[None], np.ldexp(AB, scale)])
-    # a hull of 1 or 2 vertices has no inside: its sign tests read nan
-    if k < 3:
-        T[5:, :k] = np.nan
-    if mutual and m < 3:
-        T[5:, k:] = np.nan
+    for lo, n in ((0, k), (k, m)):   # a hull of 1 or 2 vertices has no inside
+        if n < 3:   # its sign tests read nan
+            T[5:, lo:lo + n] = np.nan
     G = T[:, edge]
     (apx, apy), (ux, uy, length, cx, cy) = V[:, point] - G[:2], G[2:]
     t = np.minimum(np.maximum(apx * ux + apy * uy, 0.0), length)
@@ -194,10 +190,9 @@ def _as_pair(a_vertices, b_vertices):
 
 def _planar(A, B, rows_a, rows_b):
     """(A, B, hull_a, hull_b, shift): both sets and their hull rows, read at
-    2^-shift, _shift of the pair's largest |coordinate|."""
-    hull_a, top_a = _hull_rows(rows_a)
-    hull_b, top_b = _hull_rows(rows_b)
-    shift = _shift(max(top_a, top_b))
+    2^-shift, shift from the pair's largest |coordinate|."""
+    (hull_a, top_a), (hull_b, top_b) = _hull_rows(rows_a), _hull_rows(rows_b)
+    shift = pow2_shift(max(top_a, top_b), -PRODUCT_E, SUM_E)
     if shift:   # the hulls of the sets as read: a far shift can merge small points
         A, B = np.ldexp(A, -shift), np.ldexp(B, -shift)
         hull_a, hull_b = _hull_rows(A.tolist())[0], _hull_rows(B.tolist())[0]
@@ -213,8 +208,9 @@ def _exact_directions_2d(hull_a: list, hull_b: list) -> np.ndarray:
         for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1] if len(hull) > 2 else hull[1:]):
             dx, dy = x1 - x0, y1 - y0
             r = math.hypot(dx, dy)   # hypot: no underflow on tiny edges
-            if r < TINY:   # a subnormal r has too few bits to divide by
-                dx, dy = dx * UP, dy * UP
+            if r < float_info.min:   # a subnormal r has too few bits to divide by
+                s = 2.0 ** -pow2_shift(r, -PRODUCT_E, SUM_E)
+                dx, dy = dx * s, dy * s
                 r = math.hypot(dx, dy)
             normals.append([dy / r, -(dx / r)])   # outward for ccw order
         if len(hull) == 2:
@@ -223,9 +219,10 @@ def _exact_directions_2d(hull_a: list, hull_b: list) -> np.ndarray:
     M = np.array(hull_a + hull_b + normals)   # one conversion: hull rows, then normals
     diff = (M[:na, None] - M[None, na:n]).reshape(-1, 2)
     norms = np.hypot(diff[:, 0], diff[:, 1])
-    if norms.min() < TINY:   # a zero difference has no direction; read a subnormal one at UP
-        keep = norms > 0
-        diff = diff[keep] * np.where(norms[keep] < TINY, UP, 1.0)[:, None]
+    if norms.min() < float_info.min:   # a zero difference has no direction
+        keep = norms > 0   # a subnormal norm is read at the shift of the least one
+        up = 2.0 ** -pow2_shift(float(np.min(norms, where=keep, initial=1.0)), -PRODUCT_E, SUM_E)
+        diff = diff[keep] * np.where(norms[keep] < float_info.min, up, 1.0)[:, None]
         norms = np.hypot(diff[:, 0], diff[:, 1])
     units = diff / norms[:, None]
     return np.concatenate([M[n:], units, -units])
@@ -256,7 +253,9 @@ def _separations(A: np.ndarray, B: np.ndarray):
     A point of the other set is its own p(a), at distance 0.0 exactly, and
     a one-point set {y} is p(a) = y. Otherwise p(a) is a BoxProgram,
     min 0.5 |(Y - a)'w|^2 over the weight simplex of the other set's points
-    Y, centred at a; a solve that ends other than "optimal" raises."""
+    Y, centred at a, and read at the power of two of Y - a's largest
+    |entry|, so that 2^k A and 2^k B pose the same QP as A and B; a solve
+    that ends other than "optimal" raises."""
     sep = []
     for P, Y in ((A, B), (B, A)):
         k = Y.shape[0]
@@ -266,7 +265,8 @@ def _separations(A: np.ndarray, B: np.ndarray):
             elif k == 1:   # the one weight is 1: a - y, as the QP's w = [1.0] gives it
                 sep.append(-Yc[0])
             else:
-                res = solve_primal(BoxProgram(n=k, Q=Yc @ Yc.T, q=np.zeros(k), c=0.0,
+                Ys = np.ldexp(Yc, -pow2_shift(float(np.abs(Yc).max()), 0, 0))
+                res = solve_primal(BoxProgram(n=k, Q=Ys @ Ys.T, q=np.zeros(k), c=0.0,
                                               x_lo=np.zeros(k), x_hi=np.ones(k),
                                               H=np.ones((1, k)), h0=-np.ones(1)))
                 if res.status != "optimal":
@@ -297,9 +297,8 @@ def hausdorff_distance(a_vertices, b_vertices):
 def _enlargement_2d(hull_a: list, hull_b: list) -> np.ndarray:
     """The distances of hull_a's vertices to conv(hull_b), then of hull_b's
     to conv(hull_a): one two-block _hull_distances pass."""
-    H = np.array(hull_a + hull_b)
-    Ha, Hb = H[:len(hull_a)], H[len(hull_a):]
-    return _hull_distances(Ha, Hb, mutual=True)[0]
+    H, n = np.array(hull_a + hull_b), len(hull_a)
+    return _hull_distances(H[:n], H[n:], mutual=True)[0]
 
 
 def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
@@ -323,11 +322,13 @@ def verify_order_isometry(a_vertices, b_vertices) -> dict:
     """Report comparing the metric and order on sets with their images.
 
     The support route must match the definitional enlargement distance to
-    Tolerances.isometry, and inclusion (every vertex within membership of the
-    other hull) must match pointwise dominance of support values, at
-    membership, on a direction set: in the plane the exact candidate set of
-    the hulls, each built once; elsewhere every vertex's separating direction,
-    the support route then being the gap at the certificate direction.
+    Tolerances.isometry times the larger of the two (two zeros match), so
+    the decision reads the same at every scale of the input. Inclusion
+    (every vertex within membership of the other hull) must match pointwise
+    dominance of support values, at membership, on a direction set: in the
+    plane the exact candidate set of the hulls, each built once; elsewhere
+    every vertex's separating direction, the support route then being the
+    gap at the certificate direction.
     """
     tols = default_tolerances()
     A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
@@ -353,7 +354,7 @@ def verify_order_isometry(a_vertices, b_vertices) -> dict:
         "exact": True,
         "support_route": support_route * scale,
         "definitional": definitional * scale,
-        "isometry_holds": abs(support_route - definitional) * scale <= tols.isometry,
+        "isometry_holds": math.isclose(support_route, definitional, rel_tol=tols.isometry),
         "order_preserved": (a_in_b_geom == a_in_b_supp) and (b_in_a_geom == b_in_a_supp),
         "a_subset_b": a_in_b_geom,
         "b_subset_a": b_in_a_geom,

@@ -39,6 +39,26 @@ from .config import default_tolerances
 # 20 entries costs less than one numpy reduction
 SHORT = 16
 
+# Exponent bounds for pow2_shift, each shared by every read it guards.
+# SUM_E: entries below 2^SUM_E keep a sum of their products with unit rows
+# (dim below 2^46), or a difference of two, finite. PRODUCT_E: entries of
+# exponent in [-PRODUCT_E, PRODUCT_E] have normal, finite products, and a
+# sum of 2^20 squares of their differences stays finite.
+SUM_E, PRODUCT_E = 1000, 500
+
+
+def pow2_shift(top: float, lo: int, hi: int) -> int:
+    """The least |s| with frexp(top / 2^s)[1] in [lo, hi]; 0 for top = 0.
+
+    Reading an input at 2^-s of its size and scaling the result back by 2^s
+    is exact wherever nothing over- or underflows, so every far or tiny
+    read in the package takes its power of two here. lo = -inf sets no
+    lower bound, and with lo = hi = 0 it is top's frexp exponent. A Python
+    scalar in and out: the planar route calls it once per hull, where a
+    numpy scalar call would cost more than the rest of the rule."""
+    e = math.frexp(top)[1]
+    return 0 if not top or lo <= e <= hi else e - (lo if e < lo else hi)
+
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return a dense 1-D float array with finite entries."""

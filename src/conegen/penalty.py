@@ -38,8 +38,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone
-from .gauge import ambient_norm, check_norm_p, norm_shift
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, row_scale
+from .gauge import ambient_norm, check_norm_p, norm_scaled
 from .numkernel import as_vector
 
 _BLOCK = 64   # rows per pair block: 64 beat 128 and 256 on the penalty benchmark
@@ -76,25 +76,23 @@ def distance_to_set(x, omega, p: float = 2):
 
 
 def _pair_norms(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
-    shift = norm_shift(p, X, Y)
-    return _root(_pair_sums(X, Y, p, shift), p, shift)
+    shift, X, Y = norm_scaled(p, X, Y)
+    return _root(_pair_sums(X, Y, p), p, shift)
 
 
 def _root(sums: np.ndarray, p: float, shift: int) -> np.ndarray:
-    """The norms, in place, from sums of _pair_sums at the given shift."""
+    """The norms, in place, from sums of _pair_sums over arrays read at
+    2^-shift (norm_scaled)."""
     if p in (1, math.inf):
         return sums
     np.sqrt(sums, out=sums)
     return np.ldexp(sums, shift, out=sums) if shift else sums
 
 
-def _pair_sums(X: np.ndarray, Y: np.ndarray, p: float, shift: int = 0) -> np.ndarray:
+def _pair_sums(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     """||x_i - y_j|| (the p-norm for p = 1 or inf, else the squared 2-norm)
-    for all rows of X and Y times 2^-shift, one coordinate plane at a time.
-    Below 8 coordinates the sum runs in the order of numpy's sum over a
-    last axis."""
-    if shift:
-        X, Y = np.ldexp(X, -shift), np.ldexp(Y, -shift)
+    for all rows of X and Y, one coordinate plane at a time. Below 8
+    coordinates the sum runs in the order of numpy's sum over a last axis."""
     power = np.abs if p in (1, math.inf) else np.square
     combine = np.maximum if p == math.inf else np.add
     out = np.zeros((X.shape[0], Y.shape[0]))
@@ -176,32 +174,36 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
 def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
                   e: np.ndarray, p: float, tols: Tolerances) -> RankEstimate:
     unit = OrderUnit(cone, e)   # rejects e outside C, or with R e inside C
-    HV = cone.halfspace_values(vals)
+    # far values are read at 1 / scale of their size, one scale for every row
+    # since the rank compares them; the rank scales back exactly, and the
+    # face slack is read at the same scale
+    scale = row_scale(float(np.abs(vals).max()))
+    HV, slack = cone.halfspace_values(vals / scale), unit.slack / scale
     if pts.shape[1] == 1:
-        rank = _line_rank(pts[:, 0], HV, unit, tols)
+        rank = _line_rank(pts[:, 0], HV, unit, slack, tols)
         if rank is not None:
-            return RankEstimate(rank, True)
-    rank, shift = 0.0, norm_shift(p, pts)
+            return RankEstimate(rank * scale, True)
+    rank, (shift, pts) = 0.0, norm_scaled(p, pts)
     for lo, hi, planes in _pair_blocks(HV):
         num = np.zeros((hi - lo, pts.shape[0] - lo))
         for plane, h_e, on_face in zip(planes, unit.hu, unit.face):
             np.abs(plane, out=plane)
             if on_face:
-                num[plane > unit.slack] = np.inf
+                num[plane > slack] = np.inf
             else:
                 np.maximum(num, np.divide(plane, h_e, out=plane), out=num)
-        den = _root(_pair_sums(pts[lo:hi], pts[lo:], p, shift), p, shift)
+        den = _root(_pair_sums(pts[lo:hi], pts[lo:], p), p, shift)
         np.fill_diagonal(den, 1.0)   # the pairs (i, i): num is 0 there
         close = den <= tols.coincident
         if close.any():
-            if np.any(num[close] > tols.strict_nonzero):
+            if np.any(num[close] > tols.strict_nonzero / scale):
                 return RankEstimate(math.inf, True)
             den[close] = tols.coincident
         rank = max(rank, float(np.max(np.divide(num, den, out=num))))
-    return RankEstimate(rank, True)
+    return RankEstimate(rank * scale, True)
 
 
-def _line_rank(x: np.ndarray, HV: np.ndarray, unit: OrderUnit,
+def _line_rank(x: np.ndarray, HV: np.ndarray, unit: OrderUnit, slack: float,
                tols: Tolerances) -> float | None:
     """The rank of points x_i on a line from one sort, or None when two
     sorted neighbours lie within coincident (the pairwise kernel applies the
@@ -218,7 +220,7 @@ def _line_rank(x: np.ndarray, HV: np.ndarray, unit: OrderUnit,
     gap = np.diff(x[order])
     if np.any(gap <= tols.coincident):
         return None
-    if unit.face.any() and np.any(np.ptp(HV[:, unit.face], axis=0) > unit.slack):
+    if unit.face.any() and np.any(np.ptp(HV[:, unit.face], axis=0) > slack):
         return math.inf
     off = ~unit.face
     slope = np.abs(np.diff(HV[order][:, off], axis=0)) / unit.hu[off]
@@ -292,9 +294,9 @@ class PenaltyInstance:
         pts, omega, p = self.points, self.omega_points, self.norm_p
         if pts.shape[1] == 1:
             return _line_distances(pts[:, 0], omega[:, 0])
-        shift = norm_shift(p, pts, omega)
+        shift, pts, omega = norm_scaled(p, pts, omega)
         # the root of the row minimum: sqrt is monotone and correctly rounded
-        return _root(np.min(_pair_sums(pts, omega, p, shift), axis=1), p, shift)
+        return _root(np.min(_pair_sums(pts, omega, p), axis=1), p, shift)
 
     def penalized_values(self, L: float) -> np.ndarray:
         return self.values + L * self.distances_to_omega()[:, None] * self.e[None, :]
@@ -350,7 +352,7 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
     n = V.shape[0]
     R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
-    shift = norm_shift(2, V)
+    shift, V, VC = norm_scaled(2, V, VC)
     sq = np.zeros(R.shape[0])   # squared: sqrt is monotone and correctly rounded
     step = max(1, _BLOCK * n // max(1, VC.shape[0]))
     for lo in range(0, R.shape[0], step):
@@ -360,7 +362,7 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
         for hc, hv in zip(HC.T[1:], HV.T[1:]):
             np.maximum(up, np.subtract(hc[None, :], hv[rb, None], out=plane), out=up)
         # a bool product is ~5x faster than np.where; fmax skips inf * 0 = NaN
-        sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2, shift) * (up <= tol),
+        sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol),
                                           axis=1, initial=0.0)
     return _root(sq, 2, shift)
 
