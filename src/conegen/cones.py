@@ -251,11 +251,12 @@ def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
 def scaled_rows(X: np.ndarray):
     """(X / s, s) row by row, each row's s as `scaled_point` sets it for
     that row alone: s = 1.0 for the whole batch when no |entry| reaches
-    ROW_SAFE (one reduction), else an array of the rows' scales."""
+    ROW_SAFE (one reduction), else an array of the rows' scales, 1.0 on
+    every row below ROW_SAFE."""
     if np.abs(X).max(initial=0.0) < ROW_SAFE:
         return X, 1.0
-    s = np.vectorize(row_scale, otypes=[float])(np.abs(X).max(axis=-1))
-    return X / s[..., None], s
+    s = np.array([row_scale(t) if t >= ROW_SAFE else 1.0 for t in np.abs(X).max(axis=1).tolist()])
+    return X / s[:, None], s
 
 
 def coordinate_cone(dim: int) -> PolyhedralCone:

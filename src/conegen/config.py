@@ -70,7 +70,7 @@ class Tolerances:
     lookup_radius   Euclidean radius within which a point is a ground-set point
     min_sample_rank least rank of a random penalty instance
     isometry        largest support-minus-definitional Hausdorff gap of an isometry,
-                    relative to the larger of the two distances
+                    relative to the largest of the two distances and |coordinates|
     """
 
     membership: float = 1e-9

@@ -189,14 +189,15 @@ def _as_pair(a_vertices, b_vertices):
 
 
 def _planar(A, B, rows_a, rows_b):
-    """(A, B, hull_a, hull_b, shift): both sets and their hull rows, read at
-    2^-shift, shift from the pair's largest |coordinate|."""
+    """(A, B, hull_a, hull_b, shift, top): both sets and their hull rows,
+    read at 2^-shift, shift from the pair's largest |coordinate|, and that
+    coordinate as read."""
     (hull_a, top_a), (hull_b, top_b) = _hull_rows(rows_a), _hull_rows(rows_b)
     shift = pow2_shift(max(top_a, top_b), -PRODUCT_E, SUM_E)
     if shift:   # the hulls of the sets as read: a far shift can merge small points
         A, B = np.ldexp(A, -shift), np.ldexp(B, -shift)
         hull_a, hull_b = _hull_rows(A.tolist())[0], _hull_rows(B.tolist())[0]
-    return A, B, hull_a, hull_b, shift
+    return A, B, hull_a, hull_b, shift, math.ldexp(max(top_a, top_b), -shift)
 
 
 def _exact_directions_2d(hull_a: list, hull_b: list) -> np.ndarray:
@@ -285,7 +286,7 @@ def hausdorff_distance(a_vertices, b_vertices):
     attains it: |h_A(u) - h_B(u)| >= |a* - p*| = sup |h_A - h_B|."""
     A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
     if A.shape[1] == 2:
-        A, B, hull_a, hull_b, shift = _planar(A, B, rows_a, rows_b)
+        A, B, hull_a, hull_b, shift, _ = _planar(A, B, rows_a, rows_b)
         dist, cert, _, _ = _support_route_2d(A, B, hull_a, hull_b)
         return dist * 2.0 ** shift, {"exact": True, "certificate_direction": cert}
     dists, U = _separations(A, B)
@@ -314,7 +315,7 @@ def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
     A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
     if A.shape[1] != 2:
         return float(_separations(A, B)[0].max())
-    _, _, hull_a, hull_b, shift = _planar(A, B, rows_a, rows_b)
+    _, _, hull_a, hull_b, shift, _ = _planar(A, B, rows_a, rows_b)
     return float(_enlargement_2d(hull_a, hull_b).max()) * 2.0 ** shift
 
 
@@ -322,10 +323,11 @@ def verify_order_isometry(a_vertices, b_vertices) -> dict:
     """Report comparing the metric and order on sets with their images.
 
     The support route must match the definitional enlargement distance to
-    Tolerances.isometry times the larger of the two (two zeros match), so
-    the decision reads the same at every scale of the input. Inclusion
-    (every vertex within membership of the other hull) must match pointwise
-    dominance of support values, at membership, on a direction set: in the
+    Tolerances.isometry times the largest of the two and of the pair's
+    |coordinates|: support values round in units of the coordinates, not of
+    the distance, and the bound reads the same at every scale of the input.
+    Inclusion (every vertex within membership of the other hull) must match
+    pointwise dominance of support values, at membership, on a direction set: in the
     plane the exact candidate set of the hulls, each built once; elsewhere
     every vertex's separating direction, the support route then being the
     gap at the certificate direction.
@@ -333,11 +335,11 @@ def verify_order_isometry(a_vertices, b_vertices) -> dict:
     tols = default_tolerances()
     A, B, rows_a, rows_b = _as_pair(a_vertices, b_vertices)
     if A.shape[1] == 2:
-        A, B, hull_a, hull_b, shift = _planar(A, B, rows_a, rows_b)
+        A, B, hull_a, hull_b, shift, top = _planar(A, B, rows_a, rows_b)
         support_route, _, h_a, h_b = _support_route_2d(A, B, hull_a, hull_b)
         d, n = _enlargement_2d(hull_a, hull_b), len(hull_a)
     else:
-        shift, n = 0, A.shape[0]
+        shift, n, top = 0, A.shape[0], float(max(np.abs(A).max(), np.abs(B).max()))
         d, U = _separations(A, B)
         h_a, h_b = support_values(A, U), support_values(B, U)
         k = int(np.argmax(d))
@@ -347,15 +349,15 @@ def verify_order_isometry(a_vertices, b_vertices) -> dict:
     d_ab, d_ba = np.maximum.reduceat(d, [0, n]).tolist()
     scale, slack = 2.0 ** shift, tols.membership * 2.0 ** -shift
     definitional = max(d_ab, d_ba)
+    bound = max(top, support_route, definitional)   # the size the gaps round in
     a_in_b_geom, b_in_a_geom = d_ab <= slack, d_ba <= slack
-    a_in_b_supp = bool((h_a <= h_b + slack).all())
-    b_in_a_supp = bool((h_b <= h_a + slack).all())
+    supp = (h_a <= h_b + slack).all(), (h_b <= h_a + slack).all()
     return {
         "exact": True,
         "support_route": support_route * scale,
         "definitional": definitional * scale,
-        "isometry_holds": math.isclose(support_route, definitional, rel_tol=tols.isometry),
-        "order_preserved": (a_in_b_geom == a_in_b_supp) and (b_in_a_geom == b_in_a_supp),
+        "isometry_holds": abs(support_route - definitional) <= tols.isometry * bound,
+        "order_preserved": (a_in_b_geom, b_in_a_geom) == supp,
         "a_subset_b": a_in_b_geom,
         "b_subset_a": b_in_a_geom,
     }

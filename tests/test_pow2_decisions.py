@@ -107,9 +107,19 @@ def test_lattice_decisions_do_not_move():
             else:
                 B = rng.normal(size=(int(rng.integers(1, 6)), dim)) * 4.0
             pairs.append((A, B))
+    # unit-size sets a small distance apart: the support gaps carry an
+    # absolute rounding error of a few ulps of the coordinates, about 1e-8
+    # of a 1e-8 distance, which a bound relative to the distance alone failed
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    simplex = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                        [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    pairs += [(A, A + step) for A, step in ((square, [6e-9, -8e-9]), (square, [6e-12, -8e-12]),
+                                            (simplex, [6e-9, -8e-9, 1e-9]),
+                                            (simplex, [1e-13, 0.0, 0.0]))]
     for A, B in pairs:
         rep = verify_order_isometry(A, B)
         base = [rep[key] for key in LATTICE_KEYS]
+        assert rep["isometry_holds"] and rep["order_preserved"]
         for k in K[::2] if A.shape[1] == 3 else K:
             with scaled_tolerances(k, "membership"):
                 rep = verify_order_isometry(np.ldexp(A, k), np.ldexp(B, k))
