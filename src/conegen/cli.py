@@ -20,14 +20,12 @@ import numpy as np
 
 from . import demos
 from .config import default_tolerances, use_tolerances
-from .cones import (DimensionMismatch, InvalidCone, UnsupportedRepresentation,
-                    coordinate_cone)
+from .cones import coordinate_cone
 from .gauge import GaugeBody, ambient_comparison
 from .lattice import hausdorff_distance
-from .penalty import (PenaltyInstance, PreconditionViolation,
-                      cone_minimal_points, verify_penalty_equivalence)
+from .penalty import PenaltyInstance, cone_minimal_points, verify_penalty_equivalence
 from .problemfile import ProblemFormatError, build_box_program, parse_problem
-from .scalarization import EmptyDomain, GerstewitzFn
+from .scalarization import GerstewitzFn
 from .duality import duality_gap_report, stationarity_certificate, VectorObjective
 
 EXIT_OK = 0
@@ -201,9 +199,7 @@ def main(argv=None) -> int:
                     raise ProblemFormatError(f"command needs a {args.block!r} block, "
                                              f"file has {pf.block_name!r}")
             report, summary, code = args.fn(pf, args)
-        except (ProblemFormatError, PreconditionViolation, EmptyDomain,
-                InvalidCone, DimensionMismatch, UnsupportedRepresentation,
-                ValueError) as exc:
+        except ValueError as exc:   # every library exception subclasses it
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     report["command"] = f"demo {args.which}" if pf is None else args.command

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .numkernel import SUM_E, as_vector, independent_rows, pow2_shift
+from .numkernel import SUM_E, DimensionMismatch, as_matrix, as_vector, independent_rows, pow2_shift
 
 
 ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
@@ -25,10 +25,6 @@ ROUNDING = 64 * np.finfo(float).eps
 # 2^SUM_E as a float: a point with an entry this large in |.| is read at a
 # power of two (scaled_point)
 ROW_SAFE = 2.0 ** SUM_E
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class InvalidCone(ValueError):
@@ -87,11 +83,8 @@ class PolyhedralCone:
             self.facets = np.ones(dim, dtype=bool)
             return
 
-        H = None if halfspaces is None else _unit_rows(np.atleast_2d(np.asarray(halfspaces, dtype=float)))
-        G = None if generators is None else _unit_rows(np.atleast_2d(np.asarray(generators, dtype=float)))
-        for M, name in ((H, "halfspaces"), (G, "generators")):
-            if M is not None and M.shape[1] != dim:
-                raise DimensionMismatch(f"{name} have dimension {M.shape[1]}, expected {dim}")
+        H = None if halfspaces is None else _unit_rows(as_matrix(halfspaces, dim, "halfspaces"))
+        G = None if generators is None else _unit_rows(as_matrix(generators, dim, "generators"))
         if H is None and G is None:
             raise InvalidCone("a general cone needs halfspaces or generators")
         given = H is not None      # given halfspaces are converted below, once
@@ -134,14 +127,23 @@ class PolyhedralCone:
 
     # -- queries ------------------------------------------------------------
 
+    def _least(self, x: np.ndarray) -> float:
+        """min_k <h_k, x>, x read at a power of two (`scaled_point`) and the
+        min scaled back: +-inf past the largest float."""
+        x, scale = scaled_point(x)
+        return float(np.min(self.halfspaces @ x)) * scale
+
     def contains(self, x) -> bool:
-        x = as_vector(x, self.dim, "point")
-        return bool(np.min(self.halfspaces @ x) >= -default_tolerances().membership)
+        return self._least(as_vector(x, self.dim, "point")) >= -default_tolerances().membership
 
     def order_leq(self, x, y) -> bool:
-        """x <=_C y, i.e. y - x in C."""
-        x = as_vector(x, self.dim, "x")
-        return self.contains(as_vector(y, self.dim, "y") - x)
+        """x <=_C y, i.e. y - x in C; x and y are read at one power of two,
+        since y - x itself can overflow."""
+        x, sx = scaled_point(as_vector(x, self.dim, "x"))
+        y, sy = scaled_point(as_vector(y, self.dim, "y"))
+        scale = max(sx, sy)
+        least = self._least(y * (sy / scale) - x * (sx / scale)) * scale
+        return least >= -default_tolerances().membership
 
     def halfspace_values(self, X):
         """<A_k, x> for one point x (a K-vector) or every row of X (an n x K
@@ -151,9 +153,7 @@ class PolyhedralCone:
         return X if self.kind == "coordinate" else X @ self.halfspaces.T
 
     def interior_contains(self, x) -> bool:
-        x = as_vector(x, self.dim, "point")
-        margin = default_tolerances().interior
-        return bool(np.min(self.halfspaces @ x) > margin)
+        return self._least(as_vector(x, self.dim, "point")) > default_tolerances().interior
 
     def is_strictly_positive(self, f) -> bool:
         """<f, g> > 0 on every extreme generator, i.e. f in int of the dual cone."""
@@ -246,6 +246,13 @@ def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
             s = row_scale(float(np.abs(x).max()))
             return x / s, s
     return x, 1.0
+
+
+def scaled_set(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """(X / s, s) with one s for every row of X, as `scaled_point` sets it
+    for the largest |entry|: X itself and 1.0 when none reaches ROW_SAFE."""
+    s = row_scale(float(np.abs(X).max(initial=0.0)))
+    return (X, s) if s == 1.0 else (X / s, s)
 
 
 def scaled_rows(X: np.ndarray):

@@ -23,8 +23,8 @@ import numpy as np
 
 from .config import Tolerances, default_tolerances
 from .cones import PolyhedralCone, coordinate_cone
-from .numkernel import (FarkasCertificate, LPProblem, as_vector, independent_rows, pow2_shift,
-                        solve_lp)
+from .numkernel import (FarkasCertificate, LPProblem, as_matrix, as_vector, independent_rows,
+                        pow2_shift, solve_lp)
 
 
 @dataclass
@@ -45,7 +45,7 @@ class BoxProgram:
 
     def __post_init__(self):
         n = self.n
-        self.Q = np.zeros((n, n)) if self.Q is None else np.asarray(self.Q, dtype=float)
+        self.Q = np.zeros((n, n)) if self.Q is None else as_matrix(self.Q, n, "Q")
         if self.Q.shape != (n, n):
             raise ValueError("Q has wrong shape")
         tol = default_tolerances().qp_curv * float(np.linalg.norm(self.Q))
@@ -57,18 +57,18 @@ class BoxProgram:
         if np.min(self._q_eigs) < -tol:
             raise ValueError("Q must be positive semidefinite")
         self.q = as_vector(self.q, n, "q")
-        self.c = float(self.c)
+        self.c = float(as_vector(self.c, 1, "c")[0])
         self.x_lo = as_vector(self.x_lo, n, "x_a")
         self.x_hi = as_vector(self.x_hi, n, "x_b")
         if np.min(self.x_hi - self.x_lo) <= default_tolerances().interior:
             raise ValueError("box must have x_b - x_a interior to the coordinate cone")
         if self.G is not None:
-            self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
+            self.G = as_matrix(self.G, n, "G")
             self.g0 = as_vector(self.g0, self.G.shape[0], "g0")
             if self.cone_y is None or self.cone_y.dim != self.G.shape[0]:
                 raise ValueError("constraint cone missing or of wrong dimension")
         if self.H is not None:
-            self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
+            self.H = as_matrix(self.H, n, "H")
             self.h0 = as_vector(self.h0, self.H.shape[0], "h0")
 
     @property
@@ -733,7 +733,7 @@ class VectorObjective:
     quads: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        self.lins = np.atleast_2d(np.asarray(self.lins, dtype=float))
+        self.lins = as_matrix(self.lins, name="lins")
         self.consts = as_vector(self.consts, self.lins.shape[0], "constants")
         if self.quads is not None and len(self.quads) != self.lins.shape[0]:
             raise ValueError("one quadratic form per component required")

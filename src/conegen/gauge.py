@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
-from .numkernel import PRODUCT_E, as_vector, pow2_shift
+from .numkernel import PRODUCT_E, as_matrix, as_vector, pow2_shift
 
 
 class GaugeBody:
@@ -45,7 +45,7 @@ class GaugeBody:
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         """||x||_u for every row x of X, each read as `gauge` reads it."""
-        X, scale = scaled_rows(np.atleast_2d(np.asarray(X, dtype=float)))
+        X, scale = scaled_rows(as_matrix(X, self.cone.dim, "points"))
         return self._unit.ratio(np.abs(self.cone.halfspace_values(X)), scale)
 
     def isometry_image(self, x) -> np.ndarray:
@@ -89,9 +89,9 @@ def ambient_norm(x, p: float = 2, weights=None) -> float:
     """p-norm (p in {1, 2, inf}) with optional positive coordinate weights,
     scaled by `norm_scaled` where a square could overflow or underflow."""
     check_norm_p(p)
-    x = np.asarray(x, dtype=float)
+    x = as_vector(x, name="point")
     if weights is not None:
-        x = x * np.asarray(weights, dtype=float)
+        x = x * as_vector(weights, x.shape[0], "weights")
     shift, x = norm_scaled(p, x)
     return float(np.ldexp(np.linalg.norm(x, ord=p), shift))
 
@@ -101,7 +101,7 @@ def ambient_comparison(body: GaugeBody, points, p: float = 2, weights=None) -> d
     ambient norm; violations are reported, never asserted."""
     tol = default_tolerances().membership
     violations = []
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = as_matrix(points, body.cone.dim, "points")
     for row in pts:
         gauge_val = body.gauge(row)
         amb = ambient_norm(row, p=p, weights=weights)

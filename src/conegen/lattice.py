@@ -8,37 +8,37 @@ rays, i.e. the edge normals of both polytopes, plus the normalized pairwise
 vertex differences where the piecewise-linear difference peaks inside a fan
 cell). The definitional route (max vertex-to-hull distance, both hulls'
 vertices against the other's edges in one array pass) shares only the two
-hulls with it. Each input is read once: its Python rows are checked, chained
-into its hull and, for a far or subnormal pair, read at a power of two. In
-any other dimension each vertex-to-hull distance is a nearest-point QP, and
-the farthest vertex's separating direction attains the sup exactly.
+hulls with it. Each input is read once: checked by `as_matrix`, its Python
+rows chained into its hull and, for a far or subnormal pair, read at a power
+of two. In any other dimension each vertex-to-hull distance is a
+nearest-point QP, and the farthest vertex's separating direction attains
+the sup exactly.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
 from sys import float_info
 
 import numpy as np
 
 from .config import default_tolerances
 from .duality import BoxProgram, solve_primal
-from .numkernel import PRODUCT_E, SHORT, SUM_E, pow2_shift
+from .numkernel import PRODUCT_E, SUM_E, as_matrix, as_vector, pow2_shift
 
 
 def support_function(vertices, d) -> float:
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    V = as_matrix(vertices, name="vertices")
     if V.shape[0] == 0:
         raise ValueError("empty polytope")
-    return float(np.max(V @ np.asarray(d, dtype=float)))
+    return float(np.max(V @ as_vector(d, V.shape[1], "direction")))
 
 
 def support_values(vertices, directions) -> np.ndarray:
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    V = as_matrix(vertices, name="vertices")
     if V.shape[0] == 0:
         raise ValueError("empty polytope")
-    return np.max(np.asarray(directions, dtype=float) @ V.T, axis=1)
+    return np.max(as_matrix(directions, V.shape[1], "directions") @ V.T, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def convex_hull_2d(points) -> np.ndarray:
 
     Degenerate inputs collapse to a point or segment.
     """
-    return np.array(_hull_rows(np.atleast_2d(np.asarray(points, dtype=float)).tolist())[0])
+    return np.array(_hull_rows(as_matrix(points, 2, "points").tolist())[0])
 
 
 @lru_cache(maxsize=256)
@@ -172,20 +172,13 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray, mutual: bool = False):
 
 def _as_pair(a_vertices, b_vertices):
     """(A, B, A's rows, B's rows): two vertex arrays of one dimension with
-    finite entries. The rows are Python lists; a set of up to SHORT entries
-    is checked over them (as_vector's rule)."""
-    A = np.atleast_2d(np.asarray(a_vertices, dtype=float))
-    B = np.atleast_2d(np.asarray(b_vertices, dtype=float))
+    finite entries (`as_matrix`), and their rows as Python lists."""
+    A, B = as_matrix(a_vertices, name="vertices"), as_matrix(b_vertices, name="vertices")
     if A.shape[0] == 0 or B.shape[0] == 0:
         raise ValueError("empty polytope")
     if A.shape[1] != B.shape[1]:
         raise ValueError("dimension mismatch")
-    rows = A.tolist(), B.tolist()
-    for M, R in zip((A, B), rows):
-        if not (all(map(math.isfinite, chain.from_iterable(R))) if M.size <= SHORT
-                else np.isfinite(M).all()):
-            raise ValueError("vertices must have finite entries")
-    return A, B, *rows
+    return A, B, A.tolist(), B.tolist()
 
 
 def _planar(A, B, rows_a, rows_b):

@@ -35,8 +35,8 @@ import numpy as np
 from .config import default_tolerances
 
 
-# as_vector checks up to SHORT entries as Python floats, which below about
-# 20 entries costs less than one numpy reduction
+# as_vector and as_matrix check up to SHORT entries as Python floats, which
+# below about 20 entries costs less than one numpy reduction
 SHORT = 16
 
 # Exponent bounds for pow2_shift, each shared by every read it guards.
@@ -60,18 +60,46 @@ def pow2_shift(top: float, lo: int, hi: int) -> int:
     return 0 if not top or lo <= e <= hi else e - (lo if e < lo else hi)
 
 
+class DimensionMismatch(ValueError):
+    pass
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry of arr is finite. Up to SHORT entries the test
+    reads a Python list: a finite sum has finite terms, so only a sum that
+    is not finite (a non-finite term, or an overflow) reads each entry."""
+    if arr.size > SHORT:
+        return bool(np.isfinite(arr).all())
+    flat = (arr if arr.ndim == 1 else arr.ravel()).tolist()
+    return math.isfinite(sum(flat)) or all(map(math.isfinite, flat))
+
+
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     """Validate and return a dense 1-D float array with finite entries."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
-    if not (all(map(math.isfinite, arr.tolist())) if arr.size <= SHORT
-            else np.isfinite(arr).all()):
+        if arr.ndim:
+            raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+        arr = arr.reshape(1)
+    if not _finite(arr):
         raise ValueError(f"{name} must have finite entries")
     if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"{name} has dimension {arr.shape[0]}, expected {dim}")
+        raise DimensionMismatch(f"{name} has dimension {arr.shape[0]}, expected {dim}")
+    return arr
+
+
+def as_matrix(X, cols: int | None = None, name: str = "matrix") -> np.ndarray:
+    """Validate and return a 2-D float array with finite entries, a vector
+    read as one row, of cols columns when cols is given."""
+    arr = np.asarray(X, dtype=float)
+    if arr.ndim != 2:
+        if arr.ndim > 2:
+            raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+        arr = arr.reshape(1, -1)
+    if not _finite(arr):
+        raise ValueError(f"{name} must have finite entries")
+    if cols is not None and arr.shape[1] != cols:
+        raise DimensionMismatch(f"{name} have dimension {arr.shape[1]}, expected {cols}")
     return arr
 
 
@@ -107,8 +135,14 @@ class LPProblem:
     def __post_init__(self):
         self.cost = as_vector(self.cost, name="cost")
         n = self.cost.shape[0]
-        self.ineq_lhs, self.ineq_rhs = _rows(self.ineq_lhs, self.ineq_rhs, n, "inequality")
-        self.eq_lhs, self.eq_rhs = _rows(self.eq_lhs, self.eq_rhs, n, "equality")
+        if self.ineq_lhs is None:
+            self.ineq_lhs, self.ineq_rhs = np.zeros((0, n)), np.zeros(0)
+        if self.eq_lhs is None:
+            self.eq_lhs, self.eq_rhs = np.zeros((0, n)), np.zeros(0)
+        self.ineq_lhs = as_matrix(self.ineq_lhs, n, "inequality rows")
+        self.ineq_rhs = as_vector(self.ineq_rhs, self.ineq_lhs.shape[0], "inequality rhs")
+        self.eq_lhs = as_matrix(self.eq_lhs, n, "equality rows")
+        self.eq_rhs = as_vector(self.eq_rhs, self.eq_lhs.shape[0], "equality rhs")
         self.lower = _bound(self.lower, n, -math.inf)
         self.upper = _bound(self.upper, n, math.inf)
         if np.any(self.lower > self.upper):
@@ -117,18 +151,6 @@ class LPProblem:
     @property
     def nvars(self) -> int:
         return self.cost.shape[0]
-
-
-def _rows(lhs, rhs, n, what):
-    if lhs is None:
-        return np.zeros((0, n)), np.zeros(0)
-    lhs = np.atleast_2d(np.asarray(lhs, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    if lhs.shape != (rhs.shape[0], n):
-        raise ValueError(f"{what} rows are dimension-inconsistent")
-    if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
-        raise ValueError(f"{what} rows must be finite")
-    return lhs, rhs
 
 
 def _bound(b, n, fill):

@@ -38,9 +38,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone, row_scale
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_set
 from .gauge import ambient_norm, check_norm_p, norm_scaled
-from .numkernel import as_vector
+from .numkernel import as_matrix, as_vector
 
 _BLOCK = 64   # rows per pair block: 64 beat 128 and 256 on the penalty benchmark
 # the factors of strict_nonzero at which a report re-reads the minimal sets
@@ -52,22 +52,12 @@ class PreconditionViolation(ValueError):
 
 
 def distance_to_set(x, omega, p: float = 2):
-    """(min distance, attaining witness) from x to a finite point list or box.
-
-    A box is passed as a (lower, upper) pair and handled by componentwise
-    clamping, which is exact for every p-norm. Both forms measure with the
-    pair norms, which neither overflow nor underflow.
-    """
+    """(min distance, attaining witness) from x to a finite point list
+    Omega, measured with the pair norms, which neither overflow nor
+    underflow."""
     check_norm_p(p)
     x = as_vector(x, name="point")
-    if isinstance(omega, tuple) and len(omega) == 2:
-        lo = as_vector(omega[0], x.shape[0], "box lower")
-        hi = as_vector(omega[1], x.shape[0], "box upper")
-        if np.any(lo > hi):
-            raise ValueError("invalid box")
-        witness = np.clip(x, lo, hi)
-        return float(_pair_norms(x[None, :], witness[None, :], p)[0, 0]), witness
-    pts = np.atleast_2d(np.asarray(omega, dtype=float))
+    pts = as_matrix(omega, x.shape[0], "omega")
     if pts.shape[0] == 0:
         raise ValueError("empty omega")
     dists = _pair_norms(x[None, :], pts, p)[0]
@@ -152,12 +142,9 @@ def cone_lipschitz_rank(points, values, cone: PolyhedralCone, e,
     """
     global _last_rank
     check_norm_p(p)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    pts, vals = as_matrix(points, name="points"), as_matrix(values, cone.dim, "values")
     if pts.shape[0] != vals.shape[0] or pts.shape[0] < 2:
         raise ValueError("need matching points/values with at least one pair")
-    if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
-        raise ValueError("points and values must have finite entries")
     e = as_vector(e, cone.dim, "direction e")
     tols = default_tolerances()
     H = cone.halfspaces
@@ -177,8 +164,8 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
     # far values are read at 1 / scale of their size, one scale for every row
     # since the rank compares them; the rank scales back exactly, and the
     # face slack is read at the same scale
-    scale = row_scale(float(np.abs(vals).max()))
-    HV, slack = cone.halfspace_values(vals / scale), unit.slack / scale
+    vals, scale = scaled_set(vals)
+    HV, slack = cone.halfspace_values(vals), unit.slack / scale
     if pts.shape[1] == 1:
         rank = _line_rank(pts[:, 0], HV, unit, slack, tols)
         if rank is not None:
@@ -253,7 +240,7 @@ class PenaltyInstance:
         check_norm_p(self.norm_p)
         if self.rank is not None and math.isnan(self.rank):
             raise ValueError("declared rank must not be nan")
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = as_matrix(self.points, name="points")
         self.feasible_mask = np.asarray(self.feasible_mask, dtype=bool)
         if self.feasible_mask.shape[0] != self.points.shape[0]:
             raise ValueError("feasible mask length mismatch")
@@ -265,7 +252,7 @@ class PenaltyInstance:
             self.values = np.array([as_vector(self.objective(x), self.cone.dim, "f(x)")
                                     for x in self.points])
         else:
-            self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+            self.values = as_matrix(self.values, self.cone.dim, "values")
         self.e = as_vector(self.e, self.cone.dim, "e")
         if not self.cone.interior_contains(self.e):
             raise InvalidCone("e must be interior to the cone")
@@ -348,11 +335,12 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
     only (every row, every column by default), in blocks of about
     _BLOCK * n pairs; over a column subset each value is a lower bound of
     the reach over every column."""
-    HV = cone.halfspace_values(V)
+    Vs, scale = scaled_set(V)   # one power of two for the set: it compares its rows
+    HV, tol = cone.halfspace_values(Vs), tol / scale
     n = V.shape[0]
     R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    shift, V = norm_scaled(2, V)   # the columns are rows of V: one shift for both
     HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
-    shift, V, VC = norm_scaled(2, V, VC)
     sq = np.zeros(R.shape[0])   # squared: sqrt is monotone and correctly rounded
     step = max(1, _BLOCK * n // max(1, VC.shape[0]))
     for lo in range(0, R.shape[0], step):
@@ -364,7 +352,10 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
         # a bool product is ~5x faster than np.where; fmax skips inf * 0 = NaN
         sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol),
                                           axis=1, initial=0.0)
-    return _root(sq, 2, shift)
+    if scale == 1.0:   # no entry reaches ROW_SAFE, so no reach overflows
+        return _root(sq, 2, shift)
+    with np.errstate(over="ignore"):   # a reach past the largest float reads inf
+        return _root(sq, 2, shift)
 
 
 def _minimal(reach: np.ndarray, strict_tol: float) -> np.ndarray:
@@ -374,11 +365,9 @@ def _minimal(reach: np.ndarray, strict_tol: float) -> np.ndarray:
 def cone_minimal_points(values, cone: PolyhedralCone) -> np.ndarray:
     """Indices i with no j such that values[j] - values[i] in -C \\ {0}."""
     tols = default_tolerances()
-    V = np.atleast_2d(np.asarray(values, dtype=float))
+    V = as_matrix(values, cone.dim, "values")
     if V.shape[0] == 0:
         raise ValueError("empty value list")
-    if not np.isfinite(V).all():
-        raise ValueError("values must have finite entries")
     return _minimal(_dominance_reach(V, cone, tols.membership), tols.strict_nonzero)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
-from .numkernel import as_vector
+from .numkernel import as_matrix, as_vector
 
 
 class EmptyDomain(ValueError):
@@ -82,7 +82,7 @@ class GerstewitzFn:
 
     def value_many(self, Y: np.ndarray) -> np.ndarray:
         """phi at every row of Y, with the same values (and +inf rows) as value."""
-        Y, scale = scaled_rows(np.atleast_2d(np.asarray(Y, dtype=float)))
+        Y, scale = scaled_rows(as_matrix(Y, self.cone.dim, "points"))
         return self._unit.ratio(self.cone.halfspace_values(Y), scale)
 
     def sublevel(self, y, r: float) -> bool:

@@ -39,12 +39,9 @@ def scalar_abs_instance():
 
 class TestDistance:
     def test_scalar_interval(self):
-        d, w = distance_to_set([0.0], ([1.0], [2.0]))
+        # the interval's end points as a point list
+        d, w = distance_to_set([0.0], [[1.0], [2.0]])
         assert d == 1.0 and np.allclose(w, [1.0])
-
-    def test_box_clamp(self):
-        d, w = distance_to_set([3.0, 0.0], ([-1.0, -1.0], [1.0, 1.0]))
-        assert d == 2.0 and np.allclose(w, [1.0, 0.0])
 
     def test_finite_enumeration(self):
         d, w = distance_to_set([0.0, 0.0], [[1.0, 1.0], [2.0, 0.0]])
@@ -65,14 +62,14 @@ class TestDistance:
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_box_and_point_list_forms_agree(self, p):
-        # the one-point set {y} as the box [y, y] and as the list [y]
+        # there is no box spelling: a pair (y, z) is the two-point list [y, z]
         rng = np.random.default_rng(23)
         for _ in range(20):
-            x, y = rng.normal(size=(2, int(rng.integers(1, 6))))
-            box, listed = distance_to_set(x, (y, y), p=p), distance_to_set(x, [y], p=p)
-            assert box[0] == pytest.approx(listed[0], rel=1e-15, abs=0)
-            assert box[0] == pytest.approx(ambient_norm(x - y, p=p), rel=1e-15, abs=0)
-            assert np.array_equal(box[1], listed[1])
+            x, y, z = rng.normal(size=(3, int(rng.integers(1, 6))))
+            pair, listed = distance_to_set(x, (y, z), p=p), distance_to_set(x, [y, z], p=p)
+            assert pair[0] == listed[0] == pytest.approx(
+                min(ambient_norm(x - y, p=p), ambient_norm(x - z, p=p)), rel=1e-15, abs=0)
+            assert np.array_equal(pair[1], listed[1])
         assert distance_to_set([3.0, 4.0], ([0.0, 0.0], [0.0, 0.0]), p=p)[0] == \
             distance_to_set([3.0, 4.0], [[0.0, 0.0]], p=p)[0] == {1: 7.0, 2: 5.0}.get(p, 4.0)
 
@@ -100,7 +97,6 @@ def test_every_reader_of_p_refuses_other_exponents(p):
     cone, e = coordinate_cone(1), np.ones(1)
     readers = [
         lambda: ambient_norm([3.0, 4.0], p=p),
-        lambda: distance_to_set([3.0, 4.0], ([0.0, 0.0], [0.0, 0.0]), p=p),
         lambda: distance_to_set([3.0, 4.0], [[0.0, 0.0]], p=p),
         lambda: cone_lipschitz_rank(pts, vals, cone, e, p=p),
         lambda: PenaltyInstance(points=pts, feasible_mask=[True, False], objective=None,
@@ -950,14 +946,11 @@ def test_scaling_by_a_power_of_two_scales_the_norms_exactly(seed, k, p, d, gener
 def test_distance_to_a_tiny_point():
     # p = 2 scales by a power of two where a square would underflow to 0
     assert distance_to_set([3e-300, 0.0], [[1e-300, 0.0]])[0] == 3e-300 - 1e-300
-    assert distance_to_set([3e-300, 0.0], ([0.0, 0.0], [1e-300, 0.0]))[0] == 3e-300 - 1e-300
+    assert distance_to_set([3e-300, 0.0], [[0.0, 0.0], [1e-300, 0.0]])[0] == 3e-300 - 1e-300
 
 
 def test_distance_to_a_far_point():
-    # a point list and a box, both of which overflowed for p = 2
+    # point lists, which overflowed for p = 2
     assert distance_to_set([1e200], [[0.0]]) == (1e200, np.zeros(1))
-    assert distance_to_set([1e200], ([0.0], [0.0])) == (1e200, np.zeros(1))
     far = 2.0 ** 700
     assert distance_to_set([3.0 * far, 0.0], [[0.0, 4.0 * far]])[0] == 5.0 * far
-    assert distance_to_set([3.0 * far, 0.0], ([-far, 4.0 * far], [0.0, 5.0 * far]))[0] == \
-        5.0 * far

@@ -5,13 +5,14 @@ the scaled inputs stay exact. A decision whose tolerance is absolute by
 contract (membership at T, strict_nonzero, coincident) runs with that
 tolerance scaled by the same 2^k under use_tolerances; isometry_holds and
 the Slater decision are relative and run with the default tolerances. The
-one scaling helper, pow2_shift, and the far values of the Lipschitz rank are
-tested here too.
+one scaling helper, pow2_shift, and the far values of the Lipschitz rank and
+of the cone decisions are tested here too.
 """
 import dataclasses
 import math
 
 import numpy as np
+import pytest
 
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
@@ -19,7 +20,8 @@ from conegen.duality import BoxProgram, check_modified_slater
 from conegen.gauge import GaugeBody
 from conegen.lattice import verify_order_isometry
 from conegen.numkernel import LPProblem, pow2_shift, solve_lp
-from conegen.penalty import PenaltyInstance, cone_lipschitz_rank, verify_penalty_equivalence
+from conegen.penalty import (PenaltyInstance, cone_lipschitz_rank, cone_minimal_points,
+                             verify_penalty_equivalence)
 
 K = (-40, -23, -6, 11, 29, 40)
 LATTICE_KEYS = ("isometry_holds", "order_preserved", "a_subset_b", "b_subset_a")
@@ -176,6 +178,39 @@ def test_lipschitz_rank_of_far_values_is_finite():
     assert cone_lipschitz_rank([[0.0], [0.0]], [v, np.zeros(3)], PYRAMID, u).value == math.inf
     half = cone_lipschitz_rank([[0.0], [0.25]], [v, np.zeros(3)], PYRAMID, u).value
     assert half == math.inf
+
+
+FAR = 1.3e308
+EDGE, INNER = FAR * np.array([1.0, -1.0, 1.0]), FAR * np.array([0.5, -0.5, 1.0])
+# (a decision on far values times s, the decision expected; None: the one at
+# 2^-30 alone, as the edge lies on the boundary within rounding)
+FAR_DECISIONS = {
+    "contains edge": (lambda s: PYRAMID.contains(EDGE * s), None),
+    "contains inner": (lambda s: PYRAMID.contains(INNER * s), True),
+    "contains -inner": (lambda s: PYRAMID.contains(-INNER * s), False),
+    "order_leq +-1e308": (lambda s: PYRAMID.order_leq(np.array([-1e308, 0.0, 0.0]) * s,
+                                                      np.array([1e308, 0.0, 0.0]) * s), False),
+    "order_leq +-inner": (lambda s: PYRAMID.order_leq(-INNER * s, INNER * s), True),
+    "minimal edge": (lambda s: tuple(cone_minimal_points([EDGE * s, np.zeros(3)], PYRAMID)),
+                     None),
+    "minimal inner": (lambda s: tuple(cone_minimal_points([INNER * s, np.zeros(3)], PYRAMID)),
+                      (1,)),
+    "minimal +-inner": (lambda s: tuple(cone_minimal_points(
+        [-INNER * s, np.zeros(3), INNER * s], PYRAMID)), (0,)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(FAR_DECISIONS))
+def test_cone_decisions_on_far_values(name):
+    # H x, y - x and the dominance rows overflowed near the largest float:
+    # each decision reads its values at a power of two, so it reads as it
+    # does at 2^-30 of their size with the absolute tolerances at 2^-30
+    call, expect = FAR_DECISIONS[name]
+    got = call(1.0)
+    with scaled_tolerances(-30, "membership", "strict_nonzero"):
+        assert got == call(2.0 ** -30)
+    assert expect is None or got == expect
 
 
 def _slater_program(rng, i):
