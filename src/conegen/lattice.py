@@ -103,9 +103,12 @@ def _hull_rows(rows: list) -> tuple[list, float]:
 def convex_hull_2d(points) -> np.ndarray:
     """Andrew monotone chain (_hull_rows); returns hull vertices in ccw order.
 
-    Degenerate inputs collapse to a point or segment.
+    Degenerate inputs collapse to a point or segment; an empty set is refused.
     """
-    return np.array(_hull_rows(as_matrix(points, 2, "points").tolist())[0])
+    P = as_matrix(points, 2, "points")
+    if P.shape[0] == 0:
+        raise ValueError("empty polytope")
+    return np.array(_hull_rows(P.tolist())[0])
 
 
 @lru_cache(maxsize=256)

@@ -143,8 +143,8 @@ class LPProblem:
         self.ineq_rhs = as_vector(self.ineq_rhs, self.ineq_lhs.shape[0], "inequality rhs")
         self.eq_lhs = as_matrix(self.eq_lhs, n, "equality rows")
         self.eq_rhs = as_vector(self.eq_rhs, self.eq_lhs.shape[0], "equality rhs")
-        self.lower = _bound(self.lower, n, -math.inf)
-        self.upper = _bound(self.upper, n, math.inf)
+        self.lower = _bound(self.lower, n, -math.inf, "lower bound")
+        self.upper = _bound(self.upper, n, math.inf, "upper bound")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
 
@@ -153,13 +153,19 @@ class LPProblem:
         return self.cost.shape[0]
 
 
-def _bound(b, n, fill):
+def _bound(b, n, fill, name):
+    """A copy of the bound vector b, fill where b is None: its entries may
+    be infinite (no bound), never nan."""
     if b is None:
         return np.full(n, fill)
-    b = np.asarray(b, dtype=float)
-    if b.shape != (n,):
-        raise ValueError("bound vector has wrong dimension")
-    return b.copy()
+    b = np.array(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {b.shape}")
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"{name} has dimension {b.shape[0]}, expected {n}")
+    if np.isnan(b).any():
+        raise ValueError(f"{name} must have no nan entries")
+    return b
 
 
 @dataclass

@@ -12,6 +12,11 @@ tolerance plus a norm threshold: the equivalence statement orders values by
 the non-closed cone of interior points together with 0, and the norm margin
 makes "\\ {0}" robust on grids.
 
+Every pairwise plane starts from one outer difference y_j - x_i, formed as
+the product of [-x, 1] and [1; y] (_outer_diff): each entry rounds once, as
+the subtraction does, and only the sign of a zero can differ, which every
+plane erases.
+
 The rank builds each unordered pair once, in row blocks of halfspace
 planes, and reads it both ways: the max of phi(v_i - v_j) and
 phi(v_j - v_i) is the order-interval norm ||v_i - v_j||_e. On a line
@@ -42,7 +47,7 @@ from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_set
 from .gauge import ambient_norm, check_norm_p, norm_scaled
 from .numkernel import as_matrix, as_vector
 
-_BLOCK = 64   # rows per pair block: 64 beat 128 and 256 on the penalty benchmark
+_BLOCK = 64   # rows per pair block: 48-96 read alike on penalty ops; 32, 128 slower at n > 400
 # the factors of strict_nonzero at which a report re-reads the minimal sets
 _SWEEP = (0.1, 10.0)
 
@@ -67,7 +72,7 @@ def distance_to_set(x, omega, p: float = 2):
 
 def _pair_norms(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
     shift, X, Y = norm_scaled(p, X, Y)
-    return _root(_pair_sums(X, Y, p), p, shift)
+    return _root(_pair_sums(_left(X), _right(Y), p), p, shift)
 
 
 def _root(sums: np.ndarray, p: float, shift: int) -> np.ndarray:
@@ -79,17 +84,44 @@ def _root(sums: np.ndarray, p: float, shift: int) -> np.ndarray:
     return np.ldexp(sums, shift, out=sums) if shift else sums
 
 
-def _pair_sums(X: np.ndarray, Y: np.ndarray, p: float) -> np.ndarray:
+def _left(X: np.ndarray) -> np.ndarray:
+    """[-x, 1] for each column x of X (n x d), as a d x n x 2 array: the left
+    factors of _outer_diff."""
+    out = np.ones((X.shape[1], X.shape[0], 2))
+    np.negative(X.T, out=out[:, :, 0])
+    return out
+
+
+def _right(Y: np.ndarray) -> np.ndarray:
+    """[1; y] for each column y of Y (m x d), as a d x 2 x m array: the right
+    factors of _outer_diff."""
+    out = np.ones((Y.shape[1], 2, Y.shape[0]))
+    out[:, 1] = Y.T
+    return out
+
+
+def _outer_diff(left: np.ndarray, right: np.ndarray, out=None) -> np.ndarray:
+    """y_j - x_i for every i, j, from left = [-x, 1] and right = [1; y], as
+    one product. Each entry (-x_i) * 1 + 1 * y_j is a sum of two exact
+    products, so it rounds once, as y_j - x_i does, in any summation order,
+    with or without FMA, on any BLAS kernel; only the sign of a zero can
+    differ, and every caller erases it (abs, square, or a <= test). The
+    product costs a fraction of numpy's broadcast subtract per entry."""
+    return np.matmul(left, right, out=out)
+
+
+def _pair_sums(XL: np.ndarray, YR: np.ndarray, p: float) -> np.ndarray:
     """||x_i - y_j|| (the p-norm for p = 1 or inf, else the squared 2-norm)
-    for all rows of X and Y, one coordinate plane at a time. Below 8
-    coordinates the sum runs in the order of numpy's sum over a last axis."""
+    for all rows of X and Y, from their factors XL = _left(X) and YR =
+    _right(Y), one coordinate plane at a time. Below 8 coordinates the sum
+    runs in the order of numpy's sum over a last axis."""
     power = np.abs if p in (1, math.inf) else np.square
     combine = np.maximum if p == math.inf else np.add
-    out = np.zeros((X.shape[0], Y.shape[0]))
+    out = np.zeros((XL.shape[1], YR.shape[2]))
     plane = np.empty_like(out)
-    for c in range(X.shape[1]):
+    for c in range(XL.shape[0]):
         term = plane if c else out
-        power(np.subtract(X[:, c, None], Y[None, :, c], out=term), out=term)
+        power(_outer_diff(XL[c], YR[c], out=term), out=term)
         if c:
             combine(out, plane, out=out)
     return out
@@ -100,11 +132,12 @@ def _pair_blocks(HV: np.ndarray):
     Yields lo, hi and the planes HV[j, k] - HV[i, k] in one reused buffer."""
     n = HV.shape[0]
     count = max(1, n // _BLOCK)   # blocks of _BLOCK to 2 _BLOCK - 1 rows
+    left, right = _left(HV), _right(HV)
     for k in range(count):
         lo, hi = k * n // count, (k + 1) * n // count
         buf = np.empty((hi - lo, n - lo))
-        yield lo, hi, (np.subtract(hv[None, lo:], hv[lo:hi, None], out=buf)
-                       for hv in HV.T)
+        yield lo, hi, (_outer_diff(hl[lo:hi], hr[:, lo:], out=buf)
+                       for hl, hr in zip(left, right))
 
 
 class RankEstimate(NamedTuple):
@@ -171,6 +204,7 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
         if rank is not None:
             return RankEstimate(rank * scale, True)
     rank, (shift, pts) = 0.0, norm_scaled(p, pts)
+    left, right = _left(pts), _right(pts)
     for lo, hi, planes in _pair_blocks(HV):
         num = np.zeros((hi - lo, pts.shape[0] - lo))
         for plane, h_e, on_face in zip(planes, unit.hu, unit.face):
@@ -179,7 +213,7 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
                 num[plane > slack] = np.inf
             else:
                 np.maximum(num, np.divide(plane, h_e, out=plane), out=num)
-        den = _root(_pair_sums(pts[lo:hi], pts[lo:], p), p, shift)
+        den = _root(_pair_sums(left[:, lo:hi], right[:, :, lo:], p), p, shift)
         np.fill_diagonal(den, 1.0)   # the pairs (i, i): num is 0 there
         close = den <= tols.coincident
         if close.any():
@@ -283,7 +317,7 @@ class PenaltyInstance:
             return _line_distances(pts[:, 0], omega[:, 0])
         shift, pts, omega = norm_scaled(p, pts, omega)
         # the root of the row minimum: sqrt is monotone and correctly rounded
-        return _root(np.min(_pair_sums(pts, omega, p), axis=1), p, shift)
+        return _root(np.min(_pair_sums(_left(pts), _right(omega), p), axis=1), p, shift)
 
     def penalized_values(self, L: float) -> np.ndarray:
         return self.values + L * self.distances_to_omega()[:, None] * self.e[None, :]
@@ -338,20 +372,21 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
     Vs, scale = scaled_set(V)   # one power of two for the set: it compares its rows
     HV, tol = cone.halfspace_values(Vs), tol / scale
     n = V.shape[0]
-    R = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     shift, V = norm_scaled(2, V)   # the columns are rows of V: one shift for both
-    HC, VC = (HV, V) if cols is None else (HV[cols], V[cols])
-    sq = np.zeros(R.shape[0])   # squared: sqrt is monotone and correctly rounded
-    step = max(1, _BLOCK * n // max(1, VC.shape[0]))
-    for lo in range(0, R.shape[0], step):
-        rb = R[lo:lo + step]
-        up = np.subtract(HC[None, :, 0], HV[rb, None, 0])
+    R = slice(None) if rows is None else rows
+    C = slice(None) if cols is None else cols
+    HL, HC, VL, VC = _left(HV[R]), _right(HV[C]), _left(V[R]), _right(V[C])
+    sq = np.zeros(HL.shape[1])   # squared: sqrt is monotone and correctly rounded
+    step = max(1, _BLOCK * n // max(1, VC.shape[2]))
+    for lo in range(0, sq.shape[0], step):
+        hi = lo + step
+        up = _outer_diff(HL[0, lo:hi], HC[0])
         plane = np.empty_like(up)
-        for hc, hv in zip(HC.T[1:], HV.T[1:]):
-            np.maximum(up, np.subtract(hc[None, :], hv[rb, None], out=plane), out=up)
+        for hl, hc in zip(HL[1:], HC[1:]):
+            np.maximum(up, _outer_diff(hl[lo:hi], hc, out=plane), out=up)
         # a bool product is ~5x faster than np.where; fmax skips inf * 0 = NaN
-        sq[lo:lo + step] = np.fmax.reduce(_pair_sums(V[rb], VC, 2) * (up <= tol),
-                                          axis=1, initial=0.0)
+        sq[lo:hi] = np.fmax.reduce(_pair_sums(VL[:, lo:hi], VC, 2) * (up <= tol),
+                                   axis=1, initial=0.0)
     if scale == 1.0:   # no entry reaches ROW_SAFE, so no reach overflows
         return _root(sq, 2, shift)
     with np.errstate(over="ignore"):   # a reach past the largest float reads inf

@@ -9,6 +9,10 @@ works in halfspace coordinates instead, one plane per halfspace over row
 blocks of the unordered pairs; the tests compare the two.
 brute_force_grid_min is an independent double loop over pairs with its own
 halfspace test, min_k <h_k, -diff> >= -tol.
+broadcast_outer_diff is the library's outer difference as numpy's broadcast
+subtract, the form its unit-coefficient product replaced; with it in place of
+penalty._outer_diff the library's ranks, reaches and norms must not move by
+a bit.
 """
 from __future__ import annotations
 
@@ -45,6 +49,12 @@ def rank_oracle(points, values, cone, e, p: float = 2) -> float:
         return math.inf
     den = np.maximum(den, 1e-15)
     return max(0.0, float(np.max(num / den)))
+
+
+def broadcast_outer_diff(left, right, out=None):
+    """y_j - x_i from penalty._outer_diff's factors left = [-x, 1] and
+    right = [1; y], by a broadcast subtract."""
+    return np.subtract(right[1][None, :], -left[:, 0, None], out=out)
 
 
 def reach_oracle(values, cone, tol: float | None = None) -> np.ndarray:

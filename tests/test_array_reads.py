@@ -141,7 +141,13 @@ ENTRIES = {
     "LPProblem.eq_rhs": ("equality rhs", [1.0],
                          lambda a: LPProblem(cost=[1.0, 1.0], eq_lhs=[[1.0, 1.0]], eq_rhs=a),
                          True),
+    "LPProblem.lower": ("lower bound", [0.0, 0.0],
+                        lambda a: LPProblem(cost=[1.0, 1.0], lower=a), True),
+    "LPProblem.upper": ("upper bound", [1.0, 1.0],
+                        lambda a: LPProblem(cost=[-1.0, 1.0], upper=a), True),
 }
+# a bound may be infinite (no bound), so only nan is refused there
+INFINITE_READ = {"LPProblem.lower", "LPProblem.upper"}
 
 
 def _bad(good, how):
@@ -166,6 +172,12 @@ def test_every_public_array_read_refuses_a_bad_input_by_name(entry, how):
         with pytest.raises(DimensionMismatch,
                            match=rf"^{re.escape(name)} ha(s|ve) dimension \d+, expected"):
             call(_bad(good, how))
+    elif entry in INFINITE_READ:
+        if how == "inf":
+            call(_bad(good, how))
+        else:
+            with pytest.raises(ValueError, match=rf"^{re.escape(name)} must have no nan entries$"):
+                call(_bad(good, how))
     else:
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must have finite entries$"):
             call(_bad(good, how))

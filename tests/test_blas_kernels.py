@@ -6,7 +6,9 @@ bits of a report may differ between hosts. OPENBLAS_CORETYPE selects the
 kernel of a process started with it (Prescott: SSE3 only), and changes no
 machine setting. The same fixed op set runs here and in such a process; its
 statuses, Slater decisions, gap checks, dual statuses and penalty
-equalities must agree. Iteration counts are not compared.
+equalities must agree, and so must a Lipschitz rank on the coordinate cone
+to its last bit: its planes are unit-coefficient products, exact on every
+kernel. Iteration counts are not compared.
 
 Run as a script, this file prints the decisions as JSON.
 """
@@ -22,7 +24,8 @@ import conegen
 from conegen.demos import build_torsion_program
 from conegen.duality import duality_gap_report, random_box_program, random_multipliers
 from conegen.numkernel import solve_lp
-from conegen.penalty import random_instance, verify_penalty_equivalence
+from conegen.cones import coordinate_cone
+from conegen.penalty import cone_lipschitz_rank, random_instance, verify_penalty_equivalence
 from test_simplex_highs import _box_lp
 
 KERNEL = "Prescott"
@@ -52,6 +55,11 @@ def decisions() -> list:
         inst = random_instance(rng)
         rep = verify_penalty_equivalence(inst, 1.1 * inst.rank)
         out.append(["penalty", k, bool(rep.equal), bool(rep.inclusion_at_rank)])
+    rng = np.random.default_rng(106)   # two row blocks of the rank's pairwise kernel
+    pts = rng.uniform(-1.0, 1.0, size=(150, 3))
+    vals = pts[:, [1, 2, 0]] + 0.3 * np.sin(3.0 * pts)   # no BLAS product in the input
+    rank = cone_lipschitz_rank(pts, vals, coordinate_cone(3), np.ones(3) / np.sqrt(3.0))
+    out.append(["rank", rank.value.hex()])
     return out
 
 
@@ -62,7 +70,7 @@ def test_decisions_do_not_depend_on_the_blas_kernel():
     child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                            text=True, check=True, timeout=120)
     here = decisions()
-    assert len(here) == 100 + 2 + 60 + 50
+    assert len(here) == 100 + 2 + 60 + 50 + 1
     assert json.loads(child.stdout) == here
 
 

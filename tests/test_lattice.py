@@ -78,6 +78,11 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff_distance(np.zeros((0, 2)), SQUARE)
 
+    def test_empty_hull_rejected(self):
+        # the monotone chain read the first of no rows and raised IndexError
+        with pytest.raises(ValueError, match="^empty polytope$"):
+            convex_hull_2d(np.zeros((0, 2)))
+
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("fn", [hausdorff_distance, hausdorff_distance_definitional,
