@@ -131,7 +131,9 @@ class Multipliers:
 
     def validate(self, prog: BoxProgram):
         tols = default_tolerances()
-        if prog.m and np.min(prog.cone_y.generators @ self.y) < -tols.membership:
+        # y* grows as (G, g0) shrinks, so the gate reads relative to its size
+        if prog.m and np.min(prog.cone_y.generators @ self.y) \
+                < -tols.membership * max(1.0, np.max(np.abs(self.y))):
             raise ValueError("y* outside the dual constraint cone")
         if min(np.min(self.x1, initial=0.0), np.min(self.x2, initial=0.0)) < -tols.interior:
             raise ValueError("box multipliers must be nonnegative")

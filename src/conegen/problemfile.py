@@ -4,6 +4,14 @@ A problem file is JSON with a version tag, an ambient norm spec, a cone spec,
 and exactly one program block (gauge, scalarize, penalty, duality, or
 lattice). Validation happens before any computation; unknown keys are
 rejected with the offending location.
+
+Every array is read by numkernel's as_vector or as_matrix, which refuse a
+non-finite entry, an extra axis and a wrong width, and their refusal is
+raised at the key's location. The checks made here alone are the file's:
+its keys and JSON types, integral and finite numbers, the feasible mask or
+index list, positive weights, and the counts that tie two keys together
+(Q's rows to n, G's rows to the cone's dimension, points to values, and the
+widths of the two vertex arrays).
 """
 from __future__ import annotations
 
@@ -13,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import InvalidCone, PolyhedralCone, UnsupportedRepresentation
+from .cones import PolyhedralCone
 from .gauge import check_norm_p
+from .numkernel import as_matrix, as_vector
 
 # Each program block's keys: those it requires, in the order they are
 # checked, and those it may hold besides.
@@ -55,14 +64,15 @@ def _expect_keys(obj: dict, allowed: set, location: str):
             raise ProblemFormatError(f"unknown key {key!r}", location)
 
 
-def _matrix(value, location: str) -> np.ndarray:
+def _array(obj: dict, key: str, location: str, width: int | None = None,
+           matrix: bool = False) -> np.ndarray:
+    """obj[key] read by as_matrix (a vector as one row, of width columns) or
+    by as_vector (a scalar as length 1, of width entries); the reader's
+    refusal, which names the key, is raised at location."""
     try:
-        arr = np.asarray(value, dtype=float)
+        return (as_matrix if matrix else as_vector)(obj[key], width, key)
     except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"not a numeric array: {exc}", location)
-    if not np.all(np.isfinite(arr)):
-        raise ProblemFormatError("entries must be finite", location)
-    return arr
+        raise ProblemFormatError(str(exc), location)
 
 
 def _number(value, location: str, integer: bool = False):
@@ -75,7 +85,7 @@ def _number(value, location: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
-def _parse_norm(obj, location: str) -> NormSpec:
+def _parse_norm(obj, location: str, dim: int | None) -> NormSpec:
     if obj is None:
         return NormSpec()
     if not isinstance(obj, dict):
@@ -88,8 +98,8 @@ def _parse_norm(obj, location: str) -> NormSpec:
         raise ProblemFormatError("p must be 1, 2 or \"inf\"", f"{location}.p")
     weights = None
     if "weights" in obj:
-        weights = _matrix(obj["weights"], f"{location}.weights")
-        if weights.ndim != 1 or np.any(weights <= 0):
+        weights = _array(obj, "weights", f"{location}.weights", dim)
+        if np.any(weights <= 0):
             raise ProblemFormatError("weights must be positive", f"{location}.weights")
     return NormSpec(p=p, weights=weights)
 
@@ -106,18 +116,18 @@ def parse_cone(obj, location: str = "$.cone") -> PolyhedralCone:
                               kind="coordinate")
     if kind == "general":
         _expect_keys(obj, {"kind", "dim", "halfspaces", "generators"}, location)
-        H = _matrix(obj["halfspaces"], f"{location}.halfspaces") \
-            if "halfspaces" in obj else None
-        G = _matrix(obj["generators"], f"{location}.generators") \
-            if "generators" in obj else None
+        dim = _number(obj["dim"], f"{location}.dim", integer=True) if "dim" in obj \
+            else None
+        H, G = (_array(obj, key, f"{location}.{key}", dim, matrix=True)
+                if key in obj else None for key in ("halfspaces", "generators"))
         if H is None and G is None:
             raise ProblemFormatError("general cone needs halfspaces or generators",
                                      location)
-        dim = _number(obj["dim"], f"{location}.dim", integer=True) if "dim" in obj \
-            else (H if H is not None else G).shape[-1]
+        if dim is None:
+            dim = (H if H is not None else G).shape[1]
         try:
             return PolyhedralCone(dim, halfspaces=H, generators=G, kind="general")
-        except (InvalidCone, UnsupportedRepresentation, ValueError) as exc:
+        except ValueError as exc:
             raise ProblemFormatError(str(exc), location)
     raise ProblemFormatError(
         "kind must be \"coordinate\" or \"general\"",
@@ -152,12 +162,12 @@ def parse_problem(path: str) -> ProblemFile:
     required, optional = _BLOCK_KEYS[name]
     _expect_keys(block, {*required, *optional}, f"$.{name}")
 
-    norm = _parse_norm(raw.get("norm"), "$.norm")
     cone = None
     if "cone" in raw:
         cone = parse_cone(raw["cone"])
     elif name in ("gauge", "scalarize", "penalty", "duality"):
         raise ProblemFormatError(f"block {name!r} requires a cone", "$.cone")
+    norm = _parse_norm(raw.get("norm"), "$.norm", None if cone is None else cone.dim)
     pf = ProblemFile(version=version, norm=norm, cone=cone, block_name=name,
                      block=block)
     _validate_block(pf)
@@ -177,18 +187,12 @@ def _validate_block(pf: ProblemFile):
     _require(block, required, loc)
     if name in ("gauge", "scalarize"):
         (key,) = required
-        vec = _matrix(block[key], f"{loc}.{key}")
-        if vec.shape != (pf.cone.dim,):
-            raise ProblemFormatError(f"{key} has wrong dimension", f"{loc}.{key}")
-        block[key] = vec
+        block[key] = _array(block, key, f"{loc}.{key}", pf.cone.dim)
     elif name == "penalty":
-        pts = np.atleast_2d(_matrix(block["points"], f"{loc}.points"))
-        vals = np.atleast_2d(_matrix(block["values"], f"{loc}.values"))
+        pts = _array(block, "points", f"{loc}.points", matrix=True)
+        vals = _array(block, "values", f"{loc}.values", pf.cone.dim, matrix=True)
         if pts.shape[0] != vals.shape[0]:
             raise ProblemFormatError("points/values length mismatch", loc)
-        if vals.shape[1] != pf.cone.dim:
-            raise ProblemFormatError("values do not match the cone dimension",
-                                     f"{loc}.values")
         feas, n, floc = block["feasible"], pts.shape[0], f"{loc}.feasible"
         if not isinstance(feas, list):
             raise ProblemFormatError("feasible must be a boolean mask or an index list",
@@ -205,12 +209,9 @@ def _validate_block(pf: ProblemFile):
                 if not 0 <= j < n:
                     raise ProblemFormatError(f"index {j} outside [0, {n})", f"{floc}[{i}]")
                 mask[j] = True
-        e = np.atleast_1d(_matrix(block["e"], f"{loc}.e"))   # a scalar e is (1,)
-        if e.shape != (pf.cone.dim,):
-            raise ProblemFormatError(f"e has shape {e.shape}, expected {(pf.cone.dim,)}",
-                                     f"{loc}.e")
         block.update(points=pts, values=vals, feasible=mask,
-                     rank=_number(block["rank"], f"{loc}.rank"), e=e)
+                     e=_array(block, "e", f"{loc}.e", pf.cone.dim),
+                     rank=_number(block["rank"], f"{loc}.rank"))
     elif name == "duality":
         n = block["n"] = _number(block["n"], f"{loc}.n", integer=True)
         if "c" in block:
@@ -219,34 +220,24 @@ def _validate_block(pf: ProblemFile):
         if not isinstance(box, dict):
             raise ProblemFormatError("box must be an object", f"{loc}.box")
         _expect_keys(box, {"lower", "upper"}, f"{loc}.box")
-        lower = _matrix(box.get("lower"), f"{loc}.box.lower")
-        upper = _matrix(box.get("upper"), f"{loc}.box.upper")
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ProblemFormatError("box bounds must have length n", f"{loc}.box")
-        # lifted as BoxProgram lifts them: a 1-D G or H is one row and a
-        # scalar vector has length 1; g0 and h0 come with G and H
-        for key in ("Q", "q", "G", "g0", "H", "h0", "e"):
-            if key in block:
-                arr = _matrix(block[key], f"{loc}.{key}")
-                block[key] = arr if key == "Q" else \
-                    np.atleast_2d(arr) if key in ("G", "H") else np.atleast_1d(arr)
+        _require(box, ("lower", "upper"), f"{loc}.box")
+        block["box"] = {key: _array(box, key, f"{loc}.box", n) for key in ("lower", "upper")}
+        # g0 and h0 come with G and H; Q has n rows and G one per cone axis
+        _require(block, [off for key, off in (("G", "g0"), ("H", "h0")) if key in block], loc)
         m = pf.cone.dim
-        shapes = {"Q": (n, n), "q": (n,), "G": (m, n), "e": (m,)}
-        if "G" in block:
-            _require(block, ("g0",), loc)
-            shapes["g0"] = (m,)
-        if "H" in block:
-            _require(block, ("h0",), loc)
-            k = block["H"].shape[0]
-            shapes.update(H=(k, n), h0=(k,))
-        for key, shape in shapes.items():
-            if key in block and block[key].shape != shape:
-                raise ProblemFormatError(
-                    f"{key} has shape {block[key].shape}, expected {shape}", f"{loc}.{key}")
-        block["box"] = {"lower": lower, "upper": upper}
+        for key, rows in (("Q", n), ("G", m), ("H", None)):
+            if key in block:
+                block[key] = A = _array(block, key, f"{loc}.{key}", n, matrix=True)
+                if rows is not None and A.shape[0] != rows:
+                    raise ProblemFormatError(f"{key} has {A.shape[0]} rows, expected {rows}",
+                                             f"{loc}.{key}")
+        k = block["H"].shape[0] if "H" in block else None
+        for key, width in (("q", n), ("g0", m), ("h0", k), ("e", m)):
+            if key in block:
+                block[key] = _array(block, key, f"{loc}.{key}", width)
     elif name == "lattice":
         for key in required:
-            block[key] = np.atleast_2d(_matrix(block[key], f"{loc}.{key}"))
+            block[key] = _array(block, key, f"{loc}.{key}", matrix=True)
         if block["a_vertices"].shape[1] != block["b_vertices"].shape[1]:
             raise ProblemFormatError("vertex arrays have different dimensions", loc)
 

@@ -13,7 +13,7 @@ from conegen.cli import main
 from conegen.cones import coordinate_cone
 from conegen.duality import VectorObjective, stationarity_certificate
 from conegen.numkernel import FarkasCertificate, LPProblem, verify_farkas
-from conegen.problemfile import ProblemFormatError, parse_problem
+from conegen.problemfile import _BLOCK_KEYS, ProblemFormatError, parse_problem
 from lp_oracle import gauge_lp
 
 
@@ -603,6 +603,105 @@ def test_rejections_exit2_at_their_location(capsys, tmp_path, command, text, loc
     code, report, err = run_cli(capsys, [command, "--problem", str(path), *extra])
     assert code == 2 and report is None
     assert f"error: {location}: " in err
+
+
+# One valid file per block that holds every key its block may hold; the
+# gauge file also holds a general cone given both ways and norm weights
+FULL = {
+    "gauge": {"cone": {"kind": "general", "dim": 2, "halfspaces": [[1.0, 0.0], [0.0, 1.0]],
+                       "generators": [[1.0, 0.0], [0.0, 1.0]]},
+              "norm": {"weights": [1.0, 2.0]}, "gauge": {"u": [1.0, 1.0]}},
+    "scalarize": {"cone": COORD2, "scalarize": {"e": [1.0, 1.0]}},
+    "penalty": P1,
+    "duality": {"cone": {"kind": "coordinate", "dim": 1},
+                "duality": {**CUT, "Q": [[1.0, 0.0], [0.0, 1.0]], "c": 0.5,
+                            "H": [[1.0, -1.0]], "h0": [0.0], "e": [1.0]}},
+    "lattice": {"lattice": {"a_vertices": [[0.0, 0.0], [1.0, 0.0]],
+                            "b_vertices": [[1.0, 1.0]]}},
+}
+NOT_ARRAYS = {"n", "c", "rank", "feasible", "box"}   # numbers, a list and an object
+ARGV = {"gauge": ["gauge", "--point", "1,1"], "scalarize": ["scalarize", "--point", "1,1"],
+        "penalty": ["minimal"], "duality": ["duality"], "lattice": ["hausdorff"]}
+
+
+def _array_keys():
+    """(block, path to the array in the file, location of its refusal) for
+    every array of the schema: each key of _BLOCK_KEYS but NOT_ARRAYS, the
+    box bounds, the cone's arrays and the norm's weights."""
+    for block, (required, optional) in _BLOCK_KEYS.items():
+        for key in (*required, *optional):
+            if key not in NOT_ARRAYS:
+                yield block, (block, key), f"$.{block}.{key}"
+    for bound in ("lower", "upper"):
+        yield "duality", ("duality", "box", bound), "$.duality.box"
+    for path in (("cone", "halfspaces"), ("cone", "generators"), ("norm", "weights")):
+        yield "gauge", path, "$." + ".".join(path)
+
+
+def _nan_entry(value):
+    return [_nan_entry(value[0]), *value[1:]] if isinstance(value, list) else math.nan
+
+
+def _extra_entry(value, key):
+    # one more column of a matrix, one more entry of a vector; the points
+    # may have any width, and one more point is one more than the values
+    if isinstance(value[0], list) and key != "points":
+        return [row + row[-1:] for row in value]
+    return value + value[-1:]
+
+
+def _extra_axis(value):
+    return [_extra_axis(v) for v in value] if isinstance(value, list) else [value]
+
+
+# where a count ties two arrays, the refusal is at their block
+TIED = {("points", "extra-entry"): "$.penalty", ("a_vertices", "extra-entry"): "$.lattice",
+        ("b_vertices", "extra-entry"): "$.lattice"}
+
+
+@pytest.mark.parametrize("block", sorted(_BLOCK_KEYS))
+def test_full_files_are_read(capsys, tmp_path, block):
+    code, _, err = run_cli(capsys, [*ARGV[block], "--problem", _write(tmp_path, FULL[block])])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("case", ["nan", "extra-entry", "extra-axis"])
+@pytest.mark.parametrize("block, path, location", list(_array_keys()),
+                         ids=[".".join(p) for _, p, _ in _array_keys()])
+def test_every_array_key_is_read_at_its_location(capsys, tmp_path, block, path,
+                                                 location, case):
+    body = json.loads(json.dumps(FULL[block]))
+    *parents, key = path
+    obj = body
+    for name in parents:
+        obj = obj[name]
+    if case == "nan":
+        obj[key] = _nan_entry(obj[key])
+    elif case == "extra-entry":
+        obj[key] = _extra_entry(obj[key], key)
+    else:
+        obj[key] = _extra_axis(obj[key])
+    code, report, err = run_cli(capsys, [*ARGV[block], "--problem", _write(tmp_path, body)])
+    assert code == 2 and report is None
+    assert f"error: {TIED.get((key, case), location)}: " in err
+
+
+@pytest.mark.parametrize("block, body, message", [
+    ("penalty", {**P1, "penalty": {**PENALTY, "points": [[[0.0]], [[1.0]]]}},
+     "$.penalty.points: points must be two-dimensional"),
+    ("lattice", {"lattice": {"a_vertices": [[[0.0, 0.0]]], "b_vertices": [[1.0, 0.0]]}},
+     "$.lattice.a_vertices: a_vertices must be two-dimensional"),
+    ("gauge", {**GAUGE, "norm": {"weights": [[1.0, 1.0]]}},
+     "$.norm.weights: weights must be one-dimensional"),
+    ("duality", {**D1, "duality": {**DUALITY, "box": {"upper": [1.0, 1.0]}}},
+     "$.duality.box: missing key 'lower'"),
+    ("duality", {**D1, "duality": {**DUALITY, "box": {"lower": [0.0, 0.0]}}},
+     "$.duality.box: missing key 'upper'"),
+], ids=["points-3d", "vertices-3d", "weights-2d", "box-without-lower", "box-without-upper"])
+def test_malformed_arrays_are_refused_by_name(capsys, tmp_path, block, body, message):
+    code, report, err = run_cli(capsys, [*ARGV[block], "--problem", _write(tmp_path, body)])
+    assert code == 2 and report is None
+    assert f"error: {message}" in err
 
 
 def test_unparsable_point_exit2(capsys, gauge_file):

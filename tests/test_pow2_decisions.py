@@ -3,10 +3,11 @@
 Every input of a public decision is scaled by 2^k, with k in [-40, 40], where
 the scaled inputs stay exact. A decision whose tolerance is absolute by
 contract (membership at T, strict_nonzero, coincident) runs with that
-tolerance scaled by the same 2^k under use_tolerances; isometry_holds and
-the Slater decision are relative and run with the default tolerances. The
-one scaling helper, pow2_shift, and the far values of the Lipschitz rank and
-of the cone decisions are tested here too.
+tolerance scaled by the same 2^k under use_tolerances; isometry_holds, the
+Slater decision and the gap report's dual-cone gate are relative and run
+with the default tolerances. The one scaling helper, pow2_shift, and the
+far values of the Lipschitz rank and of the cone decisions are tested here
+too.
 """
 import dataclasses
 import math
@@ -16,7 +17,8 @@ import pytest
 
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
-from conegen.duality import BoxProgram, check_modified_slater
+from conegen.duality import (BoxProgram, check_modified_slater, duality_gap_report,
+                              random_box_program)
 from conegen.gauge import GaugeBody
 from conegen.lattice import verify_order_isometry
 from conegen.numkernel import LPProblem, pow2_shift, solve_lp
@@ -255,6 +257,28 @@ def test_slater_decision_does_not_move():
             rep = check_modified_slater(other, e)
             assert (rep.satisfied, rep.h_neighborhood) == base
     assert decided == {True, False}
+
+
+def test_gap_report_decisions_do_not_move():
+    # (G, g0) at 2^k on simplicial cones: y* grows by 2^-k, and at 2^-40 an
+    # absolute dual-cone gate refused y* on rounding alone. k stops at 29:
+    # at 2^40 the primal's KKT gate, absolute in the units of g, can read
+    # "numerical"
+    rng = np.random.default_rng(5)
+    for i in range(60):
+        prog, _ = random_box_program(rng, ("qp", "lp")[i % 2])
+        m, center = prog.m, 0.5 * (prog.x_lo + prog.x_hi)
+        gens = np.eye(m) + 0.25 * rng.uniform(-1.0, 1.0, size=(m, m))
+        g0 = -(prog.G @ center) - rng.uniform(0.5, 1.5, size=m) @ gens
+        prog = dataclasses.replace(prog, g0=g0, cone_y=PolyhedralCone(m, generators=gens))
+        e = np.sum(gens, axis=0)
+        e = e / np.linalg.norm(e)
+        decisions = []
+        for k in (0, *K[:-1]):
+            rep = duality_gap_report(dataclasses.replace(
+                prog, G=np.ldexp(prog.G, k), g0=np.ldexp(prog.g0, k)), e)
+            decisions.append((rep.primal_status, rep.slater.satisfied, rep.gap_ok))
+        assert decisions == decisions[:1] * len(decisions)
 
 
 def _lp(rng, kind):
