@@ -25,7 +25,10 @@ class Tolerances:
                     largest equilibrated entry): a row beyond it that no
                     column moves back is "infeasible", and a final point
                     above it (and above lp_feas times the row's terms there)
-                    is "numerical", not "optimal"
+                    is "numerical", not "optimal"; also the depth, in units of
+                    each coordinate's half-width (x_b - x_a) / 2, above which
+                    the Slater check's h-solution is strictly inside the box:
+                    the h-interior LP's depth must clear its own threshold
     lp_pivot        simplex pivot and reduced-cost threshold, and the ratio-test
                     tie threshold relative to max(1, step)
     farkas          verify_farkas: no sign-constrained multiplier is below
@@ -35,13 +38,16 @@ class Tolerances:
                     magnitudes (a boxed variable's leftover is charged to the
                     right-hand side instead)
     rank_margin     required gap L - L_f before penalty equivalence is attempted
-    gradient_map    stopping norm of the projected-gradient mapping
+    gradient_map    stopping norm of the projected-gradient mapping; no library
+                    code calls projected_gradient, so no test moves it
     kkt             KKT residual bound of an "optimal" primal, relative to
                     max(1, ||grad f(x)||_inf)
     qp_step         active-set QP, X the largest |bound| of the box: a step p is
                     zero at ||p||_inf <= qp_step * X, a row a'x <= b is active
                     at slack <= qp_step * ||a|| * X, a rate a'p counts above
-                    qp_step * ||a|| * ||p||
+                    qp_step * ||a|| * ||p||; only its upper side is tested: a
+                    step, slack or rate of rounding size, about 2^-52 times
+                    its scale, is below qp_step / 1000 too
     qp_curv         active-set QP: zero curvature at reduced-Hessian eigenvalues
                     <= qp_curv * ||Q||_F, descent along them at gradient
                     components > qp_curv * max(||Q||_F * X, ||q||_inf), the
@@ -56,19 +62,13 @@ class Tolerances:
     qp_sign         active-set QP: a working row's multiplier is negative below
                     -qp_sign * max(||Q||_F * X, ||q||_inf) / ||a||
     gap_assert      duality-gap bound asserted under the modified Slater condition
-    h_margin        the Slater check's h-solution is strictly inside the box only
-                    at a depth above h_margin, in units of each coordinate's
-                    half-width (x_b - x_a) / 2
-    slater_floor    floor of the divisors <A_k, -g(x)> when lambda is read at a
-                    Slater witness x: the search LP's margin makes them positive
-                    up to its row residuals, and the floor keeps lambda finite
-    coincident      sample points this close are one point (rank +inf if their
-                    values differ); also the floor of the rank's pair distances
+    coincident      points this close are one point: sample points (rank +inf
+                    if their values differ), and a point and the ground-set
+                    point it is looked up as (Euclidean); also the floor of
+                    the rank's pair distances
     rank_slack      measured rank may exceed a declared one by rank_slack * membership
                     times the declared rank
     unit_norm       accepted deviation of the ambient norm of e from 1
-    lookup_radius   Euclidean radius within which a point is a ground-set point
-    min_sample_rank least rank of a random penalty instance
     isometry        largest support-minus-definitional Hausdorff gap of an isometry,
                     relative to the largest of the two distances and |coordinates|
     """
@@ -86,13 +86,9 @@ class Tolerances:
     qp_curv: float = 1e-10
     qp_sign: float = 1e-9
     gap_assert: float = 1e-5
-    h_margin: float = 1e-9
-    slater_floor: float = 1e-300
     coincident: float = 1e-15
     rank_slack: float = 1e3
     unit_norm: float = 1e-9
-    lookup_radius: float = 1e-12
-    min_sample_rank: float = 1e-6
     isometry: float = 1e-9
 
 

@@ -67,9 +67,13 @@ class BoxProgram:
             self.g0 = as_vector(self.g0, self.G.shape[0], "g0")
             if self.cone_y is None or self.cone_y.dim != self.G.shape[0]:
                 raise ValueError("constraint cone missing or of wrong dimension")
+        elif self.g0 is not None:   # a constant constraint is written with G = 0
+            raise ValueError("g0 given without G")
         if self.H is not None:
             self.H = as_matrix(self.H, n, "H")
             self.h0 = as_vector(self.h0, self.H.shape[0], "h0")
+        elif self.h0 is not None:
+            raise ValueError("h0 given without H")
 
     @property
     def m(self) -> int:
@@ -234,8 +238,10 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     reports (qualitatively) whether h(Omega) covers a neighborhood of 0: full
     row rank of H plus an h-solution strictly inside the box. A failed LP is
     named in the diagnosis; when it is the h-solution LP, h_neighborhood is
-    None.
+    None. An e given for a program with no cone constraint is refused.
     """
+    if prog.m == 0 and e is not None:
+        raise ValueError("e given without G")
     tols = default_tolerances()
     centre = _centre_point(prog)
     interior, failed = _h_interior(prog, tols, centre)
@@ -265,7 +271,11 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
                                                 np.max(np.abs(gb)))) or 1.0, 0, 0))
 
     def satisfied_at(x, margin):
-        ratios = (A @ e) / np.maximum(A @ -prog.g(x), tols.slater_floor)
+        # each divisor floored at max_k <A_k, e> 2^-1020, the least floor
+        # that keeps lambda finite: the search LP's margin makes the divisors
+        # positive only up to its row residuals
+        Ae = A @ e
+        ratios = Ae / np.maximum(A @ -prog.g(x), math.ldexp(float(np.max(Ae)), -1020))
         return report(True, x, max(1.0, 2.0 * float(np.max(ratios))), margin)
 
     if centre is not None:
@@ -308,18 +318,18 @@ def _centre_point(prog: BoxProgram):
 
 def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
     """(x, diagnosis): x a solution of h(x) = 0 strictly inside the box, None
-    when there is none (an infeasible LP or a margin <= tols.h_margin) or
-    when the LP fails otherwise, which the diagnosis then names. The depth
-    of a point is min_i of its distance to the nearer bound over the
-    half-width (x_b - x_a)_i / 2; the centre point is returned without an LP
-    when its depth exceeds h_margin, since the LP's optimum is at least that
-    deep."""
+    when there is none (an infeasible LP or a depth <= tols.lp_feas, the
+    LP's own feasibility threshold) or when the LP fails otherwise, which
+    the diagnosis then names. The depth of a point is min_i of its distance
+    to the nearer bound over the half-width (x_b - x_a)_i / 2; the centre
+    point is returned without an LP when its depth exceeds lp_feas, since
+    the LP's optimum is at least that deep."""
     if prog.k == 0:
         return 0.5 * (prog.x_lo + prog.x_hi), ""
     gap = prog.x_hi - prog.x_lo
     if centre is not None:
         depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / (gap / 2))
-        if depth > tols.h_margin:
+        if depth > tols.lp_feas:
             return centre, ""
     # the box rows with t >= 0 imply the box bounds on x, which keep one
     # simplex column per coordinate
@@ -328,7 +338,7 @@ def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
                     (prog.x_lo, prog.x_hi), (0.0, 1.0))
     if rep.status not in ("optimal", "infeasible"):
         return None, f"h-interior LP returned {rep.status}"
-    if rep.status == "infeasible" or rep.point[-1] <= tols.h_margin:
+    if rep.status == "infeasible" or rep.point[-1] <= tols.lp_feas:
         return None, ""
     return rep.point[:prog.n], ""
 

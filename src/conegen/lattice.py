@@ -8,9 +8,9 @@ rays, i.e. the edge normals of both polytopes, plus the normalized pairwise
 vertex differences where the piecewise-linear difference peaks inside a fan
 cell). The definitional route (max vertex-to-hull distance, both hulls'
 vertices against the other's edges in one array pass) shares only the two
-hulls with it. Each input is read once: checked by `as_matrix`, its Python
-rows chained into its hull and, for a far or subnormal pair, read at a power
-of two. In any other dimension each vertex-to-hull distance is a
+hulls with it. Each input is read once: checked by `as_matrix`, read at a
+power of two for a far or subnormal pair, and its Python rows chained into
+its hull. In any other dimension each vertex-to-hull distance is a
 nearest-point QP, and the farthest vertex's separating direction attains
 the sup exactly.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from sys import float_info
 
 import numpy as np
@@ -44,60 +45,67 @@ def support_values(vertices, directions) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # 2-D convex hull and elementary polygon geometry
 
-# A set whose largest |coordinate| reaches 2^SUM_E, where a support gap could
-# overflow, or lies below 2^-(PRODUCT_E + 1) but is not 0, where a difference
-# or a product could go subnormal, is read at 2^-shift, shift =
-# pow2_shift(top, -PRODUCT_E, SUM_E): the least power of two that brings it
-# back. The way up is exact; the way down rounds only entries below
-# 2^-(1022 - shift). A difference whose norm is subnormal is read the same
-# way before it is normalized.
+# A pair whose largest |coordinate| lies beyond 2^PRODUCT_E, where a cross
+# product of two differences could overflow, or below 2^-(PRODUCT_E + 1) but
+# is not 0, where a difference or a product could go subnormal, is read at
+# 2^-shift, shift = pow2_shift(top, -PRODUCT_E, PRODUCT_E): the least power of
+# two that brings it back. The way up is exact; the way down rounds only
+# entries below 2^-(1022 - shift). A difference whose norm is subnormal is
+# read the same way before it is normalized.
 
-# The sign test's edges are read at 4^-e, 2^e above their largest |entry|: e
-# is raised to at least SIGN_E_MIN, so a scaled edge, below 2^-e, is finite,
-# and to SIGN_SPAN below the exponent of the pass's largest |coordinate|, so
-# its product with a difference of two points is finite
-SIGN_E_MIN, SIGN_SPAN = -1022, 1020
+# Every planar sign, the hull chain's turns and the inside test's, is that
+# of the exact cross product (a - o) x (p - o). Shewchuk's orient2d static
+# filter (Discrete Comput. Geom. 18, 1997) decides it from the rounded one,
+# det = left - right of the products left = (a - o)_x (p - o)_y and right =
+# (a - o)_y (p - o)_x: det's sign is certain when |det| exceeds CROSS_ERR
+# (|left| + |right|), plus CROSS_TINY for the absolute error of products
+# that underflow. An overflow leaves it undecided, and the few signs it
+# leaves are decided in exact integers (_cross_sign).
+CROSS_ERR, CROSS_TINY = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53, 2.0 ** -1072
 
 
-def _hull_rows(rows: list) -> tuple[list, float]:
-    """Andrew's monotone chain over Python rows [x, y]: (the hull rows in ccw
-    order, the largest |coordinate|). Degenerate inputs collapse to a point
-    or a segment. A far or tiny set is chained at 2^-shift, each row
-    carrying its own."""
+def _cross_sign(o, a, p) -> int:
+    """The sign of the exact cross product (a - o) x (p - o) of Python float
+    rows: each coordinate is n / 2^j, an integer at the rows' common 2^J."""
+    ratios = [c.as_integer_ratio() for c in (*o, *a, *p)]
+    den = max(d for _, d in ratios)
+    ox, oy, ax, ay, px, py = (n * (den // d) for n, d in ratios)
+    det = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+    return (det > 0) - (det < 0)
+
+
+def _hull_rows(rows: list) -> list:
+    """Andrew's monotone chain over Python rows [x, y]: the hull rows in ccw
+    order. Degenerate inputs collapse to a point or a segment. Each turn is
+    an exact sign, so the hull of 2^k P is 2^k times P's at any scale, and
+    only an exactly collinear point is dropped (a margin would also drop the
+    far end of a thin near-vertical triangle, whose x order is not its order
+    along the line)."""
     pts = sorted(rows)   # Python floats: sorted and compared as lists
-    top = max(-pts[0][0], pts[-1][0], *[abs(p[1]) for p in pts])
     if len(pts) > 2:
-        shift = pow2_shift(top, -PRODUCT_E, SUM_E)
-        if shift:
-            hull = _hull_rows([[math.ldexp(x, -shift), math.ldexp(y, -shift), [x, y]]
-                               for x, y in pts])[0]
-            return [p[2] for p in hull], top
-        # each cross product's factors times 2^-e, 2^e the points' extent: no
-        # product over- or underflows, and the hull of 2^k P is 2^k times P's.
-        # Only an exactly collinear point is dropped, a repeated one among
-        # them: a margin would also drop the far end of a thin near-vertical
-        # triangle, whose x order is not its order along the line.
-        s = math.ldexp(1.0, -pow2_shift(top, 0, 0))
         lower, upper = [], []
         for half, seq in ((lower, pts), (upper, pts[::-1])):
             for p in seq:
                 while len(half) > 1:
                     o, a = half[-2], half[-1]
-                    if (a[0] - o[0]) * s * ((p[1] - o[1]) * s) - \
-                            (a[1] - o[1]) * s * ((p[0] - o[0]) * s) > 0:
+                    (ox, oy), (ax, ay) = o, a
+                    left, right = (ax - ox) * (p[1] - oy), (ay - oy) * (p[0] - ox)
+                    det, bound = left - right, CROSS_ERR * (abs(left) + abs(right)) + CROSS_TINY
+                    # a left turn, certain or (|det| <= bound, or nan) exact
+                    if det > bound or (not det < -bound and _cross_sign(o, a, p) > 0):
                         break
                     half.pop()
                 half.append(p)
         hull = lower[:-1] + upper[:-1]
         if len(hull) > 2:
-            return hull, top
+            return hull
     pts = [pts[0]] + [p for q, p in zip(pts, pts[1:]) if p != q]
     if len(pts) <= 2:   # one or two distinct points
-        return pts, top
+        return pts
     # collinear input: the extremes along its longer axis
     ys = [p[1] for p in pts]
     col = ys if max(ys) - min(ys) > pts[-1][0] - pts[0][0] else [p[0] for p in pts]
-    return [pts[col.index(min(col))], pts[col.index(max(col))]], top
+    return [pts[col.index(min(col))], pts[col.index(max(col))]]
 
 
 def convex_hull_2d(points) -> np.ndarray:
@@ -108,7 +116,7 @@ def convex_hull_2d(points) -> np.ndarray:
     P = as_matrix(points, 2, "points")
     if P.shape[0] == 0:
         raise ValueError("empty polytope")
-    return np.array(_hull_rows(P.tolist())[0])
+    return np.array(_hull_rows(P.tolist()))
 
 
 @lru_cache(maxsize=256)
@@ -134,7 +142,7 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray, mutual: bool = False):
     """(distances, inside) of the rows of P to conv(hull) and, with mutual
     (P a ccw hull too), then those of hull's rows to conv(P), in one array
     pass over every point-edge pair of both blocks. Inside a hull of 3 or
-    more vertices is an exact sign test of the edge cross products: a point
+    more vertices is the exact sign of every edge's cross product: a point
     near every edge's line of a thin hull may still lie far beyond its ends.
     The test does not depend on the scale of the input: it reads the same at
     1e-160 as at 1."""
@@ -145,27 +153,23 @@ def _hull_distances(P: np.ndarray, hull: np.ndarray, mutual: bool = False):
     AB = V[:, nxt] - W    # each hull's edges; 0 for a one-point hull
     # project on unit edges: |AB|^2 would underflow on edges near 1e-160
     length = np.hypot(AB[0], AB[1])
-    # the sign test's edges times 4^-e, 2^e the largest |edge coordinate| of
-    # their hull: the cross products are then of the order of |AP| / 2^e and,
-    # exactly rescaled, keep their signs. e is raised to SIGN_E_MIN and to
-    # SIGN_SPAN below the pass's largest |coordinate| for a hull with
-    # subnormal edges or one that much smaller than its points' distances:
-    # a point that far from a hull is outside it at any scale.
-    top = np.maximum.reduceat(np.abs(np.concatenate([AB, V], axis=1)).max(axis=0),
-                              [0, k, nxt.size][:2 + mutual]).tolist()   # hull, P's hull, all
-    floor = max(pow2_shift(top[-1], 0, 0) - SIGN_SPAN, SIGN_E_MIN)
-    scale = np.repeat([-2 * max(pow2_shift(t, 0, 0), floor) for t in top[:-1]],
-                      (k, m)[:len(top) - 1])   # per hull
-    # per edge: start vertex, unit edge, length and the sign test's edge
-    T = np.concatenate([W, AB / (length + (length == 0)), length[None], np.ldexp(AB, scale)])
-    for lo, n in ((0, k), (k, m)):   # a hull of 1 or 2 vertices has no inside
-        if n < 3:   # its sign tests read nan
-            T[5:, lo:lo + n] = np.nan
+    # per edge: start vertex, unit edge, length and edge
+    T = np.concatenate([W, AB / (length + (length == 0)), length[None], AB])
     G = T[:, edge]
-    (apx, apy), (ux, uy, length, cx, cy) = V[:, point] - G[:2], G[2:]
+    (apx, apy), (ux, uy, length, abx, aby) = V[:, point] - G[:2], G[2:]
     t = np.minimum(np.maximum(apx * ux + apy * uy, 0.0), length)
     dist = np.minimum.reduceat(np.hypot(apx - t * ux, apy - t * uy), starts)
-    inside = np.minimum.reduceat(cx * apy - cy * apx, starts) >= 0
+    with np.errstate(over="ignore", invalid="ignore"):   # an overflow is undecided
+        left, right = abx * apy, aby * apx
+        det = left - right
+        certain = abs(det) > CROSS_ERR * (abs(left) + abs(right)) + CROSS_TINY
+    if k < 3 or (mutual and m < 3):   # a hull of 1 or 2 vertices has no inside
+        flat = np.repeat([k < 3, m < 3], (k, m))[:nxt.size][edge]
+        det[flat], certain[flat] = -1.0, True
+    for i in np.flatnonzero(~certain).tolist():
+        j = edge[i]
+        det[i] = _cross_sign(V[:, j].tolist(), V[:, nxt[j]].tolist(), V[:, point[i]].tolist())
+    inside = np.minimum.reduceat(det, starts) >= 0
     dist[inside] = 0.0
     return dist, inside
 
@@ -188,12 +192,12 @@ def _planar(A, B, rows_a, rows_b):
     """(A, B, hull_a, hull_b, shift, top): both sets and their hull rows,
     read at 2^-shift, shift from the pair's largest |coordinate|, and that
     coordinate as read."""
-    (hull_a, top_a), (hull_b, top_b) = _hull_rows(rows_a), _hull_rows(rows_b)
-    shift = pow2_shift(max(top_a, top_b), -PRODUCT_E, SUM_E)
+    top = max(map(abs, chain(*rows_a, *rows_b)))
+    shift = pow2_shift(top, -PRODUCT_E, PRODUCT_E)
     if shift:   # the hulls of the sets as read: a far shift can merge small points
         A, B = np.ldexp(A, -shift), np.ldexp(B, -shift)
-        hull_a, hull_b = _hull_rows(A.tolist())[0], _hull_rows(B.tolist())[0]
-    return A, B, hull_a, hull_b, shift, math.ldexp(max(top_a, top_b), -shift)
+        rows_a, rows_b = A.tolist(), B.tolist()
+    return A, B, _hull_rows(rows_a), _hull_rows(rows_b), shift, math.ldexp(top, -shift)
 
 
 def _exact_directions_2d(hull_a: list, hull_b: list) -> np.ndarray:

@@ -351,7 +351,7 @@ def penalized_objective(instance: PenaltyInstance, L: float):
 
 
 def _lookup(instance, x):
-    radius = default_tolerances().lookup_radius
+    radius = default_tolerances().coincident
     hits = np.where(_pair_norms(instance.points, x[None, :], 2)[:, 0] <= radius)[0]
     if hits.size == 0:
         raise ValueError("point not in the ground set and no objective given")
@@ -505,5 +505,5 @@ def random_instance(rng: np.random.Generator, max_dim: int = 3, max_m: int = 3,
     e = e_raw / ambient_norm(e_raw, p=2)
     inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
                            cone=cone, e=e, rank=None, values=values)
-    assert math.isfinite(inst.rank) and inst.rank > default_tolerances().min_sample_rank
+    assert math.isfinite(inst.rank) and inst.rank > 0
     return inst

@@ -9,9 +9,11 @@ Every array is read by numkernel's as_vector or as_matrix, which refuse a
 non-finite entry, an extra axis and a wrong width, and their refusal is
 raised at the key's location. The checks made here alone are the file's:
 its keys and JSON types, integral and finite numbers, the feasible mask or
-index list, positive weights, and the counts that tie two keys together
+index list, positive weights, the counts that tie two keys together
 (Q's rows to n, G's rows to the cone's dimension, points to values, and the
-widths of the two vertex arrays).
+widths of the two vertex arrays), and the keys that come only with another
+(g0 and e with G, h0 with H, each refused at its own key as the library
+refuses it).
 """
 from __future__ import annotations
 
@@ -222,8 +224,12 @@ def _validate_block(pf: ProblemFile):
         _expect_keys(box, {"lower", "upper"}, f"{loc}.box")
         _require(box, ("lower", "upper"), f"{loc}.box")
         block["box"] = {key: _array(box, key, f"{loc}.box", n) for key in ("lower", "upper")}
-        # g0 and h0 come with G and H; Q has n rows and G one per cone axis
+        # g0 and h0 come with G and H, and e with G, as the library requires;
+        # Q has n rows and G one per cone axis
         _require(block, [off for key, off in (("G", "g0"), ("H", "h0")) if key in block], loc)
+        for key, owner in (("g0", "G"), ("h0", "H"), ("e", "G")):
+            if key in block and owner not in block:
+                raise ProblemFormatError(f"{key} given without {owner}", f"{loc}.{key}")
         m = pf.cone.dim
         for key, rows in (("Q", n), ("G", m), ("H", None)):
             if key in block:

@@ -6,7 +6,7 @@ The library computes every vertex-edge pair in one array pass
 """
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,17 +19,14 @@ def point_to_segment(p, a, b) -> float:
 
 
 def inside_hull(p, hull: np.ndarray) -> bool:
-    """Exact sign test of p against every edge of a ccw hull of 3 or more
-    vertices; False for a point or a segment. The edges are multiplied by
-    4^-e, 2^e the largest edge coordinate, so that no product underflows."""
+    """Sign test of p against every edge of a ccw hull of 3 or more
+    vertices, in exact rationals; False for a point or a segment."""
     n = hull.shape[0]
     if n < 3:
         return False
-    edges = [hull[(i + 1) % n] - hull[i] for i in range(n)]
-    e = math.frexp(max(abs(float(c)) for ab in edges for c in ab))[1]
-    for a, ab in zip(hull, edges):
-        ab = np.ldexp(ab, -2 * e)
-        if ab[0] * (p[1] - a[1]) - ab[1] * (p[0] - a[0]) < 0:
+    p, hull = [Fraction(float(c)) for c in p], [[Fraction(float(c)) for c in v] for v in hull]
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) < 0:
             return False
     return True
 

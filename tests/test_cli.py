@@ -216,7 +216,7 @@ class TestCommands:
         path.write_text(json.dumps({
             "version": 1, "cone": {"kind": "coordinate", "dim": 1},
             "duality": {"n": 1, "Q": [[2.0]], "q": [0.0], "c": 0.0,
-                        "box": {"lower": [1.0], "upper": [2.0]}, "e": [1.0]},
+                        "box": {"lower": [1.0], "upper": [2.0]}},
         }))
         code, report, _ = run_cli(capsys, ["certify", "--problem", str(path),
                                            "--point", "1.0"])
@@ -566,6 +566,21 @@ COORD2 = {"kind": "coordinate", "dim": 2}
 GAUGE = {"cone": COORD2, "gauge": {"u": [1.0, 1.0]}}
 P1 = {"cone": {"kind": "coordinate", "dim": 1}, "penalty": PENALTY}
 D1 = {"cone": {"kind": "coordinate", "dim": 1}, "duality": DUALITY}
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("h0", [1.0, 2.0, 3.0], "h0 given without H"),
+    ("g0", [5.0, 5.0, 5.0], "g0 given without G"),
+    ("e", [-1.0, 0.0, 0.0], "e given without G"),
+], ids=["h0", "g0", "e"])
+def test_stray_keys_exit2_at_their_key(capsys, tmp_path, key, value, message):
+    # each was read and then dropped: the report answered another program
+    block = {"n": 2, "q": [1.0, -1.0], "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+             key: value}
+    body = {"cone": {"kind": "coordinate", "dim": 3}, "duality": block}
+    code, report, err = run_cli(capsys, ["duality", "--problem", _write(tmp_path, body)])
+    assert code == 2 and report is None
+    assert f"error: $.duality.{key}: {message}" in err
 
 
 @pytest.mark.parametrize("command, text, location", [

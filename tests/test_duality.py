@@ -56,6 +56,17 @@ class TestBoxProgram:
         with pytest.raises(ValueError):
             BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[1.0], x_hi=[1.0])
 
+    @pytest.mark.parametrize("offset, message", [
+        ({"g0": [5.0, 5.0, 5.0]}, "^g0 given without G$"),
+        ({"h0": [1.0, 2.0, 3.0]}, "^h0 given without H$"),
+    ], ids=["g0", "h0"])
+    def test_offset_without_its_matrix_is_refused(self, offset, message):
+        # read as written, either program is infeasible; dropped, it was
+        # reported "optimal"
+        with pytest.raises(ValueError, match=message):
+            BoxProgram(n=2, Q=None, q=[1.0, -1.0], c=0.0, x_lo=[-1.0, -1.0],
+                       x_hi=[1.0, 1.0], **offset)
+
 
 class TestLagrangian:
     def test_zero_multipliers(self):
@@ -136,6 +147,24 @@ class TestSlater:
         prog = BoxProgram(n=2, Q=None, q=[0.0, 0.0], c=0.0, x_lo=[-1.0, -1.0],
                           x_hi=[1.0, 1.0], H=[[t, t]], h0=[0.0])
         assert check_modified_slater(prog, None).h_neighborhood
+
+    @pytest.mark.parametrize("check", [check_modified_slater, duality_gap_report])
+    def test_e_without_a_cone_constraint_is_refused(self, check):
+        # e outside the cone, and never read when there is no cone constraint
+        prog = BoxProgram(n=2, Q=None, q=[1.0, -1.0], c=0.0, x_lo=[-1.0, -1.0],
+                          x_hi=[1.0, 1.0])
+        with pytest.raises(ValueError, match="^e given without G$"):
+            check(prog, [-1.0, 0.0, 0.0])
+        check(prog, None)   # without e the check runs
+
+    def test_lambda_is_finite_at_a_divisor_below_its_floor(self):
+        # <A, -g(x)> = 1e-320 at the witness, as good as 0 against <A, e> =
+        # 1e10: it is floored at 1e10 * 2^-1020, so lambda = 2^1021 (an
+        # absolute floor of 1e-300 overflows lambda)
+        prog = BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
+                          G=[[0.0]], g0=[-1e-320], cone_y=coordinate_cone(1))
+        rep = check_modified_slater(prog, [1e10])
+        assert rep.satisfied and rep.lam == 2.0 ** 1021
 
     def test_h_infeasible_diagnosis(self):
         prog = BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[0.0], x_hi=[1.0],

@@ -6,6 +6,7 @@ vertices against the other's edges in one pass. A pair whose largest
 |coordinate| is far or subnormal is read at an exact power of two, and so
 are the batch rows of gauge_many and value_many.
 """
+import itertools
 import json
 import math
 
@@ -144,6 +145,38 @@ def test_refusals_keep_their_messages(route, points):
             for A, B in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError, match="^vertices must have finite entries$"):
                     route(A, B)
+
+
+# --- exact signs ---------------------------------------------------------------
+
+# the third draw's hull of B in the 48th pair of random_pairs(0, 2000), as a
+# rounded sign test chained it, and the vertex of A beyond its apex
+THIN_TRIANGLE = np.array([[-2.797154356556063, -0.8492487491480225],
+                          [0.20867933645355174, 0.27307004961160297],
+                          [0.21148631641175286, 0.2741181203622094]])
+BEYOND_APEX = np.array([[-4.517254805597007, -1.4915002064402574]])
+
+
+def test_point_beyond_a_thin_hulls_apex_is_outside():
+    # two of its exact cross products are negative; rounded, neither is
+    dist, inside = _hull_distances(BEYOND_APEX, THIN_TRIANGLE)
+    assert not inside[0] and dist[0] == math.dist(BEYOND_APEX[0], THIN_TRIANGLE[0])
+
+
+def test_thin_hull_pair_reads_one_distance_on_both_routes():
+    A, B = next(itertools.islice(random_pairs(0, 2000), 47, None))
+    assert BEYOND_APEX[0].tolist() in A.tolist()
+    definitional = hausdorff_distance_definitional(A, B)
+    # that vertex's distance to the apex, rounded once; the support route
+    # rounds in units of the coordinates, 3 ulps of the distance here
+    assert definitional == math.dist(BEYOND_APEX[0], THIN_TRIANGLE[0])
+    assert abs(hausdorff_distance(A, B)[0] - definitional) <= 3 * math.ulp(definitional)
+    assert verify_order_isometry(A, B)["isometry_holds"]
+
+
+@pytest.mark.parametrize("seed", [351, 352, 353])
+def test_every_random_pair_is_an_isometry(seed):
+    assert all(verify_order_isometry(A, B)["isometry_holds"] for A, B in random_pairs(seed, 600))
 
 
 # --- far and subnormal sets -------------------------------------------------
