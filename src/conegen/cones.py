@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .numkernel import SUM_E, DimensionMismatch, as_matrix, as_vector, independent_rows, pow2_shift
+from .numkernel import (SHORT, SUM_E, DimensionMismatch, as_matrix, as_vector, independent_rows,
+                        pow2_shift)
 
 
 ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
@@ -127,22 +128,24 @@ class PolyhedralCone:
 
     # -- queries ------------------------------------------------------------
 
-    def _least(self, x: np.ndarray) -> float:
-        """min_k <h_k, x>, x read at a power of two (`scaled_point`) and the
-        min scaled back: +-inf past the largest float."""
-        x, scale = scaled_point(x)
-        return float(np.min(self.halfspaces @ x)) * scale
+    def _least(self, x: np.ndarray, scale: float) -> float:
+        """min_k <h_k, x> times scale for x read at 1 / scale of its size
+        (`read_point`, `scaled_point`): +-inf past the largest float. A min
+        over a Python list, which over a few rows costs less than a numpy
+        reduction; the two may differ only in the sign of a zero, which no
+        threshold reads."""
+        return min((self.halfspaces @ x).tolist()) * scale
 
     def contains(self, x) -> bool:
-        return self._least(as_vector(x, self.dim, "point")) >= -default_tolerances().membership
+        return self._least(*read_point(x, self.dim)) >= -default_tolerances().membership
 
     def order_leq(self, x, y) -> bool:
         """x <=_C y, i.e. y - x in C; x and y are read at one power of two,
         since y - x itself can overflow."""
-        x, sx = scaled_point(as_vector(x, self.dim, "x"))
-        y, sy = scaled_point(as_vector(y, self.dim, "y"))
+        x, sx = read_point(x, self.dim, "x")
+        y, sy = read_point(y, self.dim, "y")
         scale = max(sx, sy)
-        least = self._least(y * (sy / scale) - x * (sx / scale)) * scale
+        least = self._least(*scaled_point(y * (sy / scale) - x * (sx / scale))) * scale
         return least >= -default_tolerances().membership
 
     def halfspace_values(self, X):
@@ -153,7 +156,7 @@ class PolyhedralCone:
         return X if self.kind == "coordinate" else X @ self.halfspaces.T
 
     def interior_contains(self, x) -> bool:
-        return self._least(as_vector(x, self.dim, "point")) > default_tolerances().interior
+        return self._least(*read_point(x, self.dim)) > default_tolerances().interior
 
     def is_strictly_positive(self, f) -> bool:
         """<f, g> > 0 on every extreme generator, i.e. f in int of the dual cone."""
@@ -246,6 +249,22 @@ def scaled_point(x: np.ndarray) -> tuple[np.ndarray, float]:
             s = row_scale(float(np.abs(x).max()))
             return x / s, s
     return x, 1.0
+
+
+def read_point(x, dim: int, name: str = "point") -> tuple[np.ndarray, float]:
+    """`scaled_point(as_vector(x, dim, name))` in one read of x. For a
+    vector of the cone's width up to SHORT entries, one pass over a Python
+    list that finds every entry inside +-ROW_SAFE has shown both that they
+    are finite and that x needs no scale; any other input, a wrong width
+    too, takes the two readers, with their refusals in their order."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 1 and arr.shape[0] == dim <= SHORT:
+        for v in arr.tolist():
+            if not -ROW_SAFE < v < ROW_SAFE:
+                break
+        else:
+            return arr, 1.0
+    return scaled_point(as_vector(arr, dim, name))
 
 
 def scaled_set(X: np.ndarray) -> tuple[np.ndarray, float]:

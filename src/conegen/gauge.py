@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, read_point, scaled_rows
 from .numkernel import PRODUCT_E, as_matrix, as_vector, pow2_shift
 
 
@@ -32,8 +32,8 @@ class GaugeBody:
 
     def _image(self, x):
         """x's isometry image from one row product, read at 1 / scale of its
-        size (`scaled_point`), and scale."""
-        x, scale = scaled_point(as_vector(x, self.cone.dim, "point"))
+        size (`read_point`), and scale."""
+        x, scale = read_point(x, self.cone.dim)
         return self.cone.halfspace_values(x) / self._unit.hu, scale
 
     def gauge(self, x) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_point, scaled_rows
+from .cones import InvalidCone, OrderUnit, PolyhedralCone, read_point, scaled_point, scaled_rows
 from .numkernel import as_matrix, as_vector
 
 
@@ -77,7 +77,7 @@ class GerstewitzFn:
 
     def value(self, y) -> float:
         """phi(y) = inf{t : t e - y in C}; +inf when y is outside R e - C."""
-        y, scale = scaled_point(as_vector(y, self.cone.dim, "point"))
+        y, scale = read_point(y, self.cone.dim)
         return self._unit.ratio(self.cone.halfspace_values(y), scale)
 
     def value_many(self, Y: np.ndarray) -> np.ndarray:
@@ -92,10 +92,10 @@ class GerstewitzFn:
 
     # -- subdifferential --------------------------------------------------------
 
-    def _active(self, y: np.ndarray):
+    def _active(self, y: np.ndarray, scale: float):
         """phi(y), the vertex rows that attain it and the ray rows active at
-        y, all read off one row product with y."""
-        y, scale = scaled_point(y)
+        y, all read off one row product with y, read at 1 / scale of its
+        size (`read_point`, `scaled_point`)."""
         hy = self.cone.halfspace_values(y)
         value = self._unit.ratio(hy, scale)
         if not math.isfinite(value):
@@ -111,7 +111,7 @@ class GerstewitzFn:
 
     def subdifferential(self, y) -> SubdifferentialResult:
         y = as_vector(y, self.cone.dim, "point")
-        value, verts, rays = self._active(y)
+        value, verts, rays = self._active(*scaled_point(y))
         H = self.cone.halfspaces
         vertices = H[verts] / self._he[verts, None]
         return SubdifferentialResult(witness=vertices[0], vertices=vertices,
@@ -121,10 +121,9 @@ class GerstewitzFn:
     def directional_derivative(self, y, d) -> float:
         """phi'(y; d) = max{<y*, d> : y* in subdifferential at y}: +inf along
         a ray with <h_k, d> > 0, else the max over the vertices."""
-        y = as_vector(y, self.cone.dim, "point")
-        d = as_vector(d, self.cone.dim, "direction")
-        _, verts, rays = self._active(y)
-        d, scale = scaled_point(d)
+        y, sy = read_point(y, self.cone.dim)
+        d, scale = read_point(d, self.cone.dim, "direction")
+        _, verts, rays = self._active(y, sy)
         hd = self.cone.halfspace_values(d)
         if np.any(hd[rays] > self._slack / scale):
             return math.inf

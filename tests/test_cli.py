@@ -719,6 +719,94 @@ def test_malformed_arrays_are_refused_by_name(capsys, tmp_path, block, body, mes
     assert f"error: {message}" in err
 
 
+# --- every key reaches the program its file poses
+
+GRID = np.arange(-2.0, 2.25, 0.5)
+# One file per block, the command that reads it all, and the key's place in
+# the file: the cone and norm keys are read from the gauge file
+BASE = {
+    "gauge": (FULL["gauge"], ["gauge", "--point", "1,2"]),
+    "scalarize": (FULL["scalarize"], ["subdiff", "--point", "1,2"]),
+    "penalty": ({"cone": {"kind": "coordinate", "dim": 1},
+                 "penalty": {"points": [[v] for v in GRID], "values": [[abs(v)] for v in GRID],
+                             "feasible": [6, 7, 8], "rank": 1.0, "e": [1.0]}},
+                ["penalize", "--L", "5"]),
+    "duality": (FULL["duality"], ["duality"]),
+    "lattice": (FULL["lattice"], ["hausdorff"]),
+}
+CONE_KEYS, NORM_KEYS = ("kind", "dim", "halfspaces", "generators"), ("p", "weights")
+# (where, key): one changed well-formed value, and what it reaches: the
+# report fields it moves, or the start of its refusal (exit 2)
+MUTATIONS = {
+    ("gauge", "u"): ([1.0, 4.0], {"gauge", "isometry_image", "ambient_comparison"}),
+    ("scalarize", "e"): ([1.0, 2.0], {"value", "witness", "vertices"}),
+    ("penalty", "points"): ([[v / 2] for v in GRID], "declared rank 1.0 violates"),
+    ("penalty", "values"): ([[abs(v)] for v in GRID[:-2]] + [[0.75], [1.0]],
+                            {"minimal_constrained", "minimal_penalized"}),
+    ("penalty", "feasible"): ([0, 1], {"minimal_constrained", "minimal_penalized"}),
+    ("penalty", "rank"): (3.0, {"rank"}),
+    ("penalty", "e"): ([-1.0], "e must be interior to the cone"),
+    ("duality", "n"): (3, "$.duality.box: lower has dimension 2, expected 3"),
+    ("duality", "q"): ([1.0, 2.0], {"primal_value", "dual_value", "kkt_residual",
+                                    "multipliers", "multipliers_lifted"}),
+    ("duality", "box"): ({"lower": [0.0, 0.25], "upper": [1.0, 1.0]}, {"slater"}),
+    ("duality", "Q"): ([[2.0, 0.0], [0.0, 1.0]], {"primal_value", "dual_value", "multipliers",
+                                                  "multipliers_lifted"}),
+    ("duality", "c"): (1.5, {"primal_value", "dual_value"}),
+    ("duality", "G"): ([[-1.0, -2.0]], {"primal_value", "dual_value", "gap", "kkt_residual",
+                                        "multipliers", "multipliers_lifted", "slater",
+                                        "witness"}),
+    ("duality", "g0"): ([1.5], {"primal_value", "dual_value", "kkt_residual", "multipliers",
+                                "multipliers_lifted", "slater", "witness"}),
+    ("duality", "H"): ([[1.0, -2.0]], {"primal_value", "dual_value", "gap", "kkt_residual",
+                                       "multipliers", "multipliers_lifted", "slater",
+                                       "witness"}),
+    ("duality", "h0"): ([0.25], {"primal_value", "dual_value", "kkt_residual", "multipliers",
+                                 "multipliers_lifted", "slater", "witness"}),
+    ("duality", "e"): ([2.0], {"slater"}),
+    ("lattice", "a_vertices"): ([[0.0, 0.0], [3.0, 0.0]], {"distance", "certificate_direction"}),
+    ("lattice", "b_vertices"): ([[1.0, 2.0]], {"distance", "certificate_direction"}),
+    ("cone", "kind"): ("coordinate", "$.cone: unknown key 'halfspaces'"),
+    ("cone", "dim"): (3, "$.cone.halfspaces: halfspaces have dimension 2, expected 3"),
+    ("cone", "halfspaces"): ([[0.0, 1.0], [1.0, 0.0]], {"isometry_image"}),
+    ("cone", "generators"): ([[0.0, 1.0], [1.0, 0.0]], set()),
+    ("norm", "p"): (1, {"ambient_comparison"}),
+    ("norm", "weights"): ([3.0, 2.0], {"ambient_comparison"}),
+}
+# The keys whose change above moves no report field, and why
+REACHES_NOTHING = {
+    ("cone", "generators"): "given with the halfspaces, the generators are only checked "
+                            "against them: the same cone in another order moves nothing, "
+                            "and another cone is refused (test_cross_consistency_diagnostic)",
+}
+
+
+def test_every_key_has_a_mutation():
+    keys = {(block, key) for block, (required, optional) in _BLOCK_KEYS.items()
+            for key in (*required, *optional)}
+    keys |= {("cone", key) for key in CONE_KEYS} | {("norm", key) for key in NORM_KEYS}
+    assert set(MUTATIONS) == keys
+    assert set(REACHES_NOTHING) == {k for k, (_, reach) in MUTATIONS.items() if reach == set()}
+
+
+@pytest.mark.parametrize("where, key", sorted(MUTATIONS),
+                         ids=[".".join(k) for k in sorted(MUTATIONS)])
+def test_a_changed_key_changes_the_report_or_is_refused(capsys, tmp_path, where, key):
+    body, argv = BASE[where if where in BASE else "gauge"]
+    value, reaches = MUTATIONS[where, key]
+    changed = json.loads(json.dumps(body))
+    changed[where][key] = value
+    code, before, err = run_cli(capsys, [*argv, "--problem", _write(tmp_path, body)])
+    assert code == 0, err
+    code, after, err = run_cli(capsys, [*argv, "--problem", _write(tmp_path, changed)])
+    if isinstance(reaches, str):
+        assert code == 2 and after is None
+        assert err.startswith(f"error: {reaches}")
+        return
+    assert code == 0, err
+    assert {f for f in {*before, *after} if before.get(f) != after.get(f)} == reaches
+
+
 def test_unparsable_point_exit2(capsys, gauge_file):
     code, report, err = run_cli(capsys, ["gauge", "--problem", gauge_file,
                                          "--point", "1,x,1"])

@@ -206,6 +206,17 @@ def test_hull_is_exact_under_far_and_subnormal_scaling():
                 assert convex_hull_2d(Ps).tobytes() == np.ldexp(hull, k).tobytes()
 
 
+def test_hull_of_a_set_mixing_far_and_tiny_coordinates():
+    # every turn is decided exactly, so the 1e-300 coordinates keep the
+    # three far points at x = 1e300 apart
+    Q = [[1e300, 1e-300], [1e300, 2e-300], [1e300, 3e-300], [-1e300, 0.0]]
+    assert convex_hull_2d(Q).tolist() == [[-1e300, 0.0], [1e300, 1e-300], [1e300, 3e-300]]
+    P = [[1e300, 0.0], [0.0, 1e300], [-1e300, -1e-300], [1e-300, 1e-300],
+         [1e-300, -1e300], [-1e-300, 2e-300]]
+    assert convex_hull_2d(P).tolist() == [[-1e300, -1e-300], [1e-300, -1e300],
+                                          [1e300, 0.0], [0.0, 1e300]]
+
+
 def test_far_pair():
     d, info = hausdorff_distance(FAR_TRIANGLE, [[0.0, 0.0]])
     assert d == 1e308 and info["certificate_direction"] in ([-1.0, 0.0], [1.0, 0.0])
