@@ -37,11 +37,13 @@ class Tolerances:
                     vanishes within farkas times the sum of its terms'
                     magnitudes (a boxed variable's leftover is charged to the
                     right-hand side instead)
-    rank_margin     required gap L - L_f before penalty equivalence is attempted
     gradient_map    stopping norm of the projected-gradient mapping; no library
                     code calls projected_gradient, so no test moves it
     kkt             KKT residual bound of an "optimal" primal, relative to
-                    max(1, ||grad f(x)||_inf)
+                    max(1, ||grad f(x)||_inf); also the duality gap's bound
+                    under modified Slater, relative to the largest |term|
+                    summed into the primal value or the dual value (each
+                    value rounds in units of its terms)
     qp_step         active-set QP, X the largest |bound| of the box: a step p is
                     zero at ||p||_inf <= qp_step * X, a row a'x <= b is active
                     at slack <= qp_step * ||a|| * X, a rate a'p counts above
@@ -59,9 +61,6 @@ class Tolerances:
                     program's Q is symmetric and PSD within qp_curv * ||Q||_F;
                     the dual function's stationarity residual counts as zero up
                     to qp_curv times the largest |entry| of its linear terms
-    qp_sign         active-set QP: a working row's multiplier is negative below
-                    -qp_sign * max(||Q||_F * X, ||q||_inf) / ||a||
-    gap_assert      duality-gap bound asserted under the modified Slater condition
     coincident      points this close are one point: sample points (rank +inf
                     if their values differ), and a point and the ground-set
                     point it is looked up as (Euclidean); also the floor of
@@ -70,7 +69,23 @@ class Tolerances:
                     times the declared rank
     unit_norm       accepted deviation of the ambient norm of e from 1
     isometry        largest support-minus-definitional Hausdorff gap of an isometry,
-                    relative to the largest of the two distances and |coordinates|
+                    relative to the largest of the two distances and |coordinates|;
+                    not derived from rounding: above the plane the definitional
+                    distance is a squared nearest-point QP's, and 3-D pairs 1e-10
+                    and 1e-13 apart read gaps of 700-1500 eps of the bound
+
+    Derived from what they gate, with no field of their own:
+      multiplier sign  active-set QP: a working row's multiplier is negative
+                       below -ROUNDING * n * max(||Q||_F * X, ||q||_inf) / ||a||,
+                       the rounding of the gradient's n terms (cones.ROUNDING,
+                       64 eps); a wrong face of two near-coincident hulls in
+                       the nearest-point QPs has a multiplier of about -1e-10
+                       at unit scale, which the floor must read as negative
+      penalty margin   verify_penalty_equivalence needs L > rank * (1 +
+                       ROUNDING * dim), the rank's rounding, which reads alike
+                       at every scale of the values (rank_slack * membership
+                       does not: membership scales with the values, and at
+                       2^24 that margin refused L = 1.1 rank)
     """
 
     membership: float = 1e-9
@@ -79,13 +94,10 @@ class Tolerances:
     lp_feas: float = 1e-9
     lp_pivot: float = 1e-11
     farkas: float = 1e-7
-    rank_margin: float = 1e-9
     gradient_map: float = 1e-7
     kkt: float = 1e-6
     qp_step: float = 1e-12
     qp_curv: float = 1e-10
-    qp_sign: float = 1e-9
-    gap_assert: float = 1e-5
     coincident: float = 1e-15
     rank_slack: float = 1e3
     unit_norm: float = 1e-9

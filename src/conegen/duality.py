@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .cones import PolyhedralCone, coordinate_cone
+from .cones import ROUNDING, PolyhedralCone, coordinate_cone
 from .numkernel import (FarkasCertificate, LPProblem, as_matrix, as_vector, independent_rows,
                         pow2_shift, solve_lp)
 
@@ -173,19 +173,25 @@ def dual_value(prog: BoxProgram, mult: Multipliers) -> float:
     A residual above qp_curv times the largest |entry| among b's terms (q,
     G'y*, x1*, x2*, H'z*) puts b outside range(Q): linear descent to -inf.
     """
+    return _dual_terms(prog, mult)[0]
+
+
+def _dual_terms(prog: BoxProgram, mult: Multipliers):
+    """dual_value, and the largest |term| summed into it: c, <x1*, x_a>,
+    <x2*, x_b>, <y*, g0>, <z*, h0>, and 0.5 x'Qx and b'x at the minimizer."""
     b, scale = _linear_term(prog, mult)
     tol = default_tolerances().qp_curv * scale
-    const = prog.c + float(mult.x1 @ prog.x_lo) - float(mult.x2 @ prog.x_hi)
-    if prog.m:
-        const += float(mult.y @ prog.g0)
-    if prog.k:
-        const += float(mult.z @ prog.h0)
-    if not prog.Q.any():
-        return const if np.max(np.abs(b)) <= tol else -math.inf
-    x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
-    if np.max(np.abs(prog.Q @ x + b)) > tol:
-        return -math.inf
-    return float(0.5 * x @ prog.Q @ x + b @ x + const)
+    terms = [prog.c, float(mult.x1 @ prog.x_lo), -float(mult.x2 @ prog.x_hi)]
+    terms += [float(mult.y @ prog.g0)] if prog.m else []
+    terms += [float(mult.z @ prog.h0)] if prog.k else []
+    value = sum(terms[1:], terms[0])
+    if prog.Q.any():
+        x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
+        terms += [float(0.5 * x @ prog.Q @ x), float(b @ x)]
+        value, b = terms[-2] + terms[-1] + value, prog.Q @ x + b   # b: the residual of Qx = -b
+    if not np.max(np.abs(b)) <= tol:
+        value = -math.inf
+    return value, max(map(abs, terms))
 
 
 def _linear_term(prog: BoxProgram, mult: Multipliers):
@@ -477,7 +483,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
             lam = np.linalg.solve(R, -(Y.T @ grad[free]))
             r = grad + C.T @ lam
             bound = -side * r   # 0 on a free coordinate
-            floor = -tols.qp_sign * g_ref
+            floor = -ROUNDING * n * g_ref   # rounding of the gradient's n terms
             out = np.flatnonzero(bound < floor)
             neg = lam[:rows.size] * norms[rows] < floor
             if out.size:   # the lowest: a lower bound before any upper one
@@ -678,7 +684,7 @@ class GapReport:
     pi: np.ndarray | None = None
     e_prime: np.ndarray | None = None
     kkt_residual: float | None = None  # of the primal point
-    dual_status: str | None = None     # DualResult.status; None: no dual solve
+    dual_status: str | None = None     # "numerical": Lagrangian unbounded below; None: no dual
     farkas: FarkasCertificate | None = None  # of an infeasible primal
 
     def to_dict(self) -> dict:
@@ -706,8 +712,10 @@ class GapReport:
 
 def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
     """Primal value, and the dual value at the primal's KKT multipliers; the
-    gap is asserted only under modified Slater."""
-    tols = default_tolerances()
+    gap is asserted only under modified Slater, and holds within kkt times
+    the largest |term| summed into the primal value or the dual value (each
+    rounds in units of its terms). The dual status is "numerical" when the
+    multipliers leave the Lagrangian unbounded below."""
     if prog.m and e is None:
         e = np.sum(prog.cone_y.generators, axis=0)
         e = e / np.linalg.norm(e)
@@ -717,20 +725,21 @@ def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
         return GapReport(primal.status, None, None, None, slater, None, None,
                          gap_asserted=False, gap_ok=True,
                          kkt_residual=primal.kkt_residual, farkas=primal.farkas)
-    dual = solve_dual(prog, primal)
-    dual.multipliers.validate(prog)
-    gap = primal.value - dual.value
+    x, mult = primal.x, primal.multipliers
+    mult.validate(prog)
+    dual, size = _dual_terms(prog, mult)
+    gap = primal.value - dual
     asserted = bool(slater.satisfied)
-    ok = (not asserted) or gap <= tols.gap_assert
+    size = max(size, abs(float(0.5 * x @ prog.Q @ x)), abs(float(prog.q @ x)), abs(prog.c))
+    ok = (not asserted) or gap <= default_tolerances().kkt * size
     pi = prog.x_hi - prog.x_lo  # the generating element of the box lift
     e_prime = None
     if prog.m and slater.satisfied:
         raw = np.asarray(e, dtype=float) - prog.g(slater.witness)
         e_prime = raw / np.linalg.norm(raw)
-    return GapReport(primal.status, primal.value, dual.value, gap, slater,
-                     primal.x, dual.multipliers, asserted, ok,
+    return GapReport(primal.status, primal.value, dual, gap, slater, x, mult, asserted, ok,
                      pi=pi, e_prime=e_prime, kkt_residual=primal.kkt_residual,
-                     dual_status=dual.status)
+                     dual_status="optimal" if math.isfinite(dual) else "numerical")
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,11 @@ class GaugeBody:
 
     def isometry_image(self, x) -> np.ndarray:
         """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the
-        coordinate cone."""
+        coordinate cone; an entry past the largest float reads inf, as the
+        gauge does."""
         image, scale = self._image(x)
-        return image * scale
+        with np.errstate(over="ignore"):
+            return image * scale
 
 
 def equivalence_constant(cone: PolyhedralCone, u, v) -> float:

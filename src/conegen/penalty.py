@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import Tolerances, default_tolerances
-from .cones import InvalidCone, OrderUnit, PolyhedralCone, scaled_set
+from .cones import ROUNDING, InvalidCone, OrderUnit, PolyhedralCone, scaled_set
 from .gauge import ambient_norm, check_norm_p, norm_scaled
 from .numkernel import as_matrix, as_vector
 
@@ -433,8 +433,10 @@ class PenaltyReport:
 def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyReport:
     """Check both directions of the exact-penalty equivalence on the instance.
 
-    Requires a finite L > rank strictly (margin rank_margin); the one-directional
-    inclusion is additionally checked at L = rank exactly, on the rows of the
+    Requires a finite L above the rank by more than the rank's rounding,
+    ROUNDING * dim times the rank, so the precondition reads alike at every
+    scale of the values; the one-directional inclusion is additionally
+    checked at L = rank exactly, on the rows of the
     constrained minimal set m1 only: it holds iff none of them is dominated
     among the penalized values at the rank (vacuously for an empty m1). The
     report flags instances whose minimal sets move when the strict-order
@@ -450,7 +452,7 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
     tols = default_tolerances()
     if not math.isfinite(L):
         raise PreconditionViolation(f"penalty weight L={L} must be finite")
-    if L <= instance.rank + tols.rank_margin:
+    if L <= instance.rank * (1.0 + ROUNDING * instance.cone.dim):
         raise PreconditionViolation(
             f"penalty weight L={L} must exceed the rank {instance.rank} "
             "strictly; the equivalence is not guaranteed below that")

@@ -2,11 +2,14 @@
 plain: one point and one edge at a time, in scalar numpy operations.
 
 The library computes every vertex-edge pair in one array pass
-(conegen.lattice._hull_distances); the tests compare the two.
+(conegen.lattice._hull_distances); the tests compare the two. Above the
+plane the library solves one nearest-point QP per vertex; the oracle here
+enumerates the candidate faces instead (hull_distances_nd).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -47,3 +50,25 @@ def hull_distances_oracle(P, hull: np.ndarray):
     P = np.atleast_2d(np.asarray(P, dtype=float))
     return (np.array([point_to_hull(p, hull) for p in P]),
             np.array([inside_hull(p, hull) for p in P], dtype=bool))
+
+
+def hull_distances_nd(P, Y) -> np.ndarray:
+    """Distance of every row of P to conv(Y), in any dimension d, with no QP.
+
+    By Caratheodory the nearest point of conv(Y) lies in the hull of at most
+    d + 1 affinely independent points of Y, and it is the projection onto
+    their affine hull, with weights >= 0 there. So each subset of at most
+    d + 1 points gives a candidate: its affine projection, kept when the
+    subset is independent and every weight is >= 0; the least kept distance
+    is the distance (a single point always counts)."""
+    P, Y = np.atleast_2d(np.asarray(P, float)), np.atleast_2d(np.asarray(Y, float))
+    best = np.full(P.shape[0], np.inf)
+    for size in range(1, min(P.shape[1] + 1, Y.shape[0]) + 1):
+        for S in combinations(range(Y.shape[0]), size):
+            M, R = (Y[list(S[1:])] - Y[S[0]]).T, (P - Y[S[0]]).T
+            t, _, rank, _ = np.linalg.lstsq(M, R, rcond=None)
+            if rank < size - 1:
+                continue
+            keep = (t >= 0.0).all(axis=0) & (t.sum(axis=0) <= 1.0)
+            best = np.where(keep, np.minimum(best, np.linalg.norm(R - M @ t, axis=0)), best)
+    return best

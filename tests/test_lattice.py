@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conegen.lattice import (_hull_distances, convex_hull_2d, hausdorff_distance,
                              hausdorff_distance_definitional, support_function,
                              support_values, verify_order_isometry)
-from lattice_oracle import hull_distances_oracle, point_to_hull
+from lattice_oracle import hull_distances_nd, hull_distances_oracle, point_to_hull
 
 SQUARE = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
 
@@ -326,6 +326,28 @@ class TestExactRouteAboveThePlane:
         assert close(hausdorff_distance(A + t, B + t)[0], d)
         assert close(hausdorff_distance(A @ Q.T, B @ Q.T)[0], d)
         assert close(hausdorff_distance(B, A)[0], d)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_near_copies_match_the_nd_oracle(self, dim):
+        # B = A + 1e-9 N(0, 1): a vertex's nearest point lies on a face of the
+        # other hull, and a wrong face's multiplier is rounding-sized. A sign
+        # floor above rounding kept such faces: 3 of these 90 pairs read
+        # isometry_holds False, and 11 distances were up to 13% above the oracle's
+        rng = np.random.default_rng(dim)
+        for _ in range(30):
+            A = rng.normal(size=(int(rng.integers(dim + 1, dim + 4)), dim))
+            B = A + 1e-9 * rng.normal(size=A.shape)
+            want = max(hull_distances_nd(A, B).max(), hull_distances_nd(B, A).max())
+            dist, info = hausdorff_distance(A, B)
+            assert info["exact"] and dist == pytest.approx(want, rel=1e-5)
+            assert verify_order_isometry(A, B)["isometry_holds"] is True
+
+    def test_nd_oracle_on_a_cube(self):
+        # the corner's face, edge and vertex regions of the unit cube
+        cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+        P = [[0.5, 0.5, 0.5], [0.5, 0.5, 3.0], [0.5, 2.0, 3.0], [-1.0, 2.0, 3.0]]
+        got = hull_distances_nd(P, cube)
+        assert got.tolist() == pytest.approx([0.0, 2.0, math.sqrt(5.0), math.sqrt(6.0)])
 
     def test_shrunken_copy_inside(self):
         rng = np.random.default_rng(110)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import conegen.penalty as penalty_module
 from conegen.gauge import ambient_norm
 from conegen.config import default_tolerances, use_tolerances
-from conegen.cones import InvalidCone, PolyhedralCone, coordinate_cone
+from conegen.cones import ROUNDING, InvalidCone, PolyhedralCone, coordinate_cone
 from conegen.penalty import (PenaltyInstance, PreconditionViolation,
                              cone_lipschitz_rank, cone_minimal_points,
                              distance_to_set, penalized_objective,
@@ -375,7 +375,7 @@ def test_screened_report_matches_full_relation(seed, m, general, n, copies, lam)
     e = np.sum(cone.generators, axis=0)
     inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None, cone=cone,
                            e=e / np.linalg.norm(e), rank=None, values=vals)
-    L = (1.0 + lam) * inst.rank + 2.0 * default_tolerances().rank_margin
+    L = (1.0 + lam) * inst.rank * (1.0 + 2.0 * ROUNDING * inst.cone.dim)
     rep, ref = verify_penalty_equivalence(inst, L), report_oracle(inst, L)
     m2, sensitive = full_relation_reading(inst, L)
     assert np.array_equal(rep.minimal_penalized, m2)
@@ -882,9 +882,9 @@ class TestLineKernels:
         inst = PenaltyInstance(points=pts, feasible_mask=mask, objective=None,
                                cone=cone, e=e / ambient_norm(e, p=p), rank=None,
                                values=vals, norm_p=p)
-        # L = 1.1 rank must exceed the rank by rank_margin
+        # L = 1.1 rank must exceed the rank by its rounding, ROUNDING * dim of it
         assume(math.isfinite(inst.rank) and
-               0.1 * inst.rank > default_tolerances().rank_margin)
+               1.1 * inst.rank > inst.rank * (1.0 + ROUNDING * inst.cone.dim))
         TestReportsMatchOracle.check(inst)
 
     @pytest.mark.parametrize("steps, want", [(5, math.inf), (2, 1.0)])

@@ -147,14 +147,19 @@ def test_penalty_decisions_do_not_move():
     # values scale by 2^k, and so do membership, strict_nonzero and
     # coincident. membership also bounds e's own rows, and e has unit norm
     # by contract, so k stays below the exponent where 2^k membership
-    # reaches them
+    # reaches them. The values alone at 2^k, k in K below 40, scale the rank
+    # and L by 2^k too: an absolute margin of L over the rank refused every
+    # L at 2^-40
     rng = np.random.default_rng(13)
     for m, general in ((1, False), (2, True), (3, False), (3, True)):
         pts, mask, vals, cone, e = _penalty_instance(rng, m, general)
         reports = []
-        for k in (0, -40, -17, 6, 24):
-            with scaled_tolerances(k, "membership", "strict_nonzero", "coincident"):
-                inst = PenaltyInstance(points=np.ldexp(pts, k), feasible_mask=mask,
+        variants = [(k, ("membership", "strict_nonzero", "coincident"), np.ldexp(pts, k))
+                    for k in (0, -40, -17, 6, 24)]
+        variants += [(k, ("membership", "strict_nonzero"), pts) for k in K[:-1]]
+        for k, names, points in variants:
+            with scaled_tolerances(k, *names):
+                inst = PenaltyInstance(points=points, feasible_mask=mask,
                                        objective=None, cone=cone, e=e, rank=None,
                                        values=np.ldexp(vals, k))
                 for L in (1.1 * inst.rank, 3.0 * inst.rank):
@@ -263,7 +268,11 @@ def test_gap_report_decisions_do_not_move():
     # (G, g0) at 2^k on simplicial cones: y* grows by 2^-k, and at 2^-40 an
     # absolute dual-cone gate refused y* on rounding alone. k stops at 29:
     # at 2^40 the primal's KKT gate, absolute in the units of g, can read
-    # "numerical"
+    # "numerical". (Q, q, c) at 2^k, k in K above -40, keep gap_ok True: the
+    # gap rounds in units of its terms, and an absolute bound on it failed 17
+    # of these reports at 2^40. At 2^-40 the simplex's absolute reduced-cost
+    # threshold stops LPs at a wrong vertex, which the gap reads (ROADMAP
+    # item 5)
     rng = np.random.default_rng(5)
     for i in range(60):
         prog, _ = random_box_program(rng, ("qp", "lp")[i % 2])
@@ -279,6 +288,10 @@ def test_gap_report_decisions_do_not_move():
                 prog, G=np.ldexp(prog.G, k), g0=np.ldexp(prog.g0, k)), e)
             decisions.append((rep.primal_status, rep.slater.satisfied, rep.gap_ok))
         assert decisions == decisions[:1] * len(decisions)
+        for k in K[1:]:
+            rep = duality_gap_report(dataclasses.replace(
+                prog, Q=np.ldexp(prog.Q, k), q=np.ldexp(prog.q, k), c=math.ldexp(prog.c, k)), e)
+            assert rep.gap_ok
 
 
 def _lp(rng, kind):

@@ -116,6 +116,17 @@ def test_a_far_points_least_row_value_is_scaled_back():
     assert cone.contains([2.0 ** 1001, -0.5 * tol])
 
 
+@pytest.mark.parametrize("name", sorted(CONES))
+def test_a_far_points_isometry_image_reads_inf_where_the_gauge_does(name):
+    # 1.7e308 cos(k + 0.5): the gauge reads inf on coord3 and simplicial3,
+    # and the image scaled back reads inf entries there, with no overflow
+    # warning; its sup-norm is the gauge on every cone
+    cone, u, _ = CONES[name]
+    body = GaugeBody(cone, u)
+    x = 1.7e308 * np.cos(np.arange(cone.dim) + 0.5)
+    assert np.max(np.abs(body.isometry_image(x))) == body.gauge(x)
+
+
 def test_the_callers_points_are_not_written_to():
     for name, (cone, u, face_e) in sorted(CONES.items()):
         body, fn = GaugeBody(cone, u), GerstewitzFn(cone, face_e)

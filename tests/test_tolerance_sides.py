@@ -3,17 +3,19 @@ inside or just outside it.
 
 Every case sits a factor of 10 from its field's default on one side, so
 moving the field by x1e3 (for an outside case) or x1e-3 (for an inside one)
-flips it. `gap_assert` and `isometry` gate a gap that correct code keeps at
-rounding level, so their cases inject the gap into the value the gate reads.
+flips it. Three thresholds are derived rather than set, and their cases sit
+a factor of 10 from the derived bound: a multiplier's sign in the active-set
+QP (rounding of the gradient's terms), the penalty weight's margin over the
+rank (rounding of the rank) and the duality gap (kkt times its terms' size).
+The gap and `isometry` gate a gap that correct code keeps at rounding
+level, so their cases inject the gap into the value the gate reads.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
 import conegen.duality as duality
 import conegen.lattice as lattice
-from conegen.cones import coordinate_cone
+from conegen.cones import ROUNDING, coordinate_cone
 from conegen.duality import (BoxProgram, VectorObjective, duality_gap_report, solve_primal,
                              stationarity_certificate)
 from conegen.lattice import verify_order_isometry
@@ -35,17 +37,18 @@ def test_farkas_leftover_on_a_free_variable(where):
 
 
 def _corner_qp(d):
-    # min 0.5 x'Qx + q'x on [0, 1] x [0, 4]: from the centre the QP meets
-    # x1 = 0, then x2 = 4, where df/dx1 = -d; the box optimum is (~d, 4).
-    # The bound's multiplier -d is negative below -qp_sign times the
-    # gradient's scale max(||Q||_F * 4, ||q||_inf) = 12
-    return BoxProgram(n=2, Q=[[1.0, 0.3], [0.3, 1.0]], q=[-1.2 - d, -12.0], c=0.0,
+    # min 0.5 x'Qx + q'x on [0, 1] x [0, 4]: the QP ends at the corner
+    # (0, 4), where df/dx1 = -d; the box optimum is (~d, 4). The bound's
+    # multiplier -d is negative below -ROUNDING * n times the gradient's
+    # scale max(||Q||_F * 4, ||q||_inf) = 1200, and a released bound's step
+    # d clears the zero-step threshold qp_step * 4 at the outside case
+    return BoxProgram(n=2, Q=[[1.0, 0.3], [0.3, 1.0]], q=[-1.2 - d, -1200.0], c=0.0,
                       x_lo=[0.0, 0.0], x_hi=[1.0, 4.0])
 
 
 @pytest.mark.parametrize("where", [INSIDE, OUTSIDE])
-def test_qp_sign_of_a_bound_multiplier(where):
-    res = solve_primal(_corner_qp(12.0 * where * 1e-9))
+def test_sign_of_a_bound_multiplier_at_its_rounding(where):
+    res = solve_primal(_corner_qp(where * ROUNDING * 2 * 1200.0))
     assert res.status == "optimal" and res.x[1] == 4.0
     assert bool(res.x[0] == 0.0) is (where == INSIDE)   # the bound is kept or released
 
@@ -80,19 +83,21 @@ def test_rank_slack_of_a_declared_rank(where):
 
 
 @pytest.mark.parametrize("where", [INSIDE, OUTSIDE])
-def test_gap_assert_under_slater(monkeypatch, where):
-    # a Slater program whose dual value is moved down by where * gap_assert
-    prog = BoxProgram(n=1, Q=None, q=[1.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
-                      G=[[1.0]], g0=[-2.0], cone_y=coordinate_cone(1))
-    exact = duality.solve_dual
+def test_gap_under_slater_at_kkt_times_its_terms(monkeypatch, where):
+    # a Slater program, min 3x on [2, 4] with x - 5 <= 0: its largest term is
+    # q'x = <x1*, x_a> = 6, and its dual value is moved down by where * kkt * 6
+    prog = BoxProgram(n=1, Q=None, q=[3.0], c=0.0, x_lo=[2.0], x_hi=[4.0],
+                      G=[[1.0]], g0=[-5.0], cone_y=coordinate_cone(1))
+    exact = duality._dual_terms
 
-    def lowered(prog, primal=None):
-        dual = exact(prog, primal)
-        return dataclasses.replace(dual, value=dual.value - where * 1e-5)
+    def lowered(prog, mult):
+        value, size = exact(prog, mult)
+        assert size == 6.0
+        return value - where * 1e-6 * size, size
 
-    monkeypatch.setattr(duality, "solve_dual", lowered)
+    monkeypatch.setattr(duality, "_dual_terms", lowered)
     rep = duality_gap_report(prog, [1.0])
-    assert rep.gap_asserted and rep.gap == pytest.approx(where * 1e-5, rel=1e-6)
+    assert rep.gap_asserted and rep.gap == pytest.approx(where * 6e-6, rel=1e-6)
     assert rep.gap_ok is (where == INSIDE)
 
 
@@ -108,6 +113,18 @@ def test_isometry_gap(monkeypatch, where):
     assert rep["isometry_holds"] is (where == INSIDE)
 
 
+@pytest.mark.parametrize("where", [INSIDE, OUTSIDE])
+def test_penalty_weight_above_the_rank_by_its_rounding(where):
+    # L must exceed the rank 1 by more than ROUNDING * dim of it
+    inst = _line_instance([1.0], None)
+    L = inst.rank * (1.0 + where * ROUNDING * inst.cone.dim)
+    if where == INSIDE:
+        with pytest.raises(PreconditionViolation):
+            verify_penalty_equivalence(inst, L)
+    else:
+        assert verify_penalty_equivalence(inst, L).L == L
+
+
 # --- the side that the rest of the suite leaves untested -----------------------
 
 def test_membership_accepts_a_point_just_outside_the_cone():
@@ -116,12 +133,6 @@ def test_membership_accepts_a_point_just_outside_the_cone():
 
 def test_interior_accepts_a_point_just_inside_the_cone():
     assert coordinate_cone(2).interior_contains([1.0, 1e-11])
-
-
-def test_rank_margin_refuses_a_weight_just_above_the_rank():
-    inst = _line_instance([1.0], None)
-    with pytest.raises(PreconditionViolation):
-        verify_penalty_equivalence(inst, inst.rank + 1e-10)
 
 
 def test_kkt_reads_a_small_gradient_as_nonzero():
