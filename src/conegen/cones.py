@@ -156,13 +156,16 @@ class PolyhedralCone:
         return X if self.kind == "coordinate" else X @ self.halfspaces.T
 
     def interior_contains(self, x) -> bool:
-        return self._least(*read_point(x, self.dim)) > default_tolerances().interior
+        """Every <h_k, x> positive (`_positive`), x read at 1 / scale of its
+        size."""
+        x, _ = read_point(x, self.dim)
+        return bool(_positive(self._least(x, 1.0), x))
 
     def is_strictly_positive(self, f) -> bool:
-        """<f, g> > 0 on every extreme generator, i.e. f in int of the dual cone."""
+        """<f, g> > 0 on every extreme generator (`_positive`), i.e. f in int
+        of the dual cone."""
         f = as_vector(f, self.dim, "functional")
-        margin = default_tolerances().interior
-        return bool(np.min(self.generators @ f) > margin)
+        return bool(_positive(np.min(self.generators @ f), f))
 
     def dual(self) -> "PolyhedralCone":
         """Dual cone of positive functionals; swaps the two descriptions.
@@ -187,7 +190,7 @@ class PolyhedralCone:
 class OrderUnit:
     """An element u of C \\ {0} whose line R u does not lie in C (checked
     here), read through C's rows: hu = (<h_k, u>)_k, face masks the rows that
-    vanish at u (<h_k, u> <= interior) and slack is membership."""
+    vanish at u (<h_k, u> not `_positive`) and slack is membership."""
 
     def __init__(self, cone: PolyhedralCone, u: np.ndarray):
         tols = default_tolerances()
@@ -198,7 +201,7 @@ class OrderUnit:
             raise InvalidCone("e must belong to the cone (C + [0,inf) e subset C)")
         if np.max(self.hu) <= tols.membership:
             raise InvalidCone("the line R e lies in the cone")
-        self.face = self.hu <= tols.interior
+        self.face = ~_positive(self.hu, u)
         self.slack = tols.membership
         self._face = self.face if self.face.any() else None
         self._off = ~self.face
@@ -229,6 +232,12 @@ class OrderUnit:
             return ratio + 0.0
         slack = np.divide(self.slack, scale)[..., None]
         return np.where((HX[..., self._face] > slack).any(axis=-1), np.inf, ratio + 0.0)
+
+
+def _positive(values, x: np.ndarray):
+    """values > ROUNDING * dim * max|x|: a unit row's product with x above
+    its rounding, which follows x's scale (a bool, or a mask of an array)."""
+    return values > ROUNDING * x.shape[0] * float(np.abs(x).max())
 
 
 def row_scale(top: float) -> float:

@@ -17,7 +17,6 @@ class Tolerances:
                     units of the size of the margin's terms; a point is in a
                     box [x_a, x_b] within it, and a bound is active within it
                     (a stationarity certificate's box test)
-    interior        strict-inequality margin for interior / strict-positivity tests
     strict_nonzero  norm threshold realizing "nonzero" in strict cone comparisons
     lp_feas         simplex feasibility threshold on each equilibrated row,
                     relative to max(1, |b_i|), b_i its right-hand side (a
@@ -43,7 +42,11 @@ class Tolerances:
                     max(1, ||grad f(x)||_inf); also the duality gap's bound
                     under modified Slater, relative to the largest |term|
                     summed into the primal value or the dual value (each
-                    value rounds in units of its terms)
+                    value rounds in units of its terms); also the slack by
+                    which a sample's measured rank may exceed a declared
+                    one, relative to the declared rank (rounding is no
+                    bound there: a one-ulp change of the values moved a
+                    measured rank by up to 41 ROUNDING * (dim + d) of it)
     qp_step         active-set QP, X the largest |bound| of the box: a step p is
                     zero at ||p||_inf <= qp_step * X, a row a'x <= b is active
                     at slack <= qp_step * ||a|| * X, a rate a'p counts above
@@ -65,8 +68,6 @@ class Tolerances:
                     if their values differ), and a point and the ground-set
                     point it is looked up as (Euclidean); also the floor of
                     the rank's pair distances
-    rank_slack      measured rank may exceed a declared one by rank_slack * membership
-                    times the declared rank
     unit_norm       accepted deviation of the ambient norm of e from 1
     isometry        largest support-minus-definitional Hausdorff gap of an isometry,
                     relative to the largest of the two distances and |coordinates|;
@@ -83,13 +84,20 @@ class Tolerances:
                        at unit scale, which the floor must read as negative
       penalty margin   verify_penalty_equivalence needs L > rank * (1 +
                        ROUNDING * dim), the rank's rounding, which reads alike
-                       at every scale of the values (rank_slack * membership
-                       does not: membership scales with the values, and at
-                       2^24 that margin refused L = 1.1 rank)
+                       at every scale of the values (a margin built from
+                       membership does not: membership scales with the
+                       values, and at 2^24 such a margin refused L = 1.1 rank)
+      positivity       a unit row's product <h_k, x> is positive above its
+                       rounding, ROUNDING * dim * max|x|, which follows the
+                       scale of x: the interior of a cone (interior_contains,
+                       and u's face rows in OrderUnit) and of its dual
+                       (is_strictly_positive); a box's width is positive above
+                       ROUNDING times the larger |bound| of its coordinate,
+                       and a box multiplier is negative below -ROUNDING * n
+                       times the largest |box multiplier|
     """
 
     membership: float = 1e-9
-    interior: float = 1e-12
     strict_nonzero: float = 1e-8
     lp_feas: float = 1e-9
     lp_pivot: float = 1e-11
@@ -99,7 +107,6 @@ class Tolerances:
     qp_step: float = 1e-12
     qp_curv: float = 1e-10
     coincident: float = 1e-15
-    rank_slack: float = 1e3
     unit_norm: float = 1e-9
     isometry: float = 1e-9
 

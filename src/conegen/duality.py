@@ -60,7 +60,10 @@ class BoxProgram:
         self.c = float(as_vector(self.c, 1, "c")[0])
         self.x_lo = as_vector(self.x_lo, n, "x_a")
         self.x_hi = as_vector(self.x_hi, n, "x_b")
-        if np.min(self.x_hi - self.x_lo) <= default_tolerances().interior:
+        # the box's points are sums of its bounds, which round in units of
+        # the larger |bound|: a width within ROUNDING of it has no interior
+        x_abs = np.maximum(np.abs(self.x_lo), np.abs(self.x_hi))
+        if np.any(self.x_hi - self.x_lo <= ROUNDING * x_abs):
             raise ValueError("box must have x_b - x_a interior to the coordinate cone")
         if self.G is not None:
             self.G = as_matrix(self.G, n, "G")
@@ -134,12 +137,14 @@ class Multipliers:
     z: np.ndarray
 
     def validate(self, prog: BoxProgram):
-        tols = default_tolerances()
         # y* grows as (G, g0) shrinks, so the gate reads relative to its size
         if prog.m and np.min(prog.cone_y.generators @ self.y) \
-                < -tols.membership * max(1.0, np.max(np.abs(self.y))):
+                < -default_tolerances().membership * max(1.0, np.max(np.abs(self.y))):
             raise ValueError("y* outside the dual constraint cone")
-        if min(np.min(self.x1, initial=0.0), np.min(self.x2, initial=0.0)) < -tols.interior:
+        # a box multiplier is a gradient component: its sign reads within the
+        # rounding of n terms the size of the largest one, as in the QP
+        box = np.concatenate([self.x1, self.x2, [0.0]])
+        if np.min(box) < -ROUNDING * prog.n * np.max(np.abs(box)):
             raise ValueError("box multipliers must be nonnegative")
 
     def to_dict(self) -> dict:

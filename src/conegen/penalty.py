@@ -254,8 +254,8 @@ class PenaltyInstance:
 
     A declared rank is validated at construction, and nan refused: every
     ordered pair of S must satisfy f(x) <=_C f(y) + rank * ||x - y|| e, up
-    to rank_slack * membership times the rank: rounding moves a rank by a
-    fraction of itself at every scale of the values. With rank=None the rank
+    to kkt times the rank, a fraction of the rank itself, so the check reads
+    alike at every scale of the values. With rank=None the rank
     is measured on S instead (cone_lipschitz_rank), once. A declared rank that
     the caller has just measured on the same points, values, cone, e and p
     is not measured again: cone_lipschitz_rank returns its last estimate.
@@ -294,10 +294,9 @@ class PenaltyInstance:
             raise ValueError("e must have unit ambient norm")
         est = cone_lipschitz_rank(self.points, self.values, self.cone, self.e,
                                   p=self.norm_p)
-        tols = default_tolerances()
         if self.rank is None:
             self.rank = est.value
-        elif est.value > self.rank * (1.0 + tols.rank_slack * tols.membership):
+        elif est.value > self.rank * (1.0 + default_tolerances().kkt):
             raise ValueError(
                 f"declared rank {self.rank} violates the Lipschitz inequality "
                 f"on the sample (measured {est.value})")

@@ -69,9 +69,13 @@ class TestOrderIntervalGauge:
 
     def test_non_interior_u_rejected(self):
         message = "^generating element u must lie in the interior of the cone$"
-        for u in ([1.0, 0.0], [0.0, 0.0], [1.0, -1.0], [1e-13, 1e-13]):
+        for u in ([1.0, 0.0], [0.0, 0.0], [1.0, -1.0]):
             with pytest.raises(InvalidCone, match=message):
                 GaugeBody(coordinate_cone(2), u)
+        # an interior point of R^2_+, refused by OrderUnit's zero test at
+        # membership, as GerstewitzFn refuses [1e-12, 1e-12]
+        with pytest.raises(InvalidCone, match="^the line R e lies in the cone$"):
+            GaugeBody(coordinate_cone(2), [1e-13, 1e-13])
 
 
 class TestNormAxioms:

@@ -808,7 +808,7 @@ def line_sample(rng, n, m, general, specials, face):
                 rng.normal(size=m) / math.sqrt(m)
     if face and m >= 2:
         e = cone.generators[0]
-        on_face = cone.halfspace_values(e) <= tols.interior
+        on_face = cone.halfspace_values(e) <= ROUNDING * cone.dim * np.max(np.abs(e))
         # the face rows drift by 0.4 slack per sorted step: no neighbours
         # differ by more than slack there, but the range may
         drift = np.argsort(np.argsort(x)) * 0.4 * tols.membership * rng.integers(0, 2)

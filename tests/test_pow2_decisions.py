@@ -4,10 +4,13 @@ Every input of a public decision is scaled by 2^k, with k in [-40, 40], where
 the scaled inputs stay exact. A decision whose tolerance is absolute by
 contract (membership at T, strict_nonzero, coincident) runs with that
 tolerance scaled by the same 2^k under use_tolerances; isometry_holds, the
-Slater decision and the gap report's dual-cone gate are relative and run
-with the default tolerances. The one scaling helper, pow2_shift, and the
-far values of the Lipschitz rank and of the cone decisions are tested here
-too.
+Slater decision, the gap report's dual-cone gate and the interior decisions
+are relative and run with the default tolerances. The interior decisions
+are interior_contains, is_strictly_positive, GaugeBody's check on u,
+BoxProgram's box width and PenaltyInstance's declared rank, which runs at
+kkt times the rank (GaugeBody and PenaltyInstance also read membership,
+which is scaled there). The one scaling helper, pow2_shift, and the far
+values of the Lipschitz rank and of the cone decisions are tested here too.
 """
 import dataclasses
 import math
@@ -78,12 +81,68 @@ def test_membership_and_order_do_not_move():
              for _ in range(6)] + list(rng.normal(size=(20, cone.dim)))
         base = [cone.contains(x) for x in X]
         order = [cone.order_leq(x, y) for x, y in zip(X, X[1:] + X[:1])]
-        assert 0 < sum(base) < len(X)
+        # the interior decisions are relative: no tolerance is scaled for them
+        inner = [(cone.interior_contains(x), cone.is_strictly_positive(x)) for x in X]
+        assert 0 < sum(base) < len(X) and 0 < sum(i for i, _ in inner) < len(X)
         for k in K:
             with scaled_tolerances(k, "membership"):
                 Xk = [np.ldexp(x, k) for x in X]
                 assert [cone.contains(x) for x in Xk] == base
                 assert [cone.order_leq(x, y) for x, y in zip(Xk, Xk[1:] + Xk[:1])] == order
+            assert [(cone.interior_contains(x), cone.is_strictly_positive(x))
+                    for x in Xk] == inner
+
+
+def _construct(build, *args):
+    """build(*args), or the message it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_gauge_body_and_box_do_not_move():
+    # u and x at 2^k leave every gauge unchanged; u off the interior, or
+    # within membership of 0 at k = 0, stays refused. At 2^-40 an absolute
+    # interior margin of 1e-12 refused u = 2^-40 (1, 0.5) on R^2_+, the
+    # pyramid's 2^-40 (0.1, 0.2, 1) and the box [0, 2^-40]
+    bodies = [(coordinate_cone(2), u) for u in ([1.0, 0.5], [1.0, 0.0], [1.0, -1e-3])]
+    bodies += [(PYRAMID, u) for u in ([0.1, 0.2, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1e-10])]
+    boxes = [([0.0], [1.0]), ([-3.0, 0.5], [-2.5, 0.75]), ([1.0], [1.0 + 2.0 ** -50])]
+
+    def decisions(k):
+        rng, out = np.random.default_rng(16), []
+        for cone, u in bodies:
+            body = _construct(GaugeBody, cone, np.ldexp(u, k))
+            X = np.ldexp(rng.normal(size=(4, cone.dim)), k)
+            out.append(body if isinstance(body, str) else [body.gauge(x) for x in X])
+        for lo, hi in boxes:
+            prog = _construct(BoxProgram, len(lo), None, np.zeros(len(lo)), 0.0,
+                              np.ldexp(lo, k), np.ldexp(hi, k))
+            out.append(prog if isinstance(prog, str) else True)
+        return out
+
+    base = decisions(0)
+    assert sum(isinstance(d, str) for d in base) == 5
+    for k in K:
+        with scaled_tolerances(k, "membership"):
+            assert decisions(k) == base
+
+
+def test_declared_rank_does_not_move():
+    # the |x| line sample, measured rank 1, with points, values and the
+    # absolute tolerances at 2^k: a declared rank within kkt = 1e-6 of it
+    # passes, one 1e-5 or 16/17 below it is refused. A slack of 1e3
+    # membership accepted 1 / (1 + 1e-5) at 2^10 and 1/17 at 2^24. k stays
+    # below 40, where 2^k membership passes e's own row
+    grid = np.arange(-2.0, 2.25, 0.25).reshape(-1, 1)
+    declared = (1.0, 1.0 / (1.0 + 1e-7), 1.0 / (1.0 + 1e-5), 1.0 / 17.0)
+    for k in (0, *K[:-1], 10, 24):
+        with scaled_tolerances(k, "membership", "strict_nonzero", "coincident"):
+            passed = [_construct(PenaltyInstance, np.ldexp(grid, k), grid[:, 0] >= 1.0, None,
+                                 coordinate_cone(1), [1.0], rank, 2,
+                                 np.ldexp(np.abs(grid), k)) for rank in declared]
+        assert [isinstance(p, PenaltyInstance) for p in passed] == [True, True, False, False]
 
 
 def test_isometry_holds_does_not_move_at_2_40():

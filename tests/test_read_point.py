@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conegen.cones import (ROW_SAFE, DimensionMismatch, coordinate_cone, read_point,
-                           scaled_point)
+from conegen.cones import (ROUNDING, ROW_SAFE, DimensionMismatch, coordinate_cone,
+                           read_point, scaled_point)
 from conegen.config import default_tolerances
 from conegen.gauge import GaugeBody
 from conegen.numkernel import SHORT, as_vector
@@ -162,7 +162,9 @@ def ref_contains(cone, x):
 
 
 def ref_interior_contains(cone, x):
-    return _least(cone, x, "point") > default_tolerances().interior
+    # every <h_k, x> above its rounding, ROUNDING * dim * max|x|, at the scale read
+    x, _ = reference(x, cone.dim, "point")
+    return float(np.min(cone.halfspaces @ x)) > ROUNDING * cone.dim * float(np.max(np.abs(x)))
 
 
 def ref_order_leq(cone, x, y):

@@ -3,10 +3,11 @@ inside or just outside it.
 
 Every case sits a factor of 10 from its field's default on one side, so
 moving the field by x1e3 (for an outside case) or x1e-3 (for an inside one)
-flips it. Three thresholds are derived rather than set, and their cases sit
+flips it. Four thresholds are derived rather than set, and their cases sit
 a factor of 10 from the derived bound: a multiplier's sign in the active-set
 QP (rounding of the gradient's terms), the penalty weight's margin over the
-rank (rounding of the rank) and the duality gap (kkt times its terms' size).
+rank (rounding of the rank), the duality gap (kkt times its terms' size) and
+a row's positivity in the interior test (rounding of the row's product).
 The gap and `isometry` gate a gap that correct code keeps at rounding
 level, so their cases inject the gap into the value the gate reads.
 """
@@ -71,9 +72,8 @@ def test_unit_norm_of_e(where):
 
 
 @pytest.mark.parametrize("where", [INSIDE, OUTSIDE])
-def test_rank_slack_of_a_declared_rank(where):
-    # the measured rank 1 may exceed a declared one by rank_slack * membership
-    # = 1e-6 times it
+def test_kkt_slack_of_a_declared_rank(where):
+    # the measured rank 1 may exceed a declared one by kkt = 1e-6 times it
     declared = 1.0 / (1.0 + where * 1e-6)
     if where == INSIDE:
         assert _line_instance([1.0], declared).rank == declared
@@ -125,14 +125,18 @@ def test_penalty_weight_above_the_rank_by_its_rounding(where):
         assert verify_penalty_equivalence(inst, L).L == L
 
 
+@pytest.mark.parametrize("where", [INSIDE, OUTSIDE])
+def test_interior_above_the_rounding_of_a_row(where):
+    # (1, t) is interior to R^2_+ when t exceeds its row's rounding,
+    # ROUNDING * dim * max|x| = ROUNDING * 2
+    t = where * ROUNDING * 2
+    assert coordinate_cone(2).interior_contains([1.0, t]) is (where == OUTSIDE)
+
+
 # --- the side that the rest of the suite leaves untested -----------------------
 
 def test_membership_accepts_a_point_just_outside_the_cone():
     assert coordinate_cone(2).contains([1.0, -1e-10])
-
-
-def test_interior_accepts_a_point_just_inside_the_cone():
-    assert coordinate_cone(2).interior_contains([1.0, 1e-11])
 
 
 def test_kkt_reads_a_small_gradient_as_nonzero():
