@@ -8,8 +8,10 @@ a temporary directory, the field's default in the copy's
 src/conegen/config.py gets ` * <factor>` appended, and tier-1 runs there.
 The working tree is never written. At most two copies run at a time (-j 1
 or 2); each run uses its own copy, since pyproject.toml's pythonpath =
-["src"] shadows PYTHONPATH. Prints, per field, the number of failing tests
-on each side and then their ids.
+["src"] shadows PYTHONPATH. Every copy runs its hypothesis tests with the
+fixed seed HYPOTHESIS_SEED, so that a rerun on the same tree reads the same
+table; tier-1 itself keeps fresh draws. Prints, per field, the number of
+failing tests on each side and then their ids.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ CONFIG = Path("src/conegen/config.py")
 FIELD = re.compile(r"^    ([a-z_]+): float = \S+$", re.M)
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
                               ".perfbench_tmp", "*.egg-info")
+HYPOTHESIS_SEED = 0
 
 
 def moved_config(text: str, field: str, factor: str) -> str:
@@ -45,7 +48,8 @@ def failing_tests(root: Path, field: str, factor: str) -> list[str]:
         config.write_text(moved_config(config.read_text(), field, factor))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
-                              "no:cacheprovider", "--continue-on-collection-errors"],
+                              "no:cacheprovider", "--continue-on-collection-errors",
+                              f"--hypothesis-seed={HYPOTHESIS_SEED}"],
                              cwd=copy, env=env, capture_output=True, text=True)
     return sorted({line.split()[1] for line in run.stdout.splitlines()
                    if line.startswith(("FAILED ", "ERROR "))})

@@ -12,6 +12,7 @@ isometry is onto. No gauge here runs an LP.
 from __future__ import annotations
 
 import math
+from operator import truediv
 
 import numpy as np
 
@@ -30,18 +31,16 @@ class GaugeBody:
             raise InvalidCone("generating element u must lie in the interior of the cone")
         self._unit = OrderUnit(cone, self.u)
 
-    def _image(self, x):
-        """x's isometry image from one row product, read at 1 / scale of its
-        size (`read_point`), and scale."""
-        x, scale = read_point(x, self.cone.dim)
-        return self.cone.halfspace_values(x) / self._unit.hu, scale
-
     def gauge(self, x) -> float:
         """||x||_u = max_k |<h_k, x>| / <h_k, u>, the sup-norm of x's isometry
-        image; a max over a Python list, which over a few rows costs a third
-        of a numpy reduction (u is interior: no row lies on its face)."""
-        image, scale = self._image(x)
-        return max(map(abs, image.tolist())) * scale
+        image, x read at 1 / scale of its size (`read_point`). One gemv
+        (`halfspace_values`), then the ratio over Python lists (u is
+        interior: every <h_k, u> > 0, so |a| / h is |a / h| to the bit):
+        1.7 us a call on the wedge against 2.5 us for the matmul, a numpy
+        divide, its list and a max of the |entries|."""
+        x, scale = read_point(x, self.cone.dim)
+        y = self.cone.halfspace_values(x).tolist()
+        return max(map(truediv, map(abs, y), self._unit.hu_list)) * scale
 
     def gauge_many(self, X: np.ndarray) -> np.ndarray:
         """||x||_u for every row x of X, each read as `gauge` reads it."""
@@ -52,9 +51,9 @@ class GaugeBody:
         """(<h_k, x> / <h_k, u>)_k, whose sup-norm is ||x||_u; x / u on the
         coordinate cone; an entry past the largest float reads inf, as the
         gauge does."""
-        image, scale = self._image(x)
+        x, scale = read_point(x, self.cone.dim)
         with np.errstate(over="ignore"):
-            return image * scale
+            return self.cone.halfspace_values(x) / self._unit.hu * scale
 
 
 def equivalence_constant(cone: PolyhedralCone, u, v) -> float:

@@ -8,7 +8,10 @@ machine setting. The same fixed op set runs here and in such a process; its
 statuses, Slater decisions, gap checks, dual statuses and penalty
 equalities must agree, and so must a Lipschitz rank on the coordinate cone
 to its last bit: its planes are unit-coefficient products, exact on every
-kernel. Iteration counts are not compared.
+kernel. So must the report that the one-point row product `A.dot(x)` gives
+the bits of the matmul `x @ A.T` on the point-evaluation cones, for
+contiguous and strided points: both are the same gemv on each kernel.
+Iteration counts are not compared.
 
 Run as a script, this file prints the decisions as JSON.
 """
@@ -26,6 +29,7 @@ from conegen.duality import duality_gap_report, random_box_program, random_multi
 from conegen.numkernel import solve_lp
 from conegen.cones import coordinate_cone
 from conegen.penalty import cone_lipschitz_rank, random_instance, verify_penalty_equivalence
+from test_point_eval import CONES
 from test_simplex_highs import _box_lp
 
 KERNEL = "Prescott"
@@ -60,6 +64,12 @@ def decisions() -> list:
     vals = pts[:, [1, 2, 0]] + 0.3 * np.sin(3.0 * pts)   # no BLAS product in the input
     rank = cone_lipschitz_rank(pts, vals, coordinate_cone(3), np.ones(3) / np.sqrt(3.0))
     out.append(["rank", rank.value.hex()])
+    rng = np.random.default_rng(107)   # one-point row products
+    for name, (cone, _, _) in sorted(CONES.items()):
+        H = cone.halfspaces
+        X = rng.normal(size=(2000, cone.dim)) * 10.0 ** rng.integers(-5, 6, size=(2000, 1))
+        points = [*X, *np.repeat(X, 2, axis=1)[:, ::2]]
+        out.append(["dot", name, all(H.dot(x).tobytes() == (x @ H.T).tobytes() for x in points)])
     return out
 
 
@@ -70,7 +80,8 @@ def test_decisions_do_not_depend_on_the_blas_kernel():
     child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                            text=True, check=True, timeout=120)
     here = decisions()
-    assert len(here) == 100 + 2 + 60 + 50 + 1
+    assert len(here) == 100 + 2 + 60 + 50 + 1 + len(CONES)
+    assert all(row[2] for row in here if row[0] == "dot")
     assert json.loads(child.stdout) == here
 
 

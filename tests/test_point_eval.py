@@ -1,7 +1,8 @@
 """One-point gauge and Gerstewitz evaluation.
 
 A single point is read with one row product and a max over a Python list;
-the batch evaluators keep numpy's reductions. Both must give the same bits,
+the batch evaluators keep numpy's reductions. Both must give the same bits
+on a one-row batch (a large batch is bounded in test_row_product.py),
 a point too large for a row sum is read at a power of two of its size, and
 the caller's point is never written to.
 """
