@@ -132,11 +132,11 @@ class PolyhedralCone:
     def _least(self, x: np.ndarray, scale: float) -> float:
         """min_k <h_k, x> times scale for x read at 1 / scale of its size
         (`read_point`, `scaled_point`): +-inf past the largest float. The
-        row product is the gemv of `halfspace_values`, and the min is taken
-        over a Python list, which over a few rows costs less than a numpy
-        reduction; the two may differ only in the sign of a zero, which no
-        threshold reads."""
-        return min(self.halfspaces.dot(x).tolist()) * scale
+        row values are `halfspace_values`' (no product on the coordinate
+        cone), and the min is taken over a Python list, which over a few
+        rows costs less than a numpy reduction; the two may differ only in
+        the sign of a zero, which no threshold reads."""
+        return min(self.halfspace_values(x).tolist()) * scale
 
     def contains(self, x) -> bool:
         return self._least(*read_point(x, self.dim)) >= -default_tolerances().membership
@@ -221,7 +221,7 @@ class OrderUnit:
         self._hu_off = self.hu[self._off]
         self.hu_list, self._hu_off_list = self.hu.tolist(), self._hu_off.tolist()
 
-    def ratio(self, HX, scale: float = 1.0):
+    def ratio(self, HX, scale):
         """max_k HX[..., k] / <h_k, u> off u's face for the row values HX of
         one point (a vector, read at 1 / scale of its size by
         `scaled_point`; a Python float, times scale) or of each row of a

@@ -36,8 +36,6 @@ class Tolerances:
                     vanishes within farkas times the sum of its terms'
                     magnitudes (a boxed variable's leftover is charged to the
                     right-hand side instead)
-    gradient_map    stopping norm of the projected-gradient mapping; no library
-                    code calls projected_gradient, so no test moves it
     kkt             KKT residual bound of an "optimal" primal, relative to
                     max(1, ||grad f(x)||_inf); also the duality gap's bound
                     under modified Slater, relative to the largest |term|
@@ -102,7 +100,6 @@ class Tolerances:
     lp_feas: float = 1e-9
     lp_pivot: float = 1e-11
     farkas: float = 1e-7
-    gradient_map: float = 1e-7
     kkt: float = 1e-6
     qp_step: float = 1e-12
     qp_curv: float = 1e-10

@@ -61,9 +61,11 @@ class BoxProgram:
         self.x_lo = as_vector(self.x_lo, n, "x_a")
         self.x_hi = as_vector(self.x_hi, n, "x_b")
         # the box's points are sums of its bounds, which round in units of
-        # the larger |bound|: a width within ROUNDING of it has no interior
+        # the larger |bound|: a width within ROUNDING of it has no interior,
+        # and neither has a width of one subnormal step (5e-324), to which
+        # that product underflows: a wider box holds a float strictly inside
         x_abs = np.maximum(np.abs(self.x_lo), np.abs(self.x_hi))
-        if np.any(self.x_hi - self.x_lo <= ROUNDING * x_abs):
+        if np.any(self.x_hi - self.x_lo <= np.maximum(ROUNDING * x_abs, 5e-324)):
             raise ValueError("box must have x_b - x_a interior to the coordinate cone")
         if self.G is not None:
             self.G = as_matrix(self.G, n, "G")
@@ -118,9 +120,10 @@ class BoxProgram:
     @functools.cached_property
     def _lstsq_centre(self) -> np.ndarray:
         """The box centre moved onto {Hx = -h0} by one least-squares step (the
-        centre itself when there is no h). It reads no tolerance, so it is
-        computed once per program; read-only."""
-        x = 0.5 * (self.x_lo + self.x_hi)
+        centre itself when there is no h). The centre is 0.5 x_a + 0.5 x_b,
+        which neither overflows nor leaves a box with a float inside; it
+        reads no tolerance, so it is computed once per program; read-only."""
+        x = 0.5 * self.x_lo + 0.5 * self.x_hi
         if self.k:
             x = x - np.linalg.lstsq(self.H, self.h(x), rcond=None)[0]
         x.flags.writeable = False
@@ -334,18 +337,19 @@ def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
     the diagnosis then names. The depth of a point is min_i of its distance
     to the nearer bound over the half-width (x_b - x_a)_i / 2; the centre
     point is returned without an LP when its depth exceeds lp_feas, since
-    the LP's optimum is at least that deep."""
+    the LP's optimum is at least that deep. With no h the box centre is
+    the point (`BoxProgram._lstsq_centre`)."""
     if prog.k == 0:
-        return 0.5 * (prog.x_lo + prog.x_hi), ""
-    gap = prog.x_hi - prog.x_lo
+        return prog._lstsq_centre.copy(), ""
+    half = 0.5 * prog.x_hi - 0.5 * prog.x_lo
     if centre is not None:
-        depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / (gap / 2))
+        depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / half)
         if depth > tols.lp_feas:
             return centre, ""
     # the box rows with t >= 0 imply the box bounds on x, which keep one
     # simplex column per coordinate
     rep = _max_t_lp(prog, np.vstack([np.eye(prog.n), -np.eye(prog.n)]),
-                    np.tile(-gap / 2, 2), np.concatenate([prog.x_lo, -prog.x_hi]),
+                    np.tile(-half, 2), np.concatenate([prog.x_lo, -prog.x_hi]),
                     (prog.x_lo, prog.x_hi), (0.0, 1.0))
     if rep.status not in ("optimal", "infeasible"):
         return None, f"h-interior LP returned {rep.status}"

@@ -351,7 +351,6 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     out.residuals = {
         "ineq": float(res[:n_in].max(initial=0.0)),
         "eq": float(res[n_in:].max(initial=0.0)),
-        "bounds": 0.0,  # x is clipped to its bounds
         "optimality": float(max(0.0, (T[m] * sgn).max(initial=0.0))),
     }
     # The gate also allows for the size of the terms each row sums at x.
@@ -517,9 +516,7 @@ def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
             continue
         tie = tols.lp_pivot * max(1.0, step)
         ties = (ratio <= step + tie).nonzero()[0]
-        if ties.size == 1:
-            row = int(ties[0])
-        elif bland:
+        if bland:
             row = int(ties[basis[ties].argmin()])
         else:  # the largest pivot among the tied rows
             row = int(ties[np.abs(alpha[ties]).argmax()])
@@ -540,6 +537,7 @@ def _simplex_loop(T, xb, basis, upper, sgn, tols, iters):
 # through duality.solve_primal); it stays while perfbench/spans.py traces it
 
 PG_CAP = 200_000   # projected-gradient steps before "iteration-cap"
+PG_STOP = 1e-7     # gradient-mapping norm at which it stops, "optimal"
 
 
 def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
@@ -548,9 +546,7 @@ def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
                        step: float | Callable[[int], float],
                        objective: Callable[[np.ndarray], float] | None = None
                        ) -> SolveReport:
-    """Projected gradient descent; stops at gradient-mapping norm <= the
-    tolerances' gradient_map."""
-    gradient_map = default_tolerances().gradient_map
+    """Projected gradient descent; stops at gradient-mapping norm <= PG_STOP."""
     x = project(np.asarray(x0, dtype=float))
     best_x = x
     best_val = objective(x) if objective is not None else None
@@ -565,7 +561,7 @@ def projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
                 best_val, best_x = val, x_new
         else:
             best_x = x_new
-        if gm <= gradient_map:
+        if gm <= PG_STOP:
             return SolveReport(status="optimal", point=best_x, value=best_val,
                                residuals={"gradient_map": gm}, iterations=k + 1)
         x = x_new

@@ -142,9 +142,6 @@ def _pair_blocks(HV: np.ndarray):
 
 class RankEstimate(NamedTuple):
     value: float
-    # certified on the given sample; only a lower bound for the rank on a
-    # continuum, hence flagged
-    heuristic: bool
 
 
 # the last measurement: (key of its exact inputs, estimate); see cone_lipschitz_rank
@@ -202,7 +199,7 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
     if pts.shape[1] == 1:
         rank = _line_rank(pts[:, 0], HV, unit, slack, tols)
         if rank is not None:
-            return RankEstimate(rank * scale, True)
+            return RankEstimate(rank * scale)
     rank, (shift, pts) = 0.0, norm_scaled(p, pts)
     left, right = _left(pts), _right(pts)
     for lo, hi, planes in _pair_blocks(HV):
@@ -218,10 +215,10 @@ def _measure_rank(pts: np.ndarray, vals: np.ndarray, cone: PolyhedralCone,
         close = den <= tols.coincident
         if close.any():
             if np.any(num[close] > tols.strict_nonzero / scale):
-                return RankEstimate(math.inf, True)
+                return RankEstimate(math.inf)
             den[close] = tols.coincident
         rank = max(rank, float(np.max(np.divide(num, den, out=num))))
-    return RankEstimate(rank * scale, True)
+    return RankEstimate(rank * scale)
 
 
 def _line_rank(x: np.ndarray, HV: np.ndarray, unit: OrderUnit, slack: float,
@@ -386,8 +383,6 @@ def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
         # a bool product is ~5x faster than np.where; fmax skips inf * 0 = NaN
         sq[lo:hi] = np.fmax.reduce(_pair_sums(VL[:, lo:hi], VC, 2) * (up <= tol),
                                    axis=1, initial=0.0)
-    if scale == 1.0:   # no entry reaches ROW_SAFE, so no reach overflows
-        return _root(sq, 2, shift)
     with np.errstate(over="ignore"):   # a reach past the largest float reads inf
         return _root(sq, 2, shift)
 
@@ -414,13 +409,14 @@ class PenaltyReport:
     equal: bool
     inclusion_at_rank: bool
     tol_sensitive: bool
-    rank_heuristic: bool = True
 
     def to_dict(self) -> dict:
         return {
             "L": self.L,
             "rank": self.rank,
-            "rank_is_sample_estimate": self.rank_heuristic,
+            # certified on the sample only: a lower bound for the rank on a
+            # continuum
+            "rank_is_sample_estimate": True,
             "minimal_constrained": [int(i) for i in self.minimal_constrained],
             "minimal_penalized": [int(i) for i in self.minimal_penalized],
             "equal": self.equal,

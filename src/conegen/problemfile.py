@@ -53,7 +53,6 @@ class NormSpec:
 
 @dataclass
 class ProblemFile:
-    version: int
     norm: NormSpec
     cone: PolyhedralCone | None
     block_name: str
@@ -170,8 +169,7 @@ def parse_problem(path: str) -> ProblemFile:
     elif name in ("gauge", "scalarize", "penalty", "duality"):
         raise ProblemFormatError(f"block {name!r} requires a cone", "$.cone")
     norm = _parse_norm(raw.get("norm"), "$.norm", None if cone is None else cone.dim)
-    pf = ProblemFile(version=version, norm=norm, cone=cone, block_name=name,
-                     block=block)
+    pf = ProblemFile(norm=norm, cone=cone, block_name=name, block=block)
     _validate_block(pf)
     return pf
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import conegen
-from conegen.cli import main
+from conegen import demos
+from conegen.cli import EXIT_VERIFICATION, main
 from conegen.cones import coordinate_cone
 from conegen.duality import VectorObjective, stationarity_certificate
 from conegen.numkernel import FarkasCertificate, LPProblem, verify_farkas
@@ -246,6 +247,14 @@ class TestCommands:
     def test_demo_vi(self, capsys):
         code, report, _ = run_cli(capsys, ["demo", "vi", "--seed", "3"])
         assert code == 0 and report["certified"]
+
+    def test_demo_vi_refused_exits_1(self, capsys, monkeypatch):
+        # certified at a point moved off its bounds, the certificate is refused
+        certify = demos.stationarity_certificate
+        monkeypatch.setattr(demos, "stationarity_certificate",
+                            lambda f, cone, e, x, lo, hi: certify(f, cone, e, x + 0.3, lo, hi))
+        code, report, _ = run_cli(capsys, ["demo", "vi", "--seed", "3"])
+        assert code == EXIT_VERIFICATION == 1 and not report["certified"]
 
     def test_problem_file_not_mutated(self, capsys, gauge_file):
         before = open(gauge_file).read()

@@ -56,6 +56,36 @@ class TestBoxProgram:
         with pytest.raises(ValueError):
             BoxProgram(n=1, Q=None, q=[0.0], c=0.0, x_lo=[1.0], x_hi=[1.0])
 
+    def test_a_box_near_the_largest_float_has_its_centre_inside(self):
+        # 0.5 (x_a + x_b) overflows to inf here, and was the Slater witness
+        prog = BoxProgram(n=1, Q=np.eye(1), q=[0.0], c=0.0, x_lo=[1e308], x_hi=[1.7e308])
+        rep = check_modified_slater(prog, None)
+        assert rep.satisfied and rep.h_neighborhood
+        assert 1e308 < rep.witness[0] < 1.7e308
+
+    @pytest.mark.parametrize("h", [{}, {"H": [[1.0]], "h0": [0.0]}], ids=["no-h", "h"])
+    def test_a_box_with_no_float_inside_is_refused(self, h):
+        # ROUNDING * 2^-1074 underflows to 0, so the width test alone took
+        # [0, 2^-1074]: its witness was the bound 0, and with h(x) = x the
+        # h-neighbourhood read True
+        with pytest.raises(ValueError, match="^box must have x_b - x_a interior"):
+            BoxProgram(n=1, Q=np.eye(1), q=[0.0], c=0.0, x_lo=[0.0], x_hi=[5e-324], **h)
+
+    def test_the_least_subnormal_boxes(self):
+        # [0, 2u] and [u, 3u] (u = 2^-1074) hold one float strictly inside,
+        # which is the witness, with or without an equality row through it;
+        # their halves hold none
+        u = 5e-324
+        for lo, hi in [(0.0, 2 * u), (u, 3 * u)]:
+            for h in ({}, {"H": [[1.0]], "h0": [-(lo + u)]}):
+                prog = BoxProgram(n=1, Q=np.eye(1), q=[0.0], c=0.0, x_lo=[lo], x_hi=[hi], **h)
+                rep = check_modified_slater(prog, None)
+                assert rep.satisfied and rep.h_neighborhood
+                assert rep.witness[0] == lo + u
+        for lo, hi in [(0.0, u), (u, 2 * u), (2 * u, 3 * u)]:
+            with pytest.raises(ValueError, match="^box must have x_b - x_a interior"):
+                BoxProgram(n=1, Q=np.eye(1), q=[0.0], c=0.0, x_lo=[lo], x_hi=[hi])
+
     @pytest.mark.parametrize("offset, message", [
         ({"g0": [5.0, 5.0, 5.0]}, "^g0 given without G$"),
         ({"h0": [1.0, 2.0, 3.0]}, "^h0 given without H$"),

@@ -114,7 +114,12 @@ class TestRank:
         est = cone_lipschitz_rank(grid, vals, coordinate_cone(2),
                                   np.array([1.0, 1.0]) / math.sqrt(2) * math.sqrt(2))
         assert est.value == pytest.approx(1.0, abs=1e-12)
-        assert est.heuristic
+        # a rank measured on a sample bounds the rank on a continuum from
+        # below only, and the report says so (e has unit inf-norm)
+        inst = PenaltyInstance(points=grid, feasible_mask=grid[:, 0] >= 0.0, objective=None,
+                               cone=coordinate_cone(2), e=[1.0, 1.0], rank=None,
+                               values=vals, norm_p=math.inf)
+        assert verify_penalty_equivalence(inst, 2.0).to_dict()["rank_is_sample_estimate"] is True
 
     def test_constant(self):
         grid = np.linspace(0, 1, 5).reshape(-1, 1)
