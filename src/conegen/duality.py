@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ from .config import Tolerances, default_tolerances
 from .cones import ROUNDING, PolyhedralCone, coordinate_cone
 from .numkernel import (FarkasCertificate, LPProblem, as_matrix, as_vector, independent_rows,
                         pow2_shift, solve_lp)
+
+
+def _box_width_is_finite(x_lo, x_hi) -> bool:
+    """Whether every x_b - x_a is a finite float, read without overflow: the
+    half-width 0.5 x_b - 0.5 x_a is the width's rounding halved, so the width
+    rounds to a finite float iff the half-width is at most half the largest."""
+    return bool((0.5 * x_hi - 0.5 * x_lo <= 0.5 * sys.float_info.max).all())
 
 
 @dataclass
@@ -63,7 +71,10 @@ class BoxProgram:
         # the box's points are sums of its bounds, which round in units of
         # the larger |bound|: a width within ROUNDING of it has no interior,
         # and neither has a width of one subnormal step (5e-324), to which
-        # that product underflows: a wider box holds a float strictly inside
+        # that product underflows: a wider box holds a float strictly inside.
+        # The width, the box lift's generating element, must itself be finite
+        if not _box_width_is_finite(self.x_lo, self.x_hi):
+            raise ValueError("box must have x_b - x_a a finite float")
         x_abs = np.maximum(np.abs(self.x_lo), np.abs(self.x_hi))
         if np.any(self.x_hi - self.x_lo <= np.maximum(ROUNDING * x_abs, 5e-324)):
             raise ValueError("box must have x_b - x_a interior to the coordinate cone")
@@ -112,10 +123,19 @@ class BoxProgram:
 
     def _ineq_rows(self):
         """All inequality rows a@x <= b beyond the box: cone rows of g."""
+        return self._rows
+
+    @functools.cached_property
+    def _rows(self):
+        """`_ineq_rows`: they read no tolerance, so they are formed once per
+        program; read-only."""
         if self.m == 0:
-            return np.zeros((0, self.n)), np.zeros(0)
-        A = self.cone_y.halfspaces
-        return A @ self.G, -(A @ self.g0)
+            A, b = np.zeros((0, self.n)), np.zeros(0)
+        else:
+            A = self.cone_y.halfspaces
+            A, b = A @ self.G, -(A @ self.g0)
+        A.flags.writeable = b.flags.writeable = False
+        return A, b
 
     @functools.cached_property
     def _lstsq_centre(self) -> np.ndarray:
@@ -129,6 +149,19 @@ class BoxProgram:
         x.flags.writeable = False
         return x
 
+    @functools.cached_property
+    def _centre_reads(self):
+        """(inside, r, s) at x = `_lstsq_centre`: whether x is strictly inside
+        the box, r = max |h(x)| and s = max(max |H| |x|, max |h0|), the size
+        of h's terms there (r = s = 0.0 without h); `_centre_point` holds r
+        to its tolerance. Formed once per program, as x is."""
+        x = self._lstsq_centre
+        r = s = 0.0
+        if self.k:
+            s = max((np.abs(self.H) @ np.abs(x)).max(), np.abs(self.h0).max())
+            r = np.abs(self.h(x)).max()
+        return bool(((self.x_lo < x) & (x < self.x_hi)).all()), r, s
+
 
 @dataclass
 class Multipliers:
@@ -141,13 +174,13 @@ class Multipliers:
 
     def validate(self, prog: BoxProgram):
         # y* grows as (G, g0) shrinks, so the gate reads relative to its size
-        if prog.m and np.min(prog.cone_y.generators @ self.y) \
-                < -default_tolerances().membership * max(1.0, np.max(np.abs(self.y))):
+        if prog.m and (prog.cone_y.generators @ self.y).min() \
+                < -default_tolerances().membership * max(1.0, np.abs(self.y).max()):
             raise ValueError("y* outside the dual constraint cone")
         # a box multiplier is a gradient component: its sign reads within the
         # rounding of n terms the size of the largest one, as in the QP
         box = np.concatenate([self.x1, self.x2, [0.0]])
-        if np.min(box) < -ROUNDING * prog.n * np.max(np.abs(box)):
+        if box.min() < -ROUNDING * prog.n * np.abs(box).max():
             raise ValueError("box multipliers must be nonnegative")
 
     def to_dict(self) -> dict:
@@ -187,8 +220,8 @@ def dual_value(prog: BoxProgram, mult: Multipliers) -> float:
 def _dual_terms(prog: BoxProgram, mult: Multipliers):
     """dual_value, and the largest |term| summed into it: c, <x1*, x_a>,
     <x2*, x_b>, <y*, g0>, <z*, h0>, and 0.5 x'Qx and b'x at the minimizer."""
-    b, scale = _linear_term(prog, mult)
-    tol = default_tolerances().qp_curv * scale
+    b, parts = _linear_term(prog, mult)
+    tol = default_tolerances().qp_curv * float(np.abs(np.concatenate(parts)).max())
     terms = [prog.c, float(mult.x1 @ prog.x_lo), -float(mult.x2 @ prog.x_hi)]
     terms += [float(mult.y @ prog.g0)] if prog.m else []
     terms += [float(mult.z @ prog.h0)] if prog.k else []
@@ -197,19 +230,17 @@ def _dual_terms(prog: BoxProgram, mult: Multipliers):
         x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
         terms += [float(0.5 * x @ prog.Q @ x), float(b @ x)]
         value, b = terms[-2] + terms[-1] + value, prog.Q @ x + b   # b: the residual of Qx = -b
-    if not np.max(np.abs(b)) <= tol:
+    if not np.abs(b).max() <= tol:
         value = -math.inf
     return value, max(map(abs, terms))
 
 
 def _linear_term(prog: BoxProgram, mult: Multipliers):
     """The Lagrangian's linear coefficients q + G'y* - x1* + x2* + H'z*, and
-    the largest |entry| among those five terms."""
+    those five terms."""
     gy = prog.G.T @ mult.y if prog.m else np.zeros(prog.n)
     hz = prog.H.T @ mult.z if prog.k else np.zeros(prog.n)
-    b = prog.q + gy + (-mult.x1 + mult.x2) + hz
-    scale = max(float(np.max(np.abs(t))) for t in (prog.q, gy, mult.x1, mult.x2, hz))
-    return b, scale
+    return prog.q + gy + (-mult.x1 + mult.x2) + hz, (prog.q, gy, mult.x1, mult.x2, hz)
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +312,27 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     # of |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
     # margin test depends on the scale of (G, g0)
     x_abs = np.maximum(np.abs(prog.x_lo), np.abs(prog.x_hi))
-    unit = math.ldexp(1.0, pow2_shift(float(max(np.max(np.abs(gA)) * np.max(x_abs),
-                                                np.max(np.abs(gb)))) or 1.0, 0, 0))
+    unit = math.ldexp(1.0, pow2_shift(float(max(np.abs(gA).max() * x_abs.max(),
+                                                np.abs(gb).max())) or 1.0, 0, 0))
 
     def satisfied_at(x, margin):
         # each divisor floored at max_k <A_k, e> 2^-1020, the least floor
         # that keeps lambda finite: the search LP's margin makes the divisors
         # positive only up to its row residuals
         Ae = A @ e
-        ratios = Ae / np.maximum(A @ -prog.g(x), math.ldexp(float(np.max(Ae)), -1020))
-        return report(True, x, max(1.0, 2.0 * float(np.max(ratios))), margin)
+        ratios = Ae / np.maximum(A @ -prog.g(x), math.ldexp(float(Ae.max()), -1020))
+        return report(True, x, max(1.0, 2.0 * float(ratios.max())), margin)
 
     if centre is not None:
         # the search LP's maximum is at least the centre's margin, so a
         # centre margin above membership decides as the LP would
-        margin = float(np.min(A @ -prog.g(centre)))
+        margin = float((A @ -prog.g(centre)).min())
         if margin / unit > tols.membership:
             return satisfied_at(centre, margin)
     # max t  s.t.  -A G x - t unit >= A g0  for every cone row, x in box, h = 0;
     # the rows imply t <= (|A G| max|x| + |A g0|) / unit, and that bound lets
     # the simplex start dual feasible with t at it
-    t_hi = float(np.max(np.abs(gA) @ x_abs + np.abs(gb))) / unit
+    t_hi = float((np.abs(gA) @ x_abs + np.abs(gb)).max()) / unit
     rep = _max_t_lp(prog, -gA, np.full(gA.shape[0], -unit), -gb,
                     (prog.x_lo, prog.x_hi), (-math.inf, t_hi))
     if rep.status == "infeasible":
@@ -322,12 +353,10 @@ def _centre_point(prog: BoxProgram):
     h's terms there. It is a closed-form feasible start for the QP, a
     candidate Slater witness and a candidate h-interior point; each caller
     falls back to its LP on None."""
-    x = prog._lstsq_centre
-    if prog.k:
-        scale = max((np.abs(prog.H) @ np.abs(x)).max(), np.abs(prog.h0).max())
-        if np.abs(prog.h(x)).max() > default_tolerances().membership * scale:
-            return None
-    return x.copy() if ((prog.x_lo < x) & (x < prog.x_hi)).all() else None
+    inside, res, scale = prog._centre_reads
+    if not inside or res > default_tolerances().membership * scale:
+        return None
+    return prog._lstsq_centre.copy()
 
 
 def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
@@ -343,7 +372,7 @@ def _h_interior(prog: BoxProgram, tols: Tolerances, centre):
         return prog._lstsq_centre.copy(), ""
     half = 0.5 * prog.x_hi - 0.5 * prog.x_lo
     if centre is not None:
-        depth = np.min(np.minimum(centre - prog.x_lo, prog.x_hi - centre) / half)
+        depth = (np.minimum(centre - prog.x_lo, prog.x_hi - centre) / half).min()
         if depth > tols.lp_feas:
             return centre, ""
     # the box rows with t >= 0 imply the box bounds on x, which keep one
@@ -394,26 +423,27 @@ def _feasible_set_lp(prog: BoxProgram, cost):
         lower=prog.x_lo, upper=prog.x_hi))
 
 
-def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers) -> float:
-    """Worst of stationarity, complementarity and primal infeasibility. With
-    y* in C* and g(x) in -C, <y*, g(x)> = 0 is complementarity on every
-    halfspace of C at once, whichever coordinates y* is written in."""
+def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers, Qx) -> float:
+    """Worst of stationarity, complementarity and primal infeasibility, Qx
+    being Q @ x. With y* in C* and g(x) in -C, <y*, g(x)> = 0 is
+    complementarity on every halfspace of C at once, whichever coordinates
+    y* is written in."""
     gx = prog.g(x)
     cone_viol = prog.cone_y.halfspaces @ gx if prog.m else gx
-    return float(max(np.max(np.abs(prog.Q @ x + _linear_term(prog, mult)[0])),
-                     np.max(mult.x1 * np.abs(x - prog.x_lo)),
-                     np.max(mult.x2 * np.abs(prog.x_hi - x)), abs(mult.y @ gx),
-                     np.max(prog.x_lo - x), np.max(x - prog.x_hi),
-                     np.max(cone_viol, initial=0.0),
-                     np.max(np.abs(prog.h(x)), initial=0.0)))
+    return float(max(np.abs(Qx + _linear_term(prog, mult)[0]).max(),
+                     (mult.x1 * np.abs(x - prog.x_lo)).max(),
+                     (mult.x2 * np.abs(prog.x_hi - x)).max(), abs(mult.y @ gx),
+                     (prog.x_lo - x).max(), (x - prog.x_hi).max(),
+                     cone_viol.max(initial=0.0), np.abs(prog.h(x)).max(initial=0.0)))
 
 
 def _gated(prog: BoxProgram, x: np.ndarray, mult: Multipliers,
            iterations: int) -> PrimalResult:
     """The primal result at x: "optimal" only if the KKT residual is within
     kkt * max(1, ||grad f(x)||_inf), "numerical" otherwise."""
-    res = _kkt_residual(prog, x, mult)
-    gate = default_tolerances().kkt * max(1.0, np.abs(prog.gradient(x)).max())
+    Qx = prog.Q @ x   # the gradient's and the stationarity residual's product
+    res = _kkt_residual(prog, x, mult, Qx)
+    gate = default_tolerances().kkt * max(1.0, np.abs(Qx + prog.q).max())
     return PrimalResult("optimal" if res <= gate else "numerical", x,
                         prog.objective(x), mult, res, iterations)
 
@@ -452,13 +482,14 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     n = prog.n
     A, b = prog._ineq_rows()
     norms = np.linalg.norm(A, axis=1)
-    x_scale = float(np.max(np.abs(np.concatenate([prog.x_lo, prog.x_hi]))))
+    rate_tols = tols.qp_step * norms   # the ratio test's, per row
+    x_scale = float(np.abs(np.concatenate([prog.x_lo, prog.x_hi])).max())
     q_norm = float(np.linalg.norm(prog.Q))
     # M = Z'QZ has rank at most rank Q: with more columns in Z, some
     # eigenvalue of M is at most the shift (Cauchy interlacing)
     q_rank = int(np.count_nonzero(prog._q_eigs > tols.qp_curv * q_norm))
     # the scale of grad f's terms: ||grad f|| is rounding noise where grad f = 0
-    g_ref = max(q_norm * x_scale, float(np.max(np.abs(prog.q))))
+    g_ref = max(q_norm * x_scale, float(np.abs(prog.q).max()))
     x = x0.copy()
     E = prog.H if prog.k else np.zeros((0, n))
     eq_rows = independent_rows(E)   # a dependent row is redundant
@@ -469,8 +500,8 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     at_min = False
     for it in range(ACTIVE_SET_CAP):
         grad = prog.gradient(x)
-        p, newton = np.zeros(n), True
-        if not at_min:
+        newton = True
+        if not at_min:   # else the step is zero, and p is never read
             M, c = Z.T @ prog.Q @ Z, Z.T @ grad
             if Z.shape[1] <= q_rank and _curved(M, tols.qp_curv * q_norm):
                 d, alpha_max = np.linalg.solve(M, c), 1.0
@@ -486,19 +517,22 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
                     d, curv = V[:, ray] @ c[ray], float(w[ray] @ c[ray] ** 2)
                     alpha_max = float(c[ray] @ c[ray]) / curv if curv > 0.0 else math.inf
             p = -(Z @ d)
-        if newton and (at_min or np.max(np.abs(p)) <= tols.qp_step * x_scale):
+        if newton and (at_min or np.abs(p).max() <= tols.qp_step * x_scale):
             free, rows, C = _working(A, E, work, side)
-            Y, R = np.linalg.qr(C[:, free].T)
-            lam = np.linalg.solve(R, -(Y.T @ grad[free]))
-            r = grad + C.T @ lam
+            if C.shape[0]:
+                Y, R = np.linalg.qr(C[:, free].T)
+                lam = np.linalg.solve(R, -(Y.T @ grad[free]))
+                r = grad + C.T @ lam
+            else:   # no working row: + 0.0 as C'lam would add it
+                lam, r = np.zeros(0), grad + 0.0
             bound = -side * r   # 0 on a free coordinate
             floor = -ROUNDING * n * g_ref   # rounding of the gradient's n terms
-            out = np.flatnonzero(bound < floor)
+            out = (bound < floor).nonzero()[0]
             neg = lam[:rows.size] * norms[rows] < floor
             if out.size:   # the lowest: a lower bound before any upper one
-                side[out[np.argmin(side[out])]] = 0
+                side[out[side[out].argmin()]] = 0
             elif neg.any():
-                work[rows[np.argmax(neg)]] = False
+                work[rows[neg.argmax()]] = False
             else:
                 z = np.zeros(prog.k)
                 z[eq_rows] = lam[rows.size:]
@@ -509,14 +543,14 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
             Z = _null_basis(A, E, work, side)
             at_min = False
             continue
-        alpha, hit = _ratio_test(prog, A, b, x, p, alpha_max, side, work, norms,
-                                 tols.qp_step)
+        alpha, hit = _ratio_test(prog, A, b, x, p, alpha_max, work, rate_tols, tols.qp_step)
         if not math.isfinite(alpha):
             raise RuntimeError("unbounded ray inside a compact box")
         x = x + alpha * p
         if hit is not None:
             j, s = hit
-            Z = _reflect_out(Z, s * np.eye(1, n, j)[0] if s else A[j])
+            # Z'(s e_j) is s Z[j]; + 0.0 gives the +0.0 a gemv sums a zero to
+            Z = _reflect(Z, s * Z[j] + 0.0) if s else _reflect_out(Z, A[j])
             if s:   # a bound: the coordinate on it, and a zero row of Z keeps it there
                 side[j] = s
                 x[j], Z[j] = (prog.x_lo if s < 0 else prog.x_hi)[j], 0.0
@@ -525,14 +559,16 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
         at_min = newton and hit is None
     mult = zero_multipliers(prog)
     return PrimalResult("iteration-cap", x, prog.objective(x), mult,
-                        _kkt_residual(prog, x, mult), ACTIVE_SET_CAP)
+                        _kkt_residual(prog, x, mult, prog.Q @ x), ACTIVE_SET_CAP)
 
 
 def _curved(M, shift) -> bool:
     """Whether every eigenvalue of M is above shift: a Cholesky of M - shift I
     succeeds."""
+    M = M.copy()
+    M.flat[::M.shape[0] + 1] -= shift
     try:
-        np.linalg.cholesky(M - shift * np.eye(M.shape[0]))
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -540,8 +576,9 @@ def _curved(M, shift) -> bool:
 
 def _working(A, E, work, side):
     """Free coordinates, working cone rows, and those rows on E."""
-    rows = np.flatnonzero(work)
-    return np.flatnonzero(side == 0), rows, np.vstack([A[rows], E])
+    rows = work.nonzero()[0]
+    C = A[rows] if E.shape[0] == 0 else E if rows.size == 0 else np.vstack([A[rows], E])
+    return (side == 0).nonzero()[0], rows, C
 
 
 def _null_basis(A, E, work, side):
@@ -557,36 +594,46 @@ def _null_basis(A, E, work, side):
 def _reflect_out(Z, a):
     """Orthonormal basis of range(Z) less a's direction (Z orthonormal, Z'a !=
     0): Z times the reflection of Z'a onto e_1, less its first column."""
-    u = Z.T @ a
-    u[0] += math.copysign(np.linalg.norm(u), u[0])
-    return Z[:, 1:] - np.outer(Z @ u, (2.0 / (u @ u)) * u[1:])
+    return _reflect(Z, Z.T @ a)
 
 
-def _ratio_test(prog, A, b, x, p, alpha_max, side, work, norms, rate_tol):
+def _reflect(Z, u):
+    """`_reflect_out` from u = Z'a, which it overwrites."""
+    u[0] += math.copysign(math.sqrt(u.dot(u)), u[0])
+    return Z[:, 1:] - (Z @ u)[:, None] * ((2.0 / (u @ u)) * u[1:])
+
+
+def _ratio_test(prog, A, b, x, p, alpha_max, work, rate_tols, rate_tol):
     """Longest step along p up to alpha_max, and what blocks it first: (j, s)
     for coordinate j reaching x_a (s = -1) or x_b (s = +1), (i, 0) for cone
     row i. Ties go to the lowest index, lower bounds before upper bounds
     before cone rows. Working rows and rates a'p <= rate_tol * ||a|| * ||p||
-    are skipped: p is in the working set's null space, so such a rate is
-    rounding on a row it implies, and it would block at step 0. A held
-    coordinate has p_j = 0 exactly, so its bounds never block."""
-    p_norm = np.linalg.norm(p)
+    are skipped (rate_tols holds rate_tol * ||a|| per row): p is in the
+    working set's null space, so such a rate is rounding on a row it
+    implies, and it would block at step 0. A held coordinate has p_j = 0
+    exactly, so its bounds never block."""
+    p_norm = math.sqrt(p.dot(p))
     # each coordinate heads for x_b where p_j > 0 and for x_a elsewhere
     up, speed = p > 0.0, np.abs(p)
     steps = np.full(p.size, math.inf)
     np.divide(np.maximum(np.where(up, prog.x_hi - x, x - prog.x_lo), 0.0), speed,
               out=steps, where=speed > rate_tol * p_norm)
-    k = int(np.lexsort((up, steps))[0])   # stable: by coordinate within a side
+    k = int(steps.argmin())   # the lowest coordinate at the least step
+    if up[k]:   # a lower bound tied with it goes first
+        lower = (steps == steps[k]) & ~up
+        if lower.any():
+            k = int(lower.argmax())
     alpha, hit = alpha_max, None
     if steps[k] < alpha:
         alpha, hit = float(steps[k]), (k, 1 if up[k] else -1)
-    rate = A @ p
-    cand = np.flatnonzero((rate > rate_tol * norms * p_norm) & ~work)
-    if cand.size:
-        steps = np.maximum((b - A @ x)[cand], 0.0) / rate[cand]
-        k = int(np.argmin(steps))
-        if steps[k] < alpha:
-            alpha, hit = float(steps[k]), (int(cand[k]), 0)
+    if A.shape[0]:
+        rate = A @ p
+        cand = ((rate > rate_tols * p_norm) & ~work).nonzero()[0]
+        if cand.size:
+            steps = np.maximum((b - A @ x)[cand], 0.0) / rate[cand]
+            k = int(steps.argmin())
+            if steps[k] < alpha:
+                alpha, hit = float(steps[k]), (int(cand[k]), 0)
     return alpha, hit
 
 
@@ -745,7 +792,7 @@ def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
     e_prime = None
     if prog.m and slater.satisfied:
         raw = np.asarray(e, dtype=float) - prog.g(slater.witness)
-        e_prime = raw / np.linalg.norm(raw)
+        e_prime = raw / math.sqrt(raw.dot(raw))
     return GapReport(primal.status, primal.value, dual, gap, slater, x, mult, asserted, ok,
                      pi=pi, e_prime=e_prime, kkt_residual=primal.kkt_residual,
                      dual_status="optimal" if math.isfinite(dual) else "numerical")

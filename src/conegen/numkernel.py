@@ -106,10 +106,17 @@ def as_matrix(X, cols: int | None = None, name: str = "matrix") -> np.ndarray:
 def independent_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the rows left when each row within qp_curv * its norm of
     the span of the rows left before it is dropped. While those are
-    independent, |R_jj| of a QR of rows' is row j's distance from their span."""
-    tol = default_tolerances().qp_curv
+    independent, |R_jj| of a QR of rows' is row j's distance from their span.
+    No row or a lone row takes no QR: |R_00| is the lone row's norm, formed
+    without overflow, so the QR keeps it iff it is nonzero and its norm
+    here did not overflow."""
     keep = np.arange(rows.shape[0])
+    if keep.size == 0:
+        return keep
     norms = np.linalg.norm(rows, axis=1)
+    if keep.size == 1:
+        return keep[rows.any(axis=1) & (norms < math.inf)]
+    tol = default_tolerances().qp_curv
     while keep.size:
         diag = np.abs(np.diagonal(np.linalg.qr(rows[keep].T, mode="r")))
         small = np.flatnonzero(diag <= tol * norms[keep[:diag.size]])
@@ -145,7 +152,7 @@ class LPProblem:
         self.eq_rhs = as_vector(self.eq_rhs, self.eq_lhs.shape[0], "equality rhs")
         self.lower = _bound(self.lower, n, -math.inf, "lower bound")
         self.upper = _bound(self.upper, n, math.inf, "upper bound")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("lower bound exceeds upper bound")
 
     @property
@@ -266,7 +273,8 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     b = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
     m = A.shape[0]
     # Equilibrate: every nonzero inequality and equality row gets infinity-norm 1.
-    norm = np.abs(A).max(axis=1, initial=0.0)
+    absA = np.abs(A)
+    norm = absA.max(axis=1, initial=0.0)
     rho = 1.0 / np.where(norm > 0.0, norm, 1.0)
 
     # Columns z with 0 <= z <= upper and x = shift + sign * z: a finite lower
@@ -274,7 +282,7 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     # variable free on both sides gets a second column for its negative part.
     lo, hi = problem.lower, problem.upper
     has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    free = np.flatnonzero(~(has_lo | has_hi))
+    free = (~(has_lo | has_hi)).nonzero()[0]
     sign = np.where(has_lo | ~has_hi, 1.0, -1.0)
     shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
     xb = (b - A @ shift) * -rho
@@ -287,14 +295,15 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     # Row m is reserved for the reduced costs, which pivot with the rows.
     T = np.zeros((m + 1, nz + m))
     T[:m, :n] = A * -rho[:, None] * sign
-    T[:m, n:nz] = -T[:m, free]
     T[np.arange(m), slack] = 1.0
     upper = np.full(T.shape[1], np.inf)
     upper[:n] = np.where(has_lo & has_hi, hi - lo, np.inf)
     upper[slack[n_in:]] = 0.0
     cost = np.zeros(T.shape[1])
     cost[:n] = problem.cost * sign
-    cost[n:nz] = -problem.cost[free]
+    if free.size:   # the negative parts' columns
+        T[:m, n:nz] = -T[:m, free]
+        cost[n:nz] = -problem.cost[free]
     # Each equilibrated row is held to lp_feas relative to its own right-hand
     # side, whatever the bounds, in the dual loop and the post-solve gate
     # alike. A basic column's bound violation counts in the same row units,
@@ -333,7 +342,9 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     # the equilibrated rows, so the rounding of a far bound shifted to zero
     # does not reach it.
     carries = basis < nz  # basic columns that carry a variable of x
-    var = np.concatenate([np.arange(n), free])[basis[carries]]
+    var = basis[carries]
+    if free.size:   # a negative part's column carries its variable
+        var = np.concatenate([np.arange(n), free])[var]
     x = np.where(sgn[:n] > 0.0, hi, shift)
     x[var] = 0.0
     unit = np.ones(T.shape[1])  # columns in x units: x_j = -z on a negative part
@@ -354,8 +365,8 @@ def solve_lp(problem: LPProblem) -> SolveReport:
         "optimality": float(max(0.0, (T[m] * sgn).max(initial=0.0))),
     }
     # The gate also allows for the size of the terms each row sums at x.
-    terms = tols.lp_feas * rho * (np.abs(A) @ np.abs(x))
-    if np.any(res * rho > np.maximum(feas_tol, terms)):
+    terms = tols.lp_feas * rho * (absA @ np.abs(x))
+    if (res * rho > np.maximum(feas_tol, terms)).any():
         out.status = "numerical"
     return out
 
@@ -401,6 +412,8 @@ def _dual_loop(T, xb, basis, upper, sgn, weight, held, tols):
     leaving row).
     """
     m, ncols = T.shape[0] - 1, T.shape[1]
+    if m == 0:
+        return "optimal", 0, None
     d = T[m]
     ub, wb, hb = upper[basis], weight[basis], held[basis]
     piv = np.empty(ncols)
@@ -409,17 +422,18 @@ def _dual_loop(T, xb, basis, upper, sgn, weight, held, tols):
     iters = 0
     while True:
         viol = np.maximum(xb - ub, -xb) * wb
-        over = viol > hb
-        if not over.any():
+        # an over row has viol > held >= 0, so the largest score is positive
+        # iff some row is over, and its row is the leaving row
+        score = np.where(viol > hb, viol, 0.0)
+        row = int(score.argmax())
+        if not score[row] > 0.0:
             return "optimal", iters, None
         if iters >= SIMPLEX_CAP:
             return "iteration-cap", iters, None
         bland = degenerate >= _BLAND_AFTER
         if bland:
-            cand = over.nonzero()[0]
+            cand = score.nonzero()[0]
             row = int(cand[basis[cand].argmin()])
-        else:
-            row = int(np.where(over, viol, 0.0).argmax())
         below = xb[row] < 0.0
         excess = -xb[row] if below else xb[row] - ub[row]
         alpha = T[row] * (sgn if below else -sgn)

@@ -150,7 +150,7 @@ def parse_problem(path: str) -> ProblemFile:
     allowed = {"version", "norm", "cone", *BLOCKS}
     _expect_keys(raw, allowed, "$")
     version = raw.get("version", 1)
-    if version != 1:
+    if type(version) is not int or version != 1:   # an int: neither true nor 1.0
         raise ProblemFormatError(f"unsupported version {version!r}", "$.version")
     present = [b for b in BLOCKS if b in raw]
     if len(present) != 1:
@@ -222,6 +222,10 @@ def _validate_block(pf: ProblemFile):
         _expect_keys(box, {"lower", "upper"}, f"{loc}.box")
         _require(box, ("lower", "upper"), f"{loc}.box")
         block["box"] = {key: _array(box, key, f"{loc}.box", n) for key in ("lower", "upper")}
+        from .duality import _box_width_is_finite
+        if not _box_width_is_finite(block["box"]["lower"], block["box"]["upper"]):
+            raise ProblemFormatError("box width upper - lower must be a finite float",
+                                     f"{loc}.box")
         # g0 and h0 come with G and H, and e with G, as the library requires;
         # Q has n rows and G one per cone axis
         _require(block, [off for key, off in (("G", "g0"), ("H", "h0")) if key in block], loc)

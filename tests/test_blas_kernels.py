@@ -10,8 +10,10 @@ equalities must agree, and so must a Lipschitz rank on the coordinate cone
 to its last bit: its planes are unit-coefficient products, exact on every
 kernel. So must the report that the one-point row product `A.dot(x)` gives
 the bits of the matmul `x @ A.T` on the point-evaluation cones, for
-contiguous and strided points: both are the same gemv on each kernel.
-Iteration counts are not compared.
+contiguous and strided points: both are the same gemv on each kernel. So
+must the report that the active set's bound row s Z[j] + 0.0 gives the
+bits of the gemv Z'(s e_j) (test_gap_report_bits.py). Iteration counts are
+not compared.
 
 Run as a script, this file prints the decisions as JSON.
 """
@@ -29,6 +31,7 @@ from conegen.duality import duality_gap_report, random_box_program, random_multi
 from conegen.numkernel import solve_lp
 from conegen.cones import coordinate_cone
 from conegen.penalty import cone_lipschitz_rank, random_instance, verify_penalty_equivalence
+from test_gap_report_bits import bound_reflections
 from test_point_eval import CONES
 from test_simplex_highs import _box_lp
 
@@ -70,6 +73,7 @@ def decisions() -> list:
         X = rng.normal(size=(2000, cone.dim)) * 10.0 ** rng.integers(-5, 6, size=(2000, 1))
         points = [*X, *np.repeat(X, 2, axis=1)[:, ::2]]
         out.append(["dot", name, all(H.dot(x).tobytes() == (x @ H.T).tobytes() for x in points)])
+    out.append(["reflect", all(bound_reflections())])
     return out
 
 
@@ -80,8 +84,8 @@ def test_decisions_do_not_depend_on_the_blas_kernel():
     child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                            text=True, check=True, timeout=120)
     here = decisions()
-    assert len(here) == 100 + 2 + 60 + 50 + 1 + len(CONES)
-    assert all(row[2] for row in here if row[0] == "dot")
+    assert len(here) == 100 + 2 + 60 + 50 + 1 + len(CONES) + 1
+    assert all(row[2] for row in here if row[0] == "dot") and here[-1] == ["reflect", True]
     assert json.loads(child.stdout) == here
 
 

@@ -603,6 +603,8 @@ def test_stray_keys_exit2_at_their_key(capsys, tmp_path, key, value, message):
     ("gauge", "{", "$"),
     ("gauge", [GAUGE], "$"),
     ("gauge", {**GAUGE, "version": 2}, "$.version"),
+    ("gauge", {**GAUGE, "version": True}, "$.version"),
+    ("gauge", {**GAUGE, "version": 1.0}, "$.version"),
     ("gauge", {**GAUGE, "gauge": [1.0, 1.0]}, "$.gauge"),
     ("gauge", {"gauge": {"u": [1.0]}}, "$.cone"),
     ("minimal", {**P1, "penalty": {**PENALTY, "values": [[0.0]]}}, "$.penalty"),
@@ -612,12 +614,16 @@ def test_stray_keys_exit2_at_their_key(capsys, tmp_path, key, value, message):
     ("duality", {**D1, "duality": {**DUALITY, "box": [0.0, 1.0]}}, "$.duality.box"),
     ("duality", {**D1, "duality": {**DUALITY, "box": {"lower": [0.0], "upper": [1.0]}}},
      "$.duality.box"),
+    ("duality", {**D1, "duality": {**DUALITY, "box": {"lower": [-1.7e308, 0.0],
+                                                      "upper": [1.7e308, 1.0]}}},
+     "$.duality.box"),
     ("hausdorff", {"lattice": {"a_vertices": [[0.0, 0.0]], "b_vertices": [[1.0, 0.0, 0.0]]}},
      "$.lattice"),
 ], ids=["norm-list", "norm-p3", "norm-p-true", "norm-weight-zero", "cone-list", "coordinate-no-dim",
-        "general-empty", "invalid-json", "top-level-list", "version-2", "block-list",
-        "missing-cone", "points-values-length", "values-dimension", "mask-length",
-        "box-list", "box-length", "lattice-dimensions"])
+        "general-empty", "invalid-json", "top-level-list", "version-2", "version-true",
+        "version-float", "block-list", "missing-cone", "points-values-length",
+        "values-dimension", "mask-length", "box-list", "box-length", "box-width-overflow",
+        "lattice-dimensions"])
 def test_rejections_exit2_at_their_location(capsys, tmp_path, command, text, location):
     path = tmp_path / "p.json"
     if isinstance(text, dict):

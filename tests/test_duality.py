@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ class TestBoxProgram:
         rep = check_modified_slater(prog, None)
         assert rep.satisfied and rep.h_neighborhood
         assert 1e308 < rep.witness[0] < 1.7e308
+
+    def test_the_widest_box_has_a_finite_lift(self):
+        # x_b - x_a is the largest float; a wider box is refused (test_refusals.py)
+        half = 0.5 * sys.float_info.max
+        rep = duality_gap_report(BoxProgram(n=1, Q=np.eye(1), q=[0.0], c=0.0,
+                                            x_lo=[-half], x_hi=[half]))
+        assert rep.primal_status == "optimal" and rep.pi[0] == sys.float_info.max
+        assert rep.to_dict()["multipliers_lifted"] == {"y": [], "x1": [0.0], "x2": [0.0],
+                                                       "z": []}
 
     @pytest.mark.parametrize("h", [{}, {"H": [[1.0]], "h0": [0.0]}], ids=["no-h", "h"])
     def test_a_box_with_no_float_inside_is_refused(self, h):

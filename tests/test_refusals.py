@@ -43,6 +43,12 @@ REFUSALS = {
     "BoxProgram.Q.shape": (lambda: box(Q=np.ones((3, 2))), ValueError, "Q has wrong shape"),
     "BoxProgram.Q.symmetric": (lambda: box(Q=[[1.0, 1.0], [0.0, 1.0]]), ValueError,
                                "Q must be symmetric"),
+    # x_b - x_a overflows here; the width is the box lift's generating element
+    "BoxProgram.width.infinite": (lambda: box(x_lo=[-1.7e308, -1.0], x_hi=[1.7e308, 1.0]),
+                                  ValueError, "box must have x_b - x_a a finite float"),
+    "BoxProgram.width.largest": (lambda: box(x_lo=[-1.0, -math.ldexp(1.0, 1023)],
+                                             x_hi=[1.0, math.ldexp(1.0, 1023)]),
+                                 ValueError, "box must have x_b - x_a a finite float"),
     "BoxProgram.cone_y.missing": (lambda: box(G=[[1.0, 1.0]], g0=[-0.5]), ValueError,
                                   "constraint cone missing or of wrong dimension"),
     "BoxProgram.cone_y.dim": (lambda: box(G=[[1.0, 1.0]], g0=[-0.5],
