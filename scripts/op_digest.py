@@ -1,6 +1,8 @@
-"""Print a canonical digest of every benchmark op's output.
+"""Print a canonical digest of every benchmark op's output, or of the CLI's
+reports.
 
     python scripts/op_digest.py WORKLOAD SEEDS [--ops N]
+    python scripts/op_digest.py cli
 
 WORKLOAD is penalty, duality, pointwise or all; SEEDS is a list such as
 1-3 or 1,4,7. Each seed runs the op stream of perfbench/workloads.py that
@@ -17,12 +19,20 @@ NamedTuple or plain object is its class name and its fields, recursed, with
 private attributes (a leading underscore) left out; lists, tuples and dicts
 are recursed in order; an op that raises is its exception's type and
 message.
+
+`cli` runs tests/test_cli.py and tests/test_readme.py in this process, with
+a fixed hypothesis seed, and prints the count of the reports that
+`conegen.cli._emit` writes meanwhile and one sha256 over their JSON text, in
+the order written. It exits 1 if a test fails.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
 import sys
 from pathlib import Path
 
@@ -31,6 +41,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 22.0   # perfbench/run.py's default --seconds
 WORKLOADS = ("penalty", "duality", "pointwise")
+CLI_TESTS = ("tests/test_cli.py", "tests/test_readme.py")
 
 
 def benchmark():
@@ -120,6 +131,33 @@ def digest(name: str, seeds, ops: int | None = None) -> tuple[int, str]:
     return done, h.hexdigest()
 
 
+def cli_digest() -> tuple[int, str]:
+    """(report count, sha256 hex) over the JSON text of every report
+    `conegen.cli._emit` writes while CLI_TESTS run in this process."""
+    import pytest
+    benchmark()   # src on the path and the BLAS threads pinned, as for the workloads
+    from conegen import cli
+    h, count, emit = hashlib.sha256(), 0, cli._emit
+
+    def emit_and_hash(report, summary):
+        nonlocal count
+        h.update(json.dumps(cli._plain(report), indent=2).encode() + b"\n")
+        count += 1
+        emit(report, summary)
+
+    cli._emit, out = emit_and_hash, io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = pytest.main([*(str(ROOT / path) for path in CLI_TESTS), "-q",
+                                "-p", "no:cacheprovider", "--hypothesis-seed=0"])
+    finally:
+        cli._emit = emit
+    if code != 0:
+        sys.stderr.write(out.getvalue())
+        raise SystemExit(1)
+    return count, h.hexdigest()
+
+
 def parse_seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
@@ -130,10 +168,17 @@ def parse_seeds(text: str) -> list[int]:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=WORKLOADS + ("all",))
-    parser.add_argument("seeds", type=parse_seeds, help="e.g. 1-3 or 1,4,7")
+    parser.add_argument("workload", choices=WORKLOADS + ("all", "cli"))
+    parser.add_argument("seeds", type=parse_seeds, nargs="?",
+                        help="e.g. 1-3 or 1,4,7 (not read by cli)")
     parser.add_argument("--ops", type=int, help="ops per seed (default: the benchmark's)")
     args = parser.parse_args(argv)
+    if args.workload == "cli":
+        count, hexdigest = cli_digest()
+        print(f"cli: {count} reports sha256 {hexdigest}")
+        return
+    if args.seeds is None:
+        parser.error("a workload needs its seeds")
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     for name in names:
         count, hexdigest = digest(name, args.seeds, args.ops)

@@ -90,14 +90,21 @@ class BoxProgram:
             self.h0 = as_vector(self.h0, self.H.shape[0], "h0")
         elif self.h0 is not None:
             raise ValueError("h0 given without H")
+        # What the solvers read: an absent block is one of no rows, and so
+        # are the cone's rows without G. The public fields keep None, which
+        # callers test, and which `dataclasses.replace` passes back in.
+        none = np.zeros((0, n)), np.zeros(0)
+        self._G, self._g0 = none if self.G is None else (self.G, self.g0)
+        self._H, self._h0 = none if self.H is None else (self.H, self.h0)
+        self._cone_rows = np.zeros((0, 0)) if self.G is None else self.cone_y.halfspaces
 
     @property
     def m(self) -> int:
-        return 0 if self.G is None else self.G.shape[0]
+        return self._G.shape[0]
 
     @property
     def k(self) -> int:
-        return 0 if self.H is None else self.H.shape[0]
+        return self._H.shape[0]
 
     def objective(self, x) -> float:
         x = as_vector(x, self.n, "x")
@@ -107,10 +114,10 @@ class BoxProgram:
         return self.Q @ x + self.q
 
     def g(self, x) -> np.ndarray:
-        return self.G @ x + self.g0 if self.G is not None else np.zeros(0)
+        return self._G @ x + self._g0
 
     def h(self, x) -> np.ndarray:
-        return self.H @ x + self.h0 if self.H is not None else np.zeros(0)
+        return self._H @ x + self._h0
 
     def feasible(self, x) -> bool:
         tol = default_tolerances().membership
@@ -119,21 +126,14 @@ class BoxProgram:
             return False
         if self.m and not self.cone_y.contains(-self.g(x)):
             return False
-        return not (self.k and np.max(np.abs(self.h(x))) > tol)
-
-    def _ineq_rows(self):
-        """All inequality rows a@x <= b beyond the box: cone rows of g."""
-        return self._rows
+        return not (np.abs(self.h(x)).max(initial=0.0) > tol)
 
     @functools.cached_property
-    def _rows(self):
-        """`_ineq_rows`: they read no tolerance, so they are formed once per
+    def _ineq_rows(self):
+        """All inequality rows a@x <= b beyond the box, the cone rows of g:
+        (A G, -(A g0)). They read no tolerance, so they are formed once per
         program; read-only."""
-        if self.m == 0:
-            A, b = np.zeros((0, self.n)), np.zeros(0)
-        else:
-            A = self.cone_y.halfspaces
-            A, b = A @ self.G, -(A @ self.g0)
+        A, b = self._cone_rows @ self._G, -(self._cone_rows @ self._g0)
         A.flags.writeable = b.flags.writeable = False
         return A, b
 
@@ -156,10 +156,9 @@ class BoxProgram:
         of h's terms there (r = s = 0.0 without h); `_centre_point` holds r
         to its tolerance. Formed once per program, as x is."""
         x = self._lstsq_centre
-        r = s = 0.0
-        if self.k:
-            s = max((np.abs(self.H) @ np.abs(x)).max(), np.abs(self.h0).max())
-            r = np.abs(self.h(x)).max()
+        s = max((np.abs(self._H) @ np.abs(x)).max(initial=0.0),
+                np.abs(self._h0).max(initial=0.0))
+        r = np.abs(self.h(x)).max(initial=0.0)
         return bool(((self.x_lo < x) & (x < self.x_hi)).all()), r, s
 
 
@@ -222,9 +221,8 @@ def _dual_terms(prog: BoxProgram, mult: Multipliers):
     <x2*, x_b>, <y*, g0>, <z*, h0>, and 0.5 x'Qx and b'x at the minimizer."""
     b, parts = _linear_term(prog, mult)
     tol = default_tolerances().qp_curv * float(np.abs(np.concatenate(parts)).max())
-    terms = [prog.c, float(mult.x1 @ prog.x_lo), -float(mult.x2 @ prog.x_hi)]
-    terms += [float(mult.y @ prog.g0)] if prog.m else []
-    terms += [float(mult.z @ prog.h0)] if prog.k else []
+    terms = [prog.c, float(mult.x1 @ prog.x_lo), -float(mult.x2 @ prog.x_hi),
+             float(mult.y @ prog._g0), float(mult.z @ prog._h0)]
     value = sum(terms[1:], terms[0])
     if prog.Q.any():
         x, *_ = np.linalg.lstsq(prog.Q, -b, rcond=None)
@@ -238,8 +236,7 @@ def _dual_terms(prog: BoxProgram, mult: Multipliers):
 def _linear_term(prog: BoxProgram, mult: Multipliers):
     """The Lagrangian's linear coefficients q + G'y* - x1* + x2* + H'z*, and
     those five terms."""
-    gy = prog.G.T @ mult.y if prog.m else np.zeros(prog.n)
-    hz = prog.H.T @ mult.z if prog.k else np.zeros(prog.n)
+    gy, hz = prog._G.T @ mult.y, prog._H.T @ mult.z
     return prog.q + gy + (-mult.x1 + mult.x2) + hz, (prog.q, gy, mult.x1, mult.x2, hz)
 
 
@@ -290,8 +287,8 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     tols = default_tolerances()
     centre = _centre_point(prog)
     interior, failed = _h_interior(prog, tols, centre)
-    h_ok = None if failed else interior is not None and (
-        prog.k == 0 or independent_rows(prog.H).size == prog.k)
+    h_ok = None if failed else interior is not None and \
+        independent_rows(prog._H).size == prog.k
 
     def report(satisfied, witness, lam, margin, diagnosis=""):
         return SlaterReport(satisfied, witness, lam, margin, h_ok,
@@ -307,7 +304,7 @@ def check_modified_slater(prog: BoxProgram, e) -> SlaterReport:
     if not prog.cone_y.interior_contains(e):
         raise ValueError("e must be interior to the constraint cone")
     A = prog.cone_y.halfspaces
-    gA, gb = prog._ineq_rows()   # A G and -(A g0)
+    gA, gb = prog._ineq_rows   # A G and -(A g0)
     # margins are in units of the terms' size: a power of two near the larger
     # of |A G| X (X the box scale) and |A g0|, so that neither the LP nor the
     # margin test depends on the scale of (G, g0)
@@ -391,10 +388,10 @@ def _max_t_lp(prog: BoxProgram, rows, t_col, rhs, x_bounds, t_bounds):
     """max t over (x, t) s.t. rows @ x + t_col t >= rhs, h(x) = 0 and x, t
     within their (lower, upper) bounds; the Slater search LP and the
     h-interior LP."""
-    eq = None if prog.k == 0 else np.hstack([prog.H, np.zeros((prog.k, 1))])
     return solve_lp(LPProblem(cost=-np.eye(prog.n + 1)[-1],
                               ineq_lhs=np.hstack([rows, t_col[:, None]]), ineq_rhs=rhs,
-                              eq_lhs=eq, eq_rhs=None if eq is None else -prog.h0,
+                              eq_lhs=np.hstack([prog._H, np.zeros((prog.k, 1))]),
+                              eq_rhs=-prog._h0,
                               lower=np.append(x_bounds[0], t_bounds[0]),
                               upper=np.append(x_bounds[1], t_bounds[1])))
 
@@ -415,12 +412,9 @@ class PrimalResult:
 
 def _feasible_set_lp(prog: BoxProgram, cost):
     """min cost'x over the feasible set, by simplex."""
-    gA, gb = prog._ineq_rows()
-    return solve_lp(LPProblem(
-        cost=cost, ineq_lhs=None if gA.shape[0] == 0 else -gA,
-        ineq_rhs=None if gA.shape[0] == 0 else -gb,
-        eq_lhs=prog.H, eq_rhs=None if prog.k == 0 else -prog.h0,
-        lower=prog.x_lo, upper=prog.x_hi))
+    gA, gb = prog._ineq_rows
+    return solve_lp(LPProblem(cost=cost, ineq_lhs=-gA, ineq_rhs=-gb, eq_lhs=prog._H,
+                              eq_rhs=-prog._h0, lower=prog.x_lo, upper=prog.x_hi))
 
 
 def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers, Qx) -> float:
@@ -429,12 +423,11 @@ def _kkt_residual(prog: BoxProgram, x: np.ndarray, mult: Multipliers, Qx) -> flo
     complementarity on every halfspace of C at once, whichever coordinates
     y* is written in."""
     gx = prog.g(x)
-    cone_viol = prog.cone_y.halfspaces @ gx if prog.m else gx
     return float(max(np.abs(Qx + _linear_term(prog, mult)[0]).max(),
                      (mult.x1 * np.abs(x - prog.x_lo)).max(),
                      (mult.x2 * np.abs(prog.x_hi - x)).max(), abs(mult.y @ gx),
                      (prog.x_lo - x).max(), (x - prog.x_hi).max(),
-                     cone_viol.max(initial=0.0), np.abs(prog.h(x)).max(initial=0.0)))
+                     (prog._cone_rows @ gx).max(initial=0.0), np.abs(prog.h(x)).max(initial=0.0)))
 
 
 def _gated(prog: BoxProgram, x: np.ndarray, mult: Multipliers,
@@ -480,7 +473,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     """
     tols = default_tolerances()
     n = prog.n
-    A, b = prog._ineq_rows()
+    A, b = prog._ineq_rows
     norms = np.linalg.norm(A, axis=1)
     rate_tols = tols.qp_step * norms   # the ratio test's, per row
     x_scale = float(np.abs(np.concatenate([prog.x_lo, prog.x_hi])).max())
@@ -491,9 +484,8 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     # the scale of grad f's terms: ||grad f|| is rounding noise where grad f = 0
     g_ref = max(q_norm * x_scale, float(np.abs(prog.q).max()))
     x = x0.copy()
-    E = prog.H if prog.k else np.zeros((0, n))
-    eq_rows = independent_rows(E)   # a dependent row is redundant
-    E = E[eq_rows]
+    eq_rows = independent_rows(prog._H)   # a dependent row is redundant
+    E = prog._H[eq_rows]
     side = np.zeros(n, dtype=int)
     work = np.zeros(A.shape[0], dtype=bool)
     Z = _null_basis(A, E, work, side)
@@ -612,7 +604,11 @@ def _ratio_test(prog, A, b, x, p, alpha_max, work, rate_tols, rate_tol):
     working set's null space, so such a rate is rounding on a row it
     implies, and it would block at step 0. A held coordinate has p_j = 0
     exactly, so its bounds never block."""
-    p_norm = math.sqrt(p.dot(p))
+    with np.errstate(over="ignore"):   # p'p overflows from |p| of about 1.3e154
+        p_norm = math.sqrt(p.dot(p))
+        if p_norm == math.inf:   # p'p overflowed: read p at a power of two of max |p|
+            s = pow2_shift(float(np.abs(p).max()), 0, 0)
+            p_norm = float(np.ldexp(math.sqrt(np.ldexp(p, -s).dot(np.ldexp(p, -s))), s))
     # each coordinate heads for x_b where p_j > 0 and for x_a elsewhere
     up, speed = p > 0.0, np.abs(p)
     steps = np.full(p.size, math.inf)
@@ -640,7 +636,7 @@ def _ratio_test(prog, A, b, x, p, alpha_max, work, rate_tols, rate_tol):
 def _cone_multiplier(prog: BoxProgram, rows, lam) -> np.ndarray:
     """y* = A_rows' max(lam, 0), A the halfspace rows of the constraint cone
     and lam the multipliers of its rows `rows`."""
-    return prog.cone_y.halfspaces[rows].T @ np.maximum(lam, 0.0) if prog.m else np.zeros(0)
+    return prog._cone_rows[rows].T @ np.maximum(lam, 0.0)
 
 
 def solve_primal(prog: BoxProgram) -> PrimalResult:
@@ -663,7 +659,7 @@ def solve_primal(prog: BoxProgram) -> PrimalResult:
     lp = not prog.Q.any()
     x0 = None if lp else _centre_point(prog)
     if x0 is not None:
-        gA, gb = prog._ineq_rows()
+        gA, gb = prog._ineq_rows
         if (gA @ x0 <= gb).all():
             return _active_set_qp(prog, x0)
     rep = _feasible_set_lp(prog, prog.q if lp else np.zeros(prog.n))
@@ -760,7 +756,7 @@ class GapReport:
             d["farkas"] = self.farkas.to_dict()
         if self.multipliers is not None:
             d["multipliers"] = self.multipliers.to_dict()
-            if self.pi is not None and (self.e_prime is not None or self.multipliers.y.size == 0):
+            if self.e_prime is not None or self.multipliers.y.size == 0:
                 ep = self.e_prime if self.e_prime is not None else np.zeros(0)
                 d["multipliers_lifted"] = self.multipliers.lifted(self.pi, ep)
         return d
@@ -938,7 +934,7 @@ def random_box_program(rng: np.random.Generator, kind: str = "qp",
 
 
 def random_multipliers(rng: np.random.Generator, prog: BoxProgram) -> Multipliers:
-    A = prog.cone_y.halfspaces if prog.m else np.zeros((0, 0))
+    A = prog._cone_rows
     y = np.abs(rng.normal(size=A.shape[0])) @ A
     return Multipliers(y=y, x1=np.abs(rng.normal(size=prog.n)),
                        x2=np.abs(rng.normal(size=prog.n)),

@@ -107,15 +107,21 @@ def independent_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the rows left when each row within qp_curv * its norm of
     the span of the rows left before it is dropped. While those are
     independent, |R_jj| of a QR of rows' is row j's distance from their span.
-    No row or a lone row takes no QR: |R_00| is the lone row's norm, formed
-    without overflow, so the QR keeps it iff it is nonzero and its norm
-    here did not overflow."""
+    Each row is read at a power of two of its largest |entry| (PRODUCT_E),
+    so that no norm over- or underflows; the test does not change with a
+    row's scale, and a row that needs no shift keeps its bits. No row or a
+    lone row takes no QR: |R_00| is the lone row's norm, so the QR keeps it
+    iff it is nonzero."""
     keep = np.arange(rows.shape[0])
     if keep.size == 0:
         return keep
-    norms = np.linalg.norm(rows, axis=1)
+    shifts = [pow2_shift(top, -PRODUCT_E, PRODUCT_E)
+              for top in np.abs(rows).max(axis=1, initial=0.0).tolist()]
+    if any(shifts):
+        rows = np.ldexp(rows, -np.array(shifts)[:, None])
     if keep.size == 1:
-        return keep[rows.any(axis=1) & (norms < math.inf)]
+        return keep[rows.any(axis=1)]
+    norms = np.linalg.norm(rows, axis=1)
     tol = default_tolerances().qp_curv
     while keep.size:
         diag = np.abs(np.diagonal(np.linalg.qr(rows[keep].T, mode="r")))
@@ -301,9 +307,8 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     upper[slack[n_in:]] = 0.0
     cost = np.zeros(T.shape[1])
     cost[:n] = problem.cost * sign
-    if free.size:   # the negative parts' columns
-        T[:m, n:nz] = -T[:m, free]
-        cost[n:nz] = -problem.cost[free]
+    T[:m, n:nz] = -T[:m, free]   # the negative parts' columns
+    cost[n:nz] = -problem.cost[free]
     # Each equilibrated row is held to lp_feas relative to its own right-hand
     # side, whatever the bounds, in the dual loop and the post-solve gate
     # alike. A basic column's bound violation counts in the same row units,
@@ -342,9 +347,8 @@ def solve_lp(problem: LPProblem) -> SolveReport:
     # the equilibrated rows, so the rounding of a far bound shifted to zero
     # does not reach it.
     carries = basis < nz  # basic columns that carry a variable of x
-    var = basis[carries]
-    if free.size:   # a negative part's column carries its variable
-        var = np.concatenate([np.arange(n), free])[var]
+    # a negative part's column carries its variable
+    var = np.concatenate([np.arange(n), free])[basis[carries]]
     x = np.where(sgn[:n] > 0.0, hi, shift)
     x[var] = 0.0
     unit = np.ones(T.shape[1])  # columns in x units: x_j = -z on a negative part

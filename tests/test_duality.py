@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 
@@ -108,6 +109,61 @@ class TestBoxProgram:
                        x_hi=[1.0, 1.0], **offset)
 
 
+def block_programs():
+    """One program of each kind of block: none, G, H, both, an LP with both,
+    and a cone given with no G."""
+    box = dict(n=2, q=[1.0, -1.0], c=0.5, x_lo=[-1.0, -1.0], x_hi=[1.0, 2.0])
+    G = dict(G=[[1.0, 1.0]], g0=[-0.5], cone_y=coordinate_cone(1))
+    H = dict(H=[[1.0, -1.0]], h0=[0.25])
+    return {"none": BoxProgram(Q=np.eye(2), **box),
+            "G": BoxProgram(Q=np.eye(2), **box, **G),
+            "H": BoxProgram(Q=np.eye(2), **box, **H),
+            "G-H": BoxProgram(Q=np.eye(2), **box, **G, **H),
+            "lp-G-H": BoxProgram(Q=None, **box, **G, **H),
+            "cone-without-G": BoxProgram(Q=np.eye(2), **box, cone_y=coordinate_cone(3))}
+
+
+def report_json(prog):
+    return json.dumps(duality_gap_report(prog).to_dict())
+
+
+class TestAbsentBlocks:
+    """An absent G or H keeps None in its public field (the benchmark's
+    oracles test `prog.H is not None`), and the solvers read it as a block
+    of no rows."""
+
+    def test_public_fields_stay_as_given(self):
+        progs = block_programs()
+        for name in ("none", "cone-without-G"):
+            prog = progs[name]
+            assert prog.G is prog.g0 is prog.H is prog.h0 is None
+            assert (prog.m, prog.k) == (0, 0)
+        assert progs["none"].cone_y is None
+        cone = coordinate_cone(3)
+        assert BoxProgram(n=1, Q=None, q=[1.0], c=0.0, x_lo=[0.0], x_hi=[1.0],
+                          cone_y=cone).cone_y is cone
+        assert progs["G"].H is progs["G"].h0 is None
+        assert progs["H"].G is progs["H"].g0 is progs["H"].cone_y is None
+
+    @pytest.mark.parametrize("name", ["none", "G", "lp-G-H"])
+    def test_a_zero_row_h_reads_as_no_h(self, name):
+        prog = block_programs()[name]
+        if prog.H is not None:
+            prog = dataclasses.replace(prog, H=None, h0=None)
+        empty = dataclasses.replace(prog, H=np.zeros((0, 2)), h0=np.zeros(0))
+        assert empty.k == 0
+        assert report_json(empty) == report_json(prog)
+        e = None if prog.m == 0 else [1.0]
+        assert check_modified_slater(empty, e).to_dict() == check_modified_slater(prog, e).to_dict()
+
+    def test_replace_rebuilds_every_kind(self):
+        for name, prog in block_programs().items():
+            again = dataclasses.replace(prog)
+            for field in ("G", "g0", "H", "h0", "cone_y"):
+                assert (getattr(again, field) is None) == (getattr(prog, field) is None), name
+            assert report_json(again) == report_json(prog), name
+
+
 class TestLagrangian:
     def test_zero_multipliers(self):
         prog = lp_example()
@@ -188,6 +244,15 @@ class TestSlater:
                           x_hi=[1.0, 1.0], H=[[t, t]], h0=[0.0])
         assert check_modified_slater(prog, None).h_neighborhood
 
+    def test_a_far_equality_row_keeps_its_rank(self):
+        # the row's squared norm overflows: it was dropped as dependent
+        prog = BoxProgram(n=2, Q=np.eye(2), q=[1.0, 1.0], c=0.0, x_lo=[-1.0, -1.0],
+                          x_hi=[1.0, 1.0], H=[[2e154, -2e154]], h0=[0.0])
+        assert check_modified_slater(prog, None).h_neighborhood
+        rows = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
+        for scale in (1.0, 1e200, 1e-200):
+            assert numkernel.independent_rows(rows * scale).tolist() == [0, 1]
+
     @pytest.mark.parametrize("check", [check_modified_slater, duality_gap_report])
     def test_e_without_a_cone_constraint_is_refused(self, check):
         # e outside the cone, and never read when there is no cone constraint
@@ -221,6 +286,13 @@ class TestPrimal:
         assert rep.status == "optimal"
         assert np.allclose(rep.x, [1.0]) and rep.value == pytest.approx(0.5)
         assert rep.kkt_residual <= 1e-6
+
+    def test_a_far_box_steps_without_overflow(self):
+        # the active set's step has a squared norm past the largest float
+        prog = BoxProgram(n=1, Q=[[1e-300]], q=[0.0], c=0.0, x_lo=[1e200], x_hi=[1.7e200])
+        rep = duality_gap_report(prog)
+        assert rep.primal_status == rep.dual_status == "optimal"
+        assert rep.primal_value == 5e99 and rep.witness.tolist() == [1e200] and rep.gap_ok
 
     def test_lp_oracle(self):
         rep = solve_primal(lp_example())
@@ -610,7 +682,7 @@ class TestCentreInfeasible:
         assert np.all((p > prog.x_lo) & (p < prog.x_hi)) and prog.feasible(p)
         centre = duality._centre_point(prog)
         if centre is not None:   # the cut: the centre violates a cone row
-            gA, gb = prog._ineq_rows()
+            gA, gb = prog._ineq_rows
             assert np.any(gA @ centre > gb)
         rep = duality_gap_report(prog, e)
         assert rep.primal_status == rep.dual_status == "optimal"

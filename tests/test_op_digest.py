@@ -68,3 +68,18 @@ def test_a_run_prints_one_digest_per_workload():
         head, digest = line.split(" sha256 ")
         assert head.endswith("seeds 1,2: 4 ops") and len(digest) == 64
         int(digest, 16)
+
+
+def test_cli_prints_the_report_count_and_one_digest():
+    out = subprocess.run([sys.executable, str(SCRIPT), "cli"], capture_output=True,
+                         text=True, check=True, timeout=300).stdout
+    head, digest = out.strip().split(" sha256 ")
+    word, count, unit = head.split()
+    assert (word, unit) == ("cli:", "reports") and int(count) >= 90 and len(digest) == 64
+    int(digest, 16)
+
+
+def test_a_workload_needs_its_seeds():
+    run = subprocess.run([sys.executable, str(SCRIPT), "duality"], capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 2 and "a workload needs its seeds" in run.stderr
