@@ -5,8 +5,10 @@ A cone is stored with both descriptions: an inward-normal halfspace list
 given in any dimension; the other is derived by one double-description
 routine, and when both are given they must describe the same cone. Every cone
 is salient (contains no line), which is checked at construction; the
-degenerate cone {0} is rejected. The same conversion tells which halfspace
-rows are facets. An OrderUnit reads a cone's rows against one element u.
+degenerate cone {0} is rejected, and so is a description with a zero row,
+one whose entries are all 0; any other row is read at its own scale. The
+same conversion tells which halfspace rows are facets. An OrderUnit reads a
+cone's rows against one element u.
 """
 from __future__ import annotations
 
@@ -17,10 +19,9 @@ import numpy as np
 
 from .config import default_tolerances
 from .numkernel import (SHORT, SUM_E, DimensionMismatch, as_matrix, as_vector, independent_rows,
-                        pow2_shift)
+                        pow2_rows, pow2_shift, row_norms)
 
 
-ZERO_ROW = 1e-14      # a description row of smaller norm is a zero row
 # times dim: bound on the rounding of a dot product of unit dim-vectors, with
 # room to spare (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)
 ROUNDING = 64 * np.finfo(float).eps
@@ -38,8 +39,11 @@ class UnsupportedRepresentation(ValueError):
 
 
 def _unit_rows(M: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(M, axis=1)
-    if np.any(norms < ZERO_ROW):
+    """Each row of M over its length, formed from the row at its power of
+    two (`pow2_rows`), where only a zero row has length 0: the unit row does
+    not change with the row's scale."""
+    M, _, norms = pow2_rows(M)
+    if not norms.all():
         raise InvalidCone("zero row in cone description")
     return M / norms[:, None]
 
@@ -103,7 +107,7 @@ class PolyhedralCone:
                 self.generators = rays[_first_rows(rays)]
                 self._check_rows(cross=False)
             else:
-                miss = np.linalg.norm(rays[:, None] - self.generators[None], axis=2).min(axis=1) - bounds
+                miss = row_norms(rays[:, None] - self.generators[None]).min(axis=1) - bounds
                 if np.any(miss > default_tolerances().membership):
                     raise InvalidCone(
                         "halfspaces and generators describe different cones (an "

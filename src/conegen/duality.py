@@ -25,7 +25,7 @@ import numpy as np
 from .config import Tolerances, default_tolerances
 from .cones import ROUNDING, PolyhedralCone, coordinate_cone
 from .numkernel import (FarkasCertificate, LPProblem, as_matrix, as_vector, independent_rows,
-                        pow2_shift, solve_lp)
+                        pow2_rows, pow2_shift, row_norms, solve_lp)
 
 
 def _box_width_is_finite(x_lo, x_hi) -> bool:
@@ -474,7 +474,7 @@ def _active_set_qp(prog: BoxProgram, x0: np.ndarray) -> PrimalResult:
     tols = default_tolerances()
     n = prog.n
     A, b = prog._ineq_rows
-    norms = np.linalg.norm(A, axis=1)
+    norms = row_norms(A)
     rate_tols = tols.qp_step * norms   # the ratio test's, per row
     x_scale = float(np.abs(np.concatenate([prog.x_lo, prog.x_hi])).max())
     q_norm = float(np.linalg.norm(prog.Q))
@@ -590,8 +590,12 @@ def _reflect_out(Z, a):
 
 
 def _reflect(Z, u):
-    """`_reflect_out` from u = Z'a, which it overwrites."""
-    u[0] += math.copysign(math.sqrt(u.dot(u)), u[0])
+    """`_reflect_out` from u = Z'a, which it overwrites. The reflection does
+    not change with u's scale, so u is read at its power of two
+    (`pow2_rows`): u'u neither overflows nor underflows, and a u that needs
+    no shift keeps its bits."""
+    u, _, norm = pow2_rows(u)
+    u[0] += math.copysign(norm, u[0])
     return Z[:, 1:] - (Z @ u)[:, None] * ((2.0 / (u @ u)) * u[1:])
 
 
@@ -604,11 +608,7 @@ def _ratio_test(prog, A, b, x, p, alpha_max, work, rate_tols, rate_tol):
     working set's null space, so such a rate is rounding on a row it
     implies, and it would block at step 0. A held coordinate has p_j = 0
     exactly, so its bounds never block."""
-    with np.errstate(over="ignore"):   # p'p overflows from |p| of about 1.3e154
-        p_norm = math.sqrt(p.dot(p))
-        if p_norm == math.inf:   # p'p overflowed: read p at a power of two of max |p|
-            s = pow2_shift(float(np.abs(p).max()), 0, 0)
-            p_norm = float(np.ldexp(math.sqrt(np.ldexp(p, -s).dot(np.ldexp(p, -s))), s))
+    p_norm = row_norms(p)
     # each coordinate heads for x_b where p_j > 0 and for x_a elsewhere
     up, speed = p > 0.0, np.abs(p)
     steps = np.full(p.size, math.inf)
@@ -788,7 +788,7 @@ def duality_gap_report(prog: BoxProgram, e=None) -> GapReport:
     e_prime = None
     if prog.m and slater.satisfied:
         raw = np.asarray(e, dtype=float) - prog.g(slater.witness)
-        e_prime = raw / math.sqrt(raw.dot(raw))
+        e_prime = raw / row_norms(raw)
     return GapReport(primal.status, primal.value, dual, gap, slater, x, mult, asserted, ok,
                      pi=pi, e_prime=e_prime, kkt_residual=primal.kkt_residual,
                      dual_status="optimal" if math.isfinite(dual) else "numerical")
@@ -932,10 +932,3 @@ def random_box_program(rng: np.random.Generator, kind: str = "qp",
     e = np.ones(m) / math.sqrt(m)
     return prog, e
 
-
-def random_multipliers(rng: np.random.Generator, prog: BoxProgram) -> Multipliers:
-    A = prog._cone_rows
-    y = np.abs(rng.normal(size=A.shape[0])) @ A
-    return Multipliers(y=y, x1=np.abs(rng.normal(size=prog.n)),
-                       x2=np.abs(rng.normal(size=prog.n)),
-                       z=rng.normal(size=prog.k))

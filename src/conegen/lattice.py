@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .duality import BoxProgram, solve_primal
-from .numkernel import PRODUCT_E, SUM_E, as_matrix, as_vector, pow2_shift
+from .numkernel import PRODUCT_E, SUM_E, as_matrix, as_vector, pow2_shift, row_norms
 
 
 def support_function(vertices, d) -> float:
@@ -273,8 +273,9 @@ def _separations(A: np.ndarray, B: np.ndarray):
                 if res.status != "optimal":
                     raise RuntimeError(f"nearest-point QP ended {res.status!r}")
                 sep.append(-(res.x @ Yc))
-    dists = np.linalg.norm(sep, axis=1)
-    return dists, np.array(sep) / np.where(dists > 0, dists, 1.0)[:, None]
+    sep = np.array(sep)
+    dists = row_norms(sep)
+    return dists, sep / np.where(dists > 0, dists, 1.0)[:, None]
 
 
 def hausdorff_distance(a_vertices, b_vertices):

@@ -103,25 +103,58 @@ def as_matrix(X, cols: int | None = None, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+# The tops that pow2_shift(top, -PRODUCT_E, PRODUCT_E) leaves unshifted
+# (frexp exponent in [-PRODUCT_E, PRODUCT_E]) lie in [SQUARE_LO, SQUARE_HI).
+SQUARE_LO, SQUARE_HI = 2.0 ** (-PRODUCT_E - 1), 2.0 ** PRODUCT_E
+
+
+def pow2_rows(M: np.ndarray):
+    """(R, s, lengths): each row of M (the last axis; a vector is one row)
+    read at 2^-s, s = pow2_shift(its largest |entry|, -PRODUCT_E,
+    PRODUCT_E), and the Euclidean lengths of R's rows (a float for a
+    vector). No square of an entry of R overflows, the largest is at least
+    2^-1002, so a square that underflows costs less than the length's
+    rounding, and only a zero row has length 0. s is None, and R is M
+    itself, when no row needs a shift: a Python list shows that for a
+    vector, one vectorised test of the rows' tops for a matrix; else s is
+    the shift (an int for a vector, the rows' shifts for a matrix). A row
+    that needs no shift keeps the bits of np.linalg.norm(M, axis=-1), or
+    of sqrt(v.dot(v)) for a vector."""
+    if M.ndim == 1:
+        s = pow2_shift(max(map(abs, M.tolist()), default=0.0), -PRODUCT_E, PRODUCT_E)
+        R = np.ldexp(M, -s) if s else M
+        return R, s or None, math.sqrt(R.dot(R))
+    tops = np.abs(M).max(axis=-1, initial=0.0)
+    if SQUARE_LO <= tops.min(initial=SQUARE_LO) and tops.max(initial=0.0) < SQUARE_HI:
+        return M, None, np.linalg.norm(M, axis=-1)
+    s = np.reshape([pow2_shift(t, -PRODUCT_E, PRODUCT_E) for t in tops.ravel().tolist()], tops.shape)
+    R = np.ldexp(M, -s[..., None])
+    return R, s, np.linalg.norm(R, axis=-1)
+
+
+def row_norms(M: np.ndarray):
+    """Euclidean length of each row of M (the last axis; a float for a
+    vector): the one row-norm kernel of the package. Each row is read at
+    its power of two (`pow2_rows`, the scaling of Blue's portable norm,
+    ACM TOMS 4(1), 1978) and its length scaled back by it, so a row at 2^k
+    has 2^k times the length, and a row that needs no shift keeps numpy's
+    bits. A length past the largest float reads inf."""
+    _, s, lengths = pow2_rows(M)
+    return lengths if s is None else np.ldexp(lengths, s)
+
+
 def independent_rows(rows: np.ndarray) -> np.ndarray:
     """Indices of the rows left when each row within qp_curv * its norm of
     the span of the rows left before it is dropped. While those are
     independent, |R_jj| of a QR of rows' is row j's distance from their span.
-    Each row is read at a power of two of its largest |entry| (PRODUCT_E),
-    so that no norm over- or underflows; the test does not change with a
-    row's scale, and a row that needs no shift keeps its bits. No row or a
-    lone row takes no QR: |R_00| is the lone row's norm, so the QR keeps it
-    iff it is nonzero."""
+    Each row is read at its power of two (`pow2_rows`), so the test does
+    not change with a row's scale, and a row that needs no shift keeps its
+    bits. No row or a lone row takes no QR: |R_00| is the lone row's norm,
+    so the QR keeps it iff it is nonzero."""
     keep = np.arange(rows.shape[0])
-    if keep.size == 0:
-        return keep
-    shifts = [pow2_shift(top, -PRODUCT_E, PRODUCT_E)
-              for top in np.abs(rows).max(axis=1, initial=0.0).tolist()]
-    if any(shifts):
-        rows = np.ldexp(rows, -np.array(shifts)[:, None])
-    if keep.size == 1:
+    if keep.size <= 1:
         return keep[rows.any(axis=1)]
-    norms = np.linalg.norm(rows, axis=1)
+    rows, _, norms = pow2_rows(rows)
     tol = default_tolerances().qp_curv
     while keep.size:
         diag = np.abs(np.diagonal(np.linalg.qr(rows[keep].T, mode="r")))

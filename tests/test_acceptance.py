@@ -12,8 +12,8 @@ import numpy as np
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.duality import (StationarityCertificate, VectorObjective,
                              dual_value, duality_gap_report,
-                             random_box_program, random_multipliers,
-                             solve_primal, stationarity_certificate)
+                             random_box_program, solve_primal,
+                             stationarity_certificate)
 from conegen.demos import build_torsion_program, run_torsion_demo, run_vi_demo
 from conegen.gauge import GaugeBody, equivalence_constant
 from conegen.lattice import (convex_hull_2d, hausdorff_distance,
@@ -21,6 +21,7 @@ from conegen.lattice import (convex_hull_2d, hausdorff_distance,
 from conegen.numkernel import verify_farkas
 from conegen.penalty import random_instance, verify_penalty_equivalence
 from conegen.scalarization import GerstewitzFn
+from duality_oracle import random_multipliers
 from lp_oracle import gauge_lp, oracle_cones, phi_lp, qp_dual_value
 
 

@@ -27,10 +27,11 @@ import numpy as np
 
 import conegen
 from conegen.demos import build_torsion_program
-from conegen.duality import duality_gap_report, random_box_program, random_multipliers
+from conegen.duality import duality_gap_report, random_box_program
 from conegen.numkernel import solve_lp
 from conegen.cones import coordinate_cone
 from conegen.penalty import cone_lipschitz_rank, random_instance, verify_penalty_equivalence
+from duality_oracle import random_multipliers
 from test_gap_report_bits import bound_reflections
 from test_point_eval import CONES
 from test_simplex_highs import _box_lp

@@ -18,11 +18,11 @@ from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              StationarityCertificate, VectorObjective,
                              check_modified_slater, dual_value,
                              duality_gap_report, lagrangian_value,
-                             random_box_program, random_multipliers,
-                             solve_dual, solve_primal,
+                             random_box_program, solve_dual, solve_primal,
                              stationarity_certificate, zero_multipliers)
 from conegen.lattice import hausdorff_distance
 from conegen.numkernel import verify_farkas
+from duality_oracle import random_multipliers
 from lp_oracle import qp_dual_value
 
 
@@ -1107,6 +1107,22 @@ class TestGapReport:
                                        rtol=1e-12, atol=0)
         # y, x1 and z are nonzero here, so each lift is exercised
         assert all(np.any(mult[k] != 0) for k in ("y", "x1", "z"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e160, 1e200])
+    def test_e_prime_of_a_far_constraint(self, s):
+        # min -x_1 - x_2 on [-1, 1]^2 with s (x_1 + x_2) - s / 2 <= 0: y = 1 / s,
+        # and e - g(witness) is of size s, whose square overflowed, so e'
+        # read [0.0] and the lifted y [0.0]; its norm is read at a power of two
+        prog = BoxProgram(n=2, Q=np.zeros((2, 2)), q=[-1.0, -1.0], c=0.0,
+                          x_lo=[-1.0, -1.0], x_hi=[1.0, 1.0], G=[[s, s]], g0=[-0.5 * s],
+                          cone_y=coordinate_cone(1))
+        rep = duality_gap_report(prog)
+        assert rep.primal_status == "optimal" and rep.slater.satisfied and rep.gap_ok
+        assert rep.e_prime.tolist() == [1.0]
+        lifted = rep.to_dict()["multipliers_lifted"]["y"]
+        assert lifted == rep.multipliers.y.tolist()
+        assert lifted[0] == pytest.approx(1.0 / s, rel=1e-12)
 
     def test_centre_least_squares_runs_once(self, monkeypatch):
         # a quadratic gap report reads the centre point in the Slater check

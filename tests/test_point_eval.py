@@ -21,20 +21,26 @@ from conegen.numkernel import SHORT, as_vector
 from conegen.scalarization import EmptyDomain, GerstewitzFn
 
 
+# name -> (keyword, rows): the description each general cone of CONES is
+# built from
+GIVEN = {
+    "wedge2": ("generators", [[1.0, 0.0], [1.0, 1.0]]),
+    "pyramid3": ("generators", [[1.0, 0.0, 0.4], [0.0, 1.0, 0.4],
+                                [-1.0, 0.0, 0.4], [0.0, -1.0, 0.4]]),
+    "simplicial3": ("generators", [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5], [-1.0, -1.0, 1.0]]),
+    "hwedge2": ("halfspaces", [[1.0, 0.0], [1.0, 1.0]]),
+}
+
+
 def _cones():
     """name -> (cone, interior u, e on a face row): criterion 2's wedge and
     pyramid, criterion 3's halfspace wedge and simplicial cone, and a
     coordinate cone."""
-    wedge = PolyhedralCone(2, generators=[[1.0, 0.0], [1.0, 1.0]])
-    pyramid = PolyhedralCone(3, generators=[[1.0, 0.0, 0.4], [0.0, 1.0, 0.4],
-                                            [-1.0, 0.0, 0.4], [0.0, -1.0, 0.4]])
-    simplicial = PolyhedralCone(3, generators=[[1.0, 0.0, 0.5], [0.0, 1.0, 0.5],
-                                               [-1.0, -1.0, 1.0]])
-    hwedge = PolyhedralCone(2, halfspaces=[[1.0, 0.0], [1.0, 1.0]])
-    out = {name: (cone, cone.generators.sum(axis=0), cone.generators[0])
-           for name, cone in (("wedge2", wedge), ("pyramid3", pyramid),
-                              ("simplicial3", simplicial))}
-    out["hwedge2"] = (hwedge, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    built = {name: PolyhedralCone(len(rows[0]), **{key: rows})
+             for name, (key, rows) in GIVEN.items()}
+    out = {name: (built[name], built[name].generators.sum(axis=0), built[name].generators[0])
+           for name in ("wedge2", "pyramid3", "simplicial3")}
+    out["hwedge2"] = (built["hwedge2"], np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     out["coord3"] = (coordinate_cone(3), np.array([0.5, 1.0, 2.0]), np.array([1.0, 0.0, 2.0]))
     return out
 

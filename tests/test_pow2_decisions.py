@@ -11,6 +11,11 @@ BoxProgram's box width and PenaltyInstance's declared rank, which runs at
 kkt times the rank (GaugeBody and PenaltyInstance also read membership,
 which is scaled there). The one scaling helper, pow2_shift, and the far
 values of the Lipschitz rank and of the cone decisions are tested here too.
+
+Where every read of a row goes through its power of two (numkernel.row_norms
+and pow2_rows), the range is the whole exponent range: a description row
+scaled on its own by 2^k, the constraint rows of a box QP, and a Hausdorff
+pair above the plane give the unscaled bits, or 2^k times them.
 """
 import dataclasses
 import math
@@ -21,12 +26,13 @@ import pytest
 from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import PolyhedralCone, coordinate_cone
 from conegen.duality import (BoxProgram, check_modified_slater, duality_gap_report,
-                              random_box_program)
+                              random_box_program, solve_primal)
 from conegen.gauge import GaugeBody
-from conegen.lattice import verify_order_isometry
+from conegen.lattice import hausdorff_distance, verify_order_isometry
 from conegen.numkernel import LPProblem, pow2_shift, solve_lp
 from conegen.penalty import (PenaltyInstance, cone_lipschitz_rank, cone_minimal_points,
                              verify_penalty_equivalence)
+from test_point_eval import GIVEN
 
 K = (-40, -23, -6, 11, 29, 40)
 LATTICE_KEYS = ("isometry_holds", "order_preserved", "a_subset_b", "b_subset_a")
@@ -396,3 +402,87 @@ def test_lp_status_does_not_move():
                                       np.ldexp(lo, k), np.ldexp(hi, k)))
         assert [solve_lp(p).status for p in variants] == [base] * len(variants)
     assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def _cone_bytes(cone):
+    return cone.halfspaces.tobytes(), cone.generators.tobytes(), cone.facets.tobytes()
+
+
+# the general cones of test_point_eval.CONES, and R^2_+ given by halfspaces
+DESCRIPTIONS = dict(GIVEN, orthant2=("halfspaces", [[1.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(DESCRIPTIONS))
+def test_a_row_scaled_on_its_own_gives_the_same_cone(name):
+    # each description row at its own 2^k, k in [-1021, 1020], where these
+    # rows stay exact: the unit rows are formed from each row at its power
+    # of two, so the conversion reads the same rows. Read as given, rows
+    # below 1e-14 were refused as zero rows and rows from about 1.3e154
+    # overflowed their squares
+    key, rows = DESCRIPTIONS[name]
+    rows = np.array(rows)
+    base = _cone_bytes(PolyhedralCone(rows.shape[1], **{key: rows}))
+    rng = np.random.default_rng(23)
+    sweeps = [np.full(len(rows), k) for k in (-1021, -1000, -530, -50, 50, 530, 1000, 1020)]
+    sweeps += [rng.integers(-1021, 1021, size=len(rows)) for _ in range(75)]
+    for ks in sweeps:
+        cone = PolyhedralCone(rows.shape[1], **{key: np.ldexp(rows, ks[:, None])})
+        assert _cone_bytes(cone) == base, ks
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["halfspaces", "generators"])
+def test_the_orthant_with_one_far_or_tiny_row(key):
+    base = _cone_bytes(PolyhedralCone(2, **{key: [[1.0, 0.0], [0.0, 1.0]]}))
+    for s in (1e-300, 1e-20, 1e-15, 1e155, 1e200, 1e300):
+        assert _cone_bytes(PolyhedralCone(2, **{key: [[s, 0.0], [0.0, 1.0]]})) == base, s
+
+
+def _cap_program(k):
+    """min 0.5|x|^2 - x_1 - x_2 on [-1, 1]^2 with 2^k (x_1 + x_2) - 2^(k-1) <= 0:
+    the constraint is x_1 + x_2 <= 1/2 at every k."""
+    return BoxProgram(n=2, Q=np.eye(2), q=[-1.0, -1.0], c=0.0, x_lo=[-1.0, -1.0],
+                      x_hi=[1.0, 1.0], G=np.ldexp([[1.0, 1.0]], k),
+                      g0=[-math.ldexp(1.0, k - 1)], cone_y=coordinate_cone(1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_scaled_constraint_row_gives_the_unscaled_qp():
+    # the cone row's norm and the reflection that brings it into the
+    # working set are read at the row's power of two: read as given, the
+    # row's square overflowed from about 2^512 and u'u underflowed to 0
+    # near 2^-540
+    base = solve_primal(_cap_program(0))
+    assert (base.status, base.value, base.x.tolist()) == ("optimal", -0.4375, [0.25, 0.25])
+    for k in range(-1000, 1001, 10):
+        res = solve_primal(_cap_program(k))
+        assert (res.status, res.value, res.x.tobytes()) == \
+            (base.status, base.value, base.x.tobytes()), k
+
+
+@pytest.mark.filterwarnings("error")
+def test_hausdorff_above_the_plane_scales_by_2k_exactly():
+    # each separation's length is read at its power of two, so a pair at
+    # 2^k poses the same QPs and its distance is 2^k times the unscaled one;
+    # read as given, the squares of the separations overflowed or
+    # underflowed from |k| of about 531
+    rng = np.random.default_rng(24)
+    pairs = [(rng.normal(size=(int(rng.integers(3, 7)), d)),
+              rng.normal(size=(int(rng.integers(2, 6)), d)))
+             for d in (3, 4, 5) for _ in range(3)]
+    for A, B in pairs:
+        base = hausdorff_distance(A, B)[0]
+        assert base > 0.0
+        for k in range(-1000, 1001, 50):
+            assert hausdorff_distance(np.ldexp(A, k), np.ldexp(B, k))[0] == math.ldexp(base, k), k
+
+
+@pytest.mark.filterwarnings("error")
+def test_hausdorff_of_a_far_or_tiny_simplex_pair():
+    # the unit simplex in R^3 and its copy moved by 2 e_1 lie 2 apart at
+    # every scale s, up to the rounding of s A and s B
+    A = np.vstack([np.zeros(3), np.eye(3)])
+    B = A + [2.0, 0.0, 0.0]
+    for s in (1e-160, 1.0, 1e160):
+        assert hausdorff_distance(s * A, s * B)[0] / s == pytest.approx(2.0, rel=1e-15, abs=0)
