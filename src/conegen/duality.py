@@ -198,14 +198,6 @@ def zero_multipliers(prog: BoxProgram) -> Multipliers:
                        x2=np.zeros(prog.n), z=np.zeros(prog.k))
 
 
-def lagrangian_value(prog: BoxProgram, x, mult: Multipliers) -> float:
-    """f(x) + <y*, g(x)> - <x1*, x - x_a> - <x2*, x_b - x> + <z*, h(x)>."""
-    x = as_vector(x, prog.n, "x")
-    return (prog.objective(x) + float(mult.y @ prog.g(x))
-            - float(mult.x1 @ (x - prog.x_lo)) - float(mult.x2 @ (prog.x_hi - x))
-            + float(mult.z @ prog.h(x)))
-
-
 def dual_value(prog: BoxProgram, mult: Multipliers) -> float:
     """Exact unconstrained minimum of the Lagrangian over R^n.
 

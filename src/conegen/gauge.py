@@ -57,7 +57,8 @@ class GaugeBody:
 
 
 def equivalence_constant(cone: PolyhedralCone, u, v) -> float:
-    """Least c >= 1 with c^-1 ||.||_u <= ||.||_v <= c ||.||_u.
+    """Least c >= 1 with c^-1 ||.||_u <= ||.||_v <= c ||.||_u: the constant
+    of the equivalence of the generating-space norms of u and v.
 
     Equals max(||v||_u, ||u||_v, 1); the two gauges are the tight witnesses
     because the sup of ||.||_v over [-u, u] is attained at u itself.

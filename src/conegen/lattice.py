@@ -25,14 +25,7 @@ import numpy as np
 
 from .config import default_tolerances
 from .duality import BoxProgram, solve_primal
-from .numkernel import PRODUCT_E, SUM_E, as_matrix, as_vector, pow2_shift, row_norms
-
-
-def support_function(vertices, d) -> float:
-    V = as_matrix(vertices, name="vertices")
-    if V.shape[0] == 0:
-        raise ValueError("empty polytope")
-    return float(np.max(V @ as_vector(d, V.shape[1], "direction")))
+from .numkernel import PRODUCT_E, SUM_E, as_matrix, pow2_shift, row_norms
 
 
 def support_values(vertices, directions) -> np.ndarray:
@@ -110,6 +103,8 @@ def _hull_rows(rows: list) -> list:
 
 def convex_hull_2d(points) -> np.ndarray:
     """Andrew monotone chain (_hull_rows); returns hull vertices in ccw order.
+    It is the lattice join: conv(A u B) has the support function
+    max(h_A, h_B), which criterion 7 checks.
 
     Degenerate inputs collapse to a point or segment; an empty set is refused.
     """
@@ -306,7 +301,8 @@ def _enlargement_2d(hull_a: list, hull_b: list) -> np.ndarray:
 def hausdorff_distance_definitional(a_vertices, b_vertices) -> float:
     """Hausdorff distance straight from the enlargement definition, in every
     dimension: max over each set's vertices of the Euclidean distance to the
-    other set's hull.
+    other set's hull: the reference route, whose value the "definitional"
+    entry of verify_order_isometry's report gives bit for bit.
 
     In the plane it shares only the hulls with the support route: no
     direction, support value or gap. Each distance is the nearest point on

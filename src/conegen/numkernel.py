@@ -194,10 +194,6 @@ class LPProblem:
         if (self.lower > self.upper).any():
             raise ValueError("lower bound exceeds upper bound")
 
-    @property
-    def nvars(self) -> int:
-        return self.cost.shape[0]
-
 
 def _bound(b, n, fill, name):
     """A copy of the bound vector b, fill where b is None: its entries may
@@ -248,9 +244,9 @@ class SolveReport:
 
 
 def verify_farkas(problem: LPProblem, cert: FarkasCertificate) -> bool:
-    """Independent check of an infeasibility certificate, read relative to the
-    size of the certificate's own terms, so that neither the rows' nor the
-    variables' scale moves it; tol is Tolerances.farkas.
+    """Independent check of a Farkas infeasibility certificate, read
+    relative to the size of the certificate's own terms, so that neither the
+    rows' nor the variables' scale moves it; tol is Tolerances.farkas.
 
     Every feasible x satisfies combo @ x >= rhs, combo and rhs the
     combinations of the left- and right-hand sides, so the certificate holds
@@ -307,7 +303,7 @@ SIMPLEX_CAP = 20_000
 
 def solve_lp(problem: LPProblem) -> SolveReport:
     tols = default_tolerances()
-    n, n_in = problem.nvars, problem.ineq_lhs.shape[0]
+    n, n_in = problem.cost.shape[0], problem.ineq_lhs.shape[0]
     A = np.concatenate([problem.ineq_lhs, problem.eq_lhs])
     b = np.concatenate([problem.ineq_rhs, problem.eq_rhs])
     m = A.shape[0]

@@ -36,6 +36,7 @@ the rank reads the rows of m1 only, each against every column.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -57,7 +58,8 @@ class PreconditionViolation(ValueError):
 
 
 def distance_to_set(x, omega, p: float = 2):
-    """(min distance, attaining witness) from x to a finite point list
+    """d(x, Omega), the distance that the penalty term L d(x, Omega) e
+    weighs: (min distance, attaining witness) from x to a finite point list
     Omega, measured with the pair norms, which neither overflow nor
     underflow."""
     check_norm_p(p)
@@ -315,8 +317,21 @@ class PenaltyInstance:
         # the root of the row minimum: sqrt is monotone and correctly rounded
         return _root(np.min(_pair_sums(_left(pts), _right(omega), p), axis=1), p, shift)
 
+    @functools.cached_property
+    def _distances(self) -> np.ndarray:
+        """distances_to_omega(), formed once per instance; read-only."""
+        d = self.distances_to_omega()
+        d.flags.writeable = False
+        return d
+
     def penalized_values(self, L: float) -> np.ndarray:
-        return self.values + L * self.distances_to_omega()[:, None] * self.e[None, :]
+        """f(x) + L d(x, Omega) e for every point x of S: the values of the
+        penalized program, for a finite weight L >= 0."""
+        if not math.isfinite(L):
+            raise ValueError(f"penalty weight L={L} must be finite")
+        if L < 0:
+            raise ValueError("penalty weight must be nonnegative")
+        return self.values + L * self._distances[:, None] * self.e[None, :]
 
 
 def _line_distances(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -326,32 +341,6 @@ def _line_distances(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     above = np.searchsorted(w, x)   # w[above - 1] < x_i <= w[above]
     return np.minimum(np.abs(x - w[np.minimum(above, w.size - 1)]),
                       np.abs(x - w[np.maximum(above - 1, 0)]))
-
-
-def penalized_objective(instance: PenaltyInstance, L: float):
-    """x -> f(x) + L d(x, Omega) e as a callable (x need not lie in S)."""
-    if not math.isfinite(L):
-        raise ValueError(f"penalty weight L={L} must be finite")
-    if L < 0:
-        raise ValueError("penalty weight must be nonnegative")
-    omega = instance.omega_points
-
-    def value(x):
-        x = as_vector(x, instance.points.shape[1], "point")
-        fx = as_vector(instance.objective(x), instance.cone.dim, "f(x)") \
-            if instance.objective is not None else _lookup(instance, x)
-        dist, _ = distance_to_set(x, omega, p=instance.norm_p)
-        return fx + L * dist * instance.e
-
-    return value
-
-
-def _lookup(instance, x):
-    radius = default_tolerances().coincident
-    hits = np.where(_pair_norms(instance.points, x[None, :], 2)[:, 0] <= radius)[0]
-    if hits.size == 0:
-        raise ValueError("point not in the ground set and no objective given")
-    return instance.values[hits[0]]
 
 
 def _dominance_reach(V: np.ndarray, cone: PolyhedralCone, tol: float,
@@ -453,20 +442,18 @@ def verify_penalty_equivalence(instance: PenaltyInstance, L: float) -> PenaltyRe
             "strictly; the equivalence is not guaranteed below that")
     cone, tol, st = instance.cone, tols.membership, tols.strict_nonzero
     omega_idx = np.flatnonzero(instance.feasible_mask)
-    d = instance.distances_to_omega()[:, None]
     # one dominance relation per value set; every threshold reads it
     r_omega = _dominance_reach(instance.values[omega_idx], cone, tol)
     m1 = omega_idx[_minimal(r_omega, st)]
     # at L, a row that m1 dominates by more than the largest threshold is
     # decided: its full reach is no smaller. Only the open rows read every column
-    V_L = instance.values + L * d * instance.e[None, :]
+    V_L = instance.penalized_values(L)
     r_L = _dominance_reach(V_L, cone, tol, cols=m1)
     open_rows = _minimal(r_L, st * max(_SWEEP))
     r_L[open_rows] = _dominance_reach(V_L, cone, tol, rows=open_rows)
     m2 = _minimal(r_L, st)
     # at the rank only m1's rows are read: m1 is included iff none is dominated
-    r_rank = _dominance_reach(instance.values + instance.rank * d * instance.e[None, :],
-                              cone, tol, rows=m1)
+    r_rank = _dominance_reach(instance.penalized_values(instance.rank), cone, tol, rows=m1)
     sensitive = not all(
         np.array_equal(omega_idx[_minimal(r_omega, st * f)], m1) and
         np.array_equal(_minimal(r_L, st * f), m2) for f in _SWEEP)

@@ -9,14 +9,13 @@ import pytest
 
 from conegen.cones import DimensionMismatch, PolyhedralCone, coordinate_cone
 from conegen.duality import (BoxProgram, VectorObjective, check_modified_slater,
-                             duality_gap_report, lagrangian_value, stationarity_certificate,
-                             zero_multipliers)
+                             duality_gap_report, stationarity_certificate)
 from conegen.gauge import GaugeBody, ambient_comparison, ambient_norm
 from conegen.lattice import (convex_hull_2d, hausdorff_distance, hausdorff_distance_definitional,
-                             support_function, support_values, verify_order_isometry)
+                             support_values, verify_order_isometry)
 from conegen.numkernel import SHORT, LPProblem, as_matrix, as_vector
 from conegen.penalty import (PenaltyInstance, cone_lipschitz_rank, cone_minimal_points,
-                             distance_to_set, penalized_objective)
+                             distance_to_set)
 from conegen.scalarization import GerstewitzFn
 
 WEDGE = PolyhedralCone(2, generators=[[1.0, 0.0], [1.0, 1.0]])
@@ -78,9 +77,8 @@ ENTRIES = {
     "directional_derivative": ("direction", [1.0, 0.5],
                                lambda a: GerstewitzFn(WEDGE, U).directional_derivative(
                                    [1.0, 0.5], a), True),
-    "support_function.vertices": ("vertices", SQUARE,
-                                  lambda a: support_function(a, [1.0, 0.0]), False),
-    "support_function.d": ("direction", [1.0, 0.0], lambda a: support_function(SQUARE, a), True),
+    "support_values.direction": ("directions", [1.0, 0.0],
+                                 lambda a: support_values(SQUARE, [a])[0], True),
     "support_values.vertices": ("vertices", SQUARE,
                                 lambda a: support_values(a, [[1.0, 0.0]]), False),
     "support_values.directions": ("directions", [[1.0, 0.0], [0.0, 1.0]],
@@ -103,7 +101,6 @@ ENTRIES = {
     "PenaltyInstance.points": ("points", PTS, lambda a: penalty_instance(points=a), False),
     "PenaltyInstance.values": ("values", VALS, lambda a: penalty_instance(values=a), True),
     "PenaltyInstance.e": ("e", [0.8, 0.6], lambda a: penalty_instance(e=a), True),
-    "penalized_objective": ("point", [1.0], penalized_objective(penalty_instance(), 5.0), True),
     "cone_minimal_points": ("values", VALS, lambda a: cone_minimal_points(a, WEDGE), True),
     "BoxProgram.Q": ("Q", np.eye(2), lambda a: box_program(Q=a), True),
     "BoxProgram.q": ("q", [1.0, -1.0], lambda a: box_program(q=a), True),
@@ -116,8 +113,6 @@ ENTRIES = {
     "BoxProgram.h0": ("h0", [0.0], lambda a: box_program(h0=a), True),
     "BoxProgram.objective": ("x", [0.0, 0.0], lambda a: box_program().objective(a), True),
     "BoxProgram.feasible": ("x", [0.0, 0.0], lambda a: box_program().feasible(a), True),
-    "lagrangian_value": ("x", [0.0, 0.0], lambda a: lagrangian_value(
-        box_program(), a, zero_multipliers(box_program())), True),
     "check_modified_slater": ("e", [1.0], lambda a: check_modified_slater(box_program(), a),
                               True),
     "duality_gap_report": ("e", [1.0], lambda a: duality_gap_report(box_program(), a), True),
@@ -220,7 +215,7 @@ DEFECTS = {
     "convex_hull_2d nan": lambda: convex_hull_2d([[0.0, 0.0], [1.0, math.nan], [2.0, 3.0]]),
     "convex_hull_2d inf": lambda: convex_hull_2d([[0.0, 0.0], [1.0, math.inf], [2.0, 3.0]]),
     "support_values": lambda: support_values([[0.0, math.nan]], [[1.0, 0.0]]),
-    "support_function": lambda: support_function([[0.0, 0.0]], [math.nan, 1.0]),
+    "support_values direction": lambda: support_values([[0.0, 0.0]], [[math.nan, 1.0]])[0],
     "generators": lambda: PolyhedralCone(2, generators=[[1.0, math.nan], [0.0, 1.0]]),
     "G of 3 columns": lambda: box_program(G=[[1.0, 1.0, 1.0]]),
     "Q with nan": lambda: box_program(Q=[[1.0, math.nan], [math.nan, 1.0]]),

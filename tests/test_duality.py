@@ -17,8 +17,8 @@ from conegen.numkernel import SolveReport
 from conegen.duality import (BoxProgram, CertificateRefusal, Multipliers,
                              StationarityCertificate, VectorObjective,
                              check_modified_slater, dual_value,
-                             duality_gap_report, lagrangian_value,
-                             random_box_program, solve_dual, solve_primal,
+                             duality_gap_report, random_box_program,
+                             solve_dual, solve_primal,
                              stationarity_certificate, zero_multipliers)
 from conegen.lattice import hausdorff_distance
 from conegen.numkernel import verify_farkas
@@ -162,28 +162,6 @@ class TestAbsentBlocks:
             for field in ("G", "g0", "H", "h0", "cone_y"):
                 assert (getattr(again, field) is None) == (getattr(prog, field) is None), name
             assert report_json(again) == report_json(prog), name
-
-
-class TestLagrangian:
-    def test_zero_multipliers(self):
-        prog = lp_example()
-        x = np.array([0.5, 0.25])
-        assert lagrangian_value(prog, x, zero_multipliers(prog)) == \
-            pytest.approx(prog.objective(x))
-
-    def test_example_value(self):
-        prog = BoxProgram(n=1, Q=None, q=[1.0], c=0.0, x_lo=[0.0], x_hi=[2.0],
-                          G=[[1.0]], g0=[-1.0], cone_y=coordinate_cone(1))
-        mult = Multipliers(y=np.array([1.0]), x1=np.zeros(1), x2=np.zeros(1),
-                           z=np.zeros(0))
-        assert lagrangian_value(prog, [0.0], mult) == pytest.approx(-1.0)
-
-    def test_slack_complementary(self):
-        prog = lp_example()
-        x = np.array([0.7, 0.6])  # feasible, g slack
-        mult = Multipliers(y=np.zeros(1), x1=np.zeros(2), x2=np.zeros(2),
-                           z=np.zeros(0))
-        assert lagrangian_value(prog, x, mult) == pytest.approx(prog.objective(x))
 
 
 class TestDualValue:

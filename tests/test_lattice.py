@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conegen.lattice import (_hull_distances, convex_hull_2d, hausdorff_distance,
-                             hausdorff_distance_definitional, support_function,
-                             support_values, verify_order_isometry)
+                             hausdorff_distance_definitional, support_values,
+                             verify_order_isometry)
 from lattice_oracle import hull_distances_nd, hull_distances_oracle, point_to_hull
 
 SQUARE = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
@@ -20,26 +20,26 @@ def random_polytope(rng, max_pts=8):
 
 class TestSupportFunction:
     def test_square_axis(self):
-        assert support_function(SQUARE, [1.0, 0.0]) == 1.0
+        assert support_values(SQUARE, [[1.0, 0.0]])[0] == 1.0
 
     def test_square_diagonal(self):
         d = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        assert support_function(SQUARE, d) == pytest.approx(math.sqrt(2.0))
+        assert support_values(SQUARE, [d])[0] == pytest.approx(math.sqrt(2.0))
 
     def test_singleton(self):
-        assert support_function([[2.0, -3.0]], [0.5, 0.5]) == pytest.approx(-0.5)
+        assert support_values([[2.0, -3.0]], [[0.5, 0.5]])[0] == pytest.approx(-0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            support_function(np.zeros((0, 2)), [1.0, 0.0])
+            support_values(np.zeros((0, 2)), [[1.0, 0.0]])
 
     def test_sublinear(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
             P = random_polytope(rng)
             d1, d2 = rng.normal(size=2), rng.normal(size=2)
-            assert support_function(P, d1 + d2) <= \
-                support_function(P, d1) + support_function(P, d2) + 1e-12
+            assert support_values(P, [d1 + d2])[0] <= \
+                support_values(P, [d1])[0] + support_values(P, [d2])[0] + 1e-12
 
 
 class TestHausdorff:
@@ -300,7 +300,7 @@ class TestExactRouteAboveThePlane:
                     assert u is None
                     continue
                 assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-                gap = support_function(Ad, u) - support_function(Bd, u)
+                gap = support_values(Ad, [u])[0] - support_values(Bd, [u])[0]
                 assert abs(gap) == pytest.approx(d2, abs=1e-9)
 
     def test_embedded_isometry_report_matches_the_plane(self):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conegen.cones import coordinate_cone
-from conegen.numkernel import LPProblem, projected_gradient, solve_lp, verify_farkas
+from conegen.duality import BoxProgram, duality_gap_report
+from conegen.numkernel import (LPProblem, independent_rows, projected_gradient, solve_lp,
+                               verify_farkas)
 from lp_oracle import enumerate_polytope_vertices
 from penalty_oracle import brute_force_grid_min
 
@@ -21,6 +23,27 @@ def test_lp_infeasible_farkas():
     rep = solve_lp(p)
     assert rep.status == "infeasible"
     assert verify_farkas(p, rep.farkas)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_lp_with_no_variables():
+    # no columns: the simplex loop returns at once
+    rep = solve_lp(LPProblem(cost=np.zeros(0)))
+    assert rep.status == "optimal" and rep.value == 0.0
+    p = LPProblem(cost=np.zeros(0), ineq_lhs=np.zeros((1, 0)), ineq_rhs=[1.0])   # 0 >= 1
+    rep = solve_lp(p)
+    assert rep.status == "infeasible"
+    assert verify_farkas(p, rep.farkas)
+
+
+@pytest.mark.filterwarnings("error")
+def test_all_zero_rows_keep_none():
+    assert independent_rows(np.zeros((2, 3))).size == 0
+    # a zero H of two rows: Hx + h0 = 0 holds everywhere, and no row is kept
+    prog = BoxProgram(n=2, Q=np.eye(2), q=[1.0, -1.0], c=0.0, x_lo=[-1.0, -1.0],
+                      x_hi=[1.0, 1.0], H=np.zeros((2, 2)), h0=np.zeros(2))
+    rep = duality_gap_report(prog)
+    assert rep.slater.h_neighborhood is False and rep.primal_status == "optimal"
 
 
 @pytest.mark.parametrize("excess, status", [(1e-11, "optimal"), (1e-6, "infeasible")])

@@ -12,8 +12,8 @@ from conegen.config import default_tolerances, use_tolerances
 from conegen.cones import ROUNDING, InvalidCone, PolyhedralCone, coordinate_cone
 from conegen.penalty import (PenaltyInstance, PreconditionViolation,
                              cone_lipschitz_rank, cone_minimal_points,
-                             distance_to_set, penalized_objective,
-                             random_instance, verify_penalty_equivalence)
+                             distance_to_set, random_instance,
+                             verify_penalty_equivalence)
 from penalty_oracle import (brute_force_grid_min, minimal_oracle, rank_oracle,
                             reach_oracle, report_oracle)
 
@@ -388,27 +388,19 @@ def test_screened_report_matches_full_relation(seed, m, general, n, copies, lam)
     assert rep.tol_sensitive == sensitive == ref.tol_sensitive
 
 
-class TestPenalizedObjective:
+def penalized_at(inst, L, x):
+    """The penalized value at the grid point x of the instance."""
+    return inst.penalized_values(L)[np.flatnonzero(inst.points[:, 0] == x)[0]]
+
+
+class TestPenalizedValues:
     def test_on_feasible_point(self):
-        inst = scalar_abs_instance()
-        f = penalized_objective(inst, 2.0)
-        assert np.allclose(f([1.5]), [1.5])
+        assert np.allclose(penalized_at(scalar_abs_instance(), 2.0, 1.5), [1.5])
 
     def test_outside(self):
         inst = scalar_abs_instance()
-        f = penalized_objective(inst, 2.0)
-        assert np.allclose(f([0.0]), [2.0])   # 0 + 2 * d(0,[1,2]) * 1
-        assert np.allclose(f([1.0]), [1.0])
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            penalized_objective(scalar_abs_instance(), -1.0)
-
-    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
-    def test_non_finite_weight_rejected(self, L):
-        # nan would make every value nan, and inf makes 0 * inf = nan on Omega
-        with pytest.raises(ValueError, match="must be finite"):
-            penalized_objective(scalar_abs_instance(), L)
+        assert np.allclose(penalized_at(inst, 2.0, 0.0), [2.0])   # 0 + 2 * d(0,[1,2]) * 1
+        assert np.allclose(penalized_at(inst, 2.0, 1.0), [1.0])
 
 
 class TestMinimalPoints:

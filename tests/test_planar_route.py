@@ -17,7 +17,7 @@ from conegen.cli import main
 from conegen.cones import PolyhedralCone
 from conegen.gauge import GaugeBody
 from conegen.lattice import (_hull_distances, convex_hull_2d, hausdorff_distance,
-                             hausdorff_distance_definitional, support_function,
+                             hausdorff_distance_definitional, support_values,
                              verify_order_isometry)
 from conegen.numkernel import SHORT
 from conegen.scalarization import GerstewitzFn
@@ -68,7 +68,7 @@ def test_swapped_pair_gives_the_same_distance():
             assert u is None and v is None and d_ab == 0.0
         elif hexes(u) != hexes(v):
             for c in (u, v):
-                gap = support_function(A, c) - support_function(B, c)
+                gap = support_values(A, [c])[0] - support_values(B, [c])[0]
                 assert abs(gap) == pytest.approx(d_ab, rel=1e-12)
             ties += 1
     assert ties < 150

@@ -13,7 +13,7 @@ from conegen.duality import BoxProgram, VectorObjective, check_modified_slater
 from conegen.lattice import support_values
 from conegen.numkernel import LPProblem
 from conegen.penalty import (PenaltyInstance, cone_lipschitz_rank, cone_minimal_points,
-                             penalized_objective, verify_penalty_equivalence)
+                             verify_penalty_equivalence)
 
 PTS, VALS = [[0.0], [1.0], [2.0]], [[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
 E = [math.sqrt(0.5), math.sqrt(0.5)]
@@ -76,9 +76,15 @@ REFUSALS = {
                                   "need objective or precomputed values"),
     "PenaltyInstance.feasible_mask": (lambda: penalty_instance(feasible_mask=[True, False]),
                                       ValueError, "feasible mask length mismatch"),
-    "penalized_objective.off_set": (lambda: penalized_objective(penalty_instance(), 1.0)([0.5]),
-                                    ValueError,
-                                    "point not in the ground set and no objective given"),
+    # nan would make every value nan, and inf makes 0 * inf = nan on Omega
+    "penalized_values.nan": (lambda: penalty_instance().penalized_values(math.nan),
+                             ValueError, "penalty weight L=nan must be finite"),
+    "penalized_values.inf": (lambda: penalty_instance().penalized_values(math.inf),
+                             ValueError, "penalty weight L=inf must be finite"),
+    "penalized_values.-inf": (lambda: penalty_instance().penalized_values(-math.inf),
+                              ValueError, "penalty weight L=-inf must be finite"),
+    "penalized_values.negative": (lambda: penalty_instance().penalized_values(-1.0),
+                                  ValueError, "penalty weight must be nonnegative"),
     "cone_minimal_points.empty": (lambda: cone_minimal_points(np.zeros((0, 2)),
                                                               coordinate_cone(2)),
                                   ValueError, "empty value list"),
@@ -119,7 +125,3 @@ def test_an_objective_gives_the_report_of_its_values():
     L = 2.0 * given.rank
     assert verify_penalty_equivalence(read, L).to_dict() == \
         verify_penalty_equivalence(given, L).to_dict()
-    # with an objective, a point off the ground set is read through f: its
-    # distance to Omega = {0.5, 1, 1.5, 2} is 0.2
-    np.testing.assert_allclose(penalized_objective(read, L)([0.3]),
-                               f([0.3]) + L * 0.2 * np.array(E), rtol=1e-14)
