@@ -60,6 +60,7 @@ ENTRIES = {
     "cone.order_leq.x": ("x", [1.0, 0.5], lambda a: WEDGE.order_leq(a, [2.0, 1.0]), True),
     "cone.order_leq.y": ("y", [1.0, 0.5], lambda a: WEDGE.order_leq([0.0, 0.0], a), True),
     "cone.interior_contains": ("point", [1.0, 0.5], WEDGE.interior_contains, True),
+    "cone.is_strictly_positive": ("functional", [1.0, 0.5], WEDGE.is_strictly_positive, True),
     "GaugeBody.u": ("generating element", U, lambda a: GaugeBody(WEDGE, a), True),
     "gauge": ("point", [1.0, 0.5], GaugeBody(WEDGE, U).gauge, True),
     "gauge_many": ("points", [[1.0, 0.5], [0.0, 1.0]], GaugeBody(WEDGE, U).gauge_many, True),
@@ -70,6 +71,9 @@ ENTRIES = {
     "ambient_norm.weights": ("weights", [1.0, 2.0],
                              lambda a: ambient_norm([3.0, 4.0], weights=a), True),
     "GerstewitzFn.e": ("direction e", U, lambda a: GerstewitzFn(WEDGE, a), True),
+    "Subdifferential.contains": ("functional", [0.5, 0.5],
+                                 lambda a: GerstewitzFn(WEDGE, U).subdifferential(
+                                     [1.0, 0.5]).contains(a), True),
     "value": ("point", [1.0, 0.5], GerstewitzFn(WEDGE, U).value, True),
     "value_many": ("points", [[1.0, 0.5], [0.0, 1.0]], GerstewitzFn(WEDGE, U).value_many, True),
     "sublevel": ("point", [1.0, 0.5], lambda a: GerstewitzFn(WEDGE, U).sublevel(a, 1.0), True),
@@ -85,6 +89,8 @@ ENTRIES = {
                                   lambda a: support_values(SQUARE, a), True),
     "convex_hull_2d": ("points", [[0.0, 0.0], [1.0, 0.0], [2.0, 3.0]], convex_hull_2d, True),
     "hausdorff_distance": ("vertices", SQUARE, lambda a: hausdorff_distance(a, SQUARE), False),
+    "hausdorff_distance.b": ("vertices", SQUARE, lambda a: hausdorff_distance(SQUARE, a),
+                             False),
     "hausdorff_distance_definitional": ("vertices", SQUARE,
                                         lambda a: hausdorff_distance_definitional(SQUARE, a),
                                         False),
@@ -101,6 +107,9 @@ ENTRIES = {
     "PenaltyInstance.points": ("points", PTS, lambda a: penalty_instance(points=a), False),
     "PenaltyInstance.values": ("values", VALS, lambda a: penalty_instance(values=a), True),
     "PenaltyInstance.e": ("e", [0.8, 0.6], lambda a: penalty_instance(e=a), True),
+    "PenaltyInstance.objective": ("f(x)", [0.0, 1.0],
+                                  lambda a: penalty_instance(objective=lambda x: a, values=None),
+                                  True),
     "cone_minimal_points": ("values", VALS, lambda a: cone_minimal_points(a, WEDGE), True),
     "BoxProgram.Q": ("Q", np.eye(2), lambda a: box_program(Q=a), True),
     "BoxProgram.q": ("q", [1.0, -1.0], lambda a: box_program(q=a), True),

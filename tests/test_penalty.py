@@ -402,6 +402,21 @@ class TestPenalizedValues:
         assert np.allclose(penalized_at(inst, 2.0, 0.0), [2.0])   # 0 + 2 * d(0,[1,2]) * 1
         assert np.allclose(penalized_at(inst, 2.0, 1.0), [1.0])
 
+    def test_distances_formed_once_and_read_only(self, monkeypatch):
+        calls = []
+        distances = PenaltyInstance.distances_to_omega
+        monkeypatch.setattr(PenaltyInstance, "distances_to_omega",
+                            lambda self: calls.append(1) or distances(self))
+        inst = scalar_abs_instance()
+        v0, v2 = inst.penalized_values(0.0), inst.penalized_values(2.0)
+        assert len(calls) == 1
+        assert v0.tobytes() == inst.values.tobytes()
+        # a caller's write lands in its own copy, never in the cached distances
+        v2[:] = 0.0
+        assert np.allclose(penalized_at(inst, 2.0, 0.0), [2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            inst._distances[0] = 1.0
+
 
 class TestMinimalPoints:
     def test_pareto_example(self):
