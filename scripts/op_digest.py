@@ -2,6 +2,7 @@
 reports.
 
     python scripts/op_digest.py WORKLOAD SEEDS [--ops N]
+    python scripts/op_digest.py lp SEEDS [--ops N]
     python scripts/op_digest.py cli
 
 WORKLOAD is penalty, duality, pointwise or all; SEEDS is a list such as
@@ -19,6 +20,14 @@ NamedTuple or plain object is its class name and its fields, recursed, with
 private attributes (a leading underscore) left out; lists, tuples and dicts
 are recursed in order; an op that raises is its exception's type and
 message.
+
+`lp` solves, for each seed S and each kind of tests/test_simplex_highs.py's
+LP families (feasible, infeasible, unbounded), N draws of `_family` from
+default_rng([S, len(kind)]) (LP_DRAWS unless --ops is given), each as drawn
+and as its far-bound and translated copies, and prints one sha256 over every
+`solve_lp` report, Farkas certificates included: the benchmark's workloads
+solve almost no infeasible LP, so their digests leave the certificate path
+unread.
 
 `cli` runs tests/test_cli.py and tests/test_readme.py in this process, with
 a fixed hypothesis seed, and prints the count of the reports that
@@ -42,6 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 22.0   # perfbench/run.py's default --seconds
 WORKLOADS = ("penalty", "duality", "pointwise")
 CLI_TESTS = ("tests/test_cli.py", "tests/test_readme.py")
+LP_KINDS = ("feasible", "infeasible", "unbounded")
+LP_DRAWS = 500
 
 
 def benchmark():
@@ -131,6 +142,26 @@ def digest(name: str, seeds, ops: int | None = None) -> tuple[int, str]:
     return done, h.hexdigest()
 
 
+def lp_digest(seeds, draws: int | None = None) -> tuple[int, str]:
+    """(LP count, sha256 hex) over the solve_lp reports of every seed's
+    family draws, each kind as drawn, with bounds at +-1e8 in place of the
+    infinite ones, and translated by up to 1e8 (test_matches_highs' copies)."""
+    benchmark()
+    tests = str(ROOT / "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    from conegen.numkernel import solve_lp
+    from test_simplex_highs import _family_lps
+    h, done = hashlib.sha256(), 0
+    for seed in seeds:
+        for kind in LP_KINDS:
+            rng = np.random.default_rng([seed, len(kind)])
+            for lp in _family_lps(rng, kind, LP_DRAWS if draws is None else draws):
+                canon(solve_lp(lp), h.update)
+                done += 1
+    return done, h.hexdigest()
+
+
 def cli_digest() -> tuple[int, str]:
     """(report count, sha256 hex) over the JSON text of every report
     `conegen.cli._emit` writes while CLI_TESTS run in this process."""
@@ -168,10 +199,11 @@ def parse_seeds(text: str) -> list[int]:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=WORKLOADS + ("all", "cli"))
+    parser.add_argument("workload", choices=WORKLOADS + ("all", "lp", "cli"))
     parser.add_argument("seeds", type=parse_seeds, nargs="?",
                         help="e.g. 1-3 or 1,4,7 (not read by cli)")
-    parser.add_argument("--ops", type=int, help="ops per seed (default: the benchmark's)")
+    parser.add_argument("--ops", type=int, help="ops per seed (default: the benchmark's), "
+                        f"or for lp draws per kind and seed (default {LP_DRAWS})")
     args = parser.parse_args(argv)
     if args.workload == "cli":
         count, hexdigest = cli_digest()
@@ -179,6 +211,10 @@ def main(argv=None):
         return
     if args.seeds is None:
         parser.error("a workload needs its seeds")
+    if args.workload == "lp":
+        count, hexdigest = lp_digest(args.seeds, args.ops)
+        print(f"lp seeds {','.join(map(str, args.seeds))}: {count} LPs sha256 {hexdigest}")
+        return
     names = WORKLOADS if args.workload == "all" else (args.workload,)
     for name in names:
         count, hexdigest = digest(name, args.seeds, args.ops)

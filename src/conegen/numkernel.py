@@ -13,16 +13,22 @@ loop with Dantzig's rule then restores its cost. After a run of degenerate
 pivots both loops follow Bland's rule until the next nondegenerate pivot
 (Bland, Math. Oper. Res. 2(2), 1977). Nothing is random, so identical inputs
 produce bitwise-identical reports. The reduced costs are the last row of the
-tableau, so each pivot is one in-place rank-1 update of rows and costs.
-Statuses are decided on the equilibrated rows, each held to
-lp_feas * max(1, |b_i|) with b_i its own right-hand side, so neither the row
-scale nor the variable bounds move the threshold: a row beyond it that no
-column moves back is "infeasible", and its row of B^-1 is the Farkas
-certificate. The final point is solved afresh from the optimal basis with
-the nonbasic variables exactly at their bounds; if a row's residual there
-exceeds that threshold, and also lp_feas times the size of the row's terms
-at the point, the report is "numerical", never "optimal". Problems stay at a
-few hundred rows; no sparsity, no warm starts.
+tableau, so each pivot is one in-place rank-1 update of rows and costs. It
+is formed as one k = 1 product of the pivot column and the pivot row (a BLAS
+gemm, faster than numpy's broadcast multiply from 11 x 21 to 99 x 147).
+Its nonzero entries are the multiply's single roundings, but its zero
+products are all +0.0 where the multiply gives -0.0 for a zero times a
+negative, so the tableau can hold -0.0 where the multiply's update leaves
++0.0; no output reads those signs (tests/test_pivot_bits.py). Statuses are
+decided on the equilibrated rows, each held to lp_feas * max(1, |b_i|) with
+b_i its own right-hand side, so neither the row scale nor the variable
+bounds move the threshold: a row beyond it that no column moves back is
+"infeasible", and its row of B^-1 is the Farkas certificate. The final point
+is solved afresh from the optimal basis with the nonbasic variables exactly
+at their bounds; if a row's residual there exceeds that threshold, and also
+lp_feas times the size of the row's terms at the point, the report is
+"numerical", never "optimal". Problems stay at a few hundred rows; no
+sparsity, no warm starts.
 """
 from __future__ import annotations
 
@@ -197,7 +203,7 @@ class LPProblem:
 
 def _bound(b, n, fill, name):
     """A copy of the bound vector b, fill where b is None: its entries may
-    be infinite (no bound), never nan."""
+    be fill, the infinity of no bound, never nan or the other infinity."""
     if b is None:
         return np.full(n, fill)
     b = np.array(b, dtype=float)
@@ -207,6 +213,8 @@ def _bound(b, n, fill, name):
         raise DimensionMismatch(f"{name} has dimension {b.shape[0]}, expected {n}")
     if np.isnan(b).any():
         raise ValueError(f"{name} must have no nan entries")
+    if (b == -fill).any():
+        raise ValueError(f"{name} must have no {-fill:+} entries")
     return b
 
 
@@ -449,74 +457,82 @@ def _dual_loop(T, xb, basis, upper, sgn, weight, held, tols):
         return "optimal", 0, None
     d = T[m]
     ub, wb, hb = upper[basis], weight[basis], held[basis]
+    tol = tols.lp_pivot
     piv = np.empty(ncols)
     prod = np.empty_like(T)
     degenerate = 0
     iters = 0
     while True:
         viol = np.maximum(xb - ub, -xb) * wb
-        # an over row has viol > held >= 0, so the largest score is positive
-        # iff some row is over, and its row is the leaving row
-        score = np.where(viol > hb, viol, 0.0)
-        row = int(score.argmax())
-        if not score[row] > 0.0:
-            return "optimal", iters, None
+        bland = degenerate >= _BLAND_AFTER
+        # An over row has viol > held >= 0. When the first row of the largest
+        # viol is over, it is also the first largest over row.
+        row = int(viol.argmax())
+        if bland or not viol[row] > hb[row]:
+            over = (viol > hb).nonzero()[0]
+            if over.size == 0:
+                return "optimal", iters, None
+            row = int(over[basis[over].argmin() if bland else viol[over].argmax()])
         if iters >= SIMPLEX_CAP:
             return "iteration-cap", iters, None
-        bland = degenerate >= _BLAND_AFTER
-        if bland:
-            cand = score.nonzero()[0]
-            row = int(cand[basis[cand].argmin()])
-        below = xb[row] < 0.0
-        excess = -xb[row] if below else xb[row] - ub[row]
-        alpha = T[row] * (sgn if below else -sgn)
-        elig = (alpha > tols.lp_pivot).nonzero()[0]
+        xr = xb.item(row)
+        below = xr < 0.0
+        excess = -xr if below else xr - ub.item(row)
+        # nalpha = -alpha, alpha_j the rate at which column j, leaving its
+        # bound, moves the row towards its bounds. The ratio |d_j| / alpha_j
+        # is min(d_j sgn_j, 0) / -alpha_j: 0 where d_j has the wrong sign.
+        nalpha = T[row] * sgn
+        if below:
+            np.negative(nalpha, out=nalpha)
+        elig = (nalpha < -tol).nonzero()[0]
         if elig.size == 0:
             return "infeasible", iters, row
-        a = alpha[elig]
-        ratio = np.maximum(d[elig] * -sgn[elig], 0.0) / a
-        room = a * upper[elig]  # how far each column's whole range moves the row
-        left = ratio.copy()
+        na = nalpha[elig]
+        left = np.minimum((d * sgn)[elig], 0.0) / na
         flips, reach = [], 0.0
         while True:  # the breakpoints in order of ratio, lowest index on ties
             k = int(left.argmin())
-            if reach + room[k] >= excess:
+            room = -na.item(k) * upper.item(elig.item(k))  # the move of its whole range
+            if reach + room >= excess:
                 break
             if len(flips) + 1 == left.size:
                 # Every eligible column at its other bound still leaves the
                 # row outside beyond its threshold: the dual is unbounded.
-                if (excess - (reach + room[k])) * wb[row] > hb[row]:
+                if (excess - (reach + room)) * wb.item(row) > hb.item(row):
                     return "infeasible", iters, row
                 break
             flips.append(k)
-            reach += room[k]
+            reach += room
             left[k] = np.inf
         iters += 1
         if flips:
             flip = elig[flips]
             xb += T[:m, flip] @ (sgn[flip] * upper[flip])
             sgn[flip] = -sgn[flip]
-        step = ratio[k]
-        tie = tols.lp_pivot * max(1.0, step)
+        step = left.item(k)   # the entering column's ratio: it was not flipped
+        tie = tol * max(1.0, step)
         ties = (left <= step + tie).nonzero()[0]
-        col = int(elig[ties.min() if bland else ties[a[ties].argmax()]])
-        leave = basis[row]
-        move = (xb[row] - (0.0 if below else ub[row])) / T[row, col]
-        entered = (upper[col] if sgn[col] > 0.0 else 0.0) + move
+        # ties is sorted: under Bland's rule, or alone, its first entry enters
+        col = elig.item(ties[0] if bland or ties.size == 1 else ties[na[ties].argmin()])
+        leave = basis.item(row)
+        move = (xb.item(row) - (0.0 if below else ub.item(row))) / T.item(row, col)
+        entered = (upper.item(col) if sgn.item(col) > 0.0 else 0.0) + move
         xb -= move * T[:m, col]
         xb[row] = entered
-        sgn[leave] = 0.0 if upper[leave] <= 0.0 else (-1.0 if below else 1.0)
+        sgn[leave] = 0.0 if upper.item(leave) <= 0.0 else (-1.0 if below else 1.0)
         sgn[col] = 0.0
         basis[row] = col
-        ub[row], wb[row], hb[row] = upper[col], weight[col], held[col]
+        ub[row], wb[row], hb[row] = upper.item(col), weight.item(col), held.item(col)
         _pivot(T, row, col, piv, prod)
         degenerate = degenerate + 1 if step <= tie else 0
 
 
 def _pivot(T, row, col, piv, prod):
-    """Pivot T in place on (row, col), through the buffers piv and prod."""
+    """Pivot T in place on (row, col), through the buffers piv and prod.
+    The update T -= T[:, col] piv' is one k = 1 product, whose zero products
+    are all +0.0 (see the module docstring)."""
     np.divide(T[row], T[row, col], out=piv)
-    np.multiply(T[:, col, None], piv, out=prod)
+    np.dot(T[:, col, None], piv[None, :], out=prod)
     T -= prod
     T[row] = piv
 

@@ -150,8 +150,9 @@ ENTRIES = {
     "LPProblem.upper": ("upper bound", [1.0, 1.0],
                         lambda a: LPProblem(cost=[-1.0, 1.0], upper=a), True),
 }
-# a bound may be infinite (no bound), so only nan is refused there
-INFINITE_READ = {"LPProblem.lower", "LPProblem.upper"}
+# a bound may be at its own infinity (no bound), so only nan is refused there;
+# the other infinity is refused in test_refusals.py
+INFINITE_READ = {"LPProblem.lower": -math.inf, "LPProblem.upper": math.inf}
 
 
 def _bad(good, how):
@@ -178,7 +179,9 @@ def test_every_public_array_read_refuses_a_bad_input_by_name(entry, how):
             call(_bad(good, how))
     elif entry in INFINITE_READ:
         if how == "inf":
-            call(_bad(good, how))
+            unbounded = np.array(good, dtype=float)
+            unbounded[-1] = INFINITE_READ[entry]
+            call(unbounded)
         else:
             with pytest.raises(ValueError, match=rf"^{re.escape(name)} must have no nan entries$"):
                 call(_bad(good, how))

@@ -12,8 +12,11 @@ kernel. So must the report that the one-point row product `A.dot(x)` gives
 the bits of the matmul `x @ A.T` on the point-evaluation cones, for
 contiguous and strided points: both are the same gemv on each kernel. So
 must the report that the active set's bound row s Z[j] + 0.0 gives the
-bits of the gemv Z'(s e_j) (test_gap_report_bits.py). Iteration counts are
-not compared.
+bits of the gemv Z'(s e_j) (test_gap_report_bits.py). So must the report
+that the simplex pivot's k = 1 product gives the broadcast multiply's bits
+on every nonzero entry, and a zero where it gives one (test_pivot_bits.py),
+on tableaus with signed zeros, subnormals and entries near 2^+-500.
+Iteration counts are not compared.
 
 Run as a script, this file prints the decisions as JSON.
 """
@@ -28,7 +31,7 @@ import numpy as np
 import conegen
 from conegen.demos import build_torsion_program
 from conegen.duality import duality_gap_report, random_box_program
-from conegen.numkernel import solve_lp
+from conegen.numkernel import _pivot, solve_lp
 from conegen.cones import coordinate_cone
 from conegen.penalty import cone_lipschitz_rank, random_instance, verify_penalty_equivalence
 from duality_oracle import random_multipliers
@@ -42,6 +45,29 @@ KERNEL = "Prescott"
 def _gap_decisions(prog, e):
     rep = duality_gap_report(prog, e)
     return [rep.primal_status, bool(rep.slater.satisfied), bool(rep.gap_ok), rep.dual_status]
+
+
+def pivot_products() -> bool:
+    """Whether _pivot's product equals the broadcast multiply of its column
+    and pivot row, bit for bit where nonzero, on tableaus of 11 x 21 to
+    99 x 147 drawn from signed zeros, subnormals, entries near 2^+-500 and
+    plain ones, each scaled by a factor in [0.5, 2) so that products round."""
+    rng = np.random.default_rng(108)
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, -(2.0 ** -1040), 2.0 ** 500,
+                     -(2.0 ** 499), 2.0 ** -500, -(2.0 ** -501), 1.0, -2.5])
+    agree = True
+    for m, n in ((11, 21), (41, 60), (81, 120), (99, 147)):
+        piv, prod = np.empty(n), np.empty((m, n))
+        for row, col in ((0, 0), (m // 2, n // 3), (m - 1, n - 1)):
+            T = rng.choice(pool, size=(m, n)) * rng.uniform(0.5, 2.0, size=(m, n))
+            T[row, col] = 0.75
+            column = T[:, col].copy()
+            _pivot(T, row, col, piv, prod)
+            ref = column[:, None] * piv
+            nonzero = ref != 0.0
+            agree &= bool(np.array_equal(prod, ref)) \
+                and prod[nonzero].tobytes() == ref[nonzero].tobytes()
+    return agree
 
 
 def decisions() -> list:
@@ -75,6 +101,7 @@ def decisions() -> list:
         points = [*X, *np.repeat(X, 2, axis=1)[:, ::2]]
         out.append(["dot", name, all(H.dot(x).tobytes() == (x @ H.T).tobytes() for x in points)])
     out.append(["reflect", all(bound_reflections())])
+    out.append(["pivot", pivot_products()])
     return out
 
 
@@ -85,8 +112,9 @@ def test_decisions_do_not_depend_on_the_blas_kernel():
     child = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                            text=True, check=True, timeout=120)
     here = decisions()
-    assert len(here) == 100 + 2 + 60 + 50 + 1 + len(CONES) + 1
-    assert all(row[2] for row in here if row[0] == "dot") and here[-1] == ["reflect", True]
+    assert len(here) == 100 + 2 + 60 + 50 + 1 + len(CONES) + 2
+    assert all(row[2] for row in here if row[0] == "dot")
+    assert here[-2:] == [["reflect", True], ["pivot", True]]
     assert json.loads(child.stdout) == here
 
 

@@ -83,3 +83,12 @@ def test_a_workload_needs_its_seeds():
     run = subprocess.run([sys.executable, str(SCRIPT), "duality"], capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 2 and "a workload needs its seeds" in run.stderr
+
+
+def test_lp_prints_the_lp_count_and_one_digest():
+    # 2 seeds x 3 kinds x 2 draws, each as drawn, far and moved
+    out = subprocess.run([sys.executable, str(SCRIPT), "lp", "1,2", "--ops", "2"],
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    head, digest = out.strip().split(" sha256 ")
+    assert head == "lp seeds 1,2: 36 LPs" and len(digest) == 64
+    int(digest, 16)

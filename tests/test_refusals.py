@@ -65,6 +65,13 @@ REFUSALS = {
                          ValueError, "lower bound exceeds upper bound"),
     "LPProblem.lower.ndim": (lambda: LPProblem(cost=[1.0, 1.0], lower=[[0.0, 0.0]]),
                              ValueError, "lower bound must be one-dimensional, got shape (1, 2)"),
+    # a bound at the other infinity bounds nothing; unrefused, its solve read x = +-inf
+    "LPProblem.lower.+inf": (lambda: LPProblem(cost=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0],
+                                               lower=[math.inf], upper=[math.inf]),
+                             ValueError, "lower bound must have no +inf entries"),
+    "LPProblem.upper.-inf": (lambda: LPProblem(cost=[1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0],
+                                               upper=[-math.inf]),
+                             ValueError, "upper bound must have no -inf entries"),
     "cone_lipschitz_rank.count": (lambda: cone_lipschitz_rank(PTS[:2], VALS, coordinate_cone(2),
                                                               E),
                                   ValueError, "need matching points/values with at least one pair"),

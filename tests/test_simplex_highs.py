@@ -91,6 +91,26 @@ def _family(rng, kind):
     return c, A, b, E, f, lower, upper
 
 
+def _far_and_moved(rng, A, b, E, f, lower, upper):
+    """The (rhs, eq rhs, lower, upper) of a family draw's two copies with
+    large finite bounds: infinite bounds replaced by +-1e8, and the whole
+    problem translated by up to 1e8 in each variable."""
+    far = (b, f, np.where(np.isfinite(lower), lower, -1e8),
+           np.where(np.isfinite(upper), upper, 1e8))
+    u = rng.uniform(-1e8, 1e8, size=A.shape[1])
+    return far, (b + A @ u, f + E @ u, lower + u, upper + u)
+
+
+def _family_lps(rng, kind, draws):
+    """draws LPs of the family, each as drawn and as its two far copies."""
+    for _ in range(draws):
+        c, A, b, E, f, lower, upper = _family(rng, kind)
+        far, moved = _far_and_moved(rng, A, b, E, f, lower, upper)
+        for b_, f_, lo_, hi_ in ((b, f, lower, upper), far, moved):
+            yield LPProblem(cost=c, ineq_lhs=A, ineq_rhs=b_, eq_lhs=E, eq_rhs=f_,
+                            lower=lo_, upper=hi_)
+
+
 def _highs(c, A, b, E, f, lower, upper, duals=False):
     """HiGHS's status and value; with duals, also its row marginals in
     solve_lp's convention: y >= 0 on the rows A x >= b (HiGHS reads them as
@@ -129,13 +149,7 @@ def test_matches_highs(kind):
         _check(LPProblem(cost=c, ineq_lhs=A * s[:, None], ineq_rhs=b * s,
                          eq_lhs=E * t[:, None], eq_rhs=f * t,
                          lower=lower, upper=upper), status, value)
-        # Large finite bounds: infinite bounds replaced by +-1e8, and the
-        # whole problem translated by up to 1e8 in each variable.
-        far = (b, f, np.where(np.isfinite(lower), lower, -1e8),
-               np.where(np.isfinite(upper), upper, 1e8))
-        u = rng.uniform(-1e8, 1e8, size=c.size)
-        moved = (b + A @ u, f + E @ u, lower + u, upper + u)
-        for b_, f_, lo_, hi_ in (far, moved):
+        for b_, f_, lo_, hi_ in _far_and_moved(rng, A, b, E, f, lower, upper):
             _check(LPProblem(cost=c, ineq_lhs=A, ineq_rhs=b_, eq_lhs=E, eq_rhs=f_,
                              lower=lo_, upper=hi_), *_highs(c, A, b_, E, f_, lo_, hi_))
 
